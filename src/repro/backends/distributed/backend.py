@@ -50,6 +50,7 @@ from repro.backends.interface import (
     rewrite_batched_subscripts,
 )
 from repro.telemetry.trace import TRACER as _TRACER
+from repro.tensornetwork.contraction_path import unplanned_flops
 from repro.utils.flops import eigh_flops, qr_flops, svd_flops
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -231,12 +232,7 @@ class DistributedBackend(Backend):
         _, output, batch_dims, batch = parse_batched_subscripts(subscripts, shapes)
         if batch == 1:
             squeezed = [d.reshape(d.shape[1:]) for d in datas]
-            plan = plan_einsum(subscripts, [d.shape for d in squeezed])
-            result = self.comm.contract(plan, squeezed)
-            self._charge_einsum(plan, squeezed, result)
-            if output == "":
-                result = self.comm.allreduce(np.asarray(result))
-            return self._wrap(np.asarray(result)[np.newaxis, ...])
+            return self._wrap(self.einsum(subscripts, *squeezed).array[np.newaxis, ...])
         batched_subscripts, _ = rewrite_batched_subscripts(subscripts, batch_dims)
         used = [
             d.reshape(d.shape[1:]) if dim == 1 else d
@@ -265,9 +261,15 @@ class DistributedBackend(Backend):
         # fraction of the grid during the contraction.
         comm_bytes = operand_bytes / max(1.0, sqrt(p)) if p > 1 else 0.0
         messages = 2.0 * sqrt(p) if p > 1 else 0.0
-        self.cost_model.contraction(flops=plan.total_flops, comm_bytes=comm_bytes,
+        if plan.fallback:
+            flops = unplanned_flops([d.shape for d in datas])
+            peak = max(d.size for d in datas)
+        else:
+            flops = plan.contraction.total_flops
+            peak = plan.contraction.max_intermediate_size
+        self.cost_model.contraction(flops=flops, comm_bytes=comm_bytes,
                                     messages=messages, category="einsum")
-        self.cost_model.observe_tensor(float(plan.max_intermediate_size) * itemsize)
+        self.cost_model.observe_tensor(float(peak) * itemsize)
 
     def tensordot(self, a, b, axes) -> DistTensor:
         da, db = self._data(a), self._data(b)

@@ -5,7 +5,7 @@ Both executors of :class:`~repro.backends.distributed.backend.DistributedBackend
 einsums through the same two-phase engine:
 
 1. :func:`plan_einsum` fixes a contraction *plan* from the **global** operand
-   shapes: the pairwise contraction order from
+   shapes: the shared, cached pairwise plan of
    :func:`repro.tensornetwork.contraction_path.find_path`, plus the output
    label along which the computation is block-partitioned across ranks.
 2. :func:`execute_plan` evaluates the plan block by block, each block as a
@@ -36,12 +36,12 @@ never partitioned and hence trivially invariant to the rank count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensornetwork.contraction_path import find_path
-from repro.tensornetwork.einsum_spec import parse_einsum
+from repro.tensornetwork.contraction_path import ContractionPlan, find_path
 
 #: Number of canonical blocks a sharded contraction is split into (fewer when
 #: the shard extent is smaller).  This caps useful pool parallelism per
@@ -67,112 +67,60 @@ def shard_bounds(extent: int, nparts: int) -> List[Tuple[int, int]]:
 class EinsumPlan:
     """A contraction plan fixed from global shapes (see module docstring).
 
-    ``shard_label`` is an output label safe to block-partition across ranks
-    (``None`` when the output has no such label, e.g. scalar results), with
-    ``shard_extent`` its global extent and ``shard_parts`` the canonical
-    block count.  ``fallback`` marks subscripts the pairwise planner cannot
-    handle; those execute as one whole einsum call.  Plans are immutable and
-    picklable, so the driver can ship one plan to every pool worker
-    alongside that worker's operand slices.
+    ``contraction`` is the planner's shared plan, ``None`` for subscripts it
+    cannot handle; those execute as one whole einsum call.  ``shard_label``
+    is an output label to block-partition across ranks (``None`` when the
+    output has none, e.g. scalar results), with ``shard_extent`` its global
+    extent and ``shard_parts`` the canonical block count.  Plans are
+    immutable and picklable, so the driver can ship one plan to every pool
+    worker alongside that worker's operand slices.
     """
 
     subscripts: str
-    inputs: Tuple[str, ...]
-    output: str
-    path: Tuple[Tuple[int, ...], ...]
-    steps: Tuple[str, ...]
-    shard_label: Optional[str]
-    shard_extent: int
-    shard_parts: int
-    fallback: bool
-    total_flops: float
-    max_intermediate_size: float
+    contraction: Optional[ContractionPlan]
+    shard_label: Optional[str] = None
+    shard_extent: int = 0
+    shard_parts: int = 0
+
+    @property
+    def fallback(self) -> bool:
+        return self.contraction is None
 
     def canonical_bounds(self) -> List[Tuple[int, int]]:
         """The canonical block partition of the shard label."""
         return shard_bounds(self.shard_extent, self.shard_parts)
 
 
-def _choose_shard_label(
-    inputs: Sequence[str], output: str, extents: dict
-) -> Tuple[Optional[str], int]:
-    """Pick the output label to shard on: the largest-extent label that is
-    kept (never summed) and appears at most once in every term."""
-    best: Optional[str] = None
-    best_extent = 0
-    for label in output:
-        if output.count(label) != 1:
-            continue
-        if any(spec.count(label) > 1 for spec in inputs):
-            continue
-        extent = int(extents[label])
-        if extent > best_extent:
-            best, best_extent = label, extent
-    return best, best_extent
-
-
-def plan_einsum(
-    subscripts: str, shapes: Sequence[Tuple[int, ...]], strategy: str = "greedy"
-) -> EinsumPlan:
-    """Fix a contraction plan for ``subscripts`` from the global ``shapes``."""
-    shapes = [tuple(int(s) for s in shape) for shape in shapes]
+def plan_einsum(subscripts: str, shapes: Sequence[Tuple[int, ...]]) -> EinsumPlan:
+    """Fix a contraction plan for ``subscripts`` from the global ``shapes``:
+    the shared plan, sharded on the output label of largest extent (the
+    first such; labels never repeat within a parsed term)."""
     try:
-        spec = parse_einsum(subscripts, n_operands=len(shapes))
-        extents = spec.index_dimensions(shapes)
+        contraction = find_path(subscripts, shapes)
     except ValueError:
-        volume = float(np.prod([max(int(np.prod(s or (1,))), 1) for s in shapes]))
-        return EinsumPlan(
-            subscripts=subscripts, inputs=(), output="", path=(), steps=(),
-            shard_label=None, shard_extent=0, shard_parts=0, fallback=True,
-            total_flops=8.0 * min(volume, 1e18),
-            max_intermediate_size=float(max(
-                (int(np.prod(s or (1,))) for s in shapes), default=1)),
-        )
-    info = find_path(spec, shapes, strategy=strategy)
-    inputs = tuple("".join(term) for term in spec.inputs)
-    output = "".join(spec.output)
-    label, extent = _choose_shard_label(inputs, output, extents)
-    if extent < 1:
-        label, extent = None, 0
-    return EinsumPlan(
-        subscripts=subscripts,
-        inputs=inputs,
-        output=output,
-        path=tuple(tuple(pair) for pair in info.path),
-        steps=tuple(info.steps),
-        shard_label=label,
-        shard_extent=extent,
-        shard_parts=min(extent, CANONICAL_PARTS) if label else 0,
-        fallback=False,
-        total_flops=float(info.total_flops),
-        max_intermediate_size=float(info.max_intermediate_size),
-    )
+        return EinsumPlan(subscripts, None)
+    extents = {
+        label: extent
+        for term, shape in zip(contraction.inputs, shapes)
+        for label, extent in zip(term, shape)
+    }
+    label = max(contraction.output, key=extents.get, default=None)
+    if label is None or extents[label] < 1:
+        return EinsumPlan(subscripts, contraction)
+    extent = int(extents[label])
+    return EinsumPlan(subscripts, contraction, label, extent, min(extent, CANONICAL_PARTS))
 
 
-def _chain(plan: EinsumPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
-    """Run the pairwise chain on one block's operands.
+def _chain(plan: ContractionPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
+    """Run the plan's steps on one block's operands.
 
     Operands are materialized contiguously first: the C einsum kernel NumPy
     dispatches to depends on operand strides, so the canonical computation
     must see canonical buffers whether a block's data is a fresh view into
     the global array (serial executor) or arrived through a pipe (pool).
     """
-    work = [np.ascontiguousarray(op) for op in operands]
-    for pair, step in zip(plan.path, plan.steps):
-        if len(pair) == 1:
-            picked = [work.pop(pair[0])]
-        else:
-            i, j = sorted(pair)
-            second = work.pop(j)
-            picked = [work.pop(i), second]
-        work.append(np.einsum(step, *picked, optimize=False))
-    result = work[0]
-    final = plan.steps[-1].split("->")[1] if plan.steps else plan.output
-    if final != plan.output:
-        # Labels the path kept alive but the output sums away, plus the
-        # final axis order, are resolved by one deterministic reduction.
-        result = np.einsum(final + "->" + plan.output, result, optimize=False)
-    return np.asarray(result)
+    operands = [np.ascontiguousarray(op) for op in operands]
+    return np.asarray(plan.execute(operands, partial(np.einsum, optimize=False)))
 
 
 def execute_plan(
@@ -193,11 +141,12 @@ def execute_plan(
         arrays = [np.ascontiguousarray(a) for a in arrays]
         return np.asarray(np.einsum(plan.subscripts, *arrays, optimize=True))
     if plan.shard_label is None:
-        return _chain(plan, arrays)
+        return _chain(plan.contraction, arrays)
     if bounds is None:
         bounds = plan.canonical_bounds()
     blocks = [
-        _chain(plan, slice_operands(plan, arrays, lo, hi)) for lo, hi in bounds
+        _chain(plan.contraction, slice_operands(plan, arrays, lo, hi))
+        for lo, hi in bounds
     ]
     return concat_blocks(plan, blocks)
 
@@ -207,11 +156,10 @@ def slice_operands(
 ) -> List[np.ndarray]:
     """Restrict every operand carrying the shard label to ``[lo, hi)``."""
     out: List[np.ndarray] = []
-    for spec, array in zip(plan.inputs, operands):
-        pos = spec.find(plan.shard_label) if plan.shard_label else -1
-        if pos >= 0:
+    for term, array in zip(plan.contraction.inputs, operands):
+        if plan.shard_label in term:
             index = [slice(None)] * array.ndim
-            index[pos] = slice(lo, hi)
+            index[term.index(plan.shard_label)] = slice(lo, hi)
             array = array[tuple(index)]
         out.append(array)
     return out
@@ -221,5 +169,5 @@ def concat_blocks(plan: EinsumPlan, blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Reassemble result blocks along the shard axis of the output."""
     if len(blocks) == 1:
         return np.asarray(blocks[0])
-    axis = plan.output.index(plan.shard_label)
+    axis = plan.contraction.output.index(plan.shard_label)
     return np.concatenate([np.asarray(b) for b in blocks], axis=axis)

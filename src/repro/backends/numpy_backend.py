@@ -13,7 +13,6 @@ the Table II benchmark).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,8 +97,7 @@ class NumPyBackend(Backend):
     # Contraction and algebra
     # ------------------------------------------------------------------ #
     def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        shapes = tuple(tuple(int(s) for s in op.shape) for op in operands)
-        path = _cached_einsum_path(subscripts, shapes)
+        path, flops = _path_and_flops(subscripts, operands)
         # Hottest call site in the library: the explicit `active` guard keeps
         # the disabled-tracing path free of even the span-argument dict.
         if _TRACER.active:
@@ -108,22 +106,16 @@ class NumPyBackend(Backend):
         else:
             result = np.einsum(subscripts, *operands, optimize=path)
         if self.flop_counter is not None:
-            flops = _cached_einsum_flops(subscripts, shapes)
-            if flops is None:
-                # Subscripts outside the lightweight parser's grammar
-                # (e.g. ellipsis): fall back to a crude volume bound.
-                volume = float(np.prod([max(op.size, 1) for op in operands]))
-                flops = 8.0 * volume
             self.flop_counter.add("einsum", flops)
         return result
 
     def einsum_batched(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        """One fused ``np.einsum`` over the whole batch with a cached path.
+        """One fused ``np.einsum`` over the whole batch with a cached plan.
 
         Operands whose batch axis has size 1 are squeezed and treated as
-        unbatched (the path planner then sees them as shared factors instead
-        of broadcast copies); the rest share one extra batch label.  The
-        rewritten subscripts reuse the same LRU path cache as :meth:`einsum`,
+        unbatched (the planner then sees them as shared factors instead of
+        broadcast copies); the rest share one extra batch label.  The
+        rewritten subscripts go through the same plan cache as :meth:`einsum`,
         so lockstep hot loops plan each (subscripts, shapes) combination once.
         """
         shapes = [tuple(int(s) for s in op.shape) for op in operands]
@@ -137,8 +129,7 @@ class NumPyBackend(Backend):
             op.reshape(op.shape[1:]) if dim == 1 else op
             for op, dim in zip(operands, batch_dims)
         ]
-        op_shapes = tuple(tuple(int(s) for s in op.shape) for op in ops)
-        path = _cached_einsum_path(batched_subscripts, op_shapes)
+        path, flops = _path_and_flops(batched_subscripts, ops)
         if _TRACER.active:
             with _TRACER.span(
                 "einsum_batched", subscripts=subscripts, batch=batch
@@ -147,10 +138,6 @@ class NumPyBackend(Backend):
         else:
             result = np.einsum(batched_subscripts, *ops, optimize=path)
         if self.flop_counter is not None:
-            flops = _cached_einsum_flops(batched_subscripts, op_shapes)
-            if flops is None:
-                volume = float(np.prod([max(op.size, 1) for op in ops]))
-                flops = 8.0 * volume
             self.flop_counter.add("einsum_batched", flops)
         return result
 
@@ -216,71 +203,37 @@ class NumPyBackend(Backend):
         return self.astensor(array, dtype=dtype)
 
 
-#: Zero-storage scalar whose broadcast views stand in for real operands when
-#: planning contraction paths (``einsum_path`` only inspects shapes).
-_PATH_PROBE = np.empty((), dtype=np.complex128)
+def _planner():
+    """The contraction planner module, imported late: the package init of
+    ``repro.tensornetwork`` imports the backends."""
+    from repro.tensornetwork import contraction_path
+
+    return contraction_path
 
 
-@lru_cache(maxsize=4096)
-def _cached_einsum_path(subscripts: str, shapes: Tuple[Tuple[int, ...], ...]):
-    """Contraction path for ``(subscripts, shapes)``, planned once and reused.
-
-    The einsum calls inside the boundary-contraction hot loops repeat the same
-    few subscript/shape combinations thousands of times; re-planning the path
-    on every call (``optimize=True``) is measurable overhead.
-    """
-    probes = [np.broadcast_to(_PATH_PROBE, shape) for shape in shapes]
+def _path_and_flops(subscripts: str, operands: Sequence[np.ndarray]):
+    """The ``optimize`` argument for ``np.einsum`` and the flops to count,
+    both read off the one cached plan so that what is counted is what runs."""
+    shapes = [op.shape for op in operands]
     try:
-        return np.einsum_path(subscripts, *probes, optimize="greedy")[0]
-    except Exception:
-        # Exotic subscripts the planner rejects: let numpy decide per call.
-        return True
-
-
-@lru_cache(maxsize=4096)
-def _cached_einsum_flops(
-    subscripts: str, shapes: Tuple[Tuple[int, ...], ...]
-) -> Optional[float]:
-    """Greedy-path flop estimate for the flop counter, cached like the path.
-
-    Returns ``None`` for subscripts the lightweight parser cannot handle.
-    """
-    # Deferred import: the contraction-path module lives above the backend
-    # layer in the package graph.
-    from repro.tensornetwork.contraction_path import find_path
-    from repro.tensornetwork.einsum_spec import parse_einsum
-
-    try:
-        spec = parse_einsum(subscripts, n_operands=len(shapes))
-        info = find_path(spec, list(shapes), strategy="greedy")
-        return float(info.total_flops)
+        plan = _planner().find_path(subscripts, shapes)
     except ValueError:
-        return None
+        # Subscripts outside the planner's grammar (e.g. ellipsis): NumPy
+        # decides per call and the count is a crude volume bound.
+        return True, _planner().unplanned_flops(shapes)
+    return ["einsum_path", *plan.path], plan.total_flops
 
 
 def path_cache_stats() -> dict:
-    """Hit/miss/size counters of the einsum path and flop-estimate caches.
-
-    Benchmarks read these to report how well repeated hot-loop contractions
-    amortize their path planning (a lockstep sampler should show almost-all
-    hits after the first site of the first row).
-    """
-    path = _cached_einsum_path.cache_info()
-    flops = _cached_einsum_flops.cache_info()
-    return {
-        "path": {"hits": path.hits, "misses": path.misses, "size": path.currsize},
-        "flops": {"hits": flops.hits, "misses": flops.misses, "size": flops.currsize},
-    }
+    """Hit/miss/size counters of the planner's plan cache (see
+    :func:`repro.tensornetwork.contraction_path.path_cache_stats`)."""
+    return _planner().path_cache_stats()
 
 
 def clear_path_caches() -> None:
-    """Drop every cached einsum path and flop estimate (and their counters).
-
-    Call between benchmark measurements so path-planning cost and cache-hit
-    counts are attributed to the measured phase, reproducibly across runs.
-    """
-    _cached_einsum_path.cache_clear()
-    _cached_einsum_flops.cache_clear()
+    """Drop every cached contraction plan (see
+    :func:`repro.tensornetwork.contraction_path.clear_path_caches`)."""
+    _planner().clear_path_caches()
 
 
 def _normalize_tensordot_axes(ndim_a: int, axes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

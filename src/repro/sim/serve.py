@@ -115,6 +115,7 @@ class ServeDaemon:
         self._shutdown = threading.Event()
         self._child: Optional[subprocess.Popen] = None
         self._child_job: Optional[str] = None
+        self._signalled: Optional[subprocess.Popen] = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._executor: Optional[threading.Thread] = None
 
@@ -201,14 +202,26 @@ class ServeDaemon:
     def request_shutdown(self) -> None:
         """Initiate a graceful stop (signal-handler and API safe)."""
         self._shutdown.set()
-        child = self._child
-        if child is not None and child.poll() is None:
+        self._terminate_child()
+        with self._work:
+            self._work.notify_all()
+
+    def _terminate_child(self) -> None:
+        """Forward SIGTERM to the in-flight child, at most once.
+
+        The child's stop handler restores the default handler after the
+        first signal, so a second SIGTERM would kill it before it can finish
+        its step, checkpoint and exit 4.
+        """
+        with self._lock:
+            child = self._child
+            if child is None or child is self._signalled or child.poll() is not None:
+                return
+            self._signalled = child
             try:
                 child.send_signal(signal.SIGTERM)
             except OSError:  # pragma: no cover - racing child exit
                 pass
-        with self._work:
-            self._work.notify_all()
 
     def wait(self, poll_seconds: float = 0.2) -> int:
         """Block until shutdown is requested and drained; returns exit code."""
@@ -224,12 +237,7 @@ class ServeDaemon:
         terminal state.
         """
         self._shutdown.set()
-        child = self._child
-        if child is not None and child.poll() is None:
-            try:
-                child.send_signal(signal.SIGTERM)
-            except OSError:  # pragma: no cover - racing child exit
-                pass
+        self._terminate_child()
         if self._executor is not None:
             self._executor.join(timeout=120)
         if self._server is not None:
@@ -402,8 +410,8 @@ class ServeDaemon:
                     self._child, self._child_job = child, job_id
                     # A shutdown that raced the spawn must still reach the
                     # child, or the daemon would block on a full run.
-                    if self._shutdown.is_set() and child.poll() is None:
-                        child.send_signal(signal.SIGTERM)
+                    if self._shutdown.is_set():
+                        self._terminate_child()
                     code = child.wait()
             except OSError as exc:  # pragma: no cover - spawn failure
                 code = None

@@ -44,16 +44,16 @@ __all__ = [
 
 
 def global_snapshot():
-    """Snapshot the global registry *plus* the einsum path-cache stats.
+    """Snapshot the global registry *plus* the contraction-plan cache stats.
 
-    The NumPy backend's einsum path/flops caches are ``functools.lru_cache``
-    objects; their hit/miss counts are read here on demand (as gauges —
-    ``lru_cache`` owns the counters, the registry only mirrors them), so one
-    call captures every process-global counter in the library.
+    The planner's plan cache is a ``functools.lru_cache``; its hit/miss
+    counts are read here on demand (as gauges — ``lru_cache`` owns the
+    counters, the registry only mirrors them), so one call captures every
+    process-global counter in the library.
     """
-    from repro.backends import numpy_backend
+    from repro.tensornetwork.contraction_path import path_cache_stats
 
-    for cache_name, stats in numpy_backend.path_cache_stats().items():
-        for field in ("hits", "misses"):
-            REGISTRY.gauge(f"einsum.{cache_name}_cache_{field}").set(stats[field])
+    stats = path_cache_stats()["path"]
+    for field in ("hits", "misses"):
+        REGISTRY.gauge(f"einsum.path_cache_{field}").set(stats[field])
     return REGISTRY.snapshot()

@@ -6,9 +6,9 @@ tensors connected by a new, truncated bond.  This package provides
 
 * :mod:`repro.tensornetwork.einsum_spec` — parsing/validation of einsum
   subscripts (including the two-output ``einsumsvd`` form),
-* :mod:`repro.tensornetwork.contraction_path` — greedy and optimal pairwise
-  contraction-path search with flop/memory estimates (our stand-in for
-  ``opt_einsum``),
+* :mod:`repro.tensornetwork.contraction_path` — the one contraction planner
+  (exhaustive for small networks, greedy above; cached plans with flop/memory
+  estimates — our stand-in for ``opt_einsum``),
 * :mod:`repro.tensornetwork.einsumsvd` — the ``einsumsvd`` primitive with an
   explicit (contract-then-SVD) implementation and the paper's implicit
   randomized-SVD implementation that never materializes the contracted
@@ -22,12 +22,7 @@ from repro.tensornetwork.einsum_spec import (
     parse_einsumsvd,
     symbols,
 )
-from repro.tensornetwork.contraction_path import (
-    ContractionPathInfo,
-    find_path,
-    path_cost,
-    contract,
-)
+from repro.tensornetwork.contraction_path import ContractionPlan, find_path
 from repro.tensornetwork.einsumsvd import (
     EinsumSVDOption,
     ExplicitSVD,
@@ -42,10 +37,8 @@ __all__ = [
     "parse_einsum",
     "parse_einsumsvd",
     "symbols",
-    "ContractionPathInfo",
+    "ContractionPlan",
     "find_path",
-    "path_cost",
-    "contract",
     "EinsumSVDOption",
     "ExplicitSVD",
     "ImplicitRandomizedSVD",

@@ -1,241 +1,236 @@
-"""Pairwise contraction-path search for tensor networks.
+"""The contraction planner: the one place a pairwise contraction order is chosen.
 
-The distributed backend and the cost model need to know, for an arbitrary
-einsum expression, (a) a good pairwise contraction order and (b) the flop and
-memory cost of executing it.  NumPy's built-in optimizer is only available
-for :class:`numpy.ndarray` operands, so this module provides a standalone
-implementation (greedy search with an exhaustive optimal search for small
-networks) that works purely on index metadata.  It plays the role
-``opt_einsum`` plays for the original Koala library.
+Every consumer that contracts more than two tensors — ``NumPyBackend.einsum``
+/ ``einsum_batched``, the distributed engine and
+:func:`~repro.tensornetwork.network.contract_network` — asks
+:func:`find_path` for a :class:`ContractionPlan` and only *executes* it, so
+the order that is counted (``total_flops``) is the order that runs.  The
+search works purely on index metadata (labels and extents): exhaustive over
+pair orders up to :data:`EXHAUSTIVE_LIMIT` operands, greedy above.  Plans
+are cached on ``(spec, shapes)``; callers with free-form labels canonicalise
+them first so that structurally equal networks share one entry.  It plays
+the role ``opt_einsum`` plays for the original Koala library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple, Union
 
-from repro.tensornetwork.einsum_spec import EinsumSpec, parse_einsum
+from repro.tensornetwork.einsum_spec import EinsumSpec, parse_einsum, symbols
+
+Label = Hashable
+Term = Tuple[Label, ...]
+
+#: Largest operand count searched exhaustively (the search is factorial).
+EXHAUSTIVE_LIMIT = 6
+
+#: What writing one element of a step's result (and reading it back in a later
+#: step) costs the search, in complex multiply-adds: 32 bytes of traffic at a
+#: few flops per byte.  Without it the search buys a few percent of flops with
+#: a several times larger intermediate, which runs slower.
+WRITE_COST = 8
 
 
-@dataclass
-class ContractionPathInfo:
-    """Result of a contraction-path search.
+@dataclass(frozen=True)
+class ContractionPlan:
+    """A contraction order fixed from labels and extents; immutable, picklable.
 
     Attributes
     ----------
+    inputs / output:
+        The labels of each operand and of the result, as given to
+        :func:`find_path`.
     path:
-        List of pairs of operand positions contracted at each step, in the
+        The operand positions contracted at each step, in the
         ``np.einsum_path`` convention (positions refer to the *current*
-        operand list, which shrinks as intermediates replace their inputs).
-    total_flops:
-        Estimated total floating-point operations (complex FMAs * 8).
-    max_intermediate_size:
-        Largest number of elements of any intermediate tensor.
+        operand list: the picked operands are removed, the result appended).
+        Every step is pairwise, except the single step of a one-operand
+        expression.
     steps:
-        For each step, the einsum subscripts of the pairwise contraction.
+        For each step, einsum subscripts with letters local to that step (a
+        network may carry more labels than the einsum alphabet, one step
+        never does).  The last step produces ``output`` exactly, summing
+        whatever labels are left and fixing the axis order.
+    total_flops:
+        Estimated floating-point operations (complex FMAs * 8).
+    max_intermediate_size:
+        Largest number of elements of any operand, intermediate or result.
     """
 
-    path: List[Tuple[int, ...]]
+    inputs: Tuple[Term, ...]
+    output: Term
+    path: Tuple[Tuple[int, ...], ...]
+    steps: Tuple[str, ...]
     total_flops: float
     max_intermediate_size: int
-    steps: List[str] = field(default_factory=list)
 
-
-def _term_size(term: Sequence[str], dims: Dict[str, int]) -> int:
-    return int(prod(dims[label] for label in term)) if term else 1
-
-
-def _pair_contract_indices(
-    term_a: Sequence[str],
-    term_b: Sequence[str],
-    other_labels: set,
-    output_labels: set,
-) -> Tuple[str, ...]:
-    """Result indices and flop weight of contracting two terms.
-
-    Indices shared by the pair that appear neither in the remaining operands
-    nor in the final output are summed over; everything else is kept.
-    """
-    keep = output_labels | other_labels
-    result = tuple(
-        label
-        for label in dict.fromkeys(tuple(term_a) + tuple(term_b))
-        if (label in keep)
-        or (label in term_a) != (label in term_b)  # uncontracted free index
-    )
-    return result
-
-
-def _pairwise_cost(
-    term_a: Sequence[str],
-    term_b: Sequence[str],
-    result: Sequence[str],
-    dims: Dict[str, int],
-) -> float:
-    all_labels = set(term_a) | set(term_b)
-    volume = prod(dims[label] for label in all_labels) if all_labels else 1
-    return 8.0 * float(volume)
+    def execute(self, operands: Sequence, einsum: Callable):
+        """Contract ``operands`` step by step through
+        ``einsum(subscripts, *tensors)``; returns the result tensor."""
+        work = list(operands)
+        for pair, step in zip(self.path, self.steps):
+            picked = [work.pop(k) for k in reversed(pair)]
+            work.append(einsum(step, *reversed(picked)))
+        return work[0]
 
 
 def find_path(
-    spec: Union[str, EinsumSpec],
-    shapes: Sequence[Sequence[int]],
-    strategy: str = "auto",
-    optimal_limit: int = 6,
-) -> ContractionPathInfo:
-    """Find a pairwise contraction path for an einsum expression.
+    spec: Union[str, EinsumSpec], shapes: Sequence[Sequence[int]]
+) -> ContractionPlan:
+    """The contraction plan for an einsum expression (planned once, then cached).
 
     Parameters
     ----------
     spec:
-        Einsum subscripts or a parsed :class:`EinsumSpec`.
+        Einsum subscripts, or an :class:`EinsumSpec` whose labels may be any
+        hashables.
     shapes:
-        Shapes of the operands (used to weight the search).
-    strategy:
-        ``"greedy"``, ``"optimal"`` (exhaustive over pair orders), or
-        ``"auto"`` which uses the optimal search when there are at most
-        ``optimal_limit`` operands.
+        Shapes of the operands (they weight the search).
+
+    Raises ``ValueError`` for subscripts outside the parser's grammar
+    (ellipsis, repeated labels within a term) and for shapes inconsistent
+    with the labels.
     """
+    return _plan(spec, tuple(map(tuple, shapes)))
+
+
+@lru_cache(maxsize=4096)
+def _plan(spec: Union[str, EinsumSpec], shapes: Tuple[Tuple[int, ...], ...]) -> ContractionPlan:
     if isinstance(spec, str):
         spec = parse_einsum(spec, n_operands=len(shapes))
     dims = spec.index_dimensions(shapes)
-    n = len(spec.inputs)
-    if n == 0:
+    if not spec.inputs:
         raise ValueError("cannot find a contraction path for zero operands")
-    if n == 1:
-        size = _term_size(spec.output, dims)
-        return ContractionPathInfo(path=[(0,)], total_flops=8.0 * size,
-                                   max_intermediate_size=size,
-                                   steps=["".join(spec.inputs[0]) + "->" + "".join(spec.output)])
-    if strategy == "auto":
-        strategy = "optimal" if n <= optimal_limit else "greedy"
-    if strategy == "greedy":
-        return _greedy_path(spec, dims)
-    if strategy == "optimal":
-        return _optimal_path(spec, dims)
-    raise ValueError(f"unknown path strategy {strategy!r}")
+    search = _optimal_order if len(spec.inputs) <= EXHAUSTIVE_LIMIT else _greedy_order
+    return _build_plan(spec, dims, search(list(spec.inputs), set(spec.output), dims))
 
 
-def _execute_symbolically(
-    spec: EinsumSpec,
-    dims: Dict[str, int],
-    order: Sequence[Tuple[int, int]],
-) -> ContractionPathInfo:
-    """Compute cost metadata for a fixed sequence of pairwise contractions.
+def unplanned_flops(shapes: Sequence[Sequence[int]]) -> float:
+    """The crude volume bound counted for an einsum :func:`find_path` rejects."""
+    return 8.0 * prod(max(prod(shape), 1) for shape in shapes)
 
-    ``order`` refers to positions in the *current* operand list, matching the
-    ``np.einsum_path`` convention.
+
+def path_cache_stats() -> dict:
+    """Hit/miss/size counters of the plan cache.
+
+    Benchmarks read these to report how well repeated hot-loop contractions
+    amortize their planning (a lockstep sampler should show almost-all hits
+    after the first site of the first row).
     """
-    terms: List[Tuple[str, ...]] = [tuple(t) for t in spec.inputs]
-    output_labels = set(spec.output)
-    total_flops = 0.0
-    max_size = max((_term_size(t, dims) for t in terms), default=1)
-    path: List[Tuple[int, ...]] = []
-    steps: List[str] = []
-    for i, j in order:
-        if i == j:
-            raise ValueError("a contraction step must involve two distinct operands")
-        i, j = sorted((i, j))
-        term_a = terms[i]
-        term_b = terms[j]
-        remaining = [t for k, t in enumerate(terms) if k not in (i, j)]
-        other_labels = {label for t in remaining for label in t}
-        result = _pair_contract_indices(term_a, term_b, other_labels, output_labels)
-        total_flops += _pairwise_cost(term_a, term_b, result, dims)
-        max_size = max(max_size, _term_size(result, dims))
-        steps.append(f"{''.join(term_a)},{''.join(term_b)}->{''.join(result)}")
-        path.append((i, j))
-        terms = remaining + [result]
-    # Final single-operand reduction to the requested output ordering.
-    if len(terms) != 1:
-        raise RuntimeError("contraction order did not reduce the network to one tensor")
-    final = terms[0]
-    if set(final) - set(spec.output):
-        # Trailing sum over leftover indices (e.g. trace-like outputs).
-        total_flops += 8.0 * _term_size(final, dims)
-    return ContractionPathInfo(
-        path=path, total_flops=total_flops, max_intermediate_size=max_size, steps=steps
+    info = _plan.cache_info()
+    return {"path": {"hits": info.hits, "misses": info.misses, "size": info.currsize}}
+
+
+def clear_path_caches() -> None:
+    """Drop every cached plan (and the counters).
+
+    Call between benchmark measurements so planning cost and cache-hit
+    counts are attributed to the measured phase, reproducibly across runs.
+    """
+    _plan.cache_clear()
+
+
+def _size(term: Sequence[Label], dims: Dict[Label, int]) -> int:
+    return prod(dims[label] for label in term)
+
+
+def _pair_result(term_a: Term, term_b: Term, keep: set) -> Term:
+    """Labels surviving the contraction of a pair: those still needed by the
+    output or another operand, and those only one of the two carries."""
+    return tuple(
+        label
+        for label in dict.fromkeys(term_a + term_b)
+        if label in keep or (label in term_a) != (label in term_b)
     )
 
 
-def _greedy_path(spec: EinsumSpec, dims: Dict[str, int]) -> ContractionPathInfo:
-    """Greedy search: repeatedly contract the pair with the cheapest step cost,
-    breaking ties by the smallest resulting intermediate."""
-    terms: List[Tuple[str, ...]] = [tuple(t) for t in spec.inputs]
-    positions = list(range(len(terms)))
-    output_labels = set(spec.output)
-    order: List[Tuple[int, int]] = []
-    current: List[Tuple[str, ...]] = list(terms)
-    while len(current) > 1:
-        best = None
-        for i, j in combinations(range(len(current)), 2):
-            remaining = [t for k, t in enumerate(current) if k not in (i, j)]
-            other_labels = {label for t in remaining for label in t}
-            result = _pair_contract_indices(current[i], current[j], other_labels, output_labels)
-            cost = _pairwise_cost(current[i], current[j], result, dims)
-            size = _term_size(result, dims)
-            # Prefer pairs that actually share an index; contracting disjoint
-            # tensors (outer products) is only done when unavoidable.
-            shares = bool(set(current[i]) & set(current[j]))
-            key = (not shares, cost, size)
-            if best is None or key < best[0]:
-                best = (key, (i, j), result)
-        _, (i, j), result = best
-        order.append((i, j))
-        current = [t for k, t in enumerate(current) if k not in (i, j)] + [result]
-    return _execute_symbolically(spec, dims, order)
+def _candidates(terms: List[Term], output: set, dims: Dict[Label, int]):
+    """Every pair of ``terms`` with the operand list after contracting it and
+    what the step costs.
 
-
-def _optimal_path(spec: EinsumSpec, dims: Dict[str, int]) -> ContractionPathInfo:
-    """Exhaustive search over pairwise contraction orders (small networks only)."""
-    n = len(spec.inputs)
-    if n > 8:
-        # The search is factorial; silently fall back to greedy for big networks.
-        return _greedy_path(spec, dims)
-    output_labels = set(spec.output)
-
-    best_cost = [float("inf")]
-    best_order: List[List[Tuple[int, int]]] = [[]]
-
-    def recurse(current: List[Tuple[str, ...]], order: List[Tuple[int, int]], cost: float):
-        if cost >= best_cost[0]:
-            return
-        if len(current) == 1:
-            best_cost[0] = cost
-            best_order[0] = list(order)
-            return
-        for i, j in combinations(range(len(current)), 2):
-            remaining = [t for k, t in enumerate(current) if k not in (i, j)]
-            other_labels = {label for t in remaining for label in t}
-            result = _pair_contract_indices(current[i], current[j], other_labels, output_labels)
-            step_cost = _pairwise_cost(current[i], current[j], result, dims)
-            recurse(remaining + [result], order + [(i, j)], cost + step_cost)
-
-    recurse([tuple(t) for t in spec.inputs], [], 0.0)
-    return _execute_symbolically(spec, dims, best_order[0])
-
-
-def path_cost(
-    subscripts: Union[str, EinsumSpec],
-    shapes: Sequence[Sequence[int]],
-    strategy: str = "auto",
-) -> Tuple[float, int]:
-    """Convenience wrapper returning ``(total_flops, max_intermediate_size)``."""
-    info = find_path(subscripts, shapes, strategy=strategy)
-    return info.total_flops, info.max_intermediate_size
-
-
-def contract(subscripts: str, *operands, backend=None, strategy: str = "auto"):
-    """Contract a tensor network using a backend and an optimized path.
-
-    This is a thin convenience wrapper: it defers to ``backend.einsum`` which
-    each backend implements with its own path handling; for raw NumPy arrays
-    and no backend it calls :func:`numpy.einsum` with ``optimize=True``.
+    The one cost function of both searches: the multiply-adds of the step (the
+    product of all extents it touches) plus :data:`WRITE_COST` per element of
+    its result.
     """
-    if backend is None:
-        import numpy as np
+    for i, j in combinations(range(len(terms)), 2):
+        rest = terms[:i] + terms[i + 1:j] + terms[j + 1:]
+        result = _pair_result(terms[i], terms[j], output.union(*rest))
+        volume = _size(set(terms[i]).union(terms[j]), dims)
+        yield (i, j), rest + [result], volume + WRITE_COST * _size(result, dims)
 
-        return np.einsum(subscripts, *operands, optimize=True)
-    return backend.einsum(subscripts, *operands)
+
+def _greedy_order(terms: List[Term], output: set, dims: Dict[Label, int]) -> List[Tuple[int, int]]:
+    """Repeatedly contract the cheapest pair that shares an index (outer
+    products only when unavoidable), ties to the smaller result, then to the
+    earlier pair."""
+    order = []
+    while len(terms) > 1:
+        best = None
+        for (i, j), after, cost in _candidates(terms, output, dims):
+            shares = not set(terms[i]).isdisjoint(terms[j])
+            key = (not shares, cost, _size(after[-1], dims))
+            if best is None or key < best[0]:
+                best = (key, (i, j), after)
+        _, pair, terms = best
+        order.append(pair)
+    return order
+
+
+def _optimal_order(terms: List[Term], output: set, dims: Dict[Label, int]) -> List[Tuple[int, int]]:
+    """Exhaustive branch-and-bound over pair orders: the cheapest total cost,
+    the first such order found on ties."""
+    best_cost = float("inf")
+    best_order: List[Tuple[int, int]] = []
+
+    def recurse(terms: List[Term], order: List[Tuple[int, int]], cost: int) -> None:
+        nonlocal best_cost, best_order
+        if cost >= best_cost:
+            return
+        if len(terms) == 1:
+            best_cost, best_order = cost, order
+            return
+        for pair, after, step_cost in _candidates(terms, output, dims):
+            recurse(after, order + [pair], cost + step_cost)
+
+    recurse(terms, [], 0)
+    return best_order
+
+
+def _build_plan(
+    spec: EinsumSpec, dims: Dict[Label, int], order: Sequence[Tuple[int, ...]]
+) -> ContractionPlan:
+    """Steps, cost and peak size of contracting ``spec`` in ``order``."""
+    path = tuple(order) or ((0,),)  # a single operand still takes one step
+    terms = list(spec.inputs)
+    output = set(spec.output)
+    max_size = max(_size(term, dims) for term in terms)
+    volume = 0
+    steps = []
+    for pair in path:
+        picked = [terms[k] for k in pair]
+        terms = [term for k, term in enumerate(terms) if k not in pair]
+        if terms:
+            result = _pair_result(*picked, output.union(*terms))
+        else:
+            result = spec.output
+        labels = list(dict.fromkeys(label for term in picked for label in term))
+        letter = dict(zip(labels, symbols(len(labels))))
+        steps.append(
+            ",".join("".join(letter[label] for label in term) for term in picked)
+            + "->" + "".join(letter[label] for label in result)
+        )
+        volume += _size(labels, dims)
+        max_size = max(max_size, _size(result, dims))
+        terms.append(result)
+    return ContractionPlan(
+        inputs=spec.inputs,
+        output=spec.output,
+        path=path,
+        steps=tuple(steps),
+        total_flops=8.0 * volume,
+        max_intermediate_size=max_size,
+    )

@@ -4,9 +4,10 @@
 supports, which is too few for whole-lattice networks (e.g. the strip
 networks appearing in expectation-value evaluation).  :func:`contract_network`
 removes that limitation: operands are annotated with tuples of *hashable*
-labels, a greedy pairwise path is chosen, and every pairwise step is executed
-through ``backend.einsum`` with letters assigned locally (a single pairwise
-contraction never involves more than a few dozen indices).
+labels, the shared planner (:mod:`repro.tensornetwork.contraction_path`)
+fixes a pairwise order, and every step is executed through ``backend.einsum``
+with letters assigned locally (a single pairwise contraction never involves
+more than a few dozen indices).
 
 This plays the role of an ``ncon``-style contractor built on top of the
 backend abstraction.
@@ -14,13 +15,12 @@ backend abstraction.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import prod
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Sequence
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.tensornetwork.einsum_spec import symbols
+from repro.tensornetwork.contraction_path import find_path
+from repro.tensornetwork.einsum_spec import EinsumSpec
 
 Label = Hashable
 
@@ -48,41 +48,6 @@ def _index_dims(
                 )
             dims.setdefault(label, dim)
     return dims
-
-
-def _pair_result(
-    labels_a: Tuple[Label, ...],
-    labels_b: Tuple[Label, ...],
-    keep: set,
-) -> Tuple[Label, ...]:
-    """Labels surviving the contraction of a pair (order: a's free, then b's new free)."""
-    out: List[Label] = []
-    for label in labels_a:
-        if label in keep or (label not in labels_b):
-            out.append(label)
-    for label in labels_b:
-        if label in labels_a:
-            continue
-        out.append(label)
-    return tuple(out)
-
-
-def _contract_pair(
-    backend: Backend,
-    a,
-    labels_a: Tuple[Label, ...],
-    b,
-    labels_b: Tuple[Label, ...],
-    result_labels: Tuple[Label, ...],
-):
-    """Execute one pairwise contraction via backend.einsum with local letters."""
-    all_labels = list(dict.fromkeys(tuple(labels_a) + tuple(labels_b)))
-    letters = symbols(len(all_labels))
-    mapping = {label: letter for label, letter in zip(all_labels, letters)}
-    lhs_a = "".join(mapping[l] for l in labels_a)
-    lhs_b = "".join(mapping[l] for l in labels_b)
-    rhs = "".join(mapping[l] for l in result_labels)
-    return backend.einsum(f"{lhs_a},{lhs_b}->{rhs}", a, b)
 
 
 def contract_network(
@@ -121,51 +86,12 @@ def contract_network(
     if len(set(output)) != len(output):
         raise ValueError(f"output labels must be unique, got {output!r}")
 
-    current = [(op, tuple(labels)) for op, labels in zip(operands, inputs)]
-    output_set = set(output)
-
-    if len(current) == 1:
-        tensor, labels = current[0]
-        return _finalize(backend, tensor, labels, output)
-
-    while len(current) > 1:
-        best = None
-        n = len(current)
-        for i, j in combinations(range(n), 2):
-            labels_a, labels_b = current[i][1], current[j][1]
-            shared = set(labels_a) & set(labels_b)
-            other_labels = {
-                label
-                for k, (_, labels) in enumerate(current)
-                if k not in (i, j)
-                for label in labels
-            }
-            keep = output_set | other_labels
-            result_labels = _pair_result(labels_a, labels_b, keep)
-            volume = prod(dims[l] for l in set(labels_a) | set(labels_b))
-            result_size = prod(dims[l] for l in result_labels) if result_labels else 1
-            key = (not bool(shared), volume, result_size)
-            if best is None or key < best[0]:
-                best = (key, i, j, result_labels)
-        _, i, j, result_labels = best
-        a, labels_a = current[i]
-        b, labels_b = current[j]
-        result = _contract_pair(backend, a, labels_a, b, labels_b, result_labels)
-        current = [entry for k, entry in enumerate(current) if k not in (i, j)]
-        current.append((result, result_labels))
-
-    tensor, labels = current[0]
-    return _finalize(backend, tensor, labels, output)
-
-
-def _finalize(backend: Backend, tensor, labels: Tuple[Label, ...], output: Tuple[Label, ...]):
-    """Sum over leftover labels and permute to the requested output order."""
-    extra = [l for l in labels if l not in output]
-    if extra or tuple(labels) != output:
-        all_labels = list(labels)
-        letters = symbols(len(all_labels))
-        mapping = {label: letter for label, letter in zip(all_labels, letters)}
-        lhs = "".join(mapping[l] for l in labels)
-        rhs = "".join(mapping[l] for l in output)
-        tensor = backend.einsum(f"{lhs}->{rhs}", tensor)
-    return tensor
+    # Canonical labels (numbered by first appearance) make structurally equal
+    # networks share one cached plan whatever their labels are called.
+    number = {label: k for k, label in enumerate(dims)}
+    spec = EinsumSpec(
+        inputs=tuple(tuple(number[label] for label in labels) for labels in inputs),
+        output=tuple(number[label] for label in output),
+    )
+    plan = find_path(spec, [backend.shape(op) for op in operands])
+    return plan.execute(operands, backend.einsum)

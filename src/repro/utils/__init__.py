@@ -3,7 +3,6 @@
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.timer import Timer, WallClock
 from repro.utils.flops import (
-    contraction_flops,
     svd_flops,
     qr_flops,
     eigh_flops,
@@ -16,7 +15,6 @@ __all__ = [
     "spawn_rng",
     "Timer",
     "WallClock",
-    "contraction_flops",
     "svd_flops",
     "qr_flops",
     "eigh_flops",

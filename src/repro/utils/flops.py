@@ -14,40 +14,13 @@ meant to match hardware counters exactly, only to preserve relative scaling.
 from __future__ import annotations
 
 from math import prod
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 
 def matmul_flops(m: int, k: int, n: int, complex_dtype: bool = True) -> float:
     """Flops of an (m x k) @ (k x n) dense matrix product."""
     factor = 8.0 if complex_dtype else 2.0
     return factor * m * k * n
-
-
-def contraction_flops(
-    shape_a: Sequence[int],
-    shape_b: Sequence[int],
-    contracted_a: Sequence[int],
-    contracted_b: Sequence[int],
-    complex_dtype: bool = True,
-) -> float:
-    """Flops of a pairwise tensor contraction.
-
-    ``contracted_a``/``contracted_b`` are the axes of each operand that are
-    summed over.  The estimate is the classical
-    ``(free_a) * (free_b) * (contracted)`` bilinear cost.
-    """
-    contracted_a = set(contracted_a)
-    contracted_b = set(contracted_b)
-    k_a = prod(shape_a[ax] for ax in contracted_a) if contracted_a else 1
-    k_b = prod(shape_b[ax] for ax in contracted_b) if contracted_b else 1
-    if k_a != k_b:
-        raise ValueError(
-            f"contracted volumes disagree: {k_a} vs {k_b} "
-            f"(shapes {tuple(shape_a)} / {tuple(shape_b)})"
-        )
-    m = prod(s for ax, s in enumerate(shape_a) if ax not in contracted_a)
-    n = prod(s for ax, s in enumerate(shape_b) if ax not in contracted_b)
-    return matmul_flops(m, k_a, n, complex_dtype=complex_dtype)
 
 
 def svd_flops(m: int, n: int, complex_dtype: bool = True) -> float:

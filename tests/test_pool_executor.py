@@ -10,7 +10,7 @@ level (the CLI-level golden parity lives in ``test_spec_golden.py``).
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import clear_path_caches, get_backend, path_cache_stats
 from repro.backends.distributed import execute_plan, plan_einsum
 from repro.backends.distributed.engine import (
     CANONICAL_PARTS,
@@ -60,6 +60,15 @@ class TestPlanEinsum:
 
         plan = plan_einsum("ab,bc->ac", [(6, 5), (5, 7)])
         assert pickle.loads(pickle.dumps(plan)) == plan
+
+    def test_repeated_einsum_signature_is_not_replanned(self, dist_backend, rng):
+        ops = [dist_backend.astensor(random_complex(rng, s)) for s in [(4, 5), (5, 6), (6, 3)]]
+        clear_path_caches()
+        first = dist_backend.einsum("ab,bc,cd->ad", *ops)
+        assert path_cache_stats()["path"] == {"hits": 0, "misses": 1, "size": 1}
+        again = dist_backend.einsum("ab,bc,cd->ad", *ops)
+        assert path_cache_stats()["path"] == {"hits": 1, "misses": 1, "size": 1}
+        assert dist_backend.asarray(again).tobytes() == dist_backend.asarray(first).tobytes()
 
     def test_execute_is_invariant_to_bounds_split(self, rng):
         # The same canonical blocks, grouped into rank ranges differently,

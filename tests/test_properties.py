@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,14 @@ from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
 from repro.statevector import StateVector
 from repro.tensornetwork import ExplicitSVD, einsumsvd
-from repro.tensornetwork.contraction_path import find_path
+from repro.tensornetwork.contraction_path import (
+    EXHAUSTIVE_LIMIT,
+    _greedy_order,
+    _optimal_order,
+    find_path,
+)
 from repro.tensornetwork.einsum_spec import parse_einsum
+from tests.conftest import order_cost, run_plan, search_inputs
 
 BACKEND = get_backend("numpy")
 
@@ -114,23 +122,53 @@ class TestContractionPathProperties:
             f"{chr(ord('a') + i)}{chr(ord('a') + i + 1)}" for i in range(n)
         ) + f"->a{chr(ord('a') + n)}"
         shapes = [(int(sizes[i]), int(sizes[i + 1])) for i in range(n)]
-        info = find_path(subscripts, shapes, strategy="greedy")
+        info = find_path(subscripts, shapes)
         assert len(info.path) == n - 1
         assert info.total_flops > 0
         assert info.max_intermediate_size >= 1
 
     @FAST
-    @given(seed=seeds)
-    def test_greedy_path_reproduces_numpy_result(self, seed):
+    @given(seed=seeds, n=st.integers(2, EXHAUSTIVE_LIMIT + 3))
+    def test_executing_a_plan_reproduces_numpy_result(self, seed, n):
+        """Random networks on both sides of the exhaustive/greedy switch: every
+        label sits on one to three operands, some survive into the output."""
         rng = np.random.default_rng(seed)
-        a = _complex_array(rng, (2, 3))
-        b = _complex_array(rng, (3, 4))
-        c = _complex_array(rng, (4, 2))
-        spec = parse_einsum("ab,bc,ca->")
-        info = find_path(spec, [(2, 3), (3, 4), (4, 2)])
-        assert len(info.path) == 2
-        ref = np.einsum("ab,bc,ca->", a, b, c)
-        assert np.isfinite(ref)
+        labels = "abcdefghijkl"[: n + 3]
+        extent = {label: int(rng.integers(1, 4)) for label in labels}
+        terms = [[] for _ in range(n)]
+        for k, label in enumerate(labels):
+            # the first n labels chain the operands so none is left empty
+            owners = {k % n, int(rng.integers(n))} if k < n else set()
+            owners |= {int(o) for o in rng.integers(n, size=rng.integers(1, 3))}
+            for owner in sorted(owners):
+                terms[owner].append(label)
+        output = [label for label in labels if rng.random() < 0.3]
+        rng.shuffle(output)
+        subscripts = ",".join("".join(term) for term in terms) + "->" + "".join(output)
+        shapes = [tuple(extent[label] for label in term) for term in terms]
+        operands = [_complex_array(rng, shape) for shape in shapes]
+
+        plan = find_path(subscripts, shapes)
+        assert len(plan.path) == len(plan.steps) == n - 1
+        assert all(len(pair) == 2 for pair in plan.path)
+        assert pickle.loads(pickle.dumps(plan)) == plan
+        ref = np.einsum(subscripts, *operands, optimize=False)
+        assert np.allclose(run_plan(plan, operands), ref, rtol=0, atol=1e-12 * max(1, np.abs(ref).max()))
+        spec = parse_einsum(subscripts)
+        assert find_path(spec, shapes) == plan
+
+    @FAST
+    @given(seed=seeds, n=st.integers(3, EXHAUSTIVE_LIMIT))
+    def test_exhaustive_search_is_the_reference_for_greedy(self, seed, n):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, size=n + 1)
+        subscripts = ",".join(
+            f"{chr(ord('a') + i)}{chr(ord('a') + i + 1)}" for i in range(n)
+        ) + f"->a{chr(ord('a') + n)}"
+        shapes = [(int(sizes[i]), int(sizes[i + 1])) for i in range(n)]
+        _, terms, output, dims = search_inputs(subscripts, shapes)
+        best = order_cost(terms, output, dims, _optimal_order(terms, output, dims))
+        assert best <= order_cost(terms, output, dims, _greedy_order(terms, output, dims))
 
 
 class TestMPSProperties:

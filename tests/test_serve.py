@@ -21,6 +21,7 @@ from repro.sim.serve import (
     JOB_DONE,
     JOB_INTERRUPTED,
     ServeClient,
+    ServeDaemon,
     wait_for_endpoint,
 )
 
@@ -128,6 +129,49 @@ class TestDaemonLifecycle:
         client.wait(job["id"], timeout=120)
         client.shutdown()
         assert process.wait(timeout=60) == 0
+
+
+#: A job that behaves like the CLI under SIGTERM, only slower: the first
+#: signal restores the default handler and asks for a stop, and the "step in
+#: flight" then takes a second to finish before the checkpoint-and-exit-4.
+SLOW_EXIT_CHILD = """
+import signal, sys, time
+stop = []
+def handle(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    stop.append(signum)
+signal.signal(signal.SIGTERM, handle)
+open(sys.argv[1], "w").close()
+while not stop:
+    time.sleep(0.01)
+time.sleep(1.0)
+sys.exit(4)
+"""
+
+
+class TestShutdownSignalsChildOnce:
+    def test_child_slow_to_exit_still_takes_exit_4(self, tmp_path, monkeypatch):
+        ready = tmp_path / "ready"
+        monkeypatch.setattr(
+            ServeDaemon, "_command",
+            lambda self, job: [sys.executable, "-c", SLOW_EXIT_CHILD, str(ready)],
+        )
+        daemon = ServeDaemon(tmp_path / "serve", quiet=True)
+        daemon.start()
+        job = daemon.submit("run", {"spec": RUN_SPEC})
+        deadline = time.monotonic() + 60
+        while not ready.exists():
+            assert time.monotonic() < deadline, "child never started"
+            time.sleep(0.01)
+        # What the CLI does on SIGTERM: the handler requests the shutdown,
+        # the main thread's wait() then returns through stop() -- here late
+        # enough that the child has handled the first signal in between.
+        daemon.request_shutdown()
+        time.sleep(0.2)
+        assert daemon.stop() == 4
+        final = daemon.job(job["id"])
+        assert final["exit_code"] == 4
+        assert final["status"] == JOB_INTERRUPTED
 
 
 class TestSweepThroughDaemon:

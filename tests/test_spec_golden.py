@@ -4,10 +4,12 @@ Two guarantees live here:
 
 * **Bitwise stability of pre-existing square-lattice runs.**  The files under
   ``tests/golden/`` were produced by the CLI *before* the lattice-layer
-  refactor; re-running the same specs must reproduce the results stream and
-  the final checkpoints byte for byte (sha256).  Hamiltonian terms, Trotter
-  gates and RNG streams all follow lattice bond order, so any accidental
-  reordering shows up here immediately.
+  refactor (and regenerated once, deliberately, when the one contraction
+  planner changed the order small networks contract in: energies moved by at
+  most 3.2e-16 relative); re-running the same specs must reproduce the
+  results stream and the final checkpoints byte for byte (sha256).
+  Hamiltonian terms, Trotter gates and RNG streams all follow lattice bond
+  order, so any accidental reordering shows up here immediately.
 
 * **Every shipped example spec keeps working.**  Each ``examples/specs``
   file must survive a from_file -> to_dict -> from_dict round trip, and the

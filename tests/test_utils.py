@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.flops import (
     FlopCounter,
-    contraction_flops,
     eigh_flops,
     matmul_flops,
     peps_bmps_cost,
@@ -173,14 +172,6 @@ class TestFlops:
         assert matmul_flops(10, 10, 10) == 8.0 * 1000
         assert matmul_flops(20, 20, 20) == 8 * matmul_flops(10, 10, 10)
 
-    def test_contraction_flops_matches_matmul(self):
-        flops = contraction_flops((4, 5), (5, 6), contracted_a=[1], contracted_b=[0])
-        assert flops == matmul_flops(4, 5, 6)
-
-    def test_contraction_flops_inconsistent_volumes_raise(self):
-        with pytest.raises(ValueError):
-            contraction_flops((4, 5), (6, 7), contracted_a=[1], contracted_b=[0])
-
     def test_real_dtype_costs_are_cheaper(self):
         # complex128 arithmetic costs 4x a real multiply-add (8 vs 2 flops
         # per fused op); the estimators expose that through complex_dtype.
@@ -191,10 +182,6 @@ class TestFlops:
         assert svd_flops(100, 20, complex_dtype=False) == svd_flops(100, 20) / 4
         assert qr_flops(100, 20, complex_dtype=False) == qr_flops(100, 20) / 4
         assert eigh_flops(64, complex_dtype=False) == eigh_flops(64) / 4
-        assert contraction_flops(
-            (4, 5), (5, 6), contracted_a=[1], contracted_b=[0],
-            complex_dtype=False,
-        ) == matmul_flops(4, 5, 6, complex_dtype=False)
 
     def test_factorization_flops_positive_and_monotone(self):
         assert svd_flops(100, 20) > svd_flops(50, 20) > 0
