@@ -123,6 +123,11 @@ class StripCache:
         self.r1 = r1
         self.rows = list(range(r0, r1 + 1))
         ncol = peps.ncol
+        # The state does not change while the cache lives, and every term
+        # touches every column of the strip (span plus both environments).
+        self._bra = {
+            r: [self.backend.conj(peps.grid[r][j]) for j in range(ncol)] for r in self.rows
+        }
         self._left: List = [None] * (ncol + 1)
         self._right: List = [None] * (ncol + 1)
         # Closes the dimension-1 edge legs at the right lattice boundary so
@@ -156,7 +161,7 @@ class StripCache:
         ]
         for r in self.rows:
             ket = self.peps.grid[r][j]
-            bra = backend.conj(self.peps.grid[r][j])
+            bra = self._bra[r][j]
             ket_up = ("uk", j) if r == r0 else ("vk", r, j)
             ket_down = ("lk", j) if r == r1 else ("vk", r + 1, j)
             bra_up = ("ubra", j) if r == r0 else ("vb", r, j)

@@ -7,7 +7,7 @@ tensors connected by a new, truncated bond.  This package provides
 * :mod:`repro.tensornetwork.einsum_spec` — parsing/validation of einsum
   subscripts (including the two-output ``einsumsvd`` form),
 * :mod:`repro.tensornetwork.contraction_path` — the one contraction planner
-  (exhaustive for small networks, greedy above; cached plans with flop/memory
+  (cheapest order up to 12 operands, greedy above; cached plans with flop/memory
   estimates — our stand-in for ``opt_einsum``),
 * :mod:`repro.tensornetwork.einsumsvd` — the ``einsumsvd`` primitive with an
   explicit (contract-then-SVD) implementation and the paper's implicit

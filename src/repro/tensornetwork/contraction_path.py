@@ -5,11 +5,12 @@ Every consumer that contracts more than two tensors — ``NumPyBackend.einsum``
 :func:`~repro.tensornetwork.network.contract_network` — asks
 :func:`find_path` for a :class:`ContractionPlan` and only *executes* it, so
 the order that is counted (``total_flops``) is the order that runs.  The
-search works purely on index metadata (labels and extents): exhaustive over
-pair orders up to :data:`EXHAUSTIVE_LIMIT` operands, greedy above.  Plans
-are cached on ``(spec, shapes)``; callers with free-form labels canonicalise
-them first so that structurally equal networks share one entry.  It plays
-the role ``opt_einsum`` plays for the original Koala library.
+search works purely on index metadata (labels and extents): the cheapest
+order, by dynamic programming over operand subsets, up to
+:data:`EXHAUSTIVE_LIMIT` operands, greedy above.  Plans are cached on
+``(spec, shapes)``; callers with free-form labels canonicalise them first so
+that structurally equal networks share one entry.  It plays the role
+``opt_einsum`` plays for the original Koala library.
 """
 
 from __future__ import annotations
@@ -18,15 +19,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple, Union
 
+from repro.telemetry.metrics import REGISTRY
+from repro.telemetry.trace import span
 from repro.tensornetwork.einsum_spec import EinsumSpec, parse_einsum, symbols
 
 Label = Hashable
 Term = Tuple[Label, ...]
 
-#: Largest operand count searched exhaustively (the search is factorial).
-EXHAUSTIVE_LIMIT = 6
+#: Largest operand count whose cheapest order is searched for.  The search
+#: evaluates about ``0.75 * 3**n`` splits at well under a microsecond each:
+#: some 10 ms for the 9 operands of a two-row strip column, 0.2 s for 12.
+EXHAUSTIVE_LIMIT = 12
 
 #: What writing one element of a step's result (and reading it back in a later
 #: step) costs the search, in complex multiply-adds: 32 bytes of traffic at a
@@ -105,8 +110,12 @@ def _plan(spec: Union[str, EinsumSpec], shapes: Tuple[Tuple[int, ...], ...]) -> 
     dims = spec.index_dimensions(shapes)
     if not spec.inputs:
         raise ValueError("cannot find a contraction path for zero operands")
-    search = _optimal_order if len(spec.inputs) <= EXHAUSTIVE_LIMIT else _greedy_order
-    return _build_plan(spec, dims, search(list(spec.inputs), set(spec.output), dims))
+    n = len(spec.inputs)
+    search = _optimal_order if n <= EXHAUSTIVE_LIMIT else _greedy_order
+    with span("planner.search", operands=n):
+        order = search(list(spec.inputs), set(spec.output), dims)
+    REGISTRY.counter("planner.searches", operands=n).add()
+    return _build_plan(spec, dims, order)
 
 
 def unplanned_flops(shapes: Sequence[Sequence[int]]) -> float:
@@ -148,6 +157,13 @@ def _pair_result(term_a: Term, term_b: Term, keep: set) -> Term:
     )
 
 
+def _contract_pair(terms: List[Term], i: int, j: int, output: set) -> List[Term]:
+    """The operand list after contracting positions ``i < j``: the other
+    operands in order, then the result."""
+    rest = terms[:i] + terms[i + 1:j] + terms[j + 1:]
+    return rest + [_pair_result(terms[i], terms[j], output.union(*rest))]
+
+
 def _candidates(terms: List[Term], output: set, dims: Dict[Label, int]):
     """Every pair of ``terms`` with the operand list after contracting it and
     what the step costs.
@@ -157,10 +173,9 @@ def _candidates(terms: List[Term], output: set, dims: Dict[Label, int]):
     its result.
     """
     for i, j in combinations(range(len(terms)), 2):
-        rest = terms[:i] + terms[i + 1:j] + terms[j + 1:]
-        result = _pair_result(terms[i], terms[j], output.union(*rest))
+        after = _contract_pair(terms, i, j, output)
         volume = _size(set(terms[i]).union(terms[j]), dims)
-        yield (i, j), rest + [result], volume + WRITE_COST * _size(result, dims)
+        yield (i, j), after, volume + WRITE_COST * _size(after[-1], dims)
 
 
 def _greedy_order(terms: List[Term], output: set, dims: Dict[Label, int]) -> List[Tuple[int, int]]:
@@ -181,23 +196,107 @@ def _greedy_order(terms: List[Term], output: set, dims: Dict[Label, int]) -> Lis
 
 
 def _optimal_order(terms: List[Term], output: set, dims: Dict[Label, int]) -> List[Tuple[int, int]]:
-    """Exhaustive branch-and-bound over pair orders: the cheapest total cost,
-    the first such order found on ties."""
-    best_cost = float("inf")
-    best_order: List[Tuple[int, int]] = []
+    """The order of the cheapest total cost; among equally cheap orders the
+    one whose path, as a sequence of position pairs, is smallest.
 
-    def recurse(terms: List[Term], order: List[Tuple[int, int]], cost: int) -> None:
-        nonlocal best_cost, best_order
-        if cost >= best_cost:
-            return
-        if len(terms) == 1:
-            best_cost, best_order = cost, order
-            return
-        for pair, after, step_cost in _candidates(terms, output, dims):
-            recurse(after, order + [pair], cost + step_cost)
+    Each step contracts the first pair (in ``combinations`` order) that some
+    cheapest tree over the current operands contracts directly.  The rule
+    names one order whatever order sets or dicts iterate in, so every process
+    plans a signature alike.
+    """
+    n = len(terms)
+    order = []
+    evaluations = 0
+    while len(terms) > 1:
+        nodes, count = _cheapest_tree_nodes(terms, output, dims)
+        evaluations += count
+        i, j = next(
+            pair for pair in combinations(range(len(terms)), 2)
+            if (1 << pair[0] | 1 << pair[1]) in nodes
+        )
+        terms = _contract_pair(terms, i, j, output)
+        order.append((i, j))
+    REGISTRY.counter("planner.split_evaluations", operands=n).add(evaluations)
+    return order
 
-    recurse(terms, [], 0)
-    return best_order
+
+def _cheapest_tree_nodes(
+    terms: List[Term], output: set, dims: Dict[Label, int]
+) -> Tuple[Set[int], int]:
+    """The operand subsets (as bit masks of positions) that occur as a node of
+    some cheapest contraction tree, and how many splits were evaluated.
+
+    What contracting a subset leaves — its labels and size — does not depend
+    on the order it was contracted in, so ``best[S]`` is the minimum over the
+    splits ``S = A | B`` of ``best[A] + best[B]`` plus the cost of the step
+    joining them (:func:`_candidates`' cost), ``3**n / 2`` splits in all.
+    """
+    bit = {label: 1 << k for k, label in enumerate(dims)}
+    extent = list(dims.values())
+
+    def size(mask: int) -> int:
+        total = 1
+        while mask:
+            low = mask & -mask
+            total *= extent[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    on_term = [sum(bit[label] for label in term) for term in terms]
+    seen = repeated = 0
+    for mask in on_term:
+        repeated |= seen & mask
+        seen |= mask
+    # As in _pair_result: a label outlives a subset if the output, an operand
+    # outside the subset, or no second operand at all carries it.
+    kept = sum(bit[label] for label in output) | (seen & ~repeated)
+    full = (1 << len(terms)) - 1
+    carried = [0] * (full + 1)
+    for subset in range(1, full + 1):
+        low = subset & -subset
+        carried[subset] = carried[subset ^ low] | on_term[low.bit_length() - 1]
+    labels = [carried[s] & (kept | carried[full ^ s]) for s in range(full + 1)]
+    sizes = [size(mask) for mask in labels]
+    shared_size = {0: 1}
+
+    best = [0] * (full + 1)
+    cheapest_splits: List[Sequence[int]] = [()] * (full + 1)
+    evaluations = 0
+    for subset in range(3, full + 1):  # ascending: the parts of a split come first
+        low = subset & -subset
+        rest = subset ^ low
+        if not rest:
+            continue
+        cheapest = None
+        part = rest
+        while part:  # every split once: ``a`` holds the lowest position
+            part = (part - 1) & rest
+            a = low | part
+            b = subset ^ a
+            shared = labels[a] & labels[b]
+            divisor = shared_size.get(shared)
+            if divisor is None:
+                divisor = shared_size[shared] = size(shared)
+            cost = best[a] + best[b] + sizes[a] * sizes[b] // divisor
+            evaluations += 1
+            if cheapest is None or cost < cheapest:
+                cheapest = cost
+                ties = [a]
+            elif cost == cheapest:
+                ties.append(a)
+        best[subset] = cheapest + WRITE_COST * sizes[subset]
+        cheapest_splits[subset] = ties
+
+    nodes = {full}
+    stack = [full]
+    while stack:
+        subset = stack.pop()
+        for a in cheapest_splits[subset]:
+            for part in (a, subset ^ a):
+                if part not in nodes:
+                    nodes.add(part)
+                    stack.append(part)
+    return nodes, evaluations
 
 
 def _build_plan(

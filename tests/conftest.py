@@ -58,6 +58,45 @@ def order_cost(terms, output, dims, order):
     return total
 
 
+def brute_force_order(terms, output, dims):
+    """The reference the planner's search is held against: every pair order
+    enumerated outright, the cheapest kept, the first one met on ties."""
+    best = [None, None]
+
+    def walk(terms, order, cost):
+        if len(terms) == 1:
+            if best[0] is None or cost < best[0]:
+                best[:] = cost, order
+            return
+        for pair, after, step_cost in _candidates(terms, output, dims):
+            walk(after, order + [pair], cost + step_cost)
+
+    walk(terms, [], 0)
+    return best[1]
+
+
+def random_network(rng, n):
+    """Subscripts and shapes of a random ``n``-operand network with small
+    extents (so costs tie often): every label sits on one to three operands,
+    some survive into the output."""
+    labels = "abcdefghijklmnopqrstuvwxyz"[: n + 3]
+    # An unoptimized reference einsum visits the whole index space.
+    largest = 3 if len(labels) <= 12 else 2
+    extent = {label: int(rng.integers(1, largest + 1)) for label in labels}
+    terms = [[] for _ in range(n)]
+    for k, label in enumerate(labels):
+        # the first n labels chain the operands so none is left empty
+        owners = {k % n, int(rng.integers(n))} if k < n else set()
+        owners |= {int(o) for o in rng.integers(n, size=rng.integers(1, 3))}
+        for owner in sorted(owners):
+            terms[owner].append(label)
+    output = [label for label in labels if rng.random() < 0.3]
+    rng.shuffle(output)
+    subscripts = ",".join("".join(term) for term in terms) + "->" + "".join(output)
+    shapes = [tuple(extent[label] for label in term) for term in terms]
+    return subscripts, shapes
+
+
 def run_plan(plan, operands):
     """Execute a plan step by step on NumPy's unoptimized kernel."""
     return plan.execute(operands, partial(np.einsum, optimize=False))

@@ -1,10 +1,20 @@
 """Tests for the contraction planner and the general network contractor."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import peps
 from repro.backends import NumPyBackend, clear_path_caches, path_cache_stats
 from repro.backends import numpy_backend
+from repro.operators.pauli import pauli_matrix
+from repro.peps.envs.strip import StripCache, operator_pieces, pending_kappas
+from repro.telemetry import REGISTRY, TRACER
 from repro.tensornetwork.contraction_path import (
     EXHAUSTIVE_LIMIT,
     _build_plan,
@@ -12,6 +22,7 @@ from repro.tensornetwork.contraction_path import (
     _optimal_order,
     find_path,
 )
+from repro.tensornetwork.einsum_spec import EinsumSpec
 from repro.tensornetwork.network import contract_network
 from repro.utils.flops import FlopCounter
 from tests.conftest import order_cost, random_complex, run_plan, search_inputs
@@ -97,6 +108,139 @@ class TestFindPath:
         assert path_cache_stats()["path"] == {"hits": 0, "misses": 1, "size": 1}
         assert find_path(SAMPLE_CTM[0], [list(shape) for shape in SAMPLE_CTM[1]]) is first
         assert path_cache_stats()["path"] == {"hits": 1, "misses": 1, "size": 1}
+
+
+class TestSearch:
+    #: The operator-carrying column of a two-row strip in letters, every
+    #: extent 2 but the operator's closed bond: most orders tie with others.
+    COLUMN = "acdb,eghf,pcikj,qdlnm,rqps,tkogu,tnvhw,ailove->bjmuwfs"
+    COLUMN_SHAPES = [
+        tuple(1 if letter == "r" else 2 for letter in term)
+        for term in COLUMN.split("->")[0].split(",")
+    ]
+
+    @pytest.mark.parametrize("n", range(2, EXHAUSTIVE_LIMIT + 1))
+    def test_work_is_bounded_by_three_to_the_n(self, n):
+        """A search over pair orders would evaluate ``n! (n-1)! / 2^(n-1)``
+        of them; unit extents make everything tie, the subset search's worst
+        case."""
+        subscripts = ",".join(
+            f"{chr(97 + i)}{chr(98 + i)}" for i in range(n)
+        ) + f"->a{chr(97 + n)}"
+        _, terms, output, dims = search_inputs(subscripts, [(1, 1)] * n)
+        counter = REGISTRY.counter("planner.split_evaluations", operands=n)
+        before = counter.value
+        order = _optimal_order(terms, output, dims)
+        assert 0 < counter.value - before <= 3 ** n
+        assert order == [(0, 1)] * (n - 1)  # everything ties: the smallest path
+
+    def test_plan_does_not_depend_on_the_hash_seed(self):
+        """Pool workers plan in their own process and must reach the same
+        plan: string hashes, hence set orders, differ between these two."""
+        code = (
+            "from repro.tensornetwork.contraction_path import find_path\n"
+            f"plan = find_path({self.COLUMN!r}, {self.COLUMN_SHAPES!r})\n"
+            "print(plan.path, plan.steps)"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        printed = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            printed.append(done.stdout)
+        plan = find_path(self.COLUMN, self.COLUMN_SHAPES)
+        assert printed == [f"{plan.path} {plan.steps}\n"] * 2
+
+    def test_a_search_is_counted_and_traced_once_per_signature(self, tmp_path):
+        clear_path_caches()
+        searches = REGISTRY.counter("planner.searches", operands=8)
+        before = searches.value
+        trace_path = tmp_path / "trace.json"
+        TRACER.start(str(trace_path))
+        try:
+            find_path(self.COLUMN, self.COLUMN_SHAPES)
+            find_path(self.COLUMN, self.COLUMN_SHAPES)
+        finally:
+            TRACER.stop()
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        assert searches.value - before == 1
+        assert [(e["name"], e["args"]) for e in events] == [("planner.search", {"operands": 8})]
+
+
+def absorb_one_at_a_time(sequence):
+    """The path that starts from operand ``sequence[0]`` and contracts the
+    others into it in the order given."""
+    positions = sorted(sequence)
+    path, held = [], sequence[0]
+    for operand in sequence[1:]:
+        i, j = sorted((positions.index(held), positions.index(operand)))
+        path.append((i, j))
+        held = ("step", len(path))
+        positions = [p for k, p in enumerate(positions) if k not in (i, j)] + [held]
+    return path
+
+
+class TestStripColumnPlans:
+    """The paper's strip complexity (Table II): a column of a two-row strip
+    is absorbed into the environment layer by layer, so nothing larger than
+    ``m^2 D^6 d`` times the open operator bond is ever formed — the ket and
+    bra of a site are never fused."""
+
+    ROWS = (1, 2)
+    COLUMN = 1
+
+    def column_network(self, bond, boundary, positions):
+        """Spec and shapes of one span column exactly as ``StripCache``
+        labels it for ``term_value``, and the operator bond's extent."""
+        state = peps.random_peps(4, 4, bond_dim=bond, seed=3)
+        edge = np.zeros((boundary, bond, bond, boundary))
+        cache = StripCache(state, [edge] * 4, [edge] * 4, *self.ROWS)
+        j = self.COLUMN
+        piece_map, kappa = None, 1
+        environment, output = cache._column_labels(j), cache._column_labels(j + 1)
+        if positions:
+            sites = [r * 4 + c for r, c in positions]
+            exchange = sum(np.kron(pauli, pauli) for pauli in map(pauli_matrix, "XYZ"))
+            piece_map = operator_pieces(sites, exchange, positions)
+            kappa = max(piece.shape[-1] for pieces in piece_map.values() for piece, _, _ in pieces)
+            environment += tuple(pending_kappas(piece_map, j - 1))
+            output += tuple(pending_kappas(piece_map, j))
+        operands, inputs = cache._column_operands(j, piece_map)
+        shapes = [tuple(np.shape(operand)) for operand in operands]
+        extent = {label: dim for term, shape in zip(inputs, shapes) for label, dim in zip(term, shape)}
+        inputs.append(environment)
+        shapes.append(tuple(extent[label] for label in environment))
+        return EinsumSpec(tuple(map(tuple, inputs)), output), shapes, kappa
+
+    @pytest.mark.parametrize("bond, boundary", [(3, 9), (4, 16)])
+    @pytest.mark.parametrize(
+        "positions",
+        [None, [(1, 1), (2, 1)], [(1, 1), (2, 2)], [(1, 0), (2, 1)], [(2, 1), (1, 2)]],
+        ids=["traced", "vertical", "diagonal-first", "diagonal-second", "antidiagonal-first"],
+    )
+    def test_no_costlier_than_layer_by_layer_absorption(self, bond, boundary, positions):
+        spec, shapes, kappa = self.column_network(bond, boundary, positions)
+        plan = find_path(spec, shapes)
+
+        # environment, upper, then per row ket, operator piece, bra, then lower
+        n = len(shapes)
+        rows = list(range(2, n - 1))
+        pieces = [k for k in rows if len(spec.inputs[k]) == 4]
+        for k in pieces:  # listed after its row's bra; absorb it before
+            rows.remove(k)
+            rows.insert(rows.index(k - 1), k)
+        layered = _build_plan(
+            spec, spec.index_dimensions(shapes), absorb_one_at_a_time([n - 1, 0] + rows + [1])
+        )
+        physical = shapes[2][0]
+        assert layered.max_intermediate_size == boundary**2 * bond**6 * physical * kappa
+        assert plan.total_flops <= layered.total_flops
+        assert plan.max_intermediate_size <= boundary**2 * bond**6 * physical * kappa
 
 
 class TestCountedIsExecuted:

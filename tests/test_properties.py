@@ -21,7 +21,13 @@ from repro.tensornetwork.contraction_path import (
     find_path,
 )
 from repro.tensornetwork.einsum_spec import parse_einsum
-from tests.conftest import order_cost, run_plan, search_inputs
+from tests.conftest import (
+    brute_force_order,
+    order_cost,
+    random_network,
+    run_plan,
+    search_inputs,
+)
 
 BACKEND = get_backend("numpy")
 
@@ -130,22 +136,9 @@ class TestContractionPathProperties:
     @FAST
     @given(seed=seeds, n=st.integers(2, EXHAUSTIVE_LIMIT + 3))
     def test_executing_a_plan_reproduces_numpy_result(self, seed, n):
-        """Random networks on both sides of the exhaustive/greedy switch: every
-        label sits on one to three operands, some survive into the output."""
+        """Random networks on both sides of the search/greedy switch."""
         rng = np.random.default_rng(seed)
-        labels = "abcdefghijkl"[: n + 3]
-        extent = {label: int(rng.integers(1, 4)) for label in labels}
-        terms = [[] for _ in range(n)]
-        for k, label in enumerate(labels):
-            # the first n labels chain the operands so none is left empty
-            owners = {k % n, int(rng.integers(n))} if k < n else set()
-            owners |= {int(o) for o in rng.integers(n, size=rng.integers(1, 3))}
-            for owner in sorted(owners):
-                terms[owner].append(label)
-        output = [label for label in labels if rng.random() < 0.3]
-        rng.shuffle(output)
-        subscripts = ",".join("".join(term) for term in terms) + "->" + "".join(output)
-        shapes = [tuple(extent[label] for label in term) for term in terms]
+        subscripts, shapes = random_network(rng, n)
         operands = [_complex_array(rng, shape) for shape in shapes]
 
         plan = find_path(subscripts, shapes)
@@ -156,6 +149,16 @@ class TestContractionPathProperties:
         assert np.allclose(run_plan(plan, operands), ref, rtol=0, atol=1e-12 * max(1, np.abs(ref).max()))
         spec = parse_einsum(subscripts)
         assert find_path(spec, shapes) == plan
+
+    @FAST
+    @given(seed=seeds, n=st.integers(2, 5))
+    def test_search_finds_the_first_cheapest_of_all_pair_orders(self, seed, n):
+        """Optimal, and on ties the smallest path: exactly what enumerating
+        every order in ``combinations`` order and keeping the first cheapest
+        one gives."""
+        subscripts, shapes = random_network(np.random.default_rng(seed), n)
+        _, terms, output, dims = search_inputs(subscripts, shapes)
+        assert _optimal_order(terms, output, dims) == brute_force_order(terms, output, dims)
 
     @FAST
     @given(seed=seeds, n=st.integers(3, EXHAUSTIVE_LIMIT))

@@ -4,9 +4,10 @@ Two guarantees live here:
 
 * **Bitwise stability of pre-existing square-lattice runs.**  The files under
   ``tests/golden/`` were produced by the CLI *before* the lattice-layer
-  refactor (and regenerated once, deliberately, when the one contraction
-  planner changed the order small networks contract in: energies moved by at
-  most 3.2e-16 relative); re-running the same specs must reproduce the
+  refactor (and regenerated, deliberately, each time the planner changed a
+  contraction order: for the one planner energies moved by at most 3.2e-16
+  relative, for the subset search that reaches the 7-9 operand strip columns
+  by at most 4.6e-16); re-running the same specs must reproduce the
   results stream and the final checkpoints byte for byte (sha256).
   Hamiltonian terms, Trotter gates and RNG streams all follow lattice bond
   order, so any accidental reordering shows up here immediately.
