@@ -22,8 +22,8 @@ bond (exact growth before projection).
 
 import time
 
-from repro.peps.contraction import stats
 from repro.sim import RunSpec, Simulation
+from repro.telemetry import REGISTRY
 
 from benchmarks.conftest import scaled
 
@@ -50,11 +50,11 @@ def _run_ite(contraction, label):
         "contraction": contraction,
         "measure_every": N_STEPS,
     })
-    stats.reset_all()
+    REGISTRY.reset()
     start = time.perf_counter()
     result = Simulation(spec).run()
     elapsed = time.perf_counter() - start
-    return result.final_energy, stats.absorption_count(), elapsed
+    return result.final_energy, REGISTRY.value("peps.row_absorptions"), elapsed
 
 
 def test_ctm_vs_bmps_accuracy_cost(benchmark, record_rows):

@@ -9,7 +9,7 @@ communication dominates.
 
 Executing tensors of bond dimension 70-160 is not possible on this machine,
 so this harness evaluates the *same experiment through the cost model* the
-simulated distributed backend uses (see DESIGN.md, substitution table): the
+simulated distributed backend uses: the
 per-kernel flop counts and communication volumes of the dominant operations
 are computed from the paper-scale parameters, and the alpha-beta machine
 model produces the execution time for every core count.  The shapes to

@@ -8,7 +8,7 @@ contraction time spent in local GEMM.
 
 As with Fig. 11 the paper-scale tensors cannot be executed on this machine,
 so the harness evaluates the same sweep through the cost model used by the
-simulated distributed backend (see DESIGN.md): per-kernel flop counts and
+simulated distributed backend: per-kernel flop counts and
 communication volumes at the paper's (cores, r, m) points, converted to the
 figure's metric — Gflop/s per core.  The shape to reproduce is a per-core
 rate that stays roughly flat (within a small factor) across the sweep.

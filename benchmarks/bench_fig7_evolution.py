@@ -10,7 +10,7 @@
 
 Scaled-down defaults: a 4x4 lattice with bond dimensions 2..6 (NumPy times
 are measured wall-clock; distributed times are the cost model's simulated
-seconds, since no real cluster is available — see DESIGN.md).  The shapes to
+seconds, since no real cluster is available).  The shapes to
 reproduce are (a) NumPy wins at small bond dimension while the distributed
 backend catches up as the tensors grow, and (b) the local-Gram variants are
 consistently faster than plain QR-SVD in distributed memory.

@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harnesses.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md for the experiment index).  The paper's
-runs use an 8x8 / 15x15 PEPS with bond dimensions up to 64-280 on the
-Stampede2 supercomputer; on a single-core CI-class machine those sizes are
+evaluation section.  The paper's runs use an 8x8 / 15x15 PEPS with bond
+dimensions up to 64-280 on the Stampede2 supercomputer; on a single-core
+CI-class machine those sizes are
 infeasible, so by default every harness runs a *scaled-down* sweep that
 preserves the sweep structure (same algorithms, same axes, smaller lattice
 and bond dimensions).  Set the environment variable ``REPRO_SCALE=full`` to

@@ -22,8 +22,13 @@ from repro.mps.apply import apply_mpo_exact, apply_mpo_zipup
 from repro.mps.mpo import MPO
 from repro.mps.mps import MPS
 from repro.peps.contraction.options import BMPS, ContractOption, Exact
-from repro.peps.contraction.stats import count_row_absorption
+from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import traced
+
+#: One unit per lattice row absorbed into a boundary MPS (single-layer MPO
+#: application here, sandwich rows in ``two_layer``): the dominant cost unit
+#: of every PEPS contraction, so variants compare by it instead of wall time.
+_ROW_ABSORPTIONS = REGISTRY.counter("peps.row_absorptions")
 
 
 def _row_to_mps(backend: Backend, row: Sequence) -> MPS:
@@ -65,7 +70,7 @@ def single_layer_boundary_sweep(
         raise ValueError("cannot contract an empty PEPS")
     boundary = _row_to_mps(backend, grid[0])
     for i in range(1, nrow):
-        count_row_absorption()
+        _ROW_ABSORPTIONS.add()
         mpo = _row_to_mpo(backend, grid[i])
         if isinstance(option, Exact):
             boundary = apply_mpo_exact(boundary, mpo)

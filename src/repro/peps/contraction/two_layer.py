@@ -28,9 +28,12 @@ from repro.backends import get_backend
 from repro.backends.interface import Backend
 from repro.peps.contraction.options import BMPS, ContractOption, Exact, TwoLayerBMPS
 from repro.peps.contraction.single_layer import contract_single_layer
-from repro.peps.contraction.stats import count_row_absorption
+from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import traced
 from repro.tensornetwork.einsumsvd import EinsumSVDOption, einsumsvd
+
+#: Shared with ``single_layer``: one unit per row absorbed into a boundary.
+_ROW_ABSORPTIONS = REGISTRY.counter("peps.row_absorptions")
 
 #: Site tensor index order (shared with repro.peps.update).
 PHYS, UP, LEFT, DOWN, RIGHT = 0, 1, 2, 3, 4
@@ -87,7 +90,7 @@ def absorb_sandwich_row(
     The new boundary, whose physical legs are the row's far-side vertical
     legs.
     """
-    count_row_absorption()
+    _ROW_ABSORPTIONS.add()
     backend = get_backend(backend)
     ncol = len(boundary)
     if len(ket_row) != ncol or len(bra_row) != ncol:
@@ -196,7 +199,7 @@ def absorb_sandwich_row_batched(
         max(backend.shape(t)[0] for t in boundary),
         max(backend.shape(t)[0] for t in ket_row),
     )
-    count_row_absorption(batch)
+    _ROW_ABSORPTIONS.add(batch)
     bra_row = [backend.conj(t) for t in bra_row]
     new_boundary = []
     for b, k, w in zip(boundary, ket_row, bra_row):

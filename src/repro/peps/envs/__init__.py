@@ -26,10 +26,14 @@ selected by a :class:`~repro.peps.contraction.options.CTMOption`).
 """
 
 from repro.peps.envs.base import Environment, EnvStats, local_terms
-from repro.peps.envs.boundary import BoundaryEnvironment, option_signature
-from repro.peps.envs.boundary_mps import EnvBoundaryMPS, make_environment
+from repro.peps.envs.boundary import (
+    BoundaryEnvironment,
+    EnvBoundaryMPS,
+    EnvExact,
+    make_environment,
+    option_signature,
+)
 from repro.peps.envs.ctm import EnvCTM, corner_grams, ctm_renormalize
-from repro.peps.envs.exact import EnvExact
 from repro.peps.envs.sampling import sample_bitstrings
 from repro.peps.envs.strip import StripCache, operator_pieces, strip_value
 

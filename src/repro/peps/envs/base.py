@@ -24,26 +24,13 @@ environment is attached via :meth:`~repro.peps.peps.PEPS.attach_environment`.
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.telemetry.metrics import MetricsRegistry
 
-#: The counters one environment maintains, in declaration order.
-ENV_STAT_FIELDS = (
-    "row_absorptions",
-    "strip_contractions",
-    "invalidations",
-    "norm_evaluations",
-    "ctm_moves",
-    "batched_contractions",
-    "uniform_fallbacks",
-    "strip_cache_hits",
-    "strip_cache_misses",
-)
-
-
+@dataclasses.dataclass
 class EnvStats:
     """Counters describing the work an environment has performed.
 
@@ -62,56 +49,27 @@ class EnvStats:
     observable terms served from (resp. forcing a build of) cached column
     environments of a row strip.
 
-    The values live in a private per-environment
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (under ``env.*`` metric
-    names), so per-object statistics stay independent while sharing the
-    registry's snapshot/delta machinery; the attribute API (``stats.ctm_moves
-    += 1``, ``stats.reset()``) is unchanged.
+    Per-object and independent of the process-global ``peps.*`` counters in
+    :data:`repro.telemetry.REGISTRY`, which total the same events over every
+    environment.
     """
 
-    __slots__ = ("registry",)
-
-    def __init__(self, **initial: int) -> None:
-        self.registry = MetricsRegistry()
-        for field in ENV_STAT_FIELDS:
-            self.registry.counter(f"env.{field}")
-        for field, value in initial.items():
-            if field not in ENV_STAT_FIELDS:
-                raise TypeError(f"EnvStats has no counter {field!r}")
-            setattr(self, field, value)
+    row_absorptions: int = 0
+    strip_contractions: int = 0
+    invalidations: int = 0
+    norm_evaluations: int = 0
+    ctm_moves: int = 0
+    batched_contractions: int = 0
+    uniform_fallbacks: int = 0
+    strip_cache_hits: int = 0
+    strip_cache_misses: int = 0
 
     def reset(self) -> None:
-        self.registry.reset()
+        self.__init__()
 
     def as_dict(self) -> Dict[str, int]:
         """All counters as a plain ``{field: value}`` dict."""
-        return {field: getattr(self, field) for field in ENV_STAT_FIELDS}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EnvStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"EnvStats({inner})"
-
-
-def _env_stat_property(field: str) -> property:
-    key = f"env.{field}"
-
-    def fget(self: EnvStats) -> int:
-        return self.registry.value(key)
-
-    def fset(self: EnvStats, value: int) -> None:
-        self.registry.counter(key)._set(value)
-
-    return property(fget, fset, doc=f"Counter {field!r} (registry-backed).")
-
-
-for _field in ENV_STAT_FIELDS:
-    setattr(EnvStats, _field, _env_stat_property(_field))
-del _field
+        return dataclasses.asdict(self)
 
 
 def local_terms(observable) -> List[Tuple[Tuple[int, ...], np.ndarray]]:

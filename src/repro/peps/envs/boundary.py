@@ -23,11 +23,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.peps.contraction.options import BMPS, ContractOption, CTMOption, Exact
-from repro.peps.contraction.stats import (
-    count_batched_contraction,
-    count_strip_cache_hit,
-    count_strip_cache_miss,
-)
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
     absorb_sandwich_row_batched,
@@ -43,7 +38,15 @@ from repro.peps.envs.strip import (
     transfer_left,
     transfer_right,
 )
+from repro.telemetry.metrics import REGISTRY
 from repro.tensornetwork.einsumsvd import EinsumSVDOption
+
+#: Process-wide totals of the per-environment ``EnvStats`` fields of the same
+#: names: lockstep ``einsum_batched`` calls, and observable terms served from
+#: (hit) or forcing a build of (miss) a strip's cached column environments.
+_BATCHED_CONTRACTIONS = REGISTRY.counter("peps.batched_contractions")
+_STRIP_CACHE_HITS = REGISTRY.counter("peps.strip_cache_hits")
+_STRIP_CACHE_MISSES = REGISTRY.counter("peps.strip_cache_misses")
 
 
 def option_signature(contract_option: Optional[ContractOption]) -> Tuple:
@@ -467,7 +470,7 @@ class BoundaryEnvironment(Environment):
         self.stats.row_absorptions += batch
         if self.svd_option is None:
             self.stats.batched_contractions += len(upper)
-            count_batched_contraction(len(upper))
+            _BATCHED_CONTRACTIONS.add(len(upper))
             return absorb_sandwich_row_batched(b, upper, projected_row, projected_row)
         columns = []
         for s in range(batch):
@@ -512,10 +515,10 @@ class BoundaryEnvironment(Environment):
         misses = sum(cache.misses for cache in caches.values())
         if hits:
             self.stats.strip_cache_hits += hits
-            count_strip_cache_hit(hits)
+            _STRIP_CACHE_HITS.add(hits)
         if misses:
             self.stats.strip_cache_misses += misses
-            count_strip_cache_miss(misses)
+            _STRIP_CACHE_MISSES.add(misses)
 
     def _term_rows(self, sites: Sequence[int]) -> Tuple[int, int, List[Tuple[int, int]]]:
         positions = [self.peps.site_position(s) for s in sites]
@@ -561,3 +564,65 @@ class BoundaryEnvironment(Environment):
             if c < cols[-1]:
                 left = transfer_left(b, left, upper[c], kets[c], bras[c], lower[c])
         return out
+
+
+class EnvExact(BoundaryEnvironment):
+    """Environment whose row absorptions are exact: boundary bonds multiply.
+
+    The cost grows exponentially with the lattice height, so this is the
+    reference implementation for small lattices (parity tests, sampling
+    statistics) and the baseline truncated environments are compared against.
+    """
+
+    def __init__(self, peps) -> None:
+        super().__init__(peps, svd_option=None, max_bond=None)
+
+    def __repr__(self) -> str:
+        return f"EnvExact({self.peps!r})"
+
+
+class EnvBoundaryMPS(BoundaryEnvironment):
+    """Environment wrapping the zip-up / IBMPS row-absorption machinery.
+
+    The flavour is decided by the :class:`~repro.peps.contraction.options.BMPS`
+    option's embedded ``einsumsvd`` option: an explicit SVD gives the classic
+    boundary MPS, an implicit randomized SVD the paper's IBMPS.  The
+    truncation bond ``m`` is ``option.truncation_bond``.
+    """
+
+    def __init__(self, peps, contract_option: Optional[ContractOption] = None) -> None:
+        option = contract_option if contract_option is not None else BMPS()
+        if not isinstance(option, BMPS):
+            raise TypeError(
+                f"EnvBoundaryMPS needs a BMPS-style contraction option, "
+                f"got {type(option).__name__}"
+            )
+        svd = option.resolved_svd_option()
+        super().__init__(peps, svd_option=svd, max_bond=svd.rank)
+        self.contract_option = option
+
+    def __repr__(self) -> str:
+        return f"EnvBoundaryMPS({self.peps!r}, {self.contract_option.describe()})"
+
+
+def make_environment(peps, contract_option: Optional[ContractOption] = None):
+    """Build the environment matching a contraction option.
+
+    ``None`` and :class:`~repro.peps.contraction.options.Exact` give an
+    :class:`EnvExact`; any :class:`~repro.peps.contraction.options.BMPS`
+    (including :class:`~repro.peps.contraction.options.TwoLayerBMPS`) gives an
+    :class:`EnvBoundaryMPS` — boundary sandwiches are inherently two-layer —
+    and a :class:`~repro.peps.contraction.options.CTMOption` gives an
+    :class:`~repro.peps.envs.ctm.EnvCTM`.
+    """
+    from repro.peps.envs.ctm import EnvCTM
+
+    if contract_option is None or isinstance(contract_option, Exact):
+        return EnvExact(peps)
+    if isinstance(contract_option, CTMOption):
+        return EnvCTM(peps, contract_option)
+    if isinstance(contract_option, BMPS):
+        return EnvBoundaryMPS(peps, contract_option)
+    raise TypeError(
+        f"unsupported contraction option {type(contract_option).__name__} for environments"
+    )

@@ -2,8 +2,8 @@
 
 :class:`EnvCTM` is the third implementation of the
 :class:`~repro.peps.envs.base.Environment` protocol, next to
-:class:`~repro.peps.envs.exact.EnvExact` and
-:class:`~repro.peps.envs.boundary_mps.EnvBoundaryMPS`.  Like them it caches
+:class:`~repro.peps.envs.boundary.EnvExact` and
+:class:`~repro.peps.envs.boundary.EnvBoundaryMPS`.  Like them it caches
 directional boundaries of the ``<psi|psi>`` sandwich keyed by row, but the
 boundaries are renormalized CTM-style instead of zip-up-style:
 
@@ -42,13 +42,19 @@ import numpy as np
 
 from repro.linalg.truncated_svd import truncated_svd
 from repro.peps.contraction.options import ContractOption, CTMOption
-from repro.peps.contraction.stats import count_batched_contraction, count_ctm_move
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
     absorb_sandwich_row_batched,
 )
 from repro.peps.envs.boundary import BoundaryEnvironment, _batch_size
+from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
+
+#: One unit per directional corner/edge absorption; every move also counts
+#: as one row absorption, so ``peps.row_absorptions`` stays comparable
+#: across environment implementations.
+_CTM_MOVES = REGISTRY.counter("peps.ctm_moves")
+_BATCHED_CONTRACTIONS = REGISTRY.counter("peps.batched_contractions")
 
 #: Relative floor under which corner-Gram singular directions are treated as
 #: numerically zero when forming ``S^(-1/2)`` (pseudo-inverse regularization).
@@ -356,7 +362,7 @@ class EnvCTM(BoundaryEnvironment):
         """One CTM move: exact row absorption plus corner-projector renormalization."""
         self.stats.row_absorptions += 1
         self.stats.ctm_moves += 1
-        count_ctm_move()
+        _CTM_MOVES.add()
         with _span("ctm_move", row=row, from_below=from_below):
             grown = absorb_sandwich_row(
                 boundary,
@@ -388,7 +394,7 @@ class EnvCTM(BoundaryEnvironment):
         """Absorb one basis-projected row CTM-style into a per-shot boundary."""
         self.stats.row_absorptions += 1
         self.stats.ctm_moves += 1
-        count_ctm_move()
+        _CTM_MOVES.add()
         grown = absorb_sandwich_row(
             upper,
             projected_row,
@@ -418,14 +424,14 @@ class EnvCTM(BoundaryEnvironment):
         batch = _batch_size(b, upper, projected_row)
         self.stats.row_absorptions += batch
         self.stats.ctm_moves += batch
-        count_ctm_move(batch)
+        _CTM_MOVES.add(batch)
         grown = absorb_sandwich_row_batched(b, upper, projected_row, projected_row)
         calls = len(grown)
         if not self._absorbs_exactly():
             grown, renorm_calls = ctm_renormalize_batched(b, grown, self.chi, self.cutoff)
             calls += renorm_calls
         self.stats.batched_contractions += calls
-        count_batched_contraction(calls)
+        _BATCHED_CONTRACTIONS.add(calls)
         return grown
 
     # ------------------------------------------------------------------ #

@@ -50,14 +50,17 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.peps.contraction.stats import count_batched_contraction
 from repro.peps.envs.strip import (
     site_density,
     transfer_left_projected,
     transfer_right,
 )
+from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
+
+#: One unit per lockstep ``einsum_batched`` call covering a whole shot batch.
+_BATCHED_CONTRACTIONS = REGISTRY.counter("peps.batched_contractions")
 
 #: Per-column contraction specs shared by the serial helpers in
 #: :mod:`repro.peps.envs.strip` and the lockstep ``einsum_batched`` calls.
@@ -259,7 +262,7 @@ def _sample_lockstep(
             selectors = b.astensor(plan.eye(probs.shape[-1])[values])  # (nshots, d)
             proj = b.einsum(_SPEC_PROJECT, plan.kets[r][c], selectors)
             env.stats.batched_contractions += 1
-            count_batched_contraction()
+            _BATCHED_CONTRACTIONS.add()
             projected.append(proj)
             left = _batched(
                 env, _SPEC_TRANSFER_LEFT, left, upper[c], proj, b.conj(proj), lower[c]
@@ -277,5 +280,5 @@ def _sample_lockstep(
 def _batched(env, subscripts: str, *operands):
     """One counted lockstep contraction over the whole shot batch."""
     env.stats.batched_contractions += 1
-    count_batched_contraction()
+    _BATCHED_CONTRACTIONS.add()
     return env.peps.backend.einsum_batched(subscripts, *operands)

@@ -29,7 +29,7 @@ from repro.peps.contraction.two_layer import (
     trivial_boundary,
 )
 from repro.peps.envs.base import local_terms as _local_terms
-from repro.peps.envs.boundary_mps import make_environment
+from repro.peps.envs.boundary import make_environment
 from repro.peps.envs.strip import strip_value
 from repro.tensornetwork.einsumsvd import EinsumSVDOption
 

@@ -19,12 +19,12 @@ resumable *runs*:
   :class:`~repro.sim.sweep.SweepSpec` fans one base RunSpec into a named
   grid of runs (dotted-path override axes, product/zip modes, per-point
   derived seeds) and the :class:`~repro.sim.sweep.Sweep` driver executes it
-  through a resumable ``multiprocessing`` pool with an atomic manifest and
-  a combined results document,
+  resumably — in-process at ``jobs == 1``, through lease-queue workers at
+  ``jobs >= 2`` — with an atomic manifest and a combined results document,
 * :mod:`~repro.sim.queue` — a file-backed, lease-based job queue: workers
   atomically claim sweep points under heartbeat leases, expired leases are
   requeued with a bounded retry budget, and terminal records are first-wins
-  so no point ever completes twice (``Sweep``'s ``executor="queue"`` mode),
+  so no point ever completes twice (what ``Sweep`` runs at ``jobs >= 2``),
 * :mod:`~repro.sim.serve` — the ``python -m repro.sim serve`` daemon: a
   local HTTP API that accepts run/sweep submissions, executes them FIFO as
   CLI subprocesses, reports status, streams results, and resumes unfinished
@@ -49,8 +49,8 @@ Quick start::
 
 or from the command line::
 
-    python -m repro.sim spec.json
-    python -m repro.sim spec.json --resume
+    python -m repro.sim run spec.json
+    python -m repro.sim run spec.json --resume
 """
 
 from repro.sim.io import (

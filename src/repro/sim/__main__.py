@@ -8,16 +8,15 @@ renders telemetry summaries; a fourth, ``serve``, runs a local job daemon):
     printing one line per step record.  ``--resume`` continues from the
     newest checkpoint; ``--stop-after N`` interrupts after N steps of this
     session (exit code 3), which lets CI exercise the crash/resume path
-    deterministically.  The bare form ``python -m repro.sim SPEC.json``
-    (no subcommand) still works and means ``run``.
+    deterministically.
 
-``sweep SWEEP.json [--jobs N] [--executor pool|queue] [--resume] [options]``
-    Expand a :class:`~repro.sim.sweep.SweepSpec` grid and execute it through
-    a worker pool (``--jobs``, default from the spec; 1 = serial) or — with
-    ``--executor queue`` — through the file-backed lease queue, where workers
-    atomically claim points under heartbeat leases and expired leases are
-    requeued (see ``docs/serve.md``).  All executors produce bitwise
-    identical combined results.  Per-point
+``sweep SWEEP.json [--jobs N] [--resume] [options]``
+    Expand a :class:`~repro.sim.sweep.SweepSpec` grid and execute it
+    in-process (``--jobs 1``; the default comes from the spec) or, with
+    ``--jobs N`` for ``N >= 2``, through N lease-queue workers that
+    atomically claim points under heartbeat leases, expired leases being
+    requeued (see ``docs/serve.md``).  Both produce bitwise identical
+    combined results.  Per-point
     statuses live in ``<sweep_dir>/manifest.json``; ``--resume`` skips
     completed points and resumes interrupted ones from their checkpoints,
     and ``--stop-after-points K`` interrupts after K points finish (exit
@@ -49,7 +48,7 @@ finish, one checkpoint is written per interrupted run (even off the
 ``checkpoint_every`` schedule) and the process exits with the distinct code 4
 ("interrupted, checkpoint written"), so preemptible jobs checkpoint on
 eviction rather than on schedule only.  Sweeps forward the signal to every
-pool worker so each in-flight point checkpoints too.
+worker so each in-flight point checkpoints too.
 
 Checkpoints write tensor payloads to a compressed ``.npz`` sidecar by
 default; ``--payload inline`` keeps the self-contained all-JSON form,
@@ -92,8 +91,6 @@ EXIT_FAILED_POINTS = 1
 
 #: Signals that trigger checkpoint-and-exit (SIGINT covers Ctrl-C).
 _HANDLED_SIGNALS = (signal.SIGTERM, signal.SIGINT)
-
-_COMMANDS = ("run", "sweep", "report", "serve")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,13 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("spec", help="path to the SweepSpec JSON file")
     sweep.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker-pool size (default: the spec's jobs; 1 = serial)")
-    sweep.add_argument("--executor", choices=("pool", "queue"), default=None,
-                       help="execution strategy (default: the spec's executor): "
-                       "'pool' dispatches points to a worker pool, 'queue' runs "
-                       "them through the file-backed lease queue with heartbeat "
-                       "leases and requeue-on-expiry; results are bitwise "
-                       "identical either way")
+                       help="worker count (default: the spec's jobs): 1 runs the "
+                       "points in-process, N >= 2 spawns N lease-queue workers "
+                       "(heartbeat leases, requeue on expiry); results are "
+                       "bitwise identical either way")
     sweep.add_argument("--resume", action="store_true",
                        help="skip completed points and resume interrupted ones")
     sweep.add_argument(
@@ -342,7 +336,6 @@ def _main_sweep(args) -> int:
     try:
         result = sweep.run(
             jobs=args.jobs,
-            executor=args.executor,
             resume=args.resume,
             stop_after_points=args.stop_after_points,
             count_flops=args.count_flops,
@@ -411,11 +404,6 @@ def _main_report(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Back-compat: the original flat invocation `python -m repro.sim spec.json`
-    # (no subcommand) means `run spec.json`.
-    if argv and argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
-        argv = ["run"] + argv
     args = build_parser().parse_args(argv)
     return args.func(args)
 

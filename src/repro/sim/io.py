@@ -773,10 +773,8 @@ def environment_to_dict(
     round-trip too.  A CTM environment additionally stores its converged
     corner spectra per boundary level.
     """
-    from repro.peps.envs.boundary import BoundaryEnvironment
-    from repro.peps.envs.boundary_mps import EnvBoundaryMPS
+    from repro.peps.envs.boundary import BoundaryEnvironment, EnvBoundaryMPS, EnvExact
     from repro.peps.envs.ctm import EnvCTM
-    from repro.peps.envs.exact import EnvExact
 
     if not isinstance(env, BoundaryEnvironment):
         raise SerializationError(f"unsupported environment type {type(env).__name__}")

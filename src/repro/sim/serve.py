@@ -265,6 +265,12 @@ class ServeDaemon:
         spec_payload = payload.get("spec")
         if not isinstance(spec_payload, dict):
             raise ValueError('submission body needs a "spec" object')
+        known = ["jobs", "spec"] if kind == "sweep" else ["spec"]
+        unknown = sorted(set(payload) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown submission fields {unknown}; known fields: {known}"
+            )
         with self._lock:
             job_id = f"job-{len(self._jobs) + 1:04d}"
             job_dir = self._job_dir(job_id)
@@ -303,11 +309,11 @@ class ServeDaemon:
                 "resume": False,
                 "exit_code": None,
                 "error": None,
-                "options": {
-                    key: payload[key]
-                    for key in ("jobs", "executor")
-                    if key in payload and kind == "sweep"
-                },
+                "options": (
+                    {"jobs": payload["jobs"]}
+                    if kind == "sweep" and "jobs" in payload
+                    else {}
+                ),
             }
             self._jobs[job_id] = job
             self._save_job(job)
@@ -370,8 +376,6 @@ class ServeDaemon:
             options = job.get("options") or {}
             if options.get("jobs") is not None:
                 command += ["--jobs", str(int(options["jobs"]))]
-            if options.get("executor") is not None:
-                command += ["--executor", str(options["executor"])]
         command.append("--quiet")
         if job.get("resume") and self._resumable(job):
             command.append("--resume")

@@ -25,9 +25,11 @@ stream, and — unless ``derive_seeds`` is disabled — its own seed derived fro
 the base seed via :func:`repro.utils.rng.derive_rng`, so the whole grid is a
 pure function of one integer.
 
-The :class:`Sweep` driver executes the grid serially or through a
-``multiprocessing`` worker pool (``jobs``), maintains an atomic sweep-level
-manifest (``<sweep_dir>/manifest.json``, one status per point:
+The :class:`Sweep` driver executes the grid in-process (``jobs == 1``) or
+through lease-queue worker processes (``jobs >= 2``: workers claim points
+from a file-backed :class:`~repro.sim.queue.JobQueue` with heartbeat leases,
+a crashed worker's lease expires and the point requeues), maintains an atomic
+sweep-level manifest (``<sweep_dir>/manifest.json``, one status per point:
 ``pending`` / ``running`` / ``done`` / ``failed``), propagates SIGTERM/SIGINT
 to workers (each in-flight run finishes its step, checkpoints and reports
 ``interrupted``), and on completion merges the per-point record streams into
@@ -52,8 +54,8 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import re
 import shutil
 import signal
@@ -170,21 +172,17 @@ class SweepSpec:
         line, anything else one JSON document); defaults to
         ``<sweep_dir>/results.jsonl``.
     jobs:
-        Default worker-pool size for :meth:`Sweep.run` (1 = serial).
+        Default worker count for :meth:`Sweep.run`: 1 runs the points
+        in-process, ``>= 2`` spawns that many lease-queue workers.  Both
+        produce bitwise-identical combined documents (same seeds, same merge
+        order).
     derive_seeds:
         Give every point its own :func:`derive_point_seed` substream of the
         base seed (default).  Disable to run every point with the base seed
         (e.g. to isolate the effect of an axis at fixed randomness).  An
         explicit ``"seed"`` axis/override always wins.
-    executor:
-        How parallel points are executed: ``"pool"`` (the bounded-dispatch
-        multiprocessing pool, default) or ``"queue"`` (the lease-based
-        :class:`~repro.sim.queue.JobQueue`: workers atomically claim points
-        with heartbeat leases, crashed workers' leases expire and requeue).
-        Serial, pool and queue execution all produce bitwise-identical
-        combined documents (same seeds, same merge order).
     queue:
-        Queue-executor tuning (``executor: "queue"`` only): ``lease_seconds``
+        Lease-queue tuning (read when ``jobs >= 2``): ``lease_seconds``
         (default 30), ``max_attempts`` (expired leases before the point is
         failed, default 3), ``heartbeat_seconds`` (default lease/4),
         ``poll_seconds`` (claim/status poll interval, default 0.05), and the
@@ -211,7 +209,6 @@ class SweepSpec:
     results: Optional[str] = None
     jobs: int = 1
     derive_seeds: bool = True
-    executor: str = "pool"
     queue: Optional[Dict[str, Any]] = None
     reference: Optional[Dict[str, Any]] = None
 
@@ -243,10 +240,6 @@ class SweepSpec:
         self.jobs = int(self.jobs)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.executor not in ("pool", "queue"):
-            raise ValueError(
-                f'executor must be "pool" or "queue", got {self.executor!r}'
-            )
         if self.queue is not None:
             if not isinstance(self.queue, dict):
                 raise ValueError(
@@ -315,7 +308,6 @@ class SweepSpec:
             "results": self.results,
             "jobs": self.jobs,
             "derive_seeds": self.derive_seeds,
-            "executor": self.executor,
             "queue": copy.deepcopy(self.queue),
             "reference": copy.deepcopy(self.reference),
         }
@@ -417,7 +409,7 @@ class SweepResult:
 
 
 # --------------------------------------------------------------------- #
-# Per-point execution (shared by the serial path and pool workers)
+# Per-point execution (shared by the serial path and queue workers)
 # --------------------------------------------------------------------- #
 def _execute_point(
     payload: Dict[str, Any],
@@ -498,27 +490,8 @@ def _worker_signal_handler(signum, frame) -> None:
         simulation.request_stop()
 
 
-def _sweep_worker(task_queue, result_queue, stop_event, count_flops) -> None:
-    """Pool worker: drain tasks until a sentinel, stop request or signal."""
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(sig, _worker_signal_handler)
-        except (ValueError, OSError):  # pragma: no cover - exotic platforms
-            pass
-    while not stop_event.is_set() and not _WORKER_STATE["stop"]:
-        task = task_queue.get()
-        if task is None:  # sentinel: no more work
-            break
-        name, payload, allow_resume = task
-        result_queue.put(("started", name, None))
-        outcome = _execute_point(
-            payload, allow_resume, count_flops=count_flops, register=_worker_register
-        )
-        result_queue.put(("finished", name, outcome))
-
-
 # --------------------------------------------------------------------- #
-# Queue executor (executor: "queue"): lease-claiming worker processes
+# Parallel execution (jobs >= 2): lease-claiming worker processes
 # --------------------------------------------------------------------- #
 def _fault_hook(fault: Optional[Dict[str, Any]], job_id: str, epoch: int):
     """Deterministic chaos knob: self-kill after K records of one point.
@@ -652,6 +625,7 @@ def _queue_worker(
     poll_seconds: float,
     count_flops: bool,
     fault: Optional[Dict[str, Any]],
+    closing,
 ) -> None:
     """Queue worker: claim points until the grid drains, pauses or stops."""
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -668,7 +642,7 @@ def _queue_worker(
         if lease is None:
             if jq.outstanding() == 0:
                 break
-            time.sleep(poll_seconds)
+            closing.wait(poll_seconds)  # the parent sets it at shutdown
             continue
         _run_leased_point(jq, lease, heartbeat_seconds, count_flops, fault)
 
@@ -698,10 +672,8 @@ class Sweep:
         self.aggregate = aggregate
         self._entries: Dict[str, Dict[str, Any]] = {}
         self._stop_requested = False
-        self._stop_event = None
-        self._workers: List[Any] = []
         self._current_simulation: Optional[Simulation] = None
-        self._active_executor = self.spec.executor
+        self._uses_queue = False
         self._reference: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
@@ -711,24 +683,16 @@ class Sweep:
         """Stop dispatching new points and interrupt the in-flight ones.
 
         Safe to call from a signal handler.  Serial runs forward the request
-        to the current :class:`Simulation`; pool runs set the shared stop
-        event and SIGTERM every live worker, whose handler does the same.
-        In-flight points finish their step, checkpoint and report
-        ``interrupted``; the sweep resumes them with ``resume=True`` later.
+        to the current :class:`Simulation`; parallel runs see the flag at
+        their next poll, pause the queue and SIGTERM every live worker,
+        whose handler does the same.  In-flight points finish their step,
+        checkpoint and report ``interrupted``; the sweep resumes them with
+        ``resume=True`` later.
         """
         self._stop_requested = True
-        event = self._stop_event
-        if event is not None:
-            event.set()
         simulation = self._current_simulation
         if simulation is not None:
             simulation.request_stop()
-        for worker in list(self._workers):
-            if worker.is_alive():
-                try:
-                    os.kill(worker.pid, signal.SIGTERM)
-                except (OSError, ValueError):  # pragma: no cover - racing exit
-                    pass
 
     # ------------------------------------------------------------------ #
     # Manifest
@@ -739,10 +703,9 @@ class Sweep:
             "type": "SweepManifest",
             "sweep": self.spec.name,
             "spec": self.spec.to_dict(),
-            "executor": self._active_executor,
             "points": list(self._entries.values()),
         }
-        if self._active_executor == "queue":
+        if self._uses_queue:
             payload["queue"] = self._queue_config()
         if self._reference is not None:
             payload["reference"] = self._reference
@@ -825,15 +788,15 @@ class Sweep:
         count_flops: bool = False,
         progress: Optional[SweepProgress] = None,
         record_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-        executor: Optional[str] = None,
     ) -> SweepResult:
         """Execute (or continue) the grid.
 
         Parameters
         ----------
         jobs:
-            Worker-pool size; ``None`` uses ``spec.jobs``, 1 runs serially
-            in-process.
+            Worker count; ``None`` uses ``spec.jobs``.  1 runs the points
+            in-process; ``>= 2`` spawns lease-queue workers, however many
+            points remain.
         resume:
             Skip points the manifest marks ``done`` and resume interrupted
             ones from their checkpoints (float-for-float, like single runs).
@@ -850,15 +813,8 @@ class Sweep:
         record_progress:
             Serial mode only: forwarded to each point's
             :meth:`Simulation.run` so step records stream as they appear.
-        executor:
-            Override ``spec.executor`` (``"pool"`` or ``"queue"``).  The
-            queue executor always runs worker processes, even at ``jobs=1``.
         """
         spec = self.spec
-        executor = spec.executor if executor is None else executor
-        if executor not in ("pool", "queue"):
-            raise ValueError(f'executor must be "pool" or "queue", got {executor!r}')
-        self._active_executor = executor
         points = spec.expand()
         os.makedirs(spec.sweep_dir, exist_ok=True)
         # Deliberately no reset of _stop_requested (mirroring Simulation.run):
@@ -867,7 +823,6 @@ class Sweep:
         self._entries = self._resume_entries(points) if resume else self._fresh_entries(points)
         if spec.reference is not None:
             self._reference = self._ensure_reference()
-        self._write_manifest()
 
         tasks: List[Tuple[str, Dict[str, Any], bool]] = [
             (point.name, point.payload, resume)
@@ -875,19 +830,17 @@ class Sweep:
             if self._entries[point.name]["status"] != STATUS_DONE
         ]
         jobs = spec.jobs if jobs is None else max(1, int(jobs))
+        self._uses_queue = bool(tasks) and jobs >= 2
+        self._write_manifest()
         interrupted = False
         stop_reason: Optional[str] = None
         if tasks:
-            if executor == "queue":
-                interrupted, stop_reason = self._run_queue(
-                    tasks, jobs, stop_after_points, count_flops, progress
-                )
-            elif jobs <= 1 or len(tasks) == 1:
+            if jobs == 1:
                 interrupted, stop_reason = self._run_serial(
                     tasks, stop_after_points, count_flops, progress, record_progress
                 )
             else:
-                interrupted, stop_reason = self._run_parallel(
+                interrupted, stop_reason = self._run_queue(
                     tasks, jobs, stop_after_points, count_flops, progress
                 )
 
@@ -922,29 +875,34 @@ class Sweep:
         )
 
     # ------------------------------------------------------------------ #
-    def _mark_started(self, name: str, progress: Optional[SweepProgress]) -> None:
+    # Point transitions: ``_started`` / ``_finished`` update the manifest
+    # entry and return the progress event; ``_publish`` writes the manifest
+    # once for a batch of them, then emits the events.
+    def _started(self, name: str) -> Dict[str, Any]:
         self._entries[name]["status"] = STATUS_RUNNING
-        self._write_manifest()
-        if progress is not None:
-            progress({"event": "started", "point": name})
+        return {"event": "started", "point": name}
 
-    def _mark_finished(
-        self, name: str, outcome: Dict[str, Any], progress: Optional[SweepProgress]
-    ) -> None:
+    def _finished(self, name: str, outcome: Dict[str, Any]) -> Dict[str, Any]:
         entry = self._entries[name]
         entry["status"] = outcome["status"]
         entry["final_step"] = outcome.get("final_step")
         entry["error"] = outcome.get("error")
         entry["metrics"] = outcome.get("metrics")
+        return {
+            "event": "finished",
+            "point": name,
+            "status": outcome["status"],
+            "interrupted": bool(outcome.get("interrupted")),
+            "error": outcome.get("error"),
+        }
+
+    def _publish(
+        self, events: List[Dict[str, Any]], progress: Optional[SweepProgress]
+    ) -> None:
         self._write_manifest()
         if progress is not None:
-            progress({
-                "event": "finished",
-                "point": name,
-                "status": outcome["status"],
-                "interrupted": bool(outcome.get("interrupted")),
-                "error": outcome.get("error"),
-            })
+            for event in events:
+                progress(event)
 
     def _register_simulation(self, simulation: Optional[Simulation]) -> None:
         self._current_simulation = simulation
@@ -966,7 +924,7 @@ class Sweep:
                 return True, "stop_requested"
             if stop_after_points is not None and finished >= stop_after_points:
                 return True, "stop_after_points"
-            self._mark_started(name, progress)
+            self._publish([self._started(name)], progress)
             point_records = None
             if record_progress is not None:
                 point_records = lambda record, _name=name: record_progress(
@@ -979,127 +937,18 @@ class Sweep:
                 register=self._register_simulation,
                 record_progress=point_records,
             )
-            self._mark_finished(name, outcome, progress)
+            self._publish([self._finished(name, outcome)], progress)
             if outcome.get("interrupted"):
                 return True, "stop_requested"
             if outcome["status"] == STATUS_DONE:
                 finished += 1
         return False, None
 
-    def _run_parallel(
-        self,
-        tasks: List[Tuple[str, Dict[str, Any], bool]],
-        jobs: int,
-        stop_after_points: Optional[int],
-        count_flops: bool,
-        progress: Optional[SweepProgress],
-    ) -> Tuple[bool, Optional[str]]:
-        context = multiprocessing.get_context()
-        task_queue = context.Queue()
-        result_queue = context.Queue()
-        stop_event = context.Event()
-        self._stop_event = stop_event
-        if self._stop_requested:  # raced a signal during setup
-            stop_event.set()
-        n_workers = max(1, min(jobs, len(tasks)))
-        workers = [
-            context.Process(
-                target=_sweep_worker,
-                args=(task_queue, result_queue, stop_event, count_flops),
-                daemon=True,
-            )
-            for _ in range(n_workers)
-        ]
-        self._workers = workers
-        for worker in workers:
-            worker.start()
-
-        # Bounded dispatch: hand each worker one task and feed the next task
-        # (or a stop sentinel) only as points finish.  This keeps the stop
-        # decision in the parent — once stopping, no new point ever starts —
-        # which makes --stop-after-points deterministic even with a pool.
-        pending = list(reversed(tasks))  # pop() takes them in order
-        in_flight = 0
-        finished = 0
-        stopping = False
-        interrupted = False
-        stop_reason: Optional[str] = None
-
-        def dispatch_next() -> None:
-            nonlocal in_flight
-            if pending and not stopping and not self._stop_requested:
-                task_queue.put(pending.pop())
-                in_flight += 1
-            else:
-                task_queue.put(None)  # sentinel: this worker is done
-
-        def handle(message) -> None:
-            nonlocal in_flight, finished, stopping, interrupted, stop_reason
-            kind, name, outcome = message
-            if kind == "started":
-                self._mark_started(name, progress)
-                return
-            in_flight -= 1
-            self._mark_finished(name, outcome, progress)
-            if outcome.get("interrupted"):
-                interrupted = True
-                stopping = True
-                stop_reason = stop_reason or "stop_requested"
-            elif outcome["status"] == STATUS_DONE:
-                finished += 1
-                if stop_after_points is not None and finished >= stop_after_points:
-                    stopping = True
-                    if pending or in_flight:
-                        interrupted = True
-                        stop_reason = stop_reason or "stop_after_points"
-            dispatch_next()
-
-        try:
-            for _ in range(n_workers):
-                dispatch_next()
-            while in_flight > 0:
-                try:
-                    message = result_queue.get(timeout=0.2)
-                except queue_module.Empty:
-                    if self._stop_requested:
-                        stopping = True
-                    if not any(worker.is_alive() for worker in workers):
-                        break  # crashed/killed workers: no more results coming
-                    continue
-                handle(message)
-        finally:
-            stop_event.set()
-            for _ in range(n_workers):  # wake any worker still blocked on get
-                task_queue.put(None)
-            for worker in workers:
-                worker.join(timeout=60)
-            for worker in workers:
-                if worker.is_alive():  # pragma: no cover - stuck worker
-                    worker.terminate()
-                    worker.join(timeout=5)
-            # Drain whatever results were in flight while we were shutting down.
-            while True:
-                try:
-                    handle(result_queue.get_nowait())
-                except queue_module.Empty:
-                    break
-            task_queue.close()
-            task_queue.cancel_join_thread()
-            result_queue.close()
-            result_queue.cancel_join_thread()
-            self._workers = []
-            self._stop_event = None
-
-        if self._stop_requested or pending or in_flight > 0:
-            interrupted = True
-            stop_reason = stop_reason or "stop_requested"
-        return interrupted, stop_reason
-
     # ------------------------------------------------------------------ #
-    # Queue executor
+    # Lease-queue workers
     # ------------------------------------------------------------------ #
     def _queue_config(self) -> Dict[str, Any]:
-        """The resolved queue-executor configuration (defaults applied)."""
+        """The resolved lease-queue configuration (defaults applied)."""
         cfg = dict(self.spec.queue or {})
         lease_seconds = float(cfg.get("lease_seconds", 30.0))
         return {
@@ -1155,6 +1004,9 @@ class Sweep:
         )
         context = multiprocessing.get_context()
         n_workers = max(1, min(jobs, len(submit)))
+        # Set at shutdown so idle workers leave at once instead of sleeping
+        # out their poll interval while the parent waits to join them.
+        closing = context.Event()
         spawned = 0
 
         def spawn():
@@ -1168,6 +1020,7 @@ class Sweep:
                     cfg["poll_seconds"],
                     count_flops,
                     cfg["fault"],
+                    closing,
                 ),
                 daemon=True,
             )
@@ -1176,24 +1029,23 @@ class Sweep:
             return worker
 
         workers = [spawn() for _ in range(n_workers)]
-        self._workers = workers
         # Crashed workers are replaced while work remains; the budget bounds
         # pathological crash loops (a fault that kills every epoch burns at
         # most max_attempts workers per point before the point is failed).
         respawn_budget = len(submit) * cfg["max_attempts"] + n_workers
 
         observed = {name: {"state": "pending", "epochs": 0} for name, _, _ in submit}
-        counters = {"finished": 0}
         stopping = False
         stop_reason: Optional[str] = None
         if held_back:
             stop_reason = "stop_after_points"
 
         def observe() -> None:
-            """Translate queue-state transitions into manifest updates."""
+            """Fold queue-state transitions into one manifest update."""
             jq.resolve_expired()
             status = jq.status()
             changed = False
+            events = []
             for name, _, _ in submit:
                 state = status[name]
                 prev = observed[name]
@@ -1212,26 +1064,24 @@ class Sweep:
                 if state["state"] == STATE_LEASED:
                     # First lease marks the point running; requeued epochs
                     # re-announce so retries are visible to observers.
-                    self._mark_started(name, progress)
+                    events.append(self._started(name))
                 elif state["state"] == STATE_RELEASED:
                     outcome = state.get("released_outcome") or {
                         "status": STATUS_RUNNING,
                         "interrupted": True,
                     }
-                    self._mark_finished(name, outcome, progress)
+                    events.append(self._finished(name, outcome))
                 elif state["state"] in (STATE_DONE, STATE_FAILED):
                     terminal = state["terminal"]
                     outcome = dict(terminal.get("result") or {})
                     outcome["status"] = terminal["status"]
                     if terminal.get("error") and not outcome.get("error"):
                         outcome["error"] = terminal["error"]
-                    self._mark_finished(name, outcome, progress)
-                    if terminal["status"] == STATUS_DONE:
-                        counters["finished"] += 1
+                    events.append(self._finished(name, outcome))
                 # STATE_EXPIRED keeps the manifest status "running": either
                 # the next claim requeues it or the budget check fails it.
             if changed:
-                self._write_manifest()
+                self._publish(events, progress)
 
         try:
             while True:
@@ -1261,13 +1111,18 @@ class Sweep:
                             worker.join(timeout=1)
                             workers[i] = spawn()
                             respawn_budget -= 1
-                    self._workers = workers
                     if not any(worker.is_alive() for worker in workers):
                         stop_reason = stop_reason or "workers_exhausted"
                         break
-                time.sleep(cfg["poll_seconds"])
+                # One poll interval, cut short the moment a worker exits:
+                # workers leave when the grid drains (or when they crash).
+                multiprocessing.connection.wait(
+                    [worker.sentinel for worker in workers if worker.is_alive()],
+                    timeout=cfg["poll_seconds"],
+                )
         finally:
             jq.pause()
+            closing.set()
             for worker in workers:
                 worker.join(timeout=60)
             for worker in workers:
@@ -1275,7 +1130,6 @@ class Sweep:
                     worker.terminate()
                     worker.join(timeout=5)
             observe()  # transitions that landed after the last poll
-            self._workers = []
 
         interrupted = bool(
             self._stop_requested or held_back or jq.outstanding() > 0
@@ -1289,7 +1143,7 @@ class Sweep:
     # ------------------------------------------------------------------ #
     #: Keys of the reference surfaced in the combined document (the on-disk
     #: path and cache_hit flag are execution details, excluded so serial /
-    #: pool / queue / cached runs stay bitwise identical).
+    #: parallel / cached runs stay bitwise identical).
     _REFERENCE_ROW_KEYS = (
         "kind", "key", "n_sites", "tau", "n_steps", "final_energy", "energies",
     )

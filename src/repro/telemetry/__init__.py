@@ -4,7 +4,7 @@ Three pieces, one import point:
 
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` (named
   counters/gauges/histograms with labels and snapshot/delta/merge), plus the
-  process-global :data:`REGISTRY` that the legacy counter APIs now shim onto.
+  process-global :data:`REGISTRY` holding the library's work counters.
 * :mod:`repro.telemetry.trace` — span tracing (:func:`span` context manager,
   :func:`traced` decorator, the global :data:`TRACER`) emitting Chrome
   trace-event JSON viewable in Perfetto.

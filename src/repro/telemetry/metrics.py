@@ -1,14 +1,10 @@
 """One metrics registry for every counter in the library.
 
-Historically the repo grew five disconnected instrumentation mechanisms:
-module-global counters in :mod:`repro.peps.contraction.stats`, the
-:class:`~repro.utils.flops.FlopCounter`, per-environment
-:class:`~repro.peps.envs.base.EnvStats`, :class:`~repro.utils.timer.Timer`,
-and the distributed backend's
-:class:`~repro.backends.distributed.cost_model.ExecutionStats` — each with
-its own reset function and no shared export path.  This module is the single
-source of truth they now all write through (their public APIs are preserved
-as thin shims over a registry).
+The process-wide PEPS work counters (``peps.*``), the queue/serve/planner
+counters, the :class:`~repro.utils.flops.FlopCounter` and the distributed
+backend's :class:`~repro.backends.distributed.cost_model.ExecutionStats` all
+write through a registry from this module, so they share one reset, one
+export path and one snapshot/delta mechanism.
 
 A :class:`MetricsRegistry` owns named metrics of three kinds:
 
@@ -35,8 +31,8 @@ Snapshots are plain JSON-serializable dicts keyed by the metric's flat name
 sweep workers snapshot their registry and the parent merges.
 
 :data:`REGISTRY` is the process-global default registry; scoped consumers
-(``EnvStats``, ``FlopCounter``, ``ExecutionStats``) hold private registries
-so per-object statistics stay independent, exactly as before.
+(``FlopCounter``, ``ExecutionStats``) hold private registries so per-object
+statistics stay independent.
 """
 
 from __future__ import annotations
@@ -337,9 +333,9 @@ class MetricsRegistry:
                     metric._value = 0
 
 
-#: The process-global registry: module-level counters
-#: (:mod:`repro.peps.contraction.stats`) live here, and the run/sweep
-#: lifecycle snapshots it around steps and points.
+#: The process-global registry: the ``peps.*`` work counters live here (each
+#: counting module holds its handle), and the run/sweep lifecycle snapshots
+#: it around steps and points.
 REGISTRY = MetricsRegistry()
 
 

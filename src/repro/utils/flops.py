@@ -101,8 +101,8 @@ class FlopCounter:
         self.registry.reset()
         self._categories.clear()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self._totals.items()))
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self.by_category().items()))
         return f"FlopCounter(total={self.total:.3g}, {parts})"
 
 

@@ -14,7 +14,6 @@ from repro.backends import (
 )
 from repro.backends.numpy_backend import NumPyBackend
 from repro.operators.hamiltonians import heisenberg_j1j2
-from repro.peps.contraction import stats
 from repro.peps.contraction.options import BMPS, CTMOption
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
@@ -25,6 +24,7 @@ from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, StripCache
 from repro.peps.envs.sampling import _SamplingPlan, sample_bitstrings
 from repro.peps.envs.strip import strip_value
 from repro.sim.spec import RunSpec
+from repro.telemetry import REGISTRY
 from repro.utils.flops import FlopCounter
 
 from conftest import random_complex
@@ -201,9 +201,9 @@ class TestBatchedAbsorption:
             arr = np.asarray(backend.asarray(t))
             row.append(backend.astensor(np.stack([arr, arr, arr])))
         boundary = [backend.ones((1, 1, 1, 1, 1))] * 2
-        before = stats.absorption_count()
+        before = REGISTRY.value("peps.row_absorptions")
         absorb_sandwich_row_batched(backend, boundary, row, row)
-        assert stats.absorption_count() - before == 3
+        assert REGISTRY.value("peps.row_absorptions") - before == 3
 
 
 # --------------------------------------------------------------------- #
@@ -264,10 +264,10 @@ class TestLockstepSampling:
     def test_batched_contraction_stats_counted(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=8)
         env = EnvExact(state)
-        before = stats.batched_contraction_count()
+        before = REGISTRY.value("peps.batched_contractions")
         env.sample(rng=2, nshots=4)
         assert env.stats.batched_contractions > 0
-        assert stats.batched_contraction_count() > before
+        assert REGISTRY.value("peps.batched_contractions") > before
 
     def test_serial_path_for_cutoff_truncations(self):
         """Cutoff truncation keeps data-dependent shapes: sampling must fall
@@ -374,12 +374,12 @@ class TestStripCache:
         state = peps.random_peps(3, 4, bond_dim=2, seed=32)
         env = EnvExact(state)
         H = heisenberg_j1j2(3, 4, j2=[0.5, 0.5, 0.5])
-        before = stats.strip_cache_hit_count()
+        before = REGISTRY.value("peps.strip_cache_hits")
         energy = env.expectation(H)
         assert np.isfinite(energy)
         assert env.stats.strip_cache_hits > 0
         assert env.stats.strip_cache_misses > 0
-        assert stats.strip_cache_hit_count() - before == env.stats.strip_cache_hits
+        assert REGISTRY.value("peps.strip_cache_hits") - before == env.stats.strip_cache_hits
 
     def test_expectation_value_unchanged_by_caching(self):
         state = peps.random_peps(3, 3, bond_dim=2, seed=33)

@@ -7,7 +7,6 @@ from repro import peps
 from repro.operators import gates
 from repro.operators.hamiltonians import transverse_field_ising
 from repro.peps import BMPS, CTMOption, EnvCTM, EnvExact, QRUpdate, make_environment
-from repro.peps.contraction import stats
 from repro.peps.envs.boundary import option_signature
 from repro.peps.envs.ctm import ctm_renormalize, spectra_distance
 from repro.sim import (
@@ -18,6 +17,7 @@ from repro.sim import (
     peps_from_dict,
     peps_to_dict,
 )
+from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD
 
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -298,8 +298,8 @@ class TestCTMOptionRouting:
 
     def test_global_ctm_move_counter(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=46)
-        stats.reset_all()
+        REGISTRY.reset()
         EnvCTM(state, CTMOption(chi=4)).build()
-        assert stats.ctm_move_count() == 3
-        stats.reset_all()
-        assert stats.ctm_move_count() == 0
+        assert REGISTRY.value("peps.ctm_moves") == 3
+        REGISTRY.reset()
+        assert REGISTRY.value("peps.ctm_moves") == 0

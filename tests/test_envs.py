@@ -8,8 +8,8 @@ from repro.operators import gates
 from repro.operators.hamiltonians import transverse_field_ising
 from repro.operators.observable import Observable
 from repro.peps import BMPS, EnvBoundaryMPS, EnvExact, Exact, QRUpdate, make_environment
-from repro.peps.contraction import stats
 from repro.peps.envs.boundary import option_signature
+from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
 
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -260,13 +260,13 @@ class TestIteAbsorptionCount:
         from repro.algorithms.ite import ImaginaryTimeEvolution
 
         ham = transverse_field_ising(3, 3)
-        stats.reset_all()
+        REGISTRY.reset()
         legacy = ImaginaryTimeEvolution(ham, tau=0.05, reuse_environment=False).run(3)
-        legacy_count = stats.absorption_count()
+        legacy_count = REGISTRY.value("peps.row_absorptions")
 
-        stats.reset_all()
+        REGISTRY.reset()
         persistent = ImaginaryTimeEvolution(ham, tau=0.05, reuse_environment=True).run(3)
-        persistent_count = stats.absorption_count()
+        persistent_count = REGISTRY.value("peps.row_absorptions")
 
         assert persistent_count < legacy_count
         assert np.allclose(legacy.energies, persistent.energies, atol=2e-4)

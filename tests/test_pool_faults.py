@@ -154,7 +154,7 @@ class TestCLIFaults:
         fault = {"rank": 0, "op": "contract",
                  "after_calls": counts[0] + 3, "mode": "always"}
         spec_path = self._write_spec(tmp_path, fault=fault, max_restarts=1)
-        result = run_cli(tmp_path, spec_path, "--quiet")
+        result = run_cli(tmp_path, "run", spec_path, "--quiet")
         assert result.returncode == 4, (result.stdout, result.stderr)
         assert "backend failure" in result.stderr
         assert "restart budget" in result.stderr
@@ -170,11 +170,11 @@ class TestCLIFaults:
         # The surviving checkpoint restores: a faultless resume completes
         # and reproduces an uninterrupted run bitwise.
         clean = self._write_spec(tmp_path, fault=None)
-        resumed = run_cli(tmp_path, clean, "--quiet", "--resume")
+        resumed = run_cli(tmp_path, "run", clean, "--quiet", "--resume")
         assert resumed.returncode == 0, resumed.stderr
         ref_dir = tmp_path / "ref"
         ref_dir.mkdir()
-        ref = run_cli(ref_dir, self._write_spec(ref_dir, fault=None), "--quiet")
+        ref = run_cli(ref_dir, "run", self._write_spec(ref_dir, fault=None), "--quiet")
         assert ref.returncode == 0, ref.stderr
         assert (tmp_path / "out.jsonl").read_text() == (ref_dir / "out.jsonl").read_text()
 
@@ -187,12 +187,12 @@ class TestCLIFaults:
         fault = {"rank": 1, "op": "echo",
                  "after_calls": max(1, counts[1] // 2), "mode": "once"}
         faulty = self._write_spec(tmp_path, fault=fault)
-        result = run_cli(tmp_path, faulty, "--quiet")
+        result = run_cli(tmp_path, "run", faulty, "--quiet")
         assert result.returncode == 0, (result.stdout, result.stderr)
 
         ref_dir = tmp_path / "ref"
         ref_dir.mkdir()
-        ref = run_cli(ref_dir, self._write_spec(ref_dir, fault=None), "--quiet")
+        ref = run_cli(ref_dir, "run", self._write_spec(ref_dir, fault=None), "--quiet")
         assert ref.returncode == 0, ref.stderr
         assert (tmp_path / "out.jsonl").read_text() == (ref_dir / "out.jsonl").read_text()
         for name in sorted(os.listdir(tmp_path / "checkpoints")):

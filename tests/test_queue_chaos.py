@@ -1,4 +1,4 @@
-"""Chaos tests for the queue executor (repro.sim.queue + Sweep executor="queue").
+"""Chaos tests for the lease-queue sweep workers (repro.sim.queue, Sweep jobs >= 2).
 
 The scheduler's contract under failure: a worker killed mid-lease (hard
 SIGKILL or cooperative SIGTERM) must not lose its point — the lease expires
@@ -58,7 +58,7 @@ def queue_stats(result, name):
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_queue_parity_without_faults(tmp_path, jobs):
     golden = golden_serial(tmp_path)
-    spec = make_spec(tmp_path, f"queue{jobs}", executor="queue")
+    spec = make_spec(tmp_path, f"queue{jobs}")
     result = Sweep(spec).run(jobs=jobs)
     assert result.completed
     assert all(status == STATUS_DONE for status in result.statuses.values())
@@ -74,7 +74,6 @@ def test_sigkill_mid_lease_requeues_and_matches_golden(tmp_path, jobs):
     spec = make_spec(
         tmp_path,
         f"sigkill{jobs}",
-        executor="queue",
         queue={
             "lease_seconds": 0.75,
             "fault": {"job": victim, "mode": "sigkill", "after_records": 1},
@@ -101,7 +100,6 @@ def test_sigterm_mid_lease_releases_without_burn(tmp_path):
     spec = make_spec(
         tmp_path,
         "sigterm",
-        executor="queue",
         queue={
             "lease_seconds": 5.0,
             "fault": {"job": victim, "mode": "sigterm", "after_records": 1},
@@ -126,7 +124,6 @@ def test_no_point_completes_twice_under_chaos(tmp_path):
     spec = make_spec(
         tmp_path,
         "once",
-        executor="queue",
         queue={
             "lease_seconds": 0.75,
             "fault": {"job": victim, "mode": "sigkill", "after_records": 1},
@@ -158,7 +155,6 @@ def test_retry_budget_exhaustion_fails_point_not_grid(tmp_path):
     spec = make_spec(
         tmp_path,
         "budget",
-        executor="queue",
         queue={
             "lease_seconds": 0.5,
             "max_attempts": 2,
@@ -191,13 +187,13 @@ def test_queue_resume_after_interrupt_matches_golden(tmp_path):
     """request_stop() mid-queue-sweep pauses the queue; --resume finishes the
     remaining points and the combined doc matches the golden run."""
     golden = golden_serial(tmp_path)
-    spec = make_spec(tmp_path, "resume", executor="queue")
+    spec = make_spec(tmp_path, "resume")
     sweep = Sweep(spec)
     first = sweep.run(jobs=2, stop_after_points=2)
     assert first.interrupted
     assert sum(1 for s in first.statuses.values() if s == STATUS_DONE) >= 2
 
-    resumed = Sweep(make_spec(tmp_path, "resume", executor="queue")).run(
+    resumed = Sweep(make_spec(tmp_path, "resume")).run(
         jobs=2, resume=True
     )
     assert resumed.completed

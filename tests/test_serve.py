@@ -121,6 +121,9 @@ class TestDaemonLifecycle:
         _, client, _ = daemon
         with pytest.raises(RuntimeError, match="400"):
             client.submit_sweep({"base": dict(BASE), "axes": [1, 2, 3]})
+        # The removed `executor` option is an unknown body key, not a no-op.
+        with pytest.raises(RuntimeError, match="400"):
+            client.submit_sweep(sweep_payload(), jobs=2, executor="pool")
         assert client.health()["status"] == "ok"
 
     def test_clean_shutdown_exits_zero(self, daemon):
@@ -178,7 +181,7 @@ class TestSweepThroughDaemon:
     def test_sweep_results_match_golden(self, tmp_path, daemon):
         golden = golden_sweep_bytes(tmp_path)
         _, client, _ = daemon
-        job = client.submit_sweep(sweep_payload(), jobs=2, executor="queue")
+        job = client.submit_sweep(sweep_payload(), jobs=2)
         final = client.wait(job["id"], timeout=300)
         assert final["status"] == JOB_DONE, final
         lines = client.stream_results(job["id"], timeout=60)

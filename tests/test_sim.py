@@ -520,7 +520,7 @@ class TestCLI:
 
         def cli(*args):
             return subprocess.run(
-                [sys.executable, "-m", "repro.sim", str(spec_path), "--quiet", *args],
+                [sys.executable, "-m", "repro.sim", "run", str(spec_path), "--quiet", *args],
                 env=env, cwd=tmp_path, capture_output=True, text=True,
             )
 
@@ -548,7 +548,7 @@ class TestCLI:
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        base = [sys.executable, "-m", "repro.sim", str(spec_path)]
+        base = [sys.executable, "-m", "repro.sim", "run", str(spec_path)]
 
         reference = subprocess.run(
             base + ["--quiet", "--results", str(tmp_path / "ref.jsonl"),

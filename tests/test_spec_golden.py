@@ -62,7 +62,7 @@ class TestGoldenBitwise:
     def test_records_and_checkpoints_match_golden(self, tmp_path, key):
         entry = GOLDEN[key]
         result = run_cli(
-            tmp_path, REPO_ROOT / entry["spec"], "--quiet",
+            tmp_path, "run", REPO_ROOT / entry["spec"], "--quiet",
             "--results", entry["results"],
             "--checkpoint-dir", entry["checkpoint_dir"],
         )
@@ -94,7 +94,7 @@ class TestDistributedParity:
         spec_path.write_text(json.dumps(payload))
 
         result = run_cli(
-            tmp_path, spec_path, "--quiet",
+            tmp_path, "run", spec_path, "--quiet",
             "--results", entry["results"],
             "--checkpoint-dir", entry["checkpoint_dir"],
         )
@@ -132,17 +132,17 @@ class TestNewSpecsEndToEnd:
     ])
     def test_run_interrupt_resume_bitwise(self, tmp_path, spec_name, stop_after):
         spec_path = SPEC_DIR / spec_name
-        ref = run_cli(tmp_path, spec_path, "--quiet",
+        ref = run_cli(tmp_path, "run", spec_path, "--quiet",
                       "--results", "ref.jsonl", "--checkpoint-dir", "ref-ckpt")
         assert ref.returncode == 0, ref.stderr
         records = [json.loads(line)
                    for line in (tmp_path / "ref.jsonl").read_text().splitlines()]
         assert records and all("energy" in r for r in records)
 
-        crashed = run_cli(tmp_path, spec_path, "--quiet",
+        crashed = run_cli(tmp_path, "run", spec_path, "--quiet",
                           "--results", "out.jsonl", "--stop-after", stop_after)
         assert crashed.returncode == 3, crashed.stderr
-        resumed = run_cli(tmp_path, spec_path, "--quiet",
+        resumed = run_cli(tmp_path, "run", spec_path, "--quiet",
                           "--results", "out.jsonl", "--resume")
         assert resumed.returncode == 0, resumed.stderr
         assert (tmp_path / "out.jsonl").read_text() == (tmp_path / "ref.jsonl").read_text()
@@ -150,7 +150,7 @@ class TestNewSpecsEndToEnd:
     def test_mc_sampling_records_carry_samples(self, tmp_path):
         spec_path = SPEC_DIR / "ite_mc_sampling_smoke.json"
         spec = RunSpec.from_file(spec_path)
-        result = run_cli(tmp_path, spec_path, "--quiet", "--results", "out.jsonl")
+        result = run_cli(tmp_path, "run", spec_path, "--quiet", "--results", "out.jsonl")
         assert result.returncode == 0, result.stderr
         records = [json.loads(line)
                    for line in (tmp_path / "out.jsonl").read_text().splitlines()]

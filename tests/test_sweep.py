@@ -368,7 +368,7 @@ class TestSweepCLI:
 
     @pytest.mark.skipif(os.name == "nt", reason="POSIX signal semantics")
     def test_cli_sigterm_propagates_to_workers(self, tmp_path):
-        """SIGTERM on the sweep parent reaches the pool workers: every
+        """SIGTERM on the sweep parent reaches the workers: every
         in-flight point checkpoints (exit 4) and --resume reproduces the
         uninterrupted combined document bitwise."""
         spec_path = self.write_spec(
@@ -505,17 +505,15 @@ class TestManifestPayloadFormat:
 
 
 class TestQueueExecutorSpec:
-    """SweepSpec surface for the queue executor and the reference slot."""
+    """SweepSpec surface for the lease queue and the reference slot."""
 
-    def test_executor_and_queue_round_trip(self, tmp_path):
+    def test_queue_round_trip(self, tmp_path):
         spec = sweep_spec(
             tmp_path,
-            executor="queue",
             queue={"lease_seconds": 2.0, "max_attempts": 2},
         )
         again = SweepSpec.from_dict(spec.to_dict())
         assert again == spec
-        assert again.executor == "queue"
         assert again.queue == {"lease_seconds": 2.0, "max_attempts": 2}
 
     def test_reference_round_trip(self, tmp_path):
@@ -524,9 +522,11 @@ class TestQueueExecutorSpec:
         )
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
-    def test_unknown_executor_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="executor"):
-            sweep_spec(tmp_path, executor="spaceship")
+    def test_removed_executor_field_rejected(self, tmp_path):
+        """The option is gone, loudly: a spec that still names it fails with
+        the unknown-field error, which lists the fields that exist."""
+        with pytest.raises(ValueError, match=r"unknown SweepSpec fields \['executor'\]"):
+            sweep_spec(tmp_path, executor="queue")
 
     def test_unknown_queue_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="queue config keys"):
@@ -536,13 +536,36 @@ class TestQueueExecutorSpec:
         with pytest.raises(ValueError, match="statevector"):
             sweep_spec(tmp_path, reference={"kind": "mps"})
 
-    def test_run_executor_argument_overrides_spec(self, tmp_path):
-        """run(executor=...) wins over the spec, mirroring --jobs."""
-        result = Sweep(sweep_spec(tmp_path)).run(jobs=2, executor="queue")
+    def test_pre_removal_manifest_resumes(self, tmp_path):
+        """A manifest written while ``executor`` existed (top level and in its
+        embedded spec) still resumes: resume reads only ``points``."""
+        reference = Sweep(sweep_spec(tmp_path, "ref")).run()
+        partial = Sweep(sweep_spec(tmp_path, "old")).run(jobs=2, stop_after_points=2)
+        assert partial.interrupted
+        manifest = json.loads(open(partial.manifest_path).read())
+        manifest["executor"] = "pool"
+        manifest["spec"]["executor"] = "pool"
+        with open(partial.manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        resumed = Sweep(sweep_spec(tmp_path, "old")).run(jobs=2, resume=True)
+        assert resumed.completed
+        assert read_bytes(resumed.combined_path) == read_bytes(reference.combined_path)
+
+    def test_single_remaining_point_still_runs_through_workers(self, tmp_path):
+        """``jobs >= 2`` means workers whatever is left to run; ``jobs == 1``
+        never builds a queue."""
+        spec = sweep_spec(tmp_path, axes={"update.rank": [2]})
+        result = Sweep(spec).run(jobs=2)
         assert result.completed
         manifest = Sweep.load_manifest(result.manifest_path)
-        assert manifest["executor"] == "queue"
-        assert all(p["queue"]["state"] == "done" for p in manifest["points"])
+        assert "executor" not in manifest and "executor" not in manifest["spec"]
+        assert manifest["queue"]["lease_seconds"] == 30.0
+        assert [p["queue"]["state"] for p in manifest["points"]] == ["done"]
+
+        serial = Sweep(sweep_spec(tmp_path, "serial", axes={"update.rank": [2]})).run()
+        manifest = Sweep.load_manifest(serial.manifest_path)
+        assert "queue" not in manifest
+        assert [p["queue"] for p in manifest["points"]] == [None]
 
 
 class TestSharedReference:
@@ -585,7 +608,7 @@ class TestSharedReference:
     def test_reference_identical_across_executors(self, tmp_path):
         serial = Sweep(self.reference_spec(tmp_path, "ref-serial")).run()
         queued = Sweep(
-            self.reference_spec(tmp_path, "ref-queue", executor="queue")
+            self.reference_spec(tmp_path, "ref-queue")
         ).run(jobs=2)
         assert queued.completed
         with open(serial.combined_path, "rb") as a, \

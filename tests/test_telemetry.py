@@ -460,31 +460,17 @@ class TestReportCli:
 
 
 class TestStatsShims:
-    def test_module_counters_back_compat(self):
-        from repro.peps.contraction import stats
-
-        stats.reset_all()
-        stats.count_row_absorption(3)
-        stats.count_strip_cache_miss(2)
-        assert stats.absorption_count() == 3
-        assert stats.strip_cache_miss_count() == 2
-        assert REGISTRY.value("peps.row_absorptions") == 3
-        assert REGISTRY.value("peps.strip_cache_misses") == 2
-        stats.reset_all()
-        assert stats.absorption_count() == 0
-        assert stats.strip_cache_miss_count() == 0
-
-    def test_env_stats_registry_backed(self):
+    def test_env_stats_plain_counters(self):
         from repro.peps.envs.base import EnvStats
 
         stats = EnvStats(row_absorptions=2)
         stats.ctm_moves += 5
         assert stats.row_absorptions == 2
         assert stats.ctm_moves == 5
-        assert stats.registry.value("env.ctm_moves") == 5
         assert stats.as_dict()["ctm_moves"] == 5
+        assert stats == EnvStats(row_absorptions=2, ctm_moves=5)
         stats.reset()
-        assert stats.ctm_moves == 0
+        assert stats == EnvStats()
         with pytest.raises(TypeError):
             EnvStats(bogus=1)
 

@@ -198,6 +198,7 @@ class TestFlops:
         counter.add("gemm", 25.0)
         assert counter.total == 175.0
         assert counter.by_category() == {"svd": 150.0, "gemm": 25.0}
+        assert repr(counter) == "FlopCounter(total=175, gemm=25, svd=150)"
         counter.reset()
         assert counter.total == 0.0
 
