@@ -31,11 +31,6 @@ from repro.backends.interface import (
     parse_batched_subscripts,
     rewrite_batched_subscripts,
 )
-from repro.backends.numpy_backend import (
-    NumPyBackend,
-    clear_path_caches,
-    path_cache_stats,
-)
 
 
 def get_backend(backend: Union[str, Backend, None] = "numpy", **kwargs) -> Backend:
@@ -76,6 +71,15 @@ def get_backend(backend: Union[str, Backend, None] = "numpy", **kwargs) -> Backe
         f"unknown backend {backend!r}; available: 'numpy', 'distributed' (alias 'ctf')"
     )
 
+
+# Imported below ``get_backend`` on purpose: the NumPy backend binds the
+# contraction planner at import, whose package (``repro.tensornetwork``) in
+# turn imports ``get_backend`` from this half-initialised one.
+from repro.backends.numpy_backend import (  # noqa: E402
+    NumPyBackend,
+    clear_path_caches,
+    path_cache_stats,
+)
 
 __all__ = [
     "Backend",

@@ -34,7 +34,7 @@ benchmark cases.
 from __future__ import annotations
 
 from math import prod, sqrt
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +50,8 @@ from repro.backends.interface import (
     rewrite_batched_subscripts,
 )
 from repro.telemetry.trace import TRACER as _TRACER
-from repro.tensornetwork.contraction_path import unplanned_flops
+from repro.tensornetwork.contraction_path import find_path, unplanned_flops
+from repro.tensornetwork.einsum_spec import EinsumSpec
 from repro.utils.flops import eigh_flops, qr_flops, svd_flops
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -202,7 +203,12 @@ class DistributedBackend(Backend):
     # ------------------------------------------------------------------ #
     # Contraction and algebra
     # ------------------------------------------------------------------ #
-    def einsum(self, subscripts: str, *operands) -> DistTensor:
+    def einsum(self, subscripts: Union[str, EinsumSpec], *operands) -> DistTensor:
+        if isinstance(subscripts, EinsumSpec):
+            # A labelled network: executed and charged step by step, every
+            # step an einsum of its own with letters local to it.
+            plan = find_path(subscripts, [self.shape(op) for op in operands])
+            return plan.execute(operands, self.einsum)
         datas = [self._data(op) for op in operands]
         plan = plan_einsum(subscripts, [d.shape for d in datas])
         if _TRACER.active:

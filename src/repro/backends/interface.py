@@ -176,8 +176,14 @@ class Backend(abc.ABC):
     # Contraction and elementwise algebra
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def einsum(self, subscripts: str, *operands: Tensor) -> Tensor:
-        """Einstein-summation contraction of one or more tensors."""
+    def einsum(self, subscripts, *operands: Tensor) -> Tensor:
+        """Einstein-summation contraction of one or more tensors.
+
+        ``subscripts`` is an einsum string or, for networks with more labels
+        than the einsum alphabet, an
+        :class:`~repro.tensornetwork.einsum_spec.EinsumSpec` of any hashable
+        labels (what :func:`~repro.tensornetwork.network.contract_network`
+        passes)."""
 
     def einsum_batched(self, subscripts: str, *operands: Tensor) -> Tensor:
         """Batched einsum: one contraction applied in lockstep across a batch.

@@ -13,7 +13,7 @@ the Table II benchmark).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +24,8 @@ from repro.backends.interface import (
     rewrite_batched_subscripts,
 )
 from repro.telemetry.trace import TRACER as _TRACER
+from repro.tensornetwork import contraction_path as _planner
+from repro.tensornetwork.einsum_spec import EinsumSpec
 from repro.utils.flops import (
     FlopCounter,
     eigh_flops,
@@ -96,21 +98,15 @@ class NumPyBackend(Backend):
     # ------------------------------------------------------------------ #
     # Contraction and algebra
     # ------------------------------------------------------------------ #
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        path, flops = _path_and_flops(subscripts, operands)
-        # Hottest call site in the library: the explicit `active` guard keeps
-        # the disabled-tracing path free of even the span-argument dict.
-        if _TRACER.active:
-            with _TRACER.span("einsum", subscripts=subscripts):
-                result = np.einsum(subscripts, *operands, optimize=path)
-        else:
-            result = np.einsum(subscripts, *operands, optimize=path)
-        if self.flop_counter is not None:
-            self.flop_counter.add("einsum", flops)
-        return result
+    def einsum(self, subscripts: Union[str, EinsumSpec], *operands: np.ndarray) -> np.ndarray:
+        """Contract along the planner's cached plan, one ``np.matmul`` per
+        pairwise step.  An :class:`EinsumSpec`, whose labels may be any
+        hashables, stands in for subscripts the einsum alphabet cannot spell."""
+        described = {"subscripts": subscripts} if isinstance(subscripts, str) else {}
+        return self._contract("einsum", subscripts, operands, described)
 
     def einsum_batched(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        """One fused ``np.einsum`` over the whole batch with a cached plan.
+        """One fused contraction over the whole batch with a cached plan.
 
         Operands whose batch axis has size 1 are squeezed and treated as
         unbatched (the planner then sees them as shared factors instead of
@@ -129,16 +125,28 @@ class NumPyBackend(Backend):
             op.reshape(op.shape[1:]) if dim == 1 else op
             for op, dim in zip(operands, batch_dims)
         ]
-        path, flops = _path_and_flops(batched_subscripts, ops)
-        if _TRACER.active:
-            with _TRACER.span(
-                "einsum_batched", subscripts=subscripts, batch=batch
-            ):
-                result = np.einsum(batched_subscripts, *ops, optimize=path)
-        else:
-            result = np.einsum(batched_subscripts, *ops, optimize=path)
+        described = {"subscripts": subscripts, "batch": batch}
+        return self._contract("einsum_batched", batched_subscripts, ops, described)
+
+    def _contract(self, category: str, spec, operands: Sequence[np.ndarray], described: dict):
+        """Look the plan up, run it, count its flops; one span around it all."""
+        shapes = [op.shape for op in operands]
+        try:
+            plan = _planner.find_path(spec, shapes)
+            steps, flops = len(plan.path), plan.total_flops
+        except ValueError:
+            if not isinstance(spec, str):
+                raise
+            # Subscripts outside the planner's grammar (e.g. ellipsis): NumPy
+            # decides per call and the count is a crude volume bound.
+            plan, steps, flops = None, 1, _planner.unplanned_flops(shapes)
+        with _TRACER.span(category, operands=len(operands), steps=steps, **described):
+            if plan is None:
+                result = np.einsum(spec, *operands, optimize=True)
+            else:
+                result = _execute(plan, operands)
         if self.flop_counter is not None:
-            self.flop_counter.add("einsum_batched", flops)
+            self.flop_counter.add(category, flops)
         return result
 
     def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
@@ -203,37 +211,35 @@ class NumPyBackend(Backend):
         return self.astensor(array, dtype=dtype)
 
 
-def _planner():
-    """The contraction planner module, imported late: the package init of
-    ``repro.tensornetwork`` imports the backends."""
-    from repro.tensornetwork import contraction_path
-
-    return contraction_path
-
-
-def _path_and_flops(subscripts: str, operands: Sequence[np.ndarray]):
-    """The ``optimize`` argument for ``np.einsum`` and the flops to count,
-    both read off the one cached plan so that what is counted is what runs."""
-    shapes = [op.shape for op in operands]
-    try:
-        plan = _planner().find_path(subscripts, shapes)
-    except ValueError:
-        # Subscripts outside the planner's grammar (e.g. ellipsis): NumPy
-        # decides per call and the count is a crude volume bound.
-        return True, _planner().unplanned_flops(shapes)
-    return ["einsum_path", *plan.path], plan.total_flops
+def _execute(plan: _planner.ContractionPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
+    """Run the plan's lowered steps (laid out by ``contraction_path._lower``)."""
+    work = list(operands)
+    if len(work) == 1:
+        ((sum_axes, perm),) = plan.lowered
+        a = work[0].sum(axis=sum_axes, dtype=work[0].dtype) if sum_axes else work[0]
+        return a.transpose(perm)
+    for (i, j), lowered in zip(plan.path, plan.lowered):
+        sum_a, perm_a, shape_a, sum_b, perm_b, shape_b, shape_ab, perm_ab = lowered
+        b, a = work.pop(j), work.pop(i)
+        if sum_a:
+            a = a.sum(axis=sum_a, dtype=a.dtype, keepdims=True)
+        if sum_b:
+            b = b.sum(axis=sum_b, dtype=b.dtype, keepdims=True)
+        ab = np.matmul(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
+        work.append(ab.reshape(shape_ab).transpose(perm_ab))
+    return work[0]
 
 
 def path_cache_stats() -> dict:
     """Hit/miss/size counters of the planner's plan cache (see
     :func:`repro.tensornetwork.contraction_path.path_cache_stats`)."""
-    return _planner().path_cache_stats()
+    return _planner.path_cache_stats()
 
 
 def clear_path_caches() -> None:
     """Drop every cached contraction plan (see
     :func:`repro.tensornetwork.contraction_path.clear_path_caches`)."""
-    _planner().clear_path_caches()
+    _planner.clear_path_caches()
 
 
 def _normalize_tensordot_axes(ndim_a: int, axes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -18,10 +18,11 @@ The API is a context manager (and a decorator built on it)::
 
 Cost discipline: the default tracer is *inactive*, and an inactive
 ``span()`` returns a shared no-op context manager — no event object, no
-timestamps, no allocation beyond the call itself.  The very hottest call
-sites (per-einsum) additionally guard with ``if TRACER.active:`` so even the
-keyword-argument dict is never built when tracing is off; everything else
-calls ``span()`` unconditionally.  Tracing never touches RNG state or
+timestamps, no allocation beyond the call itself.  The distributed backend's
+per-einsum call sites additionally guard with ``if TRACER.active:`` so even
+the keyword-argument dict is never built when tracing is off; everything else
+(the NumPy backend's one span per plan included) calls ``span()``
+unconditionally.  Tracing never touches RNG state or
 numerics — a traced run produces bitwise-identical results to an untraced
 one.
 

@@ -60,6 +60,9 @@ class ContractionPlan:
         network may carry more labels than the einsum alphabet, one step
         never does).  The last step produces ``output`` exactly, summing
         whatever labels are left and fixing the axis order.
+    lowered:
+        For each step, the same contraction as plain tuples of ints, ready to
+        run as transpose, reshape and one matrix product (see :func:`_lower`).
     total_flops:
         Estimated floating-point operations (complex FMAs * 8).
     max_intermediate_size:
@@ -70,6 +73,7 @@ class ContractionPlan:
     output: Term
     path: Tuple[Tuple[int, ...], ...]
     steps: Tuple[str, ...]
+    lowered: Tuple[tuple, ...]
     total_flops: float
     max_intermediate_size: int
 
@@ -232,7 +236,8 @@ def _cheapest_tree_nodes(
     joining them (:func:`_candidates`' cost), ``3**n / 2`` splits in all.
     """
     bit = {label: 1 << k for k, label in enumerate(dims)}
-    extent = list(dims.values())
+    # An extent of 0 weighs as 1: split costs divide by the extents two parts share.
+    extent = [max(dim, 1) for dim in dims.values()]
 
     def size(mask: int) -> int:
         total = 1
@@ -308,7 +313,7 @@ def _build_plan(
     output = set(spec.output)
     max_size = max(_size(term, dims) for term in terms)
     volume = 0
-    steps = []
+    steps, lowered = [], []
     for pair in path:
         picked = [terms[k] for k in pair]
         terms = [term for k, term in enumerate(terms) if k not in pair]
@@ -322,6 +327,7 @@ def _build_plan(
             ",".join("".join(letter[label] for label in term) for term in picked)
             + "->" + "".join(letter[label] for label in result)
         )
+        lowered.append(_lower(picked, result, dims))
         volume += _size(labels, dims)
         max_size = max(max_size, _size(result, dims))
         terms.append(result)
@@ -330,6 +336,51 @@ def _build_plan(
         output=spec.output,
         path=path,
         steps=tuple(steps),
+        lowered=tuple(lowered),
         total_flops=8.0 * volume,
         max_intermediate_size=max_size,
     )
+
+
+def _lower(picked: Sequence[Term], result: Term, dims: Dict[Label, int]) -> tuple:
+    """One step as transpose, reshape and matrix product.
+
+    A pairwise step is ``(sum_a, perm_a, shape_a, sum_b, perm_b, shape_b,
+    shape_ab, perm_ab)``: operand ``a`` transposed by ``perm_a`` groups its
+    labels as (batch, kept, contracted) and is reshaped to the 3-D
+    ``shape_a``, ``b`` likewise as (batch, contracted, kept); their stacked
+    matrix product reshaped to ``shape_ab`` and transposed by ``perm_ab`` is
+    the step's result.  Batch labels are the shared ones the result keeps.  A
+    label only one operand carries and the result drops goes last in that
+    operand's permutation, where the reshape absorbs an extent of 1; the axes
+    of any other extent are listed in ``sum_a`` / ``sum_b`` and summed
+    (keeping the axis) before the transpose.  The step of a one-operand
+    expression is ``(sum_axes, perm)``: sum those axes away, then transpose.
+    """
+    if len(picked) == 1:
+        (a,) = picked
+        left = [label for label in a if label in result]
+        return (
+            tuple(k for k, label in enumerate(a) if label not in result),
+            tuple(left.index(label) for label in result),
+        )
+    a, b = picked
+    shared = [label for label in a if label in b]
+    batch = [label for label in shared if label in result]
+    contracted = [label for label in shared if label not in result]
+    lowered = []
+    for term, other, first in ((a, b, True), (b, a, False)):
+        kept = [label for label in term if label not in other and label in result]
+        dropped = [label for label in term if label not in other and label not in result]
+        groups = (batch, kept, contracted) if first else (batch, contracted, kept)
+        lowered += [
+            tuple(term.index(label) for label in dropped if dims[label] != 1),
+            tuple(term.index(label) for group in groups + (dropped,) for label in group),
+            tuple(_size(group, dims) for group in groups),
+        ]
+    product = batch + [label for label in a + b if label not in shared and label in result]
+    lowered += [
+        tuple(dims[label] for label in product),
+        tuple(product.index(label) for label in result),
+    ]
+    return tuple(lowered)

@@ -4,10 +4,10 @@
 supports, which is too few for whole-lattice networks (e.g. the strip
 networks appearing in expectation-value evaluation).  :func:`contract_network`
 removes that limitation: operands are annotated with tuples of *hashable*
-labels, the shared planner (:mod:`repro.tensornetwork.contraction_path`)
-fixes a pairwise order, and every step is executed through ``backend.einsum``
-with letters assigned locally (a single pairwise contraction never involves
-more than a few dozen indices).
+labels and the network goes to ``backend.einsum`` as one call on its
+canonical :class:`EinsumSpec`.  The backend runs the pairwise plan the shared
+planner (:mod:`repro.tensornetwork.contraction_path`) fixes for it, where a
+single step never involves more than a few dozen indices.
 
 This plays the role of an ``ncon``-style contractor built on top of the
 backend abstraction.
@@ -19,7 +19,6 @@ from typing import Dict, Hashable, Sequence
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.tensornetwork.contraction_path import find_path
 from repro.tensornetwork.einsum_spec import EinsumSpec
 
 Label = Hashable
@@ -93,5 +92,4 @@ def contract_network(
         inputs=tuple(tuple(number[label] for label in labels) for labels in inputs),
         output=tuple(number[label] for label in output),
     )
-    plan = find_path(spec, [backend.shape(op) for op in operands])
-    return plan.execute(operands, backend.einsum)
+    return backend.einsum(spec, *operands)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from repro.tensornetwork.contraction_path import (
 from repro.tensornetwork.einsum_spec import EinsumSpec
 from repro.tensornetwork.network import contract_network
 from repro.utils.flops import FlopCounter
-from tests.conftest import order_cost, random_complex, run_plan, search_inputs
+from tests.conftest import order_cost, random_complex, random_network, run_plan, search_inputs
 
 
 #: Signatures on which NumPy's own planner disagrees with this module (so a
@@ -140,7 +141,7 @@ class TestSearch:
         code = (
             "from repro.tensornetwork.contraction_path import find_path\n"
             f"plan = find_path({self.COLUMN!r}, {self.COLUMN_SHAPES!r})\n"
-            "print(plan.path, plan.steps)"
+            "print(plan.path, plan.steps, plan.lowered)"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         printed = []
@@ -154,7 +155,8 @@ class TestSearch:
             assert done.returncode == 0, done.stderr
             printed.append(done.stdout)
         plan = find_path(self.COLUMN, self.COLUMN_SHAPES)
-        assert printed == [f"{plan.path} {plan.steps}\n"] * 2
+        assert printed == [f"{plan.path} {plan.steps} {plan.lowered}\n"] * 2
+        assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_a_search_is_counted_and_traced_once_per_signature(self, tmp_path):
         clear_path_caches()
@@ -248,28 +250,176 @@ class TestCountedIsExecuted:
     def test_numpy_backend_runs_the_pairwise_path_it_counts(
         self, monkeypatch, rng, subscripts, shapes
     ):
-        handed = []
-        real = np.einsum
+        products = []
+        real = np.matmul
 
-        def spy(*args, optimize=False, **kwargs):
-            handed.append(optimize)
-            return real(*args, optimize=optimize, **kwargs)
+        def spy(a, b):
+            products.append((a.shape, b.shape))
+            return real(a, b)
 
-        monkeypatch.setattr(numpy_backend.np, "einsum", spy)
         counter = FlopCounter()
         backend = NumPyBackend(flop_counter=counter)
         operands = [random_complex(rng, shape) for shape in shapes]
+        monkeypatch.setattr(numpy_backend.np, "matmul", spy)
+        monkeypatch.setattr(
+            numpy_backend.np, "einsum", lambda *args, **kwargs: pytest.fail("np.einsum ran")
+        )
         result = backend.einsum(subscripts, *operands)
         monkeypatch.undo()
 
-        (optimize,) = handed
-        assert optimize[0] == "einsum_path"
-        path = optimize[1:]
-        assert all(len(pair) == 2 for pair in path)
-        spec, _, _, dims = search_inputs(subscripts, shapes)
-        assert counter.total == _build_plan(spec, dims, path).total_flops
-        assert counter.total == find_path(subscripts, shapes).total_flops
+        plan = find_path(subscripts, shapes)
+        assert all(len(pair) == 2 for pair in plan.path)
+        # One matrix product per pairwise step, of the shapes the plan lowered it to.
+        assert products == [(step[2], step[5]) for step in plan.lowered]
+        assert counter.total == plan.total_flops
+        # (batch, kept, contracted) x (batch, contracted, kept): 8 m k n each.
+        assert counter.total == sum(8.0 * b * m * k * n for (b, m, k), (_, _, n) in products)
         assert np.allclose(result, np.einsum(subscripts, *operands, optimize=True), atol=1e-10)
+
+
+def strided(rng, array):
+    """The same values as every other element of a twice larger buffer."""
+    buffer = np.full([2 * extent for extent in array.shape], np.nan, dtype=array.dtype)
+    view = buffer[tuple(slice(int(rng.integers(2)), None, 2) for _ in array.shape) + (...,)]
+    view[...] = array
+    return view
+
+
+def permuted(rng, array):
+    """The same values on a buffer laid out in a random axis order."""
+    axes = tuple(rng.permutation(array.ndim))
+    return array.transpose(axes).copy().transpose(tuple(np.argsort(axes)))
+
+
+def broadcast(rng, array):
+    """Stride 0 along a random half of the axes (values repeat along them)."""
+    index = tuple(slice(0, 1) if rng.random() < 0.5 else slice(None) for _ in array.shape)
+    return np.broadcast_to(array[index], array.shape)
+
+
+LAYOUTS = {
+    "c-order": lambda rng, array: array,
+    "fortran": lambda rng, array: array.copy(order="F"),
+    "permuted": permuted,
+    "strided": strided,
+    "broadcast": broadcast,
+    "real": lambda rng, array: array.real.copy(),
+    "mixed": lambda rng, array: rng.choice([permuted, strided, broadcast])(
+        rng, array.real if rng.random() < 0.5 else array
+    ),
+}
+
+#: Hand-built expressions at the edges of the planner's grammar.
+EDGE_CASES = [
+    ("ij,jk,jl->ikl", [(2, 3), (3, 4), (3, 5)]),  # hyperedge
+    ("bij,bjk->bik", [(3, 2, 4), (3, 4, 2)]),  # batch label
+    ("ab,ab->ab", [(2, 3), (2, 3)]),  # batch labels only
+    ("ab,ab,ba->a", [(2, 3), (2, 3), (3, 2)]),
+    ("i,j->ij", [(2,), (3,)]),  # outer products
+    ("ab,cd->cadb", [(2, 3), (4, 2)]),
+    ("ab,cd,ef->", [(2, 3), (4, 2), (3, 3)]),
+    (",ab->ba", [(), (2, 3)]),  # scalar operands
+    (",->", [(), ()]),
+    ("a,,a->", [(3,), (), (3,)]),
+    ("ij,jk", [(2, 3), (3, 4)]),  # implicit output
+    ("ba", [(2, 3)]),
+    ("ij,ij", [(2, 3), (2, 3)]),
+    ("ij,jk->ik", [(2, 0), (0, 3)]),  # extent 0: contracted, kept, dangling
+    ("ij,jk->ik", [(0, 2), (2, 3)]),
+    ("ijx,jk->ik", [(2, 2, 0), (2, 3)]),
+    ("ij,jk,kl->il", [(1, 1), (1, 1), (1, 1)]),  # extent 1 everywhere
+    ("ijk->ki", [(2, 3, 4)]),  # single operands
+    ("ijk->j", [(2, 3, 4)]),
+    ("ij->", [(2, 3)]),
+    ("i->i", [(3,)]),
+    ("->", [()]),
+    # a strip column's last step: j and k dangle off the second operand
+    ("abcd,befgachijk->gfiehd", [(2, 3, 2, 2), (3, 2, 2, 3, 2, 2, 2, 2, 1, 1)]),
+    ("abcd,befgachijk->gfiehd", [(2, 3, 2, 2), (3, 2, 2, 3, 2, 2, 2, 2, 3, 1)]),
+    ("axb,byc->ac", [(2, 3, 4), (4, 1, 2)]),  # dangling on either side
+    ("ax,ab,bcy,cz->", [(2, 3), (2, 2), (2, 3, 2), (3, 1)]),  # carried to the last step
+]
+
+
+def reference(subscripts, operands):
+    return np.einsum(subscripts, *operands, optimize=False)
+
+
+def assert_same(result, ref):
+    assert result.shape == ref.shape
+    assert result.dtype == ref.dtype
+    scale = max(1.0, np.abs(ref).max(initial=0.0))
+    assert np.abs(result - ref).max(initial=0.0) <= 1e-12 * scale
+
+
+class TestExecutor:
+    """The backend's plan executor against NumPy's unoptimised einsum: equal
+    values, dtype and shape whatever the expression and however the operands
+    lie in memory, and the operands are only ever read."""
+
+    def check(self, backend, rng, subscripts, shapes, layout):
+        operands = [LAYOUTS[layout](rng, np.array(random_complex(rng, shape))) for shape in shapes]
+        before = [np.array(op) for op in operands]
+        for op in operands:
+            op.flags.writeable = False
+
+        ref = reference(subscripts, operands)
+        assert_same(backend.einsum(subscripts, *operands), ref)
+
+        spec, _, _, _ = search_inputs(subscripts, shapes)
+        wrap = lambda term: tuple(("label", letter) for letter in term)
+        assert_same(
+            contract_network(operands, list(map(wrap, spec.inputs)), wrap(spec.output), backend),
+            ref,
+        )
+
+        if "->" in subscripts:
+            batch = 3
+            stacked = [
+                LAYOUTS[layout](rng, random_complex(rng, (int(rng.choice([1, batch])),) + shape))
+                for shape in shapes
+            ]
+            items = [
+                reference(subscripts, [op[min(i, len(op) - 1)] for op in stacked])
+                for i in range(batch)
+            ]
+            if any(len(op) == batch for op in stacked):
+                assert_same(backend.einsum_batched(subscripts, *stacked), np.stack(items))
+            else:
+                assert_same(backend.einsum_batched(subscripts, *stacked), items[0][np.newaxis])
+
+        assert all(np.array_equal(op, copy) for op, copy in zip(operands, before))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_networks(self, numpy_backend, seed, layout):
+        rng = np.random.default_rng([seed, sorted(LAYOUTS).index(layout)])
+        for n in (2, 3, 4, 6, EXHAUSTIVE_LIMIT + 1):
+            subscripts, shapes = random_network(rng, n)
+            self.check(numpy_backend, rng, subscripts, shapes, layout)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("subscripts, shapes", EDGE_CASES)
+    def test_edge_cases(self, numpy_backend, rng, subscripts, shapes, layout):
+        self.check(numpy_backend, rng, subscripts, shapes, layout)
+
+    def test_more_labels_than_the_einsum_alphabet(self, numpy_backend, rng):
+        n = 60
+        legs = [(k, ("open", k), k + 1) if k % 20 == 0 else (k, k + 1) for k in range(n)]
+        mats = [permuted(rng, random_complex(rng, (2,) * len(term))) for term in legs]
+        spec = EinsumSpec(inputs=tuple(legs), output=(("open", 40), n, ("open", 0), 0, ("open", 20)))
+        ref = np.eye(2)
+        for mat in mats:
+            ref = np.tensordot(ref, mat, axes=1)
+        assert_same(numpy_backend.einsum(spec, *mats), ref.transpose(3, 4, 1, 0, 2))
+
+    def test_subscripts_outside_the_grammar_fall_back_to_numpy(self, numpy_backend, rng):
+        a = random_complex(rng, (3, 3, 2))
+        counter = FlopCounter()
+        backend = NumPyBackend(flop_counter=counter)
+        assert_same(backend.einsum("iij->j", a), np.einsum("iij->j", a))
+        assert_same(backend.einsum("i...,i...->...", a, a), np.einsum("i...,i...->...", a, a))
+        assert counter.total_calls == 2
 
 
 class TestContractNetwork:
@@ -322,6 +472,25 @@ class TestContractNetwork:
         out = contract_network([a], [("i", "dangling")], ("i",), backend=numpy_backend)
         assert np.allclose(out, a[:, 0])
 
+    @pytest.mark.parametrize("extent", [1, 3])
+    def test_sums_over_dangling_labels_on_each_side_of_a_step(self, backend, rng, extent):
+        """Labels one operand alone holds and the result drops: absorbed by a
+        reshape at extent 1, summed ahead of the matrix product otherwise."""
+        a = random_complex(rng, (3, extent, 4))
+        b = random_complex(rng, (1, 4, 2, extent))
+        out = contract_network(
+            [backend.astensor(a), backend.astensor(b)],
+            [("i", "left", "j"), ("unit", "j", "k", "right")],
+            ("k", "i"),
+            backend=backend,
+        )
+        ref = (a.sum(axis=1) @ b.sum(axis=(0, 3))).T
+        assert np.allclose(backend.asarray(out), ref, rtol=0, atol=1e-12)
+        plan = find_path("ilj,ujkr->ki", [a.shape, b.shape])
+        ((sum_a, perm_a, shape_a, sum_b, perm_b, shape_b, shape_ab, perm_ab),) = plan.lowered
+        assert (sum_a, sum_b) == (((1,), (3,)) if extent > 1 else ((), ()))
+        assert (shape_a, shape_b, shape_ab, perm_ab) == ((1, 3, 4), (1, 4, 2), (3, 2), (1, 0))
+
     def test_output_order_respected(self, numpy_backend, rng):
         a = random_complex(rng, (2, 3, 4))
         out = contract_network([a], [("x", "y", "z")], ("z", "x", "y"), backend=numpy_backend)
@@ -355,14 +524,14 @@ class TestContractNetwork:
         cold = contract_network(
             [a, b, c], [("i", "j"), ("j", "k"), ("k", "l")], ("l", "i"), backend=numpy_backend
         )
-        # One entry for the network, one for each of its two pairwise einsums.
-        assert path_cache_stats()["path"] == {"hits": 0, "misses": 3, "size": 3}
+        # One entry for the network; its pairwise steps are not planned again.
+        assert path_cache_stats()["path"] == {"hits": 0, "misses": 1, "size": 1}
         renamed = contract_network(
             [a, b, c],
             [((0, 0), "x"), ("x", ("bond", 7)), (("bond", 7), 3.5)],
             (3.5, (0, 0)),
             backend=numpy_backend,
         )
-        assert path_cache_stats()["path"] == {"hits": 3, "misses": 3, "size": 3}
+        assert path_cache_stats()["path"] == {"hits": 1, "misses": 1, "size": 1}
         assert renamed.tobytes() == cold.tobytes()
         assert np.allclose(cold, (a @ b @ c).T)
