@@ -4,8 +4,10 @@ The motivation for the npz payload layer (``docs/checkpoint-format.md``):
 base64-inline tensor payloads inflate the on-disk footprint by ~1.3-2x and
 dominate checkpoint wall-time at large bond dimensions.  This harness runs
 the ctm smoke spec (the acceptance workload pinned by
-``tests/test_payload.py``), then writes the *same* workload state through
-both payload stores and measures
+``tests/test_payload.py``), then writes the *same* workload state as an
+all-inline JSON document (the footprint of the legacy inline format, which
+is read-only now: the state is serialized with ``store=None``) and through
+the npz store, and measures
 
 * checkpoint bytes on disk (JSON document + sidecar, when one exists),
 * write time (serialize + atomic persist),
@@ -79,7 +81,7 @@ def _measure_format(simulation, records, tmp_path, payload_format):
     directory = str(tmp_path / f"measure-{payload_format}")
 
     def write():
-        store = sim_io.make_payload_store(payload_format)
+        store = None if payload_format == "inline" else sim_io.make_payload_store(payload_format)
         return sim_io.write_checkpoint(
             directory, spec.name, N_STEPS, spec.to_dict(),
             simulation.workload.state_to_dict(store=store), records,

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.utils.text import did_you_mean
+
 #: Bond orientations (the plane directions a two-site term can take).
 ORIENTATIONS = ("horizontal", "vertical", "diagonal", "antidiagonal")
 
@@ -456,14 +458,9 @@ def lattice_from_config(
     kind = config.pop("kind", "square")
     cls = LATTICE_KINDS.get(kind)
     if cls is None:
-        from difflib import get_close_matches
-
-        hint = ""
-        close = get_close_matches(str(kind), sorted(LATTICE_KINDS), n=1)
-        if close:
-            hint = f"; did you mean {close[0]!r}?"
         raise ValueError(
-            f"unknown lattice kind {kind!r}; registered: {sorted(LATTICE_KINDS)}{hint}"
+            f"unknown lattice kind {kind!r}; registered: {sorted(LATTICE_KINDS)}"
+            f"{did_you_mean(kind, LATTICE_KINDS)}"
         )
     if "shape" not in config and default_shape is not None:
         config["shape"] = [int(default_shape[0]), int(default_shape[1])]

@@ -5,8 +5,8 @@ products and expectation values) is the computational bottleneck the paper
 targets.  This subpackage provides:
 
 * :mod:`~repro.peps.contraction.options` — option objects selecting the
-  algorithm (``Exact``, ``BMPS``, ``TwoLayerBMPS`` and the ``Snake``
-  convenience aliases used by the benchmarks),
+  algorithm (``Exact``, ``BMPS``, ``TwoLayerBMPS``, ``CTMOption``), each
+  carrying the wire ``kind`` spec files and checkpoints know it by,
 * :mod:`~repro.peps.contraction.single_layer` — contraction of a PEPS
   *without physical legs* by exact row absorption or boundary-MPS
   (Algorithm 2) with explicit or implicit ``einsumsvd`` (BMPS / IBMPS),

@@ -33,7 +33,7 @@ from repro.tensornetwork.einsumsvd import EinsumSVDOption, ExplicitSVD, Implicit
 
 @dataclass
 class ContractOption:
-    """Base class for contraction options."""
+    """Base class for contraction options; concrete classes carry their wire ``kind``."""
 
     def describe(self) -> str:
         return type(self).__name__
@@ -43,8 +43,7 @@ class ContractOption:
 class Exact(ContractOption):
     """Exact contraction (no truncation)."""
 
-    def describe(self) -> str:
-        return "Exact"
+    kind = "exact"
 
 
 @dataclass
@@ -61,6 +60,7 @@ class BMPS(ContractOption):
         over ``svd_option.rank``).
     """
 
+    kind = "bmps"
     svd_option: Optional[EinsumSVDOption] = None
     truncate_bond: Optional[int] = None
 
@@ -86,6 +86,8 @@ class BMPS(ContractOption):
 @dataclass
 class TwoLayerBMPS(BMPS):
     """Two-layer boundary-MPS contraction of ``<bra|ket>`` sandwiches."""
+
+    kind = "two_layer_bmps"
 
     def describe(self) -> str:
         name = "2-layer IBMPS" if self.is_implicit else "2-layer BMPS"
@@ -117,6 +119,7 @@ class CTMOption(ContractOption):
         Safety bound on ``build`` convergence sweeps.
     """
 
+    kind = "ctm"
     chi: Optional[int] = None
     cutoff: Optional[float] = None
     tol: float = 1e-10
@@ -124,3 +127,7 @@ class CTMOption(ContractOption):
 
     def describe(self) -> str:
         return f"CTM(chi={self.chi})"
+
+
+#: Wire ``kind`` -> contraction option class.
+CONTRACT_OPTION_KINDS = {cls.kind: cls for cls in (Exact, BMPS, TwoLayerBMPS, CTMOption)}

@@ -28,15 +28,13 @@ from repro.backends import get_backend
 from repro.backends.interface import Backend
 from repro.peps.contraction.options import BMPS, ContractOption, Exact, TwoLayerBMPS
 from repro.peps.contraction.single_layer import contract_single_layer
+from repro.peps.update import DOWN, LEFT, PHYS, RIGHT, UP
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import traced
 from repro.tensornetwork.einsumsvd import EinsumSVDOption, einsumsvd
 
 #: Shared with ``single_layer``: one unit per row absorbed into a boundary.
 _ROW_ABSORPTIONS = REGISTRY.counter("peps.row_absorptions")
-
-#: Site tensor index order (shared with repro.peps.update).
-PHYS, UP, LEFT, DOWN, RIGHT = 0, 1, 2, 3, 4
 
 #: Transposition that exchanges the up and down legs of a site tensor, used
 #: to absorb rows from below with the same code that absorbs from above.
@@ -55,13 +53,26 @@ def boundary_bond_dimensions(backend: Backend, boundary: Sequence) -> List[int]:
     return [backend.shape(t)[3] for t in boundary[:-1]]
 
 
+def absorption_option(option: Optional[ContractOption]) -> Optional[EinsumSVDOption]:
+    """The ``einsumsvd`` option a contraction option absorbs rows with.
+
+    ``None`` (for ``None`` and :class:`Exact`) means exact absorption; a
+    :class:`BMPS`-style option gives its resolved option, whose ``rank`` is
+    the truncation bond.
+    """
+    if option is None or isinstance(option, Exact):
+        return None
+    if isinstance(option, BMPS):
+        return option.resolved_svd_option()
+    raise TypeError(f"unsupported contraction option {type(option).__name__}")
+
+
 @traced("absorb_row")
 def absorb_sandwich_row(
     boundary: Sequence,
     ket_row: Sequence,
     bra_row: Sequence,
     option: Optional[EinsumSVDOption] = None,
-    max_bond: Optional[int] = None,
     backend: Union[str, Backend, None] = "numpy",
     from_below: bool = False,
 ) -> List:
@@ -77,10 +88,9 @@ def absorb_sandwich_row(
         tensors are conjugated internally (pass the ket row twice for
         ``<psi|psi>`` sandwiches).
     option:
-        ``einsumsvd`` option controlling the zip-up truncation; ``None``
-        performs the absorption exactly (bond dimensions multiply).
-    max_bond:
-        Truncation bond ``m`` (overrides ``option.rank``).
+        ``einsumsvd`` option controlling the zip-up truncation, its ``rank``
+        being the truncation bond ``m``; ``None`` performs the absorption
+        exactly (bond dimensions multiply).
     from_below:
         Absorb the row from below (used to build lower environments); the
         up/down legs of the row tensors are exchanged internally.
@@ -105,8 +115,7 @@ def absorb_sandwich_row(
 
     if option is None:
         return _absorb_row_exact(backend, boundary, ket_row, bra_row)
-    rank = max_bond if max_bond is not None else option.rank
-    return _absorb_row_zipup(backend, boundary, ket_row, bra_row, option, rank)
+    return _absorb_row_zipup(backend, boundary, ket_row, bra_row, option)
 
 
 def _absorb_row_exact(backend: Backend, boundary, ket_row, bra_row) -> List:
@@ -126,7 +135,6 @@ def _absorb_row_zipup(
     ket_row,
     bra_row,
     option: EinsumSVDOption,
-    rank: Optional[int],
 ) -> List:
     """Zip-up absorption (Algorithm 3 generalized to the two-layer sandwich).
 
@@ -153,7 +161,6 @@ def _absorb_row_zipup(
             bra_row[j],
             option=option,
             backend=backend,
-            rank=rank,
         )
         new_boundary.append(left)
         working = right
@@ -245,23 +252,11 @@ def contract_inner_two_layer(
     if len(bra_grid) != nrow or len(bra_grid[0]) != ncol:
         raise ValueError("bra and ket grids must have the same dimensions")
 
-    if isinstance(option, Exact):
-        svd_option, rank = None, None
-    elif isinstance(option, BMPS):
-        svd_option = option.resolved_svd_option()
-        rank = svd_option.rank
-    else:
-        raise TypeError(f"unsupported contraction option {type(option).__name__}")
-
+    svd_option = absorption_option(option)
     boundary = trivial_boundary(backend, ncol)
     for i in range(nrow):
         boundary = absorb_sandwich_row(
-            boundary,
-            ket_grid[i],
-            bra_grid[i],
-            option=svd_option,
-            max_bond=rank,
-            backend=backend,
+            boundary, ket_grid[i], bra_grid[i], option=svd_option, backend=backend
         )
     return close_boundaries(backend, boundary, trivial_boundary(backend, ncol))
 

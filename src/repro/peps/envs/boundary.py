@@ -18,6 +18,7 @@ independent of cache history.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,36 +50,30 @@ _STRIP_CACHE_HITS = REGISTRY.counter("peps.strip_cache_hits")
 _STRIP_CACHE_MISSES = REGISTRY.counter("peps.strip_cache_misses")
 
 
-def option_signature(contract_option: Optional[ContractOption]) -> Tuple:
-    """Hashable signature of the truncation behaviour a contraction option implies.
+#: Option fields that only steer convergence bookkeeping, never the cached
+#: tensors: environments whose options differ in nothing else are
+#: interchangeable.
+CONVERGENCE_ONLY = frozenset({"tol", "max_sweeps"})
+
+
+def option_signature(option) -> Tuple:
+    """Hashable signature of the truncation behaviour an option implies.
 
     Two options with equal signatures produce identical boundary environments,
-    so an attached environment can be reused for either.
+    so an attached environment can be reused for either.  The signature is the
+    option's class plus every dataclass field outside :data:`CONVERGENCE_ONLY`;
+    a :class:`BMPS`-style option (boundary sandwiches are inherently
+    two-layer) signs as the ``einsumsvd`` option it resolves to, and ``None``
+    as :class:`Exact`.
     """
-    if contract_option is None or isinstance(contract_option, Exact):
-        return ("exact", None)
-    if isinstance(contract_option, CTMOption):
-        # tol/max_sweeps only steer convergence bookkeeping, not the cached
-        # tensors, so environments with different values stay interchangeable.
-        return ("ctm", contract_option.chi, contract_option.cutoff)
-    if isinstance(contract_option, BMPS):
-        svd = contract_option.resolved_svd_option()
-        return _svd_signature(svd, svd.rank)
-    raise TypeError(
-        f"unsupported contraction option {type(contract_option).__name__} for environments"
-    )
-
-
-def _svd_signature(svd_option: Optional[EinsumSVDOption], max_bond: Optional[int]) -> Tuple:
-    if svd_option is None:
-        return ("exact", None)
-    return (
-        type(svd_option).__name__,
-        max_bond,
-        svd_option.cutoff,
-        getattr(svd_option, "niter", None),
-        getattr(svd_option, "oversample", None),
-        getattr(svd_option, "seed", None),
+    if option is None:
+        option = Exact()
+    elif isinstance(option, BMPS):
+        option = option.resolved_svd_option()
+    return (type(option).__name__,) + tuple(
+        getattr(option, field.name)
+        for field in fields(option)
+        if field.name not in CONVERGENCE_ONLY
     )
 
 
@@ -111,24 +106,17 @@ class BoundaryEnvironment(Environment):
     peps:
         The :class:`~repro.peps.peps.PEPS` state the environment tracks.
     svd_option:
-        ``einsumsvd`` option for the zip-up row absorptions; ``None`` absorbs
-        exactly (bond dimensions multiply — small lattices only).
-    max_bond:
-        Boundary truncation bond ``m`` (defaults to ``svd_option.rank``).
+        ``einsumsvd`` option for the zip-up row absorptions, its ``rank`` the
+        boundary truncation bond ``m``; ``None`` absorbs exactly (bond
+        dimensions multiply — small lattices only).
     """
 
-    def __init__(
-        self,
-        peps,
-        svd_option: Optional[EinsumSVDOption] = None,
-        max_bond: Optional[int] = None,
-    ) -> None:
+    def __init__(self, peps, svd_option: Optional[EinsumSVDOption] = None) -> None:
         self.peps = peps
         self.svd_option = svd_option
-        if max_bond is None and svd_option is not None:
-            max_bond = svd_option.rank
-        self.max_bond = max_bond
-        self.signature = _svd_signature(svd_option, max_bond)
+        #: The contraction option this environment serves (and serializes as).
+        self.contract_option = Exact() if svd_option is None else BMPS(svd_option)
+        self.signature = option_signature(self.contract_option)
         self.stats = EnvStats()
         nrow = peps.nrow
         backend = peps.backend
@@ -200,7 +188,6 @@ class BoundaryEnvironment(Environment):
             self.peps.grid[row],
             self.peps.grid[row],
             option=self.svd_option,
-            max_bond=self.max_bond,
             backend=self.backend,
             from_below=from_below,
         )
@@ -451,7 +438,6 @@ class BoundaryEnvironment(Environment):
             projected_row,
             projected_row,
             option=self.svd_option,
-            max_bond=self.max_bond,
             backend=self.backend,
         )
 
@@ -477,14 +463,7 @@ class BoundaryEnvironment(Environment):
             upper_s = [_batch_item(b, t, s) for t in upper]
             row_s = [_batch_item(b, t, s) for t in projected_row]
             columns.append(
-                absorb_sandwich_row(
-                    upper_s,
-                    row_s,
-                    row_s,
-                    option=self.svd_option,
-                    max_bond=self.max_bond,
-                    backend=b,
-                )
+                absorb_sandwich_row(upper_s, row_s, row_s, option=self.svd_option, backend=b)
             )
         return [_stack(b, [columns[s][c] for s in range(batch)]) for c in range(len(upper))]
 
@@ -575,7 +554,7 @@ class EnvExact(BoundaryEnvironment):
     """
 
     def __init__(self, peps) -> None:
-        super().__init__(peps, svd_option=None, max_bond=None)
+        super().__init__(peps, svd_option=None)
 
     def __repr__(self) -> str:
         return f"EnvExact({self.peps!r})"
@@ -597,8 +576,7 @@ class EnvBoundaryMPS(BoundaryEnvironment):
                 f"EnvBoundaryMPS needs a BMPS-style contraction option, "
                 f"got {type(option).__name__}"
             )
-        svd = option.resolved_svd_option()
-        super().__init__(peps, svd_option=svd, max_bond=svd.rank)
+        super().__init__(peps, svd_option=option.resolved_svd_option())
         self.contract_option = option
 
     def __repr__(self) -> str:

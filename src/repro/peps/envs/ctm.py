@@ -46,7 +46,7 @@ from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
     absorb_sandwich_row_batched,
 )
-from repro.peps.envs.boundary import BoundaryEnvironment, _batch_size
+from repro.peps.envs.boundary import BoundaryEnvironment, _batch_size, option_signature
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 
@@ -338,11 +338,11 @@ class EnvCTM(BoundaryEnvironment):
             )
         if option.chi is not None and option.chi < 1:
             raise ValueError(f"chi must be positive, got {option.chi}")
-        super().__init__(peps, svd_option=None, max_bond=None)
+        super().__init__(peps, svd_option=None)
         self.contract_option = option
         self.chi = option.chi
         self.cutoff = option.cutoff
-        self.signature = ("ctm", option.chi, option.cutoff)
+        self.signature = option_signature(option)
         #: normalized corner spectra per boundary level (level -> per-bond list)
         self.upper_spectra: Dict[int, List[np.ndarray]] = {}
         self.lower_spectra: Dict[int, List[np.ndarray]] = {}

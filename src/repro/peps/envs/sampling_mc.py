@@ -49,7 +49,7 @@ def _amplitude_option(env):
     svd_option = getattr(env, "svd_option", None)
     if svd_option is None:
         return Exact()
-    return BMPS(svd_option, getattr(env, "max_bond", None))
+    return BMPS(svd_option)
 
 
 def sample_mc(

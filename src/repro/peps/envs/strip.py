@@ -4,8 +4,8 @@ Given an upper boundary (rows ``0..r0-1`` absorbed) and a lower boundary
 (rows ``r1+1..nrow-1`` absorbed), the value of ``<psi| H_term |psi>`` reduces
 to contracting the short strip of rows ``r0..r1`` with the term's operator
 inserted between the layers (Figure 6 of the paper).  This module hosts the
-strip machinery shared by every boundary environment and the legacy
-``expectation_value`` path.
+strip machinery shared by every boundary environment and the uncached
+(``use_cache=False``) branch of :func:`repro.peps.measure.expectation_value`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ holds the entry points on top of it:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -25,28 +25,13 @@ from repro.operators.observable import Observable
 from repro.peps.contraction.options import BMPS, ContractOption, Exact
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
+    absorption_option,
     close_boundaries,
     trivial_boundary,
 )
 from repro.peps.envs.base import local_terms as _local_terms
 from repro.peps.envs.boundary import make_environment
 from repro.peps.envs.strip import strip_value
-from repro.tensornetwork.einsumsvd import EinsumSVDOption
-
-#: Site tensor index order.
-PHYS, UP, LEFT, DOWN, RIGHT = 0, 1, 2, 3, 4
-
-
-def _resolve_option(contract_option: Optional[ContractOption]) -> Tuple[Optional[EinsumSVDOption], Optional[int]]:
-    """Extract the einsumsvd option and truncation bond from a contraction option."""
-    if contract_option is None or isinstance(contract_option, Exact):
-        return None, None
-    if isinstance(contract_option, BMPS):
-        svd_option = contract_option.resolved_svd_option()
-        return svd_option, svd_option.rank
-    raise TypeError(
-        f"unsupported contraction option {type(contract_option).__name__} for expectation values"
-    )
 
 
 def expectation_value(
@@ -69,10 +54,10 @@ def expectation_value(
         return env.expectation(terms, normalized=normalized)
 
     backend = peps.backend
-    svd_option, max_bond = _resolve_option(contract_option)
+    svd_option = absorption_option(contract_option)
     norm_sq = close_boundaries(
         backend,
-        _fresh_upper(peps, peps.nrow, svd_option, max_bond),
+        _fresh_boundary(peps, range(peps.nrow), svd_option),
         trivial_boundary(backend, peps.ncol),
     )
     total = 0.0 + 0.0j
@@ -87,8 +72,8 @@ def expectation_value(
                 f"term on sites {sites} spans rows {r0}..{r1}; only terms within "
                 f"two adjacent rows are supported"
             )
-        upper = _fresh_upper(peps, r0, svd_option, max_bond)
-        lower = _fresh_lower(peps, r1, svd_option, max_bond)
+        upper = _fresh_boundary(peps, range(r0), svd_option)
+        lower = _fresh_boundary(peps, range(peps.nrow - 1, r1, -1), svd_option, from_below=True)
         total += strip_value(peps, upper, lower, r0, r1, sites, matrix)
 
     value = total / norm_sq if normalized else total
@@ -170,26 +155,14 @@ def _matrix_exponential(matrix: np.ndarray, tau: float) -> np.ndarray:
     return (evecs * np.exp(tau * evals)) @ evecs.conj().T
 
 
-def _fresh_upper(peps, stop_row: int, svd_option, max_bond) -> List:
-    """Upper environment absorbing rows ``0..stop_row-1`` (no caching)."""
+def _fresh_boundary(peps, rows, svd_option, from_below: bool = False) -> List:
+    """Environment absorbing ``rows`` in order, without caching: rows
+    ``0..r0-1`` from the top (upper) or ``nrow-1..r1+1`` from below (lower)."""
     backend = peps.backend
     boundary = trivial_boundary(backend, peps.ncol)
-    for i in range(stop_row):
+    for i in rows:
         boundary = absorb_sandwich_row(
             boundary, peps.grid[i], peps.grid[i],
-            option=svd_option, max_bond=max_bond, backend=backend,
-        )
-    return boundary
-
-
-def _fresh_lower(peps, stop_row: int, svd_option, max_bond) -> List:
-    """Lower environment absorbing rows ``nrow-1..stop_row+1`` (no caching)."""
-    backend = peps.backend
-    boundary = trivial_boundary(backend, peps.ncol)
-    for i in range(peps.nrow - 1, stop_row, -1):
-        boundary = absorb_sandwich_row(
-            boundary, peps.grid[i], peps.grid[i],
-            option=svd_option, max_bond=max_bond, backend=backend,
-            from_below=True,
+            option=svd_option, backend=backend, from_below=from_below,
         )
     return boundary

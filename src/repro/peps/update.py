@@ -21,7 +21,7 @@ Site tensors use the index order ``(phys, up, left, down, right)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 from repro.backends.interface import Backend
@@ -78,34 +78,38 @@ class UpdateOption:
 
     def resolved_svd_option(self) -> EinsumSVDOption:
         option = self.svd_option if self.svd_option is not None else ExplicitSVD()
-        option = option.with_rank(self.rank if self.rank is not None else option.rank)
         if self.cutoff is not None:
-            import copy
-
-            option = copy.copy(option)
-            option.cutoff = self.cutoff
-        return option
+            option = replace(option, cutoff=self.cutoff)
+        return option.with_rank(self.rank if self.rank is not None else option.rank)
 
 
 @dataclass
 class DirectUpdate(UpdateOption):
     """Contract operator and both sites, then ``einsumsvd`` the merged tensor."""
 
+    kind = "direct"
+
 
 @dataclass
 class QRUpdate(UpdateOption):
-    """Algorithm 1 (QR-SVD): reduce both sites by QR before the refactorization."""
+    """Algorithm 1 (QR-SVD): reduce both sites by QR before the refactorization.
 
-    #: Orthogonalization method for the QRs: "qr" (matricize+QR) or "gram"
-    #: (Algorithm 5).  "auto" matches the backend.
-    qr_method: str = "qr"
+    The variant is the class, not a field: ``qr_method`` (``"qr"``:
+    matricize + QR, ``"gram"``: Algorithm 5) and ``local_einsumsvd`` are
+    class constants, so the wire ``kind`` alone restores an option.
+    """
+
+    kind = "qr"
+    qr_method = "qr"
+    local_einsumsvd = False
 
 
 @dataclass
 class LocalGramQRUpdate(QRUpdate):
     """QR-SVD with reshape-avoiding Gram-matrix orthogonalization (ctf-local-gram-qr)."""
 
-    qr_method: str = "gram"
+    kind = "local_gram_qr"
+    qr_method = "gram"
 
 
 @dataclass
@@ -113,8 +117,16 @@ class LocalGramQRSVDUpdate(QRUpdate):
     """Gram-matrix QR plus a process-local einsumsvd of the small R factors
     (ctf-local-gram-qr-svd)."""
 
-    qr_method: str = "gram"
-    local_einsumsvd: bool = True
+    kind = "local_gram_qr_svd"
+    qr_method = "gram"
+    local_einsumsvd = True
+
+
+#: Wire ``kind`` -> update option class.
+UPDATE_OPTION_KINDS = {
+    cls.kind: cls
+    for cls in (DirectUpdate, QRUpdate, LocalGramQRUpdate, LocalGramQRSVDUpdate)
+}
 
 
 def apply_single_site_operator(backend: Backend, site, operator):
@@ -246,8 +258,7 @@ def _qr_svd_update(backend, site_a, site_b, gate, orientation, option):
 
     # Step (2)->(4): einsumsvd of {gate, R_A, R_B} over the old bond k.
     svd_option = option.resolved_svd_option()
-    local = bool(getattr(option, "local_einsumsvd", False))
-    if local and backend.name != "numpy":
+    if option.local_einsumsvd and backend.name != "numpy":
         # The gate and R factors are small; move them to local memory, do the
         # refactorization sequentially, then return to distributed memory.
         local_backend = NumPyBackend()

@@ -51,11 +51,11 @@ eviction rather than on schedule only.  Sweeps forward the signal to every
 worker so each in-flight point checkpoints too.
 
 Checkpoints write tensor payloads to a compressed ``.npz`` sidecar by
-default; ``--payload inline`` keeps the self-contained all-JSON form,
-``--payload sharded`` writes one npz file per backend rank (the distributed
-backend's layout, see ``docs/distributed.md``), and ``--resume`` reads any
-format regardless (see ``docs/checkpoint-format.md`` for the on-disk
-contract and ``docs/cli.md`` for the complete CLI reference).  A backend
+default; ``--payload sharded`` writes one npz file per backend rank (the
+distributed backend's layout, see ``docs/distributed.md``), and ``--resume``
+reads either — and the all-JSON inline checkpoints of earlier builds, which
+are no longer written — regardless (see ``docs/checkpoint-format.md`` for
+the on-disk contract and ``docs/cli.md`` for the complete CLI reference).  A backend
 that loses the ability to execute mid-run (e.g. a worker-pool rank dying
 past its restart budget) also exits with code 4: the last scheduled
 checkpoint is kept and the run resumes from it.
@@ -70,6 +70,7 @@ import signal
 import sys
 from typing import List, Optional, Sequence
 
+from repro.sim.io import PAYLOAD_FORMATS, check_payload_format
 from repro.sim.runner import Simulation
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import STATUS_FAILED, Sweep, SweepSpec
@@ -91,6 +92,15 @@ EXIT_FAILED_POINTS = 1
 
 #: Signals that trigger checkpoint-and-exit (SIGINT covers Ctrl-C).
 _HANDLED_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def _payload_format(value: str) -> str:
+    """``--payload`` argument type: a format checkpoints are written in."""
+    try:
+        check_payload_format(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,10 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the spec's checkpoint directory")
     run.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                      help="override the spec's checkpoint interval")
-    run.add_argument("--payload", choices=("inline", "npz", "sharded"), default=None,
+    run.add_argument("--payload", type=_payload_format, default=None,
+                     metavar="{%s}" % ",".join(PAYLOAD_FORMATS),
                      help="override the spec's checkpoint payload format "
-                     "(npz sidecar, inline base64, or per-rank sharded npz; "
-                     "--resume reads any of them)")
+                     "(npz sidecar or per-rank sharded npz; --resume reads "
+                     "both, and the inline JSON of earlier builds)")
     run.add_argument("--batch-shots", type=int, default=None, metavar="S",
                      help="override the spec's sampling lockstep group size "
                      "(1 = serial sampler; bits are identical either way)")
@@ -165,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the spec's combined results path")
     sweep.add_argument("--sweep-dir", default=None, metavar="DIR",
                        help="override the spec's working directory")
-    sweep.add_argument("--payload", choices=("inline", "npz", "sharded"), default=None,
+    sweep.add_argument("--payload", type=_payload_format, default=None,
+                       metavar="{%s}" % ",".join(PAYLOAD_FORMATS),
                        help="override the base spec's checkpoint payload format "
                        "for every point")
     sweep.add_argument("--count-flops", action="store_true",

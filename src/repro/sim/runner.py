@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.backends import BackendExecutionError
 from repro.sim import io as sim_io
 from repro.sim.sinks import ResultSink, make_sink
-from repro.sim.spec import RunSpec, canonical_backend_kind
+from repro.sim.spec import RunSpec, canonical_backend_kind, canonical_json
 from repro.sim.workloads import Workload, build_workload
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import TRACER, span as _span
@@ -136,8 +136,8 @@ class Simulation:
     def _write_checkpoint(self, step: int, records: List[Dict[str, Any]]) -> str:
         # One fresh store per checkpoint: the workload serializes its tensors
         # through it, then write_checkpoint lands the arrays in the sidecar
-        # (npz), in per-rank files (sharded — one per backend rank) or
-        # leaves them inline, per spec.checkpoint_payload.
+        # (npz) or in per-rank files (sharded — one per backend rank), per
+        # spec.checkpoint_payload.
         nshards = 1
         if self.spec.checkpoint_payload == sim_io.PAYLOAD_SHARDED:
             nshards = int(getattr(self.spec.resolve_backend(), "nprocs", 1))
@@ -173,18 +173,23 @@ class Simulation:
                 f"{self.spec.checkpoint_dir!r}"
             )
         payload = sim_io.load_checkpoint(path)
-        saved_spec = RunSpec.from_dict(payload["spec"])
         # Everything that defines the physics/trajectory must match; schedule
         # and output knobs (n_steps, measure_every, results, checkpointing)
-        # may legitimately change between sessions (e.g. extending a run).
+        # may legitimately change between sessions (e.g. extending a run) and
+        # are not even parsed — an inline-era document names a payload format
+        # this build no longer writes.
         physics_fields = (
             "workload", "lattice", "seed",
             "model", "algorithm", "update", "contraction",
         )
+        compared = physics_fields + ("backend", "spec_version")
+        saved_spec = RunSpec.from_dict(
+            {name: value for name, value in payload["spec"].items() if name in compared}
+        )
         mismatched = [
             name for name in physics_fields
-            if sim_io.canonical_json(getattr(saved_spec, name))
-            != sim_io.canonical_json(getattr(self.spec, name))
+            if canonical_json(getattr(saved_spec, name))
+            != canonical_json(getattr(self.spec, name))
         ]
         # Backends compare by canonical kind only: the executor and rank
         # count change where the arithmetic runs, not what it computes, so a
@@ -235,8 +240,9 @@ class Simulation:
         if resume:
             payload, resumed_from = self._load_checkpoint(resume)
             # The store resolves the checkpoint's tensor payloads wherever
-            # they live (inline base64 or the npz sidecar) — a run resumes
-            # from either format regardless of its own checkpoint_payload.
+            # they live (inline base64 of earlier builds, the npz sidecar, rank
+            # files) — a run resumes from any format regardless of its own
+            # checkpoint_payload.
             store = sim_io.open_payload_store(payload, resumed_from)
             try:
                 self.workload.restore_state(payload["workload_state"], store=store)

@@ -40,11 +40,12 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.lattice import Lattice, lattice_from_config
 from repro.sim.io import (
-    PAYLOAD_FORMATS,
     SerializationError,
+    check_payload_format,
     contract_option_from_dict,
     update_option_from_dict,
 )
+from repro.utils.text import did_you_mean
 
 #: Version of the spec schema (bumped on incompatible field changes).
 SPEC_VERSION = 1
@@ -158,9 +159,9 @@ class RunSpec:
     checkpoint_payload:
         Where checkpoint tensor payloads live: ``"npz"`` (default) writes a
         compressed ``.npz`` sidecar next to each checkpoint's JSON document,
-        ``"inline"`` embeds base64 bytes in the JSON itself (the original
-        format).  ``--resume`` reads either format regardless of this
-        setting (see ``docs/checkpoint-format.md``).
+        ``"sharded"`` one npz file per backend rank.  ``--resume`` reads
+        either, and the ``"inline"`` all-JSON format of earlier builds,
+        regardless of this setting (see ``docs/checkpoint-format.md``).
     batch_shots:
         Lockstep group size of the multi-shot sampler used by the
         ``"sample"`` observable: ``None`` (default) advances all shots of a
@@ -220,11 +221,7 @@ class RunSpec:
                 raise ValueError(f"n_steps must be positive, got {self.n_steps}")
         self.measure_every = max(1, int(self.measure_every))
         self.checkpoint_every = max(0, int(self.checkpoint_every))
-        if self.checkpoint_payload not in PAYLOAD_FORMATS:
-            raise ValueError(
-                f"checkpoint_payload must be one of {PAYLOAD_FORMATS}, "
-                f"got {self.checkpoint_payload!r}"
-            )
+        check_payload_format(self.checkpoint_payload)
         if isinstance(self.observables, str):
             # tuple("sample") would silently become six one-letter names.
             self.observables = (self.observables,)
@@ -360,21 +357,17 @@ class RunSpec:
             raise ValueError('model config needs a "kind" entry')
         builder = MODEL_BUILDERS.get(kind)
         if builder is None:
-            from difflib import get_close_matches
-
-            hint = ""
-            close = get_close_matches(str(kind), sorted(MODEL_BUILDERS), n=1)
-            if close:
-                hint = f"; did you mean {close[0]!r}?"
             raise ValueError(
                 f"unknown model kind {kind!r}; registered: "
-                f"{sorted(MODEL_BUILDERS)}{hint}"
+                f"{sorted(MODEL_BUILDERS)}{did_you_mean(kind, MODEL_BUILDERS)}"
             )
         return builder(self.build_lattice(), **params)
 
     def build_update_option(self):
         """Two-site update option from the ``update`` config (``None`` = default)."""
-        return update_option_from_dict(_normalize_update(self.update))
+        if self.update is None:
+            return None
+        return update_option_from_dict({"kind": "qr", **self.update})
 
     def build_contract_option(self):
         """Contraction option from the ``contraction`` config (``None`` = default)."""
@@ -435,6 +428,18 @@ def canonical_backend_kind(value: Any) -> str:
     return _BACKEND_ALIASES.get(name, name)
 
 
+def canonical_json(value) -> str:
+    """JSON-normalized form for config comparisons.
+
+    An in-memory spec may hold tuples (or numpy scalars) where its persisted
+    counterpart went through ``json.dump`` and holds lists/floats; comparing
+    the serialized forms avoids spurious mismatches.  Both resume paths (run
+    checkpoints and sweep manifests) use this one canonicalizer so they agree
+    on what counts as "the same spec".
+    """
+    return json.dumps(value, sort_keys=True, default=str)
+
+
 def apply_spec_override(payload: Dict[str, Any], path: str, value: Any) -> None:
     """Set one dotted-path override on a RunSpec payload dict, in place.
 
@@ -477,17 +482,15 @@ def apply_spec_override(payload: Dict[str, Any], path: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
-def _normalize_update(config: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """Accept the compact spec form of an update config.
-
-    ``{"kind": "qr", "rank": 2}`` is the canonical io-layer form already;
-    this hook exists so spec files stay stable if the io format evolves.
-    """
-    if config is None:
-        return None
-    config = dict(config)
-    config.setdefault("kind", "qr")
-    return config
+#: Spec shorthand for the boundary-MPS family: kind -> (io-layer contraction
+#: kind, einsumsvd kind).  Everything else an option accepts, and every
+#: default, is the option dataclasses' business (see :mod:`repro.sim.io`).
+_CONTRACTION_ALIASES = {
+    "bmps": ("bmps", "explicit"),
+    "ibmps": ("bmps", "implicit"),
+    "two_layer_bmps": ("two_layer_bmps", "explicit"),
+    "two_layer_ibmps": ("two_layer_bmps", "implicit"),
+}
 
 
 def _normalize_contraction(config: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
@@ -495,61 +498,25 @@ def _normalize_contraction(config: Optional[Dict[str, Any]]) -> Optional[Dict[st
 
     Spec files write ``{"kind": "ibmps", "bond": 4, "niter": 1, "seed": 0}``;
     the io layer stores an explicit nested ``svd`` dict.  ``"bmps"`` selects
-    the explicit-SVD flavour, ``"ibmps"`` the implicit randomized SVD, and
-    ``{"kind": "ctm", "chi": 16}`` a corner-transfer-matrix environment.
+    the explicit-SVD flavour, ``"ibmps"`` the implicit randomized SVD (seeded
+    with 0 unless the spec says otherwise), ``"bond"`` is the einsumsvd
+    ``rank``; any other kind (``"exact"``, ``{"kind": "ctm", "chi": 16}``) is
+    io-layer form already.
     """
     if config is None:
         return None
     config = dict(config)
     kind = config.pop("kind", "ibmps")
-    if kind == "exact":
-        if config:
-            raise ValueError(f"unknown contraction config keys {sorted(config)}")
-        return {"kind": "exact"}
-    if kind == "ctm":
-        out = {
-            "kind": "ctm",
-            "chi": config.pop("chi", None),
-            "cutoff": config.pop("cutoff", None),
-            "tol": config.pop("tol", 1e-10),
-            "max_sweeps": config.pop("max_sweeps", 4),
-        }
-        if config:
-            raise ValueError(f"unknown contraction config keys {sorted(config)}")
-        return out
-    io_kinds = {"ibmps": "bmps", "bmps": "bmps",
-                "two_layer_ibmps": "two_layer_bmps", "two_layer_bmps": "two_layer_bmps"}
-    if kind not in io_kinds:
-        raise ValueError(f"unknown contraction kind {kind!r}")
+    if kind not in _CONTRACTION_ALIASES:
+        return {"kind": kind, **config}
+    kind, svd_kind = _CONTRACTION_ALIASES[kind]
     if "svd" in config:  # already in io-layer form
-        svd = config.pop("svd")
-        truncate_bond = config.pop("truncate_bond", None)
-        if config:
-            raise ValueError(f"unknown contraction config keys {sorted(config)}")
-        return {"kind": io_kinds[kind], "svd": svd, "truncate_bond": truncate_bond}
+        return {"kind": kind, **config}
     bond = config.pop("bond", None)
-    rank = config.pop("rank", None)
-    if bond is not None and rank is not None:
-        raise ValueError('give either "bond" or "rank" in a contraction config, not both')
-    bond = bond if bond is not None else rank
-    if kind in ("ibmps", "two_layer_ibmps"):
-        svd = {
-            "kind": "implicit",
-            "rank": bond,
-            "cutoff": config.pop("cutoff", None),
-            "absorb": config.pop("absorb", "even"),
-            "niter": config.pop("niter", 1),
-            "oversample": config.pop("oversample", 2),
-            "orth_method": config.pop("orth_method", "auto"),
-            "seed": config.pop("seed", 0),
-        }
-    else:
-        svd = {
-            "kind": "explicit",
-            "rank": bond,
-            "cutoff": config.pop("cutoff", None),
-            "absorb": config.pop("absorb", "even"),
-        }
-    if config:
-        raise ValueError(f"unknown contraction config keys {sorted(config)}")
-    return {"kind": io_kinds[kind], "svd": svd, "truncate_bond": None}
+    if bond is not None:
+        if config.get("rank") is not None:
+            raise ValueError('give either "bond" or "rank" in a contraction config, not both')
+        config["rank"] = bond
+    if svd_kind == "implicit":
+        config.setdefault("seed", 0)
+    return {"kind": kind, "svd": {"kind": svd_kind, **config}}

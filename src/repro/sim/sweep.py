@@ -69,7 +69,6 @@ from repro.sim.io import (
     PAYLOAD_INLINE,
     NpzPayloadStore,
     atomic_write_json,
-    canonical_json,
     check_payload,
 )
 from repro.sim.queue import (
@@ -82,7 +81,7 @@ from repro.sim.queue import (
 )
 from repro.sim.runner import Simulation
 from repro.sim.sinks import SweepSink, make_sink
-from repro.sim.spec import SPEC_VERSION, RunSpec, apply_spec_override
+from repro.sim.spec import SPEC_VERSION, RunSpec, apply_spec_override, canonical_json
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import derive_rng

@@ -19,7 +19,7 @@ style of the Koala API:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 from typing import Optional, Sequence, Union
 
@@ -48,6 +48,11 @@ class EinsumSVDOption:
     absorb:
         Where singular values go: ``"even"`` (split as sqrt on both factors,
         the PEPS convention), ``"left"``, ``"right"`` or ``"none"``.
+
+    Every concrete option class carries its wire ``kind`` — the name spec
+    files and checkpoints know it by.  The dataclass is the option's whole
+    description: :mod:`repro.sim.io` serializes exactly its fields, so a new
+    field (with its default) is added here and nowhere else.
     """
 
     rank: Optional[int] = None
@@ -56,16 +61,14 @@ class EinsumSVDOption:
 
     def with_rank(self, rank: Optional[int]) -> "EinsumSVDOption":
         """Return a copy of this option with a different target rank."""
-        import copy
-
-        new = copy.copy(self)
-        new.rank = rank
-        return new
+        return replace(self, rank=rank)
 
 
 @dataclass
 class ExplicitSVD(EinsumSVDOption):
     """Contract-then-SVD implementation (the baseline used by plain BMPS)."""
+
+    kind = "explicit"
 
 
 @dataclass
@@ -84,10 +87,15 @@ class ImplicitRandomizedSVD(EinsumSVDOption):
         Seed/generator for the random probe; fix it for reproducible runs.
     """
 
+    kind = "implicit"
     niter: int = 1
     oversample: int = 2
     orth_method: str = "auto"
     seed: SeedLike = None
+
+
+#: Wire ``kind`` -> einsumsvd option class.
+SVD_OPTION_KINDS = {cls.kind: cls for cls in (ExplicitSVD, ImplicitRandomizedSVD)}
 
 
 def _absorb_spectrum(backend: Backend, u, s, vh, absorb: str):

@@ -1,7 +1,6 @@
-"""Utility helpers: flop counting, timing, and reproducible random numbers."""
+"""Utility helpers: flop counting and reproducible random numbers."""
 
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.timer import Timer, WallClock
 from repro.utils.flops import (
     svd_flops,
     qr_flops,
@@ -13,8 +12,6 @@ from repro.utils.flops import (
 __all__ = [
     "ensure_rng",
     "spawn_rng",
-    "Timer",
-    "WallClock",
     "svd_flops",
     "qr_flops",
     "eigh_flops",

@@ -1,12 +1,17 @@
 """Tests for the payload-store layer (repro.sim.io PayloadStore/npz sidecars).
 
 Covers the store primitives (threshold, dedup, compact inline encoding), the
-inline<->npz roundtrip matrix over every serializable state type (MPS, PEPS,
-warm EnvBoundaryMPS/EnvCTM caches), the sidecar lifecycle of checkpoint
-files (atomic write, pruning, clearing, missing-sidecar errors), resume
-across payload formats, v1 document compatibility — and the acceptance
-criterion that the npz format shrinks the ctm smoke checkpoint to at most
-60% of the inline-JSON footprint.
+inline<->npz<->sharded roundtrip matrix over every serializable state type
+(MPS, PEPS, warm EnvBoundaryMPS/EnvCTM caches), the sidecar lifecycle of
+checkpoint files (atomic write, pruning, clearing, missing-sidecar errors),
+resume across the two written payload formats, v1 document compatibility —
+and the acceptance criterion that the npz format shrinks the ctm smoke
+checkpoint to at most 60% of the inline-JSON footprint.
+
+Inline is a *read-only* checkpoint format: the matrix still round-trips the
+in-memory inline encoding (``store=None`` dicts), and checkpoints an earlier
+build wrote inline are resumed from the frozen fixtures in
+``tests/test_compat.py``.
 """
 
 import json
@@ -22,11 +27,14 @@ from repro.tensornetwork import ExplicitSVD
 from repro.sim import RunSpec, Simulation
 from repro.sim.io import (
     NPZ_INLINE_THRESHOLD,
+    PAYLOAD_FORMATS,
     PAYLOAD_INLINE,
     PAYLOAD_NPZ,
+    PAYLOAD_SHARDED,
     InlinePayloadStore,
     NpzPayloadStore,
     SerializationError,
+    ShardedPayloadStore,
     clear_checkpoints,
     decode_array,
     latest_checkpoint,
@@ -48,7 +56,10 @@ BIG = NPZ_INLINE_THRESHOLD  # smallest byte count that lands in the sidecar
 
 
 def roundtrip_store(tmp_path, store, label="state"):
-    """Persist an npz store and reopen it read-only (no-op for inline)."""
+    """Persist a file-backed store and reopen it read-only (no-op for inline)."""
+    if isinstance(store, ShardedPayloadStore):
+        fields = store.write_files(str(tmp_path), label, 0)
+        return ShardedPayloadStore.for_document(fields, str(tmp_path))
     if not isinstance(store, NpzPayloadStore):
         return store
     path = tmp_path / f"{label}.npz"
@@ -56,16 +67,30 @@ def roundtrip_store(tmp_path, store, label="state"):
     return NpzPayloadStore.open(path)
 
 
+def make_store(payload_format):
+    """A write-side store; ``"inline"`` is the in-memory encoding only."""
+    if payload_format == PAYLOAD_INLINE:
+        return InlinePayloadStore()
+    return make_payload_store(payload_format, nshards=2)
+
+
 # --------------------------------------------------------------------- #
 # Store primitives
 # --------------------------------------------------------------------- #
 class TestPayloadStorePrimitives:
     def test_make_payload_store_dispatch(self):
-        assert isinstance(make_payload_store(None), InlinePayloadStore)
-        assert isinstance(make_payload_store(PAYLOAD_INLINE), InlinePayloadStore)
+        assert PAYLOAD_FORMATS == (PAYLOAD_NPZ, PAYLOAD_SHARDED)
         assert isinstance(make_payload_store(PAYLOAD_NPZ), NpzPayloadStore)
+        sharded = make_payload_store(PAYLOAD_SHARDED, nshards=3)
+        assert isinstance(sharded, ShardedPayloadStore) and sharded.nshards == 3
         with pytest.raises(SerializationError, match="unknown payload format"):
             make_payload_store("hdf5")
+        with pytest.raises(SerializationError, match="unknown payload format"):
+            make_payload_store(None)
+
+    def test_inline_is_not_a_writable_format(self):
+        with pytest.raises(SerializationError, match="inline checkpoints are still read"):
+            make_payload_store(PAYLOAD_INLINE)
 
     def test_inline_store_is_v1_encoding(self):
         array = np.arange(8, dtype=np.float64)
@@ -229,14 +254,14 @@ def state_arrays(obj):
 
 
 @pytest.mark.parametrize("state_kind", sorted(STATE_BUILDERS))
-@pytest.mark.parametrize("payload_format", [PAYLOAD_INLINE, PAYLOAD_NPZ])
+@pytest.mark.parametrize("payload_format", [PAYLOAD_INLINE, PAYLOAD_NPZ, PAYLOAD_SHARDED])
 class TestRoundTripMatrix:
     def test_bitwise_round_trip(self, tmp_path, state_kind, payload_format):
         obj = STATE_BUILDERS[state_kind]()
         to_dict = mps_to_dict if state_kind == "mps" else peps_to_dict
         from_dict = mps_from_dict if state_kind == "mps" else peps_from_dict
 
-        store = make_payload_store(payload_format)
+        store = make_store(payload_format)
         payload = to_dict(obj, store=store)
         json.dumps(payload)  # the document itself must stay pure JSON
         read = roundtrip_store(tmp_path, store, state_kind)
@@ -267,7 +292,7 @@ class TestRoundTripMatrix:
         from_dict = mps_from_dict if state_kind == "mps" else peps_from_dict
 
         reference = json.dumps(to_dict(obj))
-        store = make_payload_store(payload_format)
+        store = make_store(payload_format)
         payload = to_dict(obj, store=store)
         read = roundtrip_store(tmp_path, store, state_kind)
         again = from_dict(payload, store=read)
@@ -298,12 +323,14 @@ class TestCheckpointSidecars:
         )
         store.close()
 
-    def test_inline_checkpoint_has_no_sidecar(self, tmp_path):
+    def test_storeless_checkpoint_has_no_payload_files(self, tmp_path):
+        """``store=None`` (a state that references no payload file) writes an
+        npz-format document without a sidecar; inline is never stamped."""
         path = write_checkpoint(tmp_path, "run", 2, {}, {}, [])
         payload = load_checkpoint(path)
-        assert payload["payload_format"] == PAYLOAD_INLINE
+        assert payload["payload_format"] == PAYLOAD_NPZ
         assert payload["sidecar"] is None
-        assert isinstance(open_payload_store(payload, path), InlinePayloadStore)
+        assert isinstance(open_payload_store(payload, path), NpzPayloadStore)
         assert [p for p in os.listdir(tmp_path) if p.endswith(".npz")] == []
 
     def test_all_inline_npz_store_skips_sidecar(self, tmp_path):
@@ -443,13 +470,18 @@ class TestRunnerPayloadFormats:
         payload = load_checkpoint(latest_checkpoint(tmp_path / "ckpt", spec.name))
         assert payload["payload_format"] == PAYLOAD_NPZ
 
+    def test_spec_rejects_inline_but_says_it_is_still_read(self, tmp_path):
+        with pytest.raises(ValueError, match="inline checkpoints are still read"):
+            ite_payload(tmp_path, PAYLOAD_INLINE)
+
     @pytest.mark.parametrize("first,then", [
-        (PAYLOAD_INLINE, PAYLOAD_NPZ),
-        (PAYLOAD_NPZ, PAYLOAD_INLINE),
+        (PAYLOAD_SHARDED, PAYLOAD_NPZ),
+        (PAYLOAD_NPZ, PAYLOAD_SHARDED),
     ])
     def test_resume_across_payload_formats(self, tmp_path, first, then):
         """A run interrupted under one payload format resumes bitwise under
-        the other (inline-era checkpoints resume into npz runs and back)."""
+        the other (inline-era checkpoints resuming into npz runs are the
+        frozen fixtures of tests/test_compat.py)."""
         reference = Simulation(ite_payload(tmp_path, first, "ref-ckpt")).run()
         partial = Simulation(ite_payload(tmp_path, first)).run(stop_after=2)
         assert partial.interrupted
@@ -462,23 +494,25 @@ class TestRunnerPayloadFormats:
         sidecar) is at most 60% of the inline-JSON checkpoint."""
         with open(os.path.join(SPEC_DIR, "ite_ctm_smoke.json")) as handle:
             base = json.load(handle)
-        sizes = {}
-        for payload_format in (PAYLOAD_INLINE, PAYLOAD_NPZ):
-            payload = dict(
-                base,
-                checkpoint_dir=str(tmp_path / payload_format),
-                results=str(tmp_path / f"{payload_format}.jsonl"),
-                checkpoint_payload=payload_format,
-            )
-            spec = RunSpec.from_dict(payload)
-            simulation = Simulation(spec)
-            simulation.run()
-            path = simulation.latest_checkpoint()
-            total = os.path.getsize(path)
-            sidecar = sidecar_for(path)
-            if os.path.exists(sidecar):
-                total += os.path.getsize(sidecar)
-            sizes[payload_format] = total
+        spec = RunSpec.from_dict(dict(
+            base,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            results=str(tmp_path / "out.jsonl"),
+            checkpoint_payload=PAYLOAD_NPZ,
+        ))
+        simulation = Simulation(spec)
+        simulation.run()
+        path = simulation.latest_checkpoint()
+        # The same final state as the all-JSON document earlier builds wrote.
+        inline_document = dict(
+            load_checkpoint(path), payload_format=PAYLOAD_INLINE, sidecar=None,
+            workload_state=simulation.workload.state_to_dict(store=None),
+        )
+        del inline_document["sidecar_sha256"]
+        sizes = {
+            PAYLOAD_NPZ: os.path.getsize(path) + os.path.getsize(sidecar_for(path)),
+            PAYLOAD_INLINE: len(json.dumps(inline_document)),
+        }
         ratio = sizes[PAYLOAD_NPZ] / sizes[PAYLOAD_INLINE]
         assert ratio <= 0.60, (
             f"npz checkpoint is {ratio:.1%} of inline "

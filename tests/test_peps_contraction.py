@@ -143,10 +143,10 @@ class TestTwoLayerContraction:
         a = random_peps(3, 4, bond_dim=2, seed=14)
         backend = a.backend
         boundary = trivial_boundary(backend, 4)
-        svd_option = ExplicitSVD(rank=3)
+        svd_option = ExplicitSVD(rank=8).with_rank(3)
         for i in range(3):
             boundary = absorb_sandwich_row(
-                boundary, a.grid[i], a.grid[i], option=svd_option, max_bond=3, backend=backend
+                boundary, a.grid[i], a.grid[i], option=svd_option, backend=backend
             )
             assert max(boundary_bond_dimensions(backend, boundary)) <= 3
 

@@ -113,7 +113,7 @@ class TestCachingEquivalence:
         from repro.peps.envs.boundary import BoundaryEnvironment
 
         q, _ = prepared_state(2, 3, seed=10)
-        env = BoundaryEnvironment(q, svd_option=ExplicitSVD(rank=16), max_bond=16).build()
+        env = BoundaryEnvironment(q, svd_option=ExplicitSVD().with_rank(16)).build()
         ref = q.inner(q, TwoLayerBMPS(ExplicitSVD(rank=16)))
         assert env.norm_sq() == pytest.approx(ref, rel=1e-8)
 

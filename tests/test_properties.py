@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import dataclasses
+import json
 import pickle
 
 import numpy as np
@@ -12,8 +14,14 @@ from repro.mps import MPS, MPO, apply_mpo_zipup
 from repro.operators import gates
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
+from repro.peps import BMPS, TwoLayerBMPS
+from repro.peps.contraction.options import CONTRACT_OPTION_KINDS
+from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
+from repro.peps.update import UPDATE_OPTION_KINDS, QRUpdate
+from repro.sim import RunSpec
+from repro.sim import io as sim_io
 from repro.statevector import StateVector
-from repro.tensornetwork import ExplicitSVD, einsumsvd
+from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD, einsumsvd
 from repro.tensornetwork.contraction_path import (
     EXHAUSTIVE_LIMIT,
     _greedy_order,
@@ -21,6 +29,7 @@ from repro.tensornetwork.contraction_path import (
     find_path,
 )
 from repro.tensornetwork.einsum_spec import parse_einsum
+from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from tests.conftest import (
     brute_force_order,
     order_cost,
@@ -245,3 +254,128 @@ class TestQuantumInvariants:
         result = randomized_svd(BACKEND, op, rank=3, niter=2, rng=seed)
         exact = np.linalg.svd(a, compute_uv=False)
         assert np.all(result.s <= exact[0] + 1e-8)
+
+
+# --------------------------------------------------------------------- #
+# Option objects: one description (the dataclass), every layer derived
+# --------------------------------------------------------------------- #
+small_ints = st.integers(min_value=1, max_value=64)
+small_floats = st.floats(min_value=1e-14, max_value=1e-2)
+
+#: One strategy per option *field name*, over all ten option classes.  A
+#: field added to a dataclass without a strategy here fails the build below
+#: with a KeyError: that is the only edit a new field needs outside its class.
+FIELD_STRATEGIES = {
+    "rank": st.none() | small_ints,
+    "cutoff": st.none() | small_floats,
+    "absorb": st.sampled_from(["even", "left", "right", "none"]),
+    "niter": st.integers(0, 4),
+    "oversample": st.integers(0, 8),
+    "orth_method": st.sampled_from(["auto", "qr", "gram"]),
+    "seed": st.none() | seeds,
+    "truncate_bond": st.none() | small_ints,
+    "chi": st.none() | small_ints,
+    "tol": small_floats,
+    "max_sweeps": st.integers(1, 9),
+}
+
+
+def options_of(cls):
+    return st.builds(cls, **{f.name: FIELD_STRATEGIES[f.name] for f in dataclasses.fields(cls)})
+
+
+svd_options = st.one_of([options_of(cls) for cls in SVD_OPTION_KINDS.values()])
+FIELD_STRATEGIES["svd_option"] = st.none() | svd_options
+contract_options = st.one_of([options_of(cls) for cls in CONTRACT_OPTION_KINDS.values()])
+update_options = st.one_of([options_of(cls) for cls in UPDATE_OPTION_KINDS.values()])
+
+#: Spec shorthand kind of a boundary-MPS option: (class, einsumsvd class) -> alias.
+SHORTHAND = {
+    (BMPS, ExplicitSVD): "bmps",
+    (BMPS, ImplicitRandomizedSVD): "ibmps",
+    (TwoLayerBMPS, ExplicitSVD): "two_layer_bmps",
+    (TwoLayerBMPS, ImplicitRandomizedSVD): "two_layer_ibmps",
+}
+
+
+def wire(payload):
+    return json.loads(json.dumps(payload))
+
+
+def physical(option):
+    """The io form of what an environment is built from, minus the fields
+    declared convergence-only."""
+    if isinstance(option, BMPS):
+        option = option.resolved_svd_option()
+    payload = sim_io.option_to_dict(option)
+    return {k: v for k, v in payload.items() if k not in CONVERGENCE_ONLY}
+
+
+class TestOptionDescriptionProperties:
+    def test_every_option_class_is_drawn(self):
+        kinds = {**SVD_OPTION_KINDS, **CONTRACT_OPTION_KINDS, **UPDATE_OPTION_KINDS}
+        assert len(kinds) == 10
+        assert all(cls.kind == kind for kind, cls in kinds.items())
+
+    @FAST
+    @given(option=svd_options)
+    def test_svd_option_round_trips_through_json(self, option):
+        assert sim_io.svd_option_from_dict(wire(sim_io.svd_option_to_dict(option))) == option
+
+    @FAST
+    @given(option=contract_options)
+    def test_contract_option_round_trips_through_json(self, option):
+        payload = wire(sim_io.contract_option_to_dict(option))
+        again = sim_io.contract_option_from_dict(payload)
+        assert type(again) is type(option) and again == option
+
+    @FAST
+    @given(option=update_options)
+    def test_update_option_round_trips_through_json(self, option):
+        payload = wire(sim_io.update_option_to_dict(option))
+        again = sim_io.update_option_from_dict(payload)
+        assert type(again) is type(option) and again == option
+
+    @FAST
+    @given(option=contract_options)
+    def test_spec_shorthand_and_io_form_build_the_same_contraction(self, option):
+        io_form = wire(sim_io.contract_option_to_dict(option))
+        assert RunSpec(contraction=io_form).build_contract_option() == option
+        if isinstance(option, BMPS) and option.svd_option is not None and (
+            option.truncate_bond is None
+        ):
+            flat = wire(sim_io.svd_option_to_dict(option.svd_option))
+            flat["kind"] = SHORTHAND[type(option), type(option.svd_option)]
+            flat["bond"] = flat.pop("rank")
+            assert RunSpec(contraction=flat).build_contract_option() == option
+
+    @FAST
+    @given(option=update_options)
+    def test_spec_and_io_form_build_the_same_update(self, option):
+        io_form = wire(sim_io.update_option_to_dict(option))
+        assert RunSpec(update=io_form).build_update_option() == option
+        if type(option) is QRUpdate:  # "qr" is the spec's default kind
+            del io_form["kind"]
+            assert RunSpec(update=io_form).build_update_option() == option
+
+    @FAST
+    @given(a=contract_options, b=contract_options)
+    def test_signatures_agree_exactly_on_the_physical_fields(self, a, b):
+        assert (option_signature(a) == option_signature(b)) == (physical(a) == physical(b))
+
+    @FAST
+    @given(option=contract_options, data=st.data())
+    def test_signature_ignores_convergence_fields_and_nothing_else(self, option, data):
+        base = option.resolved_svd_option() if isinstance(option, BMPS) else option
+        names = [f.name for f in dataclasses.fields(base)]
+        redrawn = dataclasses.replace(base, **{
+            name: data.draw(FIELD_STRATEGIES[name]) for name in names if name in CONVERGENCE_ONLY
+        })
+        wrap = BMPS if isinstance(option, BMPS) else (lambda o: o)
+        assert option_signature(wrap(redrawn)) == option_signature(option)
+        others = [name for name in names if name not in CONVERGENCE_ONLY]
+        if others:
+            name = data.draw(st.sampled_from(others))
+            value = data.draw(FIELD_STRATEGIES[name].filter(lambda v: v != getattr(base, name)))
+            changed = dataclasses.replace(redrawn, **{name: value})
+            assert option_signature(wrap(changed)) != option_signature(option)

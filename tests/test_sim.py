@@ -654,3 +654,41 @@ class TestDeprecations:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             state.expectation(Observable.Z(0), use_cache=False)
+
+
+class TestMisspeltOptionKeys:
+    """A key that is no field of the option class is an error naming the
+    accepted fields — not a silently dropped truncation."""
+
+    CASES = [
+        ("update", {"kind": "qr", "rnk": 4}, "rnk", "rank"),
+        ("contraction", {"kind": "bmps", "svd": {"kind": "explicit", "rnk": 4}}, "rnk", "rank"),
+        ("contraction", {"kind": "ctm", "chii": 8}, "chii", "chi"),
+    ]
+
+    @pytest.mark.parametrize("block,config,key,meant", CASES)
+    def test_io_form_rejects_unknown_keys(self, block, config, key, meant):
+        from_dict = update_option_from_dict if block == "update" else contract_option_from_dict
+        with pytest.raises(ValueError, match=f"'{key}'.*accepted fields.*did you mean '{meant}'"):
+            from_dict(config)
+
+    @pytest.mark.parametrize("block,config,key,meant", CASES)
+    def test_spec_builders_reject_unknown_keys(self, tmp_path, block, config, key, meant):
+        spec = ite_spec(tmp_path, **{block: config})
+        build = spec.build_update_option if block == "update" else spec.build_contract_option
+        with pytest.raises(ValueError, match=f"'{key}'.*accepted fields.*did you mean '{meant}'"):
+            build()
+
+    def test_shorthand_rejects_unknown_keys_too(self, tmp_path):
+        spec = ite_spec(tmp_path, contraction={"kind": "ibmps", "bnd": 4})
+        with pytest.raises(ValueError, match="'bnd'.*accepted fields"):
+            spec.build_contract_option()
+
+    def test_correct_spellings_build_the_documented_objects(self, tmp_path):
+        assert update_option_from_dict({"kind": "qr", "rank": 4}) == QRUpdate(rank=4)
+        assert contract_option_from_dict(
+            {"kind": "bmps", "svd": {"kind": "explicit", "rank": 4}}
+        ) == BMPS(ExplicitSVD(rank=4))
+        assert contract_option_from_dict({"kind": "ctm", "chi": 8}) == CTMOption(chi=8)
+        spec = ite_spec(tmp_path, contraction={"kind": "ibmps", "bond": 4})
+        assert spec.build_contract_option() == BMPS(ImplicitRandomizedSVD(rank=4, seed=0))

@@ -477,10 +477,10 @@ class TestManifestPayloadFormat:
         """Done points are never re-run on resume, so their manifest entry
         keeps the payload format their artifacts were actually written in;
         only points that (re)run record the new session's format."""
-        inline_spec = sweep_spec(
-            tmp_path, base=dict(BASE, checkpoint_payload="inline")
+        sharded_spec = sweep_spec(
+            tmp_path, base=dict(BASE, checkpoint_payload="sharded")
         )
-        interrupted = Sweep(inline_spec).run(stop_after_points=2)
+        interrupted = Sweep(sharded_spec).run(stop_after_points=2)
         assert interrupted.interrupted
         done = {n for n, s in interrupted.statuses.items() if s == STATUS_DONE}
         assert done
@@ -490,18 +490,43 @@ class TestManifestPayloadFormat:
         assert result.completed
         manifest = Sweep.load_manifest(result.manifest_path)
         for point in manifest["points"]:
+            expected = "sharded" if point["name"] in done else "npz"
+            assert point["payload"] == expected, point
+
+    def test_resume_reads_done_points_of_a_pre_payload_manifest_as_inline(self, tmp_path):
+        """A manifest from before the ``payload`` entry existed can only have
+        written inline checkpoints: its finished points keep saying so, and
+        the sweep still resumes."""
+        spec = sweep_spec(tmp_path)
+        interrupted = Sweep(spec).run(stop_after_points=2)
+        done = {n for n, s in interrupted.statuses.items() if s == STATUS_DONE}
+        manifest = json.loads(open(interrupted.manifest_path).read())
+        for point in manifest["points"]:
+            del point["payload"]
+        with open(interrupted.manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+
+        result = Sweep(spec).run(resume=True)
+        assert result.completed
+        manifest = Sweep.load_manifest(result.manifest_path)
+        for point in manifest["points"]:
             expected = "inline" if point["name"] in done else "npz"
             assert point["payload"] == expected, point
 
     def test_payload_override_axis_lands_in_manifest(self, tmp_path):
         spec = sweep_spec(
             tmp_path,
-            axes={"checkpoint_payload": ["inline", "npz"]},
+            axes={"checkpoint_payload": ["sharded", "npz"]},
         )
         result = Sweep(spec).run()
         assert result.completed
         manifest = Sweep.load_manifest(result.manifest_path)
-        assert [p["payload"] for p in manifest["points"]] == ["inline", "npz"]
+        assert [p["payload"] for p in manifest["points"]] == ["sharded", "npz"]
+
+    def test_inline_payload_axis_rejected(self, tmp_path):
+        spec = sweep_spec(tmp_path, axes={"checkpoint_payload": ["inline", "npz"]})
+        with pytest.raises(ValueError, match="inline checkpoints are still read"):
+            spec.expand()
 
 
 class TestQueueExecutorSpec:

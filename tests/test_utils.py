@@ -1,6 +1,4 @@
-"""Tests for repro.utils: RNG helpers, timers and flop estimates."""
-
-import time
+"""Tests for repro.utils: RNG helpers and flop estimates."""
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from repro.utils.flops import (
     tensor_bytes,
 )
 from repro.utils.rng import derive_rng, ensure_rng, restore_rng, rng_state, spawn_rng
-from repro.utils.timer import Timer, WallClock
 
 
 class TestRng:
@@ -98,73 +95,6 @@ class TestRng:
         for key, expected in goldens.items():
             rng = derive_rng(*key)
             assert [int(rng.integers(1 << 63)) for _ in range(3)] == expected, key
-
-
-class TestTimer:
-    def test_wallclock_measures_elapsed(self):
-        with WallClock() as clock:
-            time.sleep(0.01)
-        assert clock.elapsed >= 0.005
-
-    def test_timer_accumulates_sections(self):
-        timer = Timer()
-        for _ in range(3):
-            with timer.section("work"):
-                pass
-        assert timer.count("work") == 3
-        assert timer.total("work") >= 0.0
-        assert "work" in timer.report()
-
-    def test_timer_reset(self):
-        timer = Timer()
-        with timer.section("x"):
-            pass
-        timer.reset()
-        assert timer.count("x") == 0
-        assert timer.report() == {}
-
-    def test_timer_zero_length_section_counts(self):
-        # An empty body must still bump the count and keep the total finite
-        # and non-negative (perf_counter deltas can be arbitrarily small).
-        timer = Timer()
-        with timer.section("noop"):
-            pass
-        assert timer.count("noop") == 1
-        assert 0.0 <= timer.total("noop") < 1.0
-
-    def test_timer_untouched_section_reads_zero(self):
-        timer = Timer()
-        assert timer.total("never") == 0.0
-        assert timer.count("never") == 0
-
-    def test_timer_as_dict_round_trips_json(self):
-        import json
-
-        timer = Timer()
-        with timer.section("a"):
-            pass
-        with timer.section("a"):
-            pass
-        export = json.loads(json.dumps(timer.as_dict()))
-        assert export["a"]["count"] == 2
-        assert export["a"]["total_s"] == timer.total("a")
-
-    def test_timer_merge_timer_and_export(self):
-        a, b = Timer(), Timer()
-        with a.section("shared"):
-            pass
-        with b.section("shared"):
-            pass
-        with b.section("only_b"):
-            pass
-        merged = a.merge(b)
-        assert merged is a  # chains
-        assert a.count("shared") == 2
-        assert a.count("only_b") == 1
-        # Merging an as_dict export (e.g. from another process) works too.
-        a.merge({"shared": {"total_s": 1.5, "count": 3}})
-        assert a.count("shared") == 5
-        assert a.total("shared") >= 1.5
 
 
 class TestFlops:
