@@ -1,4 +1,4 @@
-"""Batched sampling engine: lockstep multi-shot sampling vs the serial loop.
+"""Batched sampling engine: one lockstep group vs one shot per group.
 
 The motivation for the batched contraction engine (``docs/perf.md``): drawing
 ``nshots`` basis-state samples one shot at a time re-contracts the same
@@ -10,14 +10,14 @@ the count to ``O(nrow * ncol)`` regardless of ``nshots`` — with bitwise
 identical samples, because each shot consumes its own derived substream.
 
 This harness evolves the ctm smoke spec (the acceptance workload pinned by
-``tests/test_payload.py``), then draws the same 32 shots through both code
-paths and measures
+``tests/test_payload.py``), then draws the same 32 shots twice — once in one
+group, once in 32 groups of one shot on the same substreams — and measures
 
 * einsum calls issued (``einsum`` + ``einsum_batched``, via FlopCounter),
 * sampling wall time (best of ``REPEATS``),
 * bitwise agreement of the sampled bits,
-* bitwise determinism of full seeded runs, including an interrupted
-  checkpoint/resume session and a ``batch_shots=1`` override.
+* bitwise determinism of full seeded runs across an interrupted
+  checkpoint/resume session.
 
 The numbers land in ``BENCH_batching.json``::
 
@@ -25,19 +25,18 @@ The numbers land in ``BENCH_batching.json``::
       "benchmark": "batching",
       "scale": "default",
       "lattice": [3, 3], "chi": 8, "n_steps": 5, "nshots": 32,
-      "serial":   {"wall_s": ..., "einsum_calls": 2002, "calls_by_category": {...}},
-      "lockstep": {"wall_s": ..., "einsum_calls": 80,   "calls_by_category": {...}},
-      "einsum_call_ratio": 0.04,
+      "one_shot_groups": {"wall_s": ..., "einsum_calls": 2002, "calls_by_category": {...}},
+      "lockstep":        {"wall_s": ..., "einsum_calls": 62,   "calls_by_category": {...}},
+      "einsum_call_ratio": 0.03,
       "sampling_speedup": 7.1,
       "bits_bitwise_identical": true,
-      "resume_bitwise_identical": true,
-      "batch_shots_bitwise_identical": true
+      "resume_bitwise_identical": true
     }
 
 ``wall_s`` is machine-dependent; the call counts are algorithmic and
 comparable across machines.  ``REPRO_SCALE=full`` grows the lattice/chi
 toward the paper's regime, where batching's advantage widens (the batched
-call count stays flat while the serial count scales with the lattice).
+call count stays flat while the one-shot count scales with the lattice).
 """
 
 import json
@@ -46,6 +45,8 @@ import time
 import numpy as np
 
 from repro.backends import get_backend
+from repro.peps.envs import make_environment
+from repro.peps.envs.sampling import _sample_group, _SamplingPlan
 from repro.sim import RunSpec, Simulation
 from repro.utils.flops import FlopCounter
 from repro.utils.rng import derive_rng
@@ -57,11 +58,11 @@ CHI = scaled(8, 16, smoke=8)
 N_STEPS = scaled(5, 8, smoke=3)
 REPEATS = scaled(3, 3, smoke=2)
 
-#: The acceptance pin ("batched sampling issues <= 25% of the serial per-site
-#: einsum calls") is stated at 32 shots; keep it fixed across scales.
+#: The acceptance pin ("batched sampling issues <= 25% of the one-shot
+#: per-site einsum calls") is stated at 32 shots; keep it fixed across scales.
 NSHOTS = 32
 
-#: Pinned ceiling on (lockstep einsum calls) / (serial einsum calls).
+#: Pinned ceiling on (one-group einsum calls) / (one-shot-group einsum calls).
 MAX_CALL_RATIO = 0.25
 
 MODEL = {"kind": "heisenberg_j1j2", "j1": [1.0, 1.0, 1.0],
@@ -89,18 +90,27 @@ def _spec(tmp_path, name, **overrides):
     return RunSpec.from_dict(payload)
 
 
-def _measure_sampling(state, option, counter, batch_shots):
-    """Draw the pinned shot budget through one code path, repeatedly."""
+def _one_group(state, option):
+    return state.sample(rng=derive_rng(7, "bench-batching"), nshots=NSHOTS,
+                        contract_option=option)
+
+
+def _groups_of_one(state, option):
+    """The same shots, each advanced as its own group on its own substream."""
+    root = int(derive_rng(7, "bench-batching").integers(0, 2**63 - 1, dtype=np.int64))
+    plan = _SamplingPlan(make_environment(state, option))
+    return np.concatenate(
+        [_sample_group(plan, [derive_rng(root, "shot", s)]) for s in range(NSHOTS)]
+    )
+
+
+def _measure_sampling(draw, state, option, counter):
+    """Draw the pinned shot budget one way, repeatedly."""
     times, bits, calls = [], None, None
     for _ in range(REPEATS):
         counter.reset()
         start = time.perf_counter()
-        bits = state.sample(
-            rng=derive_rng(7, "bench-batching"),
-            nshots=NSHOTS,
-            contract_option=option,
-            batch_shots=batch_shots,
-        )
+        bits = draw(state, option)
         times.append(time.perf_counter() - start)
         calls = counter.calls_by_category()
     return bits, min(times), calls
@@ -120,40 +130,36 @@ def test_lockstep_sampling_calls_and_determinism(benchmark, tmp_path):
 
     state = simulation.workload.state
     option = spec.build_contract_option()
-    serial_bits, serial_s, serial_calls = _measure_sampling(
-        state, option, counter, batch_shots=1
+    single_bits, single_s, single_calls = _measure_sampling(
+        _groups_of_one, state, option, counter
     )
     lockstep_bits, lockstep_s, lockstep_calls = _measure_sampling(
-        state, option, counter, batch_shots=None
+        _one_group, state, option, counter
     )
-    ratio = _einsum_calls(lockstep_calls) / _einsum_calls(serial_calls)
-    bits_identical = bool(np.array_equal(serial_bits, lockstep_bits))
+    ratio = _einsum_calls(lockstep_calls) / _einsum_calls(single_calls)
+    bits_identical = bool(np.array_equal(single_bits, lockstep_bits))
 
     # Seeded runs are bitwise deterministic: an interrupted-then-resumed
-    # session and a --batch-shots 1 override both reproduce the reference
-    # records (energies and sampled bits) exactly.
+    # session reproduces the reference records (energies and sampled bits)
+    # exactly.
     interrupted_spec = _spec(tmp_path, "bench-batching-resume")
     partial = Simulation(interrupted_spec).run(stop_after=max(1, N_STEPS // 2))
     assert partial.interrupted
     resumed = Simulation(interrupted_spec).run(resume=True)
     resume_identical = resumed.records == full.records
 
-    serial_spec = _spec(tmp_path, "bench-batching-serial", batch_shots=1)
-    serial_run = Simulation(serial_spec).run()
-    batch_shots_identical = serial_run.records == full.records
-
     rows = [
-        ("serial", _einsum_calls(serial_calls), serial_s),
-        ("lockstep", _einsum_calls(lockstep_calls), lockstep_s),
-        ("lockstep/serial", f"{ratio:.3f}", f"{serial_s / lockstep_s:.2f}x"),
+        ("one-shot groups", _einsum_calls(single_calls), single_s),
+        ("one group", _einsum_calls(lockstep_calls), lockstep_s),
+        ("ratio", f"{ratio:.3f}", f"{single_s / lockstep_s:.2f}x"),
     ]
     print_series(
         f"Sampling {NSHOTS} shots ({LATTICE[0]}x{LATTICE[1]} CTM chi={CHI})",
-        ("path", "einsum_calls", "wall_s"),
+        ("grouping", "einsum_calls", "wall_s"),
         rows,
     )
     benchmark.extra_info["einsum_call_ratio"] = ratio
-    benchmark.extra_info["sampling_speedup"] = serial_s / lockstep_s
+    benchmark.extra_info["sampling_speedup"] = single_s / lockstep_s
 
     payload = {
         "benchmark": "batching",
@@ -162,10 +168,10 @@ def test_lockstep_sampling_calls_and_determinism(benchmark, tmp_path):
         "chi": CHI,
         "n_steps": N_STEPS,
         "nshots": NSHOTS,
-        "serial": {
-            "wall_s": serial_s,
-            "einsum_calls": _einsum_calls(serial_calls),
-            "calls_by_category": serial_calls,
+        "one_shot_groups": {
+            "wall_s": single_s,
+            "einsum_calls": _einsum_calls(single_calls),
+            "calls_by_category": single_calls,
         },
         "lockstep": {
             "wall_s": lockstep_s,
@@ -173,10 +179,9 @@ def test_lockstep_sampling_calls_and_determinism(benchmark, tmp_path):
             "calls_by_category": lockstep_calls,
         },
         "einsum_call_ratio": ratio,
-        "sampling_speedup": serial_s / lockstep_s,
+        "sampling_speedup": single_s / lockstep_s,
         "bits_bitwise_identical": bits_identical,
         "resume_bitwise_identical": resume_identical,
-        "batch_shots_bitwise_identical": batch_shots_identical,
     }
     with open("BENCH_batching.json", "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -184,13 +189,12 @@ def test_lockstep_sampling_calls_and_determinism(benchmark, tmp_path):
 
     # Pinned regressions (mirrored by the bench-batching CI job).
     assert ratio <= MAX_CALL_RATIO, (
-        f"lockstep issues {ratio:.1%} of the serial einsum calls "
-        f"(pin: <= {MAX_CALL_RATIO:.0%})"
+        f"one lockstep group issues {ratio:.1%} of the one-shot groups' "
+        f"einsum calls (pin: <= {MAX_CALL_RATIO:.0%})"
     )
-    assert lockstep_s < serial_s, (
-        f"lockstep sampling ({lockstep_s:.3f}s) is not faster than the "
-        f"serial loop ({serial_s:.3f}s)"
+    assert lockstep_s < single_s, (
+        f"one lockstep group ({lockstep_s:.3f}s) is not faster than one-shot "
+        f"groups ({single_s:.3f}s)"
     )
-    assert bits_identical, "lockstep and serial sampling drew different bits"
+    assert bits_identical, "one group and one-shot groups drew different bits"
     assert resume_identical, "checkpoint/resume changed the seeded records"
-    assert batch_shots_identical, "batch_shots=1 changed the seeded records"

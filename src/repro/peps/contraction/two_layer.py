@@ -190,7 +190,7 @@ def absorb_sandwich_row_batched(
     ``einsum_batched`` call instead of ``S`` separate einsums.  The lockstep
     sampler uses this to grow all per-shot upper boundaries at once; each
     batch item still counts as one row absorption so the global work counter
-    stays comparable with the serial path.
+    stays comparable with per-item absorption.
 
     Truncated (zip-up) absorptions are inherently per-item — their SVDs have
     data-dependent factors — and stay with :func:`absorb_sandwich_row`.

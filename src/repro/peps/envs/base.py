@@ -174,18 +174,15 @@ class Environment(abc.ABC):
         self,
         rng=None,
         nshots: int = 1,
-        batch_shots: Optional[int] = None,
         sampler: str = "perfect",
         sampler_options: Optional[Dict] = None,
     ) -> np.ndarray:
         """Draw computational-basis samples ``~ |<b|psi>|^2 / <psi|psi>``.
 
         ``sampler`` selects the scheme: ``"perfect"`` (default) draws
-        independent samples by exact conditional sampling, ``"mc"`` runs
-        Metropolis chains (:mod:`repro.peps.envs.sampling_mc`);
+        independent samples by exact conditional sampling, advancing the
+        shots in lockstep groups (:mod:`repro.peps.envs.sampling`); ``"mc"``
+        runs Metropolis chains (:mod:`repro.peps.envs.sampling_mc`);
         ``sampler_options`` passes scheme-specific keywords (e.g. the MC
-        ``sweeps``).  ``batch_shots`` bounds how many shots the perfect
-        sampler advances in lockstep per batched contraction (``None``: all
-        of them, ``1``: the serial reference path).  The sampled bits are
-        identical either way — only the contraction grouping changes.
+        ``sweeps``).
         """

@@ -381,7 +381,6 @@ class BoundaryEnvironment(Environment):
         self,
         rng=None,
         nshots: int = 1,
-        batch_shots: Optional[int] = None,
         sampler: str = "perfect",
         sampler_options: Optional[Dict] = None,
     ) -> np.ndarray:
@@ -391,11 +390,9 @@ class BoundaryEnvironment(Environment):
         site order).  The default ``sampler="perfect"`` draws independent
         samples via conditional single-layer contractions: the cached lower
         environments are shared by all shots; only the per-shot projected
-        upper boundaries are recomputed — in lockstep groups of up to
-        ``batch_shots`` shots when the environment
-        :meth:`supports_lockstep` (``None``: all shots in one group,
-        ``1``: the serial reference path; the bits are identical either way).
-        ``sampler="mc"`` runs one Metropolis chain per shot instead
+        upper boundaries are recomputed — all shots in one lockstep group
+        when the environment :meth:`supports_lockstep`, one shot per group
+        otherwise.  ``sampler="mc"`` runs one Metropolis chain per shot instead
         (:func:`~repro.peps.envs.sampling_mc.sample_mc`); ``sampler_options``
         forwards its keywords (e.g. ``{"sweeps": 64}``).
         """
@@ -405,9 +402,7 @@ class BoundaryEnvironment(Environment):
                 raise ValueError(
                     f"the perfect sampler takes no options, got {sorted(options)}"
                 )
-            return sample_bitstrings(
-                self, rng=rng, nshots=nshots, batch_shots=batch_shots
-            )
+            return sample_bitstrings(self, rng=rng, nshots=nshots)
         if sampler == "mc":
             return sample_mc(self, rng=rng, nshots=nshots, **options)
         raise ValueError(
@@ -417,33 +412,20 @@ class BoundaryEnvironment(Environment):
     def supports_lockstep(self) -> bool:
         """Whether per-shot sampling boundaries keep shot-independent shapes.
 
-        Lockstep batching stacks every shot's boundary into one tensor per
+        A lockstep group stacks every shot's boundary into one tensor per
         column, which requires all shots to share shapes after truncation.
-        Exact and fixed-rank truncations are shape-deterministic; a
-        cutoff-based truncation retains data-dependent ranks, so those
-        environments run the serial sampler.
+        Exact and fixed-rank truncations are shape-deterministic and sample
+        all shots in one group; a cutoff-based truncation retains
+        data-dependent ranks, so those environments sample one shot per group.
         """
         return self.svd_option is None or self.svd_option.cutoff is None
 
-    def absorb_for_sampling(self, upper, projected_row):
-        """Absorb one basis-projected row into a per-shot upper boundary.
+    def absorb_for_sampling_batched(self, upper, projected_row):
+        """Absorb one basis-projected row into a whole group of shot boundaries.
 
-        The sampling sweep (:func:`~repro.peps.envs.sampling.sample_bitstrings`)
+        The perfect sampler (:func:`~repro.peps.envs.sampling.sample_bitstrings`)
         routes its boundary growth through this hook so each environment
         truncates the projected boundaries with its own scheme.
-        """
-        self.stats.row_absorptions += 1
-        return absorb_sandwich_row(
-            upper,
-            projected_row,
-            projected_row,
-            option=self.svd_option,
-            backend=self.backend,
-        )
-
-    def absorb_for_sampling_batched(self, upper, projected_row):
-        """Absorb one basis-projected row into a whole batch of shot boundaries.
-
         ``upper`` and ``projected_row`` tensors carry a leading batch axis
         (shot count or broadcastable 1).  Exact environments absorb the
         entire batch with one batched contraction per column; truncated ones

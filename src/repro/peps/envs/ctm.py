@@ -64,7 +64,7 @@ PSEUDO_INVERSE_RTOL = 1e-14
 # --------------------------------------------------------------------- #
 # Corner Gram matrices and projector pairs
 # --------------------------------------------------------------------- #
-def corner_grams(backend, boundary: Sequence) -> Tuple[List, List]:
+def corner_grams(backend, boundary: Sequence, contract) -> Tuple[List, List]:
     """The corner Gram matrices at every internal bond of a boundary row.
 
     For the bond between columns ``b-1`` and ``b`` (``b = 1..ncol-1``):
@@ -75,6 +75,9 @@ def corner_grams(backend, boundary: Sequence) -> Tuple[List, List]:
     * ``rights[b]`` — the same for columns ``b..ncol-1``: the right corner.
 
     Index 0 of both lists is unused (there is no bond left of column 0).
+    ``contract`` is ``backend.einsum``, or ``backend.einsum_batched`` for
+    boundary tensors carrying a leading shot axis (one Gram chain per bond
+    for all shots, ``2 * (ncol - 1)`` calls).
     """
     ncol = len(boundary)
     conj = [backend.conj(t) for t in boundary]
@@ -82,15 +85,15 @@ def corner_grams(backend, boundary: Sequence) -> Tuple[List, List]:
     rights: List = [None] * ncol
     if ncol < 2:
         return lefts, rights
-    gram = backend.einsum("aqpr,aqps->rs", boundary[0], conj[0])
+    gram = contract("aqpr,aqps->rs", boundary[0], conj[0])
     lefts[1] = gram
     for c in range(1, ncol - 1):
-        gram = backend.einsum("ab,aqpr,bqps->rs", gram, boundary[c], conj[c])
+        gram = contract("ab,aqpr,bqps->rs", gram, boundary[c], conj[c])
         lefts[c + 1] = gram
-    gram = backend.einsum("aqpr,bqpr->ab", boundary[ncol - 1], conj[ncol - 1])
+    gram = contract("aqpr,bqpr->ab", boundary[ncol - 1], conj[ncol - 1])
     rights[ncol - 1] = gram
     for c in range(ncol - 2, 0, -1):
-        gram = backend.einsum("aqpr,bqps,rs->ab", boundary[c], conj[c], gram)
+        gram = contract("aqpr,bqps,rs->ab", boundary[c], conj[c], gram)
         rights[c] = gram
     return lefts, rights
 
@@ -165,7 +168,7 @@ def ctm_renormalize(
     ncol = len(boundary)
     if ncol < 2:
         return list(boundary), []
-    lefts, rights = corner_grams(backend, boundary)
+    lefts, rights = corner_grams(backend, boundary, backend.einsum)
     pairs: List = [None] * ncol
     spectra: List[np.ndarray] = []
     for b in range(1, ncol):
@@ -183,38 +186,6 @@ def ctm_renormalize(
             tensor = backend.einsum("aqpl,lk->aqpk", tensor, absorb_right)
         renormalized.append(tensor)
     return renormalized, spectra
-
-
-def corner_grams_batched(backend, boundary: Sequence) -> Tuple[List, List, int]:
-    """Batched :func:`corner_grams`: one Gram chain per bond for all shots.
-
-    ``boundary`` tensors carry a leading batch axis; every Gram recursion
-    step is one ``einsum_batched`` call instead of one call per shot.
-    Returns ``(lefts, rights, n_calls)`` with batched ``(batch, bond, bond)``
-    Gram matrices.
-    """
-    ncol = len(boundary)
-    conj = [backend.conj(t) for t in boundary]
-    lefts: List = [None] * ncol
-    rights: List = [None] * ncol
-    calls = 0
-    if ncol < 2:
-        return lefts, rights, calls
-    gram = backend.einsum_batched("aqpr,aqps->rs", boundary[0], conj[0])
-    calls += 1
-    lefts[1] = gram
-    for c in range(1, ncol - 1):
-        gram = backend.einsum_batched("ab,aqpr,bqps->rs", gram, boundary[c], conj[c])
-        calls += 1
-        lefts[c + 1] = gram
-    gram = backend.einsum_batched("aqpr,bqpr->ab", boundary[ncol - 1], conj[ncol - 1])
-    calls += 1
-    rights[ncol - 1] = gram
-    for c in range(ncol - 2, 0, -1):
-        gram = backend.einsum_batched("aqpr,bqps,rs->ab", boundary[c], conj[c], gram)
-        calls += 1
-        rights[c] = gram
-    return lefts, rights, calls
 
 
 def ctm_renormalize_batched(
@@ -236,7 +207,8 @@ def ctm_renormalize_batched(
     if ncol < 2:
         return list(boundary), 0
     batch = _batch_size(backend, boundary)
-    lefts, rights, calls = corner_grams_batched(backend, boundary)
+    lefts, rights = corner_grams(backend, boundary, backend.einsum_batched)
+    calls = 2 * (ncol - 1)
     pairs: List = [None] * ncol
     for bond in range(1, ncol):
         left_arr = np.asarray(backend.asarray(lefts[bond]))
@@ -390,35 +362,18 @@ class EnvCTM(BoundaryEnvironment):
         self._sweep_deltas.append(spectra_distance(store.get(level), spectra))
         store[level] = spectra
 
-    def absorb_for_sampling(self, upper, projected_row):
-        """Absorb one basis-projected row CTM-style into a per-shot boundary."""
-        self.stats.row_absorptions += 1
-        self.stats.ctm_moves += 1
-        _CTM_MOVES.add()
-        grown = absorb_sandwich_row(
-            upper,
-            projected_row,
-            projected_row,
-            option=None,
-            backend=self.backend,
-        )
-        if self._absorbs_exactly():
-            return grown
-        renormalized, _ = ctm_renormalize(self.backend, grown, self.chi, self.cutoff)
-        return renormalized
-
     def supports_lockstep(self) -> bool:
         """Fixed-``chi`` corner truncations are shape-deterministic across
-        shots; a ``cutoff`` retains data-dependent ranks, forcing the serial
-        sampler."""
+        shots; a ``cutoff`` retains data-dependent ranks, so the sampler
+        advances one shot per group."""
         return self.cutoff is None
 
     def absorb_for_sampling_batched(self, upper, projected_row):
-        """Absorb one basis-projected row CTM-style into a batch of boundaries.
+        """Absorb one basis-projected row CTM-style into a group of boundaries.
 
         The exact growth and the corner-Gram chains run as batched
-        contractions covering every shot at once; only the small per-shot
-        corner SVDs stay per-item.
+        contractions covering every shot of the group at once; only the small
+        per-shot corner SVDs stay per-item.
         """
         b = self.backend
         batch = _batch_size(b, upper, projected_row)

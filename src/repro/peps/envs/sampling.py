@@ -15,67 +15,54 @@ With exact environments the samples follow ``|<b|psi>|^2 / <psi|psi>``
 exactly; with truncated boundaries the distribution is approximate in the
 same way every boundary-MPS quantity is.
 
-Lockstep batching
------------------
+Lockstep groups
+---------------
 All shots visit the sites in the same order and contract networks of the
-same shapes, so the sampler advances every shot *in lockstep*: the per-shot
-upper boundaries, right environments, site densities and projected tensors
-are stacked along a leading batch axis, and each per-site contraction becomes
-one :meth:`~repro.backends.interface.Backend.einsum_batched` call instead of
-``nshots`` separate einsums.  Tensors shared by all shots (site tensors,
-cached lower environments) enter with batch dimension 1 and broadcast.
+same shapes, so the sampler advances a *group* of shots in lockstep: the
+per-shot upper boundaries, right environments, site densities and projected
+tensors are stacked along a leading batch axis, and each per-site contraction
+is one :meth:`~repro.backends.interface.Backend.einsum_batched` call for the
+whole group.  Tensors shared by all shots (site tensors, cached lower
+environments) enter with batch dimension 1 and broadcast.
 
-Lockstep requires every shot's boundary to keep the same shape after
-truncation; environments report this via ``supports_lockstep()`` (exact and
-fixed-rank truncations qualify, cutoff-based ones do not).  The ``batch_shots``
-argument bounds the lockstep group size; ``batch_shots=1`` — or an
-environment without lockstep support — runs the serial reference path.
+Stacking requires every shot's boundary to keep the same shape after
+truncation; environments report this via ``supports_lockstep()``.  Exact and
+fixed-rank truncations qualify and advance all shots in one group;
+cutoff-based ones retain data-dependent ranks and advance one shot per group,
+through the same per-site code.
 
 Random-stream semantics
 -----------------------
 The generator resolved from ``rng`` is consumed for exactly **one** root
 draw; each shot then samples from its own substream
-``derive_rng(root, "shot", s)``, consuming one uniform per site.  The serial
-and lockstep paths draw through the same inverse-CDF formula from the same
-substreams, so the sampled bits of shot ``s`` do not depend on ``batch_shots``
-or on how many other shots were requested.  Seeded callers get deterministic
-shot arrays — the simulation runner threads
+``derive_rng(root, "shot", s)``, consuming one uniform per site through one
+inverse-CDF formula, so the sampled bits of shot ``s`` depend neither on the
+group it advanced in nor on how many other shots were requested.  Seeded
+callers get deterministic shot arrays — the simulation runner threads
 ``derive_rng(spec.seed, "sample", step)`` here to make whole runs (including
 checkpoint/resume) bitwise reproducible from one RunSpec seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.peps.envs.strip import (
-    site_density,
-    transfer_left_projected,
-    transfer_right,
-)
+from repro.peps.envs.strip import SITE_DENSITY, TRANSFER_LEFT_PROJECTED, TRANSFER_RIGHT
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
 
-#: One unit per lockstep ``einsum_batched`` call covering a whole shot batch.
+#: One unit per lockstep ``einsum_batched`` call covering a whole shot group.
 _BATCHED_CONTRACTIONS = REGISTRY.counter("peps.batched_contractions")
-
-#: Per-column contraction specs shared by the serial helpers in
-#: :mod:`repro.peps.envs.strip` and the lockstep ``einsum_batched`` calls.
-_SPEC_TRANSFER_RIGHT = "auwx,puedg,pwfhs,bdhy,xgsy->aefb"
-_SPEC_SITE_DENSITY = "aefb,auwx,puedg,qwfhs,bdhy,xgsy->qp"
-_SPEC_TRANSFER_LEFT = "aefb,auwx,uedg,wfhs,bdhy->xgsy"
-_SPEC_PROJECT = "puedg,sp->suedg"
 
 
 def _draw_values(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws, one row of ``probs`` per uniform.
 
-    Both sampling paths route through this single formula so a shot's bits
-    are independent of the contraction grouping; the clip guards against
-    ``cumsum`` round-off pushing the final bin fractionally below 1.
+    The clip guards against ``cumsum`` round-off pushing the final bin
+    fractionally below 1.
     """
     cdf = np.cumsum(probs, axis=-1)
     values = (cdf <= uniforms[:, None]).sum(axis=-1)
@@ -83,11 +70,11 @@ def _draw_values(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 class _SamplingPlan:
-    """Per-call constants shared by every shot and every lockstep group.
+    """Per-call constants shared by every lockstep group.
 
-    Hoists the allocations the old per-shot loop repeated ``nshots`` times:
-    the trivial boundary tensors, the conjugated bra rows, and the one-hot
-    selector matrices per physical dimension.
+    Hoists the allocations each group would otherwise repeat: the trivial
+    boundary tensor, the conjugated bra rows, and the one-hot selector
+    matrices per physical dimension.
     """
 
     def __init__(self, env) -> None:
@@ -97,7 +84,6 @@ class _SamplingPlan:
         self.backend = backend
         self.nrow = self.peps.nrow
         self.ncol = self.peps.ncol
-        self.ones4 = backend.ones((1, 1, 1, 1))
         self.ones5 = backend.ones((1, 1, 1, 1, 1))
         self.kets = self.peps.grid
         self.bras = [[backend.conj(t) for t in row] for row in self.peps.grid]
@@ -134,99 +120,38 @@ class _SamplingPlan:
         return probs / totals[:, None]
 
 
-def sample_bitstrings(
-    env,
-    rng: "SeedLike" = None,
-    nshots: int = 1,
-    batch_shots: Optional[int] = None,
-) -> np.ndarray:
+def sample_bitstrings(env, rng: "SeedLike" = None, nshots: int = 1) -> np.ndarray:
     """Draw ``nshots`` basis-state samples from ``env.peps``.
 
     Returns an integer array of shape ``(nshots, n_sites)`` in row-major site
     order.  ``env`` is a :class:`~repro.peps.envs.boundary.BoundaryEnvironment`
     (or compatible): its cached lower boundaries and truncation options are
-    reused.
-
-    ``batch_shots`` bounds how many shots advance in lockstep per batched
-    contraction: ``None`` runs all shots in one group, ``1`` forces the
-    serial reference path.  The sampled bits are identical for every value
-    (see the module docstring for the stream semantics); only the contraction
-    grouping — and therefore the einsum-call count — changes.
+    reused.  All shots advance in one lockstep group when
+    ``env.supports_lockstep()``, one shot per group otherwise; the bits are
+    the same either way (see the module docstring).
     """
     nshots = int(nshots)
     if nshots < 1:
         raise ValueError(f"nshots must be positive, got {nshots}")
-    if batch_shots is not None:
-        batch_shots = int(batch_shots)
-        if batch_shots < 1:
-            raise ValueError(f"batch_shots must be positive, got {batch_shots}")
     rng = ensure_rng(rng)
     root = int(rng.integers(0, 2**63 - 1, dtype=np.int64))
     shot_rngs = [derive_rng(root, "shot", s) for s in range(nshots)]
 
     env.ensure_lower(0)  # warm every lower environment once, for all shots
     plan = _SamplingPlan(env)
-    lockstep_ok = bool(getattr(env, "supports_lockstep", lambda: False)())
-    chunk = nshots if batch_shots is None else batch_shots
-    if not lockstep_ok:
-        chunk = 1
-
+    group = nshots if env.supports_lockstep() else 1
     shots = np.empty((nshots, plan.peps.n_sites), dtype=np.int64)
-    start = 0
-    while start < nshots:
-        stop = min(start + chunk, nshots)
+    for start in range(0, nshots, group):
+        stop = min(start + group, nshots)
         with _span("sample_shots", first=start, count=stop - start):
-            if stop - start == 1:
-                shots[start] = _sample_serial(plan, shot_rngs[start])
-            else:
-                shots[start:stop] = _sample_lockstep(plan, shot_rngs[start:stop])
-        start = stop
+            shots[start:stop] = _sample_group(plan, shot_rngs[start:stop])
     return shots
 
 
-def _sample_serial(plan: _SamplingPlan, shot_rng: np.random.Generator) -> np.ndarray:
-    """One shot through per-site einsums (the reference path)."""
-    env, b = plan.env, plan.backend
-    nrow, ncol = plan.nrow, plan.ncol
-    bits = np.empty(plan.peps.n_sites, dtype=np.int64)
-    upper = [plan.ones4] * ncol
-    for r in range(nrow):
-        lower = env.ensure_lower(r)
-        kets, bras = plan.kets[r], plan.bras[r]
-
-        # Right-to-left traced environments of the row strip.
-        right: List = [None] * (ncol + 1)
-        right[ncol] = plan.ones4
-        for c in range(ncol - 1, 0, -1):
-            right[c] = transfer_right(b, upper[c], kets[c], bras[c], lower[c], right[c + 1])
-
-        left = plan.ones4
-        projected = []
-        for c in range(ncol):
-            rho = site_density(
-                b, left, upper[c], kets[c], bras[c], lower[c], right[c + 1]
-            )
-            rho = np.asarray(b.asarray(rho))
-            probs = plan.probabilities(np.diag(rho)[np.newaxis, :])
-            value = int(_draw_values(probs, np.array([shot_rng.random()]))[0])
-            bits[r * ncol + c] = value
-
-            selector = b.astensor(plan.eye(probs.shape[-1])[value])
-            proj = b.einsum("puedg,p->uedg", kets[c], selector)
-            projected.append(proj)
-            left = transfer_left_projected(b, left, upper[c], proj, b.conj(proj), lower[c])
-
-        # Absorb the projected row (physical dimension 1) into the running
-        # per-shot upper boundary, with the environment's own truncation.
-        proj_row = [b.reshape(t, (1,) + tuple(b.shape(t))) for t in projected]
-        upper = env.absorb_for_sampling(upper, proj_row)
-    return bits
-
-
-def _sample_lockstep(
+def _sample_group(
     plan: _SamplingPlan, shot_rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """All shots of one group through batched per-site contractions."""
+    """The shots of one group through batched per-site contractions."""
     env, b = plan.env, plan.backend
     nrow, ncol = plan.nrow, plan.ncol
     nshots = len(shot_rngs)
@@ -237,18 +162,19 @@ def _sample_lockstep(
         kets = [plan.lift(t) for t in plan.kets[r]]
         bras = [plan.lift(t) for t in plan.bras[r]]
 
+        # Right-to-left traced environments of the row strip.
         right: List = [None] * (ncol + 1)
         right[ncol] = plan.ones5
         for c in range(ncol - 1, 0, -1):
             right[c] = _batched(
-                env, _SPEC_TRANSFER_RIGHT, upper[c], kets[c], bras[c], lower[c], right[c + 1]
+                env, TRANSFER_RIGHT, upper[c], kets[c], bras[c], lower[c], right[c + 1]
             )
 
         left = plan.ones5
         projected = []
         for c in range(ncol):
             rho = _batched(
-                env, _SPEC_SITE_DENSITY, left, upper[c], kets[c], bras[c], lower[c], right[c + 1]
+                env, SITE_DENSITY, left, upper[c], kets[c], bras[c], lower[c], right[c + 1]
             )
             rho = np.asarray(b.asarray(rho))  # (batch or 1, bra phys, ket phys)
             diagonals = np.diagonal(rho, axis1=-2, axis2=-1)
@@ -260,15 +186,17 @@ def _sample_lockstep(
             bits[:, r * ncol + c] = values
 
             selectors = b.astensor(plan.eye(probs.shape[-1])[values])  # (nshots, d)
-            proj = b.einsum(_SPEC_PROJECT, plan.kets[r][c], selectors)
+            proj = b.einsum("puedg,sp->suedg", plan.kets[r][c], selectors)
             env.stats.batched_contractions += 1
             _BATCHED_CONTRACTIONS.add()
             projected.append(proj)
             left = _batched(
-                env, _SPEC_TRANSFER_LEFT, left, upper[c], proj, b.conj(proj), lower[c]
+                env, TRANSFER_LEFT_PROJECTED, left, upper[c], proj, b.conj(proj), lower[c]
             )
 
-        # Projected sites get their phys-1 leg back *after* the batch axis.
+        # Absorb the projected row into the running per-shot upper boundaries,
+        # with the environment's own truncation; projected sites get their
+        # phys-1 leg back *after* the batch axis.
         proj_row = []
         for t in projected:
             shape = tuple(b.shape(t))
@@ -278,7 +206,7 @@ def _sample_lockstep(
 
 
 def _batched(env, subscripts: str, *operands):
-    """One counted lockstep contraction over the whole shot batch."""
+    """One counted lockstep contraction over the whole shot group."""
     env.stats.batched_contractions += 1
     _BATCHED_CONTRACTIONS.add()
     return env.peps.backend.einsum_batched(subscripts, *operands)

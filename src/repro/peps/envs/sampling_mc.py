@@ -10,7 +10,8 @@ distribution is ``|<b|psi>|^2 / <psi|psi>``.  Each proposal flips one site
 ``min(1, |<b'|psi>|^2 / |<b|psi>|^2)``; the amplitudes are single-layer
 contractions using the environment's own truncation, so approximate
 environments sample their approximate distribution — exactly like every
-other environment query.
+other environment query.  A truncated CTM environment has no single-layer
+counterpart and refuses MC sampling.
 
 Perfect sampling costs one full conditional pass per shot but produces
 independent samples; the Markov chain costs ``sweeps * n_sites`` amplitude
@@ -35,7 +36,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.peps.contraction.options import BMPS, Exact
+from repro.peps.contraction.options import BMPS, CTMOption, Exact
 from repro.peps.envs.sampling import sample_bitstrings
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
@@ -45,11 +46,21 @@ DEFAULT_SWEEPS = 32
 
 
 def _amplitude_option(env):
-    """The single-layer contraction option matching the environment's truncation."""
-    svd_option = getattr(env, "svd_option", None)
-    if svd_option is None:
-        return Exact()
-    return BMPS(svd_option)
+    """The single-layer contraction option matching the environment's truncation.
+
+    A truncating :class:`CTMOption` has no single-layer counterpart, so MC
+    sampling is refused there rather than silently evaluated exactly.
+    """
+    option = env.contract_option
+    if isinstance(option, BMPS):
+        return BMPS(option.resolved_svd_option())
+    if isinstance(option, CTMOption) and (option.chi, option.cutoff) != (None, None):
+        raise ValueError(
+            f"Markov-chain sampling needs single-layer amplitudes, which "
+            f"{option.describe()} does not define; use the perfect sampler "
+            f"(sampler='perfect') on truncated CTM environments"
+        )
+    return Exact()
 
 
 def sample_mc(

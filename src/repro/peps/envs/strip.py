@@ -21,36 +21,33 @@ from repro.tensornetwork.network import contract_network
 # sampling.  Leg convention of the horizontal environment ``E``:
 # ``(upper boundary bond, ket horizontal bond, bra horizontal bond, lower
 # boundary bond)``.  Boundary tensors are ``(left, ket phys, bra phys,
-# right)``; site tensors ``(phys, up, left, down, right)``.
+# right)``; site tensors ``(phys, up, left, down, right)``.  The sampler
+# runs the same subscripts through ``einsum_batched``.
 # --------------------------------------------------------------------- #
+
+#: Absorb one traced column (phys legs contracted) into a right environment.
+TRANSFER_RIGHT = "auwx,puedg,pwfhs,bdhy,xgsy->aefb"
+#: Absorb one traced column into a left environment.
+TRANSFER_LEFT = "aefb,auwx,puedg,pwfhs,bdhy->xgsy"
+#: Absorb one basis-projected column (no phys legs) into a left environment.
+TRANSFER_LEFT_PROJECTED = "aefb,auwx,uedg,wfhs,bdhy->xgsy"
+#: Local reduced density matrix ``rho[bra phys, ket phys]`` of one column.
+SITE_DENSITY = "aefb,auwx,puedg,qwfhs,bdhy,xgsy->qp"
 
 
 def transfer_right(backend, upper, ket, bra, lower, right):
     """Absorb one traced column (phys legs contracted) into a right environment."""
-    return backend.einsum(
-        "auwx,puedg,pwfhs,bdhy,xgsy->aefb", upper, ket, bra, lower, right
-    )
+    return backend.einsum(TRANSFER_RIGHT, upper, ket, bra, lower, right)
 
 
 def transfer_left(backend, left, upper, ket, bra, lower):
     """Absorb one traced column into a left environment."""
-    return backend.einsum(
-        "aefb,auwx,puedg,pwfhs,bdhy->xgsy", left, upper, ket, bra, lower
-    )
-
-
-def transfer_left_projected(backend, left, upper, proj_ket, proj_bra, lower):
-    """Absorb one basis-projected column (no phys legs) into a left environment."""
-    return backend.einsum(
-        "aefb,auwx,uedg,wfhs,bdhy->xgsy", left, upper, proj_ket, proj_bra, lower
-    )
+    return backend.einsum(TRANSFER_LEFT, left, upper, ket, bra, lower)
 
 
 def site_density(backend, left, upper, ket, bra, lower, right):
     """Local reduced density matrix ``rho[bra phys, ket phys]`` of one column."""
-    return backend.einsum(
-        "aefb,auwx,puedg,qwfhs,bdhy,xgsy->qp", left, upper, ket, bra, lower, right
-    )
+    return backend.einsum(SITE_DENSITY, left, upper, ket, bra, lower, right)
 
 
 def operator_pieces(

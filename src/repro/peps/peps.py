@@ -490,22 +490,17 @@ class PEPS:
         rng: SeedLike = None,
         nshots: int = 1,
         contract_option: Optional[ContractOption] = None,
-        batch_shots: Optional[int] = None,
         sampler: str = "perfect",
         sampler_options: Optional[dict] = None,
     ) -> np.ndarray:
         """Computational-basis samples ``~ |<b|psi>|^2`` (see ``Environment.sample``).
 
         ``sampler`` selects the scheme (``"perfect"`` conditional sampling or
-        ``"mc"`` Metropolis chains, with ``sampler_options`` forwarded);
-        ``batch_shots`` bounds the perfect sampler's lockstep group size
-        (``None``: all shots batched, ``1``: serial); the bits are identical
-        either way.
+        ``"mc"`` Metropolis chains, with ``sampler_options`` forwarded).
         """
         return self._environment_for(contract_option).sample(
             rng=rng,
             nshots=nshots,
-            batch_shots=batch_shots,
             sampler=sampler,
             sampler_options=sampler_options,
         )

@@ -141,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the spec's checkpoint payload format "
                      "(npz sidecar or per-rank sharded npz; --resume reads "
                      "both, and the inline JSON of earlier builds)")
-    run.add_argument("--batch-shots", type=int, default=None, metavar="S",
-                     help="override the spec's sampling lockstep group size "
-                     "(1 = serial sampler; bits are identical either way)")
     run.add_argument("--name", default=None, help="override the spec's run name")
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="record spans of this run into a Chrome trace-event "
@@ -261,8 +258,6 @@ def _main_run(args) -> int:
         spec.checkpoint_every = max(0, args.checkpoint_every)
     if args.payload is not None:
         spec.checkpoint_payload = args.payload
-    if args.batch_shots is not None:
-        spec.batch_shots = max(1, args.batch_shots)
     if args.name is not None:
         spec.name = args.name
     if args.trace is not None:

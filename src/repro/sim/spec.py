@@ -162,12 +162,6 @@ class RunSpec:
         ``"sharded"`` one npz file per backend rank.  ``--resume`` reads
         either, and the ``"inline"`` all-JSON format of earlier builds,
         regardless of this setting (see ``docs/checkpoint-format.md``).
-    batch_shots:
-        Lockstep group size of the multi-shot sampler used by the
-        ``"sample"`` observable: ``None`` (default) advances all shots of a
-        measurement in one batched group, ``1`` forces the serial reference
-        sampler.  The sampled bits are identical for every value (see
-        ``docs/perf.md``); only the contraction batching changes.
     results:
         Stream step records to this path (``.jsonl`` appends one JSON object
         per record, anything else gets one JSON document); ``None`` keeps
@@ -201,7 +195,6 @@ class RunSpec:
     checkpoint_dir: str = "checkpoints"
     keep_checkpoints: int = 3
     checkpoint_payload: str = "npz"
-    batch_shots: Optional[int] = None
     results: Optional[str] = None
     telemetry: Optional[Dict[str, Any]] = None
 
@@ -226,12 +219,6 @@ class RunSpec:
             # tuple("sample") would silently become six one-letter names.
             self.observables = (self.observables,)
         self.observables = tuple(self.observables)
-        if self.batch_shots is not None:
-            self.batch_shots = int(self.batch_shots)
-            if self.batch_shots < 1:
-                raise ValueError(
-                    f"batch_shots must be positive, got {self.batch_shots}"
-                )
         if self.seed is not None:
             self.seed = int(self.seed)
         if isinstance(self.backend, dict):

@@ -212,7 +212,6 @@ class ITEWorkload(Workload):
             record["samples"] = self.state.sample(
                 rng=rng,
                 nshots=nshots,
-                batch_shots=self.spec.batch_shots,
                 sampler=sampler,
                 sampler_options=sampler_options,
             ).tolist()

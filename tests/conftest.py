@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.peps.envs.sampling import _sample_group, _SamplingPlan
 from repro.tensornetwork.contraction_path import _candidates
 from repro.tensornetwork.einsum_spec import parse_einsum
+from repro.utils.rng import derive_rng, ensure_rng
 
 
 @pytest.fixture
@@ -38,6 +40,16 @@ def backend(request):
 def random_complex(rng, shape):
     """Helper used across test modules for complex test tensors."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def sample_in_groups_of_one(env, rng, nshots):
+    """What ``env.sample(rng=rng, nshots=nshots)`` draws, with every shot
+    advanced as its own lockstep group on its own substream."""
+    root = int(ensure_rng(rng).integers(0, 2**63 - 1, dtype=np.int64))
+    plan = _SamplingPlan(env)
+    return np.concatenate(
+        [_sample_group(plan, [derive_rng(root, "shot", s)]) for s in range(nshots)]
+    )
 
 
 def search_inputs(subscripts, shapes):

@@ -20,14 +20,15 @@ from repro.peps.contraction.two_layer import (
     absorb_sandwich_row_batched,
     trivial_boundary,
 )
-from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, StripCache
-from repro.peps.envs.sampling import _SamplingPlan, sample_bitstrings
+from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, StripCache, sampling
+from repro.peps.envs.sampling import _sample_group, _SamplingPlan, sample_bitstrings
 from repro.peps.envs.strip import strip_value
 from repro.sim.spec import RunSpec
 from repro.telemetry import REGISTRY
+from repro.tensornetwork import ExplicitSVD
 from repro.utils.flops import FlopCounter
 
-from conftest import random_complex
+from conftest import random_complex, sample_in_groups_of_one
 
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
@@ -224,17 +225,13 @@ ENV_KINDS = ["exact", "bmps", "ctm"]
 
 class TestLockstepSampling:
     @pytest.mark.parametrize("kind", ENV_KINDS)
-    def test_shot_for_shot_parity_with_serial(self, kind):
-        """Acceptance: lockstep and serial samplers draw identical bits."""
-        results = {}
-        for batch_shots in (1, 3, None):
-            state = peps.random_peps(3, 3, bond_dim=2, seed=5)
-            env = _make_env(kind, state)
-            results[batch_shots] = sample_bitstrings(
-                env, rng=11, nshots=7, batch_shots=batch_shots
-            )
-        np.testing.assert_array_equal(results[1], results[None])
-        np.testing.assert_array_equal(results[1], results[3])
+    def test_one_group_matches_groups_of_one(self, kind):
+        """Acceptance: a shot draws the same bits whether it advances alone
+        or in one group with every other shot."""
+        state = peps.random_peps(3, 3, bond_dim=2, seed=5)
+        group = sample_bitstrings(_make_env(kind, state), rng=11, nshots=7)
+        alone = sample_in_groups_of_one(_make_env(kind, state), 11, 7)
+        np.testing.assert_array_equal(group, alone)
 
     @pytest.mark.parametrize("kind", ENV_KINDS)
     def test_shot_streams_independent_of_nshots(self, kind):
@@ -245,21 +242,23 @@ class TestLockstepSampling:
         many = _make_env(kind, state).sample(rng=3, nshots=8)
         np.testing.assert_array_equal(few, many[:3])
 
-    def test_lockstep_issues_fewer_einsum_calls(self):
-        """Acceptance: at nshots=32 the lockstep sampler issues at most 25%
-        of the serial per-site einsum calls."""
-        calls = {}
-        for batch_shots in (1, None):
+    def test_one_group_issues_fewer_einsum_calls(self):
+        """Acceptance: one 32-shot group issues at most 25% of the einsum
+        calls of 32 one-shot draws."""
+        calls = []
+        for draw in (
+            lambda env: env.sample(rng=7, nshots=32),
+            lambda env: [env.sample(rng=s, nshots=1) for s in range(32)],
+        ):
             counter = FlopCounter()
             backend = NumPyBackend(flop_counter=counter)
             state = peps.random_peps(3, 3, bond_dim=2, seed=7, backend=backend)
-            env = EnvCTM(state, CTMOption(chi=8))
-            env.sample(rng=7, nshots=32, batch_shots=batch_shots)
-            calls[batch_shots] = counter.calls_by_category()
-        serial = calls[1].get("einsum", 0)
-        lockstep = calls[None].get("einsum", 0) + calls[None].get("einsum_batched", 0)
-        assert serial > 0
-        assert lockstep <= 0.25 * serial, (lockstep, serial)
+            draw(EnvCTM(state, CTMOption(chi=8)))
+            by_category = counter.calls_by_category()
+            calls.append(by_category.get("einsum", 0) + by_category.get("einsum_batched", 0))
+        group, one_shot = calls
+        assert one_shot > 0
+        assert group <= 0.25 * one_shot, (group, one_shot)
 
     def test_batched_contraction_stats_counted(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=8)
@@ -269,17 +268,27 @@ class TestLockstepSampling:
         assert env.stats.batched_contractions > 0
         assert REGISTRY.value("peps.batched_contractions") > before
 
-    def test_serial_path_for_cutoff_truncations(self):
-        """Cutoff truncation keeps data-dependent shapes: sampling must fall
-        back to the serial path (and still work)."""
-        state = peps.random_peps(2, 2, bond_dim=2, seed=12)
-        from repro.tensornetwork import ExplicitSVD
-
-        env = EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=4, cutoff=1e-12)))
+    @pytest.mark.parametrize("kind", ["bmps", "ctm"])
+    def test_cutoff_truncations_sample_in_groups_of_one(self, kind, monkeypatch):
+        """Cutoff truncation keeps data-dependent shapes: every shot advances
+        as its own group, through the same batched contractions."""
+        state = peps.random_peps(3, 3, bond_dim=2, seed=12)
+        if kind == "bmps":
+            env = EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=4, cutoff=1e-3)))
+        else:
+            env = EnvCTM(state, CTMOption(chi=4, cutoff=1e-3))
         assert not env.supports_lockstep()
+        sizes = []
+
+        def recording(plan, shot_rngs):
+            sizes.append(len(shot_rngs))
+            return _sample_group(plan, shot_rngs)
+
+        monkeypatch.setattr(sampling, "_sample_group", recording)
         shots = env.sample(rng=4, nshots=5)
-        assert shots.shape == (5, 4)
-        assert env.stats.batched_contractions == 0
+        assert sizes == [1] * 5
+        assert env.stats.batched_contractions > 0
+        np.testing.assert_array_equal(shots, sample_in_groups_of_one(env, 4, 5))
 
     def test_uniform_fallback_counted(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=13)
@@ -289,13 +298,14 @@ class TestLockstepSampling:
         np.testing.assert_allclose(probs, np.full((3, 2), 0.5))
         assert env.stats.uniform_fallbacks == 3
 
-    def test_sample_on_distributed_backend(self, dist_backend):
+    @pytest.mark.parametrize("kind", ENV_KINDS)
+    def test_sample_on_distributed_backend(self, dist_backend, kind):
         state = peps.random_peps(2, 2, bond_dim=2, seed=14, backend=dist_backend)
-        env = EnvExact(state)
-        lock = env.sample(rng=9, nshots=4)
-        state2 = peps.random_peps(2, 2, bond_dim=2, seed=14, backend=dist_backend)
-        serial = EnvExact(state2).sample(rng=9, nshots=4, batch_shots=1)
-        np.testing.assert_array_equal(lock, serial)
+        group = _make_env(kind, state).sample(rng=9, nshots=4)
+        alone = sample_in_groups_of_one(_make_env(kind, state), 9, 4)
+        np.testing.assert_array_equal(group, alone)
+        numpy_state = peps.random_peps(2, 2, bond_dim=2, seed=14)
+        np.testing.assert_array_equal(group, _make_env(kind, numpy_state).sample(rng=9, nshots=4))
 
     def test_deterministic_state_samples_deterministically(self):
         state = peps.computational_basis([1, 0, 1, 1, 0, 1], 2, 3)
@@ -402,23 +412,11 @@ class TestStripCache:
 # --------------------------------------------------------------------- #
 # Spec / stats plumbing
 # --------------------------------------------------------------------- #
-class TestBatchShotsSpec:
-    def test_round_trip(self):
-        spec = RunSpec.from_dict({"name": "x", "batch_shots": 4})
-        assert spec.batch_shots == 4
-        assert RunSpec.from_dict(spec.to_dict()).batch_shots == 4
-
-    def test_default_is_none(self):
-        assert RunSpec().batch_shots is None
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="batch_shots"):
-            RunSpec(batch_shots=0)
-
-    def test_sample_rejects_bad_batch_shots(self):
-        state = peps.random_peps(2, 2, bond_dim=1, seed=43)
-        with pytest.raises(ValueError, match="batch_shots"):
-            state.sample(nshots=2, batch_shots=0)
+def test_spec_naming_a_group_size_is_rejected():
+    """The sampler's grouping is not settable: a spec naming it is an
+    unknown field."""
+    with pytest.raises(ValueError, match="unknown RunSpec fields \\['batch_shots'\\]"):
+        RunSpec.from_dict({"batch_shots": 4})
 
 
 class TestEnvStatsReset:

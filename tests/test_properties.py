@@ -14,8 +14,9 @@ from repro.mps import MPS, MPO, apply_mpo_zipup
 from repro.operators import gates
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
-from repro.peps import BMPS, TwoLayerBMPS
-from repro.peps.contraction.options import CONTRACT_OPTION_KINDS
+from repro.peps import BMPS, TwoLayerBMPS, random_peps
+from repro.peps.contraction.options import CONTRACT_OPTION_KINDS, CTMOption
+from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact
 from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
 from repro.peps.update import UPDATE_OPTION_KINDS, QRUpdate
 from repro.sim import RunSpec
@@ -35,6 +36,7 @@ from tests.conftest import (
     order_cost,
     random_network,
     run_plan,
+    sample_in_groups_of_one,
     search_inputs,
 )
 
@@ -379,3 +381,39 @@ class TestOptionDescriptionProperties:
             value = data.draw(FIELD_STRATEGIES[name].filter(lambda v: v != getattr(base, name)))
             changed = dataclasses.replace(redrawn, **{name: value})
             assert option_signature(wrap(changed)) != option_signature(option)
+
+
+#: The environment kinds of the sampler's parity probe: exact, fixed-rank and
+#: cutoff truncations of both boundary schemes.
+SAMPLING_ENVS = {
+    "exact": lambda state: EnvExact(state),
+    "bmps": lambda state: EnvBoundaryMPS(state, BMPS(truncate_bond=8)),
+    "bmps_cutoff": lambda state: EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
+    "ctm": lambda state: EnvCTM(state, CTMOption(chi=8)),
+    "ctm_cutoff": lambda state: EnvCTM(state, CTMOption(chi=8, cutoff=1e-3)),
+}
+
+
+class TestSamplingProperties:
+    @FAST
+    @given(
+        nrow=st.integers(1, 3),
+        ncol=st.integers(1, 3),
+        bond_dim=st.integers(1, 2),
+        phys_dim=st.integers(2, 3),
+        kind=st.sampled_from(sorted(SAMPLING_ENVS)),
+        seed=seeds,
+        nshots=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_shots_are_prefix_stable_group_independent_and_in_range(
+        self, nrow, ncol, bond_dim, phys_dim, kind, seed, nshots, data
+    ):
+        state = random_peps(nrow, ncol, bond_dim=bond_dim, phys_dim=phys_dim, seed=seed)
+        env = SAMPLING_ENVS[kind](state)
+        shots = env.sample(rng=seed, nshots=nshots)
+        k = data.draw(st.integers(1, nshots))
+        np.testing.assert_array_equal(shots[:k], env.sample(rng=seed, nshots=k))
+        np.testing.assert_array_equal(shots, sample_in_groups_of_one(env, seed, nshots))
+        assert shots.shape == (nshots, nrow * ncol)
+        assert shots.min() >= 0 and shots.max() < phys_dim

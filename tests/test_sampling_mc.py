@@ -11,8 +11,9 @@ import pytest
 
 from repro import peps
 from repro.peps import BMPS
-from repro.peps.envs import EnvBoundaryMPS, EnvExact
-from repro.peps.envs.sampling_mc import sample_mc
+from repro.peps.contraction.options import CTMOption, Exact
+from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact
+from repro.peps.envs.sampling_mc import _amplitude_option, sample_mc
 
 
 class TestDispatch:
@@ -32,6 +33,31 @@ class TestDispatch:
             sample_mc(env, rng=0, nshots=0)
         with pytest.raises(ValueError):
             sample_mc(env, rng=0, nshots=1, sweeps=-1)
+
+
+class TestAmplitudeOption:
+    """Chains evaluate amplitudes with the environment's own truncation."""
+
+    def test_exact_environments_use_exact_amplitudes(self):
+        state = peps.random_peps(2, 2, bond_dim=2, seed=3)
+        assert _amplitude_option(EnvExact(state)) == Exact()
+        assert _amplitude_option(EnvCTM(state, CTMOption())) == Exact()
+
+    def test_boundary_mps_uses_its_resolved_option(self):
+        state = peps.random_peps(2, 2, bond_dim=2, seed=3)
+        option = BMPS(truncate_bond=4)
+        env = EnvBoundaryMPS(state, option)
+        assert _amplitude_option(env) == BMPS(option.resolved_svd_option())
+        shots = env.sample(rng=5, nshots=2, sampler="mc", sampler_options={"sweeps": 1})
+        assert shots.shape == (2, 4)
+
+    def test_truncating_ctm_is_refused(self):
+        """A chi-truncated CTM environment has no single-layer amplitude:
+        MC sampling refuses instead of silently contracting exactly."""
+        env = EnvCTM(peps.random_peps(2, 2, bond_dim=2, seed=3), CTMOption(chi=4))
+        with pytest.raises(ValueError, match="perfect sampler"):
+            env.sample(rng=0, nshots=1, sampler="mc")
+        assert env.sample(rng=0, nshots=1).shape == (1, 4)
 
 
 class TestDeterminism:
