@@ -7,9 +7,9 @@ paper by Pang, Hao, Dugad, Zhou and Solomonik.  It provides:
   simulated distributed-memory backend (a stand-in for Cyclops/CTF),
 * the ``einsumsvd`` abstraction with explicit and implicit randomized-SVD
   implementations,
-* MPS/MPO machinery and PEPS states with multiple evolution (QR-SVD,
-  local-Gram) and contraction (Exact, BMPS, IBMPS, two-layer IBMPS)
-  algorithms,
+* PEPS states with multiple evolution (QR-SVD, local-Gram) and
+  contraction (Exact, BMPS, IBMPS, two-layer IBMPS) algorithms, all of
+  whose boundary MPSes grow through one row absorber,
 * quantum gates, observables, Hamiltonians, circuits and an exact
   statevector simulator,
 * the driver applications studied in the paper: imaginary time evolution

@@ -1,7 +1,6 @@
 """Abstract tensor-backend protocol.
 
-Every high-level routine in the library (MPS/MPO machinery, PEPS updates and
-contractions, the ``einsumsvd`` implementations, the driver applications)
+Every high-level routine in the library (PEPS updates and contractions, the ``einsumsvd`` implementations, the driver applications)
 manipulates tensors exclusively through this interface, mirroring the
 ``tensorbackends`` abstraction used by the Koala library from the paper.
 Backends operate on *backend-native* tensor objects: plain

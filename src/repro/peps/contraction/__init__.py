@@ -7,13 +7,15 @@ targets.  This subpackage provides:
 * :mod:`~repro.peps.contraction.options` — option objects selecting the
   algorithm (``Exact``, ``BMPS``, ``TwoLayerBMPS``, ``CTMOption``), each
   carrying the wire ``kind`` spec files and checkpoints know it by,
+* :mod:`~repro.peps.contraction.two_layer` — the one row absorber
+  (exact or zip-up, a ``ket ⊗ bra*`` sandwich or a single layer without a
+  bra) and the contraction of the ``<bra|ket>`` sandwich keeping the two
+  layers separate (two-layer BMPS/IBMPS); the absorber is also the engine
+  of the expectation-value cache,
 * :mod:`~repro.peps.contraction.single_layer` — contraction of a PEPS
   *without physical legs* by exact row absorption or boundary-MPS
   (Algorithm 2) with explicit or implicit ``einsumsvd`` (BMPS / IBMPS),
-* :mod:`~repro.peps.contraction.two_layer` — contraction of the
-  ``<bra|ket>`` sandwich keeping the two layers separate (two-layer
-  BMPS/IBMPS), plus the row-absorption primitives reused by the
-  expectation-value cache.
+  and the fused inner-product baseline built on it.
 """
 
 from repro.peps.contraction.options import (
@@ -24,12 +26,11 @@ from repro.peps.contraction.options import (
     TwoLayerBMPS,
 )
 from repro.peps.contraction.single_layer import (
+    contract_inner_fused,
     contract_single_layer,
-    single_layer_boundary_sweep,
 )
 from repro.peps.contraction.two_layer import (
     contract_inner_two_layer,
-    contract_inner_fused,
     absorb_sandwich_row,
     trivial_boundary,
     close_boundaries,
@@ -42,7 +43,6 @@ __all__ = [
     "BMPS",
     "TwoLayerBMPS",
     "contract_single_layer",
-    "single_layer_boundary_sweep",
     "contract_inner_two_layer",
     "contract_inner_fused",
     "absorb_sandwich_row",

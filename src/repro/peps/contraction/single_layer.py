@@ -1,15 +1,18 @@
 """Contraction of a single-layer PEPS (no physical legs) to a scalar.
 
-This implements Algorithm 2 of the paper: treat the first row as an MPS, the
-remaining rows as MPOs, and absorb them one by one.  The absorption step is
-either exact (bond dimensions multiply — the exact-contraction baseline) or
-the zip-up of Algorithm 3 with a truncation bond ``m``; the ``einsumsvd``
-flavour inside the zip-up distinguishes BMPS (explicit SVD) from IBMPS
-(implicit randomized SVD, Algorithm 4).
+This implements Algorithm 2 of the paper: treat the first row as the
+boundary MPS and absorb the remaining rows one by one.  A single-layer row
+is a sandwich without a bra, so the absorption is
+:func:`~repro.peps.contraction.two_layer.absorb_sandwich_row` with
+``bra_row=None``: exact (bond dimensions multiply — the exact-contraction
+baseline) or the zip-up of Algorithm 3 with a truncation bond ``m``, whose
+``einsumsvd`` flavour distinguishes BMPS (explicit SVD) from IBMPS (implicit
+randomized SVD, Algorithm 4).
 
-Single-layer grids appear in two situations: amplitude evaluation (physical
-legs projected onto a basis state) and the synthetic "PEPS without physical
-indices" benchmarks of Figs. 8, 11 and 12.
+Single-layer grids appear in three situations: amplitude evaluation
+(physical legs projected onto a basis state), the fused inner-product
+baseline, and the synthetic "PEPS without physical indices" benchmarks of
+Figs. 8, 11 and 12.
 """
 
 from __future__ import annotations
@@ -18,75 +21,19 @@ from typing import Optional, Sequence, Union
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.mps.apply import apply_mpo_exact, apply_mpo_zipup
-from repro.mps.mpo import MPO
-from repro.mps.mps import MPS
-from repro.peps.contraction.options import BMPS, ContractOption, Exact
-from repro.telemetry.metrics import REGISTRY
+from repro.peps.contraction.options import ContractOption
+from repro.peps.contraction.two_layer import (
+    absorb_sandwich_row,
+    absorption_option,
+    check_edge_legs,
+)
 from repro.telemetry.trace import traced
 
-#: One unit per lattice row absorbed into a boundary MPS (single-layer MPO
-#: application here, sandwich rows in ``two_layer``): the dominant cost unit
-#: of every PEPS contraction, so variants compare by it instead of wall time.
-_ROW_ABSORPTIONS = REGISTRY.counter("peps.row_absorptions")
-
-
-def _row_to_mps(backend: Backend, row: Sequence) -> MPS:
-    """Interpret a PEPS row of ``(u, l, d, r)`` tensors (with u = 1) as an MPS."""
-    tensors = []
-    for t in row:
-        u, l, d, r = backend.shape(t)
-        if u != 1:
-            raise ValueError(
-                f"the first row of a single-layer PEPS must have unit up legs, got {u}"
-            )
-        tensors.append(backend.reshape(t, (l, d, r)))
-    return MPS(tensors, backend)
-
-
-def _row_to_mpo(backend: Backend, row: Sequence) -> MPO:
-    """Interpret a PEPS row of ``(u, l, d, r)`` tensors as an MPO.
-
-    The MPO convention is ``(left, out, in, right)``: the up leg is the input
-    (contracted with the boundary MPS above), the down leg the output.
-    """
-    tensors = []
-    for t in row:
-        tensors.append(backend.transpose(t, (1, 2, 0, 3)))  # (l, d, u, r)
-    return MPO(tensors, backend)
+#: Axes of the up, left, down and right legs of a single-layer site.
+_SINGLE_LAYER_LEGS = (0, 1, 2, 3)
 
 
 @traced("single_layer_sweep")
-def single_layer_boundary_sweep(
-    grid: Sequence[Sequence],
-    option: ContractOption,
-    backend: Union[str, Backend, None] = "numpy",
-) -> MPS:
-    """Absorb all rows of a single-layer PEPS from the top, returning the final
-    boundary MPS (whose physical legs are the last row's down legs, i.e. 1)."""
-    backend = get_backend(backend)
-    nrow = len(grid)
-    if nrow == 0:
-        raise ValueError("cannot contract an empty PEPS")
-    boundary = _row_to_mps(backend, grid[0])
-    for i in range(1, nrow):
-        _ROW_ABSORPTIONS.add()
-        mpo = _row_to_mpo(backend, grid[i])
-        if isinstance(option, Exact):
-            boundary = apply_mpo_exact(boundary, mpo)
-        elif isinstance(option, BMPS):
-            svd_option = option.resolved_svd_option()
-            boundary = apply_mpo_zipup(
-                boundary, mpo, max_bond=svd_option.rank, option=svd_option
-            )
-        else:
-            raise TypeError(
-                f"unsupported contraction option {type(option).__name__} for a "
-                f"single-layer PEPS"
-            )
-    return boundary
-
-
 def contract_single_layer(
     grid: Sequence[Sequence],
     option: Optional[ContractOption] = None,
@@ -107,6 +54,49 @@ def contract_single_layer(
         Tensor backend name or instance.
     """
     backend = get_backend(backend)
-    option = option if option is not None else Exact()
-    boundary = single_layer_boundary_sweep(grid, option, backend)
-    return boundary.contract_to_scalar()
+    if not grid:
+        raise ValueError("cannot contract an empty PEPS")
+    svd_option = absorption_option(option)
+    check_edge_legs(backend, grid, _SINGLE_LAYER_LEGS)
+    # Row 0 is the first boundary: its unit up legs are dropped.
+    boundary = [backend.reshape(t, backend.shape(t)[1:]) for t in grid[0]]
+    for row in grid[1:]:
+        boundary = absorb_sandwich_row(boundary, row, None, option=svd_option, backend=backend)
+    # The last row's down legs are the boundary's unit physical legs.
+    env = backend.ones((1,))
+    for t in boundary:
+        left, _, right = backend.shape(t)
+        env = backend.einsum("a,ab->b", env, backend.reshape(t, (left, right)))
+    return backend.item(env)
+
+
+def contract_inner_fused(
+    bra_grid: Sequence[Sequence],
+    ket_grid: Sequence[Sequence],
+    option: Optional[ContractOption] = None,
+    backend: Union[str, Backend, None] = "numpy",
+) -> complex:
+    """``<bra|ket>`` by fusing the layers into one PEPS of squared bond dimension.
+
+    This is the memory-hungry baseline the paper contrasts the two-layer
+    approach with: forming the fused sites costs ``O(r1^4 r2^4)`` memory per
+    site.  The fused single-layer PEPS is then contracted with the requested
+    option (Exact, BMPS or IBMPS).
+    """
+    backend = get_backend(backend)
+    nrow = len(ket_grid)
+    ncol = len(ket_grid[0])
+    if len(bra_grid) != nrow or len(bra_grid[0]) != ncol:
+        raise ValueError("bra and ket grids must have the same dimensions")
+
+    fused = []
+    for i in range(nrow):
+        row = []
+        for j in range(ncol):
+            ket = ket_grid[i][j]
+            bra = backend.conj(bra_grid[i][j])
+            merged = backend.einsum("pabcd,pefgh->aebfcgdh", ket, bra)
+            a, e, bdim, f, c, g, d, h = backend.shape(merged)
+            row.append(backend.reshape(merged, (a * e, bdim * f, c * g, d * h)))
+        fused.append(row)
+    return contract_single_layer(fused, option=option, backend=backend)

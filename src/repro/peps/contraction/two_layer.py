@@ -1,4 +1,13 @@
-"""Two-layer PEPS contraction: inner products without fusing the layers.
+"""Row absorption into boundary MPSes, and two-layer PEPS inner products.
+
+Every boundary-MPS contraction in the paper — Algorithm 2 (boundary MPS),
+Algorithm 3 (zip-up) and their two-layer variant — is one loop: contract
+column 0 of the row with the boundary, then run one ``einsumsvd`` per column
+over ``{working tensor, boundary site, ket site[, bra site]}``.
+:func:`absorb_sandwich_row` is that loop.  A row is either a two-layer
+``ket ⊗ bra*`` sandwich or a single layer with no bra (a basis-projected
+amplitude, a fused inner product, or a PEPS without physical legs, Figs. 8,
+11 and 12).
 
 The inner product ``<A|B>`` of two PEPS is a two-layer network (Figure 3 of
 the paper).  The naive approach fuses corresponding bra and ket sites into a
@@ -7,38 +16,48 @@ single-layer PEPS whose bond dimension is the *product* of the layer bonds
 inside every boundary-MPS absorption step (``contract_inner_two_layer``),
 which reduces the memory footprint and — when combined with the implicit
 randomized SVD — also the asymptotic cost (two-layer IBMPS, Table II).
-
-The row-absorption primitive :func:`absorb_sandwich_row` is also the engine
-behind the expectation-value cache (Section IV-B): the cache stores boundary
-MPSes of partially absorbed ``<psi|psi>`` sandwiches.
+The same primitive is the engine behind the expectation-value cache
+(Section IV-B): the cache stores boundary MPSes of partially absorbed
+``<psi|psi>`` sandwiches.
 
 Boundary representation
 -----------------------
-A two-layer boundary is a list of 4-mode tensors, one per lattice column,
-with index order ``(left bond, ket physical, bra physical, right bond)``.
-The "physical" legs are the vertical PEPS legs of the row the boundary is
-about to touch (dimension 1 at the lattice edge).
+A boundary is a list of tensors, one per lattice column, with index order
+``(left bond, ket physical, bra physical, right bond)`` for a sandwich and
+``(left bond, physical, right bond)`` for a single layer.  The "physical"
+legs are the vertical PEPS legs of the row the boundary is about to touch
+(dimension 1 at the lattice edge).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from math import prod
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
 from repro.peps.contraction.options import BMPS, ContractOption, Exact, TwoLayerBMPS
-from repro.peps.contraction.single_layer import contract_single_layer
 from repro.peps.update import DOWN, LEFT, PHYS, RIGHT, UP
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import traced
 from repro.tensornetwork.einsumsvd import EinsumSVDOption, einsumsvd
 
-#: Shared with ``single_layer``: one unit per row absorbed into a boundary.
+#: One unit per lattice row absorbed into a boundary MPS: the dominant cost
+#: unit of every PEPS contraction, so variants compare by it, not wall time.
 _ROW_ABSORPTIONS = REGISTRY.counter("peps.row_absorptions")
 
 #: Transposition that exchanges the up and down legs of a site tensor, used
 #: to absorb rows from below with the same code that absorbs from above.
 _FLIP_UD = (PHYS, DOWN, LEFT, UP, RIGHT)
+
+# Per-column subscripts, keyed by the number of layers (1: a single-layer
+# site ``(up, left, down, right)``; 2: ket and bra sites ``(phys, up, left,
+# down, right)``).  Operands are (boundary, ket[, bra]) — preceded by the
+# working tensor in a zip-up step — and every output lists its left legs,
+# then its physical legs, then its right legs, in operand order.
+_EXACT = {1: "apc,pbqd->abqcd", 2: "aghi,pgemo,phfqs->aefmqios"}
+_ZIPUP_FIRST = {1: "apc,pbqd->qcd", 2: "aghi,pgemo,phfqs->mqios"}
+_ZIPUP_STEP = {1: "cqab,ape,pbfg->cqk,kfeg", 2: "cxyaef,aghi,pgemo,phfqs->cxyk,kmqios"}
 
 
 def trivial_boundary(backend: Union[str, Backend, None], ncol: int) -> List:
@@ -50,7 +69,30 @@ def trivial_boundary(backend: Union[str, Backend, None], ncol: int) -> List:
 
 def boundary_bond_dimensions(backend: Backend, boundary: Sequence) -> List[int]:
     """Horizontal bond dimensions of a boundary (diagnostics/tests)."""
-    return [backend.shape(t)[3] for t in boundary[:-1]]
+    return [backend.shape(t)[-1] for t in boundary[:-1]]
+
+
+def check_edge_legs(
+    backend: Backend,
+    grid: Sequence[Sequence],
+    legs: Tuple[int, int, int, int] = (UP, LEFT, DOWN, RIGHT),
+) -> None:
+    """Raise ``ValueError`` unless every leg leaving the lattice has dimension 1.
+
+    ``legs`` are the axes of the up, left, down and right legs of the site
+    tensors: the default fits PEPS sites, ``(0, 1, 2, 3)`` single-layer ones.
+    """
+    up, left, down, right = legs
+    nrow, ncol = len(grid), len(grid[0])
+    for edge, axis, sites in (
+        ("top", up, [(0, j) for j in range(ncol)]),
+        ("bottom", down, [(nrow - 1, j) for j in range(ncol)]),
+        ("left", left, [(i, 0) for i in range(nrow)]),
+        ("right", right, [(i, ncol - 1) for i in range(nrow)]),
+    ):
+        for i, j in sites:
+            if backend.shape(grid[i][j])[axis] != 1:
+                raise ValueError(f"site ({i}, {j}) {edge} edge leg must have dimension 1")
 
 
 def absorption_option(option: Optional[ContractOption]) -> Optional[EinsumSVDOption]:
@@ -67,33 +109,42 @@ def absorption_option(option: Optional[ContractOption]) -> Optional[EinsumSVDOpt
     raise TypeError(f"unsupported contraction option {type(option).__name__}")
 
 
+def _check_width(boundary: Sequence, rows: Sequence[Sequence]) -> None:
+    if any(len(row) != len(boundary) for row in rows):
+        raise ValueError(
+            f"row width mismatch: boundary has {len(boundary)} columns, "
+            f"rows have {[len(row) for row in rows]}"
+        )
+
+
 @traced("absorb_row")
 def absorb_sandwich_row(
     boundary: Sequence,
     ket_row: Sequence,
-    bra_row: Sequence,
+    bra_row: Optional[Sequence] = None,
     option: Optional[EinsumSVDOption] = None,
     backend: Union[str, Backend, None] = "numpy",
     from_below: bool = False,
 ) -> List:
-    """Absorb one two-layer (ket ⊗ bra*) row into a boundary MPS.
+    """Absorb one row — a (ket ⊗ bra*) sandwich or a single layer — into a boundary MPS.
 
     Parameters
     ----------
     boundary:
-        Current boundary (list of ``(left, ket phys, bra phys, right)``
-        tensors) whose physical legs face the row being absorbed.
+        Current boundary whose physical legs face the row being absorbed.
     ket_row / bra_row:
         Site tensors ``(phys, up, left, down, right)`` of the row; the bra
         tensors are conjugated internally (pass the ket row twice for
-        ``<psi|psi>`` sandwiches).
+        ``<psi|psi>`` sandwiches).  With ``bra_row=None`` the row is a
+        single layer of ``(up, left, down, right)`` tensors and the boundary
+        holds ``(left, phys, right)`` tensors.
     option:
         ``einsumsvd`` option controlling the zip-up truncation, its ``rank``
         being the truncation bond ``m``; ``None`` performs the absorption
         exactly (bond dimensions multiply).
     from_below:
-        Absorb the row from below (used to build lower environments); the
-        up/down legs of the row tensors are exchanged internally.
+        Absorb a sandwich row from below (used to build lower environments);
+        the up/down legs of the row tensors are exchanged internally.
 
     Returns
     -------
@@ -102,76 +153,74 @@ def absorb_sandwich_row(
     """
     _ROW_ABSORPTIONS.add()
     backend = get_backend(backend)
-    ncol = len(boundary)
-    if len(ket_row) != ncol or len(bra_row) != ncol:
-        raise ValueError(
-            f"row width mismatch: boundary has {ncol} columns, "
-            f"ket {len(ket_row)}, bra {len(bra_row)}"
-        )
+    rows = [ket_row] if bra_row is None else [ket_row, bra_row]
+    _check_width(boundary, rows)
     if from_below:
-        ket_row = [backend.transpose(t, _FLIP_UD) for t in ket_row]
-        bra_row = [backend.transpose(t, _FLIP_UD) for t in bra_row]
-    bra_row = [backend.conj(t) for t in bra_row]
+        rows = [[backend.transpose(t, _FLIP_UD) for t in row] for row in rows]
+    if bra_row is not None:
+        rows[1] = [backend.conj(t) for t in rows[1]]
 
     if option is None:
-        return _absorb_row_exact(backend, boundary, ket_row, bra_row)
-    return _absorb_row_zipup(backend, boundary, ket_row, bra_row, option)
+        return _absorb_row_exact(backend, backend.einsum, boundary, rows)
+    return _absorb_row_zipup(backend, boundary, rows, option)
 
 
-def _absorb_row_exact(backend: Backend, boundary, ket_row, bra_row) -> List:
-    """Exact absorption: horizontal bonds multiply (boundary x ket x bra)."""
+def _absorb_row_exact(backend: Backend, contract, boundary, rows) -> List:
+    """Exact absorption: horizontal bonds multiply (boundary x ket [x bra]).
+
+    ``contract`` is ``backend.einsum``, or ``backend.einsum_batched`` when
+    every tensor carries a leading batch axis, which the new sites keep.
+    """
+    layers = len(rows)
+    bonds = layers + 1  # horizontal legs that merge into one new bond
     new_boundary = []
-    for b, k, w in zip(boundary, ket_row, bra_row):
-        # b: (a, g, h, i); k: (p, g, e, m, o); w: (p, h, f, q, s)
-        merged = backend.einsum("aghi,pgemo,phfqs->aefmqios", b, k, w)
-        a, e, f, m, q, i, o, s = backend.shape(merged)
-        new_boundary.append(backend.reshape(merged, (a * e * f, m, q, i * o * s)))
+    for column in zip(boundary, *rows):
+        merged = contract(_EXACT[layers], *column)
+        shape = backend.shape(merged)
+        head, right = shape[:-bonds], shape[-bonds:]
+        head, phys = head[:-layers], head[-layers:]
+        batch, left = head[:-bonds], head[-bonds:]
+        new_boundary.append(
+            backend.reshape(merged, (*batch, prod(left), *phys, prod(right)))
+        )
     return new_boundary
 
 
-def _absorb_row_zipup(
-    backend: Backend,
-    boundary,
-    ket_row,
-    bra_row,
-    option: EinsumSVDOption,
-) -> List:
-    """Zip-up absorption (Algorithm 3 generalized to the two-layer sandwich).
+def _absorb_row_zipup(backend: Backend, boundary, rows, option: EinsumSVDOption) -> List:
+    """Zip-up absorption (Algorithm 3, one layer or the two-layer sandwich).
 
     The per-site ``einsumsvd`` involves the network
-    ``{working tensor, old boundary site, ket site, bra site}``; with an
-    implicit option this is exactly the two-layer IBMPS step — the fused
-    MPO tensor (ket ⊗ bra, size ``r^4`` per vertical leg pair) is never
+    ``{working tensor, old boundary site, ket site[, bra site]}``; with an
+    implicit option this is exactly the (two-layer) IBMPS step — the fused
+    tensor (ket ⊗ bra, size ``r^4`` per vertical leg pair) is never
     materialized.
     """
-    ncol = len(boundary)
-    # Column 0: contract boundary site, ket site and bra site; the left legs
-    # (all of dimension 1) are summed away and a dummy new-bond leg is added.
-    w = backend.einsum("aghi,pgemo,phfqs->mqios", boundary[0], ket_row[0], bra_row[0])
-    m0, q0, i0, o0, s0 = backend.shape(w)
-    working = backend.reshape(w, (1, m0, q0, i0, o0, s0))
+    layers = len(rows)
+    # Column 0: contract the boundary and row sites; the left legs (all of
+    # dimension 1) are summed away and a dummy new-bond leg is added.
+    first = backend.einsum(_ZIPUP_FIRST[layers], boundary[0], *(row[0] for row in rows))
+    working = backend.reshape(first, (1, *backend.shape(first)))
 
     new_boundary: List = []
-    for j in range(1, ncol):
-        left, right = einsumsvd(
-            "cxyaef,aghi,pgemo,phfqs->cxyk,kmqios",
+    for j in range(1, len(boundary)):
+        left, working = einsumsvd(
+            _ZIPUP_STEP[layers],
             working,
             boundary[j],
-            ket_row[j],
-            bra_row[j],
+            *(row[j] for row in rows),
             option=option,
             backend=backend,
         )
         new_boundary.append(left)
-        working = right
 
-    k, m, q, i, o, s = backend.shape(working)
-    if i != 1 or o != 1 or s != 1:
+    k, *legs = backend.shape(working)
+    phys, right = legs[:layers], legs[layers:]
+    if any(d != 1 for d in right):
         raise RuntimeError(
-            f"two-layer zip-up ended with non-trivial right bonds ({i}, {o}, {s}); "
+            f"zip-up ended with non-trivial right bonds {tuple(right)}; "
             f"the lattice edge legs must have dimension 1"
         )
-    new_boundary.append(backend.reshape(working, (k, m, q, 1)))
+    new_boundary.append(backend.reshape(working, (k, *phys, 1)))
     return new_boundary
 
 
@@ -196,24 +245,14 @@ def absorb_sandwich_row_batched(
     data-dependent factors — and stay with :func:`absorb_sandwich_row`.
     """
     backend = get_backend(backend)
-    ncol = len(boundary)
-    if len(ket_row) != ncol or len(bra_row) != ncol:
-        raise ValueError(
-            f"row width mismatch: boundary has {ncol} columns, "
-            f"ket {len(ket_row)}, bra {len(bra_row)}"
-        )
+    _check_width(boundary, [ket_row, bra_row])
     batch = max(
         max(backend.shape(t)[0] for t in boundary),
         max(backend.shape(t)[0] for t in ket_row),
     )
     _ROW_ABSORPTIONS.add(batch)
     bra_row = [backend.conj(t) for t in bra_row]
-    new_boundary = []
-    for b, k, w in zip(boundary, ket_row, bra_row):
-        merged = backend.einsum_batched("aghi,pgemo,phfqs->aefmqios", b, k, w)
-        s, a, e, f, m, q, i, o, srt = backend.shape(merged)
-        new_boundary.append(backend.reshape(merged, (s, a * e * f, m, q, i * o * srt)))
-    return new_boundary
+    return _absorb_row_exact(backend, backend.einsum_batched, boundary, [ket_row, bra_row])
 
 
 def close_boundaries(backend: Union[str, Backend, None], upper: Sequence, lower: Sequence) -> complex:
@@ -251,6 +290,8 @@ def contract_inner_two_layer(
     ncol = len(ket_grid[0])
     if len(bra_grid) != nrow or len(bra_grid[0]) != ncol:
         raise ValueError("bra and ket grids must have the same dimensions")
+    check_edge_legs(backend, bra_grid)
+    check_edge_legs(backend, ket_grid)
 
     svd_option = absorption_option(option)
     boundary = trivial_boundary(backend, ncol)
@@ -259,36 +300,3 @@ def contract_inner_two_layer(
             boundary, ket_grid[i], bra_grid[i], option=svd_option, backend=backend
         )
     return close_boundaries(backend, boundary, trivial_boundary(backend, ncol))
-
-
-def contract_inner_fused(
-    bra_grid: Sequence[Sequence],
-    ket_grid: Sequence[Sequence],
-    option: Optional[ContractOption] = None,
-    backend: Union[str, Backend, None] = "numpy",
-) -> complex:
-    """``<bra|ket>`` by fusing the layers into one PEPS of squared bond dimension.
-
-    This is the memory-hungry baseline the paper contrasts the two-layer
-    approach with: forming the fused sites costs ``O(r1^4 r2^4)`` memory per
-    site.  The fused single-layer PEPS is then contracted with the requested
-    option (Exact, BMPS or IBMPS).
-    """
-    backend = get_backend(backend)
-    option = option if option is not None else Exact()
-    nrow = len(ket_grid)
-    ncol = len(ket_grid[0])
-    if len(bra_grid) != nrow or len(bra_grid[0]) != ncol:
-        raise ValueError("bra and ket grids must have the same dimensions")
-
-    fused = []
-    for i in range(nrow):
-        row = []
-        for j in range(ncol):
-            ket = ket_grid[i][j]
-            bra = backend.conj(bra_grid[i][j])
-            merged = backend.einsum("pabcd,pefgh->aebfcgdh", ket, bra)
-            a, e, bdim, f, c, g, d, h = backend.shape(merged)
-            row.append(backend.reshape(merged, (a * e, bdim * f, c * g, d * h)))
-        fused.append(row)
-    return contract_single_layer(fused, option=option, backend=backend)

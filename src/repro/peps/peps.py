@@ -25,18 +25,9 @@ from repro.circuits.circuit import Circuit, Gate
 from repro.lattice import bond_between
 from repro.operators.hamiltonians import Hamiltonian
 from repro.operators.observable import Observable
-from repro.peps.contraction.options import (
-    BMPS,
-    ContractOption,
-    CTMOption,
-    Exact,
-    TwoLayerBMPS,
-)
-from repro.peps.contraction.single_layer import contract_single_layer
-from repro.peps.contraction.two_layer import (
-    contract_inner_fused,
-    contract_inner_two_layer,
-)
+from repro.peps.contraction.options import ContractOption, CTMOption, TwoLayerBMPS
+from repro.peps.contraction.single_layer import contract_inner_fused, contract_single_layer
+from repro.peps.contraction.two_layer import check_edge_legs, contract_inner_two_layer
 from repro.peps.update import (
     PHYS,
     UP,
@@ -87,14 +78,6 @@ class PEPS:
                         f"site ({i}, {j}) must have 5 modes (phys, up, left, down, right), "
                         f"got shape {shape}"
                     )
-                if i == 0 and shape[UP] != 1:
-                    raise ValueError(f"site ({i}, {j}) top edge leg must have dimension 1")
-                if i == self.nrow - 1 and shape[DOWN] != 1:
-                    raise ValueError(f"site ({i}, {j}) bottom edge leg must have dimension 1")
-                if j == 0 and shape[LEFT] != 1:
-                    raise ValueError(f"site ({i}, {j}) left edge leg must have dimension 1")
-                if j == self.ncol - 1 and shape[RIGHT] != 1:
-                    raise ValueError(f"site ({i}, {j}) right edge leg must have dimension 1")
                 if i + 1 < self.nrow:
                     below = b.shape(self.grid[i + 1][j])
                     if shape[DOWN] != below[UP]:
@@ -109,6 +92,7 @@ class PEPS:
                             f"horizontal bond mismatch between ({i}, {j}) and ({i}, {j + 1}): "
                             f"{shape[RIGHT]} vs {right[LEFT]}"
                         )
+        check_edge_legs(b, self.grid)
 
     @property
     def n_sites(self) -> int:
@@ -354,12 +338,7 @@ class PEPS:
                 projected = b.einsum("puldr,p->uldr", tensor, b.astensor(selector))
                 row.append(projected)
             grid.append(row)
-        option = contract_option if contract_option is not None else Exact()
-        if isinstance(option, TwoLayerBMPS):
-            # A projected PEPS has a single layer; fall back to the
-            # corresponding single-layer algorithm.
-            option = BMPS(option.svd_option, option.truncate_bond)
-        return contract_single_layer(grid, option=option, backend=b)
+        return contract_single_layer(grid, option=contract_option, backend=b)
 
     def inner(
         self,

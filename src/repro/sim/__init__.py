@@ -12,7 +12,7 @@ resumable *runs*:
 * :mod:`~repro.sim.workloads` — pluggable workload adapters for imaginary
   time evolution, VQE and random-circuit amplitudes,
 * :mod:`~repro.sim.io` — versioned ``to_dict``/``from_dict`` serialization
-  for MPS, PEPS (with attached environments) and option objects; tensor
+  for PEPS (with attached environments) and option objects; tensor
   payloads round-trip bitwise so resumed runs replay uninterrupted ones
   float-for-float,
 * :mod:`~repro.sim.sweep` — parameter sweeps: a
@@ -69,8 +69,6 @@ from repro.sim.io import (
     latest_checkpoint,
     load_checkpoint,
     make_payload_store,
-    mps_from_dict,
-    mps_to_dict,
     open_payload_store,
     peps_from_dict,
     peps_to_dict,
@@ -152,8 +150,6 @@ __all__ = [
     "JSONSink",
     "SweepSink",
     "make_sink",
-    "mps_to_dict",
-    "mps_from_dict",
     "peps_to_dict",
     "peps_from_dict",
     "contract_option_to_dict",

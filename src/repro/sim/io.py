@@ -19,7 +19,6 @@ and in-memory state dicts built with ``store=None`` keep that encoding.
 The module provides ``to_dict``/``from_dict`` pairs, written once against
 the store interface (``to_dict(obj, store=...)``), for
 
-* :class:`~repro.mps.mps.MPS` — ``mps_to_dict`` / ``mps_from_dict``,
 * :class:`~repro.peps.peps.PEPS` (with its attached environment) —
   ``peps_to_dict`` / ``peps_from_dict``,
 * einsumsvd / contraction / update option objects — :func:`option_to_dict`
@@ -587,34 +586,6 @@ def update_option_from_dict(payload: Optional[Dict[str, Any]]):
 
 
 svd_option_to_dict = contract_option_to_dict = update_option_to_dict = option_to_dict
-
-
-# --------------------------------------------------------------------- #
-# MPS
-# --------------------------------------------------------------------- #
-def mps_to_dict(mps, store: Optional[PayloadStore] = None, prefix: str = "mps") -> Dict[str, Any]:
-    """Versioned state dict of an :class:`~repro.mps.mps.MPS`."""
-    backend = mps.backend
-    return {
-        "format_version": FORMAT_VERSION,
-        "type": "MPS",
-        "backend": backend.name,
-        "tensors": _encode_tensors(backend, mps.tensors, store, f"{prefix}/tensors"),
-    }
-
-
-def mps_from_dict(
-    payload: Dict[str, Any],
-    backend: Union[str, Backend, None] = None,
-    store: Optional[PayloadStore] = None,
-):
-    """Rebuild an MPS from :func:`mps_to_dict` output (bitwise exact)."""
-    from repro.mps.mps import MPS
-
-    check_payload(payload, "MPS")
-    backend = get_backend(backend if backend is not None else payload["backend"])
-    tensors = [decode_tensor(backend, t, store) for t in payload["tensors"]]
-    return MPS(tensors, backend)
 
 
 # --------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ from repro.backends import get_backend
 from repro.peps.envs.sampling import _sample_group, _SamplingPlan
 from repro.tensornetwork.contraction_path import _candidates
 from repro.tensornetwork.einsum_spec import parse_einsum
+from repro.tensornetwork.network import contract_network
 from repro.utils.rng import derive_rng, ensure_rng
 
 
@@ -112,3 +113,15 @@ def random_network(rng, n):
 def run_plan(plan, operands):
     """Execute a plan step by step on NumPy's unoptimized kernel."""
     return plan.execute(operands, partial(np.einsum, optimize=False))
+
+
+def exact_single_layer_value(backend, grid):
+    """Reference value of a single-layer grid via the generic network contractor."""
+    operands, inputs = [], []
+    nrow, ncol = len(grid), len(grid[0])
+    for i in range(nrow):
+        for j in range(ncol):
+            operands.append(grid[i][j])
+            inputs.append((("v", i, j), ("h", i, j), ("v", i + 1, j), ("h", i, j + 1)))
+    result = contract_network(operands, inputs, (), backend=backend)
+    return backend.item(result)

@@ -2,7 +2,7 @@
 
 Covers the store primitives (threshold, dedup, compact inline encoding), the
 inline<->npz<->sharded roundtrip matrix over every serializable state type
-(MPS, PEPS, warm EnvBoundaryMPS/EnvCTM caches), the sidecar lifecycle of
+(PEPS, warm EnvBoundaryMPS/EnvCTM caches), the sidecar lifecycle of
 checkpoint files (atomic write, pruning, clearing, missing-sidecar errors),
 resume across the two written payload formats, v1 document compatibility —
 and the acceptance criterion that the npz format shrinks the ctm smoke
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro import peps
-from repro.mps.mps import MPS
 from repro.peps import BMPS, CTMOption
 from repro.tensornetwork import ExplicitSVD
 from repro.sim import RunSpec, Simulation
@@ -40,8 +39,6 @@ from repro.sim.io import (
     latest_checkpoint,
     load_checkpoint,
     make_payload_store,
-    mps_from_dict,
-    mps_to_dict,
     open_payload_store,
     peps_from_dict,
     peps_to_dict,
@@ -203,10 +200,6 @@ class TestPayloadStorePrimitives:
 # --------------------------------------------------------------------- #
 # Roundtrip matrix: every state type x every payload format
 # --------------------------------------------------------------------- #
-def make_mps():
-    return MPS.random(6, phys_dim=2, bond_dim=8, rng=1)
-
-
 def make_peps_plain():
     return peps.random_peps(3, 3, bond_dim=3, seed=2)
 
@@ -225,7 +218,6 @@ def make_peps_ctm():
 
 
 STATE_BUILDERS = {
-    "mps": make_mps,
     "peps": make_peps_plain,
     "peps+bmps": make_peps_bmps,
     "peps+ctm": make_peps_ctm,
@@ -235,9 +227,6 @@ STATE_BUILDERS = {
 def state_arrays(obj):
     """Every tensor that must round-trip bitwise, in a stable order."""
     arrays = []
-    if isinstance(obj, MPS):
-        arrays.extend(np.asarray(t) for t in obj.tensors)
-        return arrays
     for row in obj.grid:
         arrays.extend(np.asarray(t) for t in row)
     env = obj.environment
@@ -258,14 +247,11 @@ def state_arrays(obj):
 class TestRoundTripMatrix:
     def test_bitwise_round_trip(self, tmp_path, state_kind, payload_format):
         obj = STATE_BUILDERS[state_kind]()
-        to_dict = mps_to_dict if state_kind == "mps" else peps_to_dict
-        from_dict = mps_from_dict if state_kind == "mps" else peps_from_dict
-
         store = make_store(payload_format)
-        payload = to_dict(obj, store=store)
+        payload = peps_to_dict(obj, store=store)
         json.dumps(payload)  # the document itself must stay pure JSON
         read = roundtrip_store(tmp_path, store, state_kind)
-        again = from_dict(payload, store=read)
+        again = peps_from_dict(payload, store=read)
         read.close()
 
         before = state_arrays(obj)
@@ -288,16 +274,13 @@ class TestRoundTripMatrix:
         """Restoring from one format and re-serializing inline must produce a
         document byte-identical to direct inline serialization."""
         obj = STATE_BUILDERS[state_kind]()
-        to_dict = mps_to_dict if state_kind == "mps" else peps_to_dict
-        from_dict = mps_from_dict if state_kind == "mps" else peps_from_dict
-
-        reference = json.dumps(to_dict(obj))
+        reference = json.dumps(peps_to_dict(obj))
         store = make_store(payload_format)
-        payload = to_dict(obj, store=store)
+        payload = peps_to_dict(obj, store=store)
         read = roundtrip_store(tmp_path, store, state_kind)
-        again = from_dict(payload, store=read)
+        again = peps_from_dict(payload, store=read)
         read.close()
-        assert json.dumps(to_dict(again)) == reference
+        assert json.dumps(peps_to_dict(again)) == reference
 
 
 # --------------------------------------------------------------------- #

@@ -3,32 +3,93 @@
 import numpy as np
 import pytest
 
-from repro.peps import BMPS, Exact, TwoLayerBMPS
+from repro.peps import BMPS, PEPS, Exact, TwoLayerBMPS
 from repro.peps.contraction import (
     absorb_sandwich_row,
     close_boundaries,
     contract_inner_fused,
     contract_inner_two_layer,
     contract_single_layer,
-    single_layer_boundary_sweep,
     trivial_boundary,
 )
 from repro.peps.contraction.two_layer import boundary_bond_dimensions
 from repro.peps.peps import random_peps, random_single_layer_grid
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
-from repro.tensornetwork.network import contract_network
+from tests.conftest import exact_single_layer_value, random_complex
+
+#: Options that contract a small single-layer grid at full rank: the
+#: zip-up then reproduces the exact value with either ``einsumsvd``.
+FULL_RANK = {
+    "exact": Exact(),
+    "explicit": BMPS(ExplicitSVD()),
+    "implicit": BMPS(ImplicitRandomizedSVD(niter=2, oversample=4, seed=0)),
+}
+
+EDGES = ("top", "left", "bottom", "right")
 
 
-def exact_single_layer_value(backend, grid):
-    """Reference value of a single-layer grid via the generic network contractor."""
-    operands, inputs = [], []
+def widen_edge(grid, edge, first_leg=0):
+    """A copy of ``grid`` whose legs on lattice edge ``edge`` have dimension 2.
+
+    ``first_leg`` is the axis of the up leg: 0 for single-layer sites, 1 for
+    PEPS sites (after the physical leg).
+    """
     nrow, ncol = len(grid), len(grid[0])
-    for i in range(nrow):
-        for j in range(ncol):
-            operands.append(grid[i][j])
-            inputs.append(((("v", i, j)), ("h", i, j), ("v", i + 1, j), ("h", i, j + 1)))
-    result = contract_network(operands, inputs, (), backend=backend)
-    return backend.item(result)
+    axis = first_leg + EDGES.index(edge)
+    outer = {
+        "top": lambda i, j: i == 0,
+        "left": lambda i, j: j == 0,
+        "bottom": lambda i, j: i == nrow - 1,
+        "right": lambda i, j: j == ncol - 1,
+    }[edge]
+    return [
+        [np.concatenate([t, t], axis=axis) if outer(i, j) else t for j, t in enumerate(row)]
+        for i, row in enumerate(grid)
+    ]
+
+
+def absorb_single_layer_rows(grid, option):
+    """Boundary after absorbing every row of a single-layer grid from the top."""
+    boundary = [t.reshape(t.shape[1:]) for t in grid[0]]
+    for row in grid[1:]:
+        boundary = absorb_sandwich_row(boundary, row, None, option=option)
+    return boundary
+
+
+#: ``einsumsvd`` options of one row absorption: exact, and the zip-up at
+#: full rank with either flavour.
+ABSORB = {
+    "exact": None,
+    "explicit": ExplicitSVD(),
+    "implicit": ImplicitRandomizedSVD(niter=2, oversample=4, seed=0),
+}
+
+
+def random_boundary(rng, ncol, bond=2, phys=2):
+    """A random single-layer boundary of ``(left, phys, right)`` tensors."""
+    return [
+        random_complex(rng, (1 if j == 0 else bond, phys, 1 if j == ncol - 1 else bond))
+        for j in range(ncol)
+    ]
+
+
+def boundary_vector(backend, boundary):
+    """The dense vector a single-layer boundary represents (columns row-major)."""
+    env = np.ones((1, 1), dtype=np.complex128)
+    for t in boundary:
+        t = np.asarray(backend.asarray(t))
+        env = np.einsum("Pa,apc->Ppc", env, t).reshape(-1, t.shape[2])
+    return env[:, 0]
+
+
+def row_operator(row):
+    """The dense map from a single-layer row's up legs to its down legs."""
+    op = np.ones((1, 1, 1), dtype=np.complex128)
+    for t in row:
+        op = np.einsum("DUa,uadr->DdUur", op, t)
+        down, d, up, u, right = op.shape
+        op = op.reshape(down * d, up * u, right)
+    return op[:, :, 0]
 
 
 class TestOptionObjects:
@@ -52,10 +113,12 @@ class TestOptionObjects:
 
 
 class TestSingleLayerContraction:
-    def test_exact_matches_reference(self, backend):
-        grid = random_single_layer_grid(3, 3, bond_dim=2, seed=0, backend=backend)
+    @pytest.mark.parametrize("option", FULL_RANK.values(), ids=FULL_RANK.keys())
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)], ids=["3x3", "2x4", "4x2"])
+    def test_exact_matches_reference(self, backend, option, shape):
+        grid = random_single_layer_grid(*shape, bond_dim=2, seed=0, backend=backend)
         ref = exact_single_layer_value(backend, grid)
-        value = contract_single_layer(grid, Exact(), backend=backend)
+        value = contract_single_layer(grid, option, backend=backend)
         assert value == pytest.approx(ref, rel=1e-10)
 
     def test_bmps_converges_with_bond(self, numpy_backend):
@@ -68,34 +131,105 @@ class TestSingleLayerContraction:
         assert errors[-1] < 1e-10
         assert errors[-1] <= errors[0]
 
-    def test_ibmps_matches_bmps_at_full_rank(self, numpy_backend):
-        grid = random_single_layer_grid(4, 4, bond_dim=2, seed=2)
+    @pytest.mark.parametrize("m", [4, 27])
+    def test_ibmps_matches_bmps_at_full_rank(self, numpy_backend, m):
+        """At full rank (27) IBMPS is exact; truncated (4) it is no worse
+        than BMPS at the same bond, up to its randomized sketch."""
+        grid = random_single_layer_grid(4, 4, bond_dim=3, seed=2)
         ref = exact_single_layer_value(numpy_backend, grid)
-        value = contract_single_layer(
+        bmps = contract_single_layer(grid, BMPS(ExplicitSVD(rank=m)), backend=numpy_backend)
+        ibmps = contract_single_layer(
             grid,
-            BMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0)),
+            BMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=0)),
             backend=numpy_backend,
         )
-        assert value == pytest.approx(ref, rel=1e-8)
+        assert abs(ibmps - ref) <= 10 * abs(bmps - ref) + 1e-8 * abs(ref)
 
-    def test_single_row_and_single_column(self, numpy_backend):
-        row_grid = random_single_layer_grid(1, 4, bond_dim=3, seed=3)
-        ref = exact_single_layer_value(numpy_backend, row_grid)
-        assert contract_single_layer(row_grid, Exact()) == pytest.approx(ref)
-        col_grid = random_single_layer_grid(4, 1, bond_dim=3, seed=4)
-        ref = exact_single_layer_value(numpy_backend, col_grid)
-        assert contract_single_layer(col_grid, Exact()) == pytest.approx(ref)
+    @pytest.mark.parametrize("option", FULL_RANK.values(), ids=FULL_RANK.keys())
+    def test_single_row_and_single_column(self, backend, option):
+        row_grid = random_single_layer_grid(1, 4, bond_dim=3, seed=3, backend=backend)
+        ref = exact_single_layer_value(backend, row_grid)
+        assert contract_single_layer(row_grid, option, backend) == pytest.approx(ref)
+        col_grid = random_single_layer_grid(4, 1, bond_dim=3, seed=4, backend=backend)
+        ref = exact_single_layer_value(backend, col_grid)
+        assert contract_single_layer(col_grid, option, backend) == pytest.approx(ref)
 
-    def test_boundary_sweep_bond_capped(self, numpy_backend):
+    @pytest.mark.parametrize("svd", [ExplicitSVD(rank=4), ImplicitRandomizedSVD(rank=4, seed=0)],
+                             ids=["explicit", "implicit"])
+    def test_boundary_bond_capped(self, numpy_backend, svd):
         grid = random_single_layer_grid(4, 4, bond_dim=3, seed=5)
-        boundary = single_layer_boundary_sweep(grid, BMPS(ExplicitSVD(rank=4)), numpy_backend)
-        assert boundary.max_bond_dimension() <= 4
+        boundary = absorb_single_layer_rows(grid, svd)
+        assert max(boundary_bond_dimensions(numpy_backend, boundary)) <= 4
 
-    def test_exact_sweep_bond_grows_multiplicatively(self, numpy_backend):
+    def test_exact_absorption_bond_grows_multiplicatively(self, numpy_backend):
         grid = random_single_layer_grid(3, 4, bond_dim=2, seed=6)
-        boundary = single_layer_boundary_sweep(grid, Exact(), numpy_backend)
+        boundary = absorb_single_layer_rows(grid, None)
         # Row 0 starts with bond 2; absorbing rows 1 and 2 multiplies by 2 each.
-        assert boundary.max_bond_dimension() == 8
+        assert max(boundary_bond_dimensions(numpy_backend, boundary)) == 8
+
+    @pytest.mark.parametrize("option", ABSORB.values(), ids=ABSORB.keys())
+    def test_identity_row_leaves_boundary_unchanged(self, backend, rng, option):
+        boundary = [backend.astensor(t) for t in random_boundary(rng, 4)]
+        row = [backend.astensor(np.eye(2).reshape(2, 1, 2, 1))] * 4
+        out = absorb_sandwich_row(boundary, row, None, option=option, backend=backend)
+        assert np.allclose(boundary_vector(backend, out), boundary_vector(backend, boundary))
+
+    @pytest.mark.parametrize("option", ABSORB.values(), ids=ABSORB.keys())
+    @pytest.mark.parametrize("ncol", [1, 3])
+    def test_row_absorption_matches_dense_operator(self, numpy_backend, rng, option, ncol):
+        boundary = random_boundary(rng, ncol)
+        row = random_single_layer_grid(3, ncol, bond_dim=2, seed=9)[1]
+        out = absorb_sandwich_row(boundary, row, None, option=option)
+        ref = row_operator(row) @ boundary_vector(numpy_backend, boundary)
+        assert np.allclose(boundary_vector(numpy_backend, out), ref, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "svd",
+        [ExplicitSVD(rank=3), ImplicitRandomizedSVD(rank=3, niter=3, oversample=4, seed=3)],
+        ids=["explicit", "implicit"],
+    )
+    def test_truncated_absorption_close_to_exact_for_weak_coupling(self, numpy_backend, rng, svd):
+        # A row close to the identity barely grows the entanglement, so a
+        # truncated zip-up should stay accurate.
+        ncol = 5
+        boundary = random_boundary(rng, ncol, bond=3)
+        row = []
+        for j in range(ncol):
+            t = np.zeros((2, 1 if j == 0 else 2, 2, 1 if j == ncol - 1 else 2), dtype=np.complex128)
+            t[:, 0, :, 0] = np.eye(2)
+            row.append(t + 0.01 * random_complex(rng, t.shape))
+        ref = boundary_vector(numpy_backend, absorb_sandwich_row(boundary, row, None))
+        out = boundary_vector(numpy_backend, absorb_sandwich_row(boundary, row, None, option=svd))
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 0.05
+
+    def test_implicit_and_explicit_agree_after_truncation(self, numpy_backend, rng):
+        boundary = random_boundary(rng, 4)
+        row = random_single_layer_grid(3, 4, bond_dim=2, seed=10)[1]
+        explicit = boundary_vector(
+            numpy_backend, absorb_sandwich_row(boundary, row, None, option=ExplicitSVD(rank=4))
+        )
+        implicit = boundary_vector(
+            numpy_backend,
+            absorb_sandwich_row(
+                boundary, row, None,
+                option=ImplicitRandomizedSVD(rank=4, niter=3, oversample=4, seed=3),
+            ),
+        )
+        # Up to the randomized sketch, the dominant subspaces agree.
+        overlap = abs(np.vdot(explicit, implicit))
+        assert overlap / (np.linalg.norm(explicit) * np.linalg.norm(implicit)) > 0.99
+
+    @pytest.mark.parametrize("option", FULL_RANK.values(), ids=FULL_RANK.keys())
+    def test_product_grid_is_product_of_sites(self, backend, option):
+        grid = random_single_layer_grid(3, 3, bond_dim=1, seed=11, backend=backend)
+        ref = np.prod([backend.item(t) for row in grid for t in row])
+        assert contract_single_layer(grid, option, backend) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("option", [None, ExplicitSVD(rank=4)], ids=["exact", "zipup"])
+    def test_absorb_row_width_mismatch(self, rng, option):
+        row = random_single_layer_grid(3, 3, bond_dim=2, seed=12)[1]
+        with pytest.raises(ValueError, match="row width mismatch"):
+            absorb_sandwich_row(random_boundary(rng, 2), row, None, option=option)
 
     def test_unsupported_option_raises(self, numpy_backend):
         grid = random_single_layer_grid(2, 2, bond_dim=2, seed=7)
@@ -105,6 +239,12 @@ class TestSingleLayerContraction:
     def test_empty_grid_raises(self, numpy_backend):
         with pytest.raises(ValueError):
             contract_single_layer([], Exact(), backend=numpy_backend)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_malformed_edge_raises(self, numpy_backend, edge):
+        grid = widen_edge(random_single_layer_grid(2, 2, bond_dim=2, seed=8), edge)
+        with pytest.raises(ValueError, match=f"{edge} edge leg must have dimension 1"):
+            contract_single_layer(grid, Exact(), backend=numpy_backend)
 
 
 class TestTwoLayerContraction:
@@ -176,6 +316,19 @@ class TestTwoLayerContraction:
                                      numpy_backend)
         with pytest.raises(ValueError):
             contract_inner_fused(a.grid, b.grid, Exact(), numpy_backend)
+
+    @pytest.mark.parametrize("option", [Exact(), TwoLayerBMPS(ExplicitSVD(rank=4))],
+                             ids=["exact", "bmps"])
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_malformed_edge_raises(self, numpy_backend, edge, option):
+        """The same edge rule as the PEPS constructor; NumPy's einsum would
+        otherwise broadcast the extent-1 boundary legs and return a value."""
+        grid = widen_edge(random_peps(2, 2, bond_dim=2, seed=22).grid, edge, first_leg=1)
+        message = f"{edge} edge leg must have dimension 1"
+        with pytest.raises(ValueError, match=message):
+            PEPS(grid)
+        with pytest.raises(ValueError, match=message):
+            contract_inner_two_layer(grid, grid, option, numpy_backend)
 
     def test_distributed_backend_two_layer(self, dist_backend):
         a = random_peps(2, 2, bond_dim=2, seed=19, backend=dist_backend)

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import get_backend
 from repro.linalg import DenseTensorOperator, randomized_svd, tensor_qr, truncate_spectrum, truncated_svd
-from repro.mps import MPS, MPO, apply_mpo_zipup
 from repro.operators import gates
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
-from repro.peps import BMPS, TwoLayerBMPS, random_peps
+from repro.peps import BMPS, Exact, TwoLayerBMPS, contract_single_layer, random_peps
 from repro.peps.contraction.options import CONTRACT_OPTION_KINDS, CTMOption
+from repro.peps.peps import random_single_layer_grid
 from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact
 from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
 from repro.peps.update import UPDATE_OPTION_KINDS, QRUpdate
@@ -33,6 +33,7 @@ from repro.tensornetwork.einsum_spec import parse_einsum
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from tests.conftest import (
     brute_force_order,
+    exact_single_layer_value,
     order_cost,
     random_network,
     run_plan,
@@ -185,35 +186,16 @@ class TestContractionPathProperties:
         assert best <= order_cost(terms, output, dims, _greedy_order(terms, output, dims))
 
 
-class TestMPSProperties:
+class TestSingleLayerProperties:
     @FAST
-    @given(seed=seeds, n=st.integers(2, 5), bond=st.integers(1, 4))
-    def test_canonicalization_preserves_the_state(self, seed, n, bond):
-        mps = MPS.random(n, bond_dim=bond, rng=np.random.default_rng(seed))
-        canon = mps.canonicalize(n - 1)
-        assert np.allclose(canon.to_dense(), mps.to_dense(), atol=1e-9)
-
-    @FAST
-    @given(seed=seeds, n=st.integers(2, 5))
-    def test_compression_never_increases_norm(self, seed, n):
-        mps = MPS.random(n, bond_dim=4, rng=np.random.default_rng(seed), normalize=False)
-        compressed = mps.compress(max_bond=2)
-        assert compressed.norm() <= mps.norm() + 1e-9
-
-    @FAST
-    @given(seed=seeds, n=st.integers(2, 4))
-    def test_cauchy_schwarz(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = MPS.random(n, bond_dim=3, rng=rng, normalize=False)
-        b = MPS.random(n, bond_dim=3, rng=rng, normalize=False)
-        assert abs(a.inner(b)) <= a.norm() * b.norm() + 1e-9
-
-    @FAST
-    @given(seed=seeds, n=st.integers(2, 4), bond=st.integers(1, 3))
-    def test_zipup_identity_preserves_state(self, seed, n, bond):
-        mps = MPS.random(n, bond_dim=bond, rng=np.random.default_rng(seed))
-        out = apply_mpo_zipup(mps, MPO.identity(n), max_bond=bond * 2, option=ExplicitSVD())
-        assert np.allclose(out.to_dense(), mps.to_dense(), atol=1e-8)
+    @given(seed=seeds, nrow=st.integers(1, 3), ncol=st.integers(1, 4), bond=st.integers(1, 3))
+    def test_exact_and_full_rank_bmps_equal_the_network(self, seed, nrow, ncol, bond):
+        grid = random_single_layer_grid(nrow, ncol, bond_dim=bond, seed=seed)
+        exact = contract_single_layer(grid, Exact(), BACKEND)
+        assert exact == pytest.approx(exact_single_layer_value(BACKEND, grid), rel=1e-10)
+        assert contract_single_layer(grid, BMPS(ExplicitSVD()), BACKEND) == pytest.approx(
+            exact, rel=1e-10
+        )
 
 
 class TestQuantumInvariants:

@@ -1,7 +1,7 @@
 """Tests for the config-driven simulation runner (repro.sim).
 
 Covers the RunSpec config layer, the versioned serialization round trips
-(MPS, PEPS with attached environments, option objects), atomic checkpoint
+(PEPS with attached environments, option objects), atomic checkpoint
 files, and — the load-bearing guarantee — that interrupted-and-resumed runs
 reproduce uninterrupted ones float-for-float.
 """
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro import peps
-from repro.mps.mps import MPS
 from repro.operators.observable import Observable
 from repro.peps import BMPS, CTMOption, Exact, QRUpdate, TwoLayerBMPS
 from repro.sim import (
@@ -27,8 +26,6 @@ from repro.sim import (
     contract_option_to_dict,
     latest_checkpoint,
     load_checkpoint,
-    mps_from_dict,
-    mps_to_dict,
     peps_from_dict,
     peps_to_dict,
     update_option_from_dict,
@@ -171,13 +168,6 @@ class TestOptionSerialization:
 
 
 class TestStateSerialization:
-    def test_mps_bitwise_round_trip(self):
-        mps = MPS.random(5, phys_dim=2, bond_dim=3, rng=1)
-        again = mps_from_dict(mps_to_dict(mps))
-        for a, b in zip(mps.tensors, again.tensors):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        assert again.norm() == mps.norm()
-
     def test_peps_bitwise_round_trip(self):
         state = peps.random_peps(3, 3, bond_dim=2, seed=2)
         again = peps_from_dict(peps_to_dict(state))
@@ -631,13 +621,6 @@ class TestDeepCopyHelpers:
             before = np.asarray(state.grid[0][0]).copy()
             clone.grid[0][0] = clone.grid[0][0] * 2.0
             np.testing.assert_array_equal(np.asarray(state.grid[0][0]), before)
-
-    def test_mps_copy_is_deep(self):
-        mps = MPS.random(4, rng=0)
-        for clone in (mps.copy(), copy.copy(mps), copy.deepcopy(mps)):
-            before = np.asarray(mps.tensors[0]).copy()
-            clone.tensors[0] = clone.tensors[0] * 2.0
-            np.testing.assert_array_equal(np.asarray(mps.tensors[0]), before)
 
 
 class TestDeprecations:
