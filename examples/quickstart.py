@@ -3,8 +3,9 @@
 This reproduces (and extends) the code listing from Section V-A of the paper:
 a 2x3 PEPS is created in the computational zero state, one- and two-site
 operators are applied with the QR-SVD update, and an expectation value is
-computed with the cached IBMPS contraction.  The same computation is repeated
-with an exact statevector to show that the two agree.
+computed with the cached two-layer IBMPS contraction — one query to a
+contraction environment, like the norm and the overlap that follow.  The same
+computation is repeated with an exact statevector to show that the two agree.
 
 Run with:  python examples/quickstart.py
 """
@@ -36,11 +37,7 @@ def main() -> None:
 
     # --- Calculate an expectation value with cached IBMPS ------------------
     H = Observable.ZZ(3, 4) + 0.2 * Observable.X(1)
-    result = qstate.expectation(
-        H,
-        use_cache=True,
-        contract_option=BMPS(ImplicitRandomizedSVD(rank=4, seed=0)),
-    )
+    result = qstate.expectation(H, contract_option=BMPS(ImplicitRandomizedSVD(rank=4, seed=0)))
     print(f"<psi| ZZ(3,4) + 0.2 X(1) |psi>  (PEPS, cached IBMPS) = {result:+.8f}")
 
     # --- Cross-check against the exact statevector simulator ---------------
@@ -56,6 +53,11 @@ def main() -> None:
     amp = qstate.amplitude(bits)
     print(f"amplitude <{''.join(map(str, bits))}|psi> = {amp:+.6f}  "
           f"(exact {sv.amplitude(bits):+.6f})")
+
+    # --- Norm and overlap (exact contractions when no option is given) ------
+    basis = peps.computational_basis(bits, nrow=2, ncol=3)
+    print(f"overlap <{''.join(map(str, bits))}|psi> = {basis.inner(qstate):+.6f}")
+    print(f"norm = {qstate.norm():.8f}  (exact {sv.norm():.8f})")
 
 
 if __name__ == "__main__":

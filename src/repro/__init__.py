@@ -8,8 +8,9 @@ paper by Pang, Hao, Dugad, Zhou and Solomonik.  It provides:
 * the ``einsumsvd`` abstraction with explicit and implicit randomized-SVD
   implementations,
 * PEPS states with multiple evolution (QR-SVD, local-Gram) and
-  contraction (Exact, BMPS, IBMPS, two-layer IBMPS) algorithms, all of
-  whose boundary MPSes grow through one row absorber,
+  contraction (Exact, two-layer BMPS / IBMPS, CTM) algorithms; every norm,
+  inner product and expectation value is one query to a contraction
+  environment, and every boundary MPS grows through one row absorber,
 * quantum gates, observables, Hamiltonians, circuits and an exact
   statevector simulator,
 * the driver applications studied in the paper: imaginary time evolution
@@ -25,8 +26,7 @@ The public API mirrors the paper's code listing::
     qstate.apply_operator(Y, [1])
     qstate.apply_operator(CX, [1, 4], QRUpdate(rank=2))
     H = Observable.ZZ(3, 4) + 0.2 * Observable.X(1)
-    result = qstate.expectation(H, use_cache=True,
-                                contract_option=BMPS(ImplicitRandomizedSVD(rank=4)))
+    result = qstate.expectation(H, contract_option=BMPS(ImplicitRandomizedSVD(rank=4)))
 
 Top-level names are resolved lazily (PEP 562) so that importing a single
 subsystem does not pull in the whole library.

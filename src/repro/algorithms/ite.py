@@ -69,11 +69,10 @@ class ImaginaryTimeEvolution:
         measurement and normalization (default: IBMPS with ``m = r^2``).
     normalize_every:
         Renormalize the PEPS every this many steps (ITE shrinks the norm).
-    reuse_environment:
-        Attach one :mod:`~repro.peps.envs` environment to the evolving state
-        for the whole sweep (default).  Normalization and energy measurement
-        then share a single pair of boundary sweeps per step — strictly fewer
-        row absorptions than the legacy per-step rebuilds (``False``).
+
+    :meth:`run` attaches one :mod:`~repro.peps.envs` environment built from
+    ``contract_option`` to the evolving state, so normalization and energy
+    measurement share a single pair of boundary sweeps per step.
     """
 
     def __init__(
@@ -83,7 +82,6 @@ class ImaginaryTimeEvolution:
         update_option: Optional[UpdateOption] = None,
         contract_option: Optional[ContractOption] = None,
         normalize_every: int = 1,
-        reuse_environment: bool = True,
     ) -> None:
         self.hamiltonian = hamiltonian
         self.tau = float(tau)
@@ -93,7 +91,6 @@ class ImaginaryTimeEvolution:
             contract_option = BMPS(ImplicitRandomizedSVD(rank=rank * rank, seed=0))
         self.contract_option = contract_option
         self.normalize_every = max(1, int(normalize_every))
-        self.reuse_environment = bool(reuse_environment)
         self._gates = hamiltonian.trotter_gates(-self.tau)
 
     def initial_state(self, backend="numpy") -> PEPS:
@@ -125,22 +122,12 @@ class ImaginaryTimeEvolution:
         """
         state = self.step(state)
         if step_index % self.normalize_every == 0:
-            if self.reuse_environment and state.environment is not None:
-                # No explicit option: the attached environment (built from
-                # self.contract_option) serves the norm from its caches.
-                state.normalize_()
-            else:
-                state = state.normalize(self.contract_option)
+            state.normalize_(self.contract_option)
         return state
 
-    def energy(self, state: PEPS, use_cache: bool = True) -> float:
+    def energy(self, state: PEPS) -> float:
         """Energy per site of ``state`` (normalized expectation value)."""
-        value = state.expectation(
-            self.hamiltonian,
-            use_cache=use_cache,
-            contract_option=self.contract_option,
-            normalized=True,
-        )
+        value = state.expectation(self.hamiltonian, contract_option=self.contract_option)
         return value / self.hamiltonian.n_sites
 
     def run(
@@ -153,15 +140,14 @@ class ImaginaryTimeEvolution:
     ) -> ITEResult:
         """Run ``n_steps`` of ITE, measuring the energy every ``measure_every`` steps.
 
-        With ``reuse_environment=True`` the returned ``ITEResult.state`` keeps
-        its (possibly truncated) environment attached, so default-option
-        queries on it reuse the sweep's contraction option; call
-        ``state.detach_environment()`` to measure with other defaults.
+        The returned ``ITEResult.state`` keeps its (possibly truncated)
+        environment attached, so default-option queries on it reuse the
+        sweep's contraction option; call ``state.detach_environment()`` to
+        measure with other defaults.
         """
         state = initial_state if initial_state is not None else self.initial_state(backend)
         state = state.copy()
-        if self.reuse_environment:
-            state.attach_environment(self.contract_option)
+        state.attach_environment(self.contract_option)
         energies: List[float] = []
         measured: List[int] = []
         for step_index in range(1, n_steps + 1):

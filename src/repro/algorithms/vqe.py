@@ -159,7 +159,6 @@ class VQE:
         state.apply_circuit(circuit, self.update_option)
         return state.expectation(
             self.hamiltonian,
-            use_cache=True,
             contract_option=self.contract_option,
             normalized=True,
         )

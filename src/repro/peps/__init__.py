@@ -9,11 +9,11 @@ The module-level constructors mirror the Koala API of the paper::
     qstate = peps.computational_zeros(nrow=2, ncol=3, backend="numpy")
     qstate.apply_operator(Y, [1])
     qstate.apply_operator(CX, [1, 4], QRUpdate(rank=2))
-    result = qstate.expectation(H, use_cache=True,
-                                contract_option=BMPS(ImplicitRandomizedSVD(rank=4)))
+    result = qstate.expectation(H, contract_option=BMPS(ImplicitRandomizedSVD(rank=4)))
 
-Cached contraction state lives in the pluggable environment subsystem
-(:mod:`repro.peps.envs`).  An :class:`~repro.peps.envs.base.Environment`
+Every contraction question — ``norm``, ``inner``, ``expectation``,
+``measure_*``, ``sample`` — is one query to the pluggable environment
+subsystem (:mod:`repro.peps.envs`).  An :class:`~repro.peps.envs.base.Environment`
 (``EnvExact``, ``EnvBoundaryMPS`` or the corner-transfer-matrix ``EnvCTM``)
 owns the directional boundary caches of the ``<psi|psi>`` sandwich,
 invalidates them *incrementally* when operator applications touch lattice
@@ -51,10 +51,7 @@ from repro.peps.contraction import (
     TwoLayerBMPS,
     contract_single_layer,
 )
-from repro.peps.measure import (
-    expectation_value,
-    expectation_via_evolution,
-)
+from repro.peps.measure import expectation_via_evolution
 from repro.peps.envs import (
     EnvBoundaryMPS,
     EnvCTM,
@@ -82,7 +79,6 @@ __all__ = [
     "Exact",
     "TwoLayerBMPS",
     "contract_single_layer",
-    "expectation_value",
     "expectation_via_evolution",
     "Environment",
     "EnvExact",

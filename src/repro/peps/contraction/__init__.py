@@ -8,14 +8,13 @@ targets.  This subpackage provides:
   algorithm (``Exact``, ``BMPS``, ``TwoLayerBMPS``, ``CTMOption``), each
   carrying the wire ``kind`` spec files and checkpoints know it by,
 * :mod:`~repro.peps.contraction.two_layer` — the one row absorber
-  (exact or zip-up, a ``ket ⊗ bra*`` sandwich or a single layer without a
-  bra) and the contraction of the ``<bra|ket>`` sandwich keeping the two
-  layers separate (two-layer BMPS/IBMPS); the absorber is also the engine
-  of the expectation-value cache,
+  (exact or zip-up, a ``ket ⊗ bra*`` sandwich kept in two layers, or a
+  single layer without a bra), the engine of every environment in
+  :mod:`repro.peps.envs`, which answers norms, inner products and
+  expectation values,
 * :mod:`~repro.peps.contraction.single_layer` — contraction of a PEPS
   *without physical legs* by exact row absorption or boundary-MPS
-  (Algorithm 2) with explicit or implicit ``einsumsvd`` (BMPS / IBMPS),
-  and the fused inner-product baseline built on it.
+  (Algorithm 2) with explicit or implicit ``einsumsvd`` (BMPS / IBMPS).
 """
 
 from repro.peps.contraction.options import (
@@ -25,12 +24,8 @@ from repro.peps.contraction.options import (
     BMPS,
     TwoLayerBMPS,
 )
-from repro.peps.contraction.single_layer import (
-    contract_inner_fused,
-    contract_single_layer,
-)
+from repro.peps.contraction.single_layer import contract_single_layer
 from repro.peps.contraction.two_layer import (
-    contract_inner_two_layer,
     absorb_sandwich_row,
     trivial_boundary,
     close_boundaries,
@@ -43,8 +38,6 @@ __all__ = [
     "BMPS",
     "TwoLayerBMPS",
     "contract_single_layer",
-    "contract_inner_two_layer",
-    "contract_inner_fused",
     "absorb_sandwich_row",
     "trivial_boundary",
     "close_boundaries",

@@ -11,12 +11,12 @@ The Koala-style API lets callers write, for example::
   The flavour is decided by the embedded ``einsumsvd`` option: an
   :class:`~repro.tensornetwork.einsumsvd.ExplicitSVD` gives the classic BMPS,
   an :class:`~repro.tensornetwork.einsumsvd.ImplicitRandomizedSVD` gives the
-  paper's IBMPS.  Applied to an inner product, the two layers are *fused*
-  into a single PEPS of squared bond dimension first (the memory-hungry
-  baseline of Section III-B2).
-* :class:`TwoLayerBMPS` — boundary MPS on the ``<bra|ket>`` sandwich keeping
-  the two layers separate (two-layer BMPS / two-layer IBMPS), which never
-  materializes the fused tensors.
+  paper's IBMPS.  Applied to an inner product, norm or expectation value it
+  keeps the two layers separate (two-layer BMPS / two-layer IBMPS): no
+  contraction in the library fuses them into a PEPS of squared bond
+  dimension, the baseline of Section III-B2.
+* :class:`TwoLayerBMPS` — the same two-layer contraction under the name
+  spec files and checkpoints already know (its wire ``kind``).
 * :class:`CTMOption` — corner-transfer-matrix environments: directional
   row absorptions truncated with projectors built from the corner Gram
   matrices of the half-system, to an environment bond ``chi``.  Selects
@@ -85,7 +85,7 @@ class BMPS(ContractOption):
 
 @dataclass
 class TwoLayerBMPS(BMPS):
-    """Two-layer boundary-MPS contraction of ``<bra|ket>`` sandwiches."""
+    """Two-layer boundary-MPS contraction: :class:`BMPS` under its own wire ``kind``."""
 
     kind = "two_layer_bmps"
 

@@ -9,10 +9,10 @@ baseline) or the zip-up of Algorithm 3 with a truncation bond ``m``, whose
 ``einsumsvd`` flavour distinguishes BMPS (explicit SVD) from IBMPS (implicit
 randomized SVD, Algorithm 4).
 
-Single-layer grids appear in three situations: amplitude evaluation
-(physical legs projected onto a basis state), the fused inner-product
-baseline, and the synthetic "PEPS without physical indices" benchmarks of
-Figs. 8, 11 and 12.
+Single-layer grids appear in two situations: amplitude evaluation
+(physical legs projected onto a basis state) and the synthetic "PEPS without
+physical indices" benchmarks of Figs. 8, 11 and 12.  Inner products and
+norms are two-layer environment queries (:mod:`repro.peps.envs`).
 """
 
 from __future__ import annotations
@@ -69,34 +69,3 @@ def contract_single_layer(
         env = backend.einsum("a,ab->b", env, backend.reshape(t, (left, right)))
     return backend.item(env)
 
-
-def contract_inner_fused(
-    bra_grid: Sequence[Sequence],
-    ket_grid: Sequence[Sequence],
-    option: Optional[ContractOption] = None,
-    backend: Union[str, Backend, None] = "numpy",
-) -> complex:
-    """``<bra|ket>`` by fusing the layers into one PEPS of squared bond dimension.
-
-    This is the memory-hungry baseline the paper contrasts the two-layer
-    approach with: forming the fused sites costs ``O(r1^4 r2^4)`` memory per
-    site.  The fused single-layer PEPS is then contracted with the requested
-    option (Exact, BMPS or IBMPS).
-    """
-    backend = get_backend(backend)
-    nrow = len(ket_grid)
-    ncol = len(ket_grid[0])
-    if len(bra_grid) != nrow or len(bra_grid[0]) != ncol:
-        raise ValueError("bra and ket grids must have the same dimensions")
-
-    fused = []
-    for i in range(nrow):
-        row = []
-        for j in range(ncol):
-            ket = ket_grid[i][j]
-            bra = backend.conj(bra_grid[i][j])
-            merged = backend.einsum("pabcd,pefgh->aebfcgdh", ket, bra)
-            a, e, bdim, f, c, g, d, h = backend.shape(merged)
-            row.append(backend.reshape(merged, (a * e, bdim * f, c * g, d * h)))
-        fused.append(row)
-    return contract_single_layer(fused, option=option, backend=backend)

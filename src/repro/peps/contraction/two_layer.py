@@ -1,4 +1,4 @@
-"""Row absorption into boundary MPSes, and two-layer PEPS inner products.
+"""Row absorption into boundary MPSes.
 
 Every boundary-MPS contraction in the paper — Algorithm 2 (boundary MPS),
 Algorithm 3 (zip-up) and their two-layer variant — is one loop: contract
@@ -6,19 +6,14 @@ column 0 of the row with the boundary, then run one ``einsumsvd`` per column
 over ``{working tensor, boundary site, ket site[, bra site]}``.
 :func:`absorb_sandwich_row` is that loop.  A row is either a two-layer
 ``ket ⊗ bra*`` sandwich or a single layer with no bra (a basis-projected
-amplitude, a fused inner product, or a PEPS without physical legs, Figs. 8,
-11 and 12).
+amplitude, or a PEPS without physical legs, Figs. 8, 11 and 12).
 
-The inner product ``<A|B>`` of two PEPS is a two-layer network (Figure 3 of
-the paper).  The naive approach fuses corresponding bra and ket sites into a
-single-layer PEPS whose bond dimension is the *product* of the layer bonds
-(``contract_inner_fused``); the two-layer approach keeps the layers separate
-inside every boundary-MPS absorption step (``contract_inner_two_layer``),
-which reduces the memory footprint and — when combined with the implicit
-randomized SVD — also the asymptotic cost (two-layer IBMPS, Table II).
-The same primitive is the engine behind the expectation-value cache
-(Section IV-B): the cache stores boundary MPSes of partially absorbed
-``<psi|psi>`` sandwiches.
+Sandwich rows keep the two layers separate inside every absorption step —
+never fusing bra and ket sites into one tensor of squared bond dimension —
+which reduces the memory footprint and, with the implicit randomized SVD,
+the asymptotic cost (two-layer IBMPS, Table II).  The environments of
+:mod:`repro.peps.envs` grow every boundary of an inner product, a norm or
+the expectation-value cache (Section IV-B) through it.
 
 Boundary representation
 -----------------------
@@ -36,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.peps.contraction.options import BMPS, ContractOption, Exact, TwoLayerBMPS
+from repro.peps.contraction.options import BMPS, ContractOption, Exact
 from repro.peps.update import DOWN, LEFT, PHYS, RIGHT, UP
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import traced
@@ -272,31 +267,3 @@ def close_boundaries(backend: Union[str, Backend, None], upper: Sequence, lower:
         env = backend.einsum("ab,apqc,bpqd->cd", env, u, l)
     return backend.item(env)
 
-
-def contract_inner_two_layer(
-    bra_grid: Sequence[Sequence],
-    ket_grid: Sequence[Sequence],
-    option: Optional[ContractOption] = None,
-    backend: Union[str, Backend, None] = "numpy",
-) -> complex:
-    """``<bra|ket>`` keeping the two layers separate (two-layer BMPS/IBMPS).
-
-    ``bra_grid`` holds the *unconjugated* site tensors of the bra state; the
-    conjugation happens inside the absorption.
-    """
-    backend = get_backend(backend)
-    option = option if option is not None else TwoLayerBMPS()
-    nrow = len(ket_grid)
-    ncol = len(ket_grid[0])
-    if len(bra_grid) != nrow or len(bra_grid[0]) != ncol:
-        raise ValueError("bra and ket grids must have the same dimensions")
-    check_edge_legs(backend, bra_grid)
-    check_edge_legs(backend, ket_grid)
-
-    svd_option = absorption_option(option)
-    boundary = trivial_boundary(backend, ncol)
-    for i in range(nrow):
-        boundary = absorb_sandwich_row(
-            boundary, ket_grid[i], bra_grid[i], option=svd_option, backend=backend
-        )
-    return close_boundaries(backend, boundary, trivial_boundary(backend, ncol))

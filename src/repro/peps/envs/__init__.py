@@ -35,7 +35,7 @@ from repro.peps.envs.boundary import (
 )
 from repro.peps.envs.ctm import EnvCTM, corner_grams, ctm_renormalize
 from repro.peps.envs.sampling import sample_bitstrings
-from repro.peps.envs.strip import StripCache, operator_pieces, strip_value
+from repro.peps.envs.strip import StripCache, operator_pieces
 
 __all__ = [
     "Environment",
@@ -50,7 +50,6 @@ __all__ = [
     "sample_bitstrings",
     "StripCache",
     "operator_pieces",
-    "strip_value",
     "corner_grams",
     "ctm_renormalize",
 ]

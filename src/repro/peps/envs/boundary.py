@@ -1,7 +1,8 @@
 """Boundary-MPS environments with incremental dirty-row invalidation.
 
 :class:`BoundaryEnvironment` caches the upper and lower boundary MPS lists of
-the ``<psi|psi>`` sandwich keyed by row:
+the ``<psi|psi>`` sandwich — or, given a ``bra`` state, of the cross sandwich
+``<bra|psi>``, which serves only its norm (the overlap) — keyed by row:
 
 * ``upper[i]`` has absorbed rows ``0..i-1`` from the top (``i = 0..nrow``),
 * ``lower[i]`` has absorbed rows ``i+1..nrow-1`` from below (``i = 0..nrow-1``).
@@ -27,6 +28,7 @@ from repro.peps.contraction.options import BMPS, ContractOption, CTMOption, Exac
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
     absorb_sandwich_row_batched,
+    check_edge_legs,
     close_boundaries,
     trivial_boundary,
 )
@@ -109,10 +111,20 @@ class BoundaryEnvironment(Environment):
         ``einsumsvd`` option for the zip-up row absorptions, its ``rank`` the
         boundary truncation bond ``m``; ``None`` absorbs exactly (bond
         dimensions multiply — small lattices only).
+    bra:
+        The state whose conjugate forms the bra layer (default: ``peps``).
+        A cross environment ``<bra|peps>`` is a one-shot overlap query: it
+        serves ``norm_sq`` (the overlap) and ``norm`` only, cannot be
+        attached to a state, and is not invalidated when ``bra`` changes.
     """
 
-    def __init__(self, peps, svd_option: Optional[EinsumSVDOption] = None) -> None:
+    def __init__(
+        self, peps, svd_option: Optional[EinsumSVDOption] = None, *, bra=None
+    ) -> None:
+        if bra is not None and bra.shape != peps.shape:
+            raise ValueError(f"shape mismatch: {bra.shape} vs {peps.shape}")
         self.peps = peps
+        self.bra = peps if bra is None else bra
         self.svd_option = svd_option
         #: The contraction option this environment serves (and serializes as).
         self.contract_option = Exact() if svd_option is None else BMPS(svd_option)
@@ -147,7 +159,7 @@ class BoundaryEnvironment(Environment):
         ``None`` means "no preference" and is always accepted: once an
         environment is attached, it governs the state's default contraction
         behaviour (a truncated environment makes default queries truncated).
-        Pass an explicit option — or ``use_cache=False`` — to override.
+        Pass an explicit option with another signature to override.
         """
         if contract_option is None:
             return True
@@ -186,7 +198,7 @@ class BoundaryEnvironment(Environment):
         return absorb_sandwich_row(
             boundary,
             self.peps.grid[row],
-            self.peps.grid[row],
+            self.bra.grid[row],
             option=self.svd_option,
             backend=self.backend,
             from_below=from_below,
@@ -260,6 +272,12 @@ class BoundaryEnvironment(Environment):
 
     def norm_sq(self) -> complex:
         if self._norm_sq is None:
+            # A state widened after construction (``psi[i, j] = t`` or its
+            # ``grid``) would otherwise broadcast against the extent-1 legs
+            # of the trivial boundaries and close to a meaningless value.
+            check_edge_legs(self.backend, self.peps.grid)
+            if self.bra is not self.peps:
+                check_edge_legs(self.backend, self.bra.grid)
             self.stats.norm_evaluations += 1
             best_i = self._norm_meeting_row()
             upper = self.ensure_upper(best_i)
@@ -268,6 +286,7 @@ class BoundaryEnvironment(Environment):
         return self._norm_sq
 
     def expectation(self, observable, normalized: bool = True) -> float:
+        self._require_sandwich("expectation")
         terms = local_terms(observable)
         # The norm is only needed for normalization and zero-site (constant)
         # terms; avoid forcing a full top sweep for unnormalized local sums.
@@ -300,6 +319,7 @@ class BoundaryEnvironment(Environment):
         (or the mapping's keys).  Each row costs ``O(ncol)`` transfer
         contractions regardless of how many of its sites are measured.
         """
+        self._require_sandwich("measure_1site")
         peps = self.peps
         if isinstance(operator, dict):
             op_map = {int(s): np.asarray(m, dtype=np.complex128) for s, m in operator.items()}
@@ -347,6 +367,7 @@ class BoundaryEnvironment(Environment):
         nearest-neighbour pairs.  The environments are built once and every
         pair costs only one strip contraction.
         """
+        self._require_sandwich("measure_2site")
         peps = self.peps
         if operator_b is not None:
             matrix = np.kron(
@@ -396,6 +417,7 @@ class BoundaryEnvironment(Environment):
         (:func:`~repro.peps.envs.sampling_mc.sample_mc`); ``sampler_options``
         forwards its keywords (e.g. ``{"sweeps": 64}``).
         """
+        self._require_sandwich("sample")
         options = dict(sampler_options or {})
         if sampler == "perfect":
             if options:
@@ -452,6 +474,14 @@ class BoundaryEnvironment(Environment):
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _require_sandwich(self, query: str) -> None:
+        """Refuse ``query`` on a cross environment, which serves only its norm."""
+        if self.bra is not self.peps:
+            raise ValueError(
+                f"{query} needs a <psi|psi> environment; a cross environment "
+                f"<bra|psi> serves norm_sq and norm only"
+            )
+
     def _strip_cache(
         self, caches: Dict[Tuple[int, int], "StripCache"], r0: int, r1: int
     ) -> "StripCache":
@@ -535,8 +565,8 @@ class EnvExact(BoundaryEnvironment):
     statistics) and the baseline truncated environments are compared against.
     """
 
-    def __init__(self, peps) -> None:
-        super().__init__(peps, svd_option=None)
+    def __init__(self, peps, *, bra=None) -> None:
+        super().__init__(peps, svd_option=None, bra=bra)
 
     def __repr__(self) -> str:
         return f"EnvExact({self.peps!r})"
@@ -551,21 +581,23 @@ class EnvBoundaryMPS(BoundaryEnvironment):
     truncation bond ``m`` is ``option.truncation_bond``.
     """
 
-    def __init__(self, peps, contract_option: Optional[ContractOption] = None) -> None:
+    def __init__(
+        self, peps, contract_option: Optional[ContractOption] = None, *, bra=None
+    ) -> None:
         option = contract_option if contract_option is not None else BMPS()
         if not isinstance(option, BMPS):
             raise TypeError(
                 f"EnvBoundaryMPS needs a BMPS-style contraction option, "
                 f"got {type(option).__name__}"
             )
-        super().__init__(peps, svd_option=option.resolved_svd_option())
+        super().__init__(peps, svd_option=option.resolved_svd_option(), bra=bra)
         self.contract_option = option
 
     def __repr__(self) -> str:
         return f"EnvBoundaryMPS({self.peps!r}, {self.contract_option.describe()})"
 
 
-def make_environment(peps, contract_option: Optional[ContractOption] = None):
+def make_environment(peps, contract_option: Optional[ContractOption] = None, *, bra=None):
     """Build the environment matching a contraction option.
 
     ``None`` and :class:`~repro.peps.contraction.options.Exact` give an
@@ -573,16 +605,22 @@ def make_environment(peps, contract_option: Optional[ContractOption] = None):
     (including :class:`~repro.peps.contraction.options.TwoLayerBMPS`) gives an
     :class:`EnvBoundaryMPS` — boundary sandwiches are inherently two-layer —
     and a :class:`~repro.peps.contraction.options.CTMOption` gives an
-    :class:`~repro.peps.envs.ctm.EnvCTM`.
+    :class:`~repro.peps.envs.ctm.EnvCTM`.  A ``bra`` state gives the cross
+    environment of ``<bra|peps>``, which CTM does not provide.
     """
     from repro.peps.envs.ctm import EnvCTM
 
     if contract_option is None or isinstance(contract_option, Exact):
-        return EnvExact(peps)
+        return EnvExact(peps, bra=bra)
     if isinstance(contract_option, CTMOption):
+        if bra is not None:
+            raise TypeError(
+                "CTM contraction only serves <psi|psi> inner products; "
+                "use a BMPS/Exact option for cross overlaps"
+            )
         return EnvCTM(peps, contract_option)
     if isinstance(contract_option, BMPS):
-        return EnvBoundaryMPS(peps, contract_option)
+        return EnvBoundaryMPS(peps, contract_option, bra=bra)
     raise TypeError(
         f"unsupported contraction option {type(contract_option).__name__} for environments"
     )

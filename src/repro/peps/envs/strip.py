@@ -4,8 +4,7 @@ Given an upper boundary (rows ``0..r0-1`` absorbed) and a lower boundary
 (rows ``r1+1..nrow-1`` absorbed), the value of ``<psi| H_term |psi>`` reduces
 to contracting the short strip of rows ``r0..r1`` with the term's operator
 inserted between the layers (Figure 6 of the paper).  This module hosts the
-strip machinery shared by every boundary environment and the uncached
-(``use_cache=False``) branch of :func:`repro.peps.measure.expectation_value`.
+strip machinery every boundary environment measures with.
 """
 
 from __future__ import annotations
@@ -241,28 +240,6 @@ class StripCache:
         else:
             self.misses += 1
         return backend.item(closed)
-
-
-def strip_value(
-    peps,
-    upper: Sequence,
-    lower: Sequence,
-    r0: int,
-    r1: int,
-    sites: Sequence[int],
-    matrix: np.ndarray,
-) -> complex:
-    """Contract (upper env) x (rows r0..r1 with the term inserted) x (lower env).
-
-    The strip is contracted column by column; the per-column contraction runs
-    through :func:`contract_network`, so intermediate sizes stay bounded by
-    ``(boundary bond)^2 x (PEPS bond)^(2*height)`` times small factors.
-    Callers with several terms on the same strip should hold a
-    :class:`StripCache` instead — this convenience wrapper builds a fresh one
-    per call and shares nothing.
-    """
-    cache = StripCache(peps, upper, lower, r0, r1)
-    return cache.term_value(sites, matrix)
 
 
 def pending_kappas(piece_map, col: int) -> List:

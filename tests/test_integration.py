@@ -25,7 +25,9 @@ from repro.peps import (
     TwoLayerBMPS,
 )
 from repro.statevector import StateVector
+from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
+from benchmarks.bench_fig9_caching import expectation_uncached
 
 
 class TestRQCAccuracy:
@@ -103,31 +105,23 @@ class TestBackendConsistency:
 
 
 class TestCachingClaim:
-    def test_cache_gives_identical_values_with_fewer_row_absorptions(self, monkeypatch):
+    def test_cache_gives_identical_values_with_fewer_row_absorptions(self):
         q = peps.computational_zeros(3, 3)
         circ = random_quantum_circuit(3, 3, n_layers=4, seed=5)
         q.apply_circuit(circ, QRUpdate(rank=2))
         ham = transverse_field_ising(3, 3)
         option = BMPS(ExplicitSVD(rank=4))
 
-        import repro.peps.measure as measure_module
+        def absorptions():
+            return REGISTRY.value("peps.row_absorptions")
 
-        calls = {"n": 0}
-        original = measure_module.absorb_sandwich_row
+        before = absorptions()
+        cached = q.expectation(ham, contract_option=option)
+        cached_calls = absorptions() - before
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(measure_module, "absorb_sandwich_row", counting)
-
-        calls["n"] = 0
-        cached = q.expectation(ham, use_cache=True, contract_option=option)
-        cached_calls = calls["n"]
-
-        calls["n"] = 0
-        uncached = q.expectation(ham, use_cache=False, contract_option=option)
-        uncached_calls = calls["n"]
+        before = absorptions()
+        uncached = expectation_uncached(q, ham, option)
+        uncached_calls = absorptions() - before
 
         assert cached == pytest.approx(uncached, abs=1e-8)
         # The cache needs two full sweeps (2 * nrow); without it every term

@@ -7,8 +7,6 @@ from repro.peps import BMPS, PEPS, Exact, TwoLayerBMPS
 from repro.peps.contraction import (
     absorb_sandwich_row,
     close_boundaries,
-    contract_inner_fused,
-    contract_inner_two_layer,
     contract_single_layer,
     trivial_boundary,
 )
@@ -252,30 +250,26 @@ class TestTwoLayerContraction:
         a = random_peps(3, 3, bond_dim=2, seed=10)
         b = random_peps(3, 3, bond_dim=2, seed=11)
         ref = np.vdot(a.to_statevector(), b.to_statevector())
-        fused_exact = contract_inner_fused(a.grid, b.grid, Exact(), a.backend)
-        fused_bmps = contract_inner_fused(a.grid, b.grid, BMPS(ExplicitSVD(rank=16)), a.backend)
-        two_layer = contract_inner_two_layer(a.grid, b.grid, TwoLayerBMPS(ExplicitSVD(rank=16)), a.backend)
-        two_layer_implicit = contract_inner_two_layer(
-            a.grid, b.grid,
-            TwoLayerBMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0)),
-            a.backend,
+        exact = a.inner(b, Exact())
+        bmps = a.inner(b, BMPS(ExplicitSVD(rank=16)))
+        two_layer = a.inner(b, TwoLayerBMPS(ExplicitSVD(rank=16)))
+        two_layer_implicit = a.inner(
+            b, TwoLayerBMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0))
         )
-        assert fused_exact == pytest.approx(ref, rel=1e-8)
-        assert fused_bmps == pytest.approx(ref, rel=1e-6)
+        assert exact == pytest.approx(ref, rel=1e-8)
+        assert bmps == two_layer
         assert two_layer == pytest.approx(ref, rel=1e-6)
         assert two_layer_implicit == pytest.approx(ref, rel=1e-5)
 
     def test_two_layer_exact_option(self):
         a = random_peps(2, 3, bond_dim=2, seed=12)
         ref = np.linalg.norm(a.to_statevector()) ** 2
-        value = contract_inner_two_layer(a.grid, a.grid, Exact(), a.backend)
+        value = a.inner(a, Exact())
         assert value == pytest.approx(ref, rel=1e-8)
 
     def test_norm_is_real_positive(self):
         a = random_peps(3, 3, bond_dim=2, seed=13)
-        value = contract_inner_two_layer(
-            a.grid, a.grid, TwoLayerBMPS(ExplicitSVD(rank=8)), a.backend
-        )
+        value = a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=8)))
         assert abs(np.imag(value)) < 1e-8 * abs(value)
         assert np.real(value) > 0
 
@@ -308,34 +302,42 @@ class TestTwoLayerContraction:
             absorb_sandwich_row(trivial_boundary(numpy_backend, 2), a.grid[0], a.grid[0],
                                 backend=numpy_backend)
 
-    def test_grid_shape_mismatch_raises(self, numpy_backend):
+    def test_grid_shape_mismatch_raises(self):
         a = random_peps(2, 2, bond_dim=2, seed=17)
         b = random_peps(2, 3, bond_dim=2, seed=18)
-        with pytest.raises(ValueError):
-            contract_inner_two_layer(a.grid, b.grid, TwoLayerBMPS(ExplicitSVD(rank=4)),
-                                     numpy_backend)
-        with pytest.raises(ValueError):
-            contract_inner_fused(a.grid, b.grid, Exact(), numpy_backend)
+        for option in (Exact(), TwoLayerBMPS(ExplicitSVD(rank=4))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a.inner(b, option)
 
     @pytest.mark.parametrize("option", [Exact(), TwoLayerBMPS(ExplicitSVD(rank=4))],
                              ids=["exact", "bmps"])
     @pytest.mark.parametrize("edge", EDGES)
-    def test_malformed_edge_raises(self, numpy_backend, edge, option):
-        """The same edge rule as the PEPS constructor; NumPy's einsum would
+    def test_malformed_edge_raises(self, edge, option):
+        """The PEPS constructor enforces the edge rule, and so does every inner
+        product of a state widened after construction; NumPy's einsum would
         otherwise broadcast the extent-1 boundary legs and return a value."""
-        grid = widen_edge(random_peps(2, 2, bond_dim=2, seed=22).grid, edge, first_leg=1)
+        state = random_peps(2, 2, bond_dim=2, seed=22)
+        grid = widen_edge(state.grid, edge, first_leg=1)
         message = f"{edge} edge leg must have dimension 1"
         with pytest.raises(ValueError, match=message):
             PEPS(grid)
-        with pytest.raises(ValueError, match=message):
-            contract_inner_two_layer(grid, grid, option, numpy_backend)
+        other = random_peps(2, 2, bond_dim=2, seed=23)
+        by_setitem, by_grid = state.copy(), state.copy()
+        for i, row in enumerate(grid):
+            for j, tensor in enumerate(row):
+                by_setitem[(i, j)] = tensor
+                by_grid.grid[i][j] = tensor
+        for widened in (by_setitem, by_grid):
+            for bra, ket in ((widened, widened), (other, widened), (widened, other)):
+                with pytest.raises(ValueError, match=message):
+                    bra.inner(ket, option)
+            with pytest.raises(ValueError, match=message):
+                widened.norm(option)
 
     def test_distributed_backend_two_layer(self, dist_backend):
         a = random_peps(2, 2, bond_dim=2, seed=19, backend=dist_backend)
         sv_norm = np.linalg.norm(a.to_statevector()) ** 2
-        value = contract_inner_two_layer(
-            a.grid, a.grid, TwoLayerBMPS(ExplicitSVD(rank=8)), dist_backend
-        )
+        value = a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=8)))
         assert np.real(value) == pytest.approx(sv_norm, rel=1e-8)
 
 
@@ -346,9 +348,7 @@ class TestAccuracyVsBondDimension:
         ref = np.linalg.norm(a.to_statevector()) ** 2
         errors = []
         for m in (1, 2, 4, 16):
-            value = contract_inner_two_layer(
-                a.grid, a.grid, TwoLayerBMPS(ExplicitSVD(rank=m)), a.backend
-            )
+            value = a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=m)))
             errors.append(abs(value - ref) / ref)
         assert errors[-1] < 1e-8
         assert errors[0] >= errors[-1]
@@ -358,16 +358,9 @@ class TestAccuracyVsBondDimension:
         a = random_peps(3, 3, bond_dim=2, seed=21)
         ref = np.linalg.norm(a.to_statevector()) ** 2
         m = 8
-        bmps_err = abs(
-            contract_inner_two_layer(a.grid, a.grid, TwoLayerBMPS(ExplicitSVD(rank=m)), a.backend)
-            - ref
-        ) / ref
+        bmps_err = abs(a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=m))) - ref) / ref
         ibmps_err = abs(
-            contract_inner_two_layer(
-                a.grid, a.grid,
-                TwoLayerBMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=1)),
-                a.backend,
-            )
+            a.inner(a, TwoLayerBMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=1)))
             - ref
         ) / ref
         assert ibmps_err < 10 * max(bmps_err, 1e-12) + 1e-6

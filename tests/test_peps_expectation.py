@@ -8,10 +8,10 @@ from repro.circuits import Circuit
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
 from repro.peps import BMPS, Exact, QRUpdate
-from repro.peps.measure import expectation_value
 from repro.peps.peps import random_peps
 from repro.statevector import StateVector
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
+from benchmarks.bench_fig9_caching import expectation_uncached
 
 
 def prepared_state(nrow, ncol, seed=0):
@@ -42,7 +42,7 @@ class TestAgainstStatevector:
         q, sv = prepared_state(2, 3, seed=1)
         obs = Observable.sum([Observable.Z(i) for i in range(6)]) + 0.3 * Observable.X(4)
         ref = sv.expectation(obs)
-        val = q.expectation(obs, use_cache=True, contract_option=BMPS(ExplicitSVD(rank=16)))
+        val = q.expectation(obs, contract_option=BMPS(ExplicitSVD(rank=16)))
         assert val == pytest.approx(ref, abs=1e-8)
 
     def test_horizontal_vertical_and_diagonal_two_site_terms(self):
@@ -54,7 +54,7 @@ class TestAgainstStatevector:
             + 0.25 * Observable.YY(5, 7)   # anti-diagonal
         )
         ref = sv.expectation(obs)
-        val = q.expectation(obs, use_cache=True, contract_option=BMPS(ExplicitSVD(rank=32)))
+        val = q.expectation(obs, contract_option=BMPS(ExplicitSVD(rank=32)))
         assert val == pytest.approx(ref, abs=1e-7)
 
     def test_constant_term(self):
@@ -68,14 +68,14 @@ class TestAgainstStatevector:
         q, sv = prepared_state(2, 3, seed=4)
         ham = transverse_field_ising(2, 3)
         ref = sv.expectation(ham)
-        val = q.expectation(ham, use_cache=True, contract_option=BMPS(ExplicitSVD(rank=16)))
+        val = q.expectation(ham, contract_option=BMPS(ExplicitSVD(rank=16)))
         assert val == pytest.approx(ref, abs=1e-7)
 
     def test_hamiltonian_expectation_j1j2_with_diagonals(self):
         q, sv = prepared_state(3, 3, seed=5)
         ham = heisenberg_j1j2(3, 3)
         ref = sv.expectation(ham)
-        val = q.expectation(ham, use_cache=True, contract_option=BMPS(ExplicitSVD(rank=32)))
+        val = q.expectation(ham, contract_option=BMPS(ExplicitSVD(rank=32)))
         assert val == pytest.approx(ref, abs=1e-6)
 
     def test_unnormalized_expectation(self):
@@ -94,8 +94,8 @@ class TestCachingEquivalence:
         q, _ = prepared_state(3, 3, seed=7)
         ham = transverse_field_ising(3, 3)
         option = BMPS(ExplicitSVD(rank=8))
-        cached = q.expectation(ham, use_cache=True, contract_option=option)
-        uncached = q.expectation(ham, use_cache=False, contract_option=option)
+        cached = q.expectation(ham, contract_option=option)
+        uncached = expectation_uncached(q, ham, option)
         assert cached == pytest.approx(uncached, abs=1e-8)
 
     def test_cache_with_implicit_svd(self):
@@ -103,7 +103,7 @@ class TestCachingEquivalence:
         obs = Observable.ZZ(0, 1) + Observable.ZZ(1, 4) + Observable.X(5)
         ref = sv.expectation(obs)
         val = q.expectation(
-            obs, use_cache=True,
+            obs,
             contract_option=BMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0)),
         )
         assert val == pytest.approx(ref, abs=1e-6)
@@ -128,7 +128,7 @@ class TestErrorsAndEdgeCases:
     def test_unsupported_observable_type_raises(self):
         q, _ = prepared_state(2, 2, seed=12)
         with pytest.raises(TypeError):
-            expectation_value(q, object())
+            q.expectation(object())
 
     def test_unsupported_contract_option_raises(self):
         q, _ = prepared_state(2, 2, seed=13)
@@ -159,7 +159,7 @@ class TestErrorsAndEdgeCases:
         qstate.apply_operator(CX, [1, 4], QR(rank=2))
         H = Obs.ZZ(3, 4) + 0.2 * Obs.X(1)
         result = qstate.expectation(
-            H, use_cache=True,
+            H,
             contract_option=BMPS(ImplicitRandomizedSVD(rank=4, seed=0)),
         )
         sv = StateVector.computational_zeros(6)

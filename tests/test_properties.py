@@ -16,7 +16,7 @@ from repro.operators.observable import Observable
 from repro.peps import BMPS, Exact, TwoLayerBMPS, contract_single_layer, random_peps
 from repro.peps.contraction.options import CONTRACT_OPTION_KINDS, CTMOption
 from repro.peps.peps import random_single_layer_grid
-from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact
+from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, make_environment
 from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
 from repro.peps.update import UPDATE_OPTION_KINDS, QRUpdate
 from repro.sim import RunSpec
@@ -196,6 +196,75 @@ class TestSingleLayerProperties:
         assert contract_single_layer(grid, BMPS(ExplicitSVD()), BACKEND) == pytest.approx(
             exact, rel=1e-10
         )
+
+
+lattice_sides = st.integers(1, 3)
+layer_bonds = st.integers(1, 2)
+phys_dims = st.integers(2, 3)
+
+
+def random_pair(nrow, ncol, bond_dim, phys_dim, seed):
+    """Two independent random states of one shape."""
+    return tuple(
+        random_peps(nrow, ncol, bond_dim=bond_dim, phys_dim=phys_dim, seed=seed + k)
+        for k in (0, 1)
+    )
+
+
+class TestInnerProductProperties:
+    """``<a|b>`` is the norm of a cross environment of ``b`` with ``a`` as the
+    bra, ``<a|a>`` that of ``a``'s own environment."""
+
+    @FAST
+    @given(nrow=lattice_sides, ncol=lattice_sides, bond_dim=layer_bonds, phys_dim=phys_dims,
+           seed=seeds)
+    def test_exact_overlap_is_the_statevector_vdot(self, nrow, ncol, bond_dim, phys_dim, seed):
+        a, b = random_pair(nrow, ncol, bond_dim, phys_dim, seed)
+        value = a.inner(b, Exact())
+        assert value == pytest.approx(np.vdot(a.to_statevector(), b.to_statevector()), rel=1e-10)
+        assert value == pytest.approx(np.conj(b.inner(a, Exact())), rel=1e-10)
+
+    @FAST
+    @given(nrow=lattice_sides, ncol=lattice_sides, bond_dim=layer_bonds, phys_dim=phys_dims,
+           seed=seeds, option=st.sampled_from([
+               Exact(), BMPS(ExplicitSVD(rank=2)),
+               TwoLayerBMPS(ImplicitRandomizedSVD(rank=2, seed=0)), CTMOption(chi=2),
+           ]))
+    def test_norm_squared_is_the_self_overlap(
+        self, nrow, ncol, bond_dim, phys_dim, seed, option
+    ):
+        a = random_peps(nrow, ncol, bond_dim=bond_dim, phys_dim=phys_dim, seed=seed)
+        self_overlap = max(float(np.real(a.inner(a, option))), 0.0)
+        assert a.norm(option) ** 2 == pytest.approx(self_overlap, rel=1e-12)
+
+    @FAST
+    @given(nrow=lattice_sides, ncol=lattice_sides, bond_dim=layer_bonds, phys_dim=phys_dims,
+           seed=seeds, implicit=st.booleans(), m=st.sampled_from([1, 2, None]))
+    def test_bmps_and_two_layer_bmps_are_one_computation(
+        self, nrow, ncol, bond_dim, phys_dim, seed, implicit, m
+    ):
+        a, b = random_pair(nrow, ncol, bond_dim, phys_dim, seed)
+        svd = ImplicitRandomizedSVD(rank=m, seed=0) if implicit else ExplicitSVD(rank=m)
+        for bra, ket in ((a, b), (a, a)):
+            assert bra.inner(ket, BMPS(svd)) == bra.inner(ket, TwoLayerBMPS(svd))
+
+    @pytest.mark.parametrize("option", [Exact(), BMPS(ExplicitSVD(rank=4))], ids=["exact", "bmps"])
+    def test_cross_environment_serves_only_its_norm(self, option):
+        a, b = random_pair(2, 2, 2, 2, seed=7)
+        env = make_environment(b, option, bra=a)
+        assert env.norm_sq() == a.inner(b, option)
+        z = np.diag([1.0, -1.0])
+        for query in (
+            lambda: env.expectation(Observable.Z(0)),
+            lambda: env.measure_1site(z),
+            lambda: env.measure_2site(z, z),
+            lambda: env.sample(rng=0),
+        ):
+            with pytest.raises(ValueError, match="cross environment"):
+                query()
+        with pytest.raises(ValueError, match="cross environment"):
+            b.attach_environment(env=env)
+        assert b.environment is None
 
 
 class TestQuantumInvariants:

@@ -636,7 +636,7 @@ class TestDeprecations:
         state = peps.random_peps(2, 2, bond_dim=1, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            state.expectation(Observable.Z(0), use_cache=False)
+            state.expectation(Observable.Z(0))
 
 
 class TestMisspeltOptionKeys:
