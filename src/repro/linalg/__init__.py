@@ -12,12 +12,7 @@
 """
 
 from repro.linalg.truncated_svd import truncated_svd, truncate_spectrum, TruncatedSVDResult
-from repro.linalg.orthogonalize import (
-    orthogonalize,
-    tensor_qr,
-    gram_orthogonalize,
-    qr_orthogonalize,
-)
+from repro.linalg.orthogonalize import tensor_qr
 from repro.linalg.implicit_op import (
     ImplicitOperator,
     DenseTensorOperator,
@@ -29,10 +24,7 @@ __all__ = [
     "truncated_svd",
     "truncate_spectrum",
     "TruncatedSVDResult",
-    "orthogonalize",
     "tensor_qr",
-    "gram_orthogonalize",
-    "qr_orthogonalize",
     "ImplicitOperator",
     "DenseTensorOperator",
     "TensorNetworkOperator",

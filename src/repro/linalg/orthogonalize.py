@@ -16,9 +16,9 @@ the triangular-like factor ``R``) from a tall tensor operator
     eigendecompose it there, and obtain ``R = sqrt(L) X*`` and
     ``Q = A R^{-1}`` with one more large-but-distributed contraction.
 
-Both strategies are exposed through :func:`orthogonalize` (isometry only, for
-the randomized-SVD iterations) and :func:`tensor_qr` (both factors, for the
-QR-SVD evolution algorithm).
+Both strategies are exposed through :func:`tensor_qr`, which returns both
+factors: the QR-SVD evolution algorithm uses the pair, the randomized-SVD
+iterations only the isometry.
 """
 
 from __future__ import annotations
@@ -41,44 +41,6 @@ def _split_shape(shape: Sequence[int], n_row_axes: int) -> Tuple[Tuple[int, ...]
     return shape[:n_row_axes], shape[n_row_axes:]
 
 
-def qr_orthogonalize(backend: Backend, tensor, n_row_axes: int):
-    """Return the isometric factor of ``tensor`` split as (rows | columns).
-
-    ``tensor`` is interpreted as an operator whose first ``n_row_axes`` modes
-    form the rows; the isometry has the same shape as ``tensor`` and
-    orthonormal columns when matricized the same way.
-    """
-    q, _ = tensor_qr(backend, tensor, n_row_axes, method="qr")
-    return q
-
-
-def gram_orthogonalize(backend: Backend, tensor, n_row_axes: int):
-    """Gram-matrix (Algorithm 5) variant of :func:`qr_orthogonalize`."""
-    q, _ = tensor_qr(backend, tensor, n_row_axes, method="gram")
-    return q
-
-
-def orthogonalize(backend: Backend, tensor, n_row_axes: int, method: str = "qr"):
-    """Orthogonalize a tensor operator, returning only the isometry.
-
-    Parameters
-    ----------
-    backend:
-        Tensor backend.
-    tensor:
-        Backend tensor, interpreted as an operator from its trailing
-        ``ndim - n_row_axes`` modes to its leading ``n_row_axes`` modes.
-    n_row_axes:
-        Number of leading modes forming the row (output) group.
-    method:
-        ``"qr"``, ``"gram"`` or ``"auto"`` (Gram on distributed backends,
-        QR otherwise) — this mirrors the paper's finding that the Gram-matrix
-        path is preferable exactly when reshapes are expensive.
-    """
-    q, _ = tensor_qr(backend, tensor, n_row_axes, method=method)
-    return q
-
-
 def tensor_qr(
     backend: Backend,
     tensor,
@@ -96,7 +58,8 @@ def tensor_qr(
       ``tensor ≈ Q ·_k R`` (contraction over the new bond).
 
     ``method`` selects the matricize+QR path or the Gram-matrix path
-    (Algorithm 5).  ``"auto"`` picks Gram for distributed backends.
+    (Algorithm 5).  ``"auto"`` picks Gram for non-NumPy backends, mirroring
+    the paper's finding that it pays exactly when reshapes are expensive.
     """
     shape = backend.shape(tensor)
     ndim = len(shape)

@@ -48,14 +48,8 @@ class RandomizedSVDResult:
 def _orth(backend: Backend, tensor, method: str):
     """Orthogonalize a probe block: trailing mode is the sketch dimension."""
     ndim = len(backend.shape(tensor))
-    q, _ = tensor_qr(backend, tensor, ndim - 1, method=_qr_method(backend, method))
+    q, _ = tensor_qr(backend, tensor, ndim - 1, method=method)
     return q
-
-
-def _qr_method(backend: Backend, method: str) -> str:
-    if method == "auto":
-        return "gram" if backend.name != "numpy" else "qr"
-    return method
 
 
 def randomized_svd(

@@ -13,7 +13,8 @@ never fusing bra and ket sites into one tensor of squared bond dimension —
 which reduces the memory footprint and, with the implicit randomized SVD,
 the asymptotic cost (two-layer IBMPS, Table II).  The environments of
 :mod:`repro.peps.envs` grow every boundary of an inner product, a norm or
-the expectation-value cache (Section IV-B) through it.
+the expectation-value cache (Section IV-B) through it, and the perfect
+sampler grows every shot's projected boundary through it too.
 
 Boundary representation
 -----------------------
@@ -22,12 +23,19 @@ A boundary is a list of tensors, one per lattice column, with index order
 ``(left bond, physical, right bond)`` for a single layer.  The "physical"
 legs are the vertical PEPS legs of the row the boundary is about to touch
 (dimension 1 at the lattice edge).
+
+A batch of boundaries carries one more leading axis on every tensor,
+boundary and row sites alike (its size ``S``, or ``1`` to broadcast one
+tensor to every item).  :func:`absorb_sandwich_row` reads the axis off the
+row: a sandwich site has 6 modes in a batch and 5 alone.
 """
 
 from __future__ import annotations
 
 from math import prod
 from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
@@ -53,6 +61,8 @@ _FLIP_UD = (PHYS, DOWN, LEFT, UP, RIGHT)
 _EXACT = {1: "apc,pbqd->abqcd", 2: "aghi,pgemo,phfqs->aefmqios"}
 _ZIPUP_FIRST = {1: "apc,pbqd->qcd", 2: "aghi,pgemo,phfqs->mqios"}
 _ZIPUP_STEP = {1: "cqab,ape,pbfg->cqk,kfeg", 2: "cxyaef,aghi,pgemo,phfqs->cxyk,kmqios"}
+#: Modes of one site tensor outside a batch, by the number of layers.
+_SITE_MODES = {1: 4, 2: 5}
 
 
 def trivial_boundary(backend: Union[str, Backend, None], ncol: int) -> List:
@@ -145,26 +155,81 @@ def absorb_sandwich_row(
     -------
     The new boundary, whose physical legs are the row's far-side vertical
     legs.
+
+    Notes
+    -----
+    Given a batch (see the module docstring), the items are absorbed
+    independently and the new boundary keeps the batch axis.  An exact
+    absorption contracts each column of the whole batch with one
+    ``einsum_batched`` call; a truncated zip-up runs item by item, since
+    its SVDs have data-dependent factors.  Each item counts as one row
+    absorption.  Mismatched batch sizes raise ``ValueError``.
     """
-    _ROW_ABSORPTIONS.add()
     backend = get_backend(backend)
     rows = [ket_row] if bra_row is None else [ket_row, bra_row]
     _check_width(boundary, rows)
-    if from_below:
-        rows = [[backend.transpose(t, _FLIP_UD) for t in row] for row in rows]
-    if bra_row is not None:
-        rows[1] = [backend.conj(t) for t in rows[1]]
-
+    batch = _batch_size(backend, boundary, rows)
+    _ROW_ABSORPTIONS.add(batch or 1)
+    if batch is None:
+        return _absorb_row(backend, backend.einsum, boundary, rows, option, from_below)
     if option is None:
-        return _absorb_row_exact(backend, backend.einsum, boundary, rows)
+        return _absorb_row(backend, backend.einsum_batched, boundary, rows, None, from_below)
+    items = [
+        _absorb_row(backend, backend.einsum, *_item(backend, boundary, rows, s), option, from_below)
+        for s in range(batch)
+    ]
+    return [
+        backend.astensor(np.stack([np.asarray(backend.asarray(t)) for t in column]))
+        for column in zip(*items)
+    ]
+
+
+def _batch_size(backend: Backend, boundary, rows) -> Optional[int]:
+    """The batch size of an absorption's operands (each its size or 1), or ``None``."""
+    if backend.ndim(rows[0][0]) == _SITE_MODES[len(rows)]:
+        return None
+    sizes = {backend.shape(t)[0] for tensors in (boundary, *rows) for t in tensors}
+    batch = max(sizes)
+    if not sizes <= {1, batch}:
+        raise ValueError(f"batch sizes {sorted(sizes)} do not broadcast")
+    return batch
+
+
+def _item(backend: Backend, boundary, rows, index: int) -> Tuple[List, List[List]]:
+    """Item ``index`` of a batch's boundary and rows; batch-1 tensors broadcast
+    and a row that is its own bra is sliced once."""
+
+    def take(tensor):
+        k = 0 if backend.shape(tensor)[0] == 1 else index
+        return backend.astensor(np.asarray(backend.asarray(tensor)[k]))
+
+    item_boundary, kets = [take(t) for t in boundary], [take(t) for t in rows[0]]
+    bras = [kets if row is rows[0] else [take(t) for t in row] for row in rows[1:]]
+    return item_boundary, [kets, *bras]
+
+
+def _absorb_row(backend: Backend, contract, boundary, rows, option, from_below: bool) -> List:
+    """One absorption: the bra conjugated, exact or zip-up.
+
+    ``contract`` is ``backend.einsum``, or ``backend.einsum_batched`` for an
+    exact absorption of a whole batch.
+    """
+    if from_below:  # exchange the up and down legs, past a batch axis if any
+        lead = backend.ndim(rows[0][0]) - len(_FLIP_UD)
+        flip = (*range(lead), *(axis + lead for axis in _FLIP_UD))
+        rows = [[backend.transpose(t, flip) for t in row] for row in rows]
+    if len(rows) == 2:
+        rows = [rows[0], [backend.conj(t) for t in rows[1]]]
+    if option is None:
+        return _absorb_row_exact(backend, contract, boundary, rows)
     return _absorb_row_zipup(backend, boundary, rows, option)
 
 
 def _absorb_row_exact(backend: Backend, contract, boundary, rows) -> List:
     """Exact absorption: horizontal bonds multiply (boundary x ket [x bra]).
 
-    ``contract`` is ``backend.einsum``, or ``backend.einsum_batched`` when
-    every tensor carries a leading batch axis, which the new sites keep.
+    A batch's leading axis, which ``einsum_batched`` keeps, stays in front
+    of every new site.
     """
     layers = len(rows)
     bonds = layers + 1  # horizontal legs that merge into one new bond
@@ -217,37 +282,6 @@ def _absorb_row_zipup(backend: Backend, boundary, rows, option: EinsumSVDOption)
         )
     new_boundary.append(backend.reshape(working, (k, *phys, 1)))
     return new_boundary
-
-
-@traced("absorb_row_batched")
-def absorb_sandwich_row_batched(
-    backend: Union[str, Backend, None],
-    boundary: Sequence,
-    ket_row: Sequence,
-    bra_row: Sequence,
-) -> List:
-    """Exactly absorb one (ket ⊗ bra*) row into a *batch* of boundary MPSes.
-
-    The batched counterpart of :func:`absorb_sandwich_row` for the exact
-    (untruncated) case: every tensor carries a leading batch axis (size ``S``
-    or broadcastable ``1``), and each column is absorbed with one
-    ``einsum_batched`` call instead of ``S`` separate einsums.  The lockstep
-    sampler uses this to grow all per-shot upper boundaries at once; each
-    batch item still counts as one row absorption so the global work counter
-    stays comparable with per-item absorption.
-
-    Truncated (zip-up) absorptions are inherently per-item — their SVDs have
-    data-dependent factors — and stay with :func:`absorb_sandwich_row`.
-    """
-    backend = get_backend(backend)
-    _check_width(boundary, [ket_row, bra_row])
-    batch = max(
-        max(backend.shape(t)[0] for t in boundary),
-        max(backend.shape(t)[0] for t in ket_row),
-    )
-    _ROW_ABSORPTIONS.add(batch)
-    bra_row = [backend.conj(t) for t in bra_row]
-    return _absorb_row_exact(backend, backend.einsum_batched, boundary, [ket_row, bra_row])
 
 
 def close_boundaries(backend: Union[str, Backend, None], upper: Sequence, lower: Sequence) -> complex:

@@ -27,7 +27,6 @@ import numpy as np
 from repro.peps.contraction.options import BMPS, ContractOption, CTMOption, Exact
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
-    absorb_sandwich_row_batched,
     check_edge_legs,
     close_boundaries,
     trivial_boundary,
@@ -35,12 +34,7 @@ from repro.peps.contraction.two_layer import (
 from repro.peps.envs.base import Environment, EnvStats, local_terms
 from repro.peps.envs.sampling import sample_bitstrings
 from repro.peps.envs.sampling_mc import sample_mc
-from repro.peps.envs.strip import (
-    StripCache,
-    site_density,
-    transfer_left,
-    transfer_right,
-)
+from repro.peps.envs.strip import SITE_DENSITY, TRANSFER_LEFT, TRANSFER_RIGHT, StripCache
 from repro.telemetry.metrics import REGISTRY
 from repro.tensornetwork.einsumsvd import EinsumSVDOption
 
@@ -76,27 +70,6 @@ def option_signature(option) -> Tuple:
         getattr(option, field.name)
         for field in fields(option)
         if field.name not in CONVERGENCE_ONLY
-    )
-
-
-def _batch_size(backend, *tensor_lists) -> int:
-    """The shot count of batched boundary tensors (leading dims are it or 1)."""
-    return max(
-        backend.shape(t)[0] for tensors in tensor_lists for t in tensors
-    )
-
-
-def _batch_item(backend, tensor, index: int):
-    """Slice one shot out of a batched tensor (batch-1 tensors broadcast)."""
-    arr = backend.asarray(tensor)
-    item = arr[0 if backend.shape(tensor)[0] == 1 else index]
-    return backend.astensor(np.asarray(item))
-
-
-def _stack(backend, tensors):
-    """Restack per-shot tensors along a new leading batch axis."""
-    return backend.astensor(
-        np.stack([np.asarray(backend.asarray(t)) for t in tensors])
     )
 
 
@@ -193,16 +166,42 @@ class BoundaryEnvironment(Environment):
         self.ensure_lower(0)
         return self
 
-    def _absorb(self, boundary, row: int, from_below: bool = False):
-        self.stats.row_absorptions += 1
-        return absorb_sandwich_row(
-            boundary,
-            self.peps.grid[row],
-            self.bra.grid[row],
-            option=self.svd_option,
-            backend=self.backend,
+    def _absorb(self, boundary, row, from_below: bool = False):
+        """The environment's one boundary move: absorb ``row`` with its truncation.
+
+        ``row`` is a lattice row index, whose ``<bra|psi>`` sandwich row
+        grows a cached boundary, or — from the perfect sampler — a row of
+        basis-projected sites that is its own bra, whose tensors and
+        ``boundary`` carry a leading shot axis.
+        """
+        kets, bras = self._row_layers(row)
+        grown = absorb_sandwich_row(
+            boundary, kets, bras, option=self.svd_option, backend=self.backend,
             from_below=from_below,
         )
+        self._count_move(row, grown, len(grown) if self._absorbs_exactly() else 0)
+        return grown
+
+    def _row_layers(self, row) -> Tuple[Sequence, Sequence]:
+        """The ket and bra rows of a move (see :meth:`_absorb`)."""
+        if isinstance(row, int):
+            return self.peps.grid[row], self.bra.grid[row]
+        return row, row
+
+    def _count_move(self, row, boundary, lockstep_calls: int) -> int:
+        """Count a move's row absorptions — one, or one per shot — and return them.
+
+        A sampler move also counts its ``lockstep_calls`` ``einsum_batched``
+        calls as batched contractions.
+        """
+        if isinstance(row, int):
+            self.stats.row_absorptions += 1
+            return 1
+        shots = self.backend.shape(boundary[0])[0]
+        self.stats.row_absorptions += shots
+        self.stats.batched_contractions += lockstep_calls
+        _BATCHED_CONTRACTIONS.add(lockstep_calls)
+        return shots
 
     def ensure_upper(self, i: int):
         """Validate and return ``upper[i]`` (rows ``0..i-1`` absorbed from the top)."""
@@ -442,35 +441,6 @@ class BoundaryEnvironment(Environment):
         """
         return self.svd_option is None or self.svd_option.cutoff is None
 
-    def absorb_for_sampling_batched(self, upper, projected_row):
-        """Absorb one basis-projected row into a whole group of shot boundaries.
-
-        The perfect sampler (:func:`~repro.peps.envs.sampling.sample_bitstrings`)
-        routes its boundary growth through this hook so each environment
-        truncates the projected boundaries with its own scheme.
-        ``upper`` and ``projected_row`` tensors carry a leading batch axis
-        (shot count or broadcastable 1).  Exact environments absorb the
-        entire batch with one batched contraction per column; truncated ones
-        unstack, absorb each shot with the environment's own zip-up scheme,
-        and restack — valid because :meth:`supports_lockstep` guarantees
-        shot-independent shapes.
-        """
-        b = self.backend
-        batch = _batch_size(b, upper, projected_row)
-        self.stats.row_absorptions += batch
-        if self.svd_option is None:
-            self.stats.batched_contractions += len(upper)
-            _BATCHED_CONTRACTIONS.add(len(upper))
-            return absorb_sandwich_row_batched(b, upper, projected_row, projected_row)
-        columns = []
-        for s in range(batch):
-            upper_s = [_batch_item(b, t, s) for t in upper]
-            row_s = [_batch_item(b, t, s) for t in projected_row]
-            columns.append(
-                absorb_sandwich_row(upper_s, row_s, row_s, option=self.svd_option, backend=b)
-            )
-        return [_stack(b, [columns[s][c] for s in range(batch)]) for c in range(len(upper))]
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
@@ -541,19 +511,19 @@ class BoundaryEnvironment(Environment):
         right: List = [None] * (ncol + 1)
         right[ncol] = b.ones((1, 1, 1, 1))
         for c in range(ncol - 1, cols[0], -1):
-            right[c] = transfer_right(b, upper[c], kets[c], bras[c], lower[c], right[c + 1])
+            right[c] = b.einsum(TRANSFER_RIGHT, upper[c], kets[c], bras[c], lower[c], right[c + 1])
 
         out: List[np.ndarray] = []
         want = set(cols)
         left = b.ones((1, 1, 1, 1))
         for c in range(cols[-1] + 1):
             if c in want:
-                rho = site_density(
-                    b, left, upper[c], kets[c], bras[c], lower[c], right[c + 1]
+                rho = b.einsum(
+                    SITE_DENSITY, left, upper[c], kets[c], bras[c], lower[c], right[c + 1]
                 )
                 out.append(np.asarray(b.asarray(rho)))
             if c < cols[-1]:
-                left = transfer_left(b, left, upper[c], kets[c], bras[c], lower[c])
+                left = b.einsum(TRANSFER_LEFT, left, upper[c], kets[c], bras[c], lower[c])
         return out
 
 

@@ -42,11 +42,8 @@ import numpy as np
 
 from repro.linalg.truncated_svd import truncated_svd
 from repro.peps.contraction.options import ContractOption, CTMOption
-from repro.peps.contraction.two_layer import (
-    absorb_sandwich_row,
-    absorb_sandwich_row_batched,
-)
-from repro.peps.envs.boundary import BoundaryEnvironment, _batch_size, option_signature
+from repro.peps.contraction.two_layer import absorb_sandwich_row
+from repro.peps.envs.boundary import BoundaryEnvironment, option_signature
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 
@@ -54,7 +51,6 @@ from repro.telemetry.trace import span as _span
 #: as one row absorption, so ``peps.row_absorptions`` stays comparable
 #: across environment implementations.
 _CTM_MOVES = REGISTRY.counter("peps.ctm_moves")
-_BATCHED_CONTRACTIONS = REGISTRY.counter("peps.batched_contractions")
 
 #: Relative floor under which corner-Gram singular directions are treated as
 #: numerically zero when forming ``S^(-1/2)`` (pseudo-inverse regularization).
@@ -152,6 +148,35 @@ def bond_projectors(
     return (absorb_left, absorb_right), spectrum
 
 
+def _batched_bond_projectors(
+    backend, left_gram, right_gram, chi: Optional[int], cutoff: Optional[float]
+) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """:func:`bond_projectors` of every item of a batch, restacked.
+
+    The items must retain one rank, so that their projectors stack.
+    """
+    left = np.asarray(backend.asarray(left_gram))
+    right = np.asarray(backend.asarray(right_gram))
+    batch = max(left.shape[0], right.shape[0])
+    left = np.broadcast_to(left, (batch,) + left.shape[1:])
+    right = np.broadcast_to(right, (batch,) + right.shape[1:])
+    items = [
+        bond_projectors(backend, backend.astensor(np.asarray(left[s])),
+                        backend.astensor(np.asarray(right[s])), chi, cutoff)
+        for s in range(batch)
+    ]
+    ranks = sorted({len(spectrum) for _, spectrum in items})
+    if len(ranks) > 1:
+        raise RuntimeError(
+            f"the batch retains ranks {ranks} at one bond; batched CTM "
+            f"renormalization needs a shape-deterministic truncation (cutoff=None)"
+        )
+    spectra = np.stack([spectrum for _, spectrum in items])
+    if items[0][0] is None:
+        return None, spectra
+    return tuple(np.stack([pair[k] for pair, _ in items]) for k in (0, 1)), spectra
+
+
 def ctm_renormalize(
     backend,
     boundary: Sequence,
@@ -164,93 +189,50 @@ def ctm_renormalize(
     applied afterwards, so each bond's truncation sees the exact corner Gram
     matrices.  Returns the renormalized boundary and the list of normalized
     corner spectra (one per internal bond, left to right).
+
+    A batch of boundaries (every tensor with a leading batch axis, 5 modes
+    instead of 4) runs its Gram chains and projector applications as
+    ``einsum_batched`` calls, and only the small corner factorizations item
+    by item; each spectrum then has a leading batch axis too.  Every item
+    must retain the same rank at a bond, which a truncation without
+    ``cutoff`` guarantees.
     """
     ncol = len(boundary)
     if ncol < 2:
         return list(boundary), []
-    lefts, rights = corner_grams(backend, boundary, backend.einsum)
+    batched = backend.ndim(boundary[0]) == 5
+    contract = backend.einsum_batched if batched else backend.einsum
+    projectors = _batched_bond_projectors if batched else bond_projectors
+    lefts, rights = corner_grams(backend, boundary, contract)
     pairs: List = [None] * ncol
     spectra: List[np.ndarray] = []
     for b in range(1, ncol):
-        pair, spectrum = bond_projectors(backend, lefts[b], rights[b], chi, cutoff)
-        pairs[b] = pair
+        pairs[b], spectrum = projectors(backend, lefts[b], rights[b], chi, cutoff)
         spectra.append(spectrum)
     renormalized: List = []
     for c in range(ncol):
         tensor = boundary[c]
         if pairs[c] is not None:
             absorb_left = backend.astensor(pairs[c][0])
-            tensor = backend.einsum("kl,lqpr->kqpr", absorb_left, tensor)
+            tensor = contract("kl,lqpr->kqpr", absorb_left, tensor)
         if c + 1 < ncol and pairs[c + 1] is not None:
             absorb_right = backend.astensor(pairs[c + 1][1])
-            tensor = backend.einsum("aqpl,lk->aqpk", tensor, absorb_right)
+            tensor = contract("aqpl,lk->aqpk", tensor, absorb_right)
         renormalized.append(tensor)
     return renormalized, spectra
 
 
-def ctm_renormalize_batched(
-    backend,
-    boundary: Sequence,
-    chi: Optional[int],
-    cutoff: Optional[float],
-) -> Tuple[List, int]:
-    """Batched :func:`ctm_renormalize` over a leading shot axis.
+def _move_contractions(backend, grown: Sequence, spectra: Sequence[np.ndarray]) -> int:
+    """Contraction calls of one CTM move, from its grown boundary and spectra.
 
-    The Gram chains and the projector applications run as batched
-    contractions; only the per-shot ``chi``-sized corner SVDs inside
-    :func:`bond_projectors` stay per-item (they are small dense
-    factorizations, not einsum calls).  Requires a shape-deterministic
-    truncation (``cutoff=None``) so every shot retains the same rank at each
-    bond.  Returns ``(renormalized, n_batched_calls)``.
+    One per column to grow, two per renormalized bond for the corner Grams
+    and two more per truncated bond to apply its projectors.
     """
-    ncol = len(boundary)
-    if ncol < 2:
-        return list(boundary), 0
-    batch = _batch_size(backend, boundary)
-    lefts, rights = corner_grams(backend, boundary, backend.einsum_batched)
-    calls = 2 * (ncol - 1)
-    pairs: List = [None] * ncol
-    for bond in range(1, ncol):
-        left_arr = np.asarray(backend.asarray(lefts[bond]))
-        right_arr = np.asarray(backend.asarray(rights[bond]))
-        if left_arr.shape[0] == 1:
-            left_arr = np.broadcast_to(left_arr, (batch,) + left_arr.shape[1:])
-        if right_arr.shape[0] == 1:
-            right_arr = np.broadcast_to(right_arr, (batch,) + right_arr.shape[1:])
-        per_shot = [
-            bond_projectors(
-                backend,
-                backend.astensor(np.asarray(left_arr[s])),
-                backend.astensor(np.asarray(right_arr[s])),
-                chi,
-                cutoff,
-            )[0]
-            for s in range(batch)
-        ]
-        truncating = [p for p in per_shot if p is not None]
-        if not truncating:
-            continue
-        if len(truncating) != batch:
-            raise RuntimeError(
-                f"bond {bond} truncates for {len(truncating)}/{batch} shots; "
-                f"lockstep CTM renormalization needs a shape-deterministic "
-                f"truncation (cutoff=None)"
-            )
-        pairs[bond] = (
-            backend.astensor(np.stack([p[0] for p in per_shot])),
-            backend.astensor(np.stack([p[1] for p in per_shot])),
-        )
-    renormalized: List = []
-    for c in range(ncol):
-        tensor = boundary[c]
-        if pairs[c] is not None:
-            tensor = backend.einsum_batched("kl,lqpr->kqpr", pairs[c][0], tensor)
-            calls += 1
-        if c + 1 < ncol and pairs[c + 1] is not None:
-            tensor = backend.einsum_batched("aqpl,lk->aqpk", tensor, pairs[c + 1][1])
-            calls += 1
-        renormalized.append(tensor)
-    return renormalized, calls
+    truncated = sum(
+        np.shape(spectrum)[-1] < backend.shape(tensor)[-1]
+        for spectrum, tensor in zip(spectra, grown)
+    )
+    return len(grown) + 2 * len(spectra) + 2 * truncated
 
 
 def spectra_distance(
@@ -330,29 +312,30 @@ class EnvCTM(BoundaryEnvironment):
     def _absorbs_exactly(self) -> bool:
         return self.chi is None and self.cutoff is None
 
-    def _absorb(self, boundary, row: int, from_below: bool = False):
-        """One CTM move: exact row absorption plus corner-projector renormalization."""
-        self.stats.row_absorptions += 1
-        self.stats.ctm_moves += 1
-        _CTM_MOVES.add()
-        with _span("ctm_move", row=row, from_below=from_below):
+    def _absorb(self, boundary, row, from_below: bool = False):
+        """One CTM move: exact row absorption plus corner-projector renormalization.
+
+        ``row`` is as in :meth:`BoundaryEnvironment._absorb`; only a move of
+        a cached boundary records its corner spectra.
+        """
+        kets, bras = self._row_layers(row)
+        cached = isinstance(row, int)
+        with _span("ctm_move", row=row if cached else -1, from_below=from_below):
             grown = absorb_sandwich_row(
-                boundary,
-                self.peps.grid[row],
-                self.peps.grid[row],
-                option=None,
-                backend=self.backend,
-                from_below=from_below,
+                boundary, kets, bras, option=None, backend=self.backend, from_below=from_below
             )
-            if self._absorbs_exactly():
-                renormalized, spectra = grown, []
-            else:
+            renormalized, spectra = grown, []
+            if not self._absorbs_exactly():
                 renormalized, spectra = ctm_renormalize(
                     self.backend, grown, self.chi, self.cutoff
                 )
-        if from_below:
+        calls = _move_contractions(self.backend, grown, spectra)
+        moves = self._count_move(row, renormalized, calls)
+        self.stats.ctm_moves += moves
+        _CTM_MOVES.add(moves)
+        if cached and from_below:
             self._record_spectra(self.lower_spectra, row - 1, spectra)
-        else:
+        elif cached:
             self._record_spectra(self.upper_spectra, row + 1, spectra)
         return renormalized
 
@@ -367,27 +350,6 @@ class EnvCTM(BoundaryEnvironment):
         shots; a ``cutoff`` retains data-dependent ranks, so the sampler
         advances one shot per group."""
         return self.cutoff is None
-
-    def absorb_for_sampling_batched(self, upper, projected_row):
-        """Absorb one basis-projected row CTM-style into a group of boundaries.
-
-        The exact growth and the corner-Gram chains run as batched
-        contractions covering every shot of the group at once; only the small
-        per-shot corner SVDs stay per-item.
-        """
-        b = self.backend
-        batch = _batch_size(b, upper, projected_row)
-        self.stats.row_absorptions += batch
-        self.stats.ctm_moves += batch
-        _CTM_MOVES.add(batch)
-        grown = absorb_sandwich_row_batched(b, upper, projected_row, projected_row)
-        calls = len(grown)
-        if not self._absorbs_exactly():
-            grown, renorm_calls = ctm_renormalize_batched(b, grown, self.chi, self.cutoff)
-            calls += renorm_calls
-        self.stats.batched_contractions += calls
-        _BATCHED_CONTRACTIONS.add(calls)
-        return grown
 
     # ------------------------------------------------------------------ #
     # Convergence

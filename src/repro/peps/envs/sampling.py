@@ -23,7 +23,12 @@ per-shot upper boundaries, right environments, site densities and projected
 tensors are stacked along a leading batch axis, and each per-site contraction
 is one :meth:`~repro.backends.interface.Backend.einsum_batched` call for the
 whole group.  Tensors shared by all shots (site tensors, cached lower
-environments) enter with batch dimension 1 and broadcast.
+environments) enter with batch dimension 1 and broadcast.  After each row the
+group's projected row grows the upper boundaries through the environment's
+one boundary move, ``env._absorb`` — the move its cached boundaries are built
+with, handed a batch: exact growth is one ``einsum_batched`` call per column,
+a zip-up runs shot by shot, and a CTM renormalization stacks its Gram chains
+and projectors, factorizing only the small corner matrices shot by shot.
 
 Stacking requires every shot's boundary to keep the same shape after
 truncation; environments report this via ``supports_lockstep()``.  Exact and
@@ -194,14 +199,14 @@ def _sample_group(
                 env, TRANSFER_LEFT_PROJECTED, left, upper[c], proj, b.conj(proj), lower[c]
             )
 
-        # Absorb the projected row into the running per-shot upper boundaries,
-        # with the environment's own truncation; projected sites get their
-        # phys-1 leg back *after* the batch axis.
+        # Absorb the projected row into the running per-shot upper boundaries
+        # with the environment's own move; projected sites get their phys-1
+        # leg back *after* the batch axis.
         proj_row = []
         for t in projected:
             shape = tuple(b.shape(t))
             proj_row.append(b.reshape(t, (shape[0], 1) + shape[1:]))
-        upper = env.absorb_for_sampling_batched(upper, proj_row)
+        upper = env._absorb(upper, proj_row)
     return bits
 
 

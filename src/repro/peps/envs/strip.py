@@ -34,21 +34,6 @@ TRANSFER_LEFT_PROJECTED = "aefb,auwx,uedg,wfhs,bdhy->xgsy"
 SITE_DENSITY = "aefb,auwx,puedg,qwfhs,bdhy,xgsy->qp"
 
 
-def transfer_right(backend, upper, ket, bra, lower, right):
-    """Absorb one traced column (phys legs contracted) into a right environment."""
-    return backend.einsum(TRANSFER_RIGHT, upper, ket, bra, lower, right)
-
-
-def transfer_left(backend, left, upper, ket, bra, lower):
-    """Absorb one traced column into a left environment."""
-    return backend.einsum(TRANSFER_LEFT, left, upper, ket, bra, lower)
-
-
-def site_density(backend, left, upper, ket, bra, lower, right):
-    """Local reduced density matrix ``rho[bra phys, ket phys]`` of one column."""
-    return backend.einsum(SITE_DENSITY, left, upper, ket, bra, lower, right)
-
-
 def operator_pieces(
     sites: Sequence[int],
     matrix: np.ndarray,

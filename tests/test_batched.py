@@ -15,11 +15,7 @@ from repro.backends import (
 from repro.backends.numpy_backend import NumPyBackend
 from repro.operators.hamiltonians import heisenberg_j1j2
 from repro.peps.contraction.options import BMPS, CTMOption
-from repro.peps.contraction.two_layer import (
-    absorb_sandwich_row,
-    absorb_sandwich_row_batched,
-    trivial_boundary,
-)
+from repro.peps.contraction.two_layer import absorb_sandwich_row, trivial_boundary
 from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, StripCache, sampling
 from repro.peps.envs.sampling import _sample_group, _SamplingPlan, sample_bitstrings
 from repro.sim.spec import RunSpec
@@ -185,8 +181,8 @@ class TestBatchedAbsorption:
             backend.ones((1, 1, 1, 1, 1)) for _ in range(3)
         ]
         lifted_row = [backend.reshape(t, (1,) + tuple(backend.shape(t))) for t in row]
-        batched = absorb_sandwich_row_batched(
-            backend, stacked_boundary, lifted_row, lifted_row
+        batched = absorb_sandwich_row(
+            stacked_boundary, lifted_row, lifted_row, option=None, backend=backend
         )
         for c in range(3):
             got = np.asarray(backend.asarray(batched[c]))
@@ -203,8 +199,66 @@ class TestBatchedAbsorption:
             row.append(backend.astensor(np.stack([arr, arr, arr])))
         boundary = [backend.ones((1, 1, 1, 1, 1))] * 2
         before = REGISTRY.value("peps.row_absorptions")
-        absorb_sandwich_row_batched(backend, boundary, row, row)
+        absorb_sandwich_row(boundary, row, row, backend=backend)
         assert REGISTRY.value("peps.row_absorptions") - before == 3
+
+
+#: What one build and one 4-shot sample of a 3x3 D=2 state cost, per
+#: environment: the ``peps.*`` registry deltas, the non-zero ``env.stats``
+#: and the backend calls by category.  A build grows boundaries one at a
+#: time and a sample grows every shot's boundary in one batch, both through
+#: the environment's one move.
+MOVE_ENVS = {
+    "exact": lambda state: EnvExact(state),
+    "bmps": lambda state: EnvBoundaryMPS(state, BMPS(truncate_bond=8)),
+    "bmps_cutoff": lambda state: EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
+    "ctm": lambda state: EnvCTM(state, CTMOption(chi=8)),
+}
+MOVE_COUNTERS = ("peps.row_absorptions", "peps.ctm_moves", "peps.batched_contractions")
+MOVE_COSTS = {
+    ("exact", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 15}),
+    ("exact", "sample"): (
+        (12, 0, 42),
+        {"row_absorptions": 12, "batched_contractions": 42},
+        {"einsum": 12, "einsum_batched": 30},
+    ),
+    ("bmps", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 35, "svd": 10}),
+    ("bmps", "sample"): (
+        (12, 0, 33),
+        {"row_absorptions": 12, "batched_contractions": 33},
+        {"einsum": 96, "einsum_batched": 21, "svd": 24},
+    ),
+    ("bmps_cutoff", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 35, "svd": 10}),
+    ("bmps_cutoff", "sample"): (
+        (12, 0, 132),
+        {"row_absorptions": 12, "batched_contractions": 132},
+        {"einsum": 216, "svd": 24},
+    ),
+    ("ctm", "build"): (
+        (5, 5, 0), {"row_absorptions": 5, "ctm_moves": 5}, {"einsum": 47, "svd": 10}
+    ),
+    ("ctm", "sample"): (
+        (12, 12, 62),
+        {"row_absorptions": 12, "ctm_moves": 12, "batched_contractions": 62},
+        {"einsum": 12, "einsum_batched": 50, "svd": 24},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MOVE_ENVS))
+def test_build_and_sample_move_counters_are_pinned(kind):
+    counter = FlopCounter()
+    backend = NumPyBackend(flop_counter=counter)
+    env = MOVE_ENVS[kind](peps.random_peps(3, 3, bond_dim=2, seed=5, backend=backend))
+    for phase, run in (("build", env.build), ("sample", lambda: env.sample(rng=3, nshots=4))):
+        before = [REGISTRY.value(name) for name in MOVE_COUNTERS]
+        counter.reset()
+        env.stats.reset()
+        run()
+        registry = tuple(REGISTRY.value(name) - b for name, b in zip(MOVE_COUNTERS, before))
+        stats = {k: v for k, v in env.stats.as_dict().items() if v}
+        calls = counter.calls_by_category()
+        assert (registry, stats, calls) == MOVE_COSTS[kind, phase], phase
 
 
 # --------------------------------------------------------------------- #

@@ -6,8 +6,6 @@ import pytest
 from repro.linalg import (
     DenseTensorOperator,
     TensorNetworkOperator,
-    gram_orthogonalize,
-    qr_orthogonalize,
     randomized_svd,
     tensor_qr,
     truncate_spectrum,
@@ -131,8 +129,8 @@ class TestOrthogonalize:
 
     def test_orthogonalize_helpers(self, numpy_backend, rng):
         t = random_complex(rng, (10, 3))
-        for fn in (qr_orthogonalize, gram_orthogonalize):
-            q = fn(numpy_backend, t, 1)
+        for method in ("qr", "gram"):
+            q = tensor_qr(numpy_backend, t, 1, method=method)[0]
             assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-10)
 
     def test_invalid_split_raises(self, numpy_backend, rng):

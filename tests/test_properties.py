@@ -15,10 +15,11 @@ from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
 from repro.peps import BMPS, Exact, TwoLayerBMPS, contract_single_layer, random_peps
 from repro.peps.contraction.options import CONTRACT_OPTION_KINDS, CTMOption
+from repro.peps.contraction.two_layer import absorb_sandwich_row
 from repro.peps.peps import random_single_layer_grid
-from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, make_environment
+from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, ctm_renormalize, make_environment
 from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
-from repro.peps.update import UPDATE_OPTION_KINDS, QRUpdate
+from repro.peps.update import DOWN, UP, UPDATE_OPTION_KINDS, QRUpdate
 from repro.sim import RunSpec
 from repro.sim import io as sim_io
 from repro.statevector import StateVector
@@ -432,6 +433,142 @@ class TestOptionDescriptionProperties:
             value = data.draw(FIELD_STRATEGIES[name].filter(lambda v: v != getattr(base, name)))
             changed = dataclasses.replace(redrawn, **{name: value})
             assert option_signature(wrap(changed)) != option_signature(option)
+
+
+# --------------------------------------------------------------------- #
+# Boundary moves: a batch is its items
+# --------------------------------------------------------------------- #
+def assert_item_matches(got, want, rounds):
+    """``got`` is ``want`` bit for bit, or to rounding where ``rounds``.
+
+    A batch-1 operand that broadcasts against a stacked one joins its GEMM
+    as extra rows, so a lockstep contraction with both may round unlike the
+    item's own call.  A batch of one, a fully stacked batch and any per-item
+    route give the item's bits.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if rounds:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def item(tensor, s):
+    """Item ``s`` of a batched tensor; a batch of one broadcasts."""
+    return tensor[0 if tensor.shape[0] == 1 else s]
+
+
+def batch_of(items, shared):
+    """Per-item tensor lists stacked column by column; a shared column is
+    item 0's tensor alone, a batch of one that broadcasts."""
+    return [
+        items[0][c][np.newaxis] if shared[c] else np.stack([tensors[c] for tensors in items])
+        for c in range(len(shared))
+    ]
+
+
+def broadcasts(batch, shared):
+    """Whether some operands broadcast against stacked ones."""
+    return batch > 1 and any(shared) and not all(shared)
+
+
+def random_boundaries(rng, batch, phys, layers, max_bond):
+    """``batch`` random boundaries with physical legs ``phys`` per column."""
+    bonds = [1] + [int(b) for b in rng.integers(1, max_bond + 1, size=len(phys) - 1)] + [1]
+    return [
+        [
+            _complex_array(rng, (bonds[c], *[int(p)] * layers, bonds[c + 1]))
+            for c, p in enumerate(phys)
+        ]
+        for _ in range(batch)
+    ]
+
+
+def absorb_options(m):
+    return [None, ExplicitSVD(rank=m), ImplicitRandomizedSVD(rank=m, seed=0)]
+
+
+class TestBatchedMoveProperties:
+    @FAST
+    @given(nrow=st.integers(1, 3), ncol=st.integers(1, 4), bond_dim=st.integers(1, 2),
+           batch=st.integers(1, 3), layers=st.sampled_from([1, 2]), own_bra=st.booleans(),
+           from_below=st.booleans(), m=st.integers(1, 3), kind=st.integers(0, 2),
+           seed=seeds, data=st.data())
+    def test_absorbing_a_batch_absorbs_each_item(
+        self, nrow, ncol, bond_dim, batch, layers, own_bra, from_below, m, kind, seed, data
+    ):
+        option = absorb_options(m)[kind]
+        from_below = from_below and layers == 2
+        rng = np.random.default_rng(seed)
+        r = data.draw(st.integers(0, nrow - 1))
+        if layers == 2:
+            grids = [random_peps(nrow, ncol, bond_dim=bond_dim, seed=seed + s).grid
+                     for s in range(2 * batch)]
+        else:
+            grids = [random_single_layer_grid(nrow, ncol, bond_dim=bond_dim, seed=seed + s)
+                     for s in range(batch)]
+        kets = [grid[r] for grid in grids[:batch]]
+        leg = (DOWN if from_below else UP) if layers == 2 else 0
+        boundaries = random_boundaries(
+            rng, batch, [t.shape[leg] for t in kets[0]], layers, max_bond=3
+        )
+        shared = [data.draw(st.lists(st.booleans(), min_size=ncol, max_size=ncol))
+                  for _ in range(3)]
+        boundary = batch_of(boundaries, shared[0])
+        ket_row = batch_of(kets, shared[1])
+        bra_row = None
+        if layers == 2 and own_bra:
+            bra_row, shared[2] = ket_row, shared[1]
+        elif layers == 2:
+            bra_row = batch_of([grid[r] for grid in grids[batch:]], shared[2])
+        used = shared[0] + shared[1] + (shared[2] if layers == 2 else [])
+        rounds = option is None and broadcasts(batch, used)
+
+        got = absorb_sandwich_row(
+            boundary, ket_row, bra_row, option=option, backend=BACKEND, from_below=from_below
+        )
+        for s in range(batch):
+            want = absorb_sandwich_row(
+                [item(t, s) for t in boundary],
+                [item(t, s) for t in ket_row],
+                None if bra_row is None else [item(t, s) for t in bra_row],
+                option=option,
+                backend=BACKEND,
+                from_below=from_below,
+            )
+            for got_column, want_column in zip(got, want, strict=True):
+                assert_item_matches(item(got_column, s), want_column, rounds)
+
+    @FAST
+    @given(ncol=st.integers(1, 4), batch=st.integers(1, 3), chi=st.sampled_from([1, 2, None]),
+           seed=seeds, data=st.data())
+    def test_renormalizing_a_batch_renormalizes_each_item(self, ncol, batch, chi, seed, data):
+        # Physical legs of dimension 2 keep every corner Gram full rank: the
+        # square root of a rank-deficient one amplifies rounding by itself.
+        rng = np.random.default_rng(seed)
+        boundaries = random_boundaries(rng, batch, [2] * ncol, layers=2, max_bond=4)
+        shared = data.draw(st.lists(st.booleans(), min_size=ncol, max_size=ncol))
+        boundary = batch_of(boundaries, shared)
+        rounds = broadcasts(batch, shared)
+
+        got, got_spectra = ctm_renormalize(BACKEND, boundary, chi, None)
+        for s in range(batch):
+            want, want_spectra = ctm_renormalize(BACKEND, [item(t, s) for t in boundary], chi, None)
+            for got_column, want_column in zip(got, want, strict=True):
+                assert_item_matches(item(got_column, s), want_column, rounds)
+            for got_spectrum, want_spectrum in zip(got_spectra, want_spectra, strict=True):
+                assert_item_matches(item(got_spectrum, s), want_spectrum, rounds)
+
+    def test_mismatched_batch_sizes_raise(self):
+        row = [np.stack([t] * 3) for t in random_peps(1, 3, bond_dim=2, seed=1).grid[0]]
+        boundary = [np.ones((2, 1, 1, 1, 1))] * 3
+        for option in absorb_options(2):
+            with pytest.raises(ValueError, match="batch"):
+                absorb_sandwich_row(boundary, row, row, option=option, backend=BACKEND)
+        grown = [np.ones((2, 1, 1, 1, 2)), np.ones((3, 2, 1, 1, 2)), np.ones((2, 2, 1, 1, 1))]
+        with pytest.raises(ValueError, match="batch"):
+            ctm_renormalize(BACKEND, grown, 1, None)
 
 
 #: The environment kinds of the sampler's parity probe: exact, fixed-rank and
