@@ -65,30 +65,53 @@ class ExecutionStats:
     counters, and the peak tensor size is a max-gauge
     (``dist.tensor_bytes_peak``).  The public attribute API — including the
     ``counts`` / ``seconds_by_category`` dict views — is unchanged.
+
+    :meth:`record` runs for every charged operation, so it adds to metric
+    handles bound once (the totals at construction, a category's pair on its
+    first record) instead of looking them up by name.  Handles share their
+    registry's lock, so copies rebind them on the copied registry.
     """
 
     def __init__(self) -> None:
         from repro.telemetry.metrics import MetricsRegistry
 
         self.registry = MetricsRegistry()
-        for name in _STAT_SCALARS:
-            self.registry.counter(f"dist.{name}")
-        self.registry.gauge("dist.tensor_bytes_peak")
-        self._categories: list = []
+        self._bind([])
+
+    def _bind(self, categories) -> None:
+        self._totals = tuple(self.registry.counter(f"dist.{name}") for name in _STAT_SCALARS)
+        self._peak = self.registry.gauge("dist.tensor_bytes_peak")
+        self._by_category: Dict[str, tuple] = {}
+        for category in categories:
+            self._bind_category(category)
+
+    def _bind_category(self, category: str) -> tuple:
+        self._by_category[category] = pair = (
+            self.registry.counter("dist.ops", category=category),
+            self.registry.counter("dist.seconds", category=category),
+        )
+        return pair
+
+    def __getstate__(self) -> dict:
+        return {"registry": self.registry, "categories": list(self._by_category)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.registry = state["registry"]
+        self._bind(state["categories"])
 
     def record(self, category: str, seconds: float, flops: float = 0.0,
                comm_bytes: float = 0.0, messages: float = 0.0) -> None:
-        self.registry.counter("dist.simulated_seconds").add(seconds)
-        self.registry.counter("dist.flops").add(flops)
-        self.registry.counter("dist.comm_bytes").add(comm_bytes)
-        self.registry.counter("dist.messages").add(messages)
-        if category not in self._categories:
-            self._categories.append(category)
-        self.registry.counter("dist.ops", category=category).add(1)
-        self.registry.counter("dist.seconds", category=category).add(seconds)
+        simulated, flop, comm, message = self._totals
+        simulated.add(seconds)
+        flop.add(flops)
+        comm.add(comm_bytes)
+        message.add(messages)
+        ops, by_category = self._by_category.get(category) or self._bind_category(category)
+        ops.add(1)
+        by_category.add(seconds)
 
     def observe_tensor(self, nbytes: float) -> None:
-        self.registry.gauge("dist.tensor_bytes_peak").update_max(nbytes)
+        self._peak.update_max(nbytes)
 
     @property
     def peak_tensor_bytes(self) -> float:
@@ -97,21 +120,16 @@ class ExecutionStats:
     @property
     def counts(self) -> Dict[str, int]:
         """Per-category operation counts (a rebuilt dict view)."""
-        return {
-            c: self.registry.value("dist.ops", category=c) for c in self._categories
-        }
+        return {c: ops.value for c, (ops, _) in self._by_category.items()}
 
     @property
     def seconds_by_category(self) -> Dict[str, float]:
         """Per-category simulated seconds (a rebuilt dict view)."""
-        return {
-            c: self.registry.value("dist.seconds", category=c)
-            for c in self._categories
-        }
+        return {c: seconds.value for c, (_, seconds) in self._by_category.items()}
 
     def reset(self) -> None:
         self.registry.reset()
-        self._categories.clear()
+        self._by_category.clear()
 
 
 def _stat_scalar_property(name: str) -> property:

@@ -13,6 +13,7 @@ same descriptors so that it can reason about
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import List, Sequence, Tuple
 
@@ -84,8 +85,9 @@ class Distribution:
 
     @staticmethod
     def natural(shape: Sequence[int], nprocs: int) -> "Distribution":
-        shape = tuple(int(s) for s in shape)
-        return Distribution(shape=shape, grid=ProcessorGrid.for_tensor(shape, nprocs))
+        """The distribution every backend tensor of ``shape`` gets (memoised:
+        descriptors are immutable and every tensor operation asks for one)."""
+        return _natural(tuple(int(s) for s in shape), int(nprocs))
 
     @property
     def nprocs(self) -> int:
@@ -172,3 +174,8 @@ class Distribution:
         for rank, block in enumerate(blocks):
             out[self.block_slices(rank)] = block
         return out
+
+
+@lru_cache(maxsize=4096)
+def _natural(shape: Tuple[int, ...], nprocs: int) -> Distribution:
+    return Distribution(shape=shape, grid=ProcessorGrid.for_tensor(shape, nprocs))

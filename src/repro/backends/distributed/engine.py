@@ -7,26 +7,27 @@ einsums through the same two-phase engine:
 1. :func:`plan_einsum` fixes a contraction *plan* from the **global** operand
    shapes: the shared, cached pairwise plan of
    :func:`repro.tensornetwork.contraction_path.find_path`, plus the output
-   label along which the computation is block-partitioned across ranks.
-2. :func:`execute_plan` evaluates the plan block by block, each block as a
-   chain of two-operand ``np.einsum(..., optimize=False)`` calls.
+   label along which the computation is block-partitioned across ranks, plus
+   that plan's path re-lowered at each canonical block's extents.
+2. :func:`execute_plan` evaluates the plan block by block, each block as the
+   NumPy backend runs a plan: one transpose, reshape and ``np.matmul`` per
+   pairwise step.
 
 Bitwise parity across executors and rank counts rests on two invariants:
 
-* **Pure-C pairwise kernels.**  Every pairwise step runs with
-  ``optimize=False``, which routes it through NumPy's C einsum kernel (a
-  direct sum-of-products loop) instead of BLAS.  For identical operand
-  buffers the kernel is deterministic; a BLAS GEMM would change its
-  reduction blocking (and hence low-order bits) with the matrix extents.
-* **Canonical blocks.**  The kernel NumPy picks for a step depends on the
-  operands' extents and memory layout, so the *unit of computation* must not
-  depend on how many ranks share the work.  The plan therefore fixes a
-  canonical partition of the shard label into :data:`CANONICAL_PARTS` blocks
-  (fewer when the extent is smaller), and every operand of every block is
-  materialized contiguously before its chain runs.  A rank executes a
-  contiguous *range* of canonical blocks — block ``b`` is computed by the
-  exact same sequence of kernel calls no matter which process owns it or how
-  the operand arrived there.
+* **Canonical blocks.**  The plan fixes a canonical partition of the shard
+  label into :data:`CANONICAL_PARTS` blocks (fewer when the extent is
+  smaller), and a rank executes a contiguous *range* of them.  Block ``b``
+  has the same extents however many ranks share the work, so every matrix
+  product of its chain has the same extents too, and a BLAS GEMM's reduction
+  blocking (hence its low-order bits) is a function of those extents and of
+  the operand buffers alone.  Blocks differ by at most one in extent, so a
+  plan carries at most two lowerings.
+* **Canonical buffers.**  Every operand of every block is materialized
+  contiguously before its chain runs, and every block result leaves it
+  contiguous: block ``b`` is computed by the exact same sequence of kernel
+  calls on the same bytes no matter which process owns it or how the operand
+  arrived there.
 
 Subscripts the lightweight parser rejects (ellipsis, repeated labels within
 a term) fall back to a single whole-tensor ``np.einsum`` call, which is
@@ -36,12 +37,13 @@ never partitioned and hence trivially invariant to the rank count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensornetwork.contraction_path import ContractionPlan, find_path
+from repro.backends.numpy_backend import _execute
+from repro.tensornetwork.contraction_path import ContractionPlan, find_path, relower
 
 #: Number of canonical blocks a sharded contraction is split into (fewer when
 #: the shard extent is smaller).  This caps useful pool parallelism per
@@ -71,9 +73,10 @@ class EinsumPlan:
     cannot handle; those execute as one whole einsum call.  ``shard_label``
     is an output label to block-partition across ranks (``None`` when the
     output has none, e.g. scalar results), with ``shard_extent`` its global
-    extent and ``shard_parts`` the canonical block count.  Plans are
-    immutable and picklable, so the driver can ship one plan to every pool
-    worker alongside that worker's operand slices.
+    extent and ``shard_parts`` the canonical block count.  ``blocks`` pairs
+    each canonical block extent with ``contraction`` re-lowered at it.  Plans
+    are immutable and picklable, so the driver can ship one plan to every
+    pool worker alongside that worker's operand slices.
     """
 
     subscripts: str
@@ -81,6 +84,7 @@ class EinsumPlan:
     shard_label: Optional[str] = None
     shard_extent: int = 0
     shard_parts: int = 0
+    blocks: Tuple[Tuple[int, ContractionPlan], ...] = ()
 
     @property
     def fallback(self) -> bool:
@@ -90,15 +94,29 @@ class EinsumPlan:
         """The canonical block partition of the shard label."""
         return shard_bounds(self.shard_extent, self.shard_parts)
 
+    def block_plan(self, extent: int) -> ContractionPlan:
+        """The contraction lowered for a canonical block of ``extent``."""
+        for size, plan in self.blocks:
+            if size == extent:
+                return plan
+        raise ValueError(f"{extent} is not a canonical block extent of {self.subscripts!r}")
+
 
 def plan_einsum(subscripts: str, shapes: Sequence[Tuple[int, ...]]) -> EinsumPlan:
     """Fix a contraction plan for ``subscripts`` from the global ``shapes``:
     the shared plan, sharded on the output label of largest extent (the
     first such; labels never repeat within a parsed term)."""
+    shapes = tuple(map(tuple, shapes))
     try:
         contraction = find_path(subscripts, shapes)
     except ValueError:
         return EinsumPlan(subscripts, None)
+    return _shard(subscripts, shapes, contraction)
+
+
+@lru_cache(maxsize=4096)
+def _shard(subscripts: str, shapes: tuple, contraction: ContractionPlan) -> EinsumPlan:
+    """The sharded plan of one signature, its block lowerings built once."""
     extents = {
         label: extent
         for term, shape in zip(contraction.inputs, shapes)
@@ -108,19 +126,17 @@ def plan_einsum(subscripts: str, shapes: Sequence[Tuple[int, ...]]) -> EinsumPla
     if label is None or extents[label] < 1:
         return EinsumPlan(subscripts, contraction)
     extent = int(extents[label])
-    return EinsumPlan(subscripts, contraction, label, extent, min(extent, CANONICAL_PARTS))
+    parts = min(extent, CANONICAL_PARTS)
+    sizes = sorted({hi - lo for lo, hi in shard_bounds(extent, parts)})
+    blocks = tuple((size, relower(contraction, {**extents, label: size})) for size in sizes)
+    return EinsumPlan(subscripts, contraction, label, extent, parts, blocks)
 
 
-def _chain(plan: ContractionPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
-    """Run the plan's steps on one block's operands.
-
-    Operands are materialized contiguously first: the C einsum kernel NumPy
-    dispatches to depends on operand strides, so the canonical computation
-    must see canonical buffers whether a block's data is a fresh view into
-    the global array (serial executor) or arrived through a pipe (pool).
-    """
-    operands = [np.ascontiguousarray(op) for op in operands]
-    return np.asarray(plan.execute(operands, partial(np.einsum, optimize=False)))
+def _run_block(plan: ContractionPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
+    """Run one block's lowered steps on canonical (contiguous) buffers and
+    leave the result contiguous, as a pool worker's reply arrives."""
+    operands = [np.asarray(op, order="C") for op in operands]
+    return np.asarray(_execute(plan, operands), order="C")
 
 
 def execute_plan(
@@ -141,11 +157,11 @@ def execute_plan(
         arrays = [np.ascontiguousarray(a) for a in arrays]
         return np.asarray(np.einsum(plan.subscripts, *arrays, optimize=True))
     if plan.shard_label is None:
-        return _chain(plan.contraction, arrays)
+        return _run_block(plan.contraction, arrays)
     if bounds is None:
         bounds = plan.canonical_bounds()
     blocks = [
-        _chain(plan.contraction, slice_operands(plan, arrays, lo, hi))
+        _run_block(plan.block_plan(hi - lo), slice_operands(plan, arrays, lo, hi))
         for lo, hi in bounds
     ]
     return concat_blocks(plan, blocks)

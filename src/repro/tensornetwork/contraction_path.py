@@ -122,6 +122,16 @@ def _plan(spec: Union[str, EinsumSpec], shapes: Tuple[Tuple[int, ...], ...]) -> 
     return _build_plan(spec, dims, order)
 
 
+def relower(plan: ContractionPlan, dims: Dict[Label, int]) -> ContractionPlan:
+    """``plan``'s contraction order lowered at other label extents ``dims``.
+
+    Nothing is searched: the steps are those of ``plan.path``, so the result
+    contracts a slice of ``plan``'s operands (the distributed engine's
+    canonical blocks) exactly as ``plan`` contracts the whole.
+    """
+    return _build_plan(plan, dims, plan.path)
+
+
 def unplanned_flops(shapes: Sequence[Sequence[int]]) -> float:
     """The crude volume bound counted for an einsum :func:`find_path` rejects."""
     return 8.0 * prod(max(prod(shape), 1) for shape in shapes)

@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.backends import get_backend
 from repro.peps.envs.sampling import _sample_group, _SamplingPlan
@@ -11,6 +12,10 @@ from repro.tensornetwork.contraction_path import _candidates
 from repro.tensornetwork.einsum_spec import parse_einsum
 from repro.tensornetwork.network import contract_network
 from repro.utils.rng import derive_rng, ensure_rng
+
+#: Shared hypothesis profile: property tests contract real tensors, so keep
+#: the example counts modest to stay fast and deterministic.
+FAST = settings(max_examples=20, deadline=None)
 
 
 @pytest.fixture

@@ -16,9 +16,18 @@ byte for byte.  The files are never regenerated: a build that cannot read
 them has broken compatibility, and a contraction change that moves the
 energies (see ``tests/regenerate_golden.py``) needs the *records* compared at
 the tolerance it reports, not new fixtures.
+
+``sharded/`` is that case.  Its writer ran each distributed block through
+NumPy's C einsum kernel; this build runs it as BLAS matrix products, which
+round differently in the last bit, and CTM's projectors (``_gram_half`` takes
+square roots of round-off-sized Gram eigenvalues) amplify that to 1.0e-8,
+5.4e-9 and 2.2e-8 relative in the energies of steps 3-5.  Its records are
+compared byte for byte except for the energies, which must agree to 1e-7
+relative.
 """
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -35,6 +44,8 @@ from test_spec_golden import run_cli
 
 COMPAT_DIR = Path(__file__).resolve().parent / "golden" / "compat"
 CHECKPOINT = "ite-ctm-smoke-step000002.ckpt.json"
+#: A record's energy value, cut out to compare the rest of its bytes.
+ENERGY = re.compile(rb'"energy": [^,}]*')
 
 
 def fixture_copy(tmp_path, name):
@@ -57,7 +68,17 @@ class TestFrozenCheckpointsResume:
         work = fixture_copy(tmp_path, name)
         result = run_cli(work, "run", "spec.json", "--resume", "--quiet")
         assert result.returncode == 0, result.stderr
-        assert (work / "out.jsonl").read_bytes() == (work / "reference.jsonl").read_bytes()
+        out = (work / "out.jsonl").read_bytes()
+        reference = (work / "reference.jsonl").read_bytes()
+        if name != "sharded":
+            assert out == reference
+            return
+        out_lines, reference_lines = out.splitlines(), reference.splitlines()
+        assert len(out_lines) == len(reference_lines)
+        for line, expected in zip(out_lines, reference_lines):
+            assert ENERGY.sub(b"", line) == ENERGY.sub(b"", expected)
+            energy, reference_energy = json.loads(line)["energy"], json.loads(expected)["energy"]
+            assert abs(energy - reference_energy) <= 1e-7 * abs(reference_energy)
 
     def test_payload_files_really_exist(self):
         """The fixtures exercise the file-backed stores, not all-inline ones."""

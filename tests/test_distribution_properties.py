@@ -10,17 +10,22 @@ are built on:
   including non-contiguous inputs and over-decomposed modes;
 * :func:`shard_bounds` covers ``[0, extent)`` contiguously with balanced
   parts;
-* pool collectives return payloads bitwise invariant to the rank count.
+* pool collectives return payloads bitwise invariant to the rank count;
+* the engine's block kernel is bitwise invariant to the rank count and to
+  how canonical blocks are grouped into rank ranges, agrees with the NumPy
+  backend, and lowers a signature's blocks once.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.backends import get_backend
-from repro.backends.distributed import Distribution, ProcessorGrid
-from repro.backends.distributed.engine import shard_bounds
+from repro.backends.distributed import Distribution, ProcessorGrid, execute_plan, plan_einsum
+from repro.backends.distributed.engine import concat_blocks, shard_bounds, slice_operands
+from tests.conftest import FAST, random_complex, random_network
 
 #: (seed, ndim) cases; extents drawn in [1, 9] so grids over-decompose often.
 SHAPE_CASES = [(seed, ndim) for ndim in (1, 2, 3, 4) for seed in (0, 1, 2)]
@@ -160,3 +165,77 @@ class TestCollectiveRankInvariance:
                 assert out.tobytes() == x.tobytes()
         finally:
             pool.close()
+
+
+NUMPY = get_backend("numpy")
+SIMULATED = {nprocs: get_backend("distributed", nprocs=nprocs) for nprocs in (1, 2, 3, 5, 8)}
+
+
+def block_network(seed, n, shard_extent, scalar, dangling):
+    """A ``random_network`` draw, reshaped to reach the block kernel's edge
+    cases: the first output label stretched to ``shard_extent`` (one-element
+    blocks below 16, two block extents above), or no output at all, and
+    optionally an extent-1 label only the first operand carries."""
+    subscripts, shapes = random_network(np.random.default_rng(seed), n)
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    if scalar:
+        output = ""
+    elif output:
+        shapes = [
+            tuple(shard_extent if label == output[0] else extent
+                  for label, extent in zip(term, shape))
+            for term, shape in zip(terms, shapes)
+        ]
+    if dangling:
+        terms[0] += "z"
+        shapes[0] += (1,)
+    return ",".join(terms) + "->" + output, shapes
+
+
+class TestBlockKernel:
+    @FAST
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 6),
+        shard_extent=st.integers(1, 40),
+        scalar=st.booleans(),
+        dangling=st.booleans(),
+        cuts=st.sets(st.integers(1, 15)),
+    )
+    def test_blocks_are_rank_and_grouping_invariant(
+        self, seed, n, shard_extent, scalar, dangling, cuts
+    ):
+        subscripts, shapes = block_network(seed, n, shard_extent, scalar, dangling)
+        rng = np.random.default_rng(seed)
+        ops = [random_complex(rng, shape) for shape in shapes]
+
+        results = [
+            np.asarray(be.asarray(be.einsum(subscripts, *[be.astensor(o) for o in ops])))
+            for be in SIMULATED.values()
+        ]
+        for result in results[1:]:
+            assert result.tobytes() == results[0].tobytes(), subscripts
+        reference = np.asarray(NUMPY.einsum(subscripts, *ops))
+        assert results[0].shape == reference.shape
+        assert np.linalg.norm(results[0] - reference) <= 1e-12 * np.linalg.norm(reference)
+
+        plan = plan_einsum(subscripts, shapes)
+        assert len(plan.blocks) <= 2
+        again = plan_einsum(subscripts, shapes)
+        assert [block for _, block in again.blocks] == [block for _, block in plan.blocks]
+        assert all(a is b for (_, a), (_, b) in zip(again.blocks, plan.blocks))
+        if plan.shard_label is None:
+            return
+        # Any grouping of the canonical blocks into rank ranges, each range
+        # shipped as its own operand slices, gives the canonical bytes.
+        whole = execute_plan(plan, ops)
+        bounds = plan.canonical_bounds()
+        edges = [0] + sorted(c for c in cuts if c < len(bounds)) + [len(bounds)]
+        blocks = []
+        for first, last in zip(edges, edges[1:]):
+            lo, hi = bounds[first][0], bounds[last - 1][1]
+            local = slice_operands(plan, ops, lo, hi)
+            relative = [(a - lo, b - lo) for a, b in bounds[first:last]]
+            blocks.append(execute_plan(plan, local, bounds=relative))
+        assert concat_blocks(plan, blocks).tobytes() == whole.tobytes()

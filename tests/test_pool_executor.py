@@ -7,6 +7,9 @@ predicted cost-model charges.  These tests pin that contract at the unit
 level (the CLI-level golden parity lives in ``test_spec_golden.py``).
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.backends.distributed.engine import (
     shard_bounds,
     slice_operands,
 )
+from repro.sim import RunSpec
 from tests.conftest import random_complex
 
 EINSUM_CASES = [
@@ -188,3 +192,52 @@ class TestPoolParity:
         pool = get_backend("distributed", nprocs=2, executor="pool")
         pool.close()
         pool.close()
+
+
+STAT_FIELDS = ("flops", "comm_bytes", "messages", "simulated_seconds", "counts",
+               "seconds_by_category", "peak_tensor_bytes")
+
+
+def stats_of(backend):
+    return {name: getattr(backend.stats, name) for name in STAT_FIELDS}
+
+
+class TestUsedBackendCopies:
+    """A backend that has charged work (metric handles bound, locks inside)
+    still flows through ``copy.deepcopy`` and ``dataclasses.asdict``."""
+
+    def used_backend(self, rng):
+        backend = get_backend("distributed", nprocs=4)
+        for subscripts, shapes in EINSUM_CASES:
+            backend.einsum(subscripts, *[backend.astensor(random_complex(rng, s)) for s in shapes])
+        backend.svd(backend.astensor(random_complex(rng, (6, 4))))
+        return backend
+
+    def test_deepcopy_and_asdict_clone_the_stats(self, rng):
+        backend = self.used_backend(rng)
+        clone = copy.deepcopy(backend)
+        assert stats_of(clone) == stats_of(backend)
+        as_dict = dataclasses.asdict(RunSpec(backend=backend))
+        assert stats_of(as_dict["backend"]) == stats_of(backend)
+
+    def test_clone_and_original_mutate_independently(self, rng):
+        backend = self.used_backend(rng)
+        clone = copy.deepcopy(backend)
+        before = stats_of(backend)
+        ops = [clone.astensor(random_complex(rng, s)) for s in [(6, 5), (5, 7)]]
+        clone.einsum("ab,bc->ac", *ops)
+        clone.qr(clone.astensor(random_complex(rng, (6, 4))))
+        assert stats_of(backend) == before
+        assert clone.stats.flops > backend.stats.flops
+        assert clone.stats.counts["qr"] == 1 and "qr" not in backend.stats.counts
+        backend.norm(backend.astensor(random_complex(rng, (3, 3))))
+        assert "norm" not in clone.stats.counts
+
+    def test_reset_reads_like_a_fresh_backend(self, rng):
+        backend = self.used_backend(rng)
+        backend.stats.reset()
+        fresh = get_backend("distributed", nprocs=4)
+        ops = [random_complex(rng, s) for s in [(6, 5), (5, 7)]]
+        for be in (backend, fresh):
+            be.einsum("ab,bc->ac", *[be.astensor(o) for o in ops])
+        assert stats_of(backend) == stats_of(fresh)

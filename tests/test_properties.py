@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.backends import get_backend
 from repro.linalg import DenseTensorOperator, randomized_svd, tensor_qr, truncate_spectrum, truncated_svd
@@ -33,6 +33,7 @@ from repro.tensornetwork.contraction_path import (
 from repro.tensornetwork.einsum_spec import parse_einsum
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from tests.conftest import (
+    FAST,
     brute_force_order,
     exact_single_layer_value,
     order_cost,
@@ -43,10 +44,6 @@ from tests.conftest import (
 )
 
 BACKEND = get_backend("numpy")
-
-#: Shared hypothesis profile: these tests contract real tensors, so keep the
-#: example counts modest to stay fast and deterministic.
-FAST = settings(max_examples=20, deadline=None)
 
 
 def _complex_array(rng, shape):
