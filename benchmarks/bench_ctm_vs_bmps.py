@@ -4,7 +4,7 @@ Both environment families serve the same queries — norms, batched
 measurements, multi-term expectation values — from cached directional
 boundaries; they differ in how a row absorption is renormalized:
 
-* ``EnvBoundaryMPS`` truncates inside the zip-up sweep (explicit SVD per
+* a BMPS ``BoundaryEnvironment`` truncates inside the zip-up sweep (explicit SVD per
   column), bounded by the truncation bond ``m``;
 * ``EnvCTM`` absorbs exactly and then truncates every internal bond with
   projectors built from the corner transfer matrices, bounded by the

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.peps.contraction import BMPS, Exact, TwoLayerBMPS, contract_single_layer
+from repro.peps.contraction import BMPS, Exact, contract_single_layer
 from repro.peps.peps import random_peps, random_single_layer_grid
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
 from repro.utils.flops import peps_bmps_cost
@@ -89,7 +89,7 @@ def test_fig8a_two_layer_inner_product(benchmark, record_rows):
             m = r * r
             state = random_peps(n, n, bond_dim=r, seed=1)
             start = time.perf_counter()
-            state.norm(TwoLayerBMPS(ImplicitRandomizedSVD(rank=m, niter=1, seed=0)))
+            state.norm(BMPS(ImplicitRandomizedSVD(rank=m, niter=1, seed=0)))
             two_layer_time = time.perf_counter() - start
             start = time.perf_counter()
             contract_inner_fused(state.grid, state.grid, BMPS(ExplicitSVD(rank=m)), state.backend)

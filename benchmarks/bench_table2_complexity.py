@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.backends.numpy_backend import NumPyBackend
-from repro.peps.contraction import BMPS, TwoLayerBMPS, contract_single_layer
+from repro.peps.contraction import BMPS, contract_single_layer
 from repro.peps.peps import PEPS, random_peps
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
 from repro.utils.flops import FlopCounter, peps_bmps_cost
@@ -84,7 +84,7 @@ def test_table2_measured_scaling(benchmark, record_rows, lattice):
             )
             two = _measure_flops(
                 peps_state,
-                TwoLayerBMPS(ImplicitRandomizedSVD(rank=m, niter=1, seed=0)),
+                BMPS(ImplicitRandomizedSVD(rank=m, niter=1, seed=0)),
                 two_layer=True,
             )
             model = peps_bmps_cost(n, r, m)

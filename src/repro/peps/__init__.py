@@ -13,8 +13,8 @@ The module-level constructors mirror the Koala API of the paper::
 
 Every contraction question — ``norm``, ``inner``, ``expectation``,
 ``measure_*``, ``sample`` — is one query to the pluggable environment
-subsystem (:mod:`repro.peps.envs`).  An :class:`~repro.peps.envs.base.Environment`
-(``EnvExact``, ``EnvBoundaryMPS`` or the corner-transfer-matrix ``EnvCTM``)
+subsystem (:mod:`repro.peps.envs`).  An environment
+(a ``BoundaryEnvironment``, or the corner-transfer-matrix ``EnvCTM``)
 owns the directional boundary caches of the ``<psi|psi>`` sandwich,
 invalidates them *incrementally* when operator applications touch lattice
 rows, and serves norms, multi-term expectation values, batched
@@ -48,17 +48,11 @@ from repro.peps.contraction import (
     ContractOption,
     CTMOption,
     Exact,
-    TwoLayerBMPS,
     contract_single_layer,
 )
+from repro.peps.contraction.options import TwoLayerBMPS
 from repro.peps.measure import expectation_via_evolution
-from repro.peps.envs import (
-    EnvBoundaryMPS,
-    EnvCTM,
-    EnvExact,
-    Environment,
-    make_environment,
-)
+from repro.peps.envs import BoundaryEnvironment, EnvCTM, make_environment
 
 __all__ = [
     "PEPS",
@@ -80,9 +74,7 @@ __all__ = [
     "TwoLayerBMPS",
     "contract_single_layer",
     "expectation_via_evolution",
-    "Environment",
-    "EnvExact",
-    "EnvBoundaryMPS",
+    "BoundaryEnvironment",
     "EnvCTM",
     "make_environment",
 ]

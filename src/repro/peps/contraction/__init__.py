@@ -5,7 +5,7 @@ products and expectation values) is the computational bottleneck the paper
 targets.  This subpackage provides:
 
 * :mod:`~repro.peps.contraction.options` — option objects selecting the
-  algorithm (``Exact``, ``BMPS``, ``TwoLayerBMPS``, ``CTMOption``), each
+  algorithm (``Exact``, ``BMPS``, ``CTMOption``), each
   carrying the wire ``kind`` spec files and checkpoints know it by,
 * :mod:`~repro.peps.contraction.two_layer` — the one row absorber
   (exact or zip-up, a ``ket ⊗ bra*`` sandwich kept in two layers, or a
@@ -22,7 +22,6 @@ from repro.peps.contraction.options import (
     CTMOption,
     Exact,
     BMPS,
-    TwoLayerBMPS,
 )
 from repro.peps.contraction.single_layer import contract_single_layer
 from repro.peps.contraction.two_layer import (
@@ -36,7 +35,6 @@ __all__ = [
     "CTMOption",
     "Exact",
     "BMPS",
-    "TwoLayerBMPS",
     "contract_single_layer",
     "absorb_sandwich_row",
     "trivial_boundary",

@@ -15,8 +15,6 @@ The Koala-style API lets callers write, for example::
   keeps the two layers separate (two-layer BMPS / two-layer IBMPS): no
   contraction in the library fuses them into a PEPS of squared bond
   dimension, the baseline of Section III-B2.
-* :class:`TwoLayerBMPS` — the same two-layer contraction under the name
-  spec files and checkpoints already know (its wire ``kind``).
 * :class:`CTMOption` — corner-transfer-matrix environments: directional
   row absorptions truncated with projectors built from the corner Gram
   matrices of the half-system, to an environment bond ``chi``.  Selects
@@ -55,20 +53,13 @@ class BMPS(ContractOption):
     svd_option:
         The ``einsumsvd`` option used inside the zip-up; its ``rank`` is the
         truncation bond dimension ``m``.  Defaults to an explicit SVD.
-    truncate_bond:
-        Convenience override of the truncation bond ``m`` (takes precedence
-        over ``svd_option.rank``).
     """
 
     kind = "bmps"
     svd_option: Optional[EinsumSVDOption] = None
-    truncate_bond: Optional[int] = None
 
     def resolved_svd_option(self) -> EinsumSVDOption:
-        option = self.svd_option if self.svd_option is not None else ExplicitSVD()
-        if self.truncate_bond is not None:
-            option = option.with_rank(self.truncate_bond)
-        return option
+        return self.svd_option if self.svd_option is not None else ExplicitSVD()
 
     @property
     def truncation_bond(self) -> Optional[int]:
@@ -83,15 +74,9 @@ class BMPS(ContractOption):
         return f"{name}(m={self.truncation_bond})"
 
 
-@dataclass
-class TwoLayerBMPS(BMPS):
-    """Two-layer boundary-MPS contraction: :class:`BMPS` under its own wire ``kind``."""
-
-    kind = "two_layer_bmps"
-
-    def describe(self) -> str:
-        name = "2-layer IBMPS" if self.is_implicit else "2-layer BMPS"
-        return f"{name}(m={self.truncation_bond})"
+#: Exists only for the ladder's ``norm_ibmps`` workload until ROADMAP 10(e)
+#: retargets it at :class:`BMPS`.
+TwoLayerBMPS = BMPS
 
 
 @dataclass
@@ -129,5 +114,10 @@ class CTMOption(ContractOption):
         return f"CTM(chi={self.chi})"
 
 
-#: Wire ``kind`` -> contraction option class.
-CONTRACT_OPTION_KINDS = {cls.kind: cls for cls in (Exact, BMPS, TwoLayerBMPS, CTMOption)}
+#: Wire ``kind`` -> contraction option class.  ``"two_layer_bmps"`` is a
+#: read-only alias of :class:`BMPS`: checkpoints written before the two were
+#: one class carry it, and nothing writes it any more.
+CONTRACT_OPTION_KINDS = {
+    **{cls.kind: cls for cls in (Exact, BMPS, CTMOption)},
+    "two_layer_bmps": BMPS,
+}

@@ -8,7 +8,6 @@ the touched sweep segments::
 
     from repro import peps
     from repro.peps import BMPS
-    from repro.peps.envs import EnvBoundaryMPS
     from repro.tensornetwork import ImplicitRandomizedSVD
 
     state = peps.random_peps(4, 4, bond_dim=2, seed=0)
@@ -19,17 +18,19 @@ the touched sweep segments::
     magnetization = env.measure_1site(Z)   # all sites, one cached pass
     shots = env.sample(rng=0, nshots=100)  # basis-state samples
 
-Three implementations share the protocol: :class:`EnvExact` (untruncated),
-:class:`EnvBoundaryMPS` (zip-up/IBMPS truncation) and :class:`EnvCTM`
-(corner-transfer-matrix renormalization with corner-Gram projectors,
-selected by a :class:`~repro.peps.contraction.options.CTMOption`).
+One class per contraction algorithm: :class:`BoundaryEnvironment` absorbs
+rows exactly (``None`` / :class:`~repro.peps.contraction.options.Exact`) or
+with zip-up BMPS/IBMPS truncation (a
+:class:`~repro.peps.contraction.options.BMPS`), and its public methods are
+the protocol; :class:`EnvCTM` overrides its boundary move with
+corner-transfer-matrix renormalization (corner-Gram projectors, selected by
+a :class:`~repro.peps.contraction.options.CTMOption`).
 """
 
-from repro.peps.envs.base import Environment, EnvStats, local_terms
 from repro.peps.envs.boundary import (
     BoundaryEnvironment,
-    EnvBoundaryMPS,
-    EnvExact,
+    EnvStats,
+    local_terms,
     make_environment,
     option_signature,
 )
@@ -38,11 +39,8 @@ from repro.peps.envs.sampling import sample_bitstrings
 from repro.peps.envs.strip import StripCache, operator_pieces
 
 __all__ = [
-    "Environment",
     "EnvStats",
     "BoundaryEnvironment",
-    "EnvExact",
-    "EnvBoundaryMPS",
     "EnvCTM",
     "make_environment",
     "option_signature",

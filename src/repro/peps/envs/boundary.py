@@ -1,5 +1,13 @@
 """Boundary-MPS environments with incremental dirty-row invalidation.
 
+An environment owns the cached contraction state of a single PEPS and
+exposes every operation that benefits from that cache: ``norm`` /
+``norm_sq``, ``expectation`` of a sum of local terms with one shared pair
+of boundary sweeps, batched ``measure_1site`` / ``measure_2site``, and
+basis-state ``sample``.  :class:`BoundaryEnvironment`'s public methods are
+that protocol; :class:`~repro.peps.envs.ctm.EnvCTM` implements it by
+overriding the boundary move alone.
+
 :class:`BoundaryEnvironment` caches the upper and lower boundary MPS lists of
 the ``<psi|psi>`` sandwich — or, given a ``bra`` state, of the cross sandwich
 ``<bra|psi>``, which serves only its norm (the overlap) — keyed by row:
@@ -8,35 +16,37 @@ the ``<psi|psi>`` sandwich — or, given a ``bra`` state, of the cross sandwich
 * ``lower[i]`` has absorbed rows ``i+1..nrow-1`` from below (``i = 0..nrow-1``).
 
 Both are built lazily and *incrementally*: touching row ``r`` (via
-:meth:`invalidate`) stales only ``upper[i]`` for ``i > r`` and ``lower[i]``
-for ``i < r``, so a subsequent query recomputes just the invalidated sweep
-segments.  Exact environments close the norm at the cheapest valid
-upper/lower pair (all closures are the same scalar); truncated environments
-always close the full top sweep, so the norm stays a deterministic function
-of (state, option) — bit-identical with the seed's ``EnvironmentCache`` —
-independent of cache history.
+:meth:`~BoundaryEnvironment.invalidate`) stales only ``upper[i]`` for
+``i > r`` and ``lower[i]`` for ``i < r``, so a subsequent query recomputes
+just the invalidated sweep segments; :class:`~repro.peps.peps.PEPS` calls
+``invalidate`` from its operator-application paths when an environment is
+attached via :meth:`~repro.peps.peps.PEPS.attach_environment`.  Exact
+environments close the norm at the cheapest valid upper/lower pair (all
+closures are the same scalar); truncated environments always close the full
+top sweep, so the norm stays a deterministic function of (state, option) —
+bit-identical with the seed's ``EnvironmentCache`` — independent of cache
+history.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.peps.contraction.options import BMPS, ContractOption, CTMOption, Exact
+from repro.peps.contraction.options import ContractOption, CTMOption, Exact
 from repro.peps.contraction.two_layer import (
     absorb_sandwich_row,
+    absorption_option,
     check_edge_legs,
     close_boundaries,
     trivial_boundary,
 )
-from repro.peps.envs.base import Environment, EnvStats, local_terms
 from repro.peps.envs.sampling import sample_bitstrings
 from repro.peps.envs.sampling_mc import sample_mc
 from repro.peps.envs.strip import SITE_DENSITY, TRANSFER_LEFT, TRANSFER_RIGHT, StripCache
 from repro.telemetry.metrics import REGISTRY
-from repro.tensornetwork.einsumsvd import EinsumSVDOption
 
 #: Process-wide totals of the per-environment ``EnvStats`` fields of the same
 #: names: lockstep ``einsum_batched`` calls, and observable terms served from
@@ -44,6 +54,67 @@ from repro.tensornetwork.einsumsvd import EinsumSVDOption
 _BATCHED_CONTRACTIONS = REGISTRY.counter("peps.batched_contractions")
 _STRIP_CACHE_HITS = REGISTRY.counter("peps.strip_cache_hits")
 _STRIP_CACHE_MISSES = REGISTRY.counter("peps.strip_cache_misses")
+
+
+@dataclasses.dataclass
+class EnvStats:
+    """Counters describing the work an environment has performed.
+
+    ``row_absorptions`` is the load-bearing one: each unit is one boundary-MPS
+    row absorption (the dominant cost of every PEPS contraction), so it
+    measures how much recomputation the incremental invalidation saved.
+    ``ctm_moves`` counts the corner-transfer-matrix moves of
+    :class:`~repro.peps.envs.ctm.EnvCTM` (each move also counts as one row
+    absorption, keeping the shared counter comparable across environments).
+
+    The batched-engine counters: ``batched_contractions`` is the number of
+    lockstep ``einsum_batched`` calls issued by the multi-shot sampler (each
+    replaces up to ``nshots`` serial einsums), ``uniform_fallbacks`` counts
+    site draws whose truncated weight vanished and fell back to the uniform
+    distribution, and ``strip_cache_hits`` / ``strip_cache_misses`` count
+    observable terms served from (resp. forcing a build of) cached column
+    environments of a row strip.
+
+    Per-object and independent of the process-global ``peps.*`` counters in
+    :data:`repro.telemetry.REGISTRY`, which total the same events over every
+    environment.
+    """
+
+    row_absorptions: int = 0
+    strip_contractions: int = 0
+    invalidations: int = 0
+    norm_evaluations: int = 0
+    ctm_moves: int = 0
+    batched_contractions: int = 0
+    uniform_fallbacks: int = 0
+    strip_cache_hits: int = 0
+    strip_cache_misses: int = 0
+
+    def reset(self) -> None:
+        self.__init__()
+
+    def as_dict(self) -> Dict[str, int]:
+        """All counters as a plain ``{field: value}`` dict."""
+        return dataclasses.asdict(self)
+
+
+def local_terms(observable) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Local terms as ``(sites, matrix)`` pairs for every supported operator type.
+
+    Accepts an :class:`~repro.operators.observable.Observable`, a
+    :class:`~repro.operators.hamiltonians.Hamiltonian`, or an explicit
+    iterable of ``(sites, matrix)`` pairs.
+    """
+    from repro.operators.hamiltonians import Hamiltonian
+    from repro.operators.observable import Observable
+
+    if isinstance(observable, Observable):
+        return observable.local_terms()
+    if isinstance(observable, Hamiltonian):
+        return [(term.sites, term.matrix) for term in observable.terms]
+    if isinstance(observable, (list, tuple)):
+        return [(tuple(sites), np.asarray(matrix)) for sites, matrix in observable]
+    raise TypeError(f"unsupported observable type {type(observable)!r}")
 
 
 #: Option fields that only steer convergence bookkeeping, never the cached
@@ -58,32 +129,34 @@ def option_signature(option) -> Tuple:
     Two options with equal signatures produce identical boundary environments,
     so an attached environment can be reused for either.  The signature is the
     option's class plus every dataclass field outside :data:`CONVERGENCE_ONLY`;
-    a :class:`BMPS`-style option (boundary sandwiches are inherently
-    two-layer) signs as the ``einsumsvd`` option it resolves to, and ``None``
-    as :class:`Exact`.
+    any other option signs as the ``einsumsvd`` option it absorbs rows with
+    (:func:`~repro.peps.contraction.two_layer.absorption_option`), and an
+    exact one as :class:`Exact`.
     """
-    if option is None:
-        option = Exact()
-    elif isinstance(option, BMPS):
-        option = option.resolved_svd_option()
+    if not isinstance(option, CTMOption):
+        svd_option = absorption_option(option)
+        option = Exact() if svd_option is None else svd_option
     return (type(option).__name__,) + tuple(
         getattr(option, field.name)
-        for field in fields(option)
+        for field in dataclasses.fields(option)
         if field.name not in CONVERGENCE_ONLY
     )
 
 
-class BoundaryEnvironment(Environment):
+class BoundaryEnvironment:
     """Cached upper/lower boundary environments of one PEPS, incrementally updated.
 
     Parameters
     ----------
     peps:
         The :class:`~repro.peps.peps.PEPS` state the environment tracks.
-    svd_option:
-        ``einsumsvd`` option for the zip-up row absorptions, its ``rank`` the
-        boundary truncation bond ``m``; ``None`` absorbs exactly (bond
-        dimensions multiply — small lattices only).
+    contract_option:
+        ``None`` or :class:`~repro.peps.contraction.options.Exact` absorbs
+        rows exactly (bond dimensions multiply — small lattices only); a
+        :class:`~repro.peps.contraction.options.BMPS` truncates every zip-up
+        with its ``einsumsvd`` option, whose ``rank`` is the boundary bond
+        ``m`` — an explicit SVD gives the classic boundary MPS, an implicit
+        randomized SVD the paper's IBMPS.
     bra:
         The state whose conjugate forms the bra layer (default: ``peps``).
         A cross environment ``<bra|peps>`` is a one-shot overlap query: it
@@ -92,15 +165,15 @@ class BoundaryEnvironment(Environment):
     """
 
     def __init__(
-        self, peps, svd_option: Optional[EinsumSVDOption] = None, *, bra=None
+        self, peps, contract_option: Optional[ContractOption] = None, *, bra=None
     ) -> None:
         if bra is not None and bra.shape != peps.shape:
             raise ValueError(f"shape mismatch: {bra.shape} vs {peps.shape}")
         self.peps = peps
         self.bra = peps if bra is None else bra
-        self.svd_option = svd_option
         #: The contraction option this environment serves (and serializes as).
-        self.contract_option = Exact() if svd_option is None else BMPS(svd_option)
+        self.contract_option = Exact() if contract_option is None else contract_option
+        self.svd_option = absorption_option(self.contract_option)
         self.signature = option_signature(self.contract_option)
         self.stats = EnvStats()
         nrow = peps.nrow
@@ -110,6 +183,9 @@ class BoundaryEnvironment(Environment):
         self._upper_valid = 0          # upper[0..k] are valid
         self._lower_valid = nrow - 1   # lower[k..nrow-1] are valid
         self._norm_sq: Optional[complex] = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.peps!r}, {self.contract_option.describe()})"
 
     # ------------------------------------------------------------------ #
     # Cache lifecycle
@@ -142,6 +218,11 @@ class BoundaryEnvironment(Environment):
             return False
 
     def invalidate(self, rows: Optional[Iterable[int]] = None) -> None:
+        """Mark the given lattice rows (default: all) as stale.
+
+        Cached boundaries that absorbed a stale row are recomputed on the next
+        query; everything else is reused.
+        """
         if rows is None:
             self.stats.invalidations += 1
             self._upper_valid = 0
@@ -162,6 +243,7 @@ class BoundaryEnvironment(Environment):
         self._norm_sq = None
 
     def build(self) -> "BoundaryEnvironment":
+        """Eagerly compute every cached boundary (queries build lazily otherwise)."""
         self.ensure_upper(self.nrow)
         self.ensure_lower(0)
         return self
@@ -270,6 +352,7 @@ class BoundaryEnvironment(Environment):
         return self.nrow
 
     def norm_sq(self) -> complex:
+        """``<psi|psi>`` (or ``<bra|psi>``) from the cached boundaries."""
         if self._norm_sq is None:
             # A state widened after construction (``psi[i, j] = t`` or its
             # ``grid``) would otherwise broadcast against the extent-1 legs
@@ -284,7 +367,12 @@ class BoundaryEnvironment(Environment):
             self._norm_sq = close_boundaries(self.backend, upper, lower)
         return self._norm_sq
 
+    def norm(self) -> float:
+        """``sqrt(<psi|psi>)``."""
+        return float(np.sqrt(max(float(np.real(self.norm_sq())), 0.0)))
+
     def expectation(self, observable, normalized: bool = True) -> float:
+        """``<psi|O|psi>`` for a sum of local terms, sharing one boundary pair."""
         self._require_sandwich("expectation")
         terms = local_terms(observable)
         # The norm is only needed for normalization and zero-site (constant)
@@ -527,61 +615,18 @@ class BoundaryEnvironment(Environment):
         return out
 
 
-class EnvExact(BoundaryEnvironment):
-    """Environment whose row absorptions are exact: boundary bonds multiply.
-
-    The cost grows exponentially with the lattice height, so this is the
-    reference implementation for small lattices (parity tests, sampling
-    statistics) and the baseline truncated environments are compared against.
-    """
-
-    def __init__(self, peps, *, bra=None) -> None:
-        super().__init__(peps, svd_option=None, bra=bra)
-
-    def __repr__(self) -> str:
-        return f"EnvExact({self.peps!r})"
-
-
-class EnvBoundaryMPS(BoundaryEnvironment):
-    """Environment wrapping the zip-up / IBMPS row-absorption machinery.
-
-    The flavour is decided by the :class:`~repro.peps.contraction.options.BMPS`
-    option's embedded ``einsumsvd`` option: an explicit SVD gives the classic
-    boundary MPS, an implicit randomized SVD the paper's IBMPS.  The
-    truncation bond ``m`` is ``option.truncation_bond``.
-    """
-
-    def __init__(
-        self, peps, contract_option: Optional[ContractOption] = None, *, bra=None
-    ) -> None:
-        option = contract_option if contract_option is not None else BMPS()
-        if not isinstance(option, BMPS):
-            raise TypeError(
-                f"EnvBoundaryMPS needs a BMPS-style contraction option, "
-                f"got {type(option).__name__}"
-            )
-        super().__init__(peps, svd_option=option.resolved_svd_option(), bra=bra)
-        self.contract_option = option
-
-    def __repr__(self) -> str:
-        return f"EnvBoundaryMPS({self.peps!r}, {self.contract_option.describe()})"
-
-
 def make_environment(peps, contract_option: Optional[ContractOption] = None, *, bra=None):
     """Build the environment matching a contraction option.
 
-    ``None`` and :class:`~repro.peps.contraction.options.Exact` give an
-    :class:`EnvExact`; any :class:`~repro.peps.contraction.options.BMPS`
-    (including :class:`~repro.peps.contraction.options.TwoLayerBMPS`) gives an
-    :class:`EnvBoundaryMPS` — boundary sandwiches are inherently two-layer —
-    and a :class:`~repro.peps.contraction.options.CTMOption` gives an
-    :class:`~repro.peps.envs.ctm.EnvCTM`.  A ``bra`` state gives the cross
+    A :class:`~repro.peps.contraction.options.CTMOption` gives an
+    :class:`~repro.peps.envs.ctm.EnvCTM`; anything else (``None``,
+    :class:`~repro.peps.contraction.options.Exact` or
+    :class:`~repro.peps.contraction.options.BMPS`) a
+    :class:`BoundaryEnvironment`.  A ``bra`` state gives the cross
     environment of ``<bra|peps>``, which CTM does not provide.
     """
     from repro.peps.envs.ctm import EnvCTM
 
-    if contract_option is None or isinstance(contract_option, Exact):
-        return EnvExact(peps, bra=bra)
     if isinstance(contract_option, CTMOption):
         if bra is not None:
             raise TypeError(
@@ -589,8 +634,4 @@ def make_environment(peps, contract_option: Optional[ContractOption] = None, *, 
                 "use a BMPS/Exact option for cross overlaps"
             )
         return EnvCTM(peps, contract_option)
-    if isinstance(contract_option, BMPS):
-        return EnvBoundaryMPS(peps, contract_option, bra=bra)
-    raise TypeError(
-        f"unsupported contraction option {type(contract_option).__name__} for environments"
-    )
+    return BoundaryEnvironment(peps, contract_option, bra=bra)

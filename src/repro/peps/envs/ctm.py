@@ -1,11 +1,10 @@
 """Corner-transfer-matrix (CTM) environments of a finite PEPS.
 
-:class:`EnvCTM` is the third implementation of the
-:class:`~repro.peps.envs.base.Environment` protocol, next to
-:class:`~repro.peps.envs.boundary.EnvExact` and
-:class:`~repro.peps.envs.boundary.EnvBoundaryMPS`.  Like them it caches
-directional boundaries of the ``<psi|psi>`` sandwich keyed by row, but the
-boundaries are renormalized CTM-style instead of zip-up-style:
+:class:`EnvCTM` is the one subclass of
+:class:`~repro.peps.envs.boundary.BoundaryEnvironment`, whose public methods
+are the environment protocol.  Like it, it caches directional boundaries of
+the ``<psi|psi>`` sandwich keyed by row, but the boundaries are renormalized
+CTM-style instead of zip-up-style:
 
 * A **move** absorbs one lattice row into an edge-tensor boundary exactly
   (horizontal bonds multiply) and then renormalizes every internal bond back
@@ -292,7 +291,7 @@ class EnvCTM(BoundaryEnvironment):
             )
         if option.chi is not None and option.chi < 1:
             raise ValueError(f"chi must be positive, got {option.chi}")
-        super().__init__(peps, svd_option=None)
+        super().__init__(peps)
         self.contract_option = option
         self.chi = option.chi
         self.cutoff = option.cutoff
@@ -384,6 +383,3 @@ class EnvCTM(BoundaryEnvironment):
         if level not in store:
             raise KeyError(f"no corner spectra recorded for level {level}")
         return store[level]
-
-    def __repr__(self) -> str:
-        return f"EnvCTM({self.peps!r}, {self.contract_option.describe()})"

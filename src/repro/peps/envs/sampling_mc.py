@@ -17,7 +17,7 @@ Perfect sampling costs one full conditional pass per shot but produces
 independent samples; the Markov chain costs ``sweeps * n_sites`` amplitude
 evaluations per shot and is the scheme that generalizes to environments
 without cached conditional densities.  It exists behind the same
-``Environment.sample`` entry point, selected by ``sampler="mc"``.
+``BoundaryEnvironment.sample`` entry point, selected by ``sampler="mc"``.
 
 Random-stream semantics
 -----------------------
@@ -36,7 +36,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.peps.contraction.options import BMPS, CTMOption, Exact
+from repro.peps.contraction.options import CTMOption, Exact
 from repro.peps.envs.sampling import sample_bitstrings
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
@@ -52,9 +52,9 @@ def _amplitude_option(env):
     sampling is refused there rather than silently evaluated exactly.
     """
     option = env.contract_option
-    if isinstance(option, BMPS):
-        return BMPS(option.resolved_svd_option())
-    if isinstance(option, CTMOption) and (option.chi, option.cutoff) != (None, None):
+    if not isinstance(option, CTMOption):
+        return option
+    if (option.chi, option.cutoff) != (None, None):
         raise ValueError(
             f"Markov-chain sampling needs single-layer amplitudes, which "
             f"{option.describe()} does not define; use the perfect sampler "

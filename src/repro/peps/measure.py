@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.peps.contraction.options import ContractOption
-from repro.peps.envs.base import local_terms as _local_terms
+from repro.peps.envs.boundary import local_terms as _local_terms
 
 
 def expectation_via_evolution(

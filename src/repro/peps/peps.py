@@ -135,7 +135,7 @@ class PEPS:
         ``contract_option`` (``None``/``Exact`` for an exact environment, a
         ``BMPS`` option for a truncated boundary MPS, a ``CTMOption`` for a
         corner-transfer-matrix environment) or a prebuilt
-        :class:`~repro.peps.envs.base.Environment` of this state's
+        :class:`~repro.peps.envs.boundary.BoundaryEnvironment` of this state's
         ``<psi|psi>`` sandwich (a cross environment ``<phi|psi>`` is refused).
         """
         if env is None:
@@ -416,7 +416,7 @@ class PEPS:
         contract_option: Optional[ContractOption] = None,
         normalized: bool = True,
     ):
-        """Batched single-site expectation values (see ``Environment.measure_1site``)."""
+        """Batched single-site expectation values (see ``BoundaryEnvironment.measure_1site``)."""
         return self._environment_for(contract_option).measure_1site(
             operator, sites=sites, normalized=normalized
         )
@@ -429,7 +429,7 @@ class PEPS:
         contract_option: Optional[ContractOption] = None,
         normalized: bool = True,
     ):
-        """Batched two-site expectation values (see ``Environment.measure_2site``)."""
+        """Batched two-site expectation values (see ``BoundaryEnvironment.measure_2site``)."""
         return self._environment_for(contract_option).measure_2site(
             operator_a, operator_b, pairs=pairs, normalized=normalized
         )
@@ -442,7 +442,7 @@ class PEPS:
         sampler: str = "perfect",
         sampler_options: Optional[dict] = None,
     ) -> np.ndarray:
-        """Computational-basis samples ``~ |<b|psi>|^2`` (see ``Environment.sample``).
+        """Computational-basis samples ``~ |<b|psi>|^2`` (see ``BoundaryEnvironment.sample``).
 
         ``sampler`` selects the scheme (``"perfect"`` conditional sampling or
         ``"mc"`` Metropolis chains, with ``sampler_options`` forwarded).

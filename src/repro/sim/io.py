@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.peps.contraction.options import CONTRACT_OPTION_KINDS
+from repro.peps.contraction.options import BMPS, CONTRACT_OPTION_KINDS
 from repro.peps.update import UPDATE_OPTION_KINDS
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from repro.utils.text import did_you_mean
@@ -578,6 +578,21 @@ def svd_option_from_dict(payload: Optional[Dict[str, Any]]):
 
 
 def contract_option_from_dict(payload: Optional[Dict[str, Any]]):
+    """Build a contraction option, reading the legacy ``truncate_bond`` key.
+
+    Checkpoints written while :class:`~repro.peps.contraction.options.BMPS`
+    had a ``truncate_bond`` field carry it; a non-null value overrode the
+    einsumsvd ``rank``, so it folds into ``svd.rank`` and the option keeps
+    its signature.
+    """
+    if (
+        payload is not None and "truncate_bond" in payload
+        and CONTRACT_OPTION_KINDS.get(payload.get("kind")) is BMPS
+    ):
+        payload = dict(payload)
+        bond = payload.pop("truncate_bond")
+        if bond is not None:
+            payload["svd"] = {**(payload.get("svd") or {}), "rank": bond}
     return _option_from_dict(payload, CONTRACT_OPTION_KINDS, "contraction")
 
 

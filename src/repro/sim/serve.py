@@ -509,7 +509,14 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(job)
         elif len(route) == 4 and route[:2] == ("v1", "jobs") and route[3] == "results":
-            since = int(self._query().get("since", 0))
+            raw = self._query().get("since", "0")
+            try:
+                since = int(raw)
+            except ValueError:
+                since = -1
+            if since < 0:
+                self._send_error_json(400, f"since must be a non-negative integer, got {raw!r}")
+                return
             lines = self.serve.results_lines(route[2], since=since)
             if lines is None:
                 self._send_error_json(404, f"no job {route[2]!r}")

@@ -470,13 +470,15 @@ def apply_spec_override(payload: Dict[str, Any], path: str, value: Any) -> None:
 
 
 #: Spec shorthand for the boundary-MPS family: kind -> (io-layer contraction
-#: kind, einsumsvd kind).  Everything else an option accepts, and every
-#: default, is the option dataclasses' business (see :mod:`repro.sim.io`).
+#: kind, einsumsvd kind); the ``two_layer_*`` spellings are the same
+#: contractions (boundary sandwiches are always two-layer).  Everything else
+#: an option accepts, and every default, is the option dataclasses' business
+#: (see :mod:`repro.sim.io`).
 _CONTRACTION_ALIASES = {
     "bmps": ("bmps", "explicit"),
     "ibmps": ("bmps", "implicit"),
-    "two_layer_bmps": ("two_layer_bmps", "explicit"),
-    "two_layer_ibmps": ("two_layer_bmps", "implicit"),
+    "two_layer_bmps": ("bmps", "explicit"),
+    "two_layer_ibmps": ("bmps", "implicit"),
 }
 
 

@@ -42,7 +42,8 @@ class EinsumSVDOption:
     Attributes
     ----------
     rank:
-        Maximum bond dimension of the new bond (``None`` keeps everything).
+        Maximum bond dimension of the new bond, at least 1 (``None`` keeps
+        everything).
     cutoff:
         Relative singular-value cutoff applied in addition to ``rank``.
     absorb:
@@ -58,6 +59,10 @@ class EinsumSVDOption:
     rank: Optional[int] = None
     cutoff: Optional[float] = None
     absorb: str = "even"
+
+    def __post_init__(self) -> None:
+        if self.rank is not None and self.rank < 1:
+            raise ValueError(f"rank must be positive (or None), got {self.rank}")
 
     def with_rank(self, rank: Optional[int]) -> "EinsumSVDOption":
         """Return a copy of this option with a different target rank."""

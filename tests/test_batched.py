@@ -16,7 +16,7 @@ from repro.backends.numpy_backend import NumPyBackend
 from repro.operators.hamiltonians import heisenberg_j1j2
 from repro.peps.contraction.options import BMPS, CTMOption
 from repro.peps.contraction.two_layer import absorb_sandwich_row, trivial_boundary
-from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, StripCache, sampling
+from repro.peps.envs import BoundaryEnvironment, EnvCTM, StripCache, sampling
 from repro.peps.envs.sampling import _sample_group, _SamplingPlan, sample_bitstrings
 from repro.sim.spec import RunSpec
 from repro.telemetry import REGISTRY
@@ -209,9 +209,9 @@ class TestBatchedAbsorption:
 #: time and a sample grows every shot's boundary in one batch, both through
 #: the environment's one move.
 MOVE_ENVS = {
-    "exact": lambda state: EnvExact(state),
-    "bmps": lambda state: EnvBoundaryMPS(state, BMPS(truncate_bond=8)),
-    "bmps_cutoff": lambda state: EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
+    "exact": lambda state: BoundaryEnvironment(state),
+    "bmps": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8))),
+    "bmps_cutoff": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
     "ctm": lambda state: EnvCTM(state, CTMOption(chi=8)),
 }
 MOVE_COUNTERS = ("peps.row_absorptions", "peps.ctm_moves", "peps.batched_contractions")
@@ -266,9 +266,9 @@ def test_build_and_sample_move_counters_are_pinned(kind):
 # --------------------------------------------------------------------- #
 def _make_env(kind, state):
     if kind == "exact":
-        return EnvExact(state)
+        return BoundaryEnvironment(state)
     if kind == "bmps":
-        return EnvBoundaryMPS(state, BMPS(truncate_bond=8))
+        return BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8)))
     if kind == "ctm":
         return EnvCTM(state, CTMOption(chi=8))
     raise ValueError(kind)
@@ -316,7 +316,7 @@ class TestLockstepSampling:
 
     def test_batched_contraction_stats_counted(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=8)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         before = REGISTRY.value("peps.batched_contractions")
         env.sample(rng=2, nshots=4)
         assert env.stats.batched_contractions > 0
@@ -328,7 +328,7 @@ class TestLockstepSampling:
         as its own group, through the same batched contractions."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=12)
         if kind == "bmps":
-            env = EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=4, cutoff=1e-3)))
+            env = BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=4, cutoff=1e-3)))
         else:
             env = EnvCTM(state, CTMOption(chi=4, cutoff=1e-3))
         assert not env.supports_lockstep()
@@ -346,7 +346,7 @@ class TestLockstepSampling:
 
     def test_uniform_fallback_counted(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=13)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         plan = _SamplingPlan(env)
         probs = plan.probabilities(np.zeros((3, 2)))
         np.testing.assert_allclose(probs, np.full((3, 2), 0.5))
@@ -371,10 +371,10 @@ class TestLockstepDistribution:
     @pytest.mark.parametrize("kind", ["bmps16", "ctm16"])
     def test_chi_squared_against_statevector(self, kind):
         """Acceptance: seeded chi-squared check of the lockstep sampler on a
-        3x3 lattice for EnvBoundaryMPS and EnvCTM."""
+        3x3 lattice for BoundaryEnvironment and EnvCTM."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=21)
         if kind == "bmps16":
-            env = EnvBoundaryMPS(state, BMPS(truncate_bond=16))
+            env = BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=16)))
         else:
             env = EnvCTM(state, CTMOption(chi=16))
         sv = state.to_statevector()
@@ -401,7 +401,7 @@ class TestLockstepDistribution:
     def test_lockstep_statistics_match_statevector_2x2(self):
         """Total-variation check on the default (lockstep) sampling path."""
         state = peps.random_peps(2, 2, bond_dim=2, seed=22)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         sv = state.to_statevector()
         probs = np.abs(sv) ** 2
         probs = probs / probs.sum()
@@ -420,7 +420,7 @@ class TestStripCache:
         """A strip cache shared by all terms gives every term the value of a
         fresh cache built for that term alone."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=31)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         H = heisenberg_j1j2(3, 3, j2=[0.5, 0.5, 0.5])
         caches = {}
 
@@ -436,7 +436,7 @@ class TestStripCache:
 
     def test_expectation_counts_hits_and_misses(self):
         state = peps.random_peps(3, 4, bond_dim=2, seed=32)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         H = heisenberg_j1j2(3, 4, j2=[0.5, 0.5, 0.5])
         before = REGISTRY.value("peps.strip_cache_hits")
         energy = env.expectation(H)
@@ -448,18 +448,18 @@ class TestStripCache:
     def test_expectation_value_unchanged_by_caching(self):
         state = peps.random_peps(3, 3, bond_dim=2, seed=33)
         H = heisenberg_j1j2(3, 3)
-        cached = EnvExact(state).expectation(H)
+        cached = BoundaryEnvironment(state).expectation(H)
         reference = expectation_uncached(state, H)
         assert cached == pytest.approx(reference, rel=1e-9)
 
     def test_measure_2site_unchanged_by_caching(self):
         state = peps.random_peps(2, 3, bond_dim=2, seed=34)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         values = env.measure_2site(Z, Z)
         from repro.operators.observable import Observable
 
         for (a, b), val in values.items():
-            ref = EnvExact(state).expectation(Observable.ZZ(a, b))
+            ref = BoundaryEnvironment(state).expectation(Observable.ZZ(a, b))
             assert val == pytest.approx(ref, abs=1e-9), (a, b)
 
 
@@ -476,7 +476,7 @@ def test_spec_naming_a_group_size_is_rejected():
 class TestEnvStatsReset:
     def test_reset_clears_batching_counters(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=44)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         env.sample(rng=1, nshots=3)
         env.expectation(heisenberg_j1j2(2, 2))
         assert env.stats.batched_contractions > 0

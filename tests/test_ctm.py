@@ -6,7 +6,9 @@ import pytest
 from repro import peps
 from repro.operators import gates
 from repro.operators.hamiltonians import transverse_field_ising
-from repro.peps import BMPS, CTMOption, EnvCTM, EnvExact, QRUpdate, make_environment
+from repro.peps import (
+    BMPS, BoundaryEnvironment, CTMOption, EnvCTM, QRUpdate, make_environment,
+)
 from repro.peps.envs.boundary import option_signature
 from repro.peps.envs.ctm import ctm_renormalize, spectra_distance
 from repro.sim import (
@@ -29,10 +31,10 @@ CONVERGED_CHI = 64
 
 class TestCTMParity:
     def test_norm_and_expectation_match_exact_4x4(self):
-        """Acceptance: EnvCTM == EnvExact to 1e-8 at converged chi on 4x4."""
+        """Acceptance: EnvCTM == exact BoundaryEnvironment to 1e-8 at converged chi on 4x4."""
         state = peps.random_peps(4, 4, bond_dim=2, seed=11)
         ham = transverse_field_ising(4, 4)
-        exact = EnvExact(state)
+        exact = BoundaryEnvironment(state)
         env = EnvCTM(state, CTMOption(chi=CONVERGED_CHI)).build()
         assert env.converged
         assert env.norm() == pytest.approx(exact.norm(), abs=1e-8)
@@ -40,7 +42,7 @@ class TestCTMParity:
 
     def test_measurements_match_exact(self):
         state = peps.random_peps(4, 4, bond_dim=2, seed=12)
-        exact = EnvExact(state)
+        exact = BoundaryEnvironment(state)
         env = EnvCTM(state, CTMOption(chi=CONVERGED_CHI))
         ones = env.measure_1site(Z)
         ones_exact = exact.measure_1site(Z)
@@ -57,7 +59,7 @@ class TestCTMParity:
         """At converged chi the conditional densities equal the exact ones, so
         the same generator stream draws the same bitstrings."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=13)
-        exact_shots = EnvExact(state).sample(rng=5, nshots=20)
+        exact_shots = BoundaryEnvironment(state).sample(rng=5, nshots=20)
         ctm_shots = EnvCTM(state, CTMOption(chi=CONVERGED_CHI)).sample(rng=5, nshots=20)
         np.testing.assert_array_equal(ctm_shots, exact_shots)
 
@@ -91,7 +93,7 @@ class TestCTMConvergence:
         """The truncated CTM estimate converges to the exact value as chi grows."""
         state = peps.random_peps(4, 4, bond_dim=2, seed=21)
         ham = transverse_field_ising(4, 4)
-        reference = EnvExact(state).expectation(ham)
+        reference = BoundaryEnvironment(state).expectation(ham)
         errors = {
             chi: abs(EnvCTM(state, CTMOption(chi=chi)).expectation(ham) - reference)
             for chi in (2, 16, CONVERGED_CHI)

@@ -7,7 +7,7 @@ from repro import peps
 from repro.operators import gates
 from repro.operators.hamiltonians import transverse_field_ising
 from repro.operators.observable import Observable
-from repro.peps import BMPS, EnvBoundaryMPS, EnvExact, Exact, QRUpdate, make_environment
+from repro.peps import BMPS, BoundaryEnvironment, Exact, QRUpdate, make_environment
 from repro.peps.envs.boundary import option_signature
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
 from benchmarks.bench_fig9_caching import expectation_uncached
@@ -44,11 +44,11 @@ def random_gate_sequence(state, rng, n_gates, rank=None):
 
 class TestEnvParity:
     def test_exact_and_bmps_identical_3x3(self, backend):
-        """Acceptance: EnvExact == EnvBoundaryMPS to 1e-8 on both backends."""
+        """Acceptance: exact == BMPS environment to 1e-8 on both backends."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=11, backend=backend)
         ham = transverse_field_ising(3, 3)
-        exact = EnvExact(state).expectation(ham)
-        bmps = EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=64))).expectation(ham)
+        exact = BoundaryEnvironment(state).expectation(ham)
+        bmps = BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=64))).expectation(ham)
         assert bmps == pytest.approx(exact, abs=1e-8)
 
     def test_cached_env_matches_fresh_after_random_gates(self, backend):
@@ -175,7 +175,7 @@ class TestBatchedMeasurement:
         values = env.measure_1site(Z)
         assert set(values) == set(range(9))
         for s in range(9):
-            ref = EnvExact(state).expectation(Observable.Z(s))
+            ref = BoundaryEnvironment(state).expectation(Observable.Z(s))
             assert values[s] == pytest.approx(ref, abs=1e-9)
 
     def test_measure_1site_site_subset_and_dict_operator(self):
@@ -184,10 +184,10 @@ class TestBatchedMeasurement:
         values = env.measure_1site({0: Z, 4: X})
         assert set(values) == {0, 4}
         assert values[0] == pytest.approx(
-            EnvExact(state).expectation(Observable.Z(0)), abs=1e-9
+            BoundaryEnvironment(state).expectation(Observable.Z(0)), abs=1e-9
         )
         assert values[4] == pytest.approx(
-            EnvExact(state).expectation(Observable.X(4)), abs=1e-9
+            BoundaryEnvironment(state).expectation(Observable.X(4)), abs=1e-9
         )
 
     def test_measure_1site_duplicate_sites(self):
@@ -196,7 +196,7 @@ class TestBatchedMeasurement:
         values = env.measure_1site(Z, sites=[1, 0, 1, 1])
         assert set(values) == {0, 1}
         for s in (0, 1):
-            ref = EnvExact(state).expectation(Observable.Z(s))
+            ref = BoundaryEnvironment(state).expectation(Observable.Z(s))
             assert values[s] == pytest.approx(ref, abs=1e-9)
 
     def test_measure_2site_all_nearest_neighbours(self):
@@ -205,7 +205,7 @@ class TestBatchedMeasurement:
         values = env.measure_2site(Z, Z)
         assert len(values) == 12  # 6 horizontal + 6 vertical pairs on 3x3
         for (a, b), val in values.items():
-            ref = EnvExact(state).expectation(Observable.ZZ(a, b))
+            ref = BoundaryEnvironment(state).expectation(Observable.ZZ(a, b))
             assert val == pytest.approx(ref, abs=1e-9), (a, b)
 
     def test_measure_on_distributed_backend(self, dist_backend):
@@ -213,7 +213,7 @@ class TestBatchedMeasurement:
         env = state.attach_environment(Exact())
         values = env.measure_1site(Z, sites=[0, 5])
         for s in (0, 5):
-            ref = EnvExact(state).expectation(Observable.Z(s))
+            ref = BoundaryEnvironment(state).expectation(Observable.Z(s))
             assert values[s] == pytest.approx(ref, abs=1e-9)
 
 
@@ -256,9 +256,8 @@ class TestSampling:
 class TestOptionRouting:
     def test_make_environment_dispatch(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=51)
-        assert isinstance(make_environment(state, None), EnvExact)
-        assert isinstance(make_environment(state, Exact()), EnvExact)
-        assert isinstance(make_environment(state, BMPS(ExplicitSVD(rank=4))), EnvBoundaryMPS)
+        for option in (None, Exact(), BMPS(ExplicitSVD(rank=4))):
+            assert type(make_environment(state, option)) is BoundaryEnvironment
         with pytest.raises(TypeError):
             from repro.peps.contraction.options import ContractOption
 
@@ -285,9 +284,7 @@ class TestOptionRouting:
 
     def test_option_signature_equivalences(self):
         assert option_signature(None) == option_signature(Exact())
-        assert option_signature(BMPS(ExplicitSVD(rank=4))) == option_signature(
-            BMPS(ExplicitSVD(), truncate_bond=4)
-        )
+        assert option_signature(BMPS()) == option_signature(BMPS(ExplicitSVD()))
         assert option_signature(BMPS(ExplicitSVD(rank=4))) != option_signature(
             BMPS(ImplicitRandomizedSVD(rank=4))
         )

@@ -22,7 +22,6 @@ from repro.peps import (
     LocalGramQRSVDUpdate,
     LocalGramQRUpdate,
     QRUpdate,
-    TwoLayerBMPS,
 )
 from repro.statevector import StateVector
 from repro.telemetry import REGISTRY
@@ -77,7 +76,7 @@ class TestRQCAccuracy:
         q = peps.computational_zeros(nrow, ncol)
         q.apply_circuit(circ, QRUpdate(rank=4))
         assert q.max_bond_dimension() <= 4
-        norm = q.norm(TwoLayerBMPS(ExplicitSVD(rank=16)))
+        norm = q.norm(BMPS(ExplicitSVD(rank=16)))
         assert np.isfinite(norm) and norm > 0
 
 

@@ -2,7 +2,7 @@
 
 Covers the store primitives (threshold, dedup, compact inline encoding), the
 inline<->npz<->sharded roundtrip matrix over every serializable state type
-(PEPS, warm EnvBoundaryMPS/EnvCTM caches), the sidecar lifecycle of
+(PEPS, warm BoundaryEnvironment/EnvCTM caches), the sidecar lifecycle of
 checkpoint files (atomic write, pruning, clearing, missing-sidecar errors),
 resume across the two written payload formats, v1 document compatibility —
 and the acceptance criterion that the npz format shrinks the ctm smoke

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import peps
-from repro.peps import BMPS, Exact, PEPS, TwoLayerBMPS
+from repro.peps import BMPS, Exact, PEPS
 from repro.peps.peps import random_peps, random_single_layer_grid
 from repro.tensornetwork import ExplicitSVD
 from tests.conftest import random_complex
@@ -104,7 +104,7 @@ class TestAmplitudesAndNorm:
         bits = [int(b) for b in rng.integers(0, 2, 9)]
         exact = q.amplitude(bits, Exact())
         bmps = q.amplitude(bits, BMPS(ExplicitSVD(rank=16)))
-        two_layer = q.amplitude(bits, TwoLayerBMPS(ExplicitSVD(rank=16)))
+        two_layer = q.amplitude(bits, BMPS(ExplicitSVD(rank=16)))
         assert bmps == pytest.approx(exact, rel=1e-8)
         assert two_layer == pytest.approx(exact, rel=1e-8)
 
@@ -126,13 +126,13 @@ class TestAmplitudesAndNorm:
     def test_norm_of_basis_state_is_one(self, backend):
         q = peps.computational_zeros(2, 2, backend=backend)
         assert q.norm(Exact()) == pytest.approx(1.0)
-        assert q.norm(TwoLayerBMPS(ExplicitSVD(rank=8))) == pytest.approx(1.0)
+        assert q.norm(BMPS(ExplicitSVD(rank=8))) == pytest.approx(1.0)
 
     def test_norm_matches_statevector(self):
         q = random_peps(2, 3, bond_dim=2, seed=9)
         sv = q.to_statevector()
         assert q.norm(Exact()) == pytest.approx(np.linalg.norm(sv), rel=1e-8)
-        assert q.norm(TwoLayerBMPS(ExplicitSVD(rank=32))) == pytest.approx(
+        assert q.norm(BMPS(ExplicitSVD(rank=32))) == pytest.approx(
             np.linalg.norm(sv), rel=1e-6
         )
 
@@ -141,7 +141,7 @@ class TestAmplitudesAndNorm:
         b = random_peps(2, 2, bond_dim=2, seed=2)
         ref = np.vdot(a.to_statevector(), b.to_statevector())
         assert a.inner(b, Exact()) == pytest.approx(ref, rel=1e-8)
-        assert a.inner(b, TwoLayerBMPS(ExplicitSVD(rank=16))) == pytest.approx(ref, rel=1e-6)
+        assert a.inner(b, BMPS(ExplicitSVD(rank=16))) == pytest.approx(ref, rel=1e-6)
 
     def test_inner_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

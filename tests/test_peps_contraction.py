@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.peps import BMPS, PEPS, Exact, TwoLayerBMPS
+from repro.peps import BMPS, PEPS, Exact
 from repro.peps.contraction import (
     absorb_sandwich_row,
     close_boundaries,
@@ -97,16 +97,10 @@ class TestOptionObjects:
         assert not opt.is_implicit
         assert "BMPS" in opt.describe()
 
-    def test_truncate_bond_override(self):
-        opt = BMPS(ExplicitSVD(rank=8), truncate_bond=4)
-        assert opt.truncation_bond == 4
-
     def test_implicit_flag_and_describe(self):
         opt = BMPS(ImplicitRandomizedSVD(rank=6))
         assert opt.is_implicit
         assert "IBMPS" in opt.describe()
-        two = TwoLayerBMPS(ImplicitRandomizedSVD(rank=6))
-        assert "2-layer" in two.describe()
         assert Exact().describe() == "Exact"
 
 
@@ -252,9 +246,9 @@ class TestTwoLayerContraction:
         ref = np.vdot(a.to_statevector(), b.to_statevector())
         exact = a.inner(b, Exact())
         bmps = a.inner(b, BMPS(ExplicitSVD(rank=16)))
-        two_layer = a.inner(b, TwoLayerBMPS(ExplicitSVD(rank=16)))
+        two_layer = a.inner(b, BMPS(ExplicitSVD(rank=16)))
         two_layer_implicit = a.inner(
-            b, TwoLayerBMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0))
+            b, BMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0))
         )
         assert exact == pytest.approx(ref, rel=1e-8)
         assert bmps == two_layer
@@ -269,7 +263,7 @@ class TestTwoLayerContraction:
 
     def test_norm_is_real_positive(self):
         a = random_peps(3, 3, bond_dim=2, seed=13)
-        value = a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=8)))
+        value = a.inner(a, BMPS(ExplicitSVD(rank=8)))
         assert abs(np.imag(value)) < 1e-8 * abs(value)
         assert np.real(value) > 0
 
@@ -305,11 +299,11 @@ class TestTwoLayerContraction:
     def test_grid_shape_mismatch_raises(self):
         a = random_peps(2, 2, bond_dim=2, seed=17)
         b = random_peps(2, 3, bond_dim=2, seed=18)
-        for option in (Exact(), TwoLayerBMPS(ExplicitSVD(rank=4))):
+        for option in (Exact(), BMPS(ExplicitSVD(rank=4))):
             with pytest.raises(ValueError, match="shape mismatch"):
                 a.inner(b, option)
 
-    @pytest.mark.parametrize("option", [Exact(), TwoLayerBMPS(ExplicitSVD(rank=4))],
+    @pytest.mark.parametrize("option", [Exact(), BMPS(ExplicitSVD(rank=4))],
                              ids=["exact", "bmps"])
     @pytest.mark.parametrize("edge", EDGES)
     def test_malformed_edge_raises(self, edge, option):
@@ -337,7 +331,7 @@ class TestTwoLayerContraction:
     def test_distributed_backend_two_layer(self, dist_backend):
         a = random_peps(2, 2, bond_dim=2, seed=19, backend=dist_backend)
         sv_norm = np.linalg.norm(a.to_statevector()) ** 2
-        value = a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=8)))
+        value = a.inner(a, BMPS(ExplicitSVD(rank=8)))
         assert np.real(value) == pytest.approx(sv_norm, rel=1e-8)
 
 
@@ -348,7 +342,7 @@ class TestAccuracyVsBondDimension:
         ref = np.linalg.norm(a.to_statevector()) ** 2
         errors = []
         for m in (1, 2, 4, 16):
-            value = a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=m)))
+            value = a.inner(a, BMPS(ExplicitSVD(rank=m)))
             errors.append(abs(value - ref) / ref)
         assert errors[-1] < 1e-8
         assert errors[0] >= errors[-1]
@@ -358,9 +352,9 @@ class TestAccuracyVsBondDimension:
         a = random_peps(3, 3, bond_dim=2, seed=21)
         ref = np.linalg.norm(a.to_statevector()) ** 2
         m = 8
-        bmps_err = abs(a.inner(a, TwoLayerBMPS(ExplicitSVD(rank=m))) - ref) / ref
+        bmps_err = abs(a.inner(a, BMPS(ExplicitSVD(rank=m))) - ref) / ref
         ibmps_err = abs(
-            a.inner(a, TwoLayerBMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=1)))
+            a.inner(a, BMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=1)))
             - ref
         ) / ref
         assert ibmps_err < 10 * max(bmps_err, 1e-12) + 1e-6

@@ -109,12 +109,11 @@ class TestCachingEquivalence:
         assert val == pytest.approx(ref, abs=1e-6)
 
     def test_environment_norm_matches_inner(self):
-        from repro.peps import TwoLayerBMPS
         from repro.peps.envs.boundary import BoundaryEnvironment
 
         q, _ = prepared_state(2, 3, seed=10)
-        env = BoundaryEnvironment(q, svd_option=ExplicitSVD().with_rank(16)).build()
-        ref = q.inner(q, TwoLayerBMPS(ExplicitSVD(rank=16)))
+        env = BoundaryEnvironment(q, BMPS(ExplicitSVD(rank=16))).build()
+        ref = q.inner(q, BMPS(ExplicitSVD(rank=16)))
         assert env.norm_sq() == pytest.approx(ref, rel=1e-8)
 
 

@@ -13,11 +13,11 @@ from repro.linalg import DenseTensorOperator, randomized_svd, tensor_qr, truncat
 from repro.operators import gates
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.operators.observable import Observable
-from repro.peps import BMPS, Exact, TwoLayerBMPS, contract_single_layer, random_peps
+from repro.peps import BMPS, Exact, contract_single_layer, random_peps
 from repro.peps.contraction.options import CONTRACT_OPTION_KINDS, CTMOption
 from repro.peps.contraction.two_layer import absorb_sandwich_row
 from repro.peps.peps import random_single_layer_grid
-from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact, ctm_renormalize, make_environment
+from repro.peps.envs import BoundaryEnvironment, EnvCTM, ctm_renormalize, make_environment
 from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
 from repro.peps.update import DOWN, UP, UPDATE_OPTION_KINDS, QRUpdate
 from repro.sim import RunSpec
@@ -226,7 +226,7 @@ class TestInnerProductProperties:
     @given(nrow=lattice_sides, ncol=lattice_sides, bond_dim=layer_bonds, phys_dim=phys_dims,
            seed=seeds, option=st.sampled_from([
                Exact(), BMPS(ExplicitSVD(rank=2)),
-               TwoLayerBMPS(ImplicitRandomizedSVD(rank=2, seed=0)), CTMOption(chi=2),
+               BMPS(ImplicitRandomizedSVD(rank=2, seed=0)), CTMOption(chi=2),
            ]))
     def test_norm_squared_is_the_self_overlap(
         self, nrow, ncol, bond_dim, phys_dim, seed, option
@@ -243,8 +243,11 @@ class TestInnerProductProperties:
     ):
         a, b = random_pair(nrow, ncol, bond_dim, phys_dim, seed)
         svd = ImplicitRandomizedSVD(rank=m, seed=0) if implicit else ExplicitSVD(rank=m)
+        legacy = sim_io.contract_option_from_dict(
+            {"kind": "two_layer_bmps", "svd": sim_io.svd_option_to_dict(svd)}
+        )
         for bra, ket in ((a, b), (a, a)):
-            assert bra.inner(ket, BMPS(svd)) == bra.inner(ket, TwoLayerBMPS(svd))
+            assert bra.inner(ket, BMPS(svd)) == bra.inner(ket, legacy)
 
     @pytest.mark.parametrize("option", [Exact(), BMPS(ExplicitSVD(rank=4))], ids=["exact", "bmps"])
     def test_cross_environment_serves_only_its_norm(self, option):
@@ -313,7 +316,7 @@ class TestQuantumInvariants:
 small_ints = st.integers(min_value=1, max_value=64)
 small_floats = st.floats(min_value=1e-14, max_value=1e-2)
 
-#: One strategy per option *field name*, over all ten option classes.  A
+#: One strategy per option *field name*, over all nine option classes.  A
 #: field added to a dataclass without a strategy here fails the build below
 #: with a KeyError: that is the only edit a new field needs outside its class.
 FIELD_STRATEGIES = {
@@ -324,7 +327,6 @@ FIELD_STRATEGIES = {
     "oversample": st.integers(0, 8),
     "orth_method": st.sampled_from(["auto", "qr", "gram"]),
     "seed": st.none() | seeds,
-    "truncate_bond": st.none() | small_ints,
     "chi": st.none() | small_ints,
     "tol": small_floats,
     "max_sweeps": st.integers(1, 9),
@@ -337,15 +339,15 @@ def options_of(cls):
 
 svd_options = st.one_of([options_of(cls) for cls in SVD_OPTION_KINDS.values()])
 FIELD_STRATEGIES["svd_option"] = st.none() | svd_options
-contract_options = st.one_of([options_of(cls) for cls in CONTRACT_OPTION_KINDS.values()])
+contract_options = st.one_of(
+    [options_of(cls) for cls in dict.fromkeys(CONTRACT_OPTION_KINDS.values())]
+)
 update_options = st.one_of([options_of(cls) for cls in UPDATE_OPTION_KINDS.values()])
 
 #: Spec shorthand kind of a boundary-MPS option: (class, einsumsvd class) -> alias.
 SHORTHAND = {
     (BMPS, ExplicitSVD): "bmps",
     (BMPS, ImplicitRandomizedSVD): "ibmps",
-    (TwoLayerBMPS, ExplicitSVD): "two_layer_bmps",
-    (TwoLayerBMPS, ImplicitRandomizedSVD): "two_layer_ibmps",
 }
 
 
@@ -365,8 +367,9 @@ def physical(option):
 class TestOptionDescriptionProperties:
     def test_every_option_class_is_drawn(self):
         kinds = {**SVD_OPTION_KINDS, **CONTRACT_OPTION_KINDS, **UPDATE_OPTION_KINDS}
-        assert len(kinds) == 10
-        assert all(cls.kind == kind for kind, cls in kinds.items())
+        classes = set(kinds.values())
+        assert len(classes) == 9
+        assert all(kinds[cls.kind] is cls for cls in classes)
 
     @FAST
     @given(option=svd_options)
@@ -392,9 +395,7 @@ class TestOptionDescriptionProperties:
     def test_spec_shorthand_and_io_form_build_the_same_contraction(self, option):
         io_form = wire(sim_io.contract_option_to_dict(option))
         assert RunSpec(contraction=io_form).build_contract_option() == option
-        if isinstance(option, BMPS) and option.svd_option is not None and (
-            option.truncate_bond is None
-        ):
+        if isinstance(option, BMPS) and option.svd_option is not None:
             flat = wire(sim_io.svd_option_to_dict(option.svd_option))
             flat["kind"] = SHORTHAND[type(option), type(option.svd_option)]
             flat["bond"] = flat.pop("rank")
@@ -571,9 +572,9 @@ class TestBatchedMoveProperties:
 #: The environment kinds of the sampler's parity probe: exact, fixed-rank and
 #: cutoff truncations of both boundary schemes.
 SAMPLING_ENVS = {
-    "exact": lambda state: EnvExact(state),
-    "bmps": lambda state: EnvBoundaryMPS(state, BMPS(truncate_bond=8)),
-    "bmps_cutoff": lambda state: EnvBoundaryMPS(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
+    "exact": lambda state: BoundaryEnvironment(state),
+    "bmps": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8))),
+    "bmps_cutoff": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
     "ctm": lambda state: EnvCTM(state, CTMOption(chi=8)),
     "ctm_cutoff": lambda state: EnvCTM(state, CTMOption(chi=8, cutoff=1e-3)),
 }

@@ -12,8 +12,9 @@ import pytest
 from repro import peps
 from repro.peps import BMPS
 from repro.peps.contraction.options import CTMOption, Exact
-from repro.peps.envs import EnvBoundaryMPS, EnvCTM, EnvExact
+from repro.peps.envs import BoundaryEnvironment, EnvCTM
 from repro.peps.envs.sampling_mc import _amplitude_option, sample_mc
+from repro.tensornetwork import ExplicitSVD
 
 
 class TestDispatch:
@@ -28,7 +29,7 @@ class TestDispatch:
             state.sample(rng=0, sampler="perfect", sampler_options={"sweeps": 4})
 
     def test_invalid_shot_and_sweep_counts_rejected(self):
-        env = EnvExact(peps.computational_zeros(2, 2))
+        env = BoundaryEnvironment(peps.computational_zeros(2, 2))
         with pytest.raises(ValueError):
             sample_mc(env, rng=0, nshots=0)
         with pytest.raises(ValueError):
@@ -40,13 +41,13 @@ class TestAmplitudeOption:
 
     def test_exact_environments_use_exact_amplitudes(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=3)
-        assert _amplitude_option(EnvExact(state)) == Exact()
+        assert _amplitude_option(BoundaryEnvironment(state)) == Exact()
         assert _amplitude_option(EnvCTM(state, CTMOption())) == Exact()
 
     def test_boundary_mps_uses_its_resolved_option(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=3)
-        option = BMPS(truncate_bond=4)
-        env = EnvBoundaryMPS(state, option)
+        option = BMPS(ExplicitSVD(rank=4))
+        env = BoundaryEnvironment(state, option)
         assert _amplitude_option(env) == BMPS(option.resolved_svd_option())
         shots = env.sample(rng=5, nshots=2, sampler="mc", sampler_options={"sweeps": 1})
         assert shots.shape == (2, 4)
@@ -95,7 +96,7 @@ class TestDeterminism:
 class TestStatistics:
     def test_full_distribution_chi_squared_2x2(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=22)
-        env = EnvExact(state)
+        env = BoundaryEnvironment(state)
         sv = state.to_statevector()
         probs = np.abs(sv) ** 2
         probs = probs / probs.sum()
@@ -119,7 +120,7 @@ class TestStatistics:
         """Acceptance: seeded statistical check of the MC sampler on a 3x3
         lattice, mirroring the lockstep sampler's chi-squared test."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=21)
-        env = EnvBoundaryMPS(state, BMPS(truncate_bond=16))
+        env = BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=16)))
         sv = state.to_statevector()
         probs = (np.abs(sv) ** 2).reshape([2] * 9)
         probs = probs / probs.sum()

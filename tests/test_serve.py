@@ -126,6 +126,21 @@ class TestDaemonLifecycle:
             client.submit_sweep(sweep_payload(), jobs=2, executor="pool")
         assert client.health()["status"] == "ok"
 
+    @pytest.mark.parametrize("since", ["abc", "-1", "1.5", ""])
+    def test_bad_results_offset_is_a_400(self, tmp_path, since):
+        serve = ServeDaemon(tmp_path / "serve", quiet=True)
+        client = ServeClient(serve.start()["url"])
+        try:
+            status, body, _ = client._request("GET", f"/v1/jobs/job-0001/results?since={since}")
+            assert status == 400
+            assert "non-negative integer" in json.loads(body)["error"]
+            # A valid offset reaches the job lookup; the handler survived.
+            status, _, _ = client._request("GET", "/v1/jobs/job-0001/results?since=0")
+            assert status == 404
+            assert client.health()["status"] == "ok"
+        finally:
+            assert serve.stop() == 0
+
     def test_clean_shutdown_exits_zero(self, daemon):
         _, client, process = daemon
         job = client.submit_run(RUN_SPEC)

@@ -17,7 +17,7 @@ import pytest
 
 from repro import peps
 from repro.operators.observable import Observable
-from repro.peps import BMPS, CTMOption, Exact, QRUpdate, TwoLayerBMPS
+from repro.peps import BMPS, CTMOption, Exact, QRUpdate
 from repro.sim import (
     RunSpec,
     SerializationError,
@@ -114,7 +114,7 @@ class TestRunSpec:
         svd = {"kind": "implicit", "rank": 4, "seed": 0}
         spec = ite_spec(tmp_path, contraction={"kind": "two_layer_ibmps", "svd": svd})
         option = spec.build_contract_option()
-        assert isinstance(option, TwoLayerBMPS)
+        assert type(option) is BMPS
         assert option.truncation_bond == 4
 
     def test_unknown_model_kind(self, tmp_path):
@@ -134,7 +134,7 @@ class TestOptionSerialization:
         Exact(),
         BMPS(ExplicitSVD(rank=4, cutoff=1e-10)),
         BMPS(ImplicitRandomizedSVD(rank=8, niter=2, oversample=3, seed=5)),
-        TwoLayerBMPS(ExplicitSVD(rank=6)),
+        BMPS(ExplicitSVD(rank=6)),
         CTMOption(chi=12, cutoff=1e-9, tol=1e-8, max_sweeps=6),
     ])
     def test_contract_round_trip(self, option):
@@ -161,6 +161,72 @@ class TestOptionSerialization:
         if option is not None:
             assert again.rank == option.rank and again.cutoff == option.cutoff
 
+    # Payloads as checkpoints and spec files wrote them while TwoLayerBMPS and
+    # BMPS.truncate_bond existed; the norms are those the writer computed on
+    # random_peps(3, 3, bond_dim=2, seed=0) with its resolved option.
+    @pytest.mark.parametrize("legacy, resolved, norm", [
+        ({"kind": "two_layer_bmps",
+          "svd": {"kind": "explicit", "rank": 3, "cutoff": None, "absorb": "even"},
+          "truncate_bond": None},
+         BMPS(ExplicitSVD(rank=3)), 0.4193791602240843),
+        ({"kind": "two_layer_bmps",
+          "svd": {"kind": "implicit", "rank": 3, "cutoff": None, "absorb": "even",
+                  "niter": 1, "oversample": 2, "orth_method": "auto", "seed": 0},
+          "truncate_bond": None},
+         BMPS(ImplicitRandomizedSVD(rank=3, seed=0)), 0.4193791602240842),
+        ({"kind": "bmps",
+          "svd": {"kind": "explicit", "rank": 8, "cutoff": None, "absorb": "even"},
+          "truncate_bond": 2},
+         BMPS(ExplicitSVD(rank=2)), 0.4227785583404315),
+        ({"kind": "bmps",
+          "svd": {"kind": "implicit", "rank": 8, "cutoff": None, "absorb": "even",
+                  "niter": 1, "oversample": 2, "orth_method": "auto", "seed": 1},
+          "truncate_bond": 2},
+         BMPS(ImplicitRandomizedSVD(rank=2, seed=1)), 0.42277855834043127),
+        ({"kind": "bmps", "svd": None, "truncate_bond": 2},
+         BMPS(ExplicitSVD(rank=2)), 0.4227785583404315),
+        ("two_layer_bmps", BMPS(ExplicitSVD(rank=3)), 0.4193791602240843),
+        ("two_layer_ibmps", BMPS(ImplicitRandomizedSVD(rank=3, seed=0)), 0.4193791602240842),
+    ], ids=["two-layer-explicit", "two-layer-implicit", "truncate-bond-explicit",
+            "truncate-bond-implicit", "truncate-bond-default-svd", "spec-two_layer_bmps",
+            "spec-two_layer_ibmps"])
+    def test_legacy_wire_forms_load_to_the_same_computation(self, legacy, resolved, norm):
+        from repro.peps.envs import option_signature
+
+        if isinstance(legacy, str):
+            option = RunSpec(contraction={"kind": legacy, "bond": 3}).build_contract_option()
+        else:
+            option = contract_option_from_dict(legacy)
+        assert type(option) is BMPS
+        assert option_signature(option) == option_signature(resolved)
+        state = peps.random_peps(3, 3, bond_dim=2, seed=0)
+        assert state.norm(option) == state.norm(resolved)
+        assert state.norm(option) == pytest.approx(norm, rel=1e-12)
+        assert contract_option_to_dict(option)["kind"] == "bmps"
+        assert "truncate_bond" not in contract_option_to_dict(option)
+
+    def test_legacy_truncate_bond_only_reads_on_boundary_mps_kinds(self):
+        with pytest.raises(SerializationError, match="truncate_bond"):
+            contract_option_from_dict({"kind": "exact", "truncate_bond": None})
+
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_non_positive_rank_rejected_everywhere(self, rank):
+        for cls in (ExplicitSVD, ImplicitRandomizedSVD):
+            with pytest.raises(ValueError, match="rank must be positive"):
+                BMPS(cls(rank=rank))
+            with pytest.raises(ValueError, match="rank must be positive"):
+                cls(rank=4).with_rank(rank)
+        for kind in ("bmps", "ibmps"):
+            spec = RunSpec(contraction={"kind": kind, "bond": rank})
+            with pytest.raises(ValueError, match="rank must be positive"):
+                spec.build_contract_option()
+        for payload in (
+            {"kind": "bmps", "svd": {"kind": "implicit", "rank": rank}},
+            {"kind": "bmps", "svd": {"kind": "explicit", "rank": 4}, "truncate_bond": rank},
+        ):
+            with pytest.raises(ValueError, match="rank must be positive"):
+                contract_option_from_dict(payload)
+
     def test_generator_seed_rejected(self):
         option = BMPS(ImplicitRandomizedSVD(rank=4, seed=np.random.default_rng(0)))
         with pytest.raises(SerializationError, match="integer"):
@@ -178,7 +244,7 @@ class TestStateSerialization:
                 )
 
     def test_peps_with_environment_round_trip(self):
-        """PEPS + EnvBoundaryMPS serialize -> restore: norm and expectation agree."""
+        """PEPS + BMPS environment serialize -> restore: norm and expectation agree."""
         state = peps.random_peps(3, 3, bond_dim=2, seed=3)
         env = state.attach_environment(BMPS(ExplicitSVD(rank=4)))
         obs = Observable.sum(Observable.Z(s) for s in range(state.n_sites))

@@ -461,7 +461,7 @@ class TestReportCli:
 
 class TestStatsShims:
     def test_env_stats_plain_counters(self):
-        from repro.peps.envs.base import EnvStats
+        from repro.peps.envs import EnvStats
 
         stats = EnvStats(row_absorptions=2)
         stats.ctm_moves += 5
