@@ -104,9 +104,7 @@ class TestAmplitudesAndNorm:
         bits = [int(b) for b in rng.integers(0, 2, 9)]
         exact = q.amplitude(bits, Exact())
         bmps = q.amplitude(bits, BMPS(ExplicitSVD(rank=16)))
-        two_layer = q.amplitude(bits, BMPS(ExplicitSVD(rank=16)))
         assert bmps == pytest.approx(exact, rel=1e-8)
-        assert two_layer == pytest.approx(exact, rel=1e-8)
 
     def test_amplitude_matches_statevector(self, rng):
         q = random_peps(2, 3, bond_dim=2, seed=3)

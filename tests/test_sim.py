@@ -134,7 +134,6 @@ class TestOptionSerialization:
         Exact(),
         BMPS(ExplicitSVD(rank=4, cutoff=1e-10)),
         BMPS(ImplicitRandomizedSVD(rank=8, niter=2, oversample=3, seed=5)),
-        BMPS(ExplicitSVD(rank=6)),
         CTMOption(chi=12, cutoff=1e-9, tol=1e-8, max_sweeps=6),
     ])
     def test_contract_round_trip(self, option):
