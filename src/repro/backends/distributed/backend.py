@@ -37,7 +37,6 @@ from math import prod, sqrt
 from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from repro.backends.distributed.comm import ProcessPoolCommunicator, SimulatedCommunicator
 from repro.backends.distributed.cost_model import CostModel, ExecutionStats, MachineParameters
@@ -46,6 +45,7 @@ from repro.backends.distributed.distribution import Distribution
 from repro.backends.distributed.engine import EinsumPlan, plan_einsum
 from repro.backends.interface import (
     Backend,
+    dense_svd,
     parse_batched_subscripts,
     rewrite_batched_subscripts,
 )
@@ -310,14 +310,9 @@ class DistributedBackend(Backend):
     # ------------------------------------------------------------------ #
     # Distributed factorizations (ScaLAPACK-style costs)
     # ------------------------------------------------------------------ #
-    def svd(self, matrix) -> Tuple[DistTensor, DistTensor, DistTensor]:
+    def svd(self, matrix, rank: Optional[int] = None) -> Tuple[DistTensor, DistTensor, DistTensor]:
         data = self._data(matrix)
-        if data.ndim != 2:
-            raise ValueError(f"svd expects a matrix, got ndim={data.ndim}")
-        try:
-            u, s, vh = scipy.linalg.svd(data, full_matrices=False, lapack_driver="gesdd")
-        except np.linalg.LinAlgError:  # pragma: no cover
-            u, s, vh = scipy.linalg.svd(data, full_matrices=False, lapack_driver="gesvd")
+        u, s, vh = dense_svd(data, rank=rank)
         self.cost_model.distributed_factorization(
             data.shape[0], data.shape[1], svd_flops(*data.shape), category="svd"
         )

@@ -17,6 +17,7 @@ import string
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -97,6 +98,71 @@ def rewrite_batched_subscripts(
         for spec, dim in zip(inputs, batch_dims)
     ]
     return ",".join(new_inputs) + "->" + label + output, label
+
+
+#: The QR-reduced SVD route runs when the long side is at least this many
+#: times the short one.  Below it small matrices lose on the route, and a
+#: gate at 2 moved the CTM golden (crossover table in ``docs/perf.md``).
+_QR_SVD_MIN_ASPECT = 4
+
+
+def dense_svd(
+    array: np.ndarray, rank: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD ``array = U @ diag(s) @ Vh`` of a 2-d ndarray.
+
+    The one dense SVD kernel of both backends.  ``s`` is always the full
+    spectrum.  With ``rank``, ``U`` and ``Vh`` need only hold the leading
+    ``rank`` singular vectors: when ``0 < rank < short`` and
+    ``long >= 4 * short`` the long side is Householder-reduced first (Chan's
+    R-SVD) and only the kept vectors are formed.  Every other call is one
+    economy ``scipy.linalg.svd``.  Both routes raise ``ValueError`` on
+    non-finite input and fall back from gesdd to gesvd when LAPACK fails.
+    """
+    array = np.asarray(array)
+    if array.ndim != 2:
+        raise ValueError(f"svd expects a matrix, got ndim={array.ndim}")
+    short, long = sorted(array.shape)
+    if rank is not None and 0 < rank < short and long >= _QR_SVD_MIN_ASPECT * short:
+        return _qr_svd(np.asarray_chkfinite(array), int(rank))
+    return _lapack_svd(array)
+
+
+def _lapack_svd(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD by gesdd, retried with gesvd when gesdd does not converge."""
+    try:
+        return scipy.linalg.svd(array, full_matrices=False, lapack_driver="gesdd")
+    except np.linalg.LinAlgError:  # pragma: no cover - rare LAPACK failure
+        return scipy.linalg.svd(array, full_matrices=False, lapack_driver="gesvd")
+
+
+def _qr_svd(array: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R-SVD keeping ``rank`` vector pairs.
+
+    A tall ``A = Q R`` has ``A = (Q U_R) S V_R^H`` with ``R = U_R S V_R^H``.
+    A wide ``A`` is factorised through ``A^T = Q R`` (for a C-ordered ``A``
+    a Fortran-ordered view, so nothing is conjugated first):
+    ``A = R^T Q^T = U_C S (Q V_C^T)^T`` with ``R^T = U_C S V_C``.  Either
+    way Q is applied to the ``rank`` kept vectors only.
+    """
+    tall = array.shape[0] >= array.shape[1]
+    t = array if tall else array.T
+    geqrf, geqrf_lwork, apply_q = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "geqrf_lwork", "unmqr" if np.iscomplexobj(t) else "ormqr"), (t,)
+    )
+    lwork, _ = geqrf_lwork(*t.shape)
+    qr, tau, _, qr_info = geqrf(t, lwork=int(lwork.real))
+    r = np.triu(qr[: t.shape[1]])
+    u_core, s, vh_core = _lapack_svd(r if tall else r.T)
+    kept = np.zeros((t.shape[0], rank), dtype=qr.dtype)
+    kept[: r.shape[0]] = u_core[:, :rank] if tall else vh_core[:rank].T
+    _, work, _ = apply_q("L", "N", qr, tau, kept, -1)
+    q_kept, _, q_info = apply_q("L", "N", qr, tau, kept, int(work[0].real), overwrite_c=1)
+    if qr_info or q_info:  # pragma: no cover - only an illegal argument sets them
+        raise np.linalg.LinAlgError(f"geqrf/ormqr failed (info {qr_info}, {q_info})")
+    if tall:
+        return q_kept, s, vh_core[:rank]
+    return u_core[:, :rank], s, q_kept.T
 
 
 class Backend(abc.ABC):
@@ -226,8 +292,18 @@ class Backend(abc.ABC):
     # Dense factorizations of matrices (2-d tensors)
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def svd(self, matrix: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
-        """Economy SVD ``matrix = U @ diag(s) @ Vh``; ``s`` is 1-d and real."""
+    def svd(
+        self, matrix: Tensor, rank: Optional[int] = None
+    ) -> Tuple[Tensor, Tensor, Tensor]:
+        """Economy SVD ``matrix = U @ diag(s) @ Vh``; ``s`` is 1-d and real.
+
+        ``s`` is always the complete spectrum, so truncation rules see every
+        singular value.  Without ``rank``, ``U`` and ``Vh`` hold all
+        ``min(m, n)`` vectors.  With ``rank``, only their leading ``rank``
+        columns (rows of ``Vh``) are promised: a caller that keeps more than
+        ``rank`` vectors must not pass it.  The flop count charged is that
+        of the economy SVD either way (:func:`~repro.utils.flops.svd_flops`).
+        """
 
     @abc.abstractmethod
     def qr(self, matrix: Tensor) -> Tuple[Tensor, Tensor]:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from repro.backends.interface import (
     Backend,
+    dense_svd,
     parse_batched_subscripts,
     rewrite_batched_subscripts,
 )
@@ -171,14 +171,11 @@ class NumPyBackend(Backend):
     # ------------------------------------------------------------------ #
     # Dense factorizations
     # ------------------------------------------------------------------ #
-    def svd(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def svd(
+        self, matrix: np.ndarray, rank: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError(f"svd expects a matrix, got ndim={matrix.ndim}")
-        try:
-            u, s, vh = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesdd")
-        except np.linalg.LinAlgError:  # pragma: no cover - rare LAPACK failure
-            u, s, vh = scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+        u, s, vh = dense_svd(matrix, rank=rank)
         if self.flop_counter is not None:
             self.flop_counter.add("svd", svd_flops(*matrix.shape))
         return u, s, vh

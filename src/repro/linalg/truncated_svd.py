@@ -100,7 +100,9 @@ def truncated_svd(
     """
     if absorb not in ("left", "right", "even", "none"):
         raise ValueError(f"unknown absorb mode {absorb!r}")
-    u, s, vh = backend.svd(matrix)
+    # ``rank`` bounds the kept vectors, so the backend may skip forming the
+    # rest; the spectrum it returns is complete either way.
+    u, s, vh = backend.svd(matrix, rank=rank)
     s_local = np.asarray(backend.to_local(s), dtype=float)
     keep, error = truncate_spectrum(s_local, rank=rank, cutoff=cutoff)
 

@@ -126,13 +126,13 @@ def _absorb_spectrum(backend: Backend, u, s, vh, absorb: str):
         labels = symbols(nu)
         bond = labels[-1]
         spec = "".join(labels) + "," + bond + "->" + "".join(labels)
-        u = backend.einsum(spec, u, backend.from_local(left.astype(np.complex128)))
+        u = backend.einsum(spec, u, backend.from_local(left))
     if right is not None:
         nv = len(backend.shape(vh))
         labels = symbols(nv)
         bond = labels[0]
         spec = "".join(labels) + "," + bond + "->" + "".join(labels)
-        vh = backend.einsum(spec, vh, backend.from_local(right.astype(np.complex128)))
+        vh = backend.einsum(spec, vh, backend.from_local(right))
     return u, s, vh
 
 

@@ -24,7 +24,11 @@ def matmul_flops(m: int, k: int, n: int, complex_dtype: bool = True) -> float:
 
 
 def svd_flops(m: int, n: int, complex_dtype: bool = True) -> float:
-    """Approximate flops of a dense (economy) SVD of an m x n matrix."""
+    """Approximate flops of a dense (economy) SVD of an m x n matrix.
+
+    This counts the factorisation, not a LAPACK route: a rank-limited
+    ``Backend.svd`` that QR-reduces the long side first is charged the same.
+    """
     small, large = (m, n) if m <= n else (n, m)
     factor = 4.0 if complex_dtype else 1.0
     # Golub-Van Loan style estimate for an economy-size SVD.

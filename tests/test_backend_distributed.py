@@ -12,6 +12,8 @@ from repro.backends.distributed import (
     ProcessorGrid,
     SimulatedCommunicator,
 )
+from repro.backends.numpy_backend import NumPyBackend
+from repro.utils.flops import svd_flops
 from tests.conftest import random_complex
 
 
@@ -164,6 +166,17 @@ class TestDistributedBackend:
         w, v = dist_backend.eigh(dist_backend.astensor(h))
         wv = dist_backend.asarray(v) @ np.diag(dist_backend.asarray(w)) @ dist_backend.asarray(v).conj().T
         assert np.allclose(wv, h)
+        # A wide rank-limited SVD (the QR-reduced route) matches the NumPy
+        # backend and is still charged as one economy SVD of the whole matrix.
+        wide = random_complex(rng, (6, 40))
+        dist_backend.reset_stats()
+        u, s, vh = dist_backend.svd(dist_backend.astensor(wide), rank=3)
+        assert dist_backend.stats.flops == svd_flops(6, 40)
+        u_np, s_np, vh_np = NumPyBackend().svd(wide, rank=3)
+        assert np.array_equal(dist_backend.asarray(s), s_np)
+        assert np.array_equal(dist_backend.asarray(u)[:, :3], u_np[:, :3])
+        assert np.array_equal(dist_backend.asarray(vh)[:3], vh_np[:3])
+        assert np.allclose(dist_backend.asarray(s), np.linalg.svd(wide, compute_uv=False))
 
     def test_reshape_charges_redistribution(self, rng):
         backend = DistributedBackend(nprocs=16)

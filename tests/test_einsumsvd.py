@@ -89,6 +89,19 @@ class TestExplicitSVD:
         rec = np.einsum("sxz,zty->sxty", x, y)
         assert np.allclose(rec, full)
 
+    @pytest.mark.parametrize("absorb", ["even", "left", "right", "none"])
+    def test_real_input_gives_real_factors(self, backend, rng, absorb):
+        """Real operands keep real factors in every absorb mode: the spectrum
+        is multiplied in as real numbers.  (The implicit flavour still returns
+        complex factors, because its random probe is complex; ROADMAP item 8.)"""
+        x = backend.astensor(rng.standard_normal((4, 5)))
+        y = backend.astensor(rng.standard_normal((5, 6)))
+        a, b = einsumsvd(
+            "ab,bc->ak,kc", x, y, option=ExplicitSVD(rank=2, absorb=absorb), backend=backend
+        )
+        assert backend.asarray(a).dtype == np.float64
+        assert backend.asarray(b).dtype == np.float64
+
 
 class TestImplicitRandomizedSVD:
     def test_full_rank_reproduces_contraction(self, backend, rng):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backends import NumPyBackend, interface
+from repro.backends.interface import dense_svd
 from repro.linalg import (
     DenseTensorOperator,
     TensorNetworkOperator,
@@ -12,6 +14,7 @@ from repro.linalg import (
     truncated_svd,
 )
 from repro.tensornetwork.einsum_spec import parse_einsumsvd
+from repro.utils.flops import FlopCounter, svd_flops
 from tests.conftest import random_complex
 
 
@@ -93,6 +96,66 @@ class TestTruncatedSVD:
     def test_invalid_absorb_raises(self, numpy_backend, rng):
         with pytest.raises(ValueError):
             truncated_svd(numpy_backend, random_complex(rng, (3, 3)), absorb="sideways")
+
+
+class TestDenseSVDRoute:
+    """``dense_svd`` QR-reduces the long side only when ``rank`` is below the
+    short side and the long side is at least four times the short one."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """Shapes of the matrices that took the QR-reduced route."""
+        calls = []
+        original = interface._qr_svd
+
+        def spy(array, rank):
+            calls.append(array.shape)
+            return original(array, rank)
+
+        monkeypatch.setattr(interface, "_qr_svd", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "shape, rank, expected",
+        [
+            ((81, 729), 9, True),
+            ((192, 16), 12, True),
+            ((6, 12), 3, False),
+            ((192, 256), 12, False),
+            ((81, 729), None, False),
+            ((81, 729), 81, False),
+        ],
+    )
+    def test_route_selection(self, routed, rng, shape, rank, expected):
+        a = random_complex(rng, shape)
+        u, s, vh = dense_svd(a, rank=rank)
+        assert bool(routed) == expected
+        k = min(shape) if rank is None else rank
+        assert s.shape == (min(shape),)
+        assert u.shape[1] >= k and vh.shape[0] >= k
+        s_ref = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(s, s_ref, rtol=0, atol=1e-13 * s_ref[0])
+        low_rank = (u[:, :k] * s[:k]) @ vh[:k]
+        ref_u, _, ref_vh = np.linalg.svd(a, full_matrices=False)
+        assert np.allclose(low_rank, (ref_u[:, :k] * s_ref[:k]) @ ref_vh[:k], atol=1e-12 * s_ref[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape, rank", [((81, 729), 9), ((6, 12), 3)])
+    def test_non_finite_input_raises_on_both_routes(self, rng, shape, rank, bad):
+        a = rng.standard_normal(shape)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            dense_svd(a, rank=rank)
+
+    def test_truncated_svd_takes_the_route_and_charges_the_economy_svd(self, routed, rng):
+        counter = FlopCounter()
+        a = low_rank_matrix(rng, 8, 96, 6)
+        result = truncated_svd(NumPyBackend(flop_counter=counter), a, rank=3)
+        assert routed == [(8, 96)]
+        assert counter.by_category() == {"svd": svd_flops(8, 96)}
+        s = np.linalg.svd(a, compute_uv=False)
+        assert result.truncation_error == pytest.approx(np.sqrt(np.sum(s[3:] ** 2) / np.sum(s**2)))
+        assert np.linalg.norm(a - result.u @ result.vh) == pytest.approx(np.sqrt(np.sum(s[3:] ** 2)))
 
 
 class TestOrthogonalize:

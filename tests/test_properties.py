@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, strategies as st
 
-from repro.backends import get_backend
+from repro.backends import get_backend, interface
 from repro.linalg import DenseTensorOperator, randomized_svd, tensor_qr, truncate_spectrum, truncated_svd
 from repro.operators import gates
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
@@ -80,6 +82,77 @@ class TestSpectrumTruncationProperties:
         assert result.truncation_error == pytest.approx(expected, abs=1e-10)
         rec = BACKEND.asarray(result.u) @ BACKEND.asarray(result.vh)
         assert np.linalg.norm(a - rec) <= np.sqrt(np.sum(s[k:] ** 2)) + 1e-9
+
+
+class TestQRReducedSVDProperties:
+    """``truncated_svd`` on the QR-reduced route (``long >= 4 * short`` and
+    ``rank < short``) agrees with one ``scipy.linalg.svd`` of the matrix."""
+
+    @staticmethod
+    def _matrix(rng, shape, kind, complex_dtype, draw):
+        """A matrix of ``shape`` with a ``random``, ``rank_deficient``,
+        exactly ``degenerate`` or ``zero`` spectrum."""
+
+        def gaussian(rows, cols):
+            if complex_dtype:
+                return _complex_array(rng, (rows, cols))
+            return rng.standard_normal((rows, cols))
+
+        short = min(shape)
+        if kind == "random":
+            return gaussian(*shape)
+        if kind == "zero":
+            spectrum = np.zeros(short)
+        elif kind == "rank_deficient":
+            nonzero = draw(st.integers(1, short - 1))
+            spectrum = np.concatenate([np.arange(nonzero, 0, -1), np.zeros(short - nonzero)])
+        else:  # integer levels 1..3: multiplets, or gaps of at least a third
+            spectrum = np.sort(draw(st.lists(st.integers(1, 3), min_size=short, max_size=short)))
+            spectrum = spectrum[::-1].astype(float)
+        left = np.linalg.qr(gaussian(shape[0], short))[0]
+        right = np.linalg.qr(gaussian(shape[1], short))[0]
+        return (left * spectrum) @ right.conj().T
+
+    @FAST
+    @given(
+        data=st.data(),
+        seed=seeds,
+        short=st.integers(2, 12),
+        aspect=st.integers(4, 8),
+        wide=st.booleans(),
+        complex_dtype=st.booleans(),
+        kind=st.sampled_from(["random", "rank_deficient", "degenerate", "zero"]),
+        with_cutoff=st.booleans(),
+    )
+    def test_matches_scipy_svd(self, data, seed, short, aspect, wide, complex_dtype, kind,
+                               with_cutoff):
+        rng = np.random.default_rng(seed)
+        shape = (short, aspect * short) if wide else (aspect * short, short)
+        a = self._matrix(rng, shape, kind, complex_dtype, data.draw)
+        rank = data.draw(st.integers(1, short - 1))
+        cutoff = data.draw(st.floats(1e-3, 0.9)) if with_cutoff else None
+        ref_u, ref_s, ref_vh = scipy.linalg.svd(a, full_matrices=False)
+        if cutoff is not None and ref_s[0] > 0:
+            # a value within round-off of the cutoff may land on either side
+            assume(np.all(np.abs(ref_s - cutoff * ref_s[0]) > 1e-8 * ref_s[0]))
+        keep, error = truncate_spectrum(ref_s, rank=rank, cutoff=cutoff)
+
+        with mock.patch.object(interface, "_qr_svd", wraps=interface._qr_svd) as route:
+            result = truncated_svd(BACKEND, a, rank=rank, cutoff=cutoff, absorb="none")
+            _, s, _ = BACKEND.svd(a, rank=rank)
+        assert route.call_count == 2
+
+        assert result.rank == keep
+        assert abs(result.truncation_error - error) <= 1e-12
+        assert np.all(np.abs(s - ref_s) <= 1e-13 * ref_s[0])
+        u, vh = result.u, result.vh
+        assert np.allclose(u.conj().T @ u, np.eye(keep), rtol=0, atol=1e-12)
+        assert np.allclose(vh @ vh.conj().T, np.eye(keep), rtol=0, atol=1e-12)
+        # a truncation that splits a multiplet has no unique answer
+        if ref_s[keep - 1] > ref_s[keep] * (1 + 1e-8):
+            ref = (ref_u[:, :keep] * ref_s[:keep]) @ ref_vh[:keep]
+            approx = (u * result.s) @ vh
+            assert np.linalg.norm(approx - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestOrthogonalizationProperties:
