@@ -45,15 +45,17 @@ from repro.backends.distributed.distribution import Distribution
 from repro.backends.distributed.engine import EinsumPlan, plan_einsum
 from repro.backends.interface import (
     Backend,
+    dense_qr,
     dense_svd,
     parse_batched_subscripts,
     rewrite_batched_subscripts,
+    uniform_array,
 )
 from repro.telemetry.trace import TRACER as _TRACER
 from repro.tensornetwork.contraction_path import find_path, unplanned_flops
 from repro.tensornetwork.einsum_spec import EinsumSpec
 from repro.utils.flops import eigh_flops, qr_flops, svd_flops
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 
 class DistributedBackend(Backend):
@@ -160,13 +162,7 @@ class DistributedBackend(Backend):
         rng: SeedLike = None,
         dtype: np.dtype = np.complex128,
     ) -> DistTensor:
-        rng = ensure_rng(rng)
-        shape = tuple(shape)
-        if np.issubdtype(np.dtype(dtype), np.complexfloating):
-            data = rng.uniform(low, high, shape) + 1j * rng.uniform(low, high, shape)
-        else:
-            data = rng.uniform(low, high, shape)
-        return self._wrap(np.asarray(data, dtype=dtype))
+        return self._wrap(uniform_array(shape, low, high, rng=rng, dtype=dtype))
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -320,9 +316,7 @@ class DistributedBackend(Backend):
 
     def qr(self, matrix) -> Tuple[DistTensor, DistTensor]:
         data = self._data(matrix)
-        if data.ndim != 2:
-            raise ValueError(f"qr expects a matrix, got ndim={data.ndim}")
-        q, r = np.linalg.qr(data, mode="reduced")
+        q, r = dense_qr(data)
         self.cost_model.distributed_factorization(
             data.shape[0], data.shape[1], qr_flops(*data.shape), category="qr"
         )

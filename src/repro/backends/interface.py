@@ -165,6 +165,59 @@ def _qr_svd(array: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray, np.nd
     return u_core[:, :rank], s, q_kept.T
 
 
+def dense_qr(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced QR ``array = Q @ R`` of a 2-d ndarray.
+
+    The one dense QR kernel of both backends: LAPACK ``geqrf`` with its
+    optimal workspace, then ``orgqr``/``ungqr`` on the ``min(m, n)`` leading
+    reflectors.  It returns exactly the bits of
+    ``np.linalg.qr(array, mode="reduced")`` (same reflectors, same blocking,
+    same dtype promotion) without NumPy's gufunc copies.
+    """
+    array = np.asarray(array)
+    if array.ndim != 2:
+        raise ValueError(f"qr expects a matrix, got ndim={array.ndim}")
+    m, n = array.shape
+    k = min(m, n)
+    # np.linalg.qr computes in double precision and casts back.
+    result_dtype = array.dtype if np.issubdtype(array.dtype, np.inexact) else np.dtype(float)
+    work_dtype = np.result_type(result_dtype, np.float64)
+    if k == 0:
+        return np.zeros((m, k), dtype=result_dtype), np.zeros((k, n), dtype=result_dtype)
+    array = array.astype(work_dtype, copy=False)
+    geqrf, geqrf_lwork, orgqr = scipy.linalg.get_lapack_funcs(
+        ("geqrf", "geqrf_lwork", "ungqr" if np.iscomplexobj(array) else "orgqr"), (array,)
+    )
+    lwork, _ = geqrf_lwork(m, n)
+    qr, tau, _, qr_info = geqrf(array, lwork=int(lwork.real))
+    r = np.triu(qr[:k])
+    _, work, _ = orgqr(qr[:, :k], tau, lwork=-1)
+    q, _, q_info = orgqr(qr[:, :k], tau, lwork=int(work[0].real), overwrite_a=1)
+    if qr_info or q_info:  # pragma: no cover - only an illegal argument sets them
+        raise np.linalg.LinAlgError(f"geqrf/orgqr failed (info {qr_info}, {q_info})")
+    return q.astype(result_dtype, copy=False), r.astype(result_dtype, copy=False)
+
+
+def uniform_array(
+    shape: Sequence[int],
+    low: float,
+    high: float,
+    rng: SeedLike = None,
+    dtype: np.dtype = np.complex128,
+) -> np.ndarray:
+    """I.i.d. ``U[low, high)`` entries; a complex dtype draws the real parts,
+    then the imaginary parts, from the same stream as
+    ``rng.uniform(...) + 1j * rng.uniform(...)`` would, into one array."""
+    rng = ensure_rng(rng)
+    shape = tuple(shape)
+    if not np.issubdtype(np.dtype(dtype), np.complexfloating):
+        return np.asarray(rng.uniform(low, high, shape), dtype=dtype)
+    data = np.empty(shape, dtype=np.complex128)
+    data.real = rng.uniform(low, high, shape)
+    data.imag = rng.uniform(low, high, shape)
+    return data.astype(dtype, copy=False)
+
+
 class Backend(abc.ABC):
     """Protocol for tensor creation, manipulation and dense linear algebra."""
 

@@ -19,9 +19,11 @@ import numpy as np
 
 from repro.backends.interface import (
     Backend,
+    dense_qr,
     dense_svd,
     parse_batched_subscripts,
     rewrite_batched_subscripts,
+    uniform_array,
 )
 from repro.telemetry.trace import TRACER as _TRACER
 from repro.tensornetwork import contraction_path as _planner
@@ -32,7 +34,7 @@ from repro.utils.flops import (
     qr_flops,
     svd_flops,
 )
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 
 class NumPyBackend(Backend):
@@ -72,13 +74,7 @@ class NumPyBackend(Backend):
         rng: SeedLike = None,
         dtype: np.dtype = np.complex128,
     ) -> np.ndarray:
-        rng = ensure_rng(rng)
-        shape = tuple(shape)
-        if np.issubdtype(np.dtype(dtype), np.complexfloating):
-            data = rng.uniform(low, high, shape) + 1j * rng.uniform(low, high, shape)
-        else:
-            data = rng.uniform(low, high, shape)
-        return np.asarray(data, dtype=dtype)
+        return uniform_array(shape, low, high, rng=rng, dtype=dtype)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -182,9 +178,7 @@ class NumPyBackend(Backend):
 
     def qr(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError(f"qr expects a matrix, got ndim={matrix.ndim}")
-        q, r = np.linalg.qr(matrix, mode="reduced")
+        q, r = dense_qr(matrix)
         if self.flop_counter is not None:
             self.flop_counter.add("qr", qr_flops(*matrix.shape))
         return q, r

@@ -23,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backends.interface import Backend
+from repro.backends.interface import Backend, dense_svd
 from repro.linalg.implicit_op import ImplicitOperator
 from repro.linalg.orthogonalize import tensor_qr
 from repro.linalg.truncated_svd import truncate_spectrum
+from repro.telemetry.trace import TRACER as _TRACER
 from repro.tensornetwork.einsum_spec import symbols
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -64,6 +65,12 @@ def randomized_svd(
 ) -> RandomizedSVDResult:
     """Approximate truncated SVD of an implicit operator (Algorithm 4).
 
+    Step 4's SVD is a local factorization of the ``sketch x prod(cols)``
+    ndarray ``B`` by :func:`~repro.backends.interface.dense_svd`, which for a
+    wide enough sketch forms only the ``rank`` vectors kept.  Like the Gram
+    eigendecomposition of Algorithm 5, it is not charged to the backend's
+    flop count.
+
     Parameters
     ----------
     backend:
@@ -74,11 +81,11 @@ def randomized_svd(
         Target rank of the truncation.
     niter:
         Number of power-iteration refinement rounds (``k`` in the paper's
-        Algorithm 4).  One round is usually sufficient for the
+        Algorithm 4), at least 0.  One round is usually sufficient for the
         rapidly-decaying spectra appearing in PEPS truncations.
     oversample:
-        Extra sketch columns carried through the iteration and discarded at
-        the end; improves accuracy for nearly-flat spectra.
+        Extra sketch columns (at least 0) carried through the iteration and
+        discarded at the end; improves accuracy for nearly-flat spectra.
     orth_method:
         ``"qr"``, ``"gram"`` or ``"auto"`` (Gram on non-NumPy backends).
     rng:
@@ -88,13 +95,16 @@ def randomized_svd(
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
+    if niter < 0 or oversample < 0:
+        raise ValueError(
+            f"niter and oversample must be non-negative, got {niter} and {oversample}"
+        )
     rng = ensure_rng(rng)
     col_shape = operator.col_shape
     row_shape = operator.row_shape
     # Never sketch with more columns than the operator can support.
     max_rank = min(operator.row_size, operator.col_size)
-    sketch = min(rank + max(0, int(oversample)), max_rank)
-    sketch = max(sketch, 1)
+    sketch = max(min(rank + int(oversample), max_rank), 1)
 
     # Step 1: random probe on the column group, real entries in [-1, 1].
     probe = backend.random_uniform(tuple(col_shape) + (sketch,), -1.0, 1.0, rng=rng)
@@ -103,21 +113,22 @@ def randomized_svd(
     p = _orth(backend, operator.apply(probe), orth_method)
 
     # Step 3: power iteration.
-    for _ in range(max(0, int(niter))):
+    for _ in range(int(niter)):
         q = _orth(backend, operator.apply_adjoint(p), orth_method)
         p = _orth(backend, operator.apply(q), orth_method)
 
     # Step 4: B = P* A, computed without forming A as B = (A* P)^H.
     apstar = operator.apply_adjoint(p)          # shape: cols + (sketch,)
-    t = len(col_shape)
-    labels = symbols(t + 1)
-    cols, k = labels[:t], labels[t]
     # Matricize (cols..., k) -> (k, prod(cols)) by conjugate transpose.
     b_cols = backend.reshape(apstar, (operator.col_size, backend.shape(apstar)[-1]))
     b_local = np.asarray(backend.to_local(b_cols))
     b = b_local.conj().T                        # (sketch, prod(cols))
 
-    u_tilde, s, vh = np.linalg.svd(b, full_matrices=False)
+    # Factor the wide B itself, never the tall A* P: the SVD of A* P is the
+    # same in exact arithmetic, but LAPACK then fixes other singular-vector
+    # phases, and the next seeded sketch sees another gauge.
+    with _TRACER.span("randomized_svd.sketch_svd", shape=b.shape):
+        u_tilde, s, vh = dense_svd(b, rank=min(rank, b.shape[0]))
     keep, _ = truncate_spectrum(s, rank=min(rank, len(s)), cutoff=cutoff)
     u_tilde = u_tilde[:, :keep]
     s = s[:keep]

@@ -35,6 +35,14 @@ from repro.utils.rng import SeedLike
 # so importing it eagerly here would create a circular package import.
 
 
+#: Where ``einsumsvd`` puts the singular values (see :func:`_absorb_spectrum`).
+ABSORB_MODES = ("even", "left", "right", "none")
+
+#: Orthogonalization methods of the randomized SVD (see
+#: :func:`~repro.linalg.orthogonalize.tensor_qr`).
+ORTH_METHODS = ("qr", "gram", "auto")
+
+
 @dataclass
 class EinsumSVDOption:
     """Base class for ``einsumsvd`` algorithm options.
@@ -63,6 +71,8 @@ class EinsumSVDOption:
     def __post_init__(self) -> None:
         if self.rank is not None and self.rank < 1:
             raise ValueError(f"rank must be positive (or None), got {self.rank}")
+        if self.absorb not in ABSORB_MODES:
+            raise ValueError(f"absorb must be one of {ABSORB_MODES}, got {self.absorb!r}")
 
     def with_rank(self, rank: Optional[int]) -> "EinsumSVDOption":
         """Return a copy of this option with a different target rank."""
@@ -97,6 +107,18 @@ class ImplicitRandomizedSVD(EinsumSVDOption):
     oversample: int = 2
     orth_method: str = "auto"
     seed: SeedLike = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.niter < 0 or self.oversample < 0:
+            raise ValueError(
+                f"niter and oversample must be non-negative, "
+                f"got {self.niter} and {self.oversample}"
+            )
+        if self.orth_method not in ORTH_METHODS:
+            raise ValueError(
+                f"orth_method must be one of {ORTH_METHODS}, got {self.orth_method!r}"
+            )
 
 
 #: Wire ``kind`` -> einsumsvd option class.

@@ -13,7 +13,7 @@ from repro.backends.distributed import (
     SimulatedCommunicator,
 )
 from repro.backends.numpy_backend import NumPyBackend
-from repro.utils.flops import svd_flops
+from repro.utils.flops import FlopCounter, qr_flops, svd_flops
 from tests.conftest import random_complex
 
 
@@ -177,6 +177,20 @@ class TestDistributedBackend:
         assert np.array_equal(dist_backend.asarray(u)[:, :3], u_np[:, :3])
         assert np.array_equal(dist_backend.asarray(vh)[:3], vh_np[:3])
         assert np.allclose(dist_backend.asarray(s), np.linalg.svd(wide, compute_uv=False))
+        # Both backends' QR is the shared LAPACK kernel: NumPy's bits on a
+        # tall sketch-sized block, charged as one reduced QR of the block.
+        tall = random_complex(rng, (4096, 18))
+        ref_q, ref_r = np.linalg.qr(tall, mode="reduced")
+        dist_backend.reset_stats()
+        q, r = dist_backend.qr(dist_backend.astensor(tall))
+        assert dist_backend.stats.flops == qr_flops(4096, 18)
+        counter = FlopCounter()
+        q_np, r_np = NumPyBackend(flop_counter=counter).qr(tall)
+        assert counter.by_category() == {"qr": qr_flops(4096, 18)}
+        for got in (dist_backend.asarray(q), q_np):
+            assert got.dtype == ref_q.dtype and got.tobytes() == ref_q.tobytes()
+        for got in (dist_backend.asarray(r), r_np):
+            assert got.dtype == ref_r.dtype and got.tobytes() == ref_r.tobytes()
 
     def test_reshape_charges_redistribution(self, rng):
         backend = DistributedBackend(nprocs=16)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from repro.backends import NumPyBackend, interface
 from repro.backends.interface import dense_svd
@@ -13,9 +14,10 @@ from repro.linalg import (
     truncate_spectrum,
     truncated_svd,
 )
+from repro.linalg.randomized_svd import _orth
 from repro.tensornetwork.einsum_spec import parse_einsumsvd
 from repro.utils.flops import FlopCounter, svd_flops
-from tests.conftest import random_complex
+from tests.conftest import FAST, random_complex
 
 
 def low_rank_matrix(rng, m, n, rank, decay=0.5):
@@ -292,3 +294,82 @@ class TestRandomizedSVD:
         op = DenseTensorOperator(numpy_backend, random_complex(rng, (4, 4)), 1)
         with pytest.raises(ValueError):
             randomized_svd(numpy_backend, op, rank=0)
+
+    @pytest.mark.parametrize("niter, oversample", [(-3, 0), (1, -5)])
+    def test_negative_niter_or_oversample_raises(self, numpy_backend, rng, niter, oversample):
+        op = DenseTensorOperator(numpy_backend, random_complex(rng, (4, 4)), 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            randomized_svd(numpy_backend, op, rank=2, niter=niter, oversample=oversample)
+
+
+def _reference_randomized_svd(backend, operator, rank, niter, oversample, seed):
+    """Steps 1-3 of :func:`randomized_svd` verbatim, then ``np.linalg.svd`` of
+    the wide sketch ``B = (A* P)^H`` and ``U = P U_tilde``."""
+    rng = np.random.default_rng(seed)
+    sketch = max(min(rank + oversample, operator.row_size, operator.col_size), 1)
+    probe = backend.random_uniform(tuple(operator.col_shape) + (sketch,), -1.0, 1.0, rng=rng)
+    p = _orth(backend, operator.apply(probe), "auto")
+    for _ in range(niter):
+        q = _orth(backend, operator.apply_adjoint(p), "auto")
+        p = _orth(backend, operator.apply(q), "auto")
+    apstar = backend.asarray(operator.apply_adjoint(p)).reshape(operator.col_size, -1)
+    u_tilde, s, vh = np.linalg.svd(apstar.conj().T, full_matrices=False)
+    keep, _ = truncate_spectrum(s, rank=min(rank, len(s)))
+    p_mat = backend.asarray(p).reshape(operator.row_size, -1)
+    return p_mat @ u_tilde[:, :keep], s, vh[:keep]
+
+
+class TestAlgorithm4Conventions:
+    """The probe stream and the sketch SVD's phase convention: what every
+    seeded IBMPS golden depends on."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4, 5)])
+    def test_complex_probe_stream_is_pinned(self, backend, shape):
+        ref_rng = np.random.default_rng(11)
+        expected = ref_rng.uniform(-1.0, 1.0, shape) + 1j * ref_rng.uniform(-1.0, 1.0, shape)
+        probe = backend.asarray(
+            backend.random_uniform(shape, -1.0, 1.0, rng=np.random.default_rng(11))
+        )
+        assert probe.dtype == np.complex128 and probe.tobytes() == expected.tobytes()
+        real = backend.asarray(
+            backend.random_uniform(shape, rng=np.random.default_rng(11), dtype=np.float64)
+        )
+        assert real.tobytes() == np.random.default_rng(11).uniform(-1.0, 1.0, shape).tobytes()
+
+    @FAST
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dims=st.tuples(*[st.integers(2, 6)] * 5),
+        rank=st.integers(1, 6),
+        niter=st.integers(0, 2),
+        oversample=st.integers(0, 4),
+    )
+    def test_sketch_svd_keeps_the_wide_factorization_phases(
+        self, seed, dims, rank, niter, oversample
+    ):
+        """Householder orthogonalisation only: Algorithm 5's Gram step can
+        make ``B B^H`` diagonal to rounding, and then the phases of ``B``'s
+        singular vectors are set by rounding on any LAPACK path."""
+        backend = NumPyBackend()
+        rng = np.random.default_rng(seed)
+        a, b, c, d, e = dims
+        operands = [random_complex(rng, (a, b, c)), random_complex(rng, (c, d, e))]
+        op = TensorNetworkOperator(backend, parse_einsumsvd("abc,cde->abk,kde"), operands)
+        ref_u, ref_s, ref_vh = _reference_randomized_svd(backend, op, rank, niter, oversample, seed)
+        keep = len(ref_vh)
+        # A sketch wider than the network's rank has zero singular values;
+        # gesdd deflates them, and the kept vectors' signs then depend on
+        # the LAPACK path.
+        assume(ref_s[-1] > 1e-8 * ref_s[0])
+        # vectors of a (near-)multiplet have no unique phase or rotation
+        gaps = ref_s[:-1] > ref_s[1:] * (1 + 1e-8)
+        assume(np.all(gaps[:keep]))
+
+        result = randomized_svd(backend, op, rank=rank, niter=niter, oversample=oversample,
+                                rng=np.random.default_rng(seed))
+        assert result.rank == keep
+        assert np.all(np.abs(result.s - ref_s[:keep]) <= 1e-12 * ref_s[0])
+        u = result.u.reshape(op.row_size, keep)
+        vh = result.vh.reshape(keep, op.col_size)
+        assert np.max(np.abs(u - ref_u)) <= 1e-12
+        assert np.max(np.abs(vh - ref_vh)) <= 1e-12

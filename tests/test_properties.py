@@ -155,6 +155,49 @@ class TestQRReducedSVDProperties:
             assert np.linalg.norm(approx - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestDenseQRProperties:
+    """``dense_qr`` returns the bits of ``np.linalg.qr(mode="reduced")``."""
+
+    @FAST
+    @given(
+        data=st.data(),
+        seed=seeds,
+        form=st.sampled_from(["tall", "square", "wide"]),
+        short=st.integers(1, 12),
+        aspect=st.integers(2, 24),
+        complex_dtype=st.booleans(),
+        order=st.sampled_from(["C", "F"]),
+        kind=st.sampled_from(["random", "rank_deficient", "single_column", "zero"]),
+    )
+    def test_matches_numpy_bitwise(self, data, seed, form, short, aspect, complex_dtype,
+                                   order, kind):
+        rng = np.random.default_rng(seed)
+        shape = {"tall": (aspect * short, short), "square": (short, short),
+                 "wide": (short, aspect * short)}[form]
+        if kind == "single_column":
+            shape = (shape[0], 1)
+
+        def gaussian(rows, cols):
+            if complex_dtype:
+                return _complex_array(rng, (rows, cols))
+            return rng.standard_normal((rows, cols))
+
+        if kind == "zero":
+            a = np.zeros(shape, dtype=complex if complex_dtype else float)
+        elif kind == "rank_deficient" and min(shape) > 1:
+            inner = data.draw(st.integers(1, min(shape) - 1))
+            a = gaussian(shape[0], inner) @ gaussian(inner, shape[1])
+        else:
+            a = gaussian(*shape)
+        a = np.asarray(a, order=order)
+
+        ref_q, ref_r = np.linalg.qr(a, mode="reduced")
+        q, r = interface.dense_qr(a)
+        for got, ref in ((q, ref_q), (r, ref_r)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestOrthogonalizationProperties:
     @FAST
     @given(seed=seeds, a=dims, b=dims, c=dims,

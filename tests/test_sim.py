@@ -226,6 +226,20 @@ class TestOptionSerialization:
             with pytest.raises(ValueError, match="rank must be positive"):
                 contract_option_from_dict(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("orth_method", "qrr"), ("niter", -3), ("oversample", -5), ("absorb", "both"),
+    ])
+    def test_invalid_einsumsvd_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ImplicitRandomizedSVD(rank=4, **{field: value})
+        if field == "absorb":
+            with pytest.raises(ValueError, match=field):
+                ExplicitSVD(rank=4, absorb=value)
+        # a spec is refused when its option is built, before any step runs
+        spec = RunSpec(contraction={"kind": "ibmps", "bond": 4, field: value})
+        with pytest.raises(ValueError, match=field):
+            spec.build_contract_option()
+
     def test_generator_seed_rejected(self):
         option = BMPS(ImplicitRandomizedSVD(rank=4, seed=np.random.default_rng(0)))
         with pytest.raises(SerializationError, match="integer"):

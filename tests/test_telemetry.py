@@ -388,6 +388,8 @@ class TestRunnerWiring:
         events = json.loads(trace_path.read_text())["traceEvents"]
         names = {e["name"] for e in events}
         assert {"step", "measure", "checkpoint", "einsum"} <= names
+        # Algorithm 4's local sketch SVD is timed on its own (IBMPS measure)
+        assert "randomized_svd.sketch_svd" in names
 
     def test_metrics_deltas_attached_per_step(self, tmp_path):
         spec = ite_spec(tmp_path, telemetry={"metrics": True})
