@@ -1,7 +1,7 @@
 """Dense and implicit linear-algebra kernels used by the tensor-network code.
 
-* :mod:`repro.linalg.truncated_svd` — rank/cutoff-truncated SVD with flexible
-  singular-value absorption.
+* :mod:`repro.linalg.truncated_svd` — rank/cutoff-truncated SVD with
+  isometric factors.
 * :mod:`repro.linalg.orthogonalize` — QR- and Gram-matrix based
   orthogonalization of tensor operators (the paper's Algorithm 5,
   "reshape-avoiding orthogonalization").

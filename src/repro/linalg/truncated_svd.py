@@ -3,8 +3,9 @@
 This is the "explicit" factorization used by the baseline BMPS contraction
 and by the QR-SVD evolution algorithm: contract, matricize, SVD, truncate.
 Truncation can be limited by a maximum ``rank``, a relative singular-value
-``cutoff``, or both; singular values can be absorbed into the left factor,
-the right factor, or split evenly (the convention used for PEPS bonds).
+``cutoff``, or both.  The factors are returned isometric; callers that want
+the singular values on a factor absorb them themselves (``einsumsvd`` does,
+with its ``absorb`` option).
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def truncated_svd(
     matrix,
     rank: Optional[int] = None,
     cutoff: Optional[float] = None,
-    absorb: str = "even",
 ) -> TruncatedSVDResult:
     """Compute a truncated SVD of a matrix tensor.
 
@@ -86,43 +86,24 @@ def truncated_svd(
         A 2-d backend tensor.
     rank, cutoff:
         Truncation controls (see :func:`truncate_spectrum`).
-    absorb:
-        Where to put the singular values: ``"left"`` (U <- U @ diag(s)),
-        ``"right"`` (Vh <- diag(s) @ Vh), ``"even"`` (sqrt(s) on both sides)
-        or ``"none"`` (keep the factors isometric).
 
     Returns
     -------
     TruncatedSVDResult
-        With backend tensors ``u`` (shape ``(m, k)``) and ``vh`` (shape
-        ``(k, n)``), the retained singular values as a NumPy vector, the
-        retained rank and the relative truncation error.
+        With isometric backend tensors ``u`` (shape ``(m, k)``) and ``vh``
+        (shape ``(k, n)``), the retained singular values as a NumPy vector,
+        the retained rank and the relative truncation error.
     """
-    if absorb not in ("left", "right", "even", "none"):
-        raise ValueError(f"unknown absorb mode {absorb!r}")
     # ``rank`` bounds the kept vectors, so the backend may skip forming the
     # rest; the spectrum it returns is complete either way.
     u, s, vh = backend.svd(matrix, rank=rank)
     s_local = np.asarray(backend.to_local(s), dtype=float)
     keep, error = truncate_spectrum(s_local, rank=rank, cutoff=cutoff)
 
-    u_arr = backend.asarray(u)[:, :keep]
-    vh_arr = backend.asarray(vh)[:keep, :]
-    s_kept = s_local[:keep]
-
-    if absorb == "left":
-        u_arr = u_arr * s_kept[np.newaxis, :]
-    elif absorb == "right":
-        vh_arr = s_kept[:, np.newaxis] * vh_arr
-    elif absorb == "even":
-        sqrt_s = np.sqrt(s_kept)
-        u_arr = u_arr * sqrt_s[np.newaxis, :]
-        vh_arr = sqrt_s[:, np.newaxis] * vh_arr
-
     return TruncatedSVDResult(
-        u=backend.from_local(u_arr),
-        s=s_kept,
-        vh=backend.from_local(vh_arr),
+        u=backend.from_local(backend.asarray(u)[:, :keep]),
+        s=s_local[:keep],
+        vh=backend.from_local(backend.asarray(vh)[:keep, :]),
         rank=keep,
         truncation_error=error,
     )

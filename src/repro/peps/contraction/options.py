@@ -26,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.tensornetwork.einsumsvd import EinsumSVDOption, ExplicitSVD, ImplicitRandomizedSVD
+from repro.tensornetwork.einsumsvd import (
+    EinsumSVDOption, ExplicitSVD, ImplicitRandomizedSVD, check_truncation,
+)
 
 
 @dataclass
@@ -96,19 +98,14 @@ class CTMOption(ContractOption):
     cutoff:
         Relative corner-spectrum cutoff: singular values below
         ``cutoff * s[0]`` are discarded even when ``chi`` permits more.
-    tol:
-        Convergence criterion on the corner spectra: a ``build`` sweep is
-        converged when re-running every stale move changes no normalized
-        corner spectrum by more than ``tol`` (infinity norm).
-    max_sweeps:
-        Safety bound on ``build`` convergence sweeps.
     """
 
     kind = "ctm"
     chi: Optional[int] = None
     cutoff: Optional[float] = None
-    tol: float = 1e-10
-    max_sweeps: int = 4
+
+    def __post_init__(self) -> None:
+        check_truncation("chi", self.chi, self.cutoff)
 
     def describe(self) -> str:
         return f"CTM(chi={self.chi})"

@@ -117,19 +117,13 @@ def local_terms(observable) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
     raise TypeError(f"unsupported observable type {type(observable)!r}")
 
 
-#: Option fields that only steer convergence bookkeeping, never the cached
-#: tensors: environments whose options differ in nothing else are
-#: interchangeable.
-CONVERGENCE_ONLY = frozenset({"tol", "max_sweeps"})
-
-
 def option_signature(option) -> Tuple:
     """Hashable signature of the truncation behaviour an option implies.
 
     Two options with equal signatures produce identical boundary environments,
     so an attached environment can be reused for either.  The signature is the
-    option's class plus every dataclass field outside :data:`CONVERGENCE_ONLY`;
-    any other option signs as the ``einsumsvd`` option it absorbs rows with
+    option's class plus every dataclass field; a non-CTM option signs as the
+    ``einsumsvd`` option it absorbs rows with
     (:func:`~repro.peps.contraction.two_layer.absorption_option`), and an
     exact one as :class:`Exact`.
     """
@@ -137,9 +131,7 @@ def option_signature(option) -> Tuple:
         svd_option = absorption_option(option)
         option = Exact() if svd_option is None else svd_option
     return (type(option).__name__,) + tuple(
-        getattr(option, field.name)
-        for field in dataclasses.fields(option)
-        if field.name not in CONVERGENCE_ONLY
+        getattr(option, field.name) for field in dataclasses.fields(option)
     )
 
 

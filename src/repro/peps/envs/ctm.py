@@ -18,13 +18,11 @@ CTM-style instead of zip-up-style:
   projector pair ``P_in = A_R V S^(-1/2)``, ``P_out = S^(-1/2) U^dagger A_L``
   with ``P_out P_in = 1`` — the standard corner-spectrum truncation.
 * The retained, normalized singular values ``S`` are the **corner spectrum**
-  of that bond.  Every move records its spectra, and :meth:`EnvCTM.build`
-  iterates sweeps of stale moves until no spectrum shifts by more than the
-  option's ``tol`` — the convergence criterion of the CTM power iteration.
-  On a finite lattice the moves are deterministic, so a cold build converges
-  right after its first sweep; the criterion earns its keep after
-  *incremental invalidation*, where only the moves whose absorbed rows went
-  stale are re-converged.
+  of that bond; :func:`ctm_renormalize` returns them with the move.
+
+On a finite lattice a move is a deterministic function of the rows it
+absorbs, so there is no fixed point to iterate towards: the inherited
+``build`` runs every stale move once.
 
 The cached boundaries share the edge-tensor layout of
 :class:`~repro.peps.envs.boundary.BoundaryEnvironment` (one
@@ -35,7 +33,7 @@ sampling — run unchanged on CTM-renormalized environments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,9 +126,7 @@ def bond_projectors(
     half_left = _gram_half(left)                 # (alpha, bond)
     half_right = _gram_half(right).conj().T      # (bond, beta)
     product = half_left @ half_right
-    result = truncated_svd(
-        backend, backend.astensor(product), rank=chi, cutoff=cutoff, absorb="none"
-    )
+    result = truncated_svd(backend, backend.astensor(product), rank=chi, cutoff=cutoff)
     s = np.asarray(result.s, dtype=float)
     total = float(np.linalg.norm(s))
     spectrum = s / total if total > 0.0 else s
@@ -234,31 +230,6 @@ def _move_contractions(backend, grown: Sequence, spectra: Sequence[np.ndarray]) 
     return len(grown) + 2 * len(spectra) + 2 * truncated
 
 
-def spectra_distance(
-    previous: Optional[List[np.ndarray]], current: List[np.ndarray]
-) -> float:
-    """Infinity-norm distance between two corner-spectrum sets of one move.
-
-    ``inf`` when the move has no previous spectra (a fresh move); spectra of
-    different retained ranks are compared zero-padded to a common length.
-    """
-    if previous is None:
-        return float("inf")
-    if len(previous) != len(current):
-        return float("inf")
-    distance = 0.0
-    for old, new in zip(previous, current):
-        length = max(len(old), len(new))
-        if length == 0:
-            continue
-        padded_old = np.zeros(length)
-        padded_old[: len(old)] = old
-        padded_new = np.zeros(length)
-        padded_new[: len(new)] = new
-        distance = max(distance, float(np.max(np.abs(padded_old - padded_new))))
-    return distance
-
-
 # --------------------------------------------------------------------- #
 # The environment
 # --------------------------------------------------------------------- #
@@ -272,14 +243,10 @@ class EnvCTM(BoundaryEnvironment):
     contract_option:
         A :class:`~repro.peps.contraction.options.CTMOption`; its ``chi`` is
         the environment bond the corner projectors truncate to (``None``
-        never truncates) and ``tol``/``max_sweeps`` steer the convergence
-        sweeps of :meth:`build`.
+        never truncates).
 
     Every directional move is counted in ``stats.ctm_moves`` (and, for
     cross-implementation comparisons, also in ``stats.row_absorptions``).
-    The per-move corner spectra live in :attr:`upper_spectra` /
-    :attr:`lower_spectra` keyed by boundary level and are serialized with
-    the environment, so checkpoints resume with converged CTM state.
     """
 
     def __init__(self, peps, contract_option: Optional[ContractOption] = None) -> None:
@@ -289,21 +256,11 @@ class EnvCTM(BoundaryEnvironment):
                 f"EnvCTM needs a CTMOption contraction option, "
                 f"got {type(option).__name__}"
             )
-        if option.chi is not None and option.chi < 1:
-            raise ValueError(f"chi must be positive, got {option.chi}")
         super().__init__(peps)
         self.contract_option = option
         self.chi = option.chi
         self.cutoff = option.cutoff
         self.signature = option_signature(option)
-        #: normalized corner spectra per boundary level (level -> per-bond list)
-        self.upper_spectra: Dict[int, List[np.ndarray]] = {}
-        self.lower_spectra: Dict[int, List[np.ndarray]] = {}
-        #: outcome of the last :meth:`build` convergence loop
-        self.converged = False
-        self.n_sweeps = 0
-        self.last_spectra_delta = float("inf")
-        self._sweep_deltas: List[float] = []
 
     # ------------------------------------------------------------------ #
     # Moves
@@ -314,12 +271,10 @@ class EnvCTM(BoundaryEnvironment):
     def _absorb(self, boundary, row, from_below: bool = False):
         """One CTM move: exact row absorption plus corner-projector renormalization.
 
-        ``row`` is as in :meth:`BoundaryEnvironment._absorb`; only a move of
-        a cached boundary records its corner spectra.
+        ``row`` is as in :meth:`BoundaryEnvironment._absorb`.
         """
         kets, bras = self._row_layers(row)
-        cached = isinstance(row, int)
-        with _span("ctm_move", row=row if cached else -1, from_below=from_below):
+        with _span("ctm_move", row=row if isinstance(row, int) else -1, from_below=from_below):
             grown = absorb_sandwich_row(
                 boundary, kets, bras, option=None, backend=self.backend, from_below=from_below
             )
@@ -332,54 +287,10 @@ class EnvCTM(BoundaryEnvironment):
         moves = self._count_move(row, renormalized, calls)
         self.stats.ctm_moves += moves
         _CTM_MOVES.add(moves)
-        if cached and from_below:
-            self._record_spectra(self.lower_spectra, row - 1, spectra)
-        elif cached:
-            self._record_spectra(self.upper_spectra, row + 1, spectra)
         return renormalized
-
-    def _record_spectra(
-        self, store: Dict[int, List[np.ndarray]], level: int, spectra: List[np.ndarray]
-    ) -> None:
-        self._sweep_deltas.append(spectra_distance(store.get(level), spectra))
-        store[level] = spectra
 
     def supports_lockstep(self) -> bool:
         """Fixed-``chi`` corner truncations are shape-deterministic across
         shots; a ``cutoff`` retains data-dependent ranks, so the sampler
         advances one shot per group."""
         return self.cutoff is None
-
-    # ------------------------------------------------------------------ #
-    # Convergence
-    # ------------------------------------------------------------------ #
-    def build(self) -> "EnvCTM":
-        """Converge the CTM power iteration over all stale moves.
-
-        Sweeps re-run every stale directional move (and only those — warm
-        levels are reused) until no move shifts its normalized corner
-        spectra by more than the option's ``tol``, or ``max_sweeps`` is
-        reached.  On a finite lattice a sweep that performed no moves has
-        already converged, so the loop terminates one check after the last
-        stale move ran.
-        """
-        option = self.contract_option
-        self.converged = False
-        self.n_sweeps = 0
-        for _ in range(max(1, int(option.max_sweeps))):
-            self._sweep_deltas = []
-            self.ensure_upper(self.nrow)
-            self.ensure_lower(0)
-            self.n_sweeps += 1
-            self.last_spectra_delta = max(self._sweep_deltas, default=0.0)
-            if self.last_spectra_delta <= option.tol:
-                self.converged = True
-                break
-        return self
-
-    def corner_spectrum(self, level: int, lower: bool = False) -> List[np.ndarray]:
-        """The recorded corner spectra of one boundary level (diagnostics)."""
-        store = self.lower_spectra if lower else self.upper_spectra
-        if level not in store:
-            raise KeyError(f"no corner spectra recorded for level {level}")
-        return store[level]

@@ -31,6 +31,7 @@ from repro.linalg.orthogonalize import tensor_qr
 from repro.tensornetwork.einsumsvd import (
     EinsumSVDOption,
     ExplicitSVD,
+    check_truncation,
     einsumsvd,
 )
 
@@ -75,6 +76,9 @@ class UpdateOption:
     rank: Optional[int] = None
     cutoff: Optional[float] = None
     svd_option: Optional[EinsumSVDOption] = None
+
+    def __post_init__(self) -> None:
+        check_truncation("rank", self.rank, self.cutoff)
 
     def resolved_svd_option(self) -> EinsumSVDOption:
         option = self.svd_option if self.svd_option is not None else ExplicitSVD()

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.peps.contraction.options import BMPS, CONTRACT_OPTION_KINDS
+from repro.peps.contraction.options import BMPS, CONTRACT_OPTION_KINDS, CTMOption
 from repro.peps.update import UPDATE_OPTION_KINDS
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from repro.utils.text import did_you_mean
@@ -578,21 +578,22 @@ def svd_option_from_dict(payload: Optional[Dict[str, Any]]):
 
 
 def contract_option_from_dict(payload: Optional[Dict[str, Any]]):
-    """Build a contraction option, reading the legacy ``truncate_bond`` key.
+    """Build a contraction option, reading two legacy forms.
 
     Checkpoints written while :class:`~repro.peps.contraction.options.BMPS`
     had a ``truncate_bond`` field carry it; a non-null value overrode the
     einsumsvd ``rank``, so it folds into ``svd.rank`` and the option keeps
-    its signature.
+    its signature.  A CTM option's convergence knobs, which changed nothing
+    computed, are dropped.
     """
-    if (
-        payload is not None and "truncate_bond" in payload
-        and CONTRACT_OPTION_KINDS.get(payload.get("kind")) is BMPS
-    ):
+    kind = CONTRACT_OPTION_KINDS.get(payload.get("kind")) if payload is not None else None
+    if kind is BMPS and "truncate_bond" in payload:
         payload = dict(payload)
         bond = payload.pop("truncate_bond")
         if bond is not None:
             payload["svd"] = {**(payload.get("svd") or {}), "rank": bond}
+    elif kind is CTMOption:
+        payload = {k: v for k, v in payload.items() if k not in ("tol", "max_sweeps")}
     return _option_from_dict(payload, CONTRACT_OPTION_KINDS, "contraction")
 
 
@@ -614,14 +615,12 @@ def environment_to_dict(
     The cached upper/lower boundaries are stored so that a restored
     environment resumes with the same warm state (no recontraction on the
     first query); the validity counters make partially built caches
-    round-trip too.  A CTM environment additionally stores its warm state:
-    the converged corner spectra per boundary level and the convergence
-    outcome.
+    round-trip too.
     """
     if not hasattr(env, "contract_option"):
         raise SerializationError(f"unsupported environment type {type(env).__name__}")
     backend = env.backend
-    payload = {
+    return {
         "format_version": FORMAT_VERSION,
         "type": "Environment",
         "contract_option": option_to_dict(env.contract_option),
@@ -636,23 +635,13 @@ def environment_to_dict(
             for i in range(env._lower_valid, env.nrow - 1)
         ],
     }
-    if hasattr(env, "upper_spectra"):  # EnvCTM
-        ctm_state = payload["ctm_state"] = {}
-        for side in ("upper_spectra", "lower_spectra"):
-            ctm_state[side] = {
-                str(level): _encode_tensors(
-                    backend, map(np.asarray, spectra), store, f"{prefix}/ctm/{side}/{level}"
-                )
-                for level, spectra in getattr(env, side).items()
-            }
-        ctm_state.update(converged=bool(env.converged), n_sweeps=int(env.n_sweeps))
-    return payload
 
 
 def attach_environment_from_dict(
     peps, payload: Dict[str, Any], store: Optional[PayloadStore] = None
 ):
-    """Attach the serialized environment to ``peps`` and restore its caches."""
+    """Attach the serialized environment to ``peps`` and restore its caches
+    (a legacy ``ctm_state`` key is ignored)."""
     check_payload(payload, "Environment")
     option = contract_option_from_dict(payload["contract_option"])
     env = peps.attach_environment(option)
@@ -663,15 +652,6 @@ def attach_environment_from_dict(
         env._upper[offset + 1] = [decode_tensor(backend, t, store) for t in boundary]
     for offset, boundary in enumerate(payload.get("lower", ())):
         env._lower[lower_valid + offset] = [decode_tensor(backend, t, store) for t in boundary]
-    ctm_state = payload.get("ctm_state")
-    if ctm_state is not None:
-        for side in ("upper_spectra", "lower_spectra"):
-            levels = ctm_state.get(side, {}).items()
-            setattr(env, side, {
-                int(level): [decode_array(s, store) for s in spectra] for level, spectra in levels
-            })
-        env.converged = bool(ctm_state.get("converged", False))
-        env.n_sweeps = int(ctm_state.get("n_sweeps", 0))
     return env
 
 

@@ -20,7 +20,8 @@ style of the Koala API:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import prod
+from math import isfinite, prod
+from numbers import Integral, Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,15 @@ ABSORB_MODES = ("even", "left", "right", "none")
 #: Orthogonalization methods of the randomized SVD (see
 #: :func:`~repro.linalg.orthogonalize.tensor_qr`).
 ORTH_METHODS = ("qr", "gram", "auto")
+
+
+def check_truncation(name: str, bound, cutoff) -> None:
+    """The one rule for an option's truncation controls: ``bound`` (its
+    ``rank`` or ``chi``) is a positive int or None, ``cutoff`` None or finite and >= 0."""
+    if bound is not None and not (isinstance(bound, Integral) and bound >= 1):
+        raise ValueError(f"{name} must be positive (an int, or None), got {bound!r}")
+    if cutoff is not None and not (isinstance(cutoff, Real) and isfinite(cutoff) and cutoff >= 0):
+        raise ValueError(f"cutoff must be finite and >= 0 (or None), got {cutoff!r}")
 
 
 @dataclass
@@ -69,8 +79,7 @@ class EinsumSVDOption:
     absorb: str = "even"
 
     def __post_init__(self) -> None:
-        if self.rank is not None and self.rank < 1:
-            raise ValueError(f"rank must be positive (or None), got {self.rank}")
+        check_truncation("rank", self.rank, self.cutoff)
         if self.absorb not in ABSORB_MODES:
             raise ValueError(f"absorb must be one of {ABSORB_MODES}, got {self.absorb!r}")
 
@@ -236,7 +245,7 @@ def _einsumsvd_explicit(
     n = int(prod(col_dims)) if col_dims else 1
 
     matrix = backend.reshape(theta, (m, n))
-    result = truncated_svd(backend, matrix, rank=rank, cutoff=option.cutoff, absorb="none")
+    result = truncated_svd(backend, matrix, rank=rank, cutoff=option.cutoff)
     u, s, vh = _absorb_spectrum(backend, result.u, result.s, result.vh, option.absorb)
     k = result.rank
 

@@ -1,5 +1,7 @@
 """Tests for the corner-transfer-matrix environment (repro.peps.envs.ctm)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.peps import (
     BMPS, BoundaryEnvironment, CTMOption, EnvCTM, QRUpdate, make_environment,
 )
 from repro.peps.envs.boundary import option_signature
-from repro.peps.envs.ctm import ctm_renormalize, spectra_distance
+from repro.peps.envs.ctm import ctm_renormalize
 from repro.sim import (
     RunSpec,
     Simulation,
@@ -19,6 +21,7 @@ from repro.sim import (
     peps_from_dict,
     peps_to_dict,
 )
+from repro.sim import io as sim_io
 from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD
 
@@ -36,7 +39,6 @@ class TestCTMParity:
         ham = transverse_field_ising(4, 4)
         exact = BoundaryEnvironment(state)
         env = EnvCTM(state, CTMOption(chi=CONVERGED_CHI)).build()
-        assert env.converged
         assert env.norm() == pytest.approx(exact.norm(), abs=1e-8)
         assert env.expectation(ham) == pytest.approx(exact.expectation(ham), abs=1e-8)
 
@@ -101,19 +103,17 @@ class TestCTMConvergence:
         assert errors[CONVERGED_CHI] < 1e-10
         assert errors[CONVERGED_CHI] <= errors[16] <= errors[2] + 1e-12
 
-    def test_build_runs_every_move_once_and_converges(self):
+    def test_build_runs_every_move_once(self):
         state = peps.random_peps(3, 3, bond_dim=2, seed=22)
         env = EnvCTM(state, CTMOption(chi=8)).build()
-        assert env.converged
         # nrow upper moves + (nrow - 1) lower moves, each exactly once.
         assert env.stats.ctm_moves == 2 * state.nrow - 1
         assert env.stats.ctm_moves == env.stats.row_absorptions
         before = env.stats.ctm_moves
-        env.build()  # warm: converges without re-running any move
+        env.build()  # warm: no move re-runs
         assert env.stats.ctm_moves == before
-        assert env.converged and env.last_spectra_delta == 0.0
 
-    def test_invalidation_reconverges_only_stale_moves(self):
+    def test_invalidation_reruns_only_stale_moves(self):
         state = peps.random_peps(4, 4, bond_dim=2, seed=23)
         ham = transverse_field_ising(4, 4)
         env = state.attach_environment(CTMOption(chi=6))
@@ -126,27 +126,19 @@ class TestCTMConvergence:
         env.build()
         incremental = env.stats.ctm_moves - before
         assert 0 < incremental < full_build
-        assert env.converged
         fresh = make_environment(state, CTMOption(chi=6)).expectation(ham)
         assert env.expectation(ham) == pytest.approx(fresh, abs=1e-10)
 
-    def test_corner_spectra_recorded_and_normalized(self):
+    def test_ctm_renormalize_returns_normalized_spectra(self):
         state = peps.random_peps(3, 4, bond_dim=2, seed=24)
-        env = EnvCTM(state, CTMOption(chi=4)).build()
-        assert set(env.upper_spectra) == {1, 2, 3}
-        assert set(env.lower_spectra) == {0, 1}
-        for spectra in env.upper_spectra.values():
-            assert len(spectra) == state.ncol - 1
-            for spectrum in spectra:
-                assert np.linalg.norm(spectrum) == pytest.approx(1.0, abs=1e-12)
-                assert np.all(np.diff(spectrum) <= 1e-12)  # descending
-
-    def test_spectra_distance_semantics(self):
-        a = [np.array([0.9, 0.1])]
-        assert spectra_distance(None, a) == float("inf")
-        assert spectra_distance(a, [np.array([0.9, 0.1])]) == 0.0
-        assert spectra_distance(a, [np.array([0.9])]) == pytest.approx(0.1)
-        assert spectra_distance([], []) == 0.0
+        env = EnvCTM(state, CTMOption(chi=None))
+        grown = env.ensure_upper(2)  # exact: the bonds are not renormalized yet
+        _, spectra = ctm_renormalize(state.backend, grown, 4, None)
+        assert len(spectra) == state.ncol - 1
+        for spectrum in spectra:
+            assert len(spectrum) <= 4
+            assert np.linalg.norm(spectrum) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.diff(spectrum) <= 1e-12)  # descending
 
     def test_ctm_renormalize_caps_bonds(self):
         state = peps.random_peps(2, 4, bond_dim=2, seed=25)
@@ -177,10 +169,6 @@ class TestCTMCheckpoint:
         for i in range(1, env._upper_valid + 1):
             for a, b in zip(env._upper[i], restored._upper[i]):
                 np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-        for level, spectra in env.upper_spectra.items():
-            for a, b in zip(spectra, restored.upper_spectra[level]):
-                np.testing.assert_array_equal(a, b)
-        assert restored.converged and restored.n_sweeps == env.n_sweeps
         # The restored environment serves the norm without any new move.
         assert restored.norm() == norm_before
         assert restored.stats.ctm_moves == 0
@@ -220,7 +208,6 @@ class TestCTMCheckpoint:
         Simulation(spec).run(stop_after=2)
         resumed_sim = Simulation(spec)
         resumed_sim.workload.setup()
-        import repro.sim.io as sim_io
         checkpoint_path = resumed_sim.latest_checkpoint()
         checkpoint = sim_io.load_checkpoint(checkpoint_path)
         store = sim_io.open_payload_store(checkpoint, checkpoint_path)
@@ -231,6 +218,46 @@ class TestCTMCheckpoint:
         assert env._upper_valid == 2  # caches restored warm
         env.norm()
         assert env.stats.ctm_moves == 0
+
+
+class TestCTMReadOnlyWireForms:
+    """Documents written while CTM builds iterated sweeps carry ``tol`` /
+    ``max_sweeps`` option fields and a ``ctm_state`` block; both are read
+    and dropped, and nothing writes them."""
+
+    RETIRED = {"tol", "max_sweeps", "ctm_state"}
+
+    def test_legacy_option_fields_are_dropped(self):
+        legacy = {"kind": "ctm", "chi": 8, "cutoff": None, "tol": 1e-10, "max_sweeps": 4}
+        assert contract_option_from_dict(legacy) == CTMOption(chi=8)
+
+    def test_legacy_ctm_state_is_ignored_and_caches_restore_warm(self):
+        state = peps.random_peps(3, 3, bond_dim=2, seed=32)
+        env = state.attach_environment(CTMOption(chi=5))
+        env.build()
+        payload = peps_to_dict(state)
+        spectrum = sim_io.encode_tensor(state.backend, np.array([0.9, 0.1]))
+        payload["environment"]["contract_option"].update(tol=1e-10, max_sweeps=4)
+        payload["environment"]["ctm_state"] = {
+            "upper_spectra": {"1": [spectrum, spectrum]},
+            "lower_spectra": {"0": [spectrum, spectrum]},
+            "converged": True, "n_sweeps": 2,
+        }
+        restored = peps_from_dict(json.loads(json.dumps(payload))).environment
+        assert isinstance(restored, EnvCTM)
+        assert restored.contract_option == CTMOption(chi=5)
+        assert restored.norm() == env.norm()
+        assert restored.stats.ctm_moves == 0
+
+    def test_nothing_writes_the_retired_keys(self):
+        state = peps.random_peps(2, 3, bond_dim=2, seed=33)
+        env = state.attach_environment(CTMOption(chi=4, cutoff=1e-12))
+        env.build()
+        document = sim_io.environment_to_dict(env)
+        assert not self.RETIRED & set(document)
+        assert not self.RETIRED & set(document["contract_option"])
+        assert not self.RETIRED & set(contract_option_to_dict(CTMOption(chi=4)))
+        assert not self.RETIRED & set(peps_to_dict(state)["environment"])
 
 
 class TestCTMOptionRouting:
@@ -244,16 +271,13 @@ class TestCTMOptionRouting:
         env = state.attach_environment(CTMOption(chi=4))
         assert env.accepts(None)
         assert env.accepts(CTMOption(chi=4))
-        assert env.accepts(CTMOption(chi=4, tol=1e-6))  # tol is not physical
         assert not env.accepts(CTMOption(chi=8))
         assert not env.accepts(BMPS(ExplicitSVD(rank=4)))
         assert state._environment_for(CTMOption(chi=4)) is env
         assert state._environment_for(CTMOption(chi=8)) is not env
 
     def test_option_signature(self):
-        assert option_signature(CTMOption(chi=4)) == option_signature(
-            CTMOption(chi=4, max_sweeps=9)
-        )
+        assert option_signature(CTMOption(chi=4)) != option_signature(CTMOption(chi=8))
         assert option_signature(CTMOption(chi=4)) != option_signature(
             CTMOption(chi=4, cutoff=1e-8)
         )
@@ -262,8 +286,6 @@ class TestCTMOptionRouting:
         state = peps.random_peps(2, 2, bond_dim=2, seed=43)
         with pytest.raises(TypeError, match="CTMOption"):
             EnvCTM(state, BMPS(ExplicitSVD(rank=4)))
-        with pytest.raises(ValueError, match="chi"):
-            EnvCTM(state, CTMOption(chi=0))
 
     def test_inner_with_ctm_option(self):
         state = peps.random_peps(3, 3, bond_dim=2, seed=44)
@@ -275,9 +297,7 @@ class TestCTMOptionRouting:
             state.inner(other, CTMOption(chi=4))
 
     def test_contract_option_round_trip(self):
-        option = CTMOption(chi=12, cutoff=1e-9, tol=1e-8, max_sweeps=6)
-        import json
-
+        option = CTMOption(chi=12, cutoff=1e-9)
         payload = contract_option_to_dict(option)
         json.dumps(payload)
         assert contract_option_from_dict(payload) == option

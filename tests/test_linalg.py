@@ -65,39 +65,24 @@ class TestTruncatedSVD:
     def test_exact_reconstruction_full_rank(self, backend, rng):
         a = random_complex(rng, (6, 4))
         result = truncated_svd(backend, backend.astensor(a))
-        rec = backend.asarray(result.u) @ backend.asarray(result.vh)
+        rec = (backend.asarray(result.u) * result.s) @ backend.asarray(result.vh)
         assert np.allclose(rec, a)
         assert result.truncation_error == pytest.approx(0.0, abs=1e-12)
 
     def test_rank_truncation_is_best_approximation(self, numpy_backend, rng):
         a = low_rank_matrix(rng, 12, 10, 6)
         result = truncated_svd(numpy_backend, a, rank=3)
-        rec = result.u @ result.vh
+        rec = (result.u * result.s) @ result.vh
         s = np.linalg.svd(a, compute_uv=False)
         expected_err = np.sqrt(np.sum(s[3:] ** 2))
         assert np.linalg.norm(a - rec) == pytest.approx(expected_err, rel=1e-8)
         assert result.rank == 3
 
-    @pytest.mark.parametrize("absorb", ["left", "right", "even", "none"])
-    def test_absorption_modes_reconstruct(self, numpy_backend, rng, absorb):
-        a = random_complex(rng, (5, 7))
-        result = truncated_svd(numpy_backend, a, absorb=absorb)
-        u, vh, s = result.u, result.vh, result.s
-        if absorb == "none":
-            rec = (u * s) @ vh
-        else:
-            rec = u @ vh
-        assert np.allclose(rec, a)
-
-    def test_isometry_when_not_absorbed(self, numpy_backend, rng):
+    def test_factors_are_isometric(self, numpy_backend, rng):
         a = random_complex(rng, (8, 5))
-        result = truncated_svd(numpy_backend, a, rank=3, absorb="none")
+        result = truncated_svd(numpy_backend, a, rank=3)
         u = result.u
         assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
-
-    def test_invalid_absorb_raises(self, numpy_backend, rng):
-        with pytest.raises(ValueError):
-            truncated_svd(numpy_backend, random_complex(rng, (3, 3)), absorb="sideways")
 
 
 class TestDenseSVDRoute:
@@ -157,7 +142,8 @@ class TestDenseSVDRoute:
         assert counter.by_category() == {"svd": svd_flops(8, 96)}
         s = np.linalg.svd(a, compute_uv=False)
         assert result.truncation_error == pytest.approx(np.sqrt(np.sum(s[3:] ** 2) / np.sum(s**2)))
-        assert np.linalg.norm(a - result.u @ result.vh) == pytest.approx(np.sqrt(np.sum(s[3:] ** 2)))
+        rec = (result.u * result.s) @ result.vh
+        assert np.linalg.norm(a - rec) == pytest.approx(np.sqrt(np.sum(s[3:] ** 2)))
 
 
 class TestOrthogonalize:

@@ -20,7 +20,7 @@ from repro.peps.contraction.options import CONTRACT_OPTION_KINDS, CTMOption
 from repro.peps.contraction.two_layer import absorb_sandwich_row
 from repro.peps.peps import random_single_layer_grid
 from repro.peps.envs import BoundaryEnvironment, EnvCTM, ctm_renormalize, make_environment
-from repro.peps.envs.boundary import CONVERGENCE_ONLY, option_signature
+from repro.peps.envs.boundary import option_signature
 from repro.peps.update import DOWN, UP, UPDATE_OPTION_KINDS, QRUpdate
 from repro.sim import RunSpec
 from repro.sim import io as sim_io
@@ -80,7 +80,7 @@ class TestSpectrumTruncationProperties:
         expected = np.sqrt(np.sum(s[k:] ** 2) / np.sum(s**2)) if np.sum(s**2) > 0 else 0.0
         assert result.rank <= k
         assert result.truncation_error == pytest.approx(expected, abs=1e-10)
-        rec = BACKEND.asarray(result.u) @ BACKEND.asarray(result.vh)
+        rec = (BACKEND.asarray(result.u) * result.s) @ BACKEND.asarray(result.vh)
         assert np.linalg.norm(a - rec) <= np.sqrt(np.sum(s[k:] ** 2)) + 1e-9
 
 
@@ -138,7 +138,7 @@ class TestQRReducedSVDProperties:
         keep, error = truncate_spectrum(ref_s, rank=rank, cutoff=cutoff)
 
         with mock.patch.object(interface, "_qr_svd", wraps=interface._qr_svd) as route:
-            result = truncated_svd(BACKEND, a, rank=rank, cutoff=cutoff, absorb="none")
+            result = truncated_svd(BACKEND, a, rank=rank, cutoff=cutoff)
             _, s, _ = BACKEND.svd(a, rank=rank)
         assert route.call_count == 2
 
@@ -444,8 +444,6 @@ FIELD_STRATEGIES = {
     "orth_method": st.sampled_from(["auto", "qr", "gram"]),
     "seed": st.none() | seeds,
     "chi": st.none() | small_ints,
-    "tol": small_floats,
-    "max_sweeps": st.integers(1, 9),
 }
 
 
@@ -472,12 +470,10 @@ def wire(payload):
 
 
 def physical(option):
-    """The io form of what an environment is built from, minus the fields
-    declared convergence-only."""
+    """The io form of what an environment is built from."""
     if isinstance(option, BMPS):
         option = option.resolved_svd_option()
-    payload = sim_io.option_to_dict(option)
-    return {k: v for k, v in payload.items() if k not in CONVERGENCE_ONLY}
+    return sim_io.option_to_dict(option)
 
 
 class TestOptionDescriptionProperties:
@@ -533,19 +529,15 @@ class TestOptionDescriptionProperties:
 
     @FAST
     @given(option=contract_options, data=st.data())
-    def test_signature_ignores_convergence_fields_and_nothing_else(self, option, data):
+    def test_signature_changes_with_every_field(self, option, data):
         base = option.resolved_svd_option() if isinstance(option, BMPS) else option
         names = [f.name for f in dataclasses.fields(base)]
-        redrawn = dataclasses.replace(base, **{
-            name: data.draw(FIELD_STRATEGIES[name]) for name in names if name in CONVERGENCE_ONLY
-        })
         wrap = BMPS if isinstance(option, BMPS) else (lambda o: o)
-        assert option_signature(wrap(redrawn)) == option_signature(option)
-        others = [name for name in names if name not in CONVERGENCE_ONLY]
-        if others:
-            name = data.draw(st.sampled_from(others))
+        assert option_signature(wrap(dataclasses.replace(base))) == option_signature(option)
+        if names:
+            name = data.draw(st.sampled_from(names))
             value = data.draw(FIELD_STRATEGIES[name].filter(lambda v: v != getattr(base, name)))
-            changed = dataclasses.replace(redrawn, **{name: value})
+            changed = dataclasses.replace(base, **{name: value})
             assert option_signature(wrap(changed)) != option_signature(option)
 
 

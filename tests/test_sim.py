@@ -134,7 +134,7 @@ class TestOptionSerialization:
         Exact(),
         BMPS(ExplicitSVD(rank=4, cutoff=1e-10)),
         BMPS(ImplicitRandomizedSVD(rank=8, niter=2, oversample=3, seed=5)),
-        CTMOption(chi=12, cutoff=1e-9, tol=1e-8, max_sweeps=6),
+        CTMOption(chi=12, cutoff=1e-9),
     ])
     def test_contract_round_trip(self, option):
         payload = contract_option_to_dict(option)
@@ -210,15 +210,25 @@ class TestOptionSerialization:
 
     @pytest.mark.parametrize("rank", [0, -2])
     def test_non_positive_rank_rejected_everywhere(self, rank):
+        for cls in (ExplicitSVD, ImplicitRandomizedSVD, QRUpdate):
+            with pytest.raises(ValueError, match="rank must be positive"):
+                cls(rank=rank)
         for cls in (ExplicitSVD, ImplicitRandomizedSVD):
             with pytest.raises(ValueError, match="rank must be positive"):
                 BMPS(cls(rank=rank))
             with pytest.raises(ValueError, match="rank must be positive"):
                 cls(rank=4).with_rank(rank)
+        with pytest.raises(ValueError, match="chi must be positive"):
+            CTMOption(chi=rank)
         for kind in ("bmps", "ibmps"):
             spec = RunSpec(contraction={"kind": kind, "bond": rank})
             with pytest.raises(ValueError, match="rank must be positive"):
                 spec.build_contract_option()
+        # a spec is refused when its option is built, before any step runs
+        with pytest.raises(ValueError, match="chi must be positive"):
+            RunSpec(contraction={"kind": "ctm", "chi": rank}).build_contract_option()
+        with pytest.raises(ValueError, match="rank must be positive"):
+            RunSpec(update={"kind": "qr", "rank": rank}).build_update_option()
         for payload in (
             {"kind": "bmps", "svd": {"kind": "implicit", "rank": rank}},
             {"kind": "bmps", "svd": {"kind": "explicit", "rank": 4}, "truncate_bond": rank},
@@ -239,6 +249,22 @@ class TestOptionSerialization:
         spec = RunSpec(contraction={"kind": "ibmps", "bond": 4, field: value})
         with pytest.raises(ValueError, match=field):
             spec.build_contract_option()
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: CTMOption(chi=2.5), "chi must be positive"),
+        (lambda: QRUpdate(rank=3.0), "rank must be positive"),
+        (lambda: CTMOption(cutoff=-1.0), "cutoff must be finite and >= 0"),
+        (lambda: CTMOption(chi=4, cutoff=float("nan")), "cutoff must be finite and >= 0"),
+        (lambda: QRUpdate(cutoff=-1), "cutoff must be finite and >= 0"),
+        (lambda: ExplicitSVD(cutoff=-0.5), "cutoff must be finite and >= 0"),
+        (lambda: ImplicitRandomizedSVD(rank=4, cutoff=float("inf")), "cutoff must be finite"),
+    ], ids=["ctm-chi-float", "qr-rank-float", "ctm-cutoff-negative", "ctm-cutoff-nan",
+            "qr-cutoff-negative", "explicit-cutoff-negative", "implicit-cutoff-inf"])
+    def test_non_integral_bound_or_bad_cutoff_rejected_at_construction(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+        # integral NumPy scalars and a zero cutoff are valid
+        assert CTMOption(chi=np.int64(4), cutoff=0) == CTMOption(chi=4, cutoff=0.0)
 
     def test_generator_seed_rejected(self):
         option = BMPS(ImplicitRandomizedSVD(rank=4, seed=np.random.default_rng(0)))
