@@ -145,6 +145,8 @@ class ImaginaryTimeEvolution:
         sweep's contraction option; call ``state.detach_environment()`` to
         measure with other defaults.
         """
+        if measure_every < 1:
+            raise ValueError(f"measure_every must be >= 1, got {measure_every!r}")
         state = initial_state if initial_state is not None else self.initial_state(backend)
         state = state.copy()
         state.attach_environment(self.contract_option)

@@ -9,10 +9,15 @@ backend where they imply data redistribution.
 An optional :class:`~repro.utils.flops.FlopCounter` can be attached so that
 algorithmic cost can be measured independently of wall-clock noise (used by
 the Table II benchmark).
+
+Importing this module sets the process allocator to keep freed heap memory
+(:func:`_keep_freed_heap`), so contraction intermediates reuse resident pages
+instead of faulting in fresh zero-filled ones.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +40,38 @@ from repro.utils.flops import (
     svd_flops,
 )
 from repro.utils.rng import SeedLike
+
+#: glibc's ``mallopt`` parameter number for ``M_TOP_PAD`` (``<malloc.h>``).
+_M_TOP_PAD = -2
+#: Heap slack glibc keeps above the top chunk when it grows or trims the heap.
+#: A strip pass allocates and frees 1-2 MiB intermediates many times over.
+#: Per pass, 8 MiB of slack leaves thousands of page faults on the ITE pass
+#: and more than glibc's default on the IBMPS norm, 32 MiB hundreds on the
+#: BMPS norm, 64 MiB a few dozen on every ladder workload (docs/perf.md).
+_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed heap memory resident for the next allocation.
+
+    By default glibc serves a large array either from a fresh ``mmap`` or from
+    the heap top, which it trims back to the kernel when the array is freed;
+    either way every reuse of that memory zero-fills new pages, and in a
+    contraction pass that page-fault work outweighs the arithmetic.  A large
+    ``M_TOP_PAD`` keeps the slack mapped, so intermediates land on warm pages.
+    Values are unchanged; only where they live is.  A silent no-op where the
+    C library is not glibc or has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
+_keep_freed_heap()
 
 
 class NumPyBackend(Backend):

@@ -95,6 +95,15 @@ class TestITE:
         assert [s for s, _ in seen] == [2, 4]
         assert isinstance(result, ITEResult)
 
+    @pytest.mark.parametrize("measure_every", [0, -1])
+    def test_non_positive_measure_every_raises_before_evolving(self, measure_every):
+        ite = ImaginaryTimeEvolution(transverse_field_ising(2, 2), tau=0.05,
+                                     update_option=QRUpdate(rank=2))
+        init = ite.initial_state()
+        ite.step = lambda state: pytest.fail("evolved before validating measure_every")
+        with pytest.raises(ValueError, match="measure_every"):
+            ite.run(2, initial_state=init, measure_every=measure_every)
+
     def test_ite_result_requires_energies(self):
         with pytest.raises(ValueError):
             ITEResult(state=None).final_energy

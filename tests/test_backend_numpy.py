@@ -1,5 +1,11 @@
 """Tests for the NumPy backend implementation of the Backend protocol."""
 
+import ctypes
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -157,3 +163,84 @@ class TestDerivedHelpers:
         a = random_complex(rng, (3, 3))
         assert np.array_equal(numpy_backend.to_local(a), a)
         assert np.array_equal(numpy_backend.from_local(a), a)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter (a fresh heap) and return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def has_mallopt() -> bool:
+    try:
+        ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+class TestHeapPolicy:
+    """Importing the backend makes the allocator keep freed heap pages."""
+
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_warm_expectations_take_few_page_faults(self):
+        # Without the policy each of these calls zero-fills ~25 000 fresh pages.
+        faults = run_fresh("""
+            import resource
+            from repro.operators.hamiltonians import heisenberg_j1j2
+            from repro.peps import BMPS, random_peps
+            from repro.peps.envs.boundary import BoundaryEnvironment
+            from repro.tensornetwork import ExplicitSVD
+
+            env = BoundaryEnvironment(random_peps(4, 4, bond_dim=3, seed=5), BMPS(ExplicitSVD(9)))
+            hamiltonian = heisenberg_j1j2(4, 4)
+            env.expectation(hamiltonian)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                env.expectation(hamiltonian)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        assert int(faults) < 2000
+
+    @pytest.mark.parametrize("loader, calls", [
+        ("raise OSError(name)", []),
+        ("return object()", []),
+        ("return Libc()", [(-2, 64 << 20)]),
+    ], ids=["no-libc", "no-mallopt", "glibc"])
+    def test_policy_is_applied_once_or_skipped_silently(self, loader, calls):
+        printed = run_fresh(f"""
+            import ctypes
+            import numpy as np
+
+            calls = []
+
+            class Mallopt:
+                def __call__(self, param, value):
+                    calls.append((param, value))
+                    return 1
+
+            class Libc:
+                mallopt = Mallopt()
+
+            def load(name, *args, **kwargs):
+                {loader}
+
+            ctypes.CDLL = load
+            import repro.backends.numpy_backend
+            from repro.backends import get_backend
+
+            a = np.arange(12.0).reshape(3, 4)
+            for name in ("numpy", "distributed"):
+                backend = get_backend(name)
+                product = backend.to_local(backend.einsum("ij,kj->ik", backend.astensor(a), backend.astensor(a)))
+                assert np.allclose(product, a @ a.T)
+            print(calls)
+        """)
+        assert printed.strip() == repr(calls)
