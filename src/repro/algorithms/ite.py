@@ -68,7 +68,8 @@ class ImaginaryTimeEvolution:
         Contraction algorithm and bond dimension ``m`` used for energy
         measurement and normalization (default: IBMPS with ``m = r^2``).
     normalize_every:
-        Renormalize the PEPS every this many steps (ITE shrinks the norm).
+        Renormalize the PEPS every this many steps (ITE shrinks the norm);
+        at least 1.
 
     :meth:`run` attaches one :mod:`~repro.peps.envs` environment built from
     ``contract_option`` to the evolving state, so normalization and energy
@@ -90,7 +91,9 @@ class ImaginaryTimeEvolution:
             rank = self.update_option.rank or 2
             contract_option = BMPS(ImplicitRandomizedSVD(rank=rank * rank, seed=0))
         self.contract_option = contract_option
-        self.normalize_every = max(1, int(normalize_every))
+        if normalize_every < 1:
+            raise ValueError(f"normalize_every must be >= 1, got {normalize_every!r}")
+        self.normalize_every = int(normalize_every)
         self._gates = hamiltonian.trotter_gates(-self.tau)
 
     def initial_state(self, backend="numpy") -> PEPS:

@@ -48,9 +48,11 @@ def truncate_spectrum(
     Returns
     -------
     (kept, error):
-        The number of retained singular values (at least 1 when any are
-        nonzero) and the relative Frobenius truncation error
-        ``sqrt(sum(discarded^2) / sum(all^2))``.
+        The number of retained singular values — at least 1 of a nonempty
+        spectrum, even for ``rank=0``; an all-zero spectrum ignores
+        ``cutoff`` and keeps ``min(rank, n)`` values (all ``n`` without a
+        rank) — and the relative Frobenius truncation error
+        ``sqrt(sum(discarded^2) / sum(all^2))``, 0 for an all-zero spectrum.
     """
     s = np.asarray(s, dtype=float)
     n = len(s)
@@ -61,8 +63,7 @@ def truncate_spectrum(
         keep = int(np.count_nonzero(s >= cutoff * s[0]))
     if rank is not None:
         keep = min(keep, int(rank))
-    keep = max(keep, 1) if s[0] > 0 else max(keep, 1)
-    keep = min(keep, n)
+    keep = max(keep, 1)
     total = float(np.sum(s**2))
     if total == 0.0:
         return keep, 0.0

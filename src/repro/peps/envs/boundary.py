@@ -44,7 +44,6 @@ from repro.peps.contraction.two_layer import (
     trivial_boundary,
 )
 from repro.peps.envs.sampling import sample_bitstrings
-from repro.peps.envs.sampling_mc import sample_mc
 from repro.peps.envs.strip import SITE_DENSITY, TRANSFER_LEFT, TRANSFER_RIGHT, StripCache
 from repro.telemetry.metrics import REGISTRY
 
@@ -477,38 +476,19 @@ class BoundaryEnvironment:
         self._charge_strip_caches(caches)
         return out
 
-    def sample(
-        self,
-        rng=None,
-        nshots: int = 1,
-        sampler: str = "perfect",
-        sampler_options: Optional[Dict] = None,
-    ) -> np.ndarray:
-        """Basis-state samples, perfect conditional or Markov-chain.
+    def sample(self, rng=None, nshots: int = 1) -> np.ndarray:
+        """Independent basis-state samples by perfect conditional sampling.
 
         Returns an integer array of shape ``(nshots, n_sites)`` (row-major
-        site order).  The default ``sampler="perfect"`` draws independent
-        samples via conditional single-layer contractions: the cached lower
-        environments are shared by all shots; only the per-shot projected
-        upper boundaries are recomputed — all shots in one lockstep group
-        when the environment :meth:`supports_lockstep`, one shot per group
-        otherwise.  ``sampler="mc"`` runs one Metropolis chain per shot instead
-        (:func:`~repro.peps.envs.sampling_mc.sample_mc`); ``sampler_options``
-        forwards its keywords (e.g. ``{"sweeps": 64}``).
+        site order), drawn via conditional single-layer contractions
+        (:func:`~repro.peps.envs.sampling.sample_bitstrings`): the cached
+        lower environments are shared by all shots; only the per-shot
+        projected upper boundaries are recomputed — all shots in one
+        lockstep group when the environment :meth:`supports_lockstep`, one
+        shot per group otherwise.
         """
         self._require_sandwich("sample")
-        options = dict(sampler_options or {})
-        if sampler == "perfect":
-            if options:
-                raise ValueError(
-                    f"the perfect sampler takes no options, got {sorted(options)}"
-                )
-            return sample_bitstrings(self, rng=rng, nshots=nshots)
-        if sampler == "mc":
-            return sample_mc(self, rng=rng, nshots=nshots, **options)
-        raise ValueError(
-            f"unknown sampler kind {sampler!r}; known: ['mc', 'perfect']"
-        )
+        return sample_bitstrings(self, rng=rng, nshots=nshots)
 
     def supports_lockstep(self) -> bool:
         """Whether per-shot sampling boundaries keep shot-independent shapes.

@@ -439,20 +439,9 @@ class PEPS:
         rng: SeedLike = None,
         nshots: int = 1,
         contract_option: Optional[ContractOption] = None,
-        sampler: str = "perfect",
-        sampler_options: Optional[dict] = None,
     ) -> np.ndarray:
-        """Computational-basis samples ``~ |<b|psi>|^2`` (see ``BoundaryEnvironment.sample``).
-
-        ``sampler`` selects the scheme (``"perfect"`` conditional sampling or
-        ``"mc"`` Metropolis chains, with ``sampler_options`` forwarded).
-        """
-        return self._environment_for(contract_option).sample(
-            rng=rng,
-            nshots=nshots,
-            sampler=sampler,
-            sampler_options=sampler_options,
-        )
+        """Computational-basis samples ``~ |<b|psi>|^2`` (see ``BoundaryEnvironment.sample``)."""
+        return self._environment_for(contract_option).sample(rng=rng, nshots=nshots)
 
     def _environment_for(self, contract_option: Optional[ContractOption]):
         """The attached environment if compatible, else an ephemeral one."""

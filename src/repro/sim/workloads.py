@@ -35,6 +35,7 @@ from repro.sim.io import (
 )
 from repro.sim.spec import RunSpec
 from repro.utils.rng import derive_rng
+from repro.utils.text import did_you_mean
 
 #: Registry of workload kinds (spec ``workload`` field -> class).
 WORKLOADS: Dict[str, Type["Workload"]] = {}
@@ -70,13 +71,24 @@ class Workload(abc.ABC):
     #: spec ``observables`` names this workload knows how to record
     supported_observables: frozenset = frozenset()
 
+    #: spec ``algorithm`` keys this workload reads; any other key is an error
+    algorithm_keys: frozenset = frozenset()
+
     def __init__(self, spec: RunSpec) -> None:
+        label = self.name or type(self).__name__
         unsupported = set(spec.observables) - set(self.supported_observables)
         if unsupported:
             raise ValueError(
-                f"workload {self.name or type(self).__name__!r} does not record "
+                f"workload {label!r} does not record "
                 f"observables {sorted(unsupported)}; supported: "
                 f"{sorted(self.supported_observables) or 'none'}"
+            )
+        unknown = sorted(set(spec.algorithm) - set(self.algorithm_keys))
+        if unknown:
+            raise ValueError(
+                f"workload {label!r} does not read algorithm keys {unknown}; "
+                f"known: {sorted(self.algorithm_keys) or 'none'}"
+                f"{did_you_mean(unknown[0], self.algorithm_keys)}"
             )
         self.spec = spec
 
@@ -163,6 +175,7 @@ class ITEWorkload(Workload):
     """
 
     supported_observables = frozenset({"norm", "sample"})
+    algorithm_keys = frozenset({"tau", "normalize_every", "initial_state", "nshots"})
 
     def setup(self) -> None:
         from repro.algorithms.ite import ImaginaryTimeEvolution
@@ -207,30 +220,8 @@ class ITEWorkload(Workload):
         if "sample" in self.spec.observables:
             nshots = int(self.spec.algorithm.get("nshots", 1))
             rng = derive_rng(self.spec.seed, "sample", step_index)
-            sampler, sampler_options = self._sampler_config()
-            record["samples"] = self.state.sample(
-                rng=rng,
-                nshots=nshots,
-                sampler=sampler,
-                sampler_options=sampler_options,
-            ).tolist()
+            record["samples"] = self.state.sample(rng=rng, nshots=nshots).tolist()
         return record
-
-    def _sampler_config(self):
-        """The ``(kind, options)`` of ``algorithm["sampler"]``.
-
-        Accepts a bare kind string (``"mc"``) or a config dict
-        (``{"kind": "mc", "sweeps": 64}``); absent means the perfect sampler,
-        keeping pre-existing specs' sample streams untouched.
-        """
-        config = self.spec.algorithm.get("sampler")
-        if config is None:
-            return "perfect", None
-        if isinstance(config, str):
-            return config, None
-        options = dict(config)
-        kind = options.pop("kind", "perfect")
-        return kind, options or None
 
     def summary(self) -> Dict[str, Any]:
         return {"final_max_bond": self.state.max_bond_dimension()}
@@ -271,6 +262,10 @@ class VQEWorkload(Workload):
     the step a deterministic function of the checkpointed parameters (see
     :meth:`repro.algorithms.vqe.VQE.optimize_segment`).
     """
+
+    algorithm_keys = frozenset(
+        {"n_layers", "simulator", "initial_parameters", "iters_per_step"}
+    )
 
     def setup(self) -> None:
         from repro.algorithms.vqe import VQE
@@ -365,6 +360,8 @@ class RQCAmplitudeWorkload(Workload):
     ``"circuit"`` substream at every ``setup``, so checkpoints only need the
     evolved PEPS and the gate index.  One driver step applies one gate.
     """
+
+    algorithm_keys = frozenset({"n_layers", "entangle_every", "bits"})
 
     def setup(self) -> None:
         from repro.circuits.random_circuits import random_quantum_circuit

@@ -104,6 +104,12 @@ class TestITE:
         with pytest.raises(ValueError, match="measure_every"):
             ite.run(2, initial_state=init, measure_every=measure_every)
 
+    @pytest.mark.parametrize("normalize_every", [0, -1])
+    def test_non_positive_normalize_every_rejected(self, normalize_every):
+        with pytest.raises(ValueError, match="normalize_every"):
+            ImaginaryTimeEvolution(transverse_field_ising(2, 2),
+                                   normalize_every=normalize_every)
+
     def test_ite_result_requires_energies(self):
         with pytest.raises(ValueError):
             ITEResult(state=None).final_energy

@@ -242,10 +242,15 @@ class TestSampling:
         assert shots.shape == (8, 4)
         assert np.all((shots >= 0) & (shots < 2))
 
-    def test_deterministic_state_samples_deterministically(self):
-        state = peps.computational_basis([1, 0, 1, 1, 0, 1], 2, 3)
-        shots = state.sample(rng=7, nshots=5)
-        assert np.all(shots == np.array([1, 0, 1, 1, 0, 1]))
+    @pytest.mark.parametrize("state,support", [
+        (peps.computational_basis([1, 0, 1, 1, 0, 1], 2, 3), [[1, 0, 1, 1, 0, 1]]),
+        # |+> on site 0, |0> elsewhere: a two-bitstring superposition
+        (peps.product_state([[1, 1]] + [[1, 0]] * 5, 2, 3),
+         [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]),
+    ], ids=["basis", "superposition"])
+    def test_shots_lie_in_wavefunction_support(self, state, support):
+        shots = state.sample(rng=7, nshots=16)
+        assert all(list(shot) in support for shot in shots)
 
     def test_sample_rejects_bad_nshots(self):
         state = peps.random_peps(2, 2, bond_dim=1, seed=43)

@@ -54,11 +54,16 @@ class TestTruncateSpectrum:
     def test_keeps_at_least_one(self):
         keep, _ = truncate_spectrum(np.array([1.0, 0.1]), cutoff=10.0)
         assert keep == 1
+        keep, _ = truncate_spectrum(np.array([1.0, 0.1]), rank=0)
+        assert keep == 1
 
     def test_empty_and_zero_spectra(self):
         assert truncate_spectrum(np.array([])) == (0, 0.0)
         keep, err = truncate_spectrum(np.zeros(3), rank=2)
         assert keep >= 1 and err == 0.0
+        # An all-zero spectrum ignores the cutoff and keeps every value.
+        assert truncate_spectrum(np.zeros(3)) == (3, 0.0)
+        assert truncate_spectrum(np.zeros(3), cutoff=0.5) == (3, 0.0)
 
 
 class TestTruncatedSVD:

@@ -745,8 +745,9 @@ class TestDeprecations:
 
 
 class TestMisspeltOptionKeys:
-    """A key that is no field of the option class is an error naming the
-    accepted fields — not a silently dropped truncation."""
+    """A key that is no field of the option class, or that no workload
+    reads from the ``algorithm`` block, is an error naming the accepted
+    keys — not a silently dropped truncation or time step."""
 
     CASES = [
         ("update", {"kind": "qr", "rnk": 4}, "rnk", "rank"),
@@ -771,6 +772,28 @@ class TestMisspeltOptionKeys:
         spec = ite_spec(tmp_path, contraction={"kind": "ibmps", "bnd": 4})
         with pytest.raises(ValueError, match="'bnd'.*accepted fields"):
             spec.build_contract_option()
+
+    @pytest.mark.parametrize("workload,algorithm,key,meant", [
+        ("ite", {"tau": 0.05, "nshot": 4}, "nshot", "nshots"),
+        ("ite", {"tau": 0.05, "taus": 0.5}, "taus", "tau"),
+        ("ite", {"sampler": "mc"}, "sampler", None),
+        ("ite", {"sampler": {"kind": "mc", "sweeps": 8}}, "sampler", None),
+        ("vqe", {"n_layer": 1}, "n_layer", "n_layers"),
+        ("rqc_amplitude", {"entangle_evry": 2}, "entangle_evry", "entangle_every"),
+    ], ids=["nshot", "taus", "sampler", "sampler-config", "n_layer", "entangle_evry"])
+    def test_workloads_reject_unknown_algorithm_keys(self, workload, algorithm, key, meant):
+        spec = RunSpec.from_dict({
+            "name": "typo", "workload": workload, "lattice": [2, 2], "n_steps": 1,
+            "seed": 0, "model": {"kind": "transverse_field_ising"}, "algorithm": algorithm,
+        })
+        hint = f".*did you mean '{meant}'" if meant else ""
+        with pytest.raises(ValueError, match=f"algorithm keys \\['{key}'\\]; known: \\[.*\\]{hint}"):
+            Simulation(spec)
+
+    def test_ite_spec_normalize_every_zero_rejected(self, tmp_path):
+        spec = ite_spec(tmp_path, algorithm={"tau": 0.05, "normalize_every": 0})
+        with pytest.raises(ValueError, match="normalize_every"):
+            Simulation(spec).run()
 
     def test_correct_spellings_build_the_documented_objects(self, tmp_path):
         assert update_option_from_dict({"kind": "qr", "rank": 4}) == QRUpdate(rank=4)

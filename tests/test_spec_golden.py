@@ -20,10 +20,11 @@ Two guarantees live here:
   order, so any accidental reordering shows up here immediately.
 
 * **Every shipped example spec keeps working.**  Each ``examples/specs``
-  file must survive a from_file -> to_dict -> from_dict round trip, and the
-  specs exercising the new subsystems (checkerboard Hubbard, MC sampling)
-  must run end-to-end through ``python -m repro.sim`` — including an
-  interrupt/resume cycle and a sweep — with bitwise-identical results.
+  file must survive a from_file -> to_dict -> from_dict round trip and build
+  its workload, and the specs exercising the new subsystems (checkerboard
+  Hubbard, basis-state sampling) must run end-to-end through
+  ``python -m repro.sim`` — including an interrupt/resume cycle and a
+  sweep — with bitwise-identical results.
 """
 
 import hashlib
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import RunSpec, SweepSpec
+from repro.sim import RunSpec, SweepSpec, build_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -124,10 +125,10 @@ class TestDistributedParity:
             assert hashlib.sha256(data).hexdigest() == digest, filename
 
 
+@pytest.mark.parametrize(
+    "path", sorted(SPEC_DIR.glob("*.json")), ids=lambda p: p.name,
+)
 class TestExampleSpecRoundTrip:
-    @pytest.mark.parametrize(
-        "path", sorted(SPEC_DIR.glob("*.json")), ids=lambda p: p.name,
-    )
     def test_from_file_to_dict_from_dict_parity(self, path):
         payload = json.loads(path.read_text())
         cls = SweepSpec if "base" in payload else RunSpec
@@ -136,14 +137,23 @@ class TestExampleSpecRoundTrip:
         assert first == second
         json.dumps(first)  # the round-tripped payload must stay JSON-clean
 
+    def test_every_point_builds_its_workload(self, path):
+        payload = json.loads(path.read_text())
+        if "base" in payload:
+            specs = [point.spec for point in SweepSpec.from_file(path).expand()]
+        else:
+            specs = [RunSpec.from_file(path)]
+        for spec in specs:
+            assert build_workload(spec).spec is spec
+
 
 class TestNewSpecsEndToEnd:
-    """The checkerboard-Hubbard and MC-sampling specs run through the CLI,
+    """The checkerboard-Hubbard and sampling specs run through the CLI,
     survive an interrupt/resume cycle bitwise, and drive a sweep."""
 
     @pytest.mark.parametrize("spec_name, stop_after", [
         ("hubbard_checkerboard_smoke.json", 3),
-        ("ite_mc_sampling_smoke.json", 2),
+        ("ite_sampling_smoke.json", 2),
     ])
     def test_run_interrupt_resume_bitwise(self, tmp_path, spec_name, stop_after):
         spec_path = SPEC_DIR / spec_name
@@ -162,8 +172,8 @@ class TestNewSpecsEndToEnd:
         assert resumed.returncode == 0, resumed.stderr
         assert (tmp_path / "out.jsonl").read_text() == (tmp_path / "ref.jsonl").read_text()
 
-    def test_mc_sampling_records_carry_samples(self, tmp_path):
-        spec_path = SPEC_DIR / "ite_mc_sampling_smoke.json"
+    def test_sampling_records_carry_samples(self, tmp_path):
+        spec_path = SPEC_DIR / "ite_sampling_smoke.json"
         spec = RunSpec.from_file(spec_path)
         result = run_cli(tmp_path, "run", spec_path, "--quiet", "--results", "out.jsonl")
         assert result.returncode == 0, result.stderr
@@ -178,7 +188,7 @@ class TestNewSpecsEndToEnd:
 
     @pytest.mark.parametrize("spec_name", [
         "hubbard_checkerboard_smoke.json",
-        "ite_mc_sampling_smoke.json",
+        "ite_sampling_smoke.json",
     ])
     def test_sweep_interrupt_resume_bitwise(self, tmp_path, spec_name):
         base = json.loads((SPEC_DIR / spec_name).read_text())
