@@ -91,16 +91,53 @@ def corner_grams(backend, boundary: Sequence, contract) -> Tuple[List, List]:
     return lefts, rights
 
 
+def _adjoint(matrices: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix of a stack."""
+    return np.swapaxes(matrices.conj(), -1, -2)
+
+
 def _gram_half(gram: np.ndarray) -> np.ndarray:
     """A half factor ``A`` with ``A^dagger A = gram`` (Hermitian PSD input).
 
     Returned with legs ``(internal, bond)``; negative eigenvalues from
-    round-off are clipped to zero.
+    round-off are clipped to zero.  A stack of Grams (leading axes) is
+    factored in one ``eigh`` call.
     """
-    hermitized = (gram + gram.conj().T) / 2.0
+    hermitized = (gram + _adjoint(gram)) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(hermitized)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
-    return np.sqrt(eigenvalues)[:, None] * eigenvectors.conj().T
+    return np.sqrt(eigenvalues)[..., :, None] * _adjoint(eigenvectors)
+
+
+def _corner_svd(
+    backend, product: np.ndarray, chi: Optional[int], cutoff: Optional[float]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated SVD ``(u, s, vh, spectrum)`` of a corner product.
+
+    A stack of products (leading batch axis) is factored item by item with
+    the 2-d :func:`~repro.linalg.truncated_svd` and restacked; its items
+    must retain one rank, so that their factors stack.
+    """
+    items = []
+    for item in ([product] if product.ndim == 2 else product):
+        result = truncated_svd(backend, backend.astensor(item), rank=chi, cutoff=cutoff)
+        s = np.asarray(result.s, dtype=float)
+        total = float(np.linalg.norm(s))
+        items.append((
+            np.asarray(backend.asarray(result.u)),     # (alpha, k)
+            s,
+            np.asarray(backend.asarray(result.vh)),    # (k, beta)
+            s / total if total > 0.0 else s,
+        ))
+    if product.ndim == 2:
+        return items[0]
+    ranks = sorted({len(s) for _, s, _, _ in items})
+    if len(ranks) > 1:
+        raise RuntimeError(
+            f"the batch retains ranks {ranks} at one bond; batched CTM "
+            f"renormalization needs a shape-deterministic truncation (cutoff=None)"
+        )
+    return tuple(np.stack(parts) for parts in zip(*items))
 
 
 def bond_projectors(
@@ -120,56 +157,26 @@ def bond_projectors(
     no truncation is needed (the bond already satisfies ``chi``/``cutoff``),
     so exact bonds stay bitwise untouched.  ``spectrum`` is the normalized
     retained corner spectrum.
+
+    Grams with a leading batch axis (size ``B`` or a broadcasting 1) give
+    projectors and spectra with one too, and each item is what its own
+    Grams give.  The ``eigh`` halves and every product are stacked calls;
+    the SVD runs item by item (:func:`_corner_svd`).
     """
     left = np.asarray(backend.asarray(left_gram))
     right = np.asarray(backend.asarray(right_gram))
-    half_left = _gram_half(left)                 # (alpha, bond)
-    half_right = _gram_half(right).conj().T      # (bond, beta)
+    half_left = _gram_half(left)                 # (..., alpha, bond)
+    half_right = _adjoint(_gram_half(right))     # (..., bond, beta)
     product = half_left @ half_right
-    result = truncated_svd(backend, backend.astensor(product), rank=chi, cutoff=cutoff)
-    s = np.asarray(result.s, dtype=float)
-    total = float(np.linalg.norm(s))
-    spectrum = s / total if total > 0.0 else s
-    bond_dim = product.shape[0]
-    if result.rank >= bond_dim:
+    u, s, vh, spectrum = _corner_svd(backend, product, chi, cutoff)
+    if s.shape[-1] >= product.shape[-2]:
         return None, spectrum
-    u = np.asarray(backend.asarray(result.u))    # (alpha, k)
-    vh = np.asarray(backend.asarray(result.vh))  # (k, beta)
     inv_sqrt = np.zeros_like(s)
-    significant = s > (s[0] * PSEUDO_INVERSE_RTOL if s.size else 0.0)
+    significant = s > s[..., :1] * PSEUDO_INVERSE_RTOL
     inv_sqrt[significant] = 1.0 / np.sqrt(s[significant])
-    absorb_right = half_right @ vh.conj().T * inv_sqrt[None, :]   # (bond, k)
-    absorb_left = inv_sqrt[:, None] * (u.conj().T @ half_left)    # (k, bond)
+    absorb_right = half_right @ _adjoint(vh) * inv_sqrt[..., None, :]   # (..., bond, k)
+    absorb_left = inv_sqrt[..., :, None] * (_adjoint(u) @ half_left)    # (..., k, bond)
     return (absorb_left, absorb_right), spectrum
-
-
-def _batched_bond_projectors(
-    backend, left_gram, right_gram, chi: Optional[int], cutoff: Optional[float]
-) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """:func:`bond_projectors` of every item of a batch, restacked.
-
-    The items must retain one rank, so that their projectors stack.
-    """
-    left = np.asarray(backend.asarray(left_gram))
-    right = np.asarray(backend.asarray(right_gram))
-    batch = max(left.shape[0], right.shape[0])
-    left = np.broadcast_to(left, (batch,) + left.shape[1:])
-    right = np.broadcast_to(right, (batch,) + right.shape[1:])
-    items = [
-        bond_projectors(backend, backend.astensor(np.asarray(left[s])),
-                        backend.astensor(np.asarray(right[s])), chi, cutoff)
-        for s in range(batch)
-    ]
-    ranks = sorted({len(spectrum) for _, spectrum in items})
-    if len(ranks) > 1:
-        raise RuntimeError(
-            f"the batch retains ranks {ranks} at one bond; batched CTM "
-            f"renormalization needs a shape-deterministic truncation (cutoff=None)"
-        )
-    spectra = np.stack([spectrum for _, spectrum in items])
-    if items[0][0] is None:
-        return None, spectra
-    return tuple(np.stack([pair[k] for pair, _ in items]) for k in (0, 1)), spectra
 
 
 def ctm_renormalize(
@@ -187,22 +194,22 @@ def ctm_renormalize(
 
     A batch of boundaries (every tensor with a leading batch axis, 5 modes
     instead of 4) runs its Gram chains and projector applications as
-    ``einsum_batched`` calls, and only the small corner factorizations item
-    by item; each spectrum then has a leading batch axis too.  Every item
-    must retain the same rank at a bond, which a truncation without
-    ``cutoff`` guarantees.
+    ``einsum_batched`` calls, each bond's ``eigh`` halves and projector
+    products as stacked ones and its corner SVDs item by item
+    (:func:`bond_projectors`); each spectrum then has a leading batch axis
+    too.  Every item must retain the same rank at a bond, which a truncation
+    without ``cutoff`` guarantees.
     """
     ncol = len(boundary)
     if ncol < 2:
         return list(boundary), []
     batched = backend.ndim(boundary[0]) == 5
     contract = backend.einsum_batched if batched else backend.einsum
-    projectors = _batched_bond_projectors if batched else bond_projectors
     lefts, rights = corner_grams(backend, boundary, contract)
     pairs: List = [None] * ncol
     spectra: List[np.ndarray] = []
     for b in range(1, ncol):
-        pairs[b], spectrum = projectors(backend, lefts[b], rights[b], chi, cutoff)
+        pairs[b], spectrum = bond_projectors(backend, lefts[b], rights[b], chi, cutoff)
         spectra.append(spectrum)
     renormalized: List = []
     for c in range(ncol):

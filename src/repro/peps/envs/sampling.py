@@ -23,12 +23,15 @@ per-shot upper boundaries, right environments, site densities and projected
 tensors are stacked along a leading batch axis, and each per-site contraction
 is one :meth:`~repro.backends.interface.Backend.einsum_batched` call for the
 whole group.  Tensors shared by all shots (site tensors, cached lower
-environments) enter with batch dimension 1 and broadcast.  After each row the
-group's projected row grows the upper boundaries through the environment's
-one boundary move, ``env._absorb`` — the move its cached boundaries are built
+environments) enter with batch dimension 1 and broadcast.  After every row
+but the last (no row below the last reads what it would grow) the group's
+projected row grows the upper boundaries through the environment's one
+boundary move, ``env._absorb`` — the move its cached boundaries are built
 with, handed a batch: exact growth is one ``einsum_batched`` call per column,
-a zip-up runs shot by shot, and a CTM renormalization stacks its Gram chains
-and projectors, factorizing only the small corner matrices shot by shot.
+a zip-up runs shot by shot, and a CTM renormalization stacks its Gram chains,
+projectors and the group's corner ``eigh`` halves (one stacked ``eigh`` per
+side and bond for every shot), factoring only the corner products shot by
+shot.
 
 Stacking requires every shot's boundary to keep the same shape after
 truncation; environments report this via ``supports_lockstep()``.  Exact and
@@ -50,6 +53,7 @@ checkpoint/resume) bitwise reproducible from one RunSpec seed.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Sequence
 
 import numpy as np
@@ -133,9 +137,15 @@ def sample_bitstrings(env, rng: "SeedLike" = None, nshots: int = 1) -> np.ndarra
     (or compatible): its cached lower boundaries and truncation options are
     reused.  All shots advance in one lockstep group when
     ``env.supports_lockstep()``, one shot per group otherwise; the bits are
-    the same either way (see the module docstring).
+    the same either way (see the module docstring).  ``nshots`` must be an
+    integer (``TypeError`` otherwise, ``bool`` included) of at least 1.
     """
-    nshots = int(nshots)
+    if isinstance(nshots, bool):
+        raise TypeError(f"nshots must be an integer, got {nshots!r}")
+    try:
+        nshots = operator.index(nshots)
+    except TypeError:
+        raise TypeError(f"nshots must be an integer, got {nshots!r}") from None
     if nshots < 1:
         raise ValueError(f"nshots must be positive, got {nshots}")
     rng = ensure_rng(rng)
@@ -199,6 +209,8 @@ def _sample_group(
                 env, TRANSFER_LEFT_PROJECTED, left, upper[c], proj, b.conj(proj), lower[c]
             )
 
+        if r == nrow - 1:
+            break  # no row below reads the upper boundaries grown from this one
         # Absorb the projected row into the running per-shot upper boundaries
         # with the environment's own move; projected sites get their phys-1
         # leg back *after* the batch axis.

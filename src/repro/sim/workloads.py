@@ -218,7 +218,7 @@ class ITEWorkload(Workload):
         if "norm" in self.spec.observables:
             record["norm"] = self.state.norm()
         if "sample" in self.spec.observables:
-            nshots = int(self.spec.algorithm.get("nshots", 1))
+            nshots = self.spec.algorithm.get("nshots", 1)
             rng = derive_rng(self.spec.seed, "sample", step_index)
             record["samples"] = self.state.sample(rng=rng, nshots=nshots).tolist()
         return record

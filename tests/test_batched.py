@@ -1,6 +1,8 @@
 """Tests for the batched contraction engine: ``einsum_batched``, lockstep
 multi-shot sampling, and shared strip-boundary caches."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,7 +209,7 @@ class TestBatchedAbsorption:
 #: environment: the ``peps.*`` registry deltas, the non-zero ``env.stats``
 #: and the backend calls by category.  A build grows boundaries one at a
 #: time and a sample grows every shot's boundary in one batch, both through
-#: the environment's one move.
+#: the environment's one move; a sample makes no move after its last row.
 MOVE_ENVS = {
     "exact": lambda state: BoundaryEnvironment(state),
     "bmps": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8))),
@@ -218,29 +220,29 @@ MOVE_COUNTERS = ("peps.row_absorptions", "peps.ctm_moves", "peps.batched_contrac
 MOVE_COSTS = {
     ("exact", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 15}),
     ("exact", "sample"): (
-        (12, 0, 42),
-        {"row_absorptions": 12, "batched_contractions": 42},
-        {"einsum": 12, "einsum_batched": 30},
+        (8, 0, 39),
+        {"row_absorptions": 8, "batched_contractions": 39},
+        {"einsum": 12, "einsum_batched": 27},
     ),
     ("bmps", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 35, "svd": 10}),
     ("bmps", "sample"): (
-        (12, 0, 33),
-        {"row_absorptions": 12, "batched_contractions": 33},
-        {"einsum": 96, "einsum_batched": 21, "svd": 24},
+        (8, 0, 33),
+        {"row_absorptions": 8, "batched_contractions": 33},
+        {"einsum": 68, "einsum_batched": 21, "svd": 16},
     ),
     ("bmps_cutoff", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 35, "svd": 10}),
     ("bmps_cutoff", "sample"): (
-        (12, 0, 132),
-        {"row_absorptions": 12, "batched_contractions": 132},
-        {"einsum": 216, "svd": 24},
+        (8, 0, 132),
+        {"row_absorptions": 8, "batched_contractions": 132},
+        {"einsum": 188, "svd": 16},
     ),
     ("ctm", "build"): (
         (5, 5, 0), {"row_absorptions": 5, "ctm_moves": 5}, {"einsum": 47, "svd": 10}
     ),
     ("ctm", "sample"): (
-        (12, 12, 62),
-        {"row_absorptions": 12, "ctm_moves": 12, "batched_contractions": 62},
-        {"einsum": 12, "einsum_batched": 50, "svd": 24},
+        (8, 8, 51),
+        {"row_absorptions": 8, "ctm_moves": 8, "batched_contractions": 51},
+        {"einsum": 12, "einsum_batched": 39, "svd": 16},
     ),
 }
 
@@ -259,6 +261,25 @@ def test_build_and_sample_move_counters_are_pinned(kind):
         stats = {k: v for k, v in env.stats.as_dict().items() if v}
         calls = counter.calls_by_category()
         assert (registry, stats, calls) == MOVE_COSTS[kind, phase], phase
+
+
+#: sha256 of the int64 shot array of one 6-shot sample of a 3x3 D=2 state,
+#: per environment: how the moves and factorizations run must not move a bit.
+SHOT_HASHES = {
+    "exact": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
+    "bmps": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
+    "bmps_cutoff": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
+    "ctm": "f0e608361818bc45023f1e33db6e4e755874f5d7b99e91650497350b9601b044",
+    "ctm_cutoff": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
+}
+SHOT_ENVS = {**MOVE_ENVS, "ctm_cutoff": lambda state: EnvCTM(state, CTMOption(chi=8, cutoff=1e-3))}
+
+
+@pytest.mark.parametrize("kind", sorted(SHOT_HASHES))
+def test_sampled_shots_are_pinned(kind):
+    shots = SHOT_ENVS[kind](peps.random_peps(3, 3, bond_dim=2, seed=5)).sample(rng=3, nshots=6)
+    assert shots.shape == (6, 9) and shots.dtype == np.int64
+    assert hashlib.sha256(shots.tobytes()).hexdigest() == SHOT_HASHES[kind]
 
 
 # --------------------------------------------------------------------- #
@@ -360,6 +381,16 @@ class TestLockstepSampling:
         np.testing.assert_array_equal(group, alone)
         numpy_state = peps.random_peps(2, 2, bond_dim=2, seed=14)
         np.testing.assert_array_equal(group, _make_env(kind, numpy_state).sample(rng=9, nshots=4))
+
+    @pytest.mark.parametrize("nshots", [2.7, "3", True])
+    def test_nshots_must_be_an_integer(self, nshots):
+        state = peps.random_peps(2, 2, bond_dim=2, seed=8)
+        with pytest.raises(TypeError, match="nshots"):
+            state.sample(rng=1, nshots=nshots)
+
+    def test_nshots_takes_numpy_integers(self):
+        state = peps.random_peps(2, 2, bond_dim=2, seed=8)
+        assert state.sample(rng=1, nshots=np.int64(3)).shape == (3, 4)
 
     def test_deterministic_state_samples_deterministically(self):
         state = peps.computational_basis([1, 0, 1, 1, 0, 1], 2, 3)

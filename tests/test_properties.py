@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import assume, given, strategies as st
 
 from repro.backends import get_backend, interface
+from repro.backends.numpy_backend import NumPyBackend
 from repro.linalg import DenseTensorOperator, randomized_svd, tensor_qr, truncate_spectrum, truncated_svd
 from repro.operators import gates
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
@@ -21,6 +22,7 @@ from repro.peps.contraction.two_layer import absorb_sandwich_row
 from repro.peps.peps import random_single_layer_grid
 from repro.peps.envs import BoundaryEnvironment, EnvCTM, ctm_renormalize, make_environment
 from repro.peps.envs.boundary import option_signature
+from repro.peps.envs.ctm import bond_projectors
 from repro.peps.update import DOWN, UP, UPDATE_OPTION_KINDS, QRUpdate
 from repro.sim import RunSpec
 from repro.sim import io as sim_io
@@ -34,6 +36,7 @@ from repro.tensornetwork.contraction_path import (
 )
 from repro.tensornetwork.einsum_spec import parse_einsum
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
+from repro.utils.flops import FlopCounter
 from tests.conftest import (
     FAST,
     brute_force_order,
@@ -153,6 +156,70 @@ class TestQRReducedSVDProperties:
             ref = (ref_u[:, :keep] * ref_s[:keep]) @ ref_vh[:keep]
             approx = (u * result.s) @ vh
             assert np.linalg.norm(approx - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestStackedCornerProperties:
+    """CTM corner projectors of a stack of Grams (batch axis first, or a
+    broadcasting 1 on one side) are, item by item, exactly the bytes of the
+    2-d call on that item's Grams, and their SVDs are charged as the 2-d
+    calls' are (the distributed gathers of a stack are not per item)."""
+
+    @FAST
+    @given(
+        seed=seeds,
+        batch=st.integers(1, 6),
+        bond=st.integers(1, 40),
+        chi=st.one_of(st.none(), st.integers(1, 40)),
+        complex_dtype=st.booleans(),
+        shared_left=st.booleans(),
+    )
+    def test_items_are_the_2d_calls(self, seed, batch, bond, chi, complex_dtype, shared_left):
+        rng = np.random.default_rng(seed)
+
+        def grams(count):
+            shape = (count, int(rng.integers(1, bond + 1)), bond)
+            half = rng.standard_normal(shape)
+            if complex_dtype:
+                half = half + 1j * rng.standard_normal(shape)
+            return np.swapaxes(half.conj(), -1, -2) @ half
+
+        left, right = grams(1 if shared_left else batch), grams(batch)
+        counter = FlopCounter()
+        counted = NumPyBackend(flop_counter=counter)
+        dist = get_backend("distributed", nprocs=4)
+
+        def run(backend, left_gram, right_gram):
+            return bond_projectors(
+                backend, backend.astensor(left_gram), backend.astensor(right_gram), chi, None
+            )
+
+        def charged(call):
+            counter.reset()
+            dist.stats.reset()
+            out = call()
+            stats = dist.stats
+            return out, (counter.by_category(), counter.calls_by_category(),
+                         stats.counts.get("svd"), stats.seconds_by_category.get("svd"))
+
+        for backend in (counted, dist):
+            (pair, spectrum), got = charged(lambda: run(backend, left, right))
+            items, want = charged(
+                lambda: [run(backend, left[0 if shared_left else s], right[s]) for s in range(batch)]
+            )
+            assert got == want
+            for s, (item_pair, item_spectrum) in enumerate(items):
+                assert spectrum[s].tobytes() == item_spectrum.tobytes()
+                assert (pair is None) == (item_pair is None)
+                for stacked, alone in zip(pair or (), item_pair or (), strict=True):
+                    assert stacked[s].shape == alone.shape
+                    assert stacked[s].tobytes() == alone.tobytes()
+
+    def test_a_batch_keeping_different_ranks_raises(self):
+        grams = np.stack([np.diag([1.0, 0.5]), np.diag([1.0, 1e-12])])
+        identity = np.eye(2)[None]
+        assert bond_projectors(BACKEND, grams[:1], identity, None, 1e-3)[1].shape == (1, 2)
+        with pytest.raises(RuntimeError, match="ranks"):
+            bond_projectors(BACKEND, grams, identity, None, 1e-3)
 
 
 class TestDenseQRProperties:

@@ -588,6 +588,14 @@ class TestRunnerFeatures:
         assert a.records == b.records  # sampling derives from the RunSpec seed
         assert np.asarray(a.records[-1]["samples"]).shape == (3, 4)
 
+    def test_sample_observable_needs_an_integer_nshots(self, tmp_path):
+        spec = ite_spec(
+            tmp_path, n_steps=1, checkpoint_every=0,
+            observables=["sample"], algorithm={"tau": 0.05, "nshots": 2.7},
+        )
+        with pytest.raises(TypeError, match="nshots"):
+            Simulation(spec).run()
+
     def test_vqe_statevector_workload(self, tmp_path):
         spec = RunSpec.from_dict({
             "name": "sv", "workload": "vqe", "lattice": [2, 2],
