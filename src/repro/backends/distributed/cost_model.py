@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.utils.checks import positive_int
+
 
 @dataclass
 class MachineParameters:
@@ -155,7 +157,8 @@ class CostModel:
     Parameters
     ----------
     nprocs:
-        Number of simulated processes.
+        Number of simulated processes: an integer of at least 1
+        (``TypeError`` for anything else, ``bool`` included).
     machine:
         Hardware parameters; defaults to a Stampede2-like configuration.
     procs_per_node:
@@ -168,9 +171,7 @@ class CostModel:
         machine: Optional[MachineParameters] = None,
         procs_per_node: Optional[int] = None,
     ) -> None:
-        if nprocs < 1:
-            raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        self.nprocs = int(nprocs)
+        self.nprocs = positive_int(nprocs, "nprocs")
         self.machine = machine or MachineParameters()
         self.procs_per_node = int(procs_per_node or self.machine.cores_per_node)
         self.stats = ExecutionStats()

@@ -17,12 +17,14 @@ Bitwise parity across executors and rank counts rests on two invariants:
 
 * **Canonical blocks.**  The plan fixes a canonical partition of the shard
   label into :data:`CANONICAL_PARTS` blocks (fewer when the extent is
-  smaller), and a rank executes a contiguous *range* of them.  Block ``b``
-  has the same extents however many ranks share the work, so every matrix
-  product of its chain has the same extents too, and a BLAS GEMM's reduction
-  blocking (hence its low-order bits) is a function of those extents and of
-  the operand buffers alone.  Blocks differ by at most one in extent, so a
-  plan carries at most two lowerings.
+  smaller, or when the output is too small to give its blocks
+  :data:`MIN_BLOCK_SIZE` elements each on average), and a rank executes a
+  contiguous *range* of them.  The block count reads only global shapes.
+  Block ``b`` has the same extents however many ranks share the work, so
+  every matrix product of its chain has the same extents too, and a BLAS
+  GEMM's reduction blocking (hence its low-order bits) is a function of
+  those extents and of the operand buffers alone.  Blocks differ by at most
+  one in extent, so a plan carries at most two lowerings.
 * **Canonical buffers.**  Every operand of every block is materialized
   contiguously before its chain runs, and every block result leaves it
   contiguous: block ``b`` is computed by the exact same sequence of kernel
@@ -36,6 +38,7 @@ never partitioned and hence trivially invariant to the rank count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -46,9 +49,17 @@ from repro.backends.numpy_backend import _execute
 from repro.tensornetwork.contraction_path import ContractionPlan, find_path, relower
 
 #: Number of canonical blocks a sharded contraction is split into (fewer when
-#: the shard extent is smaller).  This caps useful pool parallelism per
+#: the shard extent is smaller or the output small, see
+#: :data:`MIN_BLOCK_SIZE`).  This caps useful pool parallelism per
 #: einsum and bounds the per-call blocking overhead of the serial executor.
 CANONICAL_PARTS = 16
+
+#: Output elements per canonical block, at least on average (64 KiB of
+#: ``complex128``): an output of ``size`` elements splits into at most
+#: ``size // MIN_BLOCK_SIZE`` blocks, so a small output runs as one block
+#: instead of paying every block's slicing, copies and concatenation for a
+#: few elements each.
+MIN_BLOCK_SIZE = 4096
 
 
 def shard_bounds(extent: int, nparts: int) -> List[Tuple[int, int]]:
@@ -126,7 +137,8 @@ def _shard(subscripts: str, shapes: tuple, contraction: ContractionPlan) -> Eins
     if label is None or extents[label] < 1:
         return EinsumPlan(subscripts, contraction)
     extent = int(extents[label])
-    parts = min(extent, CANONICAL_PARTS)
+    elements = math.prod(extents[out] for out in contraction.output)
+    parts = max(1, min(extent, CANONICAL_PARTS, elements // MIN_BLOCK_SIZE))
     sizes = sorted({hi - lo for lo, hi in shard_bounds(extent, parts)})
     blocks = tuple((size, relower(contraction, {**extents, label: size})) for size in sizes)
     return EinsumPlan(subscripts, contraction, label, extent, parts, blocks)

@@ -106,7 +106,8 @@ def randomized_svd(
     max_rank = min(operator.row_size, operator.col_size)
     sketch = max(min(rank + int(oversample), max_rank), 1)
 
-    # Step 1: random probe on the column group, real entries in [-1, 1].
+    # Step 1: random probe on the column group; complex entries whose real
+    # and imaginary parts are each uniform on [-1, 1).
     probe = backend.random_uniform(tuple(col_shape) + (sketch,), -1.0, 1.0, rng=rng)
 
     # Step 2: P = orth(A Q).

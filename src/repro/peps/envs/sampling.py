@@ -53,7 +53,6 @@ checkpoint/resume) bitwise reproducible from one RunSpec seed.
 
 from __future__ import annotations
 
-import operator
 from typing import List, Sequence
 
 import numpy as np
@@ -61,6 +60,7 @@ import numpy as np
 from repro.peps.envs.strip import SITE_DENSITY, TRANSFER_LEFT_PROJECTED, TRANSFER_RIGHT
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
+from repro.utils.checks import positive_int
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
 
 #: One unit per lockstep ``einsum_batched`` call covering a whole shot group.
@@ -140,14 +140,7 @@ def sample_bitstrings(env, rng: "SeedLike" = None, nshots: int = 1) -> np.ndarra
     the same either way (see the module docstring).  ``nshots`` must be an
     integer (``TypeError`` otherwise, ``bool`` included) of at least 1.
     """
-    if isinstance(nshots, bool):
-        raise TypeError(f"nshots must be an integer, got {nshots!r}")
-    try:
-        nshots = operator.index(nshots)
-    except TypeError:
-        raise TypeError(f"nshots must be an integer, got {nshots!r}") from None
-    if nshots < 1:
-        raise ValueError(f"nshots must be positive, got {nshots}")
+    nshots = positive_int(nshots, "nshots")
     rng = ensure_rng(rng)
     root = int(rng.integers(0, 2**63 - 1, dtype=np.int64))
     shot_rngs = [derive_rng(root, "shot", s) for s in range(nshots)]

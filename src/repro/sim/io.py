@@ -734,10 +734,14 @@ def _atomic_file(path: str, mode: str):
 
 
 def atomic_write_json(path: Union[str, os.PathLike], payload: Dict[str, Any]) -> str:
-    """Write JSON atomically (see :func:`_atomic_file`)."""
+    """Write JSON atomically (see :func:`_atomic_file`).
+
+    ``json.dumps`` runs the C encoder; ``json.dump`` to a file always takes
+    the pure-Python one.  Both write the same bytes.
+    """
     path = os.fspath(path)
     with _atomic_file(path, "w") as handle:
-        json.dump(payload, handle)
+        handle.write(json.dumps(payload))
     return path
 
 

@@ -45,6 +45,7 @@ from repro.sim.io import (
     contract_option_from_dict,
     update_option_from_dict,
 )
+from repro.utils.checks import positive_int
 from repro.utils.text import did_you_mean
 
 #: Version of the spec schema (bumped on incompatible field changes).
@@ -235,6 +236,8 @@ class RunSpec:
                     f"unknown backend config keys {sorted(unknown)}; "
                     f"known keys: {sorted(_BACKEND_CONFIG_KEYS)}"
                 )
+            if "nprocs" in self.backend:
+                self.backend["nprocs"] = positive_int(self.backend["nprocs"], "backend nprocs")
             executor = self.backend.get("executor")
             if executor is not None and executor not in ("simulated", "pool"):
                 raise ValueError(

@@ -100,6 +100,15 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(nprocs=0)
 
+    @pytest.mark.parametrize("nprocs", [2.5, True, "2"])
+    def test_non_integer_nprocs_rejected(self, nprocs):
+        with pytest.raises(TypeError, match="nprocs must be an integer"):
+            CostModel(nprocs=nprocs)
+
+    def test_numpy_integer_nprocs_accepted(self):
+        model = CostModel(nprocs=np.int64(3))
+        assert model.nprocs == 3 and type(model.nprocs) is int
+
 
 class TestCommunicator:
     def test_collectives_charge_and_preserve_data(self):

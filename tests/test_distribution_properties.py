@@ -17,6 +17,7 @@ are built on:
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from hypothesis import given, strategies as st
 
 from repro.backends import get_backend
 from repro.backends.distributed import Distribution, ProcessorGrid, execute_plan, plan_einsum
-from repro.backends.distributed.engine import concat_blocks, shard_bounds, slice_operands
+from repro.backends.distributed.engine import (
+    CANONICAL_PARTS,
+    MIN_BLOCK_SIZE,
+    concat_blocks,
+    shard_bounds,
+    slice_operands,
+)
 from tests.conftest import FAST, random_complex, random_network
 
 #: (seed, ndim) cases; extents drawn in [1, 9] so grids over-decompose often.
@@ -171,20 +178,34 @@ NUMPY = get_backend("numpy")
 SIMULATED = {nprocs: get_backend("distributed", nprocs=nprocs) for nprocs in (1, 2, 3, 5, 8)}
 
 
-def block_network(seed, n, shard_extent, scalar, dangling):
+#: Largest operand :func:`block_network` builds, in elements.
+MAX_OPERAND = 2**17
+
+
+def block_network(seed, n, shard_extent, blocks, scalar, dangling):
     """A ``random_network`` draw, reshaped to reach the block kernel's edge
-    cases: the first output label stretched to ``shard_extent`` (one-element
-    blocks below 16, two block extents above), or no output at all, and
-    optionally an extent-1 label only the first operand carries."""
+    cases: the first output label stretched to at least ``shard_extent``, and
+    far enough for the output to hold ``blocks`` canonical blocks' worth of
+    elements (one to sixteen blocks of one or two extents; the stretch stops
+    where an operand would exceed :data:`MAX_OPERAND` elements), or no output
+    at all, and optionally an extent-1 label only the first operand carries."""
     subscripts, shapes = random_network(np.random.default_rng(seed), n)
     inputs, output = subscripts.split("->")
     terms = inputs.split(",")
     if scalar:
         output = ""
     elif output:
+        label = output[0]
+        extent = {lab: e for term, shape in zip(terms, shapes) for lab, e in zip(term, shape)}
+        rest = math.prod(extent[lab] for lab in output[1:])
+        widest = max(
+            math.prod(e for lab, e in zip(term, shape) if lab != label)
+            for term, shape in zip(terms, shapes) if label in term
+        )
+        stretch = max(shard_extent, -(-blocks * MIN_BLOCK_SIZE // rest))
+        stretch = max(1, min(stretch, MAX_OPERAND // widest))
         shapes = [
-            tuple(shard_extent if label == output[0] else extent
-                  for label, extent in zip(term, shape))
+            tuple(stretch if lab == label else e for lab, e in zip(term, shape))
             for term, shape in zip(terms, shapes)
         ]
     if dangling:
@@ -199,14 +220,15 @@ class TestBlockKernel:
         seed=st.integers(0, 2**31 - 1),
         n=st.integers(2, 6),
         shard_extent=st.integers(1, 40),
+        blocks=st.integers(0, 20),
         scalar=st.booleans(),
         dangling=st.booleans(),
         cuts=st.sets(st.integers(1, 15)),
     )
     def test_blocks_are_rank_and_grouping_invariant(
-        self, seed, n, shard_extent, scalar, dangling, cuts
+        self, seed, n, shard_extent, blocks, scalar, dangling, cuts
     ):
-        subscripts, shapes = block_network(seed, n, shard_extent, scalar, dangling)
+        subscripts, shapes = block_network(seed, n, shard_extent, blocks, scalar, dangling)
         rng = np.random.default_rng(seed)
         ops = [random_complex(rng, shape) for shape in shapes]
 
@@ -227,6 +249,10 @@ class TestBlockKernel:
         assert all(a is b for (_, a), (_, b) in zip(again.blocks, plan.blocks))
         if plan.shard_label is None:
             return
+        size = math.prod(reference.shape)
+        assert plan.shard_parts == max(
+            1, min(plan.shard_extent, CANONICAL_PARTS, size // MIN_BLOCK_SIZE)
+        )
         # Any grouping of the canonical blocks into rank ranges, each range
         # shipped as its own operand slices, gives the canonical bytes.
         whole = execute_plan(plan, ops)

@@ -32,23 +32,35 @@ EINSUM_CASES = [
     ("abcd->badc", [(2, 3, 4, 5)]),
     ("ab,bc,cd->ad", [(4, 5), (5, 6), (6, 3)]),
     ("xy,yz->xz", [(1, 7), (7, 2)]),
+    # 14 400 output elements: three canonical blocks, so ranks own several.
+    ("pqr,rs->pqs", [(3, 40, 5), (5, 120)]),
 ]
 
 
 class TestPlanEinsum:
     def test_plan_fixes_canonical_partition(self):
-        plan = plan_einsum("ab,bc->ac", [(40, 5), (5, 7)])
-        assert plan.shard_label == "a"
-        assert plan.shard_extent == 40
+        # 40 x 1 700 = 68 000 elements >= 16 * MIN_BLOCK_SIZE: the full split.
+        plan = plan_einsum("ab,bc->ac", [(40, 5), (5, 1700)])
+        assert plan.shard_label == "c"
+        assert plan.shard_extent == 1700
         assert plan.shard_parts == CANONICAL_PARTS
         bounds = plan.canonical_bounds()
-        assert bounds[0][0] == 0 and bounds[-1][1] == 40
+        assert bounds[0][0] == 0 and bounds[-1][1] == 1700
         assert all(lo <= hi for lo, hi in bounds)
 
+    def test_small_output_is_one_block(self):
+        # 40 x 204 = 8 160 elements < 2 * MIN_BLOCK_SIZE.
+        plan = plan_einsum("ab,bc->ac", [(40, 5), (5, 204)])
+        assert plan.shard_label == "c"
+        assert plan.shard_parts == 1
+        assert plan.canonical_bounds() == [(0, 204)]
+        assert plan_einsum("ab,bc->ac", [(40, 5), (5, 205)]).shard_parts == 2
+
     def test_small_extent_caps_parts(self):
-        plan = plan_einsum("ab,bc->ac", [(3, 5), (5, 2)])
+        # 10**5 elements would allow 24 blocks, the shard extent only 10.
+        plan = plan_einsum("abcx,xde->abcde", [(10, 10, 10, 2), (2, 10, 10)])
         assert plan.shard_label == "a"
-        assert plan.shard_parts == 3
+        assert plan.shard_parts == 10
 
     def test_scalar_output_has_no_shard_label(self):
         plan = plan_einsum("ab,ab->", [(4, 5), (4, 5)])
@@ -77,8 +89,9 @@ class TestPlanEinsum:
     def test_execute_is_invariant_to_bounds_split(self, rng):
         # The same canonical blocks, grouped into rank ranges differently,
         # must produce the same bytes: this is the parity mechanism.
-        ops = [random_complex(rng, (6, 5)), random_complex(rng, (5, 7))]
+        ops = [random_complex(rng, (701, 5)), random_complex(rng, (5, 60))]
         plan = plan_einsum("ab,bc->ac", [o.shape for o in ops])
+        assert plan.shard_parts == 10 and len(plan.blocks) == 2
         whole = execute_plan(plan, ops)
         bounds = plan.canonical_bounds()
         for split in (1, 2, 3, len(bounds)):

@@ -92,7 +92,8 @@ class TestWorkerFaultConfig:
 
 class TestTransparentRestart:
     def test_mid_einsum_death_is_transparent(self, rng):
-        ops = [random_complex(rng, (6, 5)), random_complex(rng, (5, 7))]
+        # 9 000 output elements: two canonical blocks, one on each rank.
+        ops = [random_complex(rng, (1500, 5)), random_complex(rng, (5, 6))]
         sim = get_backend("distributed", nprocs=2)
         ref = np.asarray(
             sim.asarray(sim.einsum("ab,bc->ac", *[sim.astensor(o) for o in ops]))
@@ -118,7 +119,8 @@ class TestTransparentRestart:
             pool.close()
 
     def test_restart_budget_exhaustion_raises_pool_error(self, rng):
-        ops = [random_complex(rng, (6, 5)), random_complex(rng, (5, 7))]
+        # 9 000 output elements: two canonical blocks, one on each rank.
+        ops = [random_complex(rng, (1500, 5)), random_complex(rng, (5, 6))]
         pool = _pool_backend(
             fault={"rank": 0, "op": "contract", "after_calls": 1, "mode": "always"},
             max_restarts=1,

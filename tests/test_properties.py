@@ -1,8 +1,11 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import dataclasses
+import io
 import json
+import os
 import pickle
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -778,3 +781,24 @@ class TestSamplingProperties:
         np.testing.assert_array_equal(shots, sample_in_groups_of_one(env, seed, nshots))
         assert shots.shape == (nshots, nrow * ncol)
         assert shots.min() >= 0 and shots.max() < phys_dim
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestAtomicJSONProperties:
+    @FAST
+    @given(payload=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5))
+    def test_bytes_match_json_dump(self, payload):
+        """NaN and +-inf included: ``st.floats()`` draws them."""
+        expected = io.StringIO()
+        json.dump(payload, expected)
+        with tempfile.TemporaryDirectory() as directory:
+            path = sim_io.atomic_write_json(os.path.join(directory, "doc.json"), payload)
+            with open(path, "rb") as handle:
+                assert handle.read() == expected.getvalue().encode()

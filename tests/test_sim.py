@@ -79,6 +79,24 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="unknown RunSpec fields"):
             RunSpec.from_dict({"workload": "ite", "bogus_field": 1})
 
+    @pytest.mark.parametrize("nprocs", [2.5, True, "2"])
+    def test_non_integer_backend_nprocs_rejected(self, nprocs):
+        backend = {"kind": "distributed", "nprocs": nprocs}
+        with pytest.raises(TypeError, match="nprocs must be an integer"):
+            RunSpec.from_dict({"workload": "ite", "backend": backend})
+
+    def test_backend_nprocs_below_one_rejected(self):
+        backend = {"kind": "distributed", "nprocs": 0}
+        with pytest.raises(ValueError, match="nprocs must be positive"):
+            RunSpec.from_dict({"workload": "ite", "backend": backend})
+
+    def test_numpy_integer_backend_nprocs_becomes_int(self):
+        backend = {"kind": "distributed", "nprocs": np.int64(2)}
+        spec = RunSpec.from_dict({"workload": "ite", "backend": backend})
+        assert type(spec.backend["nprocs"]) is int
+        assert spec.resolve_backend().nprocs == 2
+        assert json.loads(spec.to_json())["backend"]["nprocs"] == 2
+
     def test_builders(self, tmp_path):
         spec = ite_spec(tmp_path)
         ham = spec.build_model()

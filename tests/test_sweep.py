@@ -8,6 +8,7 @@ document bitwise identical to an uninterrupted one while re-executing only
 the unfinished points.
 """
 
+import io
 import json
 import os
 import signal
@@ -25,6 +26,8 @@ from repro.sim import (
     derive_point_seed,
     run_sweep,
 )
+import repro.sim.io as sim_io
+import repro.sim.sweep as sweep_module
 from repro.sim.sweep import STATUS_DONE, STATUS_FAILED, STATUS_PENDING, STATUS_RUNNING
 
 MODEL = {"kind": "heisenberg_j1j2", "j1": [1.0, 1.0, 1.0],
@@ -327,6 +330,26 @@ class TestSweepExecution:
         assert metrics["flops"] > 0
         assert metrics["row_absorptions"] > 0
         assert "einsum" in metrics["flops_by_category"]
+
+    def test_json_documents_are_json_dump_bytes(self, tmp_path, monkeypatch):
+        # Every manifest and checkpoint document of a sweep is written with
+        # the bytes json.dump would write for the same payload.
+        real = sim_io.atomic_write_json
+        written = []
+
+        def checked(path, payload):
+            out = real(path, payload)
+            expected = io.StringIO()
+            json.dump(payload, expected)
+            written.append(os.path.basename(out))
+            assert read_bytes(out) == expected.getvalue().encode(), out
+            return out
+
+        monkeypatch.setattr(sim_io, "atomic_write_json", checked)
+        monkeypatch.setattr(sweep_module, "atomic_write_json", checked)
+        Sweep(sweep_spec(tmp_path, axes={"update.rank": [2]})).run()
+        assert "manifest.json" in written
+        assert any(name.endswith(".ckpt.json") for name in written)
 
 
 class TestSweepCLI:
