@@ -16,12 +16,12 @@ Either way, every operation is charged to the backend's
 *predictor* whose accuracy is pinned against measured wall time by the
 distributed benchmarks:
 
-* ``einsum`` / ``tensordot`` — flops from the contraction-path optimizer,
+* ``einsum`` — flops from the contraction-path optimizer,
   divided over the processes, plus a SUMMA-like communication volume;
 * ``reshape`` — a redistribution (all-to-all) of the whole tensor whenever
   the fold is not trivially compatible with the current distribution — this
   is the CTF behaviour the paper's Algorithm 5 is designed to avoid;
-* ``svd`` / ``qr`` / ``eigh`` — ScaLAPACK-style distributed factorizations
+* ``svd`` / ``qr`` — ScaLAPACK-style distributed factorizations
   with their latency-heavy panel structure;
 * ``to_local`` / ``from_local`` — gather/broadcast of (small) tensors, as in
   Algorithm 5 where the Gram matrix is moved to local memory.
@@ -33,7 +33,7 @@ benchmark cases.
 
 from __future__ import annotations
 
-from math import prod, sqrt
+from math import sqrt
 from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,9 +52,10 @@ from repro.backends.interface import (
     uniform_array,
 )
 from repro.telemetry.trace import TRACER as _TRACER
-from repro.tensornetwork.contraction_path import find_path, unplanned_flops
+from repro.tensornetwork.contraction_path import find_path
 from repro.tensornetwork.einsum_spec import EinsumSpec
-from repro.utils.flops import eigh_flops, qr_flops, svd_flops
+from repro.utils.checks import nonnegative_int, positive_finite
+from repro.utils.flops import qr_flops, svd_flops
 from repro.utils.rng import SeedLike
 
 
@@ -74,6 +75,8 @@ class DistributedBackend(Backend):
         max_restarts: int = 2,
         timeout: float = 60.0,
     ) -> None:
+        max_restarts = nonnegative_int(max_restarts, "max_restarts")
+        timeout = positive_finite(timeout, "timeout")
         if cost_model is not None:
             self.cost_model = cost_model
         else:
@@ -145,14 +148,8 @@ class DistributedBackend(Backend):
             return np.asarray(self.comm.gather(tensor.array))
         return np.asarray(tensor)
 
-    def zeros(self, shape: Sequence[int], dtype: np.dtype = np.complex128) -> DistTensor:
-        return self._wrap(np.zeros(tuple(shape), dtype=dtype))
-
     def ones(self, shape: Sequence[int], dtype: np.dtype = np.complex128) -> DistTensor:
         return self._wrap(np.ones(tuple(shape), dtype=dtype))
-
-    def eye(self, n: int, dtype: np.dtype = np.complex128) -> DistTensor:
-        return self._wrap(np.eye(n, dtype=dtype))
 
     def random_uniform(
         self,
@@ -263,32 +260,10 @@ class DistributedBackend(Backend):
         # fraction of the grid during the contraction.
         comm_bytes = operand_bytes / max(1.0, sqrt(p)) if p > 1 else 0.0
         messages = 2.0 * sqrt(p) if p > 1 else 0.0
-        if plan.fallback:
-            flops = unplanned_flops([d.shape for d in datas])
-            peak = max(d.size for d in datas)
-        else:
-            flops = plan.contraction.total_flops
-            peak = plan.contraction.max_intermediate_size
-        self.cost_model.contraction(flops=flops, comm_bytes=comm_bytes,
+        contraction = plan.contraction
+        self.cost_model.contraction(flops=contraction.total_flops, comm_bytes=comm_bytes,
                                     messages=messages, category="einsum")
-        self.cost_model.observe_tensor(float(peak) * itemsize)
-
-    def tensordot(self, a, b, axes) -> DistTensor:
-        da, db = self._data(a), self._data(b)
-        result = np.tensordot(da, db, axes=axes)
-        if isinstance(axes, int):
-            k = prod(da.shape[da.ndim - axes:]) if axes else 1
-        else:
-            axes_a = [axes[0]] if np.isscalar(axes[0]) else list(axes[0])
-            k = prod(da.shape[ax] for ax in axes_a) if axes_a else 1
-        m = da.size // max(k, 1)
-        n = db.size // max(k, 1)
-        p = self.nprocs
-        comm = (da.nbytes + db.nbytes + result.nbytes) / max(1.0, sqrt(p)) if p > 1 else 0.0
-        self.cost_model.contraction(flops=8.0 * m * k * n, comm_bytes=comm,
-                                    messages=2.0 * sqrt(p) if p > 1 else 0.0,
-                                    category="tensordot")
-        return self._wrap(result)
+        self.cost_model.observe_tensor(float(contraction.max_intermediate_size) * itemsize)
 
     def norm(self, tensor) -> float:
         data = self._data(tensor)
@@ -321,16 +296,6 @@ class DistributedBackend(Backend):
             data.shape[0], data.shape[1], qr_flops(*data.shape), category="qr"
         )
         return self._wrap(q), self._wrap(r)
-
-    def eigh(self, matrix) -> Tuple[DistTensor, DistTensor]:
-        data = self._data(matrix)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise ValueError(f"eigh expects a square matrix, got shape {data.shape}")
-        w, v = np.linalg.eigh(data)
-        self.cost_model.distributed_factorization(
-            data.shape[0], data.shape[1], eigh_flops(data.shape[0]), category="eigh"
-        )
-        return self._wrap(w), self._wrap(v)
 
     # ------------------------------------------------------------------ #
     # Local <-> distributed movement

@@ -207,8 +207,8 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
     ) -> None:
         super().__init__(cost_model)
         self.fault = WorkerFault.from_config(fault)
-        self.max_restarts = int(max_restarts)
-        self.timeout = float(timeout)
+        self.max_restarts = max_restarts
+        self.timeout = timeout
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -396,10 +396,10 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
         self._check_open()
         arrays = [np.asarray(op) for op in operands]
         if plan.shard_label is None:
-            # No output label to partition on (e.g. scalar results) or an
-            # unparseable fallback: ship the whole contraction to one rank,
-            # spreading such jobs round-robin.  Unsharded execution is
-            # trivially invariant to the rank count.
+            # No output label to partition on (e.g. scalar results): ship
+            # the whole contraction to one rank, spreading such jobs
+            # round-robin.  Unsharded execution is trivially invariant to
+            # the rank count.
             rank = self._round_robin % self.nprocs
             self._round_robin += 1
             message = ("contract", plan, arrays, None)

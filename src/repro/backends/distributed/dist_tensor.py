@@ -3,9 +3,9 @@
 A :class:`DistTensor` pairs a dense ndarray (the *logical* global tensor —
 numerically identical to what the NumPy backend would compute) with a
 :class:`~repro.backends.distributed.distribution.Distribution` descriptor and
-a reference to the owning backend's cost model.  Elementwise arithmetic is
-supported directly on the objects and charged to the model, so library code
-written for NumPy arrays (``a + b``, ``2.0 * t``, ``-t``) works unchanged.
+a reference to the owning backend's cost model.  Scaling (``t * 2.0``) and
+conjugation are supported directly on the objects and charged to the model,
+so library code written for NumPy arrays works unchanged.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class DistTensor:
     def nbytes(self) -> int:
         return int(self.array.nbytes)
 
-    def local_bytes(self) -> int:
-        """Bytes held by each simulated process."""
-        return self.distribution.local_bytes(self.array.itemsize)
-
     def __repr__(self) -> str:
         return (
             f"DistTensor(shape={self.shape}, grid={self.distribution.grid.dims}, "
@@ -75,55 +71,21 @@ class DistTensor:
         dist = Distribution.natural(array.shape, self.backend.nprocs)
         return DistTensor(array, dist, self.backend)
 
-    def _charge_elementwise(self, nelements: int) -> None:
+    def _charge_elementwise(self) -> None:
         self.backend.cost_model.contraction(
-            flops=2.0 * nelements, comm_bytes=0.0, messages=0.0, category="elementwise"
+            flops=2.0 * self.size, comm_bytes=0.0, messages=0.0, category="elementwise"
         )
 
-    @staticmethod
-    def _unwrap(other):
-        return other.array if isinstance(other, DistTensor) else other
-
-    def __add__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self.array + self._unwrap(other))
-
-    def __radd__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self._unwrap(other) + self.array)
-
-    def __sub__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self.array - self._unwrap(other))
-
-    def __rsub__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self._unwrap(other) - self.array)
-
     def __mul__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self.array * self._unwrap(other))
-
-    def __rmul__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self._unwrap(other) * self.array)
-
-    def __truediv__(self, other):
-        self._charge_elementwise(self.size)
-        return self._wrap(self.array / self._unwrap(other))
-
-    def __neg__(self):
-        self._charge_elementwise(self.size)
-        return self._wrap(-self.array)
+        self._charge_elementwise()
+        other = other.array if isinstance(other, DistTensor) else other
+        return self._wrap(self.array * other)
 
     def conj(self) -> "DistTensor":
-        self._charge_elementwise(self.size)
+        self._charge_elementwise()
         return self._wrap(np.conj(self.array))
 
-    def copy(self) -> "DistTensor":
-        return DistTensor(self.array.copy(), self.distribution, self.backend)
-
-    def __array__(self, dtype=None):
+    def __array__(self, dtype=None, copy=None):
         # Implicit conversion to ndarray implies a gather of all shards.
         self.backend.cost_model.gather(self.nbytes)
-        return np.asarray(self.array, dtype=dtype)
+        return np.array(self.array, dtype=dtype, copy=copy)

@@ -104,9 +104,6 @@ class Distribution:
             out *= -(-dim // g)  # ceil division
         return out
 
-    def local_bytes(self, itemsize: int = 16) -> int:
-        return self.local_elements() * itemsize
-
     def is_compatible_with(self, other: "Distribution") -> bool:
         """Whether data can be reinterpreted without moving between processes.
 

@@ -31,9 +31,8 @@ Bitwise parity across executors and rank counts rests on two invariants:
   calls on the same bytes no matter which process owns it or how the operand
   arrived there.
 
-Subscripts the lightweight parser rejects (ellipsis, repeated labels within
-a term) fall back to a single whole-tensor ``np.einsum`` call, which is
-never partitioned and hence trivially invariant to the rank count.
+Subscripts outside the planner's grammar (ellipsis, a label repeated within
+one term) raise the planner's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -80,8 +79,7 @@ def shard_bounds(extent: int, nparts: int) -> List[Tuple[int, int]]:
 class EinsumPlan:
     """A contraction plan fixed from global shapes (see module docstring).
 
-    ``contraction`` is the planner's shared plan, ``None`` for subscripts it
-    cannot handle; those execute as one whole einsum call.  ``shard_label``
+    ``contraction`` is the planner's shared plan.  ``shard_label``
     is an output label to block-partition across ranks (``None`` when the
     output has none, e.g. scalar results), with ``shard_extent`` its global
     extent and ``shard_parts`` the canonical block count.  ``blocks`` pairs
@@ -91,15 +89,11 @@ class EinsumPlan:
     """
 
     subscripts: str
-    contraction: Optional[ContractionPlan]
+    contraction: ContractionPlan
     shard_label: Optional[str] = None
     shard_extent: int = 0
     shard_parts: int = 0
     blocks: Tuple[Tuple[int, ContractionPlan], ...] = ()
-
-    @property
-    def fallback(self) -> bool:
-        return self.contraction is None
 
     def canonical_bounds(self) -> List[Tuple[int, int]]:
         """The canonical block partition of the shard label."""
@@ -118,11 +112,7 @@ def plan_einsum(subscripts: str, shapes: Sequence[Tuple[int, ...]]) -> EinsumPla
     the shared plan, sharded on the output label of largest extent (the
     first such; labels never repeat within a parsed term)."""
     shapes = tuple(map(tuple, shapes))
-    try:
-        contraction = find_path(subscripts, shapes)
-    except ValueError:
-        return EinsumPlan(subscripts, None)
-    return _shard(subscripts, shapes, contraction)
+    return _shard(subscripts, shapes, find_path(subscripts, shapes))
 
 
 @lru_cache(maxsize=4096)
@@ -165,9 +155,6 @@ def execute_plan(
     kernel calls run regardless of rank placement.
     """
     arrays = [np.asarray(op) for op in operands]
-    if plan.fallback:
-        arrays = [np.ascontiguousarray(a) for a in arrays]
-        return np.asarray(np.einsum(plan.subscripts, *arrays, optimize=True))
     if plan.shard_label is None:
         return _run_block(plan.contraction, arrays)
     if bounds is None:

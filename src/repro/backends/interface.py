@@ -5,9 +5,9 @@ manipulates tensors exclusively through this interface, mirroring the
 ``tensorbackends`` abstraction used by the Koala library from the paper.
 Backends operate on *backend-native* tensor objects: plain
 :class:`numpy.ndarray` for the NumPy backend, :class:`DistTensor` for the
-simulated distributed backend.  Native tensors are expected to support the
-standard arithmetic operators (``+``, ``-``, ``*`` with scalars) and expose
-``shape``/``ndim``/``dtype`` attributes.
+simulated distributed backend.  Native tensors are expected to support
+multiplication by a scalar (``*``) and expose ``shape``/``ndim``/``dtype``
+attributes.
 """
 
 from __future__ import annotations
@@ -239,16 +239,8 @@ class Backend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def zeros(self, shape: Sequence[int], dtype: np.dtype = np.complex128) -> Tensor:
-        """Dense tensor of zeros."""
-
-    @abc.abstractmethod
     def ones(self, shape: Sequence[int], dtype: np.dtype = np.complex128) -> Tensor:
         """Dense tensor of ones."""
-
-    @abc.abstractmethod
-    def eye(self, n: int, dtype: np.dtype = np.complex128) -> Tensor:
-        """Identity matrix of size ``n``."""
 
     @abc.abstractmethod
     def random_uniform(
@@ -301,8 +293,11 @@ class Backend(abc.ABC):
         than the einsum alphabet, an
         :class:`~repro.tensornetwork.einsum_spec.EinsumSpec` of any hashable
         labels (what :func:`~repro.tensornetwork.network.contract_network`
-        passes)."""
+        passes).  Every call runs the planner's plan: subscripts outside its
+        grammar (ellipsis, a label repeated within one term) raise
+        ``ValueError``."""
 
+    @abc.abstractmethod
     def einsum_batched(self, subscripts: str, *operands: Tensor) -> Tensor:
         """Batched einsum: one contraction applied in lockstep across a batch.
 
@@ -312,26 +307,11 @@ class Backend(abc.ABC):
         ``(B, *item_shape)`` and item ``i`` equals
         ``einsum(subscripts, *[op[min(i, b_op - 1)] for op])`` up to round-off.
 
-        Concrete backends override this with a single fused call (the NumPy
-        backend plans one batch-aware cached path; the distributed backend
-        charges the whole batch as *one* contraction, amortizing latency and
-        message costs across items).  This default implementation is the
-        semantic reference: loop over the batch and stack.
+        Backends run it as a single fused call (the NumPy backend plans one
+        batch-aware cached path; the distributed backend charges the whole
+        batch as *one* contraction, amortizing latency and message costs
+        across items).
         """
-        shapes = [self.shape(op) for op in operands]
-        _, _, batch_dims, batch = parse_batched_subscripts(subscripts, shapes)
-        items = []
-        for i in range(batch):
-            sliced = [
-                self.astensor(self.asarray(op)[0 if dim == 1 else i])
-                for op, dim in zip(operands, batch_dims)
-            ]
-            items.append(self.asarray(self.einsum(subscripts, *sliced)))
-        return self.astensor(np.stack(items, axis=0))
-
-    @abc.abstractmethod
-    def tensordot(self, a: Tensor, b: Tensor, axes) -> Tensor:
-        """Pairwise contraction over the given axes (NumPy ``tensordot`` semantics)."""
 
     @abc.abstractmethod
     def norm(self, tensor: Tensor) -> float:
@@ -361,10 +341,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def qr(self, matrix: Tensor) -> Tuple[Tensor, Tensor]:
         """Reduced QR factorization of a matrix."""
-
-    @abc.abstractmethod
-    def eigh(self, matrix: Tensor) -> Tuple[Tensor, Tensor]:
-        """Eigendecomposition of a Hermitian matrix: eigenvalues (ascending), eigenvectors."""
 
     # ------------------------------------------------------------------ #
     # Local <-> distributed movement
@@ -400,44 +376,6 @@ class Backend(abc.ABC):
     def ndim(self, tensor: Tensor) -> int:
         """Number of modes of a tensor."""
         return int(getattr(tensor, "ndim", len(tensor.shape)))
-
-    def dtype(self, tensor: Tensor):
-        """Data type of a tensor."""
-        return tensor.dtype
-
-    def size(self, tensor: Tensor) -> int:
-        """Total number of elements."""
-        out = 1
-        for s in self.shape(tensor):
-            out *= int(s)
-        return out
-
-    def random_normal(
-        self,
-        shape: Sequence[int],
-        scale: float = 1.0,
-        rng: SeedLike = None,
-        dtype: np.dtype = np.complex128,
-    ) -> Tensor:
-        """Tensor with i.i.d. (complex) normal entries of the given scale."""
-        rng = ensure_rng(rng)
-        if np.issubdtype(np.dtype(dtype), np.complexfloating):
-            data = scale * (
-                rng.standard_normal(tuple(shape))
-                + 1j * rng.standard_normal(tuple(shape))
-            )
-        else:
-            data = scale * rng.standard_normal(tuple(shape))
-        return self.astensor(np.asarray(data, dtype=dtype))
-
-    def diag(self, vector: Tensor) -> Tensor:
-        """Return a diagonal matrix built from a 1-d tensor."""
-        vec = self.to_local(vector)
-        return self.from_local(np.diag(vec))
-
-    def allclose(self, a: Tensor, b: Tensor, rtol: float = 1e-9, atol: float = 1e-12) -> bool:
-        """Elementwise comparison of two tensors (gathers both)."""
-        return bool(np.allclose(self.asarray(a), self.asarray(b), rtol=rtol, atol=atol))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -33,12 +33,7 @@ from repro.backends.interface import (
 from repro.telemetry.trace import TRACER as _TRACER
 from repro.tensornetwork import contraction_path as _planner
 from repro.tensornetwork.einsum_spec import EinsumSpec
-from repro.utils.flops import (
-    FlopCounter,
-    eigh_flops,
-    qr_flops,
-    svd_flops,
-)
+from repro.utils.flops import FlopCounter, qr_flops, svd_flops
 from repro.utils.rng import SeedLike
 
 #: glibc's ``mallopt`` parameter number for ``M_TOP_PAD`` (``<malloc.h>``).
@@ -94,14 +89,8 @@ class NumPyBackend(Backend):
     def asarray(self, tensor: np.ndarray) -> np.ndarray:
         return np.asarray(tensor)
 
-    def zeros(self, shape: Sequence[int], dtype: np.dtype = np.complex128) -> np.ndarray:
-        return np.zeros(tuple(shape), dtype=dtype)
-
     def ones(self, shape: Sequence[int], dtype: np.dtype = np.complex128) -> np.ndarray:
         return np.ones(tuple(shape), dtype=dtype)
-
-    def eye(self, n: int, dtype: np.dtype = np.complex128) -> np.ndarray:
-        return np.eye(n, dtype=dtype)
 
     def random_uniform(
         self,
@@ -163,33 +152,11 @@ class NumPyBackend(Backend):
 
     def _contract(self, category: str, spec, operands: Sequence[np.ndarray], described: dict):
         """Look the plan up, run it, count its flops; one span around it all."""
-        shapes = [op.shape for op in operands]
-        try:
-            plan = _planner.find_path(spec, shapes)
-            steps, flops = len(plan.path), plan.total_flops
-        except ValueError:
-            if not isinstance(spec, str):
-                raise
-            # Subscripts outside the planner's grammar (e.g. ellipsis): NumPy
-            # decides per call and the count is a crude volume bound.
-            plan, steps, flops = None, 1, _planner.unplanned_flops(shapes)
-        with _TRACER.span(category, operands=len(operands), steps=steps, **described):
-            if plan is None:
-                result = np.einsum(spec, *operands, optimize=True)
-            else:
-                result = _execute(plan, operands)
+        plan = _planner.find_path(spec, [op.shape for op in operands])
+        with _TRACER.span(category, operands=len(operands), steps=len(plan.path), **described):
+            result = _execute(plan, operands)
         if self.flop_counter is not None:
-            self.flop_counter.add(category, flops)
-        return result
-
-    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-        result = np.tensordot(a, b, axes=axes)
-        if self.flop_counter is not None:
-            axes_a, axes_b = _normalize_tensordot_axes(a.ndim, axes)
-            k = int(np.prod([a.shape[ax] for ax in axes_a])) if axes_a else 1
-            m = a.size // max(k, 1)
-            n = b.size // max(k, 1)
-            self.flop_counter.add("tensordot", 8.0 * m * k * n)
+            self.flop_counter.add(category, plan.total_flops)
         return result
 
     def norm(self, tensor: np.ndarray) -> float:
@@ -219,15 +186,6 @@ class NumPyBackend(Backend):
         if self.flop_counter is not None:
             self.flop_counter.add("qr", qr_flops(*matrix.shape))
         return q, r
-
-    def eigh(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"eigh expects a square matrix, got shape {matrix.shape}")
-        w, v = np.linalg.eigh(matrix)
-        if self.flop_counter is not None:
-            self.flop_counter.add("eigh", eigh_flops(matrix.shape[0]))
-        return w, v
 
     # ------------------------------------------------------------------ #
     # Local <-> "distributed" movement (trivial here)
@@ -269,16 +227,3 @@ def clear_path_caches() -> None:
     :func:`repro.tensornetwork.contraction_path.clear_path_caches`)."""
     _planner.clear_path_caches()
 
-
-def _normalize_tensordot_axes(ndim_a: int, axes) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Normalize NumPy tensordot ``axes`` into explicit axis tuples."""
-    if isinstance(axes, int):
-        axes_a = tuple(range(ndim_a - axes, ndim_a))
-        axes_b = tuple(range(axes))
-        return axes_a, axes_b
-    axes_a, axes_b = axes
-    if isinstance(axes_a, int):
-        axes_a = (axes_a,)
-    if isinstance(axes_b, int):
-        axes_b = (axes_b,)
-    return tuple(axes_a), tuple(axes_b)

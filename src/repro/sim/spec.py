@@ -45,7 +45,7 @@ from repro.sim.io import (
     contract_option_from_dict,
     update_option_from_dict,
 )
-from repro.utils.checks import positive_int
+from repro.utils.checks import nonnegative_int, positive_finite, positive_int
 from repro.utils.text import did_you_mean
 
 #: Version of the spec schema (bumped on incompatible field changes).
@@ -238,6 +238,12 @@ class RunSpec:
                 )
             if "nprocs" in self.backend:
                 self.backend["nprocs"] = positive_int(self.backend["nprocs"], "backend nprocs")
+            if "max_restarts" in self.backend:
+                self.backend["max_restarts"] = nonnegative_int(
+                    self.backend["max_restarts"], "backend max_restarts"
+                )
+            if "timeout" in self.backend:
+                positive_finite(self.backend["timeout"], "backend timeout")
             executor = self.backend.get("executor")
             if executor is not None and executor not in ("simulated", "pool"):
                 raise ValueError(

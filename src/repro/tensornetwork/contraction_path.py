@@ -132,11 +132,6 @@ def relower(plan: ContractionPlan, dims: Dict[Label, int]) -> ContractionPlan:
     return _build_plan(plan, dims, plan.path)
 
 
-def unplanned_flops(shapes: Sequence[Sequence[int]]) -> float:
-    """The crude volume bound counted for an einsum :func:`find_path` rejects."""
-    return 8.0 * prod(max(prod(shape), 1) for shape in shapes)
-
-
 def path_cache_stats() -> dict:
     """Hit/miss/size counters of the plan cache.
 

@@ -4,7 +4,6 @@ from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.flops import (
     svd_flops,
     qr_flops,
-    eigh_flops,
     matmul_flops,
     FlopCounter,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "spawn_rng",
     "svd_flops",
     "qr_flops",
-    "eigh_flops",
     "matmul_flops",
     "FlopCounter",
 ]

@@ -43,12 +43,6 @@ def qr_flops(m: int, n: int, complex_dtype: bool = True) -> float:
     return factor * (2.0 * m * n**2 - (2.0 / 3.0) * n**3)
 
 
-def eigh_flops(n: int, complex_dtype: bool = True) -> float:
-    """Approximate flops of a Hermitian eigendecomposition of an n x n matrix."""
-    factor = 4.0 if complex_dtype else 1.0
-    return factor * (10.0 * n**3)
-
-
 class FlopCounter:
     """Accumulates flop counts by category.
 

@@ -48,15 +48,12 @@ class TestCreation:
 
     def test_astensor_dtype_conversion(self, numpy_backend):
         t = numpy_backend.astensor([[1, 2], [3, 4]], dtype=np.complex128)
-        assert numpy_backend.dtype(t) == np.complex128
+        assert t.dtype == np.complex128
 
     def test_zeros_ones_eye(self, numpy_backend):
-        assert numpy_backend.norm(numpy_backend.zeros((3, 3))) == 0.0
         assert numpy_backend.item(
             numpy_backend.einsum("ij->", numpy_backend.ones((2, 2)))
         ) == pytest.approx(4.0)
-        eye = numpy_backend.asarray(numpy_backend.eye(3))
-        assert np.allclose(eye, np.eye(3))
 
     def test_random_uniform_range_and_determinism(self, numpy_backend):
         a = numpy_backend.random_uniform((50,), -1, 1, rng=3)
@@ -68,10 +65,6 @@ class TestCreation:
         a = numpy_backend.random_uniform((10,), dtype=np.float64, rng=0)
         assert a.dtype == np.float64
 
-    def test_random_normal_scale(self, numpy_backend):
-        a = numpy_backend.random_normal((2000,), scale=0.5, rng=0)
-        assert abs(np.std(a.real) - 0.5) < 0.1
-
 
 class TestAlgebra:
     def test_einsum_matches_numpy(self, numpy_backend, rng):
@@ -79,13 +72,6 @@ class TestAlgebra:
         b = random_complex(rng, (4, 5))
         out = numpy_backend.einsum("ij,jk->ik", a, b)
         assert np.allclose(out, a @ b)
-
-    def test_tensordot(self, numpy_backend, rng):
-        a = random_complex(rng, (3, 4, 5))
-        b = random_complex(rng, (5, 4, 2))
-        out = numpy_backend.tensordot(a, b, axes=([1, 2], [1, 0]))
-        ref = np.tensordot(a, b, axes=([1, 2], [1, 0]))
-        assert np.allclose(out, ref)
 
     def test_reshape_transpose_conj_copy(self, numpy_backend, rng):
         a = random_complex(rng, (2, 3, 4))
@@ -123,16 +109,6 @@ class TestFactorizations:
         assert np.allclose(q @ r, a)
         assert np.allclose(q.conj().T @ q, np.eye(4), atol=1e-12)
 
-    def test_eigh_reconstruction(self, numpy_backend, rng):
-        a = random_complex(rng, (6, 6))
-        h = a + a.conj().T
-        w, v = numpy_backend.eigh(h)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, h)
-
-    def test_eigh_requires_square(self, numpy_backend, rng):
-        with pytest.raises(ValueError):
-            numpy_backend.eigh(random_complex(rng, (3, 4)))
-
     def test_flop_counter_integration(self, rng):
         counter = FlopCounter()
         backend = NumPyBackend(flop_counter=counter)
@@ -140,9 +116,8 @@ class TestFactorizations:
         backend.einsum("ij,jk->ik", a, a)
         backend.svd(a)
         backend.qr(a)
-        backend.eigh(a + a.conj().T)
         cats = counter.by_category()
-        assert set(cats) == {"einsum", "svd", "qr", "eigh"}
+        assert set(cats) == {"einsum", "svd", "qr"}
         assert all(v > 0 for v in cats.values())
 
 
@@ -151,13 +126,6 @@ class TestDerivedHelpers:
         a = random_complex(rng, (2, 3, 4))
         assert numpy_backend.shape(a) == (2, 3, 4)
         assert numpy_backend.ndim(a) == 3
-        assert numpy_backend.size(a) == 24
-
-    def test_diag_and_allclose(self, numpy_backend):
-        d = numpy_backend.diag(np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(d, np.diag([1.0, 2.0, 3.0]))
-        assert numpy_backend.allclose(d, np.diag([1.0, 2.0, 3.0]))
-        assert not numpy_backend.allclose(d, np.eye(3))
 
     def test_to_local_from_local_are_identity(self, numpy_backend, rng):
         a = random_complex(rng, (3, 3))

@@ -413,13 +413,13 @@ class TestExecutor:
             ref = np.tensordot(ref, mat, axes=1)
         assert_same(numpy_backend.einsum(spec, *mats), ref.transpose(3, 4, 1, 0, 2))
 
-    def test_subscripts_outside_the_grammar_fall_back_to_numpy(self, numpy_backend, rng):
-        a = random_complex(rng, (3, 3, 2))
-        counter = FlopCounter()
-        backend = NumPyBackend(flop_counter=counter)
-        assert_same(backend.einsum("iij->j", a), np.einsum("iij->j", a))
-        assert_same(backend.einsum("i...,i...->...", a, a), np.einsum("i...,i...->...", a, a))
-        assert counter.total_calls == 2
+    def test_subscripts_outside_the_grammar_raise(self, backend, rng):
+        # No np.einsum fallback: the planner's ValueError reaches the caller.
+        a = backend.astensor(random_complex(rng, (3, 3, 2)))
+        with pytest.raises(ValueError, match="repeated index"):
+            backend.einsum("iij->j", a)
+        with pytest.raises(ValueError):
+            backend.einsum("i...,i...->...", a, a)
 
 
 class TestContractNetwork:

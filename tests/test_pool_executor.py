@@ -66,10 +66,11 @@ class TestPlanEinsum:
         plan = plan_einsum("ab,ab->", [(4, 5), (4, 5)])
         assert plan.shard_label is None
 
-    def test_unparseable_subscripts_fall_back(self):
-        plan = plan_einsum("a...b,b->a...", [(2, 3, 4), (4,)])
-        assert plan.fallback
-        assert plan.shard_label is None
+    def test_subscripts_outside_the_grammar_raise(self):
+        with pytest.raises(ValueError, match="repeated index"):
+            plan_einsum("iij->j", [(3, 3, 2)])
+        with pytest.raises(ValueError):
+            plan_einsum("i...,i...->...", [(3, 3, 2), (3, 3, 2)])
 
     def test_plans_are_picklable(self):
         import pickle

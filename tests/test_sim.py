@@ -90,6 +90,17 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="nprocs must be positive"):
             RunSpec.from_dict({"workload": "ite", "backend": backend})
 
+    @pytest.mark.parametrize("limits, error", [
+        ({"max_restarts": -3}, ValueError),
+        ({"max_restarts": 1.5}, TypeError),
+        ({"timeout": -1.0}, ValueError),
+        ({"timeout": float("nan")}, ValueError),
+    ])
+    def test_bad_backend_pool_limits_rejected(self, limits, error):
+        backend = {"kind": "distributed", "nprocs": 2, "executor": "pool", **limits}
+        with pytest.raises(error, match=next(iter(limits))):
+            RunSpec.from_dict({"workload": "ite", "backend": backend})
+
     def test_numpy_integer_backend_nprocs_becomes_int(self):
         backend = {"kind": "distributed", "nprocs": np.int64(2)}
         spec = RunSpec.from_dict({"workload": "ite", "backend": backend})

@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.flops import (
     FlopCounter,
-    eigh_flops,
     matmul_flops,
     peps_bmps_cost,
     qr_flops,
@@ -111,12 +110,10 @@ class TestFlops:
         )
         assert svd_flops(100, 20, complex_dtype=False) == svd_flops(100, 20) / 4
         assert qr_flops(100, 20, complex_dtype=False) == qr_flops(100, 20) / 4
-        assert eigh_flops(64, complex_dtype=False) == eigh_flops(64) / 4
 
     def test_factorization_flops_positive_and_monotone(self):
         assert svd_flops(100, 20) > svd_flops(50, 20) > 0
         assert qr_flops(100, 20) > qr_flops(50, 20) > 0
-        assert eigh_flops(64) > eigh_flops(32) > 0
 
     def test_qr_flops_symmetric_in_orientation(self):
         assert qr_flops(100, 20) == qr_flops(20, 100)
