@@ -13,6 +13,7 @@ attributes.
 from __future__ import annotations
 
 import abc
+import functools
 import string
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -104,6 +105,53 @@ def rewrite_batched_subscripts(
 #: times the short one.  Below it small matrices lose on the route, and a
 #: gate at 2 moved the CTM golden (crossover table in ``docs/perf.md``).
 _QR_SVD_MIN_ASPECT = 4
+#: A QR-reduced panel whose short side is at least this factors by LAPACK's
+#: recursive-panel ``geqrt`` and applies Q by ``gemqrt``; a narrower one by
+#: ``geqrf`` and ``ormqr`` / ``unmqr`` (crossover table in ``docs/perf.md``).
+_GEQRT_MIN_SHORT = 64
+#: ``geqrt``'s block size (capped at the short side).
+_GEQRT_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack(dtype: np.dtype, *names: str):
+    """The LAPACK wrappers ``names`` for ``dtype``: looking them up costs
+    more than a small factorization does."""
+    return scipy.linalg.get_lapack_funcs(names, dtype=dtype)
+
+
+@functools.lru_cache(maxsize=1024)
+def _gesdd(dtype: np.dtype, m: int, n: int):
+    """``gesdd`` for ``dtype`` and the economy workspace of an ``m x n``
+    matrix: the size ``scipy.linalg.svd`` queries, so the bits are its bits."""
+    gesdd, gesdd_lwork = _lapack(dtype, "gesdd", "gesdd_lwork")
+    work, _ = gesdd_lwork(m, n, compute_uv=1, full_matrices=0)
+    work = work.real
+    if gesdd.dtype.char in "fF":  # as scipy reads it: single precision rounds up
+        work = np.nextafter(work, np.inf, dtype=np.float32)
+    return gesdd, int(work)
+
+
+@functools.lru_cache(maxsize=1024)
+def _geqrf(dtype: np.dtype, m: int, n: int, columns: Optional[int] = None):
+    """``geqrf`` of an ``m x n`` matrix and the routine that uses its
+    reflectors, with both optimal workspaces: ``orgqr`` / ``ungqr`` to form
+    Q, or with ``columns``, ``ormqr`` / ``unmqr`` to apply Q to that many."""
+    complex_ = np.dtype(dtype).kind == "c"
+    if columns is None:
+        name = "ungqr" if complex_ else "orgqr"
+    else:
+        name = "unmqr" if complex_ else "ormqr"
+    geqrf, geqrf_lwork, second = _lapack(dtype, "geqrf", "geqrf_lwork", name)
+    qr_work, _ = geqrf_lwork(m, n)
+    k = min(m, n)
+    reflectors, tau = np.zeros((m, k), dtype=geqrf.dtype), np.zeros(k, dtype=geqrf.dtype)
+    if columns is None:
+        _, work, _ = second(reflectors, tau, lwork=-1)
+    else:
+        c = np.zeros((m, columns), dtype=geqrf.dtype)
+        _, work, _ = second("L", "N", reflectors, tau, c, -1)
+    return geqrf, int(qr_work.real), second, int(work[0].real)
 
 
 def dense_svd(
@@ -116,24 +164,35 @@ def dense_svd(
     ``rank`` singular vectors: when ``0 < rank < short`` and
     ``long >= 4 * short`` the long side is Householder-reduced first (Chan's
     R-SVD) and only the kept vectors are formed.  Every other call is one
-    economy ``scipy.linalg.svd``.  Both routes raise ``ValueError`` on
-    non-finite input and fall back from gesdd to gesvd when LAPACK fails.
+    economy ``gesdd``, with the workspace and so the bits of
+    ``scipy.linalg.svd``.  Both routes raise ``ValueError`` on non-finite
+    input and fall back from gesdd to gesvd when LAPACK fails.
     """
     array = np.asarray(array)
     if array.ndim != 2:
         raise ValueError(f"svd expects a matrix, got ndim={array.ndim}")
+    if array.size == 0:
+        return scipy.linalg.svd(array, full_matrices=False)
+    array = np.asarray_chkfinite(array)
     short, long = sorted(array.shape)
     if rank is not None and 0 < rank < short and long >= _QR_SVD_MIN_ASPECT * short:
-        return _qr_svd(np.asarray_chkfinite(array), int(rank))
+        return _qr_svd(array, int(rank))
     return _lapack_svd(array)
 
 
-def _lapack_svd(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economy SVD by gesdd, retried with gesvd when gesdd does not converge."""
-    try:
-        return scipy.linalg.svd(array, full_matrices=False, lapack_driver="gesdd")
-    except np.linalg.LinAlgError:  # pragma: no cover - rare LAPACK failure
+def _lapack_svd(
+    array: np.ndarray, overwrite: bool = False
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD of a finite matrix by gesdd, retried with gesvd when gesdd
+    does not converge.  ``overwrite`` lets gesdd destroy ``array``."""
+    gesdd, lwork = _gesdd(array.dtype, *array.shape)
+    u, s, vh, info = gesdd(array, compute_uv=1, full_matrices=0, lwork=lwork,
+                           overwrite_a=overwrite)
+    if info > 0:  # pragma: no cover - rare LAPACK failure
         return scipy.linalg.svd(array, full_matrices=False, lapack_driver="gesvd")
+    if info < 0:  # pragma: no cover - only an illegal argument sets it
+        raise ValueError(f"illegal value in argument {-info} of gesdd")
+    return u, s, vh
 
 
 def _qr_svd(array: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,23 +202,30 @@ def _qr_svd(array: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray, np.nd
     A wide ``A`` is factorised through ``A^T = Q R`` (for a C-ordered ``A``
     a Fortran-ordered view, so nothing is conjugated first):
     ``A = R^T Q^T = U_C S (Q V_C^T)^T`` with ``R^T = U_C S V_C``.  Either
-    way Q is applied to the ``rank`` kept vectors only.
+    way Q is applied to the ``rank`` kept vectors only, with ``geqrt`` /
+    ``gemqrt`` on a panel at least ``_GEQRT_MIN_SHORT`` wide and ``geqrf`` /
+    ``ormqr`` below.
     """
     tall = array.shape[0] >= array.shape[1]
     t = array if tall else array.T
-    geqrf, geqrf_lwork, apply_q = scipy.linalg.get_lapack_funcs(
-        ("geqrf", "geqrf_lwork", "unmqr" if np.iscomplexobj(t) else "ormqr"), (t,)
-    )
-    lwork, _ = geqrf_lwork(*t.shape)
-    qr, tau, _, qr_info = geqrf(t, lwork=int(lwork.real))
-    r = np.triu(qr[: t.shape[1]])
-    u_core, s, vh_core = _lapack_svd(r if tall else r.T)
-    kept = np.zeros((t.shape[0], rank), dtype=qr.dtype)
-    kept[: r.shape[0]] = u_core[:, :rank] if tall else vh_core[:rank].T
-    _, work, _ = apply_q("L", "N", qr, tau, kept, -1)
-    q_kept, _, q_info = apply_q("L", "N", qr, tau, kept, int(work[0].real), overwrite_c=1)
+    m, n = t.shape
+    wide_panel = n >= _GEQRT_MIN_SHORT
+    if wide_panel:
+        geqrt, gemqrt = _lapack(t.dtype, "geqrt", "gemqrt")
+        qr, blocks, qr_info = geqrt(min(_GEQRT_BLOCK, n), t)
+    else:
+        geqrf, qr_lwork, ormqr, q_lwork = _geqrf(t.dtype, m, n, rank)
+        qr, tau, _, qr_info = geqrf(t, lwork=qr_lwork)
+    r = np.triu(qr[:n])
+    u_core, s, vh_core = _lapack_svd(r if tall else r.T, overwrite=True)
+    kept = np.zeros((m, rank), dtype=qr.dtype)
+    kept[:n] = u_core[:, :rank] if tall else vh_core[:rank].T
+    if wide_panel:
+        q_kept, q_info = gemqrt(qr, blocks, kept, overwrite_c=1)
+    else:
+        q_kept, _, q_info = ormqr("L", "N", qr, tau, kept, q_lwork, overwrite_c=1)
     if qr_info or q_info:  # pragma: no cover - only an illegal argument sets them
-        raise np.linalg.LinAlgError(f"geqrf/ormqr failed (info {qr_info}, {q_info})")
+        raise np.linalg.LinAlgError(f"QR-reduced SVD failed (info {qr_info}, {q_info})")
     if tall:
         return q_kept, s, vh_core[:rank]
     return u_core[:, :rank], s, q_kept.T
@@ -170,7 +236,8 @@ def dense_qr(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     The one dense QR kernel of both backends: LAPACK ``geqrf`` with its
     optimal workspace, then ``orgqr``/``ungqr`` on the ``min(m, n)`` leading
-    reflectors.  It returns exactly the bits of
+    reflectors, through wrappers and workspace sizes cached per dtype and
+    shape.  It returns exactly the bits of
     ``np.linalg.qr(array, mode="reduced")`` (same reflectors, same blocking,
     same dtype promotion) without NumPy's gufunc copies.
     """
@@ -185,14 +252,10 @@ def dense_qr(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if k == 0:
         return np.zeros((m, k), dtype=result_dtype), np.zeros((k, n), dtype=result_dtype)
     array = array.astype(work_dtype, copy=False)
-    geqrf, geqrf_lwork, orgqr = scipy.linalg.get_lapack_funcs(
-        ("geqrf", "geqrf_lwork", "ungqr" if np.iscomplexobj(array) else "orgqr"), (array,)
-    )
-    lwork, _ = geqrf_lwork(m, n)
-    qr, tau, _, qr_info = geqrf(array, lwork=int(lwork.real))
+    geqrf, qr_lwork, orgqr, q_lwork = _geqrf(work_dtype, m, n)
+    qr, tau, _, qr_info = geqrf(array, lwork=qr_lwork)
     r = np.triu(qr[:k])
-    _, work, _ = orgqr(qr[:, :k], tau, lwork=-1)
-    q, _, q_info = orgqr(qr[:, :k], tau, lwork=int(work[0].real), overwrite_a=1)
+    q, _, q_info = orgqr(qr[:, :k], tau, lwork=q_lwork, overwrite_a=1)
     if qr_info or q_info:  # pragma: no cover - only an illegal argument sets them
         raise np.linalg.LinAlgError(f"geqrf/orgqr failed (info {qr_info}, {q_info})")
     return q.astype(result_dtype, copy=False), r.astype(result_dtype, copy=False)

@@ -12,12 +12,16 @@ the Table II benchmark).
 
 Importing this module sets the process allocator to keep freed heap memory
 (:func:`_keep_freed_heap`), so contraction intermediates reuse resident pages
-instead of faulting in fresh zero-filled ones.
+instead of faulting in fresh zero-filled ones, and runs every loaded BLAS on
+one thread (:func:`_one_blas_thread`), so a result's bits and speed do not
+depend on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import re
 from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.backends.interface import (
     rewrite_batched_subscripts,
     uniform_array,
 )
+from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import TRACER as _TRACER
 from repro.tensornetwork import contraction_path as _planner
 from repro.tensornetwork.einsum_spec import EinsumSpec
@@ -67,6 +72,65 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+#: Shared libraries whose file name marks a BLAS with its own thread pool.
+_BLAS_LIBRARY = re.compile(r"^lib.*(openblas|mkl_rt|blis)", re.IGNORECASE)
+#: Thread-count setters, first match wins: OpenBLAS as the NumPy (ILP64,
+#: ``64_`` suffix) and SciPy wheels bundle it, plain OpenBLAS, MKL, BLIS.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+    "MKL_Set_Num_Threads",
+    "bli_thread_set_num_threads",
+)
+
+
+def _one_blas_thread() -> Tuple[int, str]:
+    """Run every BLAS library this process has loaded on one thread.
+
+    Parallelism comes from processes (queue workers, pool ranks), one per
+    core.  A threaded BLAS makes the small products of a contraction pass
+    slower, not faster, and makes their bits depend on the thread count.
+    The libraries are read off ``/proc/self/maps``; each is set through the
+    first setter of :data:`_BLAS_THREAD_SETTERS` it exports.  Returns
+    ``(1, what was set)``, or ``(0, why nothing was)`` when the map is
+    unreadable, no BLAS is mapped, or one cannot be opened or has no known
+    setter (then none is set).  Forked workers inherit the setting.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6}
+    except OSError as exc:
+        return 0, f"no thread count set: /proc/self/maps unreadable ({exc.strerror})"
+    setters = {}
+    for path in sorted(paths):
+        library_name = os.path.basename(path)
+        if not _BLAS_LIBRARY.match(library_name):
+            continue
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            return 0, f"no thread count set: {library_name} cannot be opened"
+        known = [name for name in _BLAS_THREAD_SETTERS if hasattr(library, name)]
+        if not known:
+            return 0, f"no thread count set: {library_name} exports no known setter"
+        setters[f"{library_name} ({known[0]})"] = getattr(library, known[0])
+    if not setters:
+        return 0, "no thread count set: no BLAS library is loaded"
+    for setter in setters.values():
+        setter.argtypes = (ctypes.c_int,)
+        setter.restype = None
+        setter(1)
+    return 1, "one thread: " + ", ".join(setters)
+
+
+#: BLAS threads this process runs with (0: unknown, not set) and what
+#: :func:`_one_blas_thread` did or why it did nothing.
+BLAS_THREADS, BLAS_THREADS_NOTE = _one_blas_thread()
+REGISTRY.gauge("backends.blas_threads").set(BLAS_THREADS)
 
 
 class NumPyBackend(Backend):

@@ -29,6 +29,7 @@ from repro.linalg.orthogonalize import tensor_qr
 from repro.linalg.truncated_svd import truncate_spectrum
 from repro.telemetry.trace import TRACER as _TRACER
 from repro.tensornetwork.einsum_spec import symbols
+from repro.utils.checks import nonnegative_int
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -95,16 +96,14 @@ def randomized_svd(
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    if niter < 0 or oversample < 0:
-        raise ValueError(
-            f"niter and oversample must be non-negative, got {niter} and {oversample}"
-        )
+    niter = nonnegative_int(niter, "niter")
+    oversample = nonnegative_int(oversample, "oversample")
     rng = ensure_rng(rng)
     col_shape = operator.col_shape
     row_shape = operator.row_shape
     # Never sketch with more columns than the operator can support.
     max_rank = min(operator.row_size, operator.col_size)
-    sketch = max(min(rank + int(oversample), max_rank), 1)
+    sketch = max(min(rank + oversample, max_rank), 1)
 
     # Step 1: random probe on the column group; complex entries whose real
     # and imaginary parts are each uniform on [-1, 1).
@@ -114,7 +113,7 @@ def randomized_svd(
     p = _orth(backend, operator.apply(probe), orth_method)
 
     # Step 3: power iteration.
-    for _ in range(int(niter)):
+    for _ in range(niter):
         q = _orth(backend, operator.apply_adjoint(p), orth_method)
         p = _orth(backend, operator.apply(q), orth_method)
 

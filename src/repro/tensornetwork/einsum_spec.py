@@ -15,6 +15,7 @@ hands out unused labels when building subscripts programmatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -95,17 +96,19 @@ class EinsumSVDSpec:
     output_b: Tuple[str, ...]
     bond_label: str
 
-    @property
+    # Derived once per spec: a frozen dataclass without slots keeps them in
+    # its ``__dict__``, outside the fields that ``==`` and ``hash`` read.
+    @cached_property
     def free_a(self) -> Tuple[str, ...]:
         """Output-A labels excluding the new bond (the operator's row group)."""
         return tuple(label for label in self.output_a if label != self.bond_label)
 
-    @property
+    @cached_property
     def free_b(self) -> Tuple[str, ...]:
         """Output-B labels excluding the new bond (the operator's column group)."""
         return tuple(label for label in self.output_b if label != self.bond_label)
 
-    @property
+    @cached_property
     def contract_spec(self) -> EinsumSpec:
         """The single-output spec producing the fully contracted operator."""
         return EinsumSpec(inputs=self.inputs, output=self.free_a + self.free_b)
@@ -172,11 +175,14 @@ def parse_einsum(subscripts: str, n_operands: Optional[int] = None) -> EinsumSpe
     return EinsumSpec(inputs=inputs, output=output)
 
 
+@lru_cache(maxsize=1024)
 def parse_einsumsvd(subscripts: str, n_operands: Optional[int] = None) -> EinsumSVDSpec:
     """Parse a two-output ``einsumsvd`` subscript string.
 
     The right-hand side must contain exactly two comma-separated terms that
     share exactly one index label not present in any input — the new bond.
+    Memoised: a string is parsed once, and every call with it returns the
+    same (immutable) spec.
 
     >>> spec = parse_einsumsvd("abc,cde->abk,kde")
     >>> spec.bond_label

@@ -29,6 +29,7 @@ import numpy as np
 from repro.backends import get_backend
 from repro.backends.interface import Backend
 from repro.tensornetwork.einsum_spec import EinsumSVDSpec, parse_einsumsvd, symbols
+from repro.utils.checks import nonnegative_int
 from repro.utils.rng import SeedLike
 
 # NOTE: the repro.linalg imports are deferred into the implementation
@@ -47,7 +48,9 @@ ORTH_METHODS = ("qr", "gram", "auto")
 def check_truncation(name: str, bound, cutoff) -> None:
     """The one rule for an option's truncation controls: ``bound`` (its
     ``rank`` or ``chi``) is a positive int or None, ``cutoff`` None or finite and >= 0."""
-    if bound is not None and not (isinstance(bound, Integral) and bound >= 1):
+    if bound is not None and not (
+        isinstance(bound, Integral) and not isinstance(bound, bool) and bound >= 1
+    ):
         raise ValueError(f"{name} must be positive (an int, or None), got {bound!r}")
     if cutoff is not None and not (isinstance(cutoff, Real) and isfinite(cutoff) and cutoff >= 0):
         raise ValueError(f"cutoff must be finite and >= 0 (or None), got {cutoff!r}")
@@ -119,11 +122,8 @@ class ImplicitRandomizedSVD(EinsumSVDOption):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.niter < 0 or self.oversample < 0:
-            raise ValueError(
-                f"niter and oversample must be non-negative, "
-                f"got {self.niter} and {self.oversample}"
-            )
+        self.niter = nonnegative_int(self.niter, "niter")
+        self.oversample = nonnegative_int(self.oversample, "oversample")
         if self.orth_method not in ORTH_METHODS:
             raise ValueError(
                 f"orth_method must be one of {ORTH_METHODS}, got {self.orth_method!r}"

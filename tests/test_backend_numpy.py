@@ -1,6 +1,7 @@
 """Tests for the NumPy backend implementation of the Backend protocol."""
 
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -136,10 +137,16 @@ class TestDerivedHelpers:
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter (a fresh heap) and return its stdout."""
+def run_fresh(code: str, **variables) -> str:
+    """Run ``code`` in a new interpreter (a fresh heap) and return its stdout;
+    ``variables`` set environment variables, ``None`` unsets one."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -212,3 +219,75 @@ class TestHeapPolicy:
             print(calls)
         """)
         assert printed.strip() == repr(calls)
+
+
+class TestBlasThreadPolicy:
+    """Importing the backend runs every loaded BLAS on one thread."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_records_do_not_depend_on_openblas_num_threads(self):
+        # A norm_dist-shaped IBMPS: its value moved 2e-4 relative between one
+        # and two OpenBLAS threads before the library set the count itself.
+        code = """
+            from repro.backends import get_backend
+            from repro.peps import BMPS, random_peps
+            from repro.tensornetwork import ImplicitRandomizedSVD
+
+            backend = get_backend("distributed", nprocs=4, executor="simulated")
+            state = random_peps(4, 4, bond_dim=3, backend=backend, seed=11)
+            print(float(state.norm(BMPS(ImplicitRandomizedSVD(rank=12, seed=11)))).hex())
+        """
+        records = {threads: run_fresh(code, OPENBLAS_NUM_THREADS=threads)
+                   for threads in (None, "1", "2")}
+        assert len(set(records.values())) == 1, records
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_every_loaded_blas_and_forked_workers_read_one_thread(self):
+        printed = run_fresh("""
+            import ctypes
+            import multiprocessing
+            import os
+
+            from repro.backends import numpy_backend
+            from repro.telemetry import REGISTRY
+
+            def threads():
+                counts = []
+                with open("/proc/self/maps") as maps:
+                    paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                                    if len(line.split(None, 5)) == 6})
+                for path in paths:
+                    if numpy_backend._BLAS_LIBRARY.match(os.path.basename(path)):
+                        library = ctypes.CDLL(path)
+                        for name in ("scipy_openblas_get_num_threads64_",
+                                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+                            if hasattr(library, name):
+                                counts.append(getattr(library, name)())
+                                break
+                return counts
+
+            print(numpy_backend.BLAS_THREADS, REGISTRY.value("backends.blas_threads"))
+            print(numpy_backend.BLAS_THREADS_NOTE)
+            print(threads())
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                print(pool.apply(threads))
+        """, OPENBLAS_NUM_THREADS="2")
+        gauge, note, here, forked = printed.splitlines()
+        assert gauge == "1 1", note
+        assert note.startswith("one thread: ")
+        assert here == forked and set(json.loads(here)) == {1}
+
+    def test_a_library_without_a_known_setter_is_left_alone(self):
+        printed = run_fresh("""
+            import ctypes
+
+            ctypes.CDLL = lambda name, *args, **kwargs: object()
+            from repro.backends import numpy_backend
+            from repro.telemetry import REGISTRY
+
+            print(numpy_backend.BLAS_THREADS, REGISTRY.value("backends.blas_threads"))
+            print(numpy_backend.BLAS_THREADS_NOTE)
+        """)
+        gauge, note = printed.splitlines()
+        assert gauge == "0 0"
+        assert note.startswith("no thread count set: ")

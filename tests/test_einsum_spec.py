@@ -1,8 +1,11 @@
 """Tests for einsum subscript parsing (single- and two-output forms)."""
 
+import pickle
+
 import pytest
 
 from repro.tensornetwork.einsum_spec import (
+    EinsumSVDSpec,
     parse_einsum,
     parse_einsumsvd,
     symbols,
@@ -90,6 +93,16 @@ class TestParseEinsumSVD:
         spec = parse_einsumsvd("abc,cde->abk,kde")
         assert spec.contract_spec.output == ("a", "b", "d", "e")
         assert spec.subscripts == "abc,cde->abk,kde"
+
+    def test_parsed_once_and_derived_once(self):
+        spec = parse_einsumsvd("abc,cde->abk,kde", n_operands=2)
+        assert parse_einsumsvd("abc,cde->abk,kde", n_operands=2) is spec
+        assert spec.contract_spec is spec.contract_spec
+        assert spec.free_a is spec.free_a and spec.free_b is spec.free_b
+        # derived values are not fields: equality, hashing and pickling ignore them
+        fresh = EinsumSVDSpec(spec.inputs, spec.output_a, spec.output_b, spec.bond_label)
+        assert fresh == spec and hash(fresh) == hash(spec)
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_missing_arrow_raises(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,19 @@ class TestDenseSVDRoute:
         monkeypatch.setattr(interface, "_qr_svd", spy)
         return calls
 
+    @pytest.fixture
+    def lapack_names(self, monkeypatch):
+        """Every LAPACK routine name the kernels look up."""
+        names = []
+        original = interface._lapack
+
+        def spy(dtype, *wanted):
+            names.extend(wanted)
+            return original(dtype, *wanted)
+
+        monkeypatch.setattr(interface, "_lapack", spy)
+        return names
+
     @pytest.mark.parametrize(
         "shape, rank, expected",
         [
@@ -116,12 +129,17 @@ class TestDenseSVDRoute:
             ((192, 256), 12, False),
             ((81, 729), None, False),
             ((81, 729), 81, False),
+            # the QR-reduced route's panel: geqrt from a short side of 64, geqrf below
+            ((192, 3072), 12, "geqrt"),
+            ((63, 252), 12, "geqrf"),
         ],
     )
-    def test_route_selection(self, routed, rng, shape, rank, expected):
+    def test_route_selection(self, routed, lapack_names, rng, shape, rank, expected):
         a = random_complex(rng, shape)
         u, s, vh = dense_svd(a, rank=rank)
-        assert bool(routed) == expected
+        assert bool(routed) == bool(expected)
+        if expected in ("geqrt", "geqrf"):
+            assert ("geqrt" in lapack_names) == (expected == "geqrt")
         k = min(shape) if rank is None else rank
         assert s.shape == (min(shape),)
         assert u.shape[1] >= k and vh.shape[0] >= k
@@ -292,6 +310,12 @@ class TestRandomizedSVD:
         with pytest.raises(ValueError, match="non-negative"):
             randomized_svd(numpy_backend, op, rank=2, niter=niter, oversample=oversample)
 
+
+    @pytest.mark.parametrize("niter, oversample", [(1.5, 0), (1, 2.7), ("2", 0)])
+    def test_non_integer_niter_or_oversample_raises(self, numpy_backend, rng, niter, oversample):
+        op = DenseTensorOperator(numpy_backend, random_complex(rng, (4, 4)), 1)
+        with pytest.raises(TypeError, match="must be an integer"):
+            randomized_svd(numpy_backend, op, rank=2, niter=niter, oversample=oversample)
 
 def _reference_randomized_svd(backend, operator, rank, niter, oversample, seed):
     """Steps 1-3 of :func:`randomized_svd` verbatim, then ``np.linalg.svd`` of

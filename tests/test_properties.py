@@ -161,6 +161,64 @@ class TestQRReducedSVDProperties:
             assert np.linalg.norm(approx - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestDenseSVDRouteProperties:
+    """On shapes around both route thresholds (aspect 4, and the ``geqrt``
+    panel width), ``dense_svd`` returns the spectrum and the rank-k truncation
+    of ``np.linalg.svd`` and refuses non-finite input, whichever route runs;
+    a plain ``dense_svd`` is ``scipy.linalg.svd`` bit for bit."""
+
+    @FAST
+    @given(
+        data=st.data(),
+        seed=seeds,
+        short=st.integers(interface._GEQRT_MIN_SHORT - 4, interface._GEQRT_MIN_SHORT + 4),
+        aspect=st.sampled_from([3, 4, 5]),
+        extra=st.integers(0, 3),
+        wide=st.booleans(),
+        complex_dtype=st.booleans(),
+        order=st.sampled_from(["C", "F"]),
+    )
+    def test_matches_numpy_on_every_route(self, data, seed, short, aspect, extra, wide,
+                                          complex_dtype, order):
+        rng = np.random.default_rng(seed)
+        shape = (short, aspect * short + extra)
+        shape = shape if wide else shape[::-1]
+        a = _complex_array(rng, shape) if complex_dtype else rng.standard_normal(shape)
+        a = np.asarray(a, order=order)
+        rank = data.draw(st.integers(1, short - 1))
+        ref_u, ref_s, ref_vh = np.linalg.svd(a, full_matrices=False)
+        u, s, vh = interface.dense_svd(a, rank=rank)
+        assert np.all(np.abs(s - ref_s) <= 1e-13 * ref_s[0])
+        if ref_s[rank - 1] > ref_s[rank] * (1 + 1e-8):
+            ref = (ref_u[:, :rank] * ref_s[:rank]) @ ref_vh[:rank]
+            approx = (u[:, :rank] * s[:rank]) @ vh[:rank]
+            assert np.all(np.abs(approx - ref) <= 1e-12 * ref_s[0])
+        bad = a.copy(order=order)
+        bad[data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, shape[1] - 1))] = (
+            data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        )
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            interface.dense_svd(bad, rank=rank)
+
+    @FAST
+    @given(
+        seed=seeds,
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        dtype=st.sampled_from([np.float64, np.complex128, np.float32, np.complex64]),
+        order=st.sampled_from(["C", "F"]),
+    )
+    def test_gesdd_is_scipy_svd_bitwise(self, seed, rows, cols, dtype, order):
+        rng = np.random.default_rng(seed)
+        a = _complex_array(rng, (rows, cols)) if np.dtype(dtype).kind == "c" else (
+            rng.standard_normal((rows, cols)))
+        a = np.asarray(a, dtype=dtype, order=order)
+        for got, ref in zip(interface.dense_svd(a), scipy.linalg.svd(a, full_matrices=False),
+                            strict=True):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestStackedCornerProperties:
     """CTM corner projectors of a stack of Grams (batch axis first, or a
     broadcasting 1 on one side) are, item by item, exactly the bytes of the

@@ -295,6 +295,27 @@ class TestOptionSerialization:
         # integral NumPy scalars and a zero cutoff are valid
         assert CTMOption(chi=np.int64(4), cutoff=0) == CTMOption(chi=4, cutoff=0.0)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: RunSpec(contraction={"kind": "bmps", "bond": True}).build_contract_option(),
+         "rank must be positive"),
+        (lambda: ExplicitSVD(rank=True), "rank must be positive"),
+        (lambda: CTMOption(chi=True), "chi must be positive"),
+        (lambda: QRUpdate(rank=True), "rank must be positive"),
+    ], ids=["spec-bmps-bond-true", "explicit-rank-true", "ctm-chi-true", "qr-rank-true"])
+    def test_bool_bound_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize("field, value", [
+        ("niter", 1.5), ("oversample", 2.7), ("niter", "2"), ("oversample", False),
+    ], ids=["niter-float", "oversample-float", "niter-str", "oversample-bool"])
+    def test_non_integer_iteration_counts_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            ImplicitRandomizedSVD(rank=4, **{field: value})
+        spec = RunSpec(contraction={"kind": "ibmps", "bond": 4, field: value})
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            spec.build_contract_option()
+
     def test_generator_seed_rejected(self):
         option = BMPS(ImplicitRandomizedSVD(rank=4, seed=np.random.default_rng(0)))
         with pytest.raises(SerializationError, match="integer"):
