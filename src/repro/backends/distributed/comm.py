@@ -395,11 +395,12 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
     def contract(self, plan: EinsumPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
         self._check_open()
         arrays = [np.asarray(op) for op in operands]
-        if plan.shard_label is None:
-            # No output label to partition on (e.g. scalar results): ship
-            # the whole contraction to one rank, spreading such jobs
-            # round-robin.  Unsharded execution is trivially invariant to
-            # the rank count.
+        if plan.shard_label is None or plan.shard_parts == 1:
+            # No output label to partition on (e.g. scalar results), or one
+            # canonical block: ship the whole contraction to one rank,
+            # spreading such jobs round-robin.  A rank runs the one block
+            # exactly as the serial executor does, so placement changes no
+            # bits.
             rank = self._round_robin % self.nprocs
             self._round_robin += 1
             message = ("contract", plan, arrays, None)

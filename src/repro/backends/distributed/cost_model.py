@@ -279,10 +279,6 @@ class CostModel:
     def reset(self) -> None:
         self.stats.reset()
 
-    def memory_per_process(self, nbytes: float) -> float:
-        """Bytes of a tensor held by each process under an even distribution."""
-        return nbytes / self.nprocs
-
     def fits_in_memory(self, total_bytes: float, safety: float = 0.8) -> bool:
         """Whether a working set of ``total_bytes`` fits in aggregate memory."""
         nodes = self.machine.nodes(self.nprocs, self.procs_per_node)

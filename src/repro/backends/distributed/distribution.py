@@ -97,13 +97,6 @@ class Distribution:
     def total_elements(self) -> int:
         return int(prod(self.shape)) if self.shape else 1
 
-    def local_elements(self) -> int:
-        """Elements held per process (ceiling of an even share)."""
-        out = 1
-        for dim, g in zip(self.shape, self.grid.dims):
-            out *= -(-dim // g)  # ceil division
-        return out
-
     def is_compatible_with(self, other: "Distribution") -> bool:
         """Whether data can be reinterpreted without moving between processes.
 

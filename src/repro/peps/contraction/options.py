@@ -111,10 +111,5 @@ class CTMOption(ContractOption):
         return f"CTM(chi={self.chi})"
 
 
-#: Wire ``kind`` -> contraction option class.  ``"two_layer_bmps"`` is a
-#: read-only alias of :class:`BMPS`: checkpoints written before the two were
-#: one class carry it, and nothing writes it any more.
-CONTRACT_OPTION_KINDS = {
-    **{cls.kind: cls for cls in (Exact, BMPS, CTMOption)},
-    "two_layer_bmps": BMPS,
-}
+#: Wire ``kind`` -> contraction option class.
+CONTRACT_OPTION_KINDS = {cls.kind: cls for cls in (Exact, BMPS, CTMOption)}

@@ -58,7 +58,6 @@ from repro.sim.io import (
     PAYLOAD_FORMATS,
     PAYLOAD_INLINE,
     PAYLOAD_NPZ,
-    SUPPORTED_FORMAT_VERSIONS,
     InlinePayloadStore,
     NpzPayloadStore,
     PayloadStore,
@@ -107,7 +106,6 @@ from repro.sim.workloads import (
 
 __all__ = [
     "FORMAT_VERSION",
-    "SUPPORTED_FORMAT_VERSIONS",
     "SPEC_VERSION",
     "PAYLOAD_FORMATS",
     "PAYLOAD_INLINE",

@@ -12,9 +12,9 @@ bytes live (the on-disk contract is specified in
 ``docs/checkpoint-format.md``).  Two stores *write* checkpoints —
 :class:`NpzPayloadStore` (one ``.npz`` sidecar next to the JSON document) and
 :class:`ShardedPayloadStore` (one ``.ckpt.rank<r>.npz`` file per backend
-rank) — and :class:`InlinePayloadStore` (base64 inside the document, the
-original v1 format) only *reads*: every inline-era checkpoint still resumes,
-and in-memory state dicts built with ``store=None`` keep that encoding.
+rank).  :class:`InlinePayloadStore` (base64 inside the document) encodes
+in-memory state dicts built with ``store=None`` and reads documents whose
+``payload_format`` is ``"inline"``.
 
 The module provides ``to_dict``/``from_dict`` pairs, written once against
 the store interface (``to_dict(obj, store=...)``), for
@@ -30,11 +30,10 @@ the store interface (``to_dict(obj, store=...)``), for
   first, then temp file, fsync, ``os.replace`` for the JSON document) /
   ``load_checkpoint`` + ``open_payload_store`` / ``latest_checkpoint``.
 
-Every dict carries a ``format_version`` so later formats can migrate old
-checkpoints instead of silently misreading them (history in
-``docs/checkpoint-format.md``): version-1 documents remain readable
-(:data:`SUPPORTED_FORMAT_VERSIONS`); writers always stamp the current
-:data:`FORMAT_VERSION`.
+Every dict carries a ``format_version``; writers stamp :data:`FORMAT_VERSION`
+and readers accept only it.  The readers of whole documents run
+:func:`repro.sim.upgrade.upgrade` first, so every codec here reads the
+current schema alone.
 """
 
 from __future__ import annotations
@@ -56,16 +55,15 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.interface import Backend
-from repro.peps.contraction.options import BMPS, CONTRACT_OPTION_KINDS, CTMOption
+from repro.peps.contraction.options import CONTRACT_OPTION_KINDS
 from repro.peps.update import UPDATE_OPTION_KINDS
+from repro.sim.upgrade import CHECKPOINT, CONTRACTION, ENVIRONMENT, upgrade
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from repro.utils.text import did_you_mean
 
-#: Version of the on-disk checkpoint / state-dict format (what writers stamp).
+#: Version of the on-disk checkpoint / state-dict format (what writers stamp
+#: and readers accept).
 FORMAT_VERSION = 2
-
-#: Format versions this build can read.
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
 
 #: Payload format names.  :data:`PAYLOAD_FORMATS` are the ones checkpoints
 #: are *written* in (the ``RunSpec.checkpoint_payload`` knob); the inline
@@ -163,10 +161,10 @@ class PayloadStore:
 
 
 class InlinePayloadStore(PayloadStore):
-    """Embed every array in the JSON document (v1 base64 encoding).
+    """Embed every array in the JSON document (raw base64 encoding).
 
-    The reader of inline-era checkpoints and the encoding of in-memory state
-    dicts (``store=None``); no checkpoint is written through it any more.
+    The encoding of in-memory state dicts (``store=None``) and the reader of
+    ``"inline"`` checkpoints; no checkpoint is written through it.
     """
 
     def put(self, path: str, array: np.ndarray) -> Dict[str, Any]:
@@ -578,23 +576,7 @@ def svd_option_from_dict(payload: Optional[Dict[str, Any]]):
 
 
 def contract_option_from_dict(payload: Optional[Dict[str, Any]]):
-    """Build a contraction option, reading two legacy forms.
-
-    Checkpoints written while :class:`~repro.peps.contraction.options.BMPS`
-    had a ``truncate_bond`` field carry it; a non-null value overrode the
-    einsumsvd ``rank``, so it folds into ``svd.rank`` and the option keeps
-    its signature.  A CTM option's convergence knobs, which changed nothing
-    computed, are dropped.
-    """
-    kind = CONTRACT_OPTION_KINDS.get(payload.get("kind")) if payload is not None else None
-    if kind is BMPS and "truncate_bond" in payload:
-        payload = dict(payload)
-        bond = payload.pop("truncate_bond")
-        if bond is not None:
-            payload["svd"] = {**(payload.get("svd") or {}), "rank": bond}
-    elif kind is CTMOption:
-        payload = {k: v for k, v in payload.items() if k not in ("tol", "max_sweeps")}
-    return _option_from_dict(payload, CONTRACT_OPTION_KINDS, "contraction")
+    return _option_from_dict(upgrade(payload, CONTRACTION), CONTRACT_OPTION_KINDS, "contraction")
 
 
 def update_option_from_dict(payload: Optional[Dict[str, Any]]):
@@ -640,8 +622,8 @@ def environment_to_dict(
 def attach_environment_from_dict(
     peps, payload: Dict[str, Any], store: Optional[PayloadStore] = None
 ):
-    """Attach the serialized environment to ``peps`` and restore its caches
-    (a legacy ``ctm_state`` key is ignored)."""
+    """Attach the serialized environment to ``peps`` and restore its caches."""
+    payload = upgrade(payload, ENVIRONMENT)
     check_payload(payload, "Environment")
     option = contract_option_from_dict(payload["contract_option"])
     env = peps.attach_environment(option)
@@ -862,7 +844,7 @@ def _unlink_quiet(path: str) -> bool:
 
 def load_checkpoint(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     with open(os.fspath(path)) as handle:
-        payload = json.load(handle)
+        payload = upgrade(json.load(handle), CHECKPOINT)
     check_payload(payload, "Checkpoint")
     return payload
 
@@ -873,13 +855,12 @@ def open_payload_store(
     """The store that resolves a loaded checkpoint's tensor payloads.
 
     ``path`` is the checkpoint's JSON path, used to locate the payload files
-    next to it.  Inline-format checkpoints (including every pre-npz
-    document) get an :class:`InlinePayloadStore`; npz and sharded ones a
-    read-only store over their digest-verified sidecar or rank files (an
-    empty one when the checkpoint carried none).  Close the returned store
-    when done restoring.
+    next to it.  Inline-format checkpoints get an :class:`InlinePayloadStore`;
+    npz and sharded ones a read-only store over their digest-verified sidecar
+    or rank files (an empty one when the checkpoint carried none).  Close the
+    returned store when done restoring.
     """
-    payload_format = payload.get("payload_format", PAYLOAD_INLINE)
+    payload_format = payload.get("payload_format")
     if payload_format not in _STORES:
         raise SerializationError(
             f"unknown payload format {payload_format!r}; expected one of {tuple(_STORES)}"
@@ -911,8 +892,8 @@ def check_payload(payload: Dict[str, Any], expected_type: str) -> None:
             f"{payload.get('type') if isinstance(payload, dict) else type(payload).__name__!r}"
         )
     version = payload.get("format_version")
-    if version not in SUPPORTED_FORMAT_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported {expected_type} format version {version!r} "
-            f"(this build reads versions {SUPPORTED_FORMAT_VERSIONS})"
+            f"(this build reads version {FORMAT_VERSION})"
         )

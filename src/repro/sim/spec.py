@@ -45,6 +45,7 @@ from repro.sim.io import (
     contract_option_from_dict,
     update_option_from_dict,
 )
+from repro.sim.upgrade import SPEC_CONTRACTION, upgrade
 from repro.utils.checks import nonnegative_int, positive_finite, positive_int
 from repro.utils.text import did_you_mean
 
@@ -479,15 +480,11 @@ def apply_spec_override(payload: Dict[str, Any], path: str, value: Any) -> None:
 
 
 #: Spec shorthand for the boundary-MPS family: kind -> (io-layer contraction
-#: kind, einsumsvd kind); the ``two_layer_*`` spellings are the same
-#: contractions (boundary sandwiches are always two-layer).  Everything else
-#: an option accepts, and every default, is the option dataclasses' business
-#: (see :mod:`repro.sim.io`).
+#: kind, einsumsvd kind).  Everything else an option accepts, and every
+#: default, is the option dataclasses' business (see :mod:`repro.sim.io`).
 _CONTRACTION_ALIASES = {
     "bmps": ("bmps", "explicit"),
     "ibmps": ("bmps", "implicit"),
-    "two_layer_bmps": ("bmps", "explicit"),
-    "two_layer_ibmps": ("bmps", "implicit"),
 }
 
 
@@ -501,6 +498,7 @@ def _normalize_contraction(config: Optional[Dict[str, Any]]) -> Optional[Dict[st
     ``rank``; any other kind (``"exact"``, ``{"kind": "ctm", "chi": 16}``) is
     io-layer form already.
     """
+    config = upgrade(config, SPEC_CONTRACTION)
     if config is None:
         return None
     config = dict(config)

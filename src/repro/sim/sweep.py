@@ -66,7 +66,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.sim.io import (
     FORMAT_VERSION,
-    PAYLOAD_INLINE,
     NpzPayloadStore,
     atomic_write_json,
     check_payload,
@@ -82,6 +81,7 @@ from repro.sim.queue import (
 from repro.sim.runner import Simulation
 from repro.sim.sinks import SweepSink, make_sink
 from repro.sim.spec import SPEC_VERSION, RunSpec, apply_spec_override, canonical_json
+from repro.sim.upgrade import MANIFEST, upgrade
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import derive_rng
@@ -714,7 +714,7 @@ class Sweep:
     def load_manifest(path: Union[str, os.PathLike]) -> Dict[str, Any]:
         """Load and validate a sweep manifest document."""
         with open(os.fspath(path)) as handle:
-            payload = json.load(handle)
+            payload = upgrade(json.load(handle), MANIFEST)
         check_payload(payload, "SweepManifest")
         return payload
 
@@ -764,14 +764,11 @@ class Sweep:
             entry = dict(entry)
             if entry.get("status") == STATUS_DONE and not os.path.exists(point.results_path):
                 entry["status"] = STATUS_PENDING  # results lost: run it again
-            if entry.get("status") == STATUS_DONE:
-                # Never re-run: keep the format its artifacts were written in.
-                # Pre-payload-era manifests could only have written inline.
-                entry.setdefault("payload", PAYLOAD_INLINE)
-            else:
+            if entry.get("status") != STATUS_DONE:
                 # Will (re)run this session: record the format it writes now.
                 # A different format in the old manifest is not a mismatch —
-                # resume reads whatever format the checkpoints are in.
+                # resume reads whatever format the checkpoints are in.  A done
+                # point keeps the format its artifacts were written in.
                 entry["payload"] = point.spec.checkpoint_payload
             entries[point.name] = entry
         return entries

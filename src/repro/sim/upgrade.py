@@ -1,0 +1,167 @@
+"""What documents written by earlier builds say, in the current schema.
+
+Every reader of a persisted document runs :func:`upgrade` with the
+document's kind before anything else looks at it:
+
+* :func:`repro.sim.io.load_checkpoint` — ``CHECKPOINT``,
+* :meth:`repro.sim.sweep.Sweep.load_manifest` — ``MANIFEST``,
+* :func:`repro.sim.io.attach_environment_from_dict` — ``ENVIRONMENT``,
+* :func:`repro.sim.io.contract_option_from_dict` — ``CONTRACTION``,
+* the run spec's contraction normaliser (:mod:`repro.sim.spec`) —
+  ``SPEC_CONTRACTION``.
+
+:data:`STEPS` is one ordered table of pure ``dict -> dict`` lifts.  Each
+rewrites one form that an earlier build wrote and no build writes any more,
+and names the document kind it reads and the commit whose writers stopped
+producing the form.  Everything downstream of :func:`upgrade` — the codecs
+in :mod:`repro.sim.io`, the option kind tables, the spec shorthands — knows
+only the current schema.
+
+A lift that finds nothing to rewrite returns its argument itself, so a
+current document comes back as the very object passed in, after a few key
+lookups and no copy.  No lift mutates its input: a lifted document is a new
+dict that shares every value it leaves alone.
+
+Adding a step is a lift function and one row of :data:`STEPS`, plus a unit
+test built from a minimal legacy document (``tests/test_upgrade.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, NamedTuple
+
+#: Document kinds: the ``type`` tag of the three typed documents, and the
+#: two option forms read on their own.
+CHECKPOINT = "Checkpoint"
+MANIFEST = "SweepManifest"
+ENVIRONMENT = "Environment"
+CONTRACTION = "contraction"            # a contraction option dict (io form)
+SPEC_CONTRACTION = "spec.contraction"  # a run spec's ``contraction`` block
+
+
+class Step(NamedTuple):
+    """One retired wire form: the kind of document that may carry it, the
+    commit whose writers stopped producing it, and the lift to the current
+    form."""
+
+    kind: str
+    retired_in: str
+    lift: Callable[[Dict[str, Any]], Dict[str, Any]]
+
+
+def _restamp(node):
+    """``node`` rebuilt with every ``format_version`` 1 inside it raised to 2."""
+    if isinstance(node, dict):
+        out = {key: _restamp(value) for key, value in node.items()}
+        if out.get("format_version") == 1:
+            out["format_version"] = 2
+        return out
+    if isinstance(node, list):
+        return [_restamp(value) for value in node]
+    return node
+
+
+def _version_1(document):
+    """Version 1 stamped the document and every document nested in it."""
+    return _restamp(document) if document.get("format_version") == 1 else document
+
+
+def _checkpoint_payload_fields(document):
+    """Checkpoints written before ``payload_format`` existed held every
+    tensor inline and had no sidecar."""
+    if "payload_format" in document:
+        return document
+    return {**document, "payload_format": "inline", "sidecar": None}
+
+
+def _manifest_payload(document):
+    """Entries written before the ``payload`` field existed: their points
+    could only have written inline checkpoints."""
+    points = document.get("points") or ()
+    if all("payload" in entry for entry in points):
+        return document
+    return {
+        **document,
+        "points": [
+            entry if "payload" in entry else {**entry, "payload": "inline"}
+            for entry in points
+        ],
+    }
+
+
+def _renamed_kinds(renames):
+    """A lift replacing each retired ``kind`` in ``renames`` by its current name."""
+
+    def lift(document):
+        kind = renames.get(document.get("kind"))
+        return document if kind is None else {**document, "kind": kind}
+
+    return lift
+
+
+def _fold_truncate_bond(document):
+    """A boundary-MPS option's ``truncate_bond`` field: a non-null value
+    overrode the einsumsvd ``rank``, so it becomes ``svd.rank`` and the
+    option keeps its signature; a null one said nothing."""
+    if document.get("kind") != "bmps" or "truncate_bond" not in document:
+        return document
+    document = dict(document)
+    bond = document.pop("truncate_bond")
+    if bond is not None:
+        document["svd"] = {**(document.get("svd") or {}), "rank": bond}
+    return document
+
+
+def _ctm_convergence_knobs(document):
+    """A CTM option's tolerance and sweep cap steered a convergence loop that
+    never re-ran a move; they changed nothing computed."""
+    if document.get("kind") != "ctm":
+        return document
+    kept = {k: v for k, v in document.items() if k not in ("tol", "max_sweeps")}
+    return kept if len(kept) < len(document) else document
+
+
+def _ctm_state(document):
+    """A CTM environment's corner-spectrum block restored nothing the
+    boundary caches do not already hold."""
+    if "ctm_state" not in document:
+        return document
+    return {key: value for key, value in document.items() if key != "ctm_state"}
+
+
+#: Every retired form, in the order its lifts run within a kind.
+STEPS = (
+    Step(CHECKPOINT, "a59dfd5", _version_1),
+    Step(CHECKPOINT, "a59dfd5", _checkpoint_payload_fields),
+    Step(MANIFEST, "a59dfd5", _version_1),
+    Step(MANIFEST, "a59dfd5", _manifest_payload),
+    # A class that ran the same computation as BMPS under its own kind.
+    Step(CONTRACTION, "23ca172", _renamed_kinds({"two_layer_bmps": "bmps"})),
+    Step(CONTRACTION, "23ca172", _fold_truncate_bond),
+    Step(CONTRACTION, "2a0757f", _ctm_convergence_knobs),
+    Step(ENVIRONMENT, "2a0757f", _ctm_state),
+    # Spec shorthands that spelled out the two layers every sandwich has.
+    Step(SPEC_CONTRACTION, "23ca172", _renamed_kinds(
+        {"two_layer_bmps": "bmps", "two_layer_ibmps": "ibmps"}
+    )),
+)
+
+#: Document kind -> its lifts, in table order.
+_LIFTS: Dict[str, tuple] = {}
+for _step in STEPS:
+    _LIFTS[_step.kind] = _LIFTS.get(_step.kind, ()) + (_step.lift,)
+del _step
+
+
+def upgrade(document: Any, kind: str) -> Any:
+    """``document`` in the current schema of ``kind``.
+
+    Returns ``document`` itself when no step applies (a current document, or
+    anything that is not a dict, which the caller's codec rejects).
+    """
+    lifts = _LIFTS[kind]
+    if not isinstance(document, dict):
+        return document
+    for lift in lifts:
+        document = lift(document)
+    return document

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.sim.io import (
     FORMAT_VERSION,
-    SUPPORTED_FORMAT_VERSIONS,
     PayloadStore,
     SerializationError,
     peps_from_dict,
@@ -143,7 +142,7 @@ class Workload(abc.ABC):
 
     def _check_state(self, payload: Dict[str, Any]) -> None:
         version = payload.get("format_version")
-        if version not in SUPPORTED_FORMAT_VERSIONS:
+        if version != FORMAT_VERSION:
             raise SerializationError(
                 f"unsupported workload state version {version!r}"
             )

@@ -35,11 +35,6 @@ class TestProcessorGrid:
 
 
 class TestDistribution:
-    def test_local_elements_even_split(self):
-        dist = Distribution.natural((64, 64), 16)
-        assert dist.local_elements() * 16 >= dist.total_elements
-        assert dist.local_elements() < dist.total_elements
-
     def test_compatibility_identity(self):
         a = Distribution.natural((8, 8), 4)
         assert a.is_compatible_with(a)

@@ -21,7 +21,9 @@ from repro.backends.distributed.engine import (
     shard_bounds,
     slice_operands,
 )
+from repro.peps import BMPS, random_peps
 from repro.sim import RunSpec
+from repro.tensornetwork import ImplicitRandomizedSVD
 from tests.conftest import random_complex
 
 EINSUM_CASES = [
@@ -199,6 +201,25 @@ class TestPoolParity:
                 for r in range(2)
             )
             assert total >= 1
+        finally:
+            pool.close()
+
+    def test_one_block_einsums_spread_over_every_rank(self):
+        # Most einsums of an IBMPS norm have one canonical block; they go
+        # round-robin like unsharded ones instead of all to the last rank.
+        option = BMPS(ImplicitRandomizedSVD(rank=12, seed=0))
+        sim = get_backend("distributed", nprocs=4)
+        pool = get_backend("distributed", nprocs=4, executor="pool")
+        try:
+            expected = random_peps(4, 4, bond_dim=3, backend=sim, seed=11).norm(option)
+            value = random_peps(4, 4, bond_dim=3, backend=pool, seed=11).norm(option)
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            registry = pool.cost_model.stats.registry
+            requests = [
+                registry.value("dist.pool.requests", op="contract", rank=str(r))
+                for r in range(4)
+            ]
+            assert min(requests) >= 1, requests
         finally:
             pool.close()
 

@@ -1,0 +1,343 @@
+"""``repro.sim.upgrade``: every retired wire form is lifted in one place.
+
+Each step has a unit test built from a minimal legacy document.  Two sampled
+properties pin the table as a whole: a document the current build writes is
+returned as the very object passed in, and lifting is idempotent — a lifted
+document is current.
+"""
+
+import copy
+import json
+import tempfile
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.peps import BMPS, Exact, random_peps
+from repro.peps.contraction.options import CTMOption
+from repro.sim import Sweep, SweepSpec
+from repro.sim import io as sim_io
+from repro.sim.upgrade import (
+    CHECKPOINT,
+    CONTRACTION,
+    ENVIRONMENT,
+    MANIFEST,
+    SPEC_CONTRACTION,
+    STEPS,
+    upgrade,
+)
+from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
+from test_properties import contract_options, svd_options, update_options
+from tests.conftest import FAST
+
+KINDS = (CHECKPOINT, MANIFEST, ENVIRONMENT, CONTRACTION, SPEC_CONTRACTION)
+
+
+def wire(payload):
+    return json.loads(json.dumps(payload))
+
+
+def lifted(document, kind):
+    """Upgrade ``document``, checking the input is left as it was."""
+    before = copy.deepcopy(document)
+    out = upgrade(document, kind)
+    assert document == before
+    return out
+
+
+# --------------------------------------------------------------------- #
+# One unit test per step
+# --------------------------------------------------------------------- #
+class TestSteps:
+    def test_every_step_reads_a_known_kind(self):
+        assert {step.kind for step in STEPS} == set(KINDS)
+        assert all(step.retired_in for step in STEPS)
+        with pytest.raises(KeyError):
+            upgrade({}, "checkpoint")
+
+    def test_version_1_checkpoint(self):
+        legacy = {
+            "format_version": 1, "type": "Checkpoint", "name": "run", "step": 2,
+            "payload_format": "inline", "sidecar": None,
+            "workload_state": {"format_version": 1, "workload": "ite",
+                               "peps": {"format_version": 1, "type": "PEPS"}},
+            "records": [{"step": 1}],
+        }
+        out = lifted(legacy, CHECKPOINT)
+        assert out["format_version"] == 2
+        assert out["workload_state"]["format_version"] == 2
+        assert out["workload_state"]["peps"]["format_version"] == 2
+        assert out == {**legacy, "format_version": 2, "workload_state": out["workload_state"]}
+
+    def test_checkpoint_without_payload_format(self):
+        legacy = {"format_version": 2, "type": "Checkpoint", "name": "run", "step": 2}
+        out = lifted(legacy, CHECKPOINT)
+        assert out == {**legacy, "payload_format": "inline", "sidecar": None}
+
+    def test_version_1_manifest(self):
+        legacy = {"format_version": 1, "type": "SweepManifest", "points": []}
+        assert lifted(legacy, MANIFEST) == {**legacy, "format_version": 2}
+
+    def test_manifest_entry_without_payload(self):
+        legacy = {"format_version": 2, "type": "SweepManifest", "points": [
+            {"name": "a", "status": "done"},
+            {"name": "b", "payload": "npz", "status": "pending"},
+        ]}
+        out = lifted(legacy, MANIFEST)
+        assert out["points"] == [
+            {"name": "a", "status": "done", "payload": "inline"},
+            {"name": "b", "payload": "npz", "status": "pending"},
+        ]
+        assert out["points"][1] is legacy["points"][1]
+
+    def test_two_layer_bmps_kind(self):
+        svd = {"kind": "explicit", "rank": 3}
+        legacy = {"kind": "two_layer_bmps", "svd": svd}
+        assert lifted(legacy, CONTRACTION) == {"kind": "bmps", "svd": svd}
+
+    @pytest.mark.parametrize("legacy, expected", [
+        ({"kind": "bmps", "svd": {"kind": "explicit", "rank": 8}, "truncate_bond": None},
+         {"kind": "bmps", "svd": {"kind": "explicit", "rank": 8}}),
+        ({"kind": "bmps", "svd": {"kind": "explicit", "rank": 8}, "truncate_bond": 2},
+         {"kind": "bmps", "svd": {"kind": "explicit", "rank": 2}}),
+        ({"kind": "bmps", "svd": None, "truncate_bond": 2},
+         {"kind": "bmps", "svd": {"rank": 2}}),
+        ({"kind": "two_layer_bmps", "truncate_bond": 3},
+         {"kind": "bmps", "svd": {"rank": 3}}),
+    ], ids=["null", "folds-into-rank", "no-svd", "two-layer-kind"])
+    def test_truncate_bond_folds_into_svd_rank(self, legacy, expected):
+        assert lifted(legacy, CONTRACTION) == expected
+
+    @pytest.mark.parametrize("kind", ["exact", "ctm"])
+    def test_truncate_bond_is_lifted_on_boundary_mps_kinds_only(self, kind):
+        legacy = {"kind": kind, "truncate_bond": 2}
+        assert upgrade(legacy, CONTRACTION) is legacy
+        with pytest.raises(sim_io.SerializationError, match="truncate_bond"):
+            sim_io.contract_option_from_dict(legacy)
+
+    def test_ctm_convergence_knobs(self):
+        legacy = {"kind": "ctm", "chi": 8, "cutoff": None, "tol": 1e-10, "max_sweeps": 4}
+        assert lifted(legacy, CONTRACTION) == {"kind": "ctm", "chi": 8, "cutoff": None}
+        assert lifted({"kind": "ctm", "chi": 8, "tol": 1e-10}, CONTRACTION) == {
+            "kind": "ctm", "chi": 8,
+        }
+
+    def test_environment_ctm_state(self):
+        legacy = {"format_version": 2, "type": "Environment",
+                  "contract_option": {"kind": "ctm", "chi": 4},
+                  "upper_valid": 0, "lower_valid": 2, "upper": [], "lower": [],
+                  "ctm_state": {"converged": True, "n_sweeps": 2}}
+        out = lifted(legacy, ENVIRONMENT)
+        assert "ctm_state" not in out
+        assert out == {k: v for k, v in legacy.items() if k != "ctm_state"}
+
+    @pytest.mark.parametrize("legacy, current", [
+        ("two_layer_bmps", "bmps"), ("two_layer_ibmps", "ibmps"),
+    ])
+    def test_spec_two_layer_shorthand(self, legacy, current):
+        block = {"kind": legacy, "bond": 4, "seed": 1}
+        assert lifted(block, SPEC_CONTRACTION) == {**block, "kind": current}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_dicts_pass_through_for_the_codec_to_reject(self, kind):
+        assert upgrade(None, kind) is None
+        marker = ["not", "a", "document"]
+        assert upgrade(marker, kind) is marker
+
+
+# --------------------------------------------------------------------- #
+# Current documents are returned as the same object
+# --------------------------------------------------------------------- #
+state_options = st.one_of(
+    st.none(),
+    st.just(Exact()),
+    st.builds(lambda m: BMPS(ExplicitSVD(rank=m)), st.integers(1, 4)),
+    st.builds(lambda m: BMPS(ImplicitRandomizedSVD(rank=m, seed=0)), st.integers(1, 4)),
+    st.builds(lambda chi: CTMOption(chi=chi), st.integers(1, 4)),
+)
+spec_contractions = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["bmps", "ibmps"]), "bond": st.integers(1, 16)},
+        optional={"niter": st.integers(0, 3), "seed": st.integers(0, 9)},
+    ),
+    st.fixed_dictionaries({"bond": st.integers(1, 16)}),
+    st.builds(lambda chi: {"kind": "ctm", "chi": chi}, st.integers(1, 16)),
+    contract_options.map(lambda option: wire(sim_io.option_to_dict(option))),
+)
+
+
+def state_with_environment(nrow, ncol, option, build, seed):
+    state = random_peps(nrow, ncol, bond_dim=2, seed=seed)
+    if option is not None:
+        env = state.attach_environment(option)
+        if build:
+            env.build()
+    return state
+
+
+def checkpoint_document(state):
+    """A checkpoint of ``state`` as this build writes it, read back raw."""
+    with tempfile.TemporaryDirectory() as directory:
+        store = sim_io.NpzPayloadStore()
+        path = sim_io.write_checkpoint(
+            directory, "run", 1, {"name": "run"},
+            {"format_version": sim_io.FORMAT_VERSION, "workload": "ite",
+             "peps": sim_io.peps_to_dict(state, store=store)},
+            [{"step": 1}], store=store,
+        )
+        with open(path) as handle:
+            raw = json.load(handle)
+        assert sim_io.load_checkpoint(path) == raw
+    return raw
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """The manifests of one small sweep: mid-run and finished."""
+    directory = tmp_path_factory.mktemp("sweep")
+    spec = SweepSpec.from_dict({
+        "name": "upgrade-sweep",
+        "base": {"workload": "ite", "lattice": [2, 2], "n_steps": 1, "seed": 3,
+                 "model": {"kind": "transverse_field_ising"},
+                 "contraction": {"kind": "bmps", "bond": 2}, "checkpoint_every": 1},
+        "axes": {"update.rank": [1, 2, 3]},
+        "sweep_dir": str(directory / "sweep"),
+    })
+    documents = []
+    for resume in (False, True):
+        result = Sweep(spec).run(resume=resume, stop_after_points=None if resume else 1)
+        with open(result.manifest_path) as handle:
+            documents.append(json.load(handle))
+        assert Sweep.load_manifest(result.manifest_path) == documents[-1]
+    return documents
+
+
+class TestCurrentDocumentsAreUntouched:
+    @FAST
+    @given(option=st.one_of(svd_options, contract_options, update_options))
+    def test_option_dicts(self, option):
+        document = wire(sim_io.option_to_dict(option))
+        for kind in (CONTRACTION, SPEC_CONTRACTION):
+            assert upgrade(document, kind) is document
+
+    @FAST
+    @given(block=spec_contractions)
+    def test_spec_contraction_blocks(self, block):
+        assert upgrade(block, SPEC_CONTRACTION) is block
+
+    @FAST
+    @given(nrow=st.integers(1, 3), ncol=st.integers(1, 3), option=state_options,
+           build=st.booleans(), seed=st.integers(0, 99))
+    def test_state_and_checkpoint_documents(self, nrow, ncol, option, build, seed):
+        state = state_with_environment(nrow, ncol, option, build, seed)
+        document = wire(sim_io.peps_to_dict(state))
+        environment = document["environment"]
+        if environment is not None:
+            assert upgrade(environment, ENVIRONMENT) is environment
+            contract = environment["contract_option"]
+            assert upgrade(contract, CONTRACTION) is contract
+        checkpoint = checkpoint_document(state)
+        assert upgrade(checkpoint, CHECKPOINT) is checkpoint
+
+    @FAST
+    @given(data=st.data())
+    def test_manifests(self, manifests, data):
+        manifest = data.draw(st.sampled_from(manifests))
+        points = data.draw(st.lists(st.sampled_from(manifest["points"]), max_size=4))
+        document = {**manifest, "points": points}
+        assert upgrade(document, MANIFEST) is document
+
+
+# --------------------------------------------------------------------- #
+# Lifting is idempotent
+# --------------------------------------------------------------------- #
+def downgrade_to_version_1(node):
+    """``node`` as a version-1 build wrote it (every version stamp 1)."""
+    if isinstance(node, dict):
+        out = {key: downgrade_to_version_1(value) for key, value in node.items()}
+        if out.get("format_version") == 2:
+            out["format_version"] = 1
+        return out
+    if isinstance(node, list):
+        return [downgrade_to_version_1(value) for value in node]
+    return node
+
+
+@st.composite
+def legacy_contractions(draw):
+    """A current contraction option dict dressed in retired forms."""
+    current = wire(sim_io.option_to_dict(draw(contract_options)))
+    legacy = dict(current)
+    if legacy["kind"] == "bmps":
+        if draw(st.booleans()):
+            legacy["kind"] = "two_layer_bmps"
+        if draw(st.booleans()):
+            legacy["truncate_bond"] = draw(st.none() | st.integers(1, 8))
+    elif legacy["kind"] == "ctm":
+        if draw(st.booleans()):
+            legacy["tol"] = 1e-10
+        if draw(st.booleans()):
+            legacy["max_sweeps"] = draw(st.integers(1, 8))
+    return current, legacy
+
+
+class TestLiftingIsIdempotent:
+    @FAST
+    @given(pair=legacy_contractions())
+    def test_contraction_options(self, pair):
+        current, legacy = pair
+        once = lifted(legacy, CONTRACTION)
+        assert upgrade(once, CONTRACTION) is once
+        bond = legacy.get("truncate_bond")
+        if bond is None:
+            assert once == current
+        else:
+            option = sim_io.contract_option_from_dict(once)
+            assert option.truncation_bond == bond
+
+    @FAST
+    @given(block=spec_contractions, two_layer=st.booleans())
+    def test_spec_contraction_blocks(self, block, two_layer):
+        legacy = dict(block)
+        if two_layer and legacy.get("kind") in ("bmps", "ibmps"):
+            legacy["kind"] = "two_layer_" + legacy["kind"]
+        once = lifted(legacy, SPEC_CONTRACTION)
+        assert upgrade(once, SPEC_CONTRACTION) is once
+        assert once == block
+
+    @FAST
+    @given(nrow=st.integers(1, 3), ncol=st.integers(1, 3), option=state_options,
+           seed=st.integers(0, 99))
+    def test_environments_and_checkpoints(self, nrow, ncol, option, seed):
+        state = state_with_environment(nrow, ncol, option, True, seed)
+        environment = wire(sim_io.peps_to_dict(state))["environment"]
+        if environment is not None:
+            legacy = {**environment, "ctm_state": {"converged": True, "n_sweeps": 1}}
+            once = lifted(legacy, ENVIRONMENT)
+            assert upgrade(once, ENVIRONMENT) is once
+            assert once == environment
+        legacy = downgrade_to_version_1(checkpoint_document(state))
+        del legacy["payload_format"], legacy["sidecar"]
+        once = lifted(legacy, CHECKPOINT)
+        assert upgrade(once, CHECKPOINT) is once
+        assert downgrade_to_version_1(once["workload_state"]) == legacy["workload_state"]
+
+    @FAST
+    @given(data=st.data())
+    def test_manifests(self, manifests, data):
+        manifest = data.draw(st.sampled_from(manifests))
+        strip = data.draw(st.lists(st.booleans(), min_size=len(manifest["points"]),
+                                   max_size=len(manifest["points"])))
+        legacy = {**manifest, "points": [
+            {k: v for k, v in entry.items() if not (drop and k == "payload")}
+            for entry, drop in zip(manifest["points"], strip)
+        ]}
+        if data.draw(st.booleans()):
+            legacy = downgrade_to_version_1(legacy)
+        once = lifted(legacy, MANIFEST)
+        assert upgrade(once, MANIFEST) is once
+        assert once["format_version"] == sim_io.FORMAT_VERSION
+        assert [entry["payload"] for entry in once["points"]] == [
+            "inline" if drop else entry["payload"]
+            for entry, drop in zip(manifest["points"], strip)
+        ]
