@@ -42,15 +42,20 @@ def all_site_and_bond_observable(nrow, ncol):
 
 def expectation_uncached(state, observable, option=None):
     """``<O>`` with a fresh environment per local term: nothing is shared
-    between terms, and one more environment gives the norm.
+    between terms, not even the norm.
+
+    Each term is normalised in its own environment, so the sum is the
+    library's ``Re(sum_i <psi|O_i|psi> / <psi|psi>)`` term by term.  A
+    truncated ``<psi|psi>`` carries a small imaginary part; dividing real
+    parts instead would differ from the cached pass by the product of the
+    two imaginary parts, not by rounding.
 
     The tests check the shared-boundary expectation pass against it too.
     """
-    total = sum(
-        make_environment(state, option).expectation([term], normalized=False)
+    return sum(
+        make_environment(state, option).expectation([term])
         for term in local_terms(observable)
     )
-    return total / float(np.real(make_environment(state, option).norm_sq()))
 
 
 def test_fig9_caching_speedup(benchmark, record_rows):

@@ -131,6 +131,7 @@ class TensorNetworkOperator(ImplicitOperator):
         used = {label for term in spec.inputs for label in term}
         used |= set(spec.output_a) | set(spec.output_b)
         self._probe_label = symbols(1, exclude=used)[0]
+        self._conj_operands = None
 
     @property
     def row_shape(self) -> Tuple[int, ...]:
@@ -154,8 +155,10 @@ class TensorNetworkOperator(ImplicitOperator):
         lhs = ",".join("".join(term) for term in self.spec.inputs)
         lhs += "," + "".join(self.spec.free_a) + k
         rhs = "".join(self.spec.free_b) + k
-        conj_ops = [self.backend.conj(op) for op in self.operands]
-        return self.backend.einsum(f"{lhs}->{rhs}", *conj_ops, probe)
+        if self._conj_operands is None:
+            # Conjugated once per operator: power iteration applies A* repeatedly.
+            self._conj_operands = [self.backend.conj(op) for op in self.operands]
+        return self.backend.einsum(f"{lhs}->{rhs}", *self._conj_operands, probe)
 
     def materialize(self):
         """Contract the network into the explicit operator tensor (testing/baseline)."""

@@ -47,6 +47,18 @@ class RandomizedSVDResult:
     rank: int
 
 
+def sketch_size(rank: int, oversample: int, max_rank: int) -> int:
+    """Columns of Algorithm 4's random probe: ``rank + oversample``, capped at
+    ``max_rank = min(rows, cols)`` (never more than the operator can support),
+    and at least 1.
+
+    A sketch of ``max_rank`` columns covers the operator's short side: the
+    range finder then captures the whole range, and the randomized SVD is an
+    exact one (``einsumsvd`` runs the explicit SVD instead).
+    """
+    return max(min(rank + oversample, max_rank), 1)
+
+
 def _orth(backend: Backend, tensor, method: str):
     """Orthogonalize a probe block: trailing mode is the sketch dimension."""
     ndim = len(backend.shape(tensor))
@@ -101,9 +113,7 @@ def randomized_svd(
     rng = ensure_rng(rng)
     col_shape = operator.col_shape
     row_shape = operator.row_shape
-    # Never sketch with more columns than the operator can support.
-    max_rank = min(operator.row_size, operator.col_size)
-    sketch = max(min(rank + oversample, max_rank), 1)
+    sketch = sketch_size(rank, oversample, min(operator.row_size, operator.col_size))
 
     # Step 1: random probe on the column group; complex entries whose real
     # and imaginary parts are each uniform on [-1, 1).

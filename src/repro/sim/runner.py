@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.backends import BackendExecutionError
 from repro.sim import io as sim_io
 from repro.sim.sinks import ResultSink, make_sink
-from repro.sim.spec import RunSpec, canonical_backend_kind, canonical_json
+from repro.sim.spec import RunSpec, _normalize_contraction, canonical_backend_kind, canonical_json
 from repro.sim.workloads import Workload, build_workload
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import TRACER, span as _span
@@ -186,10 +186,17 @@ class Simulation:
         saved_spec = RunSpec.from_dict(
             {name: value for name, value in payload["spec"].items() if name in compared}
         )
+
+        def physics(spec: RunSpec, name: str):
+            # A contraction block compares as the io-layer form it describes,
+            # so shorthands and retired kind names match their current form.
+            value = getattr(spec, name)
+            return _normalize_contraction(value) if name == "contraction" else value
+
         mismatched = [
             name for name in physics_fields
-            if canonical_json(getattr(saved_spec, name))
-            != canonical_json(getattr(self.spec, name))
+            if canonical_json(physics(saved_spec, name))
+            != canonical_json(physics(self.spec, name))
         ]
         # Backends compare by canonical kind only: the executor and rank
         # count change where the arithmetic runs, not what it computes, so a

@@ -102,6 +102,15 @@ class ExplicitSVD(EinsumSVDOption):
 class ImplicitRandomizedSVD(EinsumSVDOption):
     """Implicit randomized-SVD implementation (Algorithm 4 → IBMPS).
 
+    Algorithm 4 runs only where it saves work: when the sketch
+    (``rank`` plus ``oversample`` columns, see
+    :func:`~repro.linalg.randomized_svd.sketch_size`) is narrower than
+    ``min(rows, cols)`` of the operator.  A call whose sketch covers that
+    short side — every call with ``rank=None`` — contracts the network once
+    and factors it with the same truncated SVD as :class:`ExplicitSVD`
+    (``rank``, ``cutoff`` and ``absorb`` apply as given; ``niter``,
+    ``oversample``, ``orth_method`` and ``seed`` play no part).
+
     Attributes
     ----------
     niter:
@@ -112,6 +121,10 @@ class ImplicitRandomizedSVD(EinsumSVDOption):
         ``"qr"``, ``"gram"`` (Algorithm 5) or ``"auto"``.
     seed:
         Seed/generator for the random probe; fix it for reproducible runs.
+        An int seed starts a fresh generator on every call, so a call that
+        draws no probe leaves every other call's draws as they were; a
+        shared ``Generator`` is advanced only by the calls that draw one, so
+        whether earlier calls covered their short side shifts later draws.
     """
 
     kind = "implicit"
@@ -194,6 +207,9 @@ def einsumsvd(
         The network tensors.
     option:
         An :class:`ExplicitSVD` (default) or :class:`ImplicitRandomizedSVD`.
+        The latter runs Algorithm 4 only when its sketch is narrower than
+        the contracted operator's short side; otherwise the call is the
+        explicit one (an exact SVD either way).
     backend:
         Backend name or instance; defaults to NumPy.
     rank:
@@ -265,11 +281,14 @@ def _einsumsvd_implicit(
 ):
     """Randomized SVD with the network applied implicitly (Algorithm 4)."""
     from repro.linalg.implicit_op import TensorNetworkOperator
-    from repro.linalg.randomized_svd import randomized_svd
+    from repro.linalg.randomized_svd import randomized_svd, sketch_size
 
     operator = TensorNetworkOperator(backend, spec, operands)
-    if rank is None:
-        rank = min(operator.row_size, operator.col_size)
+    max_rank = min(operator.row_size, operator.col_size)
+    if rank is None or sketch_size(rank, option.oversample, max_rank) == max_rank:
+        # The range finder would capture the whole range: Algorithm 4 would
+        # reach this exact SVD only after its probe products, QRs and sketch SVD.
+        return _einsumsvd_explicit(backend, spec, operands, option, rank)
     result = randomized_svd(
         backend,
         operator,

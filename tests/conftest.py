@@ -1,5 +1,6 @@
 """Shared pytest fixtures."""
 
+import importlib
 from functools import partial
 
 import numpy as np
@@ -41,6 +42,21 @@ def backend(request):
     if request.param == "numpy":
         return get_backend("numpy")
     return get_backend("distributed", nprocs=4)
+
+
+@pytest.fixture
+def randomized_svd_calls(monkeypatch):
+    """The ranks of the Algorithm 4 runs made while the test runs: an implicit
+    ``einsumsvd`` whose sketch covers the operator's short side makes none."""
+    module = importlib.import_module("repro.linalg.randomized_svd")
+    original, calls = module.randomized_svd, []
+
+    def spy(backend, operator, rank, *args, **kwargs):
+        calls.append(rank)
+        return original(backend, operator, rank, *args, **kwargs)
+
+    monkeypatch.setattr(module, "randomized_svd", spy)
+    return calls
 
 
 def random_complex(rng, shape):

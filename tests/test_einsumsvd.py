@@ -103,8 +103,20 @@ class TestExplicitSVD:
         assert backend.asarray(b).dtype == np.float64
 
 
+def low_rank_pair(rng):
+    """Two tensors whose ``abc,cde->abde`` contraction (12 x 8) has rank 3."""
+    u = random_complex(rng, (12, 3))
+    v = random_complex(rng, (3, 8))
+    return u.reshape(3, 4, 3), v.reshape(3, 4, 2)
+
+
+def assert_same_factors(backend, got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(backend.asarray(g), backend.asarray(w))
+
+
 class TestImplicitRandomizedSVD:
-    def test_full_rank_reproduces_contraction(self, backend, rng):
+    def test_full_rank_reproduces_contraction(self, backend, rng, randomized_svd_calls):
         a = backend.astensor(random_complex(rng, (3, 4, 5)))
         b = backend.astensor(random_complex(rng, (5, 6, 2)))
         option = ImplicitRandomizedSVD(rank=12, niter=2, oversample=4, seed=0)
@@ -112,18 +124,47 @@ class TestImplicitRandomizedSVD:
         full = np.einsum("abc,cde->abde", backend.asarray(a), backend.asarray(b))
         rec = reconstruct(backend, "abk", "kde", x, y, "abde")
         assert np.allclose(rec, full, atol=1e-9)
+        # A sketch of 16 covers the 12 x 12 operator: the explicit route ran.
+        assert randomized_svd_calls == []
 
-    def test_matches_explicit_on_low_rank_input(self, numpy_backend, rng):
-        # Build two tensors whose contraction has numerical rank 3.
-        u = random_complex(rng, (12, 3))
-        v = random_complex(rng, (3, 8))
-        a = u.reshape(3, 4, 3)
-        b = v.reshape(3, 4, 2)
+    @pytest.mark.parametrize("rank, oversample", [(7, 1), (6, 6), (None, 0)])
+    def test_sketch_covering_the_short_side_is_the_explicit_svd(
+        self, backend, rng, randomized_svd_calls, rank, oversample
+    ):
+        # "abc,cde->abk,kde" on these shapes is a 12 x 8 operator.
+        a = backend.astensor(random_complex(rng, (3, 4, 5)))
+        b = backend.astensor(random_complex(rng, (5, 4, 2)))
+        for absorb in ("even", "left", "right", "none"):
+            option = ImplicitRandomizedSVD(
+                rank=rank, oversample=oversample, absorb=absorb, cutoff=0.2, seed=0
+            )
+            implicit = einsumsvd("abc,cde->abk,kde", a, b, option=option, backend=backend,
+                                 return_spectrum=True)
+            explicit = einsumsvd(
+                "abc,cde->abk,kde", a, b, backend=backend, return_spectrum=True,
+                option=ExplicitSVD(rank=rank, absorb=absorb, cutoff=0.2),
+            )
+            assert_same_factors(backend, implicit[:2], explicit[:2])
+            assert np.array_equal(implicit[2], explicit[2])
+        assert randomized_svd_calls == []
+
+    def test_narrower_sketch_runs_algorithm_4(self, backend, rng, randomized_svd_calls):
+        # rank + oversample = 7 < min(12, 8): one column short of covering.
+        a = backend.astensor(random_complex(rng, (3, 4, 5)))
+        b = backend.astensor(random_complex(rng, (5, 4, 2)))
+        option = ImplicitRandomizedSVD(rank=6, oversample=1, seed=0)
+        x, y = einsumsvd("abc,cde->abk,kde", a, b, option=option, backend=backend)
+        assert randomized_svd_calls == [6]
+        assert backend.shape(x) == (3, 4, 6)
+
+    def test_matches_explicit_on_low_rank_input(self, numpy_backend, rng, randomized_svd_calls):
+        a, b = low_rank_pair(rng)
         explicit = einsumsvd("abc,cde->abk,kde", a, b, option=ExplicitSVD(rank=3),
                              backend=numpy_backend)
         implicit = einsumsvd("abc,cde->abk,kde", a, b,
                              option=ImplicitRandomizedSVD(rank=3, niter=3, oversample=3, seed=1),
                              backend=numpy_backend)
+        assert randomized_svd_calls == [3]
         rec_e = np.einsum("abk,kde->abde", *explicit)
         rec_i = np.einsum("abk,kde->abde", *implicit)
         assert np.allclose(rec_e, rec_i, atol=1e-8)
@@ -138,7 +179,7 @@ class TestImplicitRandomizedSVD:
         assert np.allclose(x1, x2)
         assert np.allclose(y1, y2)
 
-    def test_default_rank_is_full(self, numpy_backend, rng):
+    def test_default_rank_is_full(self, numpy_backend, rng, randomized_svd_calls):
         a = random_complex(rng, (2, 3, 4))
         b = random_complex(rng, (4, 3, 2))
         x, y = einsumsvd("abc,cde->abk,kde", a, b,
@@ -146,12 +187,19 @@ class TestImplicitRandomizedSVD:
         rec = np.einsum("abk,kde->abde", x, y)
         full = np.einsum("abc,cde->abde", a, b)
         assert np.allclose(rec, full, atol=1e-9)
+        # rank=None keeps everything: the explicit route, whatever the sketch.
+        assert randomized_svd_calls == []
+        assert_same_factors(numpy_backend, (x, y), einsumsvd(
+            "abc,cde->abk,kde", a, b, option=ExplicitSVD(), backend=numpy_backend
+        ))
 
-    def test_gram_orthogonalization_variant(self, dist_backend, rng):
-        a = dist_backend.astensor(random_complex(rng, (3, 4, 5)))
-        b = dist_backend.astensor(random_complex(rng, (5, 6, 2)))
-        option = ImplicitRandomizedSVD(rank=12, niter=2, oversample=4, seed=0, orth_method="gram")
+    def test_gram_orthogonalization_variant(self, dist_backend, rng, randomized_svd_calls):
+        # Rank 3 through a sketch of 5 < min(12, 8): Algorithm 4 with
+        # Algorithm 5's Gram QR recovers the whole operator.
+        a, b = (dist_backend.astensor(t) for t in low_rank_pair(rng))
+        option = ImplicitRandomizedSVD(rank=3, niter=2, oversample=2, seed=0, orth_method="gram")
         x, y = einsumsvd("abc,cde->abk,kde", a, b, option=option, backend=dist_backend)
+        assert randomized_svd_calls == [3]
         full = np.einsum("abc,cde->abde", dist_backend.asarray(a), dist_backend.asarray(b))
         rec = np.einsum("abk,kde->abde", dist_backend.asarray(x), dist_backend.asarray(y))
         assert np.allclose(rec, full, atol=1e-8)

@@ -56,7 +56,7 @@ class TestRQCAccuracy:
         assert errors[-1] < 1e-6
         assert errors[-1] <= errors[0]
 
-    def test_ibmps_matches_bmps_accuracy_for_rqc(self):
+    def test_ibmps_matches_bmps_accuracy_for_rqc(self, randomized_svd_calls):
         nrow, ncol = 2, 2
         circ = random_quantum_circuit(nrow, ncol, n_layers=8, seed=2)
         q = peps.computational_zeros(nrow, ncol)
@@ -69,6 +69,8 @@ class TestRQCAccuracy:
         ibmps_val = q.amplitude(bits, BMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=0)))
         assert bmps_val == pytest.approx(exact, abs=1e-7)
         assert ibmps_val == pytest.approx(exact, abs=1e-6)
+        # On a 2x2 lattice every sketch covers its operator's short side.
+        assert ibmps_val == bmps_val and randomized_svd_calls == []
 
     def test_truncated_rqc_evolution_has_bounded_bond(self):
         nrow, ncol = 2, 3

@@ -14,7 +14,7 @@ from repro.linalg import (
     truncate_spectrum,
     truncated_svd,
 )
-from repro.linalg.randomized_svd import _orth
+from repro.linalg.randomized_svd import _orth, sketch_size
 from repro.tensornetwork.einsum_spec import parse_einsumsvd
 from repro.utils.flops import FlopCounter, svd_flops
 from tests.conftest import FAST, random_complex
@@ -254,6 +254,20 @@ class TestImplicitOperators:
         ref_adj = np.einsum("abde,abk->dek", dense.conj(), backend.asarray(probe_r))
         assert np.allclose(out_adj, ref_adj)
 
+    def test_network_operator_conjugates_its_operands_once(self, backend, rng, monkeypatch):
+        spec = parse_einsumsvd("abc,cde->abk,kde")
+        a = backend.astensor(random_complex(rng, (3, 4, 5)))
+        b = backend.astensor(random_complex(rng, (5, 2, 6)))
+        op = TensorNetworkOperator(backend, spec, [a, b])
+        probes = [backend.astensor(random_complex(rng, (3, 4, 2))) for _ in range(3)]
+        first = [backend.asarray(op.apply_adjoint(p)) for p in probes]
+        conjugated = []
+        monkeypatch.setattr(backend, "conj", lambda t: conjugated.append(t) or t)
+        again = [backend.asarray(op.apply_adjoint(p)) for p in probes]
+        assert conjugated == []
+        for x, y in zip(first, again, strict=True):
+            assert np.array_equal(x, y)
+
     def test_operand_count_mismatch_raises(self, numpy_backend, rng):
         spec = parse_einsumsvd("abc,cde->abk,kde")
         with pytest.raises(ValueError):
@@ -261,6 +275,12 @@ class TestImplicitOperators:
 
 
 class TestRandomizedSVD:
+    @pytest.mark.parametrize("rank, oversample, max_rank, sketch", [
+        (3, 2, 10, 5), (8, 2, 10, 10), (9, 4, 10, 10), (1, 0, 1, 1), (4, 0, 0, 1),
+    ])
+    def test_sketch_size_caps_rank_plus_oversample(self, rank, oversample, max_rank, sketch):
+        assert sketch_size(rank, oversample, max_rank) == sketch
+
     def test_exact_recovery_of_low_rank_operator(self, backend, rng):
         a = low_rank_matrix(rng, 20, 15, 5)
         op = DenseTensorOperator(backend, backend.astensor(a), 1)

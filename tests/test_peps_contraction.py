@@ -16,7 +16,9 @@ from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
 from tests.conftest import exact_single_layer_value, random_complex
 
 #: Options that contract a small single-layer grid at full rank: the
-#: zip-up then reproduces the exact value with either ``einsumsvd``.
+#: zip-up then reproduces the exact value with either ``einsumsvd``.  At
+#: ``rank=None`` every implicit sketch covers its operator's short side, so
+#: the implicit zip-up is the explicit one and never runs Algorithm 4.
 FULL_RANK = {
     "exact": Exact(),
     "explicit": BMPS(ExplicitSVD()),
@@ -55,7 +57,7 @@ def absorb_single_layer_rows(grid, option):
 
 
 #: ``einsumsvd`` options of one row absorption: exact, and the zip-up at
-#: full rank with either flavour.
+#: full rank with either flavour (both the explicit SVD, see ``FULL_RANK``).
 ABSORB = {
     "exact": None,
     "explicit": ExplicitSVD(),
@@ -107,11 +109,18 @@ class TestOptionObjects:
 class TestSingleLayerContraction:
     @pytest.mark.parametrize("option", FULL_RANK.values(), ids=FULL_RANK.keys())
     @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)], ids=["3x3", "2x4", "4x2"])
-    def test_exact_matches_reference(self, backend, option, shape):
+    def test_exact_matches_reference(self, backend, option, shape, randomized_svd_calls):
         grid = random_single_layer_grid(*shape, bond_dim=2, seed=0, backend=backend)
         ref = exact_single_layer_value(backend, grid)
         value = contract_single_layer(grid, option, backend=backend)
         assert value == pytest.approx(ref, rel=1e-10)
+        assert randomized_svd_calls == []
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)], ids=["3x3", "2x4", "4x2"])
+    def test_full_rank_ibmps_is_bmps(self, backend, shape):
+        grid = random_single_layer_grid(*shape, bond_dim=2, seed=0, backend=backend)
+        ibmps = contract_single_layer(grid, FULL_RANK["implicit"], backend=backend)
+        assert ibmps == contract_single_layer(grid, FULL_RANK["explicit"], backend=backend)
 
     def test_bmps_converges_with_bond(self, numpy_backend):
         grid = random_single_layer_grid(4, 4, bond_dim=3, seed=1)
@@ -124,9 +133,10 @@ class TestSingleLayerContraction:
         assert errors[-1] <= errors[0]
 
     @pytest.mark.parametrize("m", [4, 27])
-    def test_ibmps_matches_bmps_at_full_rank(self, numpy_backend, m):
-        """At full rank (27) IBMPS is exact; truncated (4) it is no worse
-        than BMPS at the same bond, up to its randomized sketch."""
+    def test_ibmps_matches_bmps_at_full_rank(self, numpy_backend, m, randomized_svd_calls):
+        """At full rank (27) IBMPS is BMPS: every sketch covers its operator's
+        short side.  Truncated (4) it runs Algorithm 4 and is no worse than
+        BMPS at the same bond, up to its randomized sketch."""
         grid = random_single_layer_grid(4, 4, bond_dim=3, seed=2)
         ref = exact_single_layer_value(numpy_backend, grid)
         bmps = contract_single_layer(grid, BMPS(ExplicitSVD(rank=m)), backend=numpy_backend)
@@ -136,6 +146,10 @@ class TestSingleLayerContraction:
             backend=numpy_backend,
         )
         assert abs(ibmps - ref) <= 10 * abs(bmps - ref) + 1e-8 * abs(ref)
+        if m == 27:
+            assert ibmps == bmps and randomized_svd_calls == []
+        else:
+            assert randomized_svd_calls
 
     @pytest.mark.parametrize("option", FULL_RANK.values(), ids=FULL_RANK.keys())
     def test_single_row_and_single_column(self, backend, option):
@@ -160,29 +174,38 @@ class TestSingleLayerContraction:
         assert max(boundary_bond_dimensions(numpy_backend, boundary)) == 8
 
     @pytest.mark.parametrize("option", ABSORB.values(), ids=ABSORB.keys())
-    def test_identity_row_leaves_boundary_unchanged(self, backend, rng, option):
+    def test_identity_row_leaves_boundary_unchanged(
+        self, backend, rng, option, randomized_svd_calls
+    ):
         boundary = [backend.astensor(t) for t in random_boundary(rng, 4)]
         row = [backend.astensor(np.eye(2).reshape(2, 1, 2, 1))] * 4
         out = absorb_sandwich_row(boundary, row, None, option=option, backend=backend)
         assert np.allclose(boundary_vector(backend, out), boundary_vector(backend, boundary))
+        assert randomized_svd_calls == []
 
     @pytest.mark.parametrize("option", ABSORB.values(), ids=ABSORB.keys())
     @pytest.mark.parametrize("ncol", [1, 3])
-    def test_row_absorption_matches_dense_operator(self, numpy_backend, rng, option, ncol):
+    def test_row_absorption_matches_dense_operator(
+        self, numpy_backend, rng, option, ncol, randomized_svd_calls
+    ):
         boundary = random_boundary(rng, ncol)
         row = random_single_layer_grid(3, ncol, bond_dim=2, seed=9)[1]
         out = absorb_sandwich_row(boundary, row, None, option=option)
         ref = row_operator(row) @ boundary_vector(numpy_backend, boundary)
         assert np.allclose(boundary_vector(numpy_backend, out), ref, atol=1e-9)
+        assert randomized_svd_calls == []
 
     @pytest.mark.parametrize(
         "svd",
-        [ExplicitSVD(rank=3), ImplicitRandomizedSVD(rank=3, niter=3, oversample=4, seed=3)],
+        [ExplicitSVD(rank=3), ImplicitRandomizedSVD(rank=3, niter=3, oversample=2, seed=3)],
         ids=["explicit", "implicit"],
     )
-    def test_truncated_absorption_close_to_exact_for_weak_coupling(self, numpy_backend, rng, svd):
+    def test_truncated_absorption_close_to_exact_for_weak_coupling(
+        self, numpy_backend, rng, svd, randomized_svd_calls
+    ):
         # A row close to the identity barely grows the entanglement, so a
-        # truncated zip-up should stay accurate.
+        # truncated zip-up should stay accurate.  The implicit sketch (5) is
+        # narrower than the inner columns' 6 x 6 operators: Algorithm 4 runs.
         ncol = 5
         boundary = random_boundary(rng, ncol, bond=3)
         row = []
@@ -193,10 +216,15 @@ class TestSingleLayerContraction:
         ref = boundary_vector(numpy_backend, absorb_sandwich_row(boundary, row, None))
         out = boundary_vector(numpy_backend, absorb_sandwich_row(boundary, row, None, option=svd))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 0.05
+        assert bool(randomized_svd_calls) == isinstance(svd, ImplicitRandomizedSVD)
 
-    def test_implicit_and_explicit_agree_after_truncation(self, numpy_backend, rng):
-        boundary = random_boundary(rng, 4)
-        row = random_single_layer_grid(3, 4, bond_dim=2, seed=10)[1]
+    def test_implicit_and_explicit_agree_after_truncation(
+        self, numpy_backend, rng, randomized_svd_calls
+    ):
+        # Six columns: the zip-up's operators grow to 8 x 8 inside the row,
+        # wider than the sketch of 5, and the implicit zip-up runs Algorithm 4.
+        boundary = random_boundary(rng, 6)
+        row = random_single_layer_grid(3, 6, bond_dim=2, seed=10)[1]
         explicit = boundary_vector(
             numpy_backend, absorb_sandwich_row(boundary, row, None, option=ExplicitSVD(rank=4))
         )
@@ -204,18 +232,20 @@ class TestSingleLayerContraction:
             numpy_backend,
             absorb_sandwich_row(
                 boundary, row, None,
-                option=ImplicitRandomizedSVD(rank=4, niter=3, oversample=4, seed=3),
+                option=ImplicitRandomizedSVD(rank=4, niter=3, oversample=1, seed=3),
             ),
         )
+        assert randomized_svd_calls
         # Up to the randomized sketch, the dominant subspaces agree.
         overlap = abs(np.vdot(explicit, implicit))
         assert overlap / (np.linalg.norm(explicit) * np.linalg.norm(implicit)) > 0.99
 
     @pytest.mark.parametrize("option", FULL_RANK.values(), ids=FULL_RANK.keys())
-    def test_product_grid_is_product_of_sites(self, backend, option):
+    def test_product_grid_is_product_of_sites(self, backend, option, randomized_svd_calls):
         grid = random_single_layer_grid(3, 3, bond_dim=1, seed=11, backend=backend)
         ref = np.prod([backend.item(t) for row in grid for t in row])
         assert contract_single_layer(grid, option, backend) == pytest.approx(ref, rel=1e-10)
+        assert randomized_svd_calls == []
 
     @pytest.mark.parametrize("option", [None, ExplicitSVD(rank=4)], ids=["exact", "zipup"])
     def test_absorb_row_width_mismatch(self, rng, option):
@@ -240,7 +270,7 @@ class TestSingleLayerContraction:
 
 
 class TestTwoLayerContraction:
-    def test_inner_product_agreement_between_all_algorithms(self):
+    def test_inner_product_agreement_between_all_algorithms(self, randomized_svd_calls):
         a = random_peps(3, 3, bond_dim=2, seed=10)
         b = random_peps(3, 3, bond_dim=2, seed=11)
         ref = np.vdot(a.to_statevector(), b.to_statevector())
@@ -251,7 +281,9 @@ class TestTwoLayerContraction:
         )
         assert exact == pytest.approx(ref, rel=1e-8)
         assert bmps == pytest.approx(ref, rel=1e-6)
-        assert ibmps == pytest.approx(ref, rel=1e-5)
+        # Bond 16 keeps a 3x3 D=2 sandwich whole: every sketch covers its
+        # operator's short side, and IBMPS is BMPS.
+        assert ibmps == bmps and randomized_svd_calls == []
 
     def test_two_layer_exact_option(self):
         a = random_peps(2, 3, bond_dim=2, seed=12)
@@ -345,9 +377,12 @@ class TestAccuracyVsBondDimension:
         assert errors[-1] < 1e-8
         assert errors[0] >= errors[-1]
 
-    def test_ibmps_adds_no_error_over_bmps_at_same_bond(self):
-        """The paper's claim: implicit randomized SVD does not hurt accuracy."""
-        a = random_peps(3, 3, bond_dim=2, seed=21)
+    def test_ibmps_adds_no_error_over_bmps_at_same_bond(self, randomized_svd_calls):
+        """The paper's claim: implicit randomized SVD does not hurt accuracy.
+
+        Four columns: on three, every zip-up operator is at most 4 wide on
+        one side and the sketch of 12 covers it (the explicit SVD runs)."""
+        a = random_peps(3, 4, bond_dim=2, seed=21)
         ref = np.linalg.norm(a.to_statevector()) ** 2
         m = 8
         bmps_err = abs(a.inner(a, BMPS(ExplicitSVD(rank=m))) - ref) / ref
@@ -355,4 +390,5 @@ class TestAccuracyVsBondDimension:
             a.inner(a, BMPS(ImplicitRandomizedSVD(rank=m, niter=2, oversample=4, seed=1)))
             - ref
         ) / ref
+        assert randomized_svd_calls
         assert ibmps_err < 10 * max(bmps_err, 1e-12) + 1e-6

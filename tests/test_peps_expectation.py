@@ -98,7 +98,7 @@ class TestCachingEquivalence:
         uncached = expectation_uncached(q, ham, option)
         assert cached == pytest.approx(uncached, abs=1e-8)
 
-    def test_cache_with_implicit_svd(self):
+    def test_cache_with_implicit_svd(self, randomized_svd_calls):
         q, sv = prepared_state(2, 3, seed=8)
         obs = Observable.ZZ(0, 1) + Observable.ZZ(1, 4) + Observable.X(5)
         ref = sv.expectation(obs)
@@ -107,6 +107,8 @@ class TestCachingEquivalence:
             contract_option=BMPS(ImplicitRandomizedSVD(rank=16, niter=2, oversample=4, seed=0)),
         )
         assert val == pytest.approx(ref, abs=1e-6)
+        # Bond 16 keeps a 2x3 sandwich whole: the explicit SVD runs throughout.
+        assert randomized_svd_calls == []
 
     def test_environment_norm_matches_inner(self):
         from repro.peps.envs.boundary import BoundaryEnvironment

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from repro.backends import get_backend, interface
 from repro.backends.numpy_backend import NumPyBackend
@@ -372,6 +373,85 @@ class TestEinsumSVDProperties:
         assert right.shape[0] == left.shape[-1]
 
 
+#: einsumsvd networks of two to four operands; the bonds inside them can
+#: make the contracted operator rank-deficient.
+SKETCH_NETWORKS = (
+    "abc,cde->abk,kde",
+    "ab,bc,cd->ak,kd",
+    "xab,bcd,ce,dy->xak,key",
+    "ab,bcd,ce->adk,ke",
+)
+SVD_BACKENDS = {"numpy": BACKEND, "distributed": get_backend("distributed", nprocs=4)}
+
+
+class TestSketchRouteProperties:
+    """An implicit einsumsvd whose sketch covers the operator's short side is
+    the explicit one; a narrower sketch runs Algorithm 4.  Both reconstruct."""
+
+    @FAST
+    @given(seed=seeds, subscripts=st.sampled_from(SKETCH_NETWORKS), is_complex=st.booleans(),
+           backend_name=st.sampled_from(sorted(SVD_BACKENDS)), rank=st.integers(1, 5),
+           oversample=st.integers(0, 2), absorb=st.sampled_from(["even", "left", "right"]),
+           data=st.data())
+    def test_covering_sketch_is_explicit_and_narrower_runs_algorithm_4(
+        self, seed, subscripts, is_complex, backend_name, rank, oversample, absorb, data
+    ):
+        backend = SVD_BACKENDS[backend_name]
+        rng = np.random.default_rng(seed)
+        inputs, outputs = subscripts.split("->")
+        labels = sorted(set(inputs.replace(",", "")))
+        # Outer legs 2-5, the bonds inside the network 1-3: operators of low
+        # rank next to full-rank ones, and sketches on both sides of the rule.
+        free = set(outputs.replace(",", "").replace("k", ""))
+        extent = {
+            label: data.draw(st.integers(2, 5) if label in free else st.integers(1, 3))
+            for label in labels
+        }
+        arrays = []
+        for term in inputs.split(","):
+            shape = tuple(extent[label] for label in term)
+            arrays.append(_complex_array(rng, shape) if is_complex else rng.standard_normal(shape))
+        operands = [backend.astensor(a) for a in arrays]
+        out_a, out_b = outputs.split(",")
+        full = np.einsum(f"{inputs}->{out_a[:-1] + out_b[1:]}", *arrays)
+        rows = int(np.prod([extent[label] for label in out_a[:-1]]))
+        matrix = full.reshape(rows, -1)
+        spectrum = np.linalg.svd(matrix, compute_uv=False)
+        max_rank = min(matrix.shape)
+
+        option = ImplicitRandomizedSVD(rank=rank, oversample=oversample, absorb=absorb, seed=seed)
+        module = importlib.import_module("repro.linalg.randomized_svd")
+        with mock.patch.object(module, "randomized_svd", wraps=module.randomized_svd) as spy:
+            left, right = einsumsvd(subscripts, *operands, option=option, backend=backend)
+        rec = np.einsum(
+            f"{out_a},{out_b}->{out_a[:-1] + out_b[1:]}",
+            backend.asarray(left), backend.asarray(right),
+        ).reshape(matrix.shape)
+        error = np.linalg.norm(rec - matrix)
+        scale = np.linalg.norm(matrix)
+        keep = min(rank, max_rank)
+        # Eckart-Young: no rank-keep factorization does better than the tail.
+        floor = float(np.sqrt(np.sum(spectrum[keep:] ** 2)))
+        if min(rank + oversample, max_rank) == max_rank:
+            assert spy.call_count == 0
+            explicit = einsumsvd(
+                subscripts, *operands, option=ExplicitSVD(rank=rank, absorb=absorb),
+                backend=backend,
+            )
+            for got, want in zip((left, right), explicit, strict=True):
+                assert np.array_equal(backend.asarray(got), backend.asarray(want))
+            assert error == pytest.approx(floor, abs=1e-9 * scale)
+        else:
+            assert spy.call_count == 1
+            assert error >= floor - 1e-9 * scale
+            if rank >= np.linalg.matrix_rank(matrix):
+                # The sketch spans the operator's whole range.
+                assert error <= 1e-7 * scale
+            else:
+                # A projection of the operator never overshoots it.
+                assert error <= scale * (1 + 1e-9)
+
+
 class TestContractionPathProperties:
     @FAST
     @given(seed=seeds, n=st.integers(2, 5))
@@ -470,8 +550,12 @@ class TestInnerProductProperties:
     @given(nrow=lattice_sides, ncol=lattice_sides, bond_dim=layer_bonds, phys_dim=phys_dims,
            seed=seeds, option=st.sampled_from([
                Exact(), BMPS(ExplicitSVD(rank=2)),
-               BMPS(ImplicitRandomizedSVD(rank=2, seed=0)), CTMOption(chi=2),
+               # no oversampling: a sketch of 2 is narrower than most operators
+               BMPS(ImplicitRandomizedSVD(rank=2, oversample=0, seed=0)), CTMOption(chi=2),
            ]))
+    # Three D=2 columns: the middle zip-up step runs Algorithm 4.
+    @example(nrow=3, ncol=3, bond_dim=2, phys_dim=2, seed=0,
+             option=BMPS(ImplicitRandomizedSVD(rank=2, oversample=0, seed=0)))
     def test_norm_squared_is_the_self_overlap(
         self, nrow, ncol, bond_dim, phys_dim, seed, option
     ):
@@ -486,7 +570,7 @@ class TestInnerProductProperties:
         self, nrow, ncol, bond_dim, phys_dim, seed, implicit, m
     ):
         a, b = random_pair(nrow, ncol, bond_dim, phys_dim, seed)
-        svd = ImplicitRandomizedSVD(rank=m, seed=0) if implicit else ExplicitSVD(rank=m)
+        svd = ImplicitRandomizedSVD(rank=m, oversample=0, seed=0) if implicit else ExplicitSVD(rank=m)
         legacy = sim_io.contract_option_from_dict(
             {"kind": "two_layer_bmps", "svd": sim_io.svd_option_to_dict(svd)}
         )
@@ -720,7 +804,9 @@ def random_boundaries(rng, batch, phys, layers, max_bond):
 
 
 def absorb_options(m):
-    return [None, ExplicitSVD(rank=m), ImplicitRandomizedSVD(rank=m, seed=0)]
+    # No oversampling, so the implicit zip-up runs Algorithm 4 wherever rank
+    # m is below the operator's short side.
+    return [None, ExplicitSVD(rank=m), ImplicitRandomizedSVD(rank=m, oversample=0, seed=0)]
 
 
 class TestBatchedMoveProperties:

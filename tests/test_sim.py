@@ -599,6 +599,21 @@ class TestResumeReproducibility:
                 ite_spec(tmp_path, contraction={"kind": "ibmps", "bond": 8, "seed": 0})
             ).run(resume=True)
 
+    @pytest.mark.parametrize("written", [
+        {"kind": "two_layer_bmps", "bond": 2},
+        {"kind": "bmps", "svd": {"kind": "explicit", "rank": 2}},
+    ], ids=["retired-kind", "io-layer-form"])
+    def test_resume_compares_the_normalized_contraction(self, tmp_path, written):
+        """A contraction block spelled another way for the same computation
+        (a retired kind alias, the io-layer form) resumes as the shorthand."""
+        Simulation(ite_spec(tmp_path, contraction=written)).run(stop_after=2)
+        shorthand = {"kind": "bmps", "bond": 2}
+        resumed = Simulation(ite_spec(tmp_path, contraction=shorthand)).run(resume=True)
+        reference = Simulation(
+            ite_spec(tmp_path, contraction=shorthand, checkpoint_dir=str(tmp_path / "ref"))
+        ).run()
+        assert resumed.records == reference.records
+
     def test_resume_allows_extending_n_steps(self, tmp_path):
         """Schedule fields may change: resuming with a larger n_steps extends the run."""
         spec = ite_spec(tmp_path, n_steps=4)

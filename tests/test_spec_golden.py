@@ -12,7 +12,11 @@ Two guarantees live here:
   ``ite_ctm_smoke`` -- not rounding any more: CTM's ``_gram_half`` takes the
   square root of round-off-sized eigenvalues of rank-deficient corner Grams,
   so any re-association of the Gram einsums moves the energy at the
-  ``sqrt(eps)`` level -- and not at all on ``ite_dist_smoke``);
+  ``sqrt(eps)`` level -- and not at all on ``ite_dist_smoke``; when an
+  implicit ``einsumsvd`` whose sketch covers its operator's short side
+  started to run the explicit SVD, by 9.2e-16 on ``ite_smoke`` and by
+  7.75e-11 on ``ite_dist_smoke``, whose old values carried the error of
+  Algorithm 5's Gram QR and which now equals ``ite_smoke`` byte for byte);
   ``python tests/regenerate_golden.py`` rewrites them and reports the
   deviation.  Re-running the same specs must reproduce the results stream
   and the final checkpoints byte for byte (sha256).
@@ -98,6 +102,13 @@ class TestDistributedParity:
     bitwise — identical records stream and checkpoint sha256 — for every
     rank count.  This is the serial<->parallel parity guarantee: the block
     placement of the contraction work must not leak into the numerics."""
+
+    def test_distributed_golden_records_are_the_numpy_ones(self):
+        """Every IBMPS call of the 2x2 smoke run has a sketch that covers its
+        operator's short side, so both backends factor the same contracted
+        matrices with the same SVD: no Gram QR sets the distributed run apart."""
+        numpy_records = (GOLDEN_DIR / "ite_smoke_records.jsonl").read_bytes()
+        assert (GOLDEN_DIR / "ite_dist_smoke_records.jsonl").read_bytes() == numpy_records
 
     @pytest.mark.parametrize("nprocs", [1, 2, 4], ids=lambda n: f"nprocs{n}")
     def test_pool_executor_matches_simulated_golden(self, tmp_path, nprocs):

@@ -372,14 +372,18 @@ class TestSpecValidation:
 
 class TestRunnerWiring:
     def test_traced_run_is_bitwise_identical_and_writes_trace(self, tmp_path):
+        # Bond 1 truncates: at bond 4 every IBMPS sketch covers the operator's
+        # short side and the calls run the explicit SVD, not Algorithm 4.
+        contraction = {"kind": "ibmps", "bond": 1, "niter": 1, "seed": 0}
         ref = Simulation(
-            ite_spec(tmp_path, checkpoint_dir=str(tmp_path / "a"))
+            ite_spec(tmp_path, checkpoint_dir=str(tmp_path / "a"), contraction=contraction)
         ).run()
         trace_path = tmp_path / "trace.json"
         traced_run = Simulation(
             ite_spec(
                 tmp_path,
                 checkpoint_dir=str(tmp_path / "b"),
+                contraction=contraction,
                 telemetry={"trace": str(trace_path)},
             )
         ).run()
