@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.backends import BackendExecutionError
 from repro.sim import io as sim_io
 from repro.sim.sinks import ResultSink, make_sink
-from repro.sim.spec import RunSpec, _normalize_contraction, canonical_backend_kind, canonical_json
+from repro.sim.spec import RunSpec, canonical_backend_kind, canonical_json
 from repro.sim.workloads import Workload, build_workload
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import TRACER, span as _span
@@ -188,10 +188,11 @@ class Simulation:
         )
 
         def physics(spec: RunSpec, name: str):
-            # A contraction block compares as the io-layer form it describes,
-            # so shorthands and retired kind names match their current form.
-            value = getattr(spec, name)
-            return _normalize_contraction(value) if name == "contraction" else value
+            # A contraction block compares as the option it builds, so
+            # shorthands, retired kind names and spelled-out defaults match.
+            if name == "contraction":
+                return sim_io.contract_option_to_dict(spec.build_contract_option())
+            return getattr(spec, name)
 
         mismatched = [
             name for name in physics_fields

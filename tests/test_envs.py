@@ -65,16 +65,18 @@ class TestEnvParity:
 
     def test_truncated_env_matches_seed_cache_path(self, randomized_svd_calls):
         # Rank 2 without oversampling is narrower than the zip-up operators
-        # (4 wide at least), so the boundaries run Algorithm 4; ten gates on
-        # a product state keep them low rank, so both routes stay exact.
-        state = peps.computational_zeros(3, 3)
-        random_gate_sequence(state, np.random.default_rng(3), n_gates=10)
+        # (4 wide at least), so the boundaries run Algorithm 4: they truncate
+        # the random PEPS, and the circuit's stay low rank.
+        circuit = peps.computational_zeros(3, 3)
+        random_gate_sequence(circuit, np.random.default_rng(3), n_gates=10)
         ham = transverse_field_ising(3, 3)
         option = BMPS(ImplicitRandomizedSVD(rank=2, niter=1, oversample=0, seed=0))
-        via_env = state.expectation(ham, contract_option=option)
-        uncached = expectation_uncached(state, ham, option)
-        assert randomized_svd_calls
-        assert via_env == pytest.approx(uncached, abs=1e-6)
+        for state in (peps.random_peps(3, 3, bond_dim=2, seed=3), circuit):
+            randomized_svd_calls.clear()
+            via_env = state.expectation(ham, contract_option=option)
+            uncached = expectation_uncached(state, ham, option)
+            assert randomized_svd_calls
+            assert via_env == pytest.approx(uncached, abs=1e-6)
 
 
 class TestInvalidation:

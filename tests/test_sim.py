@@ -602,10 +602,12 @@ class TestResumeReproducibility:
     @pytest.mark.parametrize("written", [
         {"kind": "two_layer_bmps", "bond": 2},
         {"kind": "bmps", "svd": {"kind": "explicit", "rank": 2}},
-    ], ids=["retired-kind", "io-layer-form"])
+        {"kind": "bmps", "bond": 2, "absorb": "even"},
+    ], ids=["retired-kind", "io-layer-form", "explicit-default"])
     def test_resume_compares_the_normalized_contraction(self, tmp_path, written):
         """A contraction block spelled another way for the same computation
-        (a retired kind alias, the io-layer form) resumes as the shorthand."""
+        (a retired kind alias, the io-layer form, a spelled-out default)
+        resumes as the shorthand."""
         Simulation(ite_spec(tmp_path, contraction=written)).run(stop_after=2)
         shorthand = {"kind": "bmps", "bond": 2}
         resumed = Simulation(ite_spec(tmp_path, contraction=shorthand)).run(resume=True)
