@@ -48,10 +48,10 @@ MODEL = {"kind": "heisenberg_j1j2", "j1": [1.0, 1.0, 1.0],
          "j2": [0.5, 0.5, 0.5], "field": [0.2, 0.2, 0.2]}
 
 
-def _spec(tmp_path, payload_format):
+def _spec(tmp_path):
     nrow, ncol = LATTICE
     return RunSpec.from_dict({
-        "name": f"bench-ckpt-{payload_format}",
+        "name": "bench-ckpt-npz",
         "workload": "ite",
         "lattice": [nrow, ncol],
         "n_steps": N_STEPS,
@@ -62,8 +62,7 @@ def _spec(tmp_path, payload_format):
         "contraction": {"kind": "ctm", "chi": CHI},
         "measure_every": 1,
         "checkpoint_every": N_STEPS,
-        "checkpoint_dir": str(tmp_path / payload_format),
-        "checkpoint_payload": payload_format,
+        "checkpoint_dir": str(tmp_path / "npz"),
     })
 
 
@@ -81,7 +80,7 @@ def _measure_format(simulation, records, tmp_path, payload_format):
     directory = str(tmp_path / f"measure-{payload_format}")
 
     def write():
-        store = None if payload_format == "inline" else sim_io.make_payload_store(payload_format)
+        store = None if payload_format == "inline" else sim_io.NpzPayloadStore()
         return sim_io.write_checkpoint(
             directory, spec.name, N_STEPS, spec.to_dict(),
             simulation.workload.state_to_dict(store=store), records,
@@ -108,7 +107,7 @@ def _measure_format(simulation, records, tmp_path, payload_format):
 
 
 def test_checkpoint_size_and_time(benchmark, tmp_path):
-    spec = _spec(tmp_path, "npz")
+    spec = _spec(tmp_path)
     simulation = Simulation(spec)
     result = benchmark.pedantic(simulation.run, rounds=1, iterations=1)
     assert not result.interrupted

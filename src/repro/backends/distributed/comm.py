@@ -29,7 +29,6 @@ fault-injection test suite.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import signal
@@ -64,7 +63,7 @@ class WorkerFault:
     """Deterministic crash injection for one pool worker.
 
     The worker for ``rank`` counts its handled requests of kind ``op``
-    (``"contract"``, ``"echo"`` or ``"ping"``) and hard-exits on the
+    (``"contract"`` or ``"echo"``) and hard-exits on the
     ``after_calls``-th one, before computing a reply.  ``mode="once"`` clears
     the fault when the worker is respawned (the restart is transparent);
     ``mode="always"`` re-arms the respawned worker to die on its first
@@ -91,7 +90,7 @@ class WorkerFault:
         )
         if fault.mode not in ("once", "always"):
             raise ValueError(f"fault mode must be 'once' or 'always', got {fault.mode!r}")
-        if fault.op not in ("contract", "echo", "ping"):
+        if fault.op not in ("contract", "echo"):
             raise ValueError(f"fault op must be a worker request kind, got {fault.op!r}")
         if fault.after_calls < 1:
             raise ValueError("fault after_calls must be >= 1")
@@ -126,8 +125,6 @@ def _worker_main(rank: int, conn, fault: Optional[WorkerFault]) -> None:
                 result: Any = execute_plan(message[1], message[2], message[3])
             elif op == "echo":
                 result = message[1]
-            elif op == "ping":
-                result = None
             else:
                 raise ValueError(f"unknown pool request {op!r}")
             conn.send(("ok", result))
@@ -166,18 +163,6 @@ class SimulatedCommunicator:
         """Broadcast a replicated (small) tensor to all processes."""
         self.cost_model.broadcast(array.nbytes)
         return array
-
-    def alltoall(self, array: np.ndarray) -> np.ndarray:
-        """All-to-all personalized exchange (redistribution)."""
-        self.cost_model.redistribution(array.nbytes)
-        return array
-
-    def barrier(self) -> None:
-        """Synchronization barrier (latency-only)."""
-        p = self.nprocs
-        messages = max(1.0, math.log2(p)) if p > 1 else 0.0
-        self.cost_model.stats.record("barrier", self.cost_model.machine.alpha * messages,
-                                     messages=messages)
 
     def contract(self, plan: EinsumPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
         """Execute a contraction plan (in-process for the simulated executor)."""
@@ -375,19 +360,6 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
     def broadcast(self, array: np.ndarray) -> np.ndarray:
         self.cost_model.broadcast(array.nbytes)
         return self._exchange("broadcast", array)
-
-    def alltoall(self, array: np.ndarray) -> np.ndarray:
-        self.cost_model.redistribution(array.nbytes)
-        return self._exchange("alltoall", array)
-
-    def barrier(self) -> None:
-        super().barrier()
-        self._check_open()
-        for rank in range(self.nprocs):
-            self._count("ping", rank)
-            self._send(rank, ("ping",))
-        for rank in range(self.nprocs):
-            self._finish(rank, ("ping",))
 
     # ------------------------------------------------------------------ #
     # Contractions: rank-local pairwise chains + reduction on the driver

@@ -55,7 +55,6 @@ or from the command line::
 
 from repro.sim.io import (
     FORMAT_VERSION,
-    PAYLOAD_FORMATS,
     PAYLOAD_INLINE,
     PAYLOAD_NPZ,
     InlinePayloadStore,
@@ -67,7 +66,6 @@ from repro.sim.io import (
     contract_option_to_dict,
     latest_checkpoint,
     load_checkpoint,
-    make_payload_store,
     open_payload_store,
     peps_from_dict,
     peps_to_dict,
@@ -107,13 +105,11 @@ from repro.sim.workloads import (
 __all__ = [
     "FORMAT_VERSION",
     "SPEC_VERSION",
-    "PAYLOAD_FORMATS",
     "PAYLOAD_INLINE",
     "PAYLOAD_NPZ",
     "PayloadStore",
     "InlinePayloadStore",
     "NpzPayloadStore",
-    "make_payload_store",
     "open_payload_store",
     "SerializationError",
     "RunSpec",

@@ -50,12 +50,10 @@ finish, one checkpoint is written per interrupted run (even off the
 eviction rather than on schedule only.  Sweeps forward the signal to every
 worker so each in-flight point checkpoints too.
 
-Checkpoints write tensor payloads to a compressed ``.npz`` sidecar by
-default; ``--payload sharded`` writes one npz file per backend rank (the
-distributed backend's layout, see ``docs/distributed.md``), and ``--resume``
-reads either — and the all-JSON inline checkpoints of earlier builds, which
-are no longer written — regardless (see ``docs/checkpoint-format.md`` for
-the on-disk contract and ``docs/cli.md`` for the complete CLI reference).  A backend
+Checkpoints write tensor payloads to a compressed ``.npz`` sidecar, and
+``--resume`` also reads the all-JSON inline and per-rank sharded checkpoints
+of earlier builds (see ``docs/checkpoint-format.md`` for the on-disk
+contract and ``docs/cli.md`` for the complete CLI reference).  A backend
 that loses the ability to execute mid-run (e.g. a worker-pool rank dying
 past its restart budget) also exits with code 4: the last scheduled
 checkpoint is kept and the run resumes from it.
@@ -70,7 +68,6 @@ import signal
 import sys
 from typing import List, Optional, Sequence
 
-from repro.sim.io import PAYLOAD_FORMATS, check_payload_format
 from repro.sim.runner import Simulation
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import STATUS_FAILED, Sweep, SweepSpec
@@ -92,15 +89,6 @@ EXIT_FAILED_POINTS = 1
 
 #: Signals that trigger checkpoint-and-exit (SIGINT covers Ctrl-C).
 _HANDLED_SIGNALS = (signal.SIGTERM, signal.SIGINT)
-
-
-def _payload_format(value: str) -> str:
-    """``--payload`` argument type: a format checkpoints are written in."""
-    try:
-        check_payload_format(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the spec's checkpoint directory")
     run.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                      help="override the spec's checkpoint interval")
-    run.add_argument("--payload", type=_payload_format, default=None,
-                     metavar="{%s}" % ",".join(PAYLOAD_FORMATS),
-                     help="override the spec's checkpoint payload format "
-                     "(npz sidecar or per-rank sharded npz; --resume reads "
-                     "both, and the inline JSON of earlier builds)")
     run.add_argument("--name", default=None, help="override the spec's run name")
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="record spans of this run into a Chrome trace-event "
@@ -173,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the spec's combined results path")
     sweep.add_argument("--sweep-dir", default=None, metavar="DIR",
                        help="override the spec's working directory")
-    sweep.add_argument("--payload", type=_payload_format, default=None,
-                       metavar="{%s}" % ",".join(PAYLOAD_FORMATS),
-                       help="override the base spec's checkpoint payload format "
-                       "for every point")
     sweep.add_argument("--count-flops", action="store_true",
                        help="record per-point flop counts in the manifest metrics")
     sweep.add_argument("--quiet", action="store_true",
@@ -256,8 +235,6 @@ def _main_run(args) -> int:
         spec.checkpoint_dir = args.checkpoint_dir
     if args.checkpoint_every is not None:
         spec.checkpoint_every = max(0, args.checkpoint_every)
-    if args.payload is not None:
-        spec.checkpoint_payload = args.payload
     if args.name is not None:
         spec.name = args.name
     if args.trace is not None:
@@ -310,10 +287,6 @@ def _main_sweep(args) -> int:
         spec.results = args.results
     if args.sweep_dir is not None:
         spec.sweep_dir = args.sweep_dir
-    if args.payload is not None:
-        # Land in the base payload: every expanded point inherits it (an
-        # explicit checkpoint_payload axis/override still wins).
-        spec.base["checkpoint_payload"] = args.payload
 
     def progress(event):
         if args.quiet:

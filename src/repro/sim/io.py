@@ -9,12 +9,12 @@ one float-for-float.
 
 Tensor payloads go through a :class:`PayloadStore`, which decides where the
 bytes live (the on-disk contract is specified in
-``docs/checkpoint-format.md``).  Two stores *write* checkpoints —
-:class:`NpzPayloadStore` (one ``.npz`` sidecar next to the JSON document) and
-:class:`ShardedPayloadStore` (one ``.ckpt.rank<r>.npz`` file per backend
-rank).  :class:`InlinePayloadStore` (base64 inside the document) encodes
-in-memory state dicts built with ``store=None`` and reads documents whose
-``payload_format`` is ``"inline"``.
+``docs/checkpoint-format.md``).  One store *writes* checkpoints:
+:class:`NpzPayloadStore` (one ``.npz`` sidecar next to the JSON document).
+Two read what earlier builds wrote: :class:`ShardedPayloadStore` (one
+``.ckpt.rank<r>.npz`` file per backend rank) and :class:`InlinePayloadStore`
+(base64 inside the document), which also encodes in-memory state dicts
+built with ``store=None``.
 
 The module provides ``to_dict``/``from_dict`` pairs, written once against
 the store interface (``to_dict(obj, store=...)``), for
@@ -65,13 +65,12 @@ from repro.utils.text import did_you_mean
 #: and readers accept).
 FORMAT_VERSION = 2
 
-#: Payload format names.  :data:`PAYLOAD_FORMATS` are the ones checkpoints
-#: are *written* in (the ``RunSpec.checkpoint_payload`` knob); the inline
-#: format of earlier builds is still read.
+#: Payload format names, as a checkpoint document's ``payload_format``
+#: records them; readers dispatch on them.  Checkpoints are written as npz;
+#: the inline and sharded formats of earlier builds are still read.
 PAYLOAD_INLINE = "inline"
 PAYLOAD_NPZ = "npz"
 PAYLOAD_SHARDED = "sharded"
-PAYLOAD_FORMATS = (PAYLOAD_NPZ, PAYLOAD_SHARDED)
 
 #: Arrays smaller than this many bytes stay inline even under the npz store:
 #: one zip member costs ~250 bytes of container overhead (local + central
@@ -135,17 +134,17 @@ class PayloadStore:
     payload path of the array inside the document (``peps/tensors/1/2``);
     stores that keep bytes externally use it as the storage key.
 
-    A store also knows its half of the checkpoint contract: the two that
-    write have a ``write_files`` landing whatever ``put`` collected next to
-    a checkpoint document and returning the fields that document records
-    about it, and :meth:`for_document` reopens those files (digest-verified)
-    from a loaded document.
+    A store also knows its half of the checkpoint contract: the npz store,
+    the one that writes, has a ``write_files`` landing whatever ``put``
+    collected next to a checkpoint document and returning the fields that
+    document records about it, and every store's :meth:`for_document`
+    reopens those files (digest-verified) from a loaded document.
     """
 
     kind = PAYLOAD_INLINE
 
     def put(self, path: str, array: np.ndarray) -> Dict[str, Any]:
-        raise NotImplementedError
+        raise SerializationError(f"no checkpoint is written in the {self.kind} format")
 
     def get(self, payload: Dict[str, Any]) -> np.ndarray:
         return _decode_array(payload)
@@ -195,24 +194,6 @@ class _HashingWriter:
         return self._handle.write(data)
 
 
-def _write_npz_atomic(path: str, arrays: Dict[str, np.ndarray]) -> str:
-    """Deterministic atomic npz write shared by the npz and sharded stores.
-
-    Fixed member timestamps, insertion order and deflate level 9 make the
-    zip bytes a pure function of the arrays.  Returns the file's SHA-256,
-    accumulated while streaming (no re-read).
-    """
-    with _atomic_file(path, "wb") as handle:
-        writer = _HashingWriter(handle)
-        with zipfile.ZipFile(writer, "w", zipfile.ZIP_DEFLATED) as archive:
-            for key, array in arrays.items():
-                info = zipfile.ZipInfo(key + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-                member = stdlib_io.BytesIO()
-                np.lib.format.write_array(member, array, allow_pickle=False)
-                archive.writestr(info, member.getvalue(), zipfile.ZIP_DEFLATED, 9)
-    return writer.hexdigest()
-
-
 def _verified_file(
     directory: Optional[str], filename: str, sha256: Optional[str], what: str
 ) -> str:
@@ -239,25 +220,14 @@ def _verified_file(
 
 
 class _FilePayloadStore(PayloadStore):
-    """What the two writers share: which arrays leave the document, and how
-    they come back.
-
-    Writing: ``put`` keeps arrays below ``inline_threshold`` bytes (or below
-    ``min_ndim`` dimensions) in the document, in the compact inline
-    encoding, and registers every other array under its payload path —
-    bitwise-identical content once, later copies sharing the first key.
-    Reading: the store wraps open npz handles; ``get`` decodes inline
-    payloads directly and hands ``{<ref>: key, ...}`` references to
-    :meth:`_read`.
+    """What the npz and sharded readers share: the store wraps open npz
+    handles; ``get`` decodes inline payloads directly and hands
+    ``{<ref>: key, ...}`` references to :meth:`_read`.
     """
 
     ref = ""        # the payload key marking a reference into this store
-    min_ndim = 0
 
-    def __init__(self, inline_threshold: int = NPZ_INLINE_THRESHOLD) -> None:
-        self.inline_threshold = int(inline_threshold)
-        self._arrays: Dict[str, np.ndarray] = {}
-        self._by_digest: Dict[Tuple[str, Tuple[int, ...], bytes], str] = {}
+    def __init__(self) -> None:
         self._handles: Optional[List[Any]] = None
 
     @classmethod
@@ -268,38 +238,11 @@ class _FilePayloadStore(PayloadStore):
         store._handles = [np.load(os.fspath(path)) for path in paths]
         return store
 
-    @property
-    def paths(self) -> List[str]:
-        """The payload paths registered (write side) or present (read side)."""
-        if self._handles is None:
-            return list(self._arrays)
-        return list(dict.fromkeys(key for handle in self._handles for key in handle.files))
-
-    def _register(self, path: str, array: np.ndarray) -> Optional[str]:
-        """The key ``array`` is stored under, ``None`` if it stays inline."""
-        if self._handles is not None:
-            raise SerializationError("this payload store was opened read-only")
-        if array.nbytes < self.inline_threshold or array.ndim < self.min_ndim:
-            return None
-        # array.data hashes the buffer in place; tobytes() would copy it.
-        digest = (array.dtype.str, array.shape, hashlib.sha256(array.data).digest())
-        key = self._by_digest.get(digest)
-        if key is None:
-            if path in self._arrays:
-                raise SerializationError(f"duplicate payload path {path!r}")
-            self._arrays[path] = array
-            self._by_digest[digest] = key = path
-        return key
-
     def get(self, payload: Dict[str, Any]) -> np.ndarray:
         key = payload.get(self.ref)
         if key is None:
             return _decode_array(payload)
-        if self._handles is not None:
-            return self._read(key, payload)
-        if key in self._arrays:
-            return self._arrays[key].copy()
-        raise SerializationError(f"unknown {self.ref} payload key {key!r}")
+        return self._read(key, payload)
 
     def _read(self, key: str, payload: Dict[str, Any]) -> np.ndarray:
         raise NotImplementedError
@@ -311,11 +254,15 @@ class _FilePayloadStore(PayloadStore):
 
 
 class NpzPayloadStore(_FilePayloadStore):
-    """Collect arrays for an ``.npz`` sidecar, keyed by payload path.
+    """The checkpoint writer: collect arrays for an ``.npz`` sidecar, keyed
+    by payload path.
 
-    ``put`` returns ``{"npz": key}`` for every registered array and
-    :meth:`save` writes them as one deterministic, deflate-compressed npz
-    file (a plain zip of ``<key>.npy`` members readable by ``numpy.load``);
+    ``put`` keeps arrays below ``inline_threshold`` bytes in the document,
+    in the compact inline encoding, and registers every other array under
+    its payload path — bitwise-identical content once, later copies sharing
+    the first key — returning ``{"npz": key}``.  :meth:`save` writes the
+    registered arrays as one deterministic, deflate-compressed npz file (a
+    plain zip of ``<key>.npy`` members readable by ``numpy.load``);
     :meth:`open` wraps an existing sidecar, whose members decompress lazily,
     one zip read per ``get``.
     """
@@ -323,12 +270,38 @@ class NpzPayloadStore(_FilePayloadStore):
     kind = PAYLOAD_NPZ
     ref = "npz"
 
+    def __init__(self, inline_threshold: int = NPZ_INLINE_THRESHOLD) -> None:
+        super().__init__()
+        self.inline_threshold = int(inline_threshold)
+        self._arrays: Dict[str, np.ndarray] = {}
+        self._by_digest: Dict[Tuple[str, Tuple[int, ...], bytes], str] = {}
+
+    @property
+    def paths(self) -> List[str]:
+        """The payload paths registered so far."""
+        return list(self._arrays)
+
     def put(self, path: str, array: np.ndarray) -> Dict[str, Any]:
+        if self._handles is not None:
+            raise SerializationError("this payload store was opened read-only")
         array = np.ascontiguousarray(array)
-        key = self._register(path, array)
-        return _encode_array(array, compact=True) if key is None else {"npz": key}
+        if array.nbytes < self.inline_threshold:
+            return _encode_array(array, compact=True)
+        # array.data hashes the buffer in place; tobytes() would copy it.
+        digest = (array.dtype.str, array.shape, hashlib.sha256(array.data).digest())
+        key = self._by_digest.get(digest)
+        if key is None:
+            if path in self._arrays:
+                raise SerializationError(f"duplicate payload path {path!r}")
+            self._arrays[path] = array
+            self._by_digest[digest] = key = path
+        return {"npz": key}
 
     def _read(self, key: str, payload: Dict[str, Any]) -> np.ndarray:
+        if self._handles is None:
+            if key in self._arrays:
+                return self._arrays[key].copy()
+            raise SerializationError(f"unknown npz payload key {key!r}")
         (sidecar,) = self._handles
         if key not in sidecar.files:
             raise SerializationError(f"payload {key!r} is missing from the npz sidecar")
@@ -336,9 +309,21 @@ class NpzPayloadStore(_FilePayloadStore):
 
     def save(self, path: Union[str, os.PathLike]) -> str:
         """Atomically write the registered arrays as an npz file; returns its
-        SHA-256.  The zip is deterministic: identical state always produces
-        identical sidecar bytes (see :func:`_write_npz_atomic`)."""
-        return _write_npz_atomic(os.fspath(path), self._arrays)
+        SHA-256, accumulated while streaming (no re-read).
+
+        Fixed member timestamps, insertion order and deflate level 9 make
+        the zip bytes a pure function of the arrays: identical state always
+        produces identical sidecar bytes.
+        """
+        with _atomic_file(os.fspath(path), "wb") as handle:
+            writer = _HashingWriter(handle)
+            with zipfile.ZipFile(writer, "w", zipfile.ZIP_DEFLATED) as archive:
+                for key, array in self._arrays.items():
+                    info = zipfile.ZipInfo(key + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                    member = stdlib_io.BytesIO()
+                    np.lib.format.write_array(member, array, allow_pickle=False)
+                    archive.writestr(info, member.getvalue(), zipfile.ZIP_DEFLATED, 9)
+        return writer.hexdigest()
 
     def write_files(self, directory: str, name: str, step: int) -> Dict[str, Any]:
         """Write the sidecar of checkpoint ``(name, step)``; returns the
@@ -361,46 +346,19 @@ class NpzPayloadStore(_FilePayloadStore):
 
 
 class ShardedPayloadStore(_FilePayloadStore):
-    """Per-rank checkpoint payloads for the distributed backend.
+    """Reader of the per-rank checkpoints earlier builds wrote for the
+    distributed backend; no checkpoint is written through it.
 
-    Every registered array is block-partitioned by the natural
-    :class:`~repro.backends.distributed.distribution.Distribution` of its
-    shape over ``nshards`` ranks: ``put`` returns a self-describing
-    reference ``{"shard": key, "dtype", "shape", "grid"}`` and
-    :meth:`write_files` writes one deterministic ``.ckpt.rank<r>.npz`` file
-    per rank, holding rank ``r``'s contiguous block of every array.  Scalars
-    stay inline like sub-threshold arrays — split ``nshards`` ways they
-    would be pure container overhead.  ``get`` loads each rank's block and
-    reassembles bitwise via the reference's recorded grid, so restore works
-    on any backend and any rank count.
+    Such a checkpoint lists one ``.ckpt.rank<r>.npz`` file per rank, holding
+    rank ``r``'s contiguous block of every large array.  A reference
+    ``{"shard": key, "dtype", "shape", "grid"}`` records the block
+    :class:`~repro.backends.distributed.distribution.Distribution` its array
+    was split by; ``get`` loads each rank's block and reassembles it
+    bitwise, on any backend and any rank count.
     """
 
     kind = PAYLOAD_SHARDED
     ref = "shard"
-    min_ndim = 1
-
-    def __init__(
-        self, nshards: int = 1, inline_threshold: int = NPZ_INLINE_THRESHOLD
-    ) -> None:
-        super().__init__(inline_threshold)
-        self.nshards = max(1, int(nshards))
-
-    def _distribution(self, shape):
-        from repro.backends.distributed.distribution import Distribution
-
-        return Distribution.natural(shape, self.nshards)
-
-    def put(self, path: str, array: np.ndarray) -> Dict[str, Any]:
-        array = np.ascontiguousarray(array)
-        key = self._register(path, array)
-        if key is None:
-            return _encode_array(array, compact=True)
-        return {
-            "shard": key,
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "grid": list(self._distribution(array.shape).grid.dims),
-        }
 
     def _read(self, key: str, payload: Dict[str, Any]) -> np.ndarray:
         from repro.backends.distributed.distribution import (
@@ -412,13 +370,14 @@ class ShardedPayloadStore(_FilePayloadStore):
             shape=tuple(int(d) for d in payload["shape"]),
             grid=ProcessorGrid(dims=tuple(int(g) for g in payload["grid"])),
         )
-        if dist.nprocs > len(self._handles):
+        handles = self._handles or []
+        if dist.nprocs > len(handles):
             raise SerializationError(
                 f"payload {key!r} needs {dist.nprocs} rank files, the "
-                f"checkpoint lists {len(self._handles)}"
+                f"checkpoint lists {len(handles)}"
             )
         blocks = []
-        for rank, handle in enumerate(self._handles[: dist.nprocs]):
+        for rank, handle in enumerate(handles[: dist.nprocs]):
             if key not in handle.files:
                 raise SerializationError(
                     f"payload {key!r} is missing from rank file {rank}"
@@ -426,26 +385,6 @@ class ShardedPayloadStore(_FilePayloadStore):
             blocks.append(np.asarray(handle[key]))
         array = dist.reassemble(blocks)
         return array.astype(np.dtype(payload["dtype"]), copy=False)
-
-    def write_files(self, directory: str, name: str, step: int) -> Dict[str, Any]:
-        """Atomically write every rank's file; ``{"shards": [{"file", "sha256"}]}``.
-
-        All ``nshards`` files are written even when some rank's blocks are
-        empty (over-decomposed modes), so the checkpoint document's shard
-        list always has one entry per rank.
-        """
-        if not self._arrays:
-            return {}
-        dists = {key: self._distribution(array.shape) for key, array in self._arrays.items()}
-        shards: List[Dict[str, str]] = []
-        for rank in range(self.nshards):
-            members = {
-                key: dists[key].shard(array, rank) for key, array in self._arrays.items()
-            }
-            filename = checkpoint_filename(name, step, f"rank{rank}.npz")
-            sha256 = _write_npz_atomic(os.path.join(directory, filename), members)
-            shards.append({"file": filename, "sha256": sha256})
-        return {"shards": shards}
 
     @classmethod
     def for_document(cls, document: Dict[str, Any], directory: Optional[str]):
@@ -462,30 +401,6 @@ class ShardedPayloadStore(_FilePayloadStore):
 _STORES = {
     store.kind: store for store in (InlinePayloadStore, NpzPayloadStore, ShardedPayloadStore)
 }
-
-
-def check_payload_format(payload_format: Any) -> None:
-    """Raise unless ``payload_format`` is one checkpoints are written in."""
-    if payload_format not in PAYLOAD_FORMATS:
-        still_read = "; inline checkpoints are still read (--resume), but no longer written"
-        note = still_read if payload_format == PAYLOAD_INLINE else ""
-        raise SerializationError(
-            f"unknown payload format {payload_format!r}: checkpoint_payload must "
-            f"be one of {PAYLOAD_FORMATS}{note}"
-        )
-
-
-def make_payload_store(payload_format: str, nshards: int = 1) -> PayloadStore:
-    """Fresh write-side store for a ``RunSpec.checkpoint_payload`` value.
-
-    ``nshards`` only matters for the ``"sharded"`` format, where it sets the
-    rank count of the per-array distributions (the runner passes the
-    backend's ``nprocs``).
-    """
-    check_payload_format(payload_format)
-    if payload_format == PAYLOAD_SHARDED:
-        return ShardedPayloadStore(nshards=nshards)
-    return NpzPayloadStore()
 
 
 def encode_tensor(
@@ -779,14 +694,14 @@ def write_checkpoint(
     workload_state: Dict[str, Any],
     records: List[Dict[str, Any]],
     keep: int = 3,
-    store: Optional[PayloadStore] = None,
+    store: Optional[NpzPayloadStore] = None,
 ) -> str:
     """Atomically persist one checkpoint and prune old ones (keep the newest ``keep``).
 
-    ``store`` must be the :class:`PayloadStore` that ``workload_state`` was
-    serialized through (``None``: a state that references no payload file).
-    The store's files — the ``.ckpt.npz`` sidecar, or one file per rank —
-    are written *before* the JSON document replaces the previous checkpoint,
+    ``store`` must be the :class:`NpzPayloadStore` that ``workload_state``
+    was serialized through (``None``: a state that references no payload
+    file).  Its ``.ckpt.npz`` sidecar is written *before* the JSON document
+    replaces the previous checkpoint,
     so readers never observe a document whose payload files are missing; the
     document additionally records each file's SHA-256 (verified by
     :func:`open_payload_store`), so a crash between the two replaces — which

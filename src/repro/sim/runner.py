@@ -135,13 +135,8 @@ class Simulation:
 
     def _write_checkpoint(self, step: int, records: List[Dict[str, Any]]) -> str:
         # One fresh store per checkpoint: the workload serializes its tensors
-        # through it, then write_checkpoint lands the arrays in the sidecar
-        # (npz) or in per-rank files (sharded — one per backend rank), per
-        # spec.checkpoint_payload.
-        nshards = 1
-        if self.spec.checkpoint_payload == sim_io.PAYLOAD_SHARDED:
-            nshards = int(getattr(self.spec.resolve_backend(), "nprocs", 1))
-        store = sim_io.make_payload_store(self.spec.checkpoint_payload, nshards=nshards)
+        # through it, then write_checkpoint lands the arrays in the sidecar.
+        store = sim_io.NpzPayloadStore()
         # Telemetry is observational, never part of the run definition: strip
         # it from the persisted spec so traced and untraced sessions write
         # bitwise-identical checkpoints (and resume across each other).  The
@@ -176,8 +171,7 @@ class Simulation:
         # Everything that defines the physics/trajectory must match; schedule
         # and output knobs (n_steps, measure_every, results, checkpointing)
         # may legitimately change between sessions (e.g. extending a run) and
-        # are not even parsed — an inline-era document names a payload format
-        # this build no longer writes.
+        # are not even parsed.
         physics_fields = (
             "workload", "lattice", "seed",
             "model", "algorithm", "update", "contraction",
@@ -248,9 +242,8 @@ class Simulation:
         if resume:
             payload, resumed_from = self._load_checkpoint(resume)
             # The store resolves the checkpoint's tensor payloads wherever
-            # they live (inline base64 of earlier builds, the npz sidecar, rank
-            # files) — a run resumes from any format regardless of its own
-            # checkpoint_payload.
+            # they live: the npz sidecar, or the inline base64 and rank files
+            # of earlier builds.
             store = sim_io.open_payload_store(payload, resumed_from)
             try:
                 self.workload.restore_state(payload["workload_state"], store=store)

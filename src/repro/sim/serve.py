@@ -24,6 +24,11 @@ Design choices
   the job's spec and working directory; the endpoint file ``serve.json``
   (host/port/pid/url) is written on bind so clients and tests never guess
   ports.
+* **A job has one child at a time.**  The running child's pid is kept in
+  ``jobs/<id>/child.json`` while it runs.  A daemon killed outright cannot
+  stop its child, which keeps running; the restarted daemon stops it the way
+  a graceful shutdown would (SIGTERM: checkpoint, exit 4) before it resumes
+  the job, so two children never share one checkpoint directory.
 
 HTTP API (see ``docs/serve.md`` for the full surface and failure matrix)::
 
@@ -42,6 +47,7 @@ and scripts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -70,9 +76,26 @@ JOB_INTERRUPTED = "interrupted"
 #: Endpoint file written into the state directory on bind.
 ENDPOINT_FILENAME = "serve.json"
 
+#: Per-job file holding the running child's pid (not part of the API record).
+_CHILD_FILENAME = "child.json"
+
+#: Seconds a child left running by a killed daemon gets to checkpoint and
+#: exit after SIGTERM before it is killed.
+_ORPHAN_GRACE_S = 60.0
+
 #: CLI exit codes the daemon interprets (mirrors ``repro.sim.__main__``).
 _EXIT_INTERRUPTED = 3
 _EXIT_SIGNALED = 4
+
+
+def _runs_spec(pid: int, spec_path: str) -> bool:
+    """Whether process ``pid`` is alive and running ``spec_path``: its
+    command line (from procfs; a zombie's is empty) names the spec file."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return os.fsencode(spec_path) in handle.read().split(b"\0")
+    except OSError:
+        return False
 
 
 def _job_sort_key(job_id: str) -> Tuple[int, str]:
@@ -132,6 +155,9 @@ class ServeDaemon:
         if not self.quiet:
             print(f"serve: {message}", flush=True)
 
+    def _child_path(self, job_id: str) -> str:
+        return os.path.join(self._job_dir(job_id), _CHILD_FILENAME)
+
     def _save_job(self, job: Dict[str, Any]) -> None:
         atomic_write_json(
             os.path.join(self._job_dir(job["id"]), "job.json"),
@@ -144,7 +170,8 @@ class ServeDaemon:
         A job that was ``running`` or ``interrupted`` when the previous
         daemon exited restarts with ``--resume`` (its checkpoints carry the
         progress); ``queued`` jobs simply queue again.  Done/failed jobs are
-        immutable history.
+        immutable history.  A child the previous daemon left running is
+        stopped first (:meth:`_stop_orphan`).
         """
         jobs_dir = self._jobs_dir()
         if not os.path.isdir(jobs_dir):
@@ -159,6 +186,7 @@ class ServeDaemon:
             if job.get("type") != "ServeJob":
                 continue
             job = {k: v for k, v in job.items() if k not in ("format_version", "type")}
+            self._stop_orphan(job)
             if job.get("status") in (JOB_RUNNING, JOB_INTERRUPTED):
                 job["status"] = JOB_QUEUED
                 job["resume"] = True
@@ -167,6 +195,35 @@ class ServeDaemon:
                 self._pending.append(job["id"])
                 self._log(f"recovered {job['id']} (resume={job.get('resume', False)})")
             self._save_job(job)
+
+    def _stop_orphan(self, job: Dict[str, Any]) -> None:
+        """Stop the child a killed daemon left running for ``job``.
+
+        SIGTERM makes it finish its step, checkpoint and exit 4, as on a
+        graceful shutdown; past :data:`_ORPHAN_GRACE_S` it is killed and the
+        job resumes from its last scheduled checkpoint.  A pid that no
+        longer runs the job's spec (the child exited, the pid was reused) is
+        left alone.
+        """
+        path = self._child_path(job["id"])
+        try:
+            with open(path) as handle:
+                pid = int(json.load(handle)["pid"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return
+        spec_path = job["spec_path"]
+        for sig in (signal.SIGTERM, signal.SIGKILL):
+            if not _runs_spec(pid, spec_path):
+                break
+            self._log(f"stopping {job['id']}'s orphaned child (pid {pid}, {sig.name})")
+            try:
+                os.kill(pid, sig)
+            except OSError:  # pragma: no cover - racing child exit
+                break
+            deadline = time.monotonic() + _ORPHAN_GRACE_S
+            while _runs_spec(pid, spec_path) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        os.unlink(path)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -412,6 +469,7 @@ class ServeDaemon:
                         self._command(job), stdout=log_handle, stderr=log_handle
                     )
                     self._child, self._child_job = child, job_id
+                    atomic_write_json(self._child_path(job_id), {"pid": child.pid})
                     # A shutdown that raced the spawn must still reach the
                     # child, or the daemon would block on a full run.
                     if self._shutdown.is_set():
@@ -426,6 +484,8 @@ class ServeDaemon:
                 continue
             finally:
                 self._child, self._child_job = None, None
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self._child_path(job_id))
             elapsed = time.perf_counter() - start
             with self._lock:
                 job["exit_code"] = code

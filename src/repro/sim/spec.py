@@ -41,11 +41,10 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.lattice import Lattice, lattice_from_config
 from repro.sim.io import (
     SerializationError,
-    check_payload_format,
     contract_option_from_dict,
     update_option_from_dict,
 )
-from repro.sim.upgrade import SPEC_CONTRACTION, upgrade
+from repro.sim.upgrade import RUN_SPEC, SPEC_CONTRACTION, upgrade
 from repro.utils.checks import nonnegative_int, positive_finite, positive_int
 from repro.utils.text import did_you_mean
 
@@ -158,12 +157,6 @@ class RunSpec:
         Directory for checkpoint files.
     keep_checkpoints:
         Retain only this many most-recent checkpoints.
-    checkpoint_payload:
-        Where checkpoint tensor payloads live: ``"npz"`` (default) writes a
-        compressed ``.npz`` sidecar next to each checkpoint's JSON document,
-        ``"sharded"`` one npz file per backend rank.  ``--resume`` reads
-        either, and the ``"inline"`` all-JSON format of earlier builds,
-        regardless of this setting (see ``docs/checkpoint-format.md``).
     results:
         Stream step records to this path (``.jsonl`` appends one JSON object
         per record, anything else gets one JSON document); ``None`` keeps
@@ -196,7 +189,6 @@ class RunSpec:
     checkpoint_every: int = 0
     checkpoint_dir: str = "checkpoints"
     keep_checkpoints: int = 3
-    checkpoint_payload: str = "npz"
     results: Optional[str] = None
     telemetry: Optional[Dict[str, Any]] = None
 
@@ -216,7 +208,6 @@ class RunSpec:
                 raise ValueError(f"n_steps must be positive, got {self.n_steps}")
         self.measure_every = max(1, int(self.measure_every))
         self.checkpoint_every = max(0, int(self.checkpoint_every))
-        check_payload_format(self.checkpoint_payload)
         if isinstance(self.observables, str):
             # tuple("sample") would silently become six one-letter names.
             self.observables = (self.observables,)
@@ -271,8 +262,12 @@ class RunSpec:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunSpec":
-        """Parse a plain dict (e.g. loaded from JSON); unknown keys are errors."""
-        payload = dict(payload)
+        """Parse a plain dict (e.g. loaded from JSON); unknown keys are errors.
+
+        Fields that earlier builds wrote and this build retired are lifted
+        away first (:mod:`repro.sim.upgrade`).
+        """
+        payload = dict(upgrade(payload, RUN_SPEC))
         version = payload.pop("spec_version", SPEC_VERSION)
         if version != SPEC_VERSION:
             raise SerializationError(

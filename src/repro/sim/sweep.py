@@ -725,7 +725,6 @@ class Sweep:
                 "index": point.index,
                 "overrides": dict(point.overrides),
                 "seed": point.payload.get("seed"),
-                "payload": point.spec.checkpoint_payload,
                 "status": STATUS_PENDING,
                 "final_step": None,
                 "error": None,
@@ -764,12 +763,6 @@ class Sweep:
             entry = dict(entry)
             if entry.get("status") == STATUS_DONE and not os.path.exists(point.results_path):
                 entry["status"] = STATUS_PENDING  # results lost: run it again
-            if entry.get("status") != STATUS_DONE:
-                # Will (re)run this session: record the format it writes now.
-                # A different format in the old manifest is not a mismatch —
-                # resume reads whatever format the checkpoints are in.  A done
-                # point keeps the format its artifacts were written in.
-                entry["payload"] = point.spec.checkpoint_payload
             entries[point.name] = entry
         return entries
 

@@ -7,6 +7,7 @@ document's kind before anything else looks at it:
 * :meth:`repro.sim.sweep.Sweep.load_manifest` — ``MANIFEST``,
 * :func:`repro.sim.io.attach_environment_from_dict` — ``ENVIRONMENT``,
 * :func:`repro.sim.io.contract_option_from_dict` — ``CONTRACTION``,
+* :meth:`repro.sim.spec.RunSpec.from_dict` — ``RUN_SPEC``,
 * the run spec's contraction normaliser (:mod:`repro.sim.spec`) —
   ``SPEC_CONTRACTION``.
 
@@ -30,19 +31,21 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, NamedTuple
 
-#: Document kinds: the ``type`` tag of the three typed documents, and the
-#: two option forms read on their own.
+#: Document kinds: the ``type`` tag of the three typed documents, a run
+#: spec, and the two option forms read on their own.
 CHECKPOINT = "Checkpoint"
 MANIFEST = "SweepManifest"
 ENVIRONMENT = "Environment"
+RUN_SPEC = "RunSpec"                   # a RunSpec payload (spec file, stored spec)
 CONTRACTION = "contraction"            # a contraction option dict (io form)
 SPEC_CONTRACTION = "spec.contraction"  # a run spec's ``contraction`` block
 
 
 class Step(NamedTuple):
     """One retired wire form: the kind of document that may carry it, the
-    commit whose writers stopped producing it, and the lift to the current
-    form."""
+    commit whose writers stopped producing it (``"after <commit>"``: the
+    child of ``<commit>``, the last build that wrote the form), and the lift
+    to the current form."""
 
     kind: str
     retired_in: str
@@ -74,19 +77,13 @@ def _checkpoint_payload_fields(document):
     return {**document, "payload_format": "inline", "sidecar": None}
 
 
-def _manifest_payload(document):
-    """Entries written before the ``payload`` field existed: their points
-    could only have written inline checkpoints."""
-    points = document.get("points") or ()
-    if all("payload" in entry for entry in points):
+def _checkpoint_payload_knob(document):
+    """A run spec's ``checkpoint_payload`` chose between the npz and sharded
+    checkpoint writers.  Every checkpoint is npz now, whatever it said, and
+    resume reads every format."""
+    if "checkpoint_payload" not in document:
         return document
-    return {
-        **document,
-        "points": [
-            entry if "payload" in entry else {**entry, "payload": "inline"}
-            for entry in points
-        ],
-    }
+    return {key: value for key, value in document.items() if key != "checkpoint_payload"}
 
 
 def _renamed_kinds(renames):
@@ -134,7 +131,7 @@ STEPS = (
     Step(CHECKPOINT, "a59dfd5", _version_1),
     Step(CHECKPOINT, "a59dfd5", _checkpoint_payload_fields),
     Step(MANIFEST, "a59dfd5", _version_1),
-    Step(MANIFEST, "a59dfd5", _manifest_payload),
+    Step(RUN_SPEC, "after 22cd0f5", _checkpoint_payload_knob),
     # A class that ran the same computation as BMPS under its own kind.
     Step(CONTRACTION, "23ca172", _renamed_kinds({"two_layer_bmps": "bmps"})),
     Step(CONTRACTION, "23ca172", _fold_truncate_bond),

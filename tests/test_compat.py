@@ -160,21 +160,19 @@ class TestRefusals:
                 open_payload_store(payload, None)
 
 
-class TestInlineIsReadOnly:
-    """Nothing writes the inline format any more, and every refusal says
-    that reading it still works."""
+class TestRetiredPayloadKnob:
+    """Specs of earlier builds name a ``checkpoint_payload``; whatever it
+    says, a fresh run writes npz checkpoints, and resume reads every format."""
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_cli_payload_flag_rejects_inline(self, tmp_path, command):
-        result = run_cli(tmp_path, command, "spec.json", "--payload", "inline")
-        assert result.returncode == 2
-        assert "inline checkpoints are still read" in result.stderr
-
-    def test_spec_file_with_inline_payload_is_rejected(self, tmp_path):
-        spec = json.loads((COMPAT_DIR / "inline" / "spec.json").read_text())
-        spec["checkpoint_payload"] = "inline"
+    @pytest.mark.parametrize("name", ["inline", "sharded"])
+    def test_fresh_run_writes_npz(self, tmp_path, name):
+        spec = json.loads((COMPAT_DIR / name / "spec.json").read_text())
+        spec.update(checkpoint_payload=name, n_steps=2)
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         result = run_cli(tmp_path, "run", "spec.json", "--quiet")
-        assert result.returncode != 0
-        assert "inline checkpoints are still read" in result.stderr
-        assert not list(tmp_path.glob("*.ckpt.json"))
+        assert result.returncode == 0, result.stderr
+        written = sorted(path.name for path in tmp_path.glob("*.ckpt.*"))
+        assert written == [CHECKPOINT, CHECKPOINT.replace(".json", ".npz")]
+        document = load_checkpoint(tmp_path / CHECKPOINT)
+        assert document["payload_format"] == "npz"
+        assert "checkpoint_payload" not in document["spec"]

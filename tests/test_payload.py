@@ -1,17 +1,18 @@
 """Tests for the payload-store layer (repro.sim.io PayloadStore/npz sidecars).
 
 Covers the store primitives (threshold, dedup, compact inline encoding), the
-inline<->npz<->sharded roundtrip matrix over every serializable state type
-(PEPS, warm BoundaryEnvironment/EnvCTM caches), the sidecar lifecycle of
-checkpoint files (atomic write, pruning, clearing, missing-sidecar errors),
-resume across the two written payload formats, v1 document compatibility —
-and the acceptance criterion that the npz format shrinks the ctm smoke
-checkpoint to at most 60% of the inline-JSON footprint.
+inline<->npz roundtrip matrix over every serializable state type (PEPS, warm
+BoundaryEnvironment/EnvCTM caches), the sharded reader over the same states,
+the sidecar lifecycle of checkpoint files (atomic write, pruning, clearing,
+missing-sidecar errors), v1 document compatibility — and the acceptance
+criterion that the npz format shrinks the ctm smoke checkpoint to at most 60%
+of the inline-JSON footprint.
 
-Inline is a *read-only* checkpoint format: the matrix still round-trips the
-in-memory inline encoding (``store=None`` dicts), and checkpoints an earlier
-build wrote inline are resumed from the frozen fixtures in
-``tests/test_compat.py``.
+Npz is the one format checkpoints are written in.  Inline and sharded are
+*read-only*: the matrix still round-trips the in-memory inline encoding
+(``store=None`` dicts), the sharded reader is fed rank files laid out the way
+earlier builds wrote them, and checkpoints an earlier build wrote in either
+format are resumed from the frozen fixtures in ``tests/test_compat.py``.
 """
 
 import json
@@ -24,9 +25,9 @@ from repro import peps
 from repro.peps import BMPS, CTMOption
 from repro.tensornetwork import ExplicitSVD
 from repro.sim import RunSpec, Simulation
+from repro.backends.distributed.distribution import Distribution
 from repro.sim.io import (
     NPZ_INLINE_THRESHOLD,
-    PAYLOAD_FORMATS,
     PAYLOAD_INLINE,
     PAYLOAD_NPZ,
     PAYLOAD_SHARDED,
@@ -38,7 +39,6 @@ from repro.sim.io import (
     decode_array,
     latest_checkpoint,
     load_checkpoint,
-    make_payload_store,
     open_payload_store,
     peps_from_dict,
     peps_to_dict,
@@ -54,9 +54,6 @@ BIG = NPZ_INLINE_THRESHOLD  # smallest byte count that lands in the sidecar
 
 def roundtrip_store(tmp_path, store, label="state"):
     """Persist a file-backed store and reopen it read-only (no-op for inline)."""
-    if isinstance(store, ShardedPayloadStore):
-        fields = store.write_files(str(tmp_path), label, 0)
-        return ShardedPayloadStore.for_document(fields, str(tmp_path))
     if not isinstance(store, NpzPayloadStore):
         return store
     path = tmp_path / f"{label}.npz"
@@ -68,26 +65,18 @@ def make_store(payload_format):
     """A write-side store; ``"inline"`` is the in-memory encoding only."""
     if payload_format == PAYLOAD_INLINE:
         return InlinePayloadStore()
-    return make_payload_store(payload_format, nshards=2)
+    return NpzPayloadStore()
 
 
 # --------------------------------------------------------------------- #
 # Store primitives
 # --------------------------------------------------------------------- #
 class TestPayloadStorePrimitives:
-    def test_make_payload_store_dispatch(self):
-        assert PAYLOAD_FORMATS == (PAYLOAD_NPZ, PAYLOAD_SHARDED)
-        assert isinstance(make_payload_store(PAYLOAD_NPZ), NpzPayloadStore)
-        sharded = make_payload_store(PAYLOAD_SHARDED, nshards=3)
-        assert isinstance(sharded, ShardedPayloadStore) and sharded.nshards == 3
-        with pytest.raises(SerializationError, match="unknown payload format"):
-            make_payload_store("hdf5")
-        with pytest.raises(SerializationError, match="unknown payload format"):
-            make_payload_store(None)
-
-    def test_inline_is_not_a_writable_format(self):
-        with pytest.raises(SerializationError, match="inline checkpoints are still read"):
-            make_payload_store(PAYLOAD_INLINE)
+    def test_sharded_store_has_no_write_path(self):
+        store = ShardedPayloadStore()
+        assert not hasattr(store, "write_files")
+        with pytest.raises(SerializationError, match="no checkpoint is written in the sharded"):
+            store.put("x/0", np.arange(BIG, dtype=np.float64))
 
     def test_inline_store_is_v1_encoding(self):
         array = np.arange(8, dtype=np.float64)
@@ -239,7 +228,7 @@ def state_arrays(obj):
 
 
 @pytest.mark.parametrize("state_kind", sorted(STATE_BUILDERS))
-@pytest.mark.parametrize("payload_format", [PAYLOAD_INLINE, PAYLOAD_NPZ, PAYLOAD_SHARDED])
+@pytest.mark.parametrize("payload_format", [PAYLOAD_INLINE, PAYLOAD_NPZ])
 class TestRoundTripMatrix:
     def test_bitwise_round_trip(self, tmp_path, state_kind, payload_format):
         obj = STATE_BUILDERS[state_kind]()
@@ -276,6 +265,60 @@ class TestRoundTripMatrix:
         again = peps_from_dict(payload, store=read)
         read.close()
         assert json.dumps(peps_to_dict(again)) == reference
+
+
+# --------------------------------------------------------------------- #
+# The sharded reader: rank files as earlier builds wrote them
+# --------------------------------------------------------------------- #
+def as_rank_files(directory, label, payload, store, nshards):
+    """``payload``, serialized through the npz ``store``, as the retired
+    sharded writer laid it out: every sidecar reference becomes a shard
+    descriptor and each rank's contiguous blocks land in that rank's npz
+    file.  Returns the document and the ``shards`` list naming the files."""
+    arrays = {key: store.get({"npz": key}) for key in store.paths}
+    dists = {key: Distribution.natural(a.shape, nshards) for key, a in arrays.items()}
+
+    def convert(node):
+        if isinstance(node, dict):
+            if set(node) == {"npz"}:
+                key = node["npz"]
+                return {"shard": key, "dtype": arrays[key].dtype.str,
+                        "shape": list(arrays[key].shape),
+                        "grid": list(dists[key].grid.dims)}
+            return {k: convert(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [convert(v) for v in node]
+        return node
+
+    shards = []
+    for rank in range(nshards):
+        filename = f"{label}-step000000.ckpt.rank{rank}.npz"
+        np.savez(directory / filename,
+                 **{key: dists[key].shard(a, rank) for key, a in arrays.items()})
+        shards.append({"file": filename})
+    return convert(payload), shards
+
+
+@pytest.mark.parametrize("state_kind", sorted(STATE_BUILDERS))
+@pytest.mark.parametrize("nshards", [1, 3])
+def test_sharded_reader_restores_bitwise(tmp_path, state_kind, nshards):
+    obj = STATE_BUILDERS[state_kind]()
+    store = NpzPayloadStore()
+    payload, shards = as_rank_files(
+        tmp_path, state_kind, peps_to_dict(obj, store=store), store, nshards
+    )
+    assert "shard" in json.dumps(payload)
+    read = open_payload_store(
+        {"payload_format": PAYLOAD_SHARDED, "shards": shards},
+        tmp_path / f"{state_kind}-step000000.ckpt.json",
+    )
+    assert isinstance(read, ShardedPayloadStore)
+    again = peps_from_dict(payload, store=read)
+    read.close()
+    for a, b in zip(state_arrays(obj), state_arrays(again)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert json.dumps(peps_to_dict(again)) == json.dumps(peps_to_dict(obj))
 
 
 # --------------------------------------------------------------------- #
@@ -414,9 +457,9 @@ class TestCheckpointSidecars:
 
 
 # --------------------------------------------------------------------- #
-# Runner integration: payload knob, cross-format resume, size criterion
+# Runner integration: npz checkpoints, size criterion
 # --------------------------------------------------------------------- #
-def ite_payload(tmp_path, payload_format, checkpoint_dir="ckpt"):
+def ite_payload(tmp_path):
     """A 3x3 IBMPS spec whose boundary tensors exceed the inline threshold."""
     return RunSpec.from_dict({
         "name": "payload-ite",
@@ -429,43 +472,19 @@ def ite_payload(tmp_path, payload_format, checkpoint_dir="ckpt"):
         "update": {"kind": "qr", "rank": 2},
         "contraction": {"kind": "ibmps", "bond": 4, "niter": 1, "seed": 0},
         "checkpoint_every": 2,
-        "checkpoint_dir": str(tmp_path / checkpoint_dir),
-        "checkpoint_payload": payload_format,
+        "checkpoint_dir": str(tmp_path / "ckpt"),
     })
 
 
 class TestRunnerPayloadFormats:
-    def test_spec_rejects_unknown_payload_format(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint_payload"):
-            ite_payload(tmp_path, "hdf5")
-
-    def test_npz_default_and_sidecar_presence(self, tmp_path):
-        spec = ite_payload(tmp_path, PAYLOAD_NPZ)
-        assert RunSpec.from_dict({"workload": "ite"}).checkpoint_payload == PAYLOAD_NPZ
+    def test_npz_sidecar_presence(self, tmp_path):
+        spec = ite_payload(tmp_path)
         Simulation(spec).run()
         files = sorted(os.listdir(tmp_path / "ckpt"))
         assert any(f.endswith(".ckpt.npz") for f in files)
+        assert not any(".rank" in f for f in files)
         payload = load_checkpoint(latest_checkpoint(tmp_path / "ckpt", spec.name))
         assert payload["payload_format"] == PAYLOAD_NPZ
-
-    def test_spec_rejects_inline_but_says_it_is_still_read(self, tmp_path):
-        with pytest.raises(ValueError, match="inline checkpoints are still read"):
-            ite_payload(tmp_path, PAYLOAD_INLINE)
-
-    @pytest.mark.parametrize("first,then", [
-        (PAYLOAD_SHARDED, PAYLOAD_NPZ),
-        (PAYLOAD_NPZ, PAYLOAD_SHARDED),
-    ])
-    def test_resume_across_payload_formats(self, tmp_path, first, then):
-        """A run interrupted under one payload format resumes bitwise under
-        the other (inline-era checkpoints resuming into npz runs are the
-        frozen fixtures of tests/test_compat.py)."""
-        reference = Simulation(ite_payload(tmp_path, first, "ref-ckpt")).run()
-        partial = Simulation(ite_payload(tmp_path, first)).run(stop_after=2)
-        assert partial.interrupted
-        resumed = Simulation(ite_payload(tmp_path, then)).run(resume=True)
-        assert not resumed.interrupted
-        assert resumed.records == reference.records
 
     def test_ctm_smoke_checkpoint_size_regression(self, tmp_path):
         """Acceptance: on the ctm smoke spec the npz checkpoint (JSON +
@@ -476,7 +495,6 @@ class TestRunnerPayloadFormats:
             base,
             checkpoint_dir=str(tmp_path / "ckpt"),
             results=str(tmp_path / "out.jsonl"),
-            checkpoint_payload=PAYLOAD_NPZ,
         ))
         simulation = Simulation(spec)
         simulation.run()
@@ -506,7 +524,6 @@ class TestRunnerPayloadFormats:
             "update": {"kind": "qr", "rank": 2},
             "contraction": {"kind": "bmps", "bond": 4},
             "checkpoint_every": 2,
-            "checkpoint_payload": "npz",
         }
         ref = RunSpec.from_dict({**payload, "checkpoint_dir": str(tmp_path / "a")})
         reference = Simulation(ref).run()

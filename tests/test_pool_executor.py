@@ -162,10 +162,9 @@ class TestPoolParity:
         pool = get_backend("distributed", nprocs=3, executor="pool")
         try:
             x = random_complex(rng, (5, 4))
-            for op in ("allreduce", "gather", "broadcast", "alltoall"):
+            for op in ("allreduce", "gather", "broadcast"):
                 out = getattr(pool.comm, op)(x)
                 assert np.asarray(out).tobytes() == x.tobytes(), op
-            pool.comm.barrier()
         finally:
             pool.close()
 
@@ -183,7 +182,6 @@ class TestPoolParity:
                 be.asarray(r)
                 be.norm(r)
                 be.comm.allreduce(ops[0])
-                be.comm.barrier()
             assert sim.simulated_seconds == pool.simulated_seconds
             assert sim.stats.counts == pool.stats.counts
             assert sim.stats.comm_bytes == pool.stats.comm_bytes

@@ -7,6 +7,7 @@ on the same state directory, and verify the finished job's results are
 bitwise identical to an uninterrupted golden run.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from repro.sim import Sweep, SweepSpec
+from repro.sim import RunSpec, Simulation, Sweep, SweepSpec
 from repro.sim.serve import (
     JOB_DONE,
     JOB_INTERRUPTED,
@@ -243,3 +244,64 @@ class TestSweepThroughDaemon:
         finally:
             if process.poll() is None:
                 process.kill()
+
+
+def spec_processes(spec_path):
+    """Pids of the live processes whose command line names ``spec_path``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                    args = handle.read().split(b"\0")
+            except OSError:
+                continue
+            if os.fsencode(spec_path) in args:
+                pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+class TestDaemonKilledMidJob:
+    def test_restart_stops_the_orphaned_child_before_resuming(self, tmp_path):
+        """A SIGKILLed daemon leaves its child running under init.  The
+        restarted daemon must stop that child before it starts the job's
+        next one, and the finished job matches an uninterrupted run."""
+        spec = {**RUN_SPEC, "name": "serve-orphan", "lattice": [3, 3], "n_steps": 100}
+        reference = Simulation(RunSpec.from_dict(dict(
+            spec, checkpoint_dir=str(tmp_path / "ref"), results=None,
+        ))).run()
+        state = tmp_path / "serve"
+        process, client = start_daemon(state)
+        spec_path = None
+        try:
+            job = client.submit_run(spec)
+            spec_path = job["spec_path"]
+            checkpoints = state / "jobs" / job["id"] / "work" / "checkpoints"
+            deadline = time.monotonic() + 120
+            while not list(checkpoints.glob("*.ckpt.json")):
+                assert time.monotonic() < deadline, "the job never checkpointed"
+                time.sleep(0.02)
+            process.kill()
+            process.wait(timeout=60)
+            orphans = spec_processes(spec_path)
+            assert len(orphans) == 1, "the child should outlive its daemon"
+
+            process, client = start_daemon(state)
+            # The daemon binds only after recovery: by now the orphan is gone,
+            # and at most the job's new child runs it.
+            running = spec_processes(spec_path)
+            assert orphans[0] not in running and len(running) <= 1
+            final = client.wait(job["id"], timeout=300)
+            assert final["status"] == JOB_DONE, final
+            lines = client.stream_results(job["id"], timeout=60)
+            assert [json.loads(line) for line in lines] == reference.records
+            client.shutdown()
+            assert process.wait(timeout=120) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            # Children outlive a killed daemon: leave none running.
+            for pid in spec_processes(spec_path) if spec_path else ():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)

@@ -489,67 +489,28 @@ class TestAggregation:
         assert sum(1 for r in result.records if "summary" in r) == 4
 
 
-class TestManifestPayloadFormat:
-    def test_manifest_records_per_point_payload_format(self, tmp_path):
-        spec = sweep_spec(tmp_path)
-        result = Sweep(spec).run()
-        manifest = Sweep.load_manifest(result.manifest_path)
-        assert [p["payload"] for p in manifest["points"]] == ["npz"] * 4
-
-    def test_resume_preserves_done_points_recorded_format(self, tmp_path):
-        """Done points are never re-run on resume, so their manifest entry
-        keeps the payload format their artifacts were actually written in;
-        only points that (re)run record the new session's format."""
-        sharded_spec = sweep_spec(
-            tmp_path, base=dict(BASE, checkpoint_payload="sharded")
-        )
-        interrupted = Sweep(sharded_spec).run(stop_after_points=2)
-        assert interrupted.interrupted
-        done = {n for n, s in interrupted.statuses.items() if s == STATUS_DONE}
-        assert done
-
-        npz_spec = sweep_spec(tmp_path, base=dict(BASE, checkpoint_payload="npz"))
-        result = Sweep(npz_spec).run(resume=True)
-        assert result.completed
-        manifest = Sweep.load_manifest(result.manifest_path)
-        for point in manifest["points"]:
-            expected = "sharded" if point["name"] in done else "npz"
-            assert point["payload"] == expected, point
-
-    def test_resume_reads_done_points_of_a_pre_payload_manifest_as_inline(self, tmp_path):
-        """A manifest from before the ``payload`` entry existed can only have
-        written inline checkpoints: its finished points keep saying so, and
-        the sweep still resumes."""
-        spec = sweep_spec(tmp_path)
+class TestManifestOfAnEarlierBuild:
+    @pytest.mark.parametrize("recorded", [True, False], ids=["payload", "no-payload"])
+    def test_resume_reads_a_manifest_of_an_earlier_build(self, tmp_path, recorded):
+        """Earlier builds recorded each point's checkpoint format in its
+        manifest entry (``payload``; the first version-2 builds did not), and
+        their base specs named one.  Nothing reads either any more: the
+        sweep resumes to the uninterrupted result."""
+        reference = Sweep(sweep_spec(tmp_path, "ref")).run()
+        spec = sweep_spec(tmp_path, "int", base=dict(BASE, checkpoint_payload="sharded"))
         interrupted = Sweep(spec).run(stop_after_points=2)
-        done = {n for n, s in interrupted.statuses.items() if s == STATUS_DONE}
+        assert interrupted.interrupted
         manifest = json.loads(open(interrupted.manifest_path).read())
         for point in manifest["points"]:
-            del point["payload"]
+            assert "payload" not in point
+            if recorded:
+                point["payload"] = "sharded" if point["status"] == STATUS_DONE else "npz"
         with open(interrupted.manifest_path, "w") as handle:
             json.dump(manifest, handle)
 
         result = Sweep(spec).run(resume=True)
         assert result.completed
-        manifest = Sweep.load_manifest(result.manifest_path)
-        for point in manifest["points"]:
-            expected = "inline" if point["name"] in done else "npz"
-            assert point["payload"] == expected, point
-
-    def test_payload_override_axis_lands_in_manifest(self, tmp_path):
-        spec = sweep_spec(
-            tmp_path,
-            axes={"checkpoint_payload": ["sharded", "npz"]},
-        )
-        result = Sweep(spec).run()
-        assert result.completed
-        manifest = Sweep.load_manifest(result.manifest_path)
-        assert [p["payload"] for p in manifest["points"]] == ["sharded", "npz"]
-
-    def test_inline_payload_axis_rejected(self, tmp_path):
-        spec = sweep_spec(tmp_path, axes={"checkpoint_payload": ["inline", "npz"]})
-        with pytest.raises(ValueError, match="inline checkpoints are still read"):
-            spec.expand()
+        assert result.records == reference.records
 
 
 class TestQueueExecutorSpec:

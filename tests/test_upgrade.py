@@ -8,6 +8,7 @@ document is current.
 
 import copy
 import json
+import os
 import tempfile
 
 import pytest
@@ -15,13 +16,14 @@ from hypothesis import given, strategies as st
 
 from repro.peps import BMPS, Exact, random_peps
 from repro.peps.contraction.options import CTMOption
-from repro.sim import Sweep, SweepSpec
+from repro.sim import RunSpec, Sweep, SweepSpec
 from repro.sim import io as sim_io
 from repro.sim.upgrade import (
     CHECKPOINT,
     CONTRACTION,
     ENVIRONMENT,
     MANIFEST,
+    RUN_SPEC,
     SPEC_CONTRACTION,
     STEPS,
     upgrade,
@@ -30,7 +32,9 @@ from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
 from test_properties import contract_options, svd_options, update_options
 from tests.conftest import FAST
 
-KINDS = (CHECKPOINT, MANIFEST, ENVIRONMENT, CONTRACTION, SPEC_CONTRACTION)
+SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "examples", "specs")
+KINDS = (CHECKPOINT, MANIFEST, ENVIRONMENT, RUN_SPEC, CONTRACTION, SPEC_CONTRACTION)
 
 
 def wire(payload):
@@ -78,17 +82,42 @@ class TestSteps:
         legacy = {"format_version": 1, "type": "SweepManifest", "points": []}
         assert lifted(legacy, MANIFEST) == {**legacy, "format_version": 2}
 
-    def test_manifest_entry_without_payload(self):
-        legacy = {"format_version": 2, "type": "SweepManifest", "points": [
-            {"name": "a", "status": "done"},
-            {"name": "b", "payload": "npz", "status": "pending"},
-        ]}
-        out = lifted(legacy, MANIFEST)
-        assert out["points"] == [
-            {"name": "a", "status": "done", "payload": "inline"},
-            {"name": "b", "payload": "npz", "status": "pending"},
-        ]
-        assert out["points"][1] is legacy["points"][1]
+    @pytest.mark.parametrize("payload", ["npz", "sharded", "inline", "hdf5"])
+    def test_run_spec_checkpoint_payload(self, payload):
+        legacy = {"name": "run", "workload": "ite", "checkpoint_payload": payload}
+        assert lifted(legacy, RUN_SPEC) == {"name": "run", "workload": "ite"}
+
+    @pytest.mark.parametrize("payload", ["npz", "sharded", "inline", None])
+    def test_run_spec_builds_the_same_whatever_payload_it_names(self, payload):
+        """Spec files and stored ``RunSpec.to_dict()`` payloads of earlier
+        builds name a checkpoint format; every one builds the spec an
+        unnamed one does (``None``: the key is absent)."""
+        current = {"name": "run", "workload": "ite", "lattice": [3, 3], "seed": 5,
+                   "contraction": {"kind": "ibmps", "bond": 4}, "checkpoint_every": 2}
+        legacy = dict(current)
+        if payload is not None:
+            legacy["checkpoint_payload"] = payload
+        spec = RunSpec.from_dict(legacy)
+        assert spec == RunSpec.from_dict(current)
+        assert "checkpoint_payload" not in spec.to_dict()
+        assert RunSpec.from_dict({**spec.to_dict(), "checkpoint_payload": payload}) == spec
+
+    def test_ladder_shaped_sweep_base_naming_npz_expands(self, tmp_path):
+        """The sweep ladder workload's base still names ``"npz"``."""
+        spec = SweepSpec.from_dict({
+            "name": "sweep_shell",
+            "base": {"name": "point", "workload": "rqc_amplitude", "lattice": [2, 2],
+                     "seed": 3, "algorithm": {"n_layers": 4, "entangle_every": 2},
+                     "update": {"kind": "qr", "rank": 16},
+                     "contraction": {"kind": "ibmps", "bond": 16, "seed": 0},
+                     "measure_every": 10 ** 6,
+                     "checkpoint_every": 10 ** 6, "checkpoint_payload": "npz"},
+            "axes": {"update.rank": [16, 24], "contraction.bond": [16, 32]},
+            "sweep_dir": str(tmp_path / "sweep"),
+        })
+        points = spec.expand()
+        assert len(points) == 4
+        assert all(point.spec.checkpoint_every == 10 ** 6 for point in points)
 
     def test_two_layer_bmps_kind(self):
         svd = {"kind": "explicit", "rank": 3}
@@ -247,6 +276,16 @@ class TestCurrentDocumentsAreUntouched:
         document = {**manifest, "points": points}
         assert upgrade(document, MANIFEST) is document
 
+    @pytest.mark.parametrize("name", sorted(
+        name for name in os.listdir(SPEC_DIR) if "sweep" not in name
+    ))
+    def test_run_specs(self, name):
+        with open(os.path.join(SPEC_DIR, name)) as handle:
+            document = json.load(handle)
+        assert upgrade(document, RUN_SPEC) is document
+        stored = RunSpec.from_dict(document).to_dict()
+        assert upgrade(stored, RUN_SPEC) is stored
+
 
 # --------------------------------------------------------------------- #
 # Lifting is idempotent
@@ -322,22 +361,8 @@ class TestLiftingIsIdempotent:
         assert upgrade(once, CHECKPOINT) is once
         assert downgrade_to_version_1(once["workload_state"]) == legacy["workload_state"]
 
-    @FAST
-    @given(data=st.data())
-    def test_manifests(self, manifests, data):
-        manifest = data.draw(st.sampled_from(manifests))
-        strip = data.draw(st.lists(st.booleans(), min_size=len(manifest["points"]),
-                                   max_size=len(manifest["points"])))
-        legacy = {**manifest, "points": [
-            {k: v for k, v in entry.items() if not (drop and k == "payload")}
-            for entry, drop in zip(manifest["points"], strip)
-        ]}
-        if data.draw(st.booleans()):
-            legacy = downgrade_to_version_1(legacy)
-        once = lifted(legacy, MANIFEST)
-        assert upgrade(once, MANIFEST) is once
-        assert once["format_version"] == sim_io.FORMAT_VERSION
-        assert [entry["payload"] for entry in once["points"]] == [
-            "inline" if drop else entry["payload"]
-            for entry, drop in zip(manifest["points"], strip)
-        ]
+    def test_manifests(self, manifests):
+        for manifest in manifests:
+            once = lifted(downgrade_to_version_1(manifest), MANIFEST)
+            assert upgrade(once, MANIFEST) is once
+            assert once == manifest
