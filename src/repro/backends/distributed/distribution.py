@@ -144,12 +144,9 @@ class Distribution:
             slices.append(slice((c * extent) // g, ((c + 1) * extent) // g))
         return tuple(slices)
 
-    def shard(self, array: np.ndarray, rank: int) -> np.ndarray:
-        """Extract (a contiguous copy of) ``rank``'s block of ``array``."""
-        return np.ascontiguousarray(np.asarray(array)[self.block_slices(rank)])
-
     def reassemble(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Rebuild the global tensor from the per-rank blocks of :meth:`shard`.
+        """Rebuild the global tensor from its per-rank blocks
+        (``array[self.block_slices(rank)]``).
 
         ``blocks[rank]`` must be the block for ``rank`` in ``0..nprocs-1``;
         the reassembled array is bitwise identical to the original.

@@ -154,6 +154,33 @@ def _geqrf(dtype: np.dtype, m: int, n: int, columns: Optional[int] = None):
     return geqrf, int(qr_work.real), second, int(work[0].real)
 
 
+@functools.lru_cache(maxsize=1024)
+def _below_diagonal(dtype: np.dtype, rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The strictly-lower mask of a ``rows x cols`` matrix and a zero of
+    ``dtype``: ``np.where(mask, zero, a)`` is ``np.triu(a)``, built the way
+    ``np.triu`` builds it, without rebuilding the mask per call.  Both are
+    read-only: every call shares them."""
+    below, zero = np.tri(rows, cols, -1, dtype=bool), np.zeros(1, dtype)
+    below.flags.writeable = zero.flags.writeable = False
+    return below, zero
+
+
+@functools.lru_cache(maxsize=1024)
+def _qr_kernel(dtype: np.dtype, m: int, n: int):
+    """Everything :func:`dense_qr` derives from the input's dtype and shape:
+    the result and working dtypes (``np.linalg.qr``'s promotion), the
+    ``geqrf`` / ``orgqr`` wrappers with their workspaces and the triangle mask."""
+    result_dtype = dtype if np.issubdtype(dtype, np.inexact) else np.dtype(float)
+    work_dtype = np.result_type(result_dtype, np.float64)
+    k = min(m, n)
+    kernels = _geqrf(work_dtype, m, n) if k else None
+    return result_dtype, work_dtype, kernels, _below_diagonal(work_dtype, k, n)
+
+
+#: dtype characters ``np.asarray_chkfinite`` checks for finiteness.
+_FLOAT_CODES = np.typecodes["AllFloat"]
+
+
 def dense_svd(
     array: np.ndarray, rank: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,8 +200,11 @@ def dense_svd(
         raise ValueError(f"svd expects a matrix, got ndim={array.ndim}")
     if array.size == 0:
         return scipy.linalg.svd(array, full_matrices=False)
-    array = np.asarray_chkfinite(array)
-    short, long = sorted(array.shape)
+    # np.asarray_chkfinite's check, without its conversion of an ndarray.
+    if array.dtype.char in _FLOAT_CODES and not np.isfinite(array).all():
+        raise ValueError("array must not contain infs or NaNs")
+    m, n = array.shape
+    short, long = (m, n) if m <= n else (n, m)
     if rank is not None and 0 < rank < short and long >= _QR_SVD_MIN_ASPECT * short:
         return _qr_svd(array, int(rank))
     return _lapack_svd(array)
@@ -216,7 +246,8 @@ def _qr_svd(array: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray, np.nd
     else:
         geqrf, qr_lwork, ormqr, q_lwork = _geqrf(t.dtype, m, n, rank)
         qr, tau, _, qr_info = geqrf(t, lwork=qr_lwork)
-    r = np.triu(qr[:n])
+    below, zero = _below_diagonal(qr.dtype, n, n)
+    r = np.where(below, zero, qr[:n])
     u_core, s, vh_core = _lapack_svd(r if tall else r.T, overwrite=True)
     kept = np.zeros((m, rank), dtype=qr.dtype)
     kept[:n] = u_core[:, :rank] if tall else vh_core[:rank].T
@@ -247,18 +278,20 @@ def dense_qr(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     m, n = array.shape
     k = min(m, n)
     # np.linalg.qr computes in double precision and casts back.
-    result_dtype = array.dtype if np.issubdtype(array.dtype, np.inexact) else np.dtype(float)
-    work_dtype = np.result_type(result_dtype, np.float64)
+    result_dtype, work_dtype, kernels, (below, zero) = _qr_kernel(array.dtype, m, n)
     if k == 0:
         return np.zeros((m, k), dtype=result_dtype), np.zeros((k, n), dtype=result_dtype)
-    array = array.astype(work_dtype, copy=False)
-    geqrf, qr_lwork, orgqr, q_lwork = _geqrf(work_dtype, m, n)
+    if array.dtype != work_dtype:
+        array = array.astype(work_dtype)
+    geqrf, qr_lwork, orgqr, q_lwork = kernels
     qr, tau, _, qr_info = geqrf(array, lwork=qr_lwork)
-    r = np.triu(qr[:k])
+    r = np.where(below, zero, qr[:k])
     q, _, q_info = orgqr(qr[:, :k], tau, lwork=q_lwork, overwrite_a=1)
     if qr_info or q_info:  # pragma: no cover - only an illegal argument sets them
         raise np.linalg.LinAlgError(f"geqrf/orgqr failed (info {qr_info}, {q_info})")
-    return q.astype(result_dtype, copy=False), r.astype(result_dtype, copy=False)
+    if result_dtype != work_dtype:
+        q, r = q.astype(result_dtype), r.astype(result_dtype)
+    return q, r
 
 
 def uniform_array(

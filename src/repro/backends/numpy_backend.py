@@ -170,10 +170,10 @@ class NumPyBackend(Backend):
     # Shape manipulation
     # ------------------------------------------------------------------ #
     def reshape(self, tensor: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-        return np.reshape(tensor, tuple(shape))
+        return np.asarray(tensor).reshape(shape)
 
     def transpose(self, tensor: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-        return np.transpose(tensor, tuple(axes))
+        return np.asarray(tensor).transpose(axes)
 
     def conj(self, tensor: np.ndarray) -> np.ndarray:
         return np.conj(tensor)
@@ -188,8 +188,7 @@ class NumPyBackend(Backend):
         """Contract along the planner's cached plan, one ``np.matmul`` per
         pairwise step.  An :class:`EinsumSpec`, whose labels may be any
         hashables, stands in for subscripts the einsum alphabet cannot spell."""
-        described = {"subscripts": subscripts} if isinstance(subscripts, str) else {}
-        return self._contract("einsum", subscripts, operands, described)
+        return self._contract("einsum", subscripts, operands)
 
     def einsum_batched(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         """One fused contraction over the whole batch with a cached plan.
@@ -211,13 +210,20 @@ class NumPyBackend(Backend):
             op.reshape(op.shape[1:]) if dim == 1 else op
             for op, dim in zip(operands, batch_dims)
         ]
-        described = {"subscripts": subscripts, "batch": batch}
-        return self._contract("einsum_batched", batched_subscripts, ops, described)
+        return self._contract("einsum_batched", batched_subscripts, ops,
+                              subscripts=subscripts, batch=batch)
 
-    def _contract(self, category: str, spec, operands: Sequence[np.ndarray], described: dict):
-        """Look the plan up, run it, count its flops; one span around it all."""
+    def _contract(self, category: str, spec, operands: Sequence[np.ndarray], **described):
+        """Look the plan up, run it, count its flops; one span around it all
+        when tracing (an einsum string names itself in the span)."""
         plan = _planner.find_path(spec, [op.shape for op in operands])
-        with _TRACER.span(category, operands=len(operands), steps=len(plan.path), **described):
+        if _TRACER.active:
+            if not described and isinstance(spec, str):
+                described["subscripts"] = spec
+            with _TRACER.span(category, operands=len(operands), steps=len(plan.path),
+                              **described):
+                result = _execute(plan, operands)
+        else:
             result = _execute(plan, operands)
         if self.flop_counter is not None:
             self.flop_counter.add(category, plan.total_flops)

@@ -58,9 +58,17 @@ class Gate:
 
     @staticmethod
     def named(name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> "Gate":
-        """Construct a gate from the named-gate registry."""
-        matrix = gatelib.get_gate(name, tuple(params))
-        return Gate(tuple(qubits), matrix, name=name.upper(), params=tuple(params))
+        """Construct a gate from the named-gate registry.
+
+        An unparameterized gate shares its registry matrix (read-only,
+        :func:`~repro.operators.gates.named_gate`); a parameterized one gets
+        its own."""
+        key, params = name.upper(), tuple(params)
+        if key in gatelib.NAMED_GATES and not params:
+            matrix = gatelib.named_gate(key)
+        else:
+            matrix = gatelib.get_gate(name, params)
+        return Gate(tuple(qubits), matrix, name=key, params=params)
 
     def dagger(self) -> "Gate":
         """The inverse gate."""

@@ -96,7 +96,8 @@ def random_quantum_circuit(
                 circuit.append(Gate((q,), matrix, name="HAAR"))
             else:
                 choices = [i for i in range(len(single_qubit_gateset)) if i != last_choice[q]]
-                idx = int(rng.choice(choices))
+                # The draw of ``rng.choice(choices)``, without its array conversion.
+                idx = choices[int(rng.integers(0, len(choices)))]
                 last_choice[q] = idx
                 name = single_qubit_gateset[idx]
                 circuit.append(Gate.named(name, (q,)))

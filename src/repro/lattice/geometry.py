@@ -26,6 +26,7 @@ New geometries register under a ``kind`` string
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.utils.text import did_you_mean
@@ -97,13 +98,16 @@ class Bond:
         return self.orientation in ("horizontal", "vertical")
 
 
+@lru_cache(maxsize=4096)
 def bond_between(pos_a: Tuple[int, int], pos_b: Tuple[int, int]) -> Tuple[Bond, bool]:
     """The nearest-neighbor :class:`Bond` through two adjacent positions.
 
     Returns ``(bond, swapped)`` where ``bond.site_a`` is the canonical
     reference site (left/upper) and ``swapped`` tells whether the caller's
     ``pos_a`` ended up as ``bond.site_b``.  This is the orientation
-    resolution the PEPS pair update uses instead of a private axis table.
+    resolution the PEPS pair update uses instead of a private axis table;
+    memoised, as every pair update of a run asks it about the same few
+    positions (the frozen :class:`Bond` is shared).
     """
     (ra, ca), (rb, cb) = pos_a, pos_b
     if ra == rb and abs(ca - cb) == 1:

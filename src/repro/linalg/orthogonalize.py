@@ -23,8 +23,9 @@ iterations only the isometry.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,9 +37,32 @@ from repro.tensornetwork.einsum_spec import symbols
 _GRAM_RELATIVE_EPS = 1e-12
 
 
-def _split_shape(shape: Sequence[int], n_row_axes: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+@lru_cache(maxsize=1024)
+def _qr_layout(shape: Tuple[int, ...], n_row_axes: int) -> Tuple[tuple, tuple, int, int, int]:
+    """``(rows, cols, m, n, k)`` of a tensor QR: the row and column dims,
+    their products and the new bond ``k = min(m, n)``."""
+    ndim = len(shape)
+    if not (0 < n_row_axes < ndim):
+        raise ValueError(
+            f"n_row_axes must split the tensor into two non-empty groups, "
+            f"got {n_row_axes} for a {ndim}-mode tensor"
+        )
     shape = tuple(int(s) for s in shape)
-    return shape[:n_row_axes], shape[n_row_axes:]
+    rows, cols = shape[:n_row_axes], shape[n_row_axes:]
+    m, n = prod(rows), prod(cols)
+    return rows, cols, m, n, min(m, n)
+
+
+@lru_cache(maxsize=64)
+def _gram_specs(s: int, t: int) -> Tuple[str, str]:
+    """The Gram contraction ``conj(A) A -> G`` over ``s`` row modes and the
+    isometry contraction ``A P -> Q`` of Algorithm 5, for ``t`` column modes."""
+    labels = symbols(s + 2 * t)
+    rows, cols, colp = labels[:s], labels[s : s + t], labels[s + t :]
+    gram = "".join(rows + colp) + "," + "".join(rows + cols) + "->" + "".join(colp + cols)
+    bond = labels[s + t]  # any label outside rows + cols
+    q = "".join(rows + cols) + "," + "".join(cols) + bond + "->" + "".join(rows) + bond
+    return gram, q
 
 
 def tensor_qr(
@@ -61,27 +85,14 @@ def tensor_qr(
     (Algorithm 5).  ``"auto"`` picks Gram for non-NumPy backends, mirroring
     the paper's finding that it pays exactly when reshapes are expensive.
     """
-    shape = backend.shape(tensor)
-    ndim = len(shape)
-    if not (0 < n_row_axes < ndim):
-        raise ValueError(
-            f"n_row_axes must split the tensor into two non-empty groups, "
-            f"got {n_row_axes} for a {ndim}-mode tensor"
-        )
-    rows, cols = _split_shape(shape, n_row_axes)
-    m = prod(rows)
-    n = prod(cols)
+    rows, cols, m, n, k = _qr_layout(backend.shape(tensor), n_row_axes)
 
     if method == "auto":
         method = "gram" if backend.name != "numpy" else "qr"
 
     if method == "qr":
-        matrix = backend.reshape(tensor, (m, n))
-        q_mat, r_mat = backend.qr(matrix)
-        k = backend.shape(q_mat)[1]
-        q = backend.reshape(q_mat, rows + (k,))
-        r = backend.reshape(r_mat, (k,) + cols)
-        return q, r
+        q_mat, r_mat = backend.qr(backend.reshape(tensor, (m, n)))
+        return backend.reshape(q_mat, rows + (k,)), backend.reshape(r_mat, (k,) + cols)
 
     if method == "gram":
         return _gram_tensor_qr(backend, tensor, rows, cols)
@@ -91,24 +102,12 @@ def tensor_qr(
 
 def _gram_tensor_qr(backend: Backend, tensor, rows: Tuple[int, ...], cols: Tuple[int, ...]):
     """Algorithm 5: reshape-avoiding orthogonalization via a local Gram matrix."""
-    s = len(rows)
-    t = len(cols)
     n = prod(cols)
+    gram_spec, q_spec = _gram_specs(len(rows), len(cols))
 
     # G = A* A contracted over the (large) row group: indices
     #   conj(A)[rows, cols'] * A[rows, cols] -> [cols', cols]
-    labels = symbols(s + 2 * t)
-    row_labels = labels[:s]
-    col_labels = labels[s : s + t]
-    colp_labels = labels[s + t :]
-    spec = (
-        "".join(row_labels + colp_labels)
-        + ","
-        + "".join(row_labels + col_labels)
-        + "->"
-        + "".join(colp_labels + col_labels)
-    )
-    gram = backend.einsum(spec, backend.conj(tensor), tensor)
+    gram = backend.einsum(gram_spec, backend.conj(tensor), tensor)
 
     # The Gram matrix is small (n x n); move it to local memory, reshape and
     # eigendecompose there (steps 2-6 of Algorithm 5).
@@ -128,17 +127,5 @@ def _gram_tensor_qr(backend: Backend, tensor, rows: Tuple[int, ...], cols: Tuple
     # (steps 7-9); the large contraction Q = A P stays distributed (step 10).
     r_tensor = backend.from_local(r_local.reshape((n,) + cols))
     p_tensor = backend.from_local(p_local.reshape(cols + (n,)))
-
-    labels_q = symbols(s + t + 1)
-    row_q = labels_q[:s]
-    col_q = labels_q[s : s + t]
-    bond_q = labels_q[s + t]
-    spec_q = (
-        "".join(row_q + col_q)
-        + ","
-        + "".join(col_q + [bond_q])
-        + "->"
-        + "".join(row_q + [bond_q])
-    )
-    q_tensor = backend.einsum(spec_q, tensor, p_tensor)
+    q_tensor = backend.einsum(q_spec, tensor, p_tensor)
     return q_tensor, r_tensor

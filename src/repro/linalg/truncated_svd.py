@@ -10,6 +10,7 @@ with its ``absorb`` option).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -64,11 +65,13 @@ def truncate_spectrum(
     if rank is not None:
         keep = min(keep, int(rank))
     keep = max(keep, 1)
-    total = float(np.sum(s**2))
-    if total == 0.0:
+    # np.add.reduce is np.sum's kernel (same pairwise order, same bits)
+    # without its dispatch; keeping everything discards nothing.
+    total = float(np.add.reduce(s * s))
+    if total == 0.0 or keep == n:
         return keep, 0.0
-    discarded = float(np.sum(s[keep:] ** 2))
-    return keep, float(np.sqrt(discarded / total))
+    tail = s[keep:]
+    return keep, math.sqrt(float(np.add.reduce(tail * tail)) / total)
 
 
 def truncated_svd(

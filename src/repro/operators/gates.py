@@ -6,11 +6,14 @@ listed qubit is the most significant).  The PEPS and statevector simulators
 reshape them to ``(2, 2, 2, 2)`` tensors ``G[i1, i2, j1, j2]`` (outputs
 before inputs) internally.
 
-All functions return fresh arrays so callers may modify them freely.
+All functions return fresh arrays so callers may modify them freely, except
+:func:`named_gate`, whose matrices are built once and shared read-only (the
+circuit IR uses it, so a circuit's gates do not rebuild a matrix each).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -215,6 +218,15 @@ PARAMETERIZED_GATES = {
     "XX": XX,
     "ZZ": ZZ,
 }
+
+
+@lru_cache(maxsize=64)
+def named_gate(name: str) -> np.ndarray:
+    """The matrix of the unparameterized gate ``name`` (any case), built once
+    and returned read-only: a fresh writable copy is :func:`get_gate`'s."""
+    matrix = NAMED_GATES[name.upper()]()
+    matrix.flags.writeable = False
+    return matrix
 
 
 def get_gate(name: str, params: Sequence[float] = ()) -> np.ndarray:

@@ -35,6 +35,11 @@ from repro.operators.pauli import PauliString, pauli_matrix
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")
 
+#: Most sites :meth:`Hamiltonian.to_matrix` builds a dense matrix for.
+DENSE_MAX_SITES = 12
+#: Most sites :meth:`Hamiltonian.ground_state_energy` diagonalizes.
+LANCZOS_MAX_SITES = 20
+
 
 @dataclass(frozen=True)
 class LocalTerm:
@@ -137,8 +142,19 @@ class Hamiltonian:
     # Conversions
     # ------------------------------------------------------------------ #
     def to_matrix(self) -> np.ndarray:
-        """Dense ``2^n x 2^n`` matrix (small lattices only)."""
+        """Dense ``2^n x 2^n`` matrix (at most :data:`DENSE_MAX_SITES` sites).
+
+        Building it holds three such matrices at once (the sum, a term's
+        Kronecker embedding and its permuted copy): 768 MiB at 12 sites,
+        12 GiB at 14.
+        """
         n = self.n_sites
+        if n > DENSE_MAX_SITES:
+            gib = 3 * 16 * 4.0**n / 2**30
+            raise ValueError(
+                f"a dense matrix of {n} sites needs about {gib:.0f} GiB to build; "
+                f"to_matrix stops at {DENSE_MAX_SITES} sites"
+            )
         dim = 2**n
         out = np.zeros((dim, dim), dtype=np.complex128)
         for term in self.terms:
@@ -161,21 +177,38 @@ class Hamiltonian:
         return [(term.sites, term.exponential(tau)) for term in self.terms]
 
     def ground_state_energy(self, k: int = 1) -> float:
-        """Exact smallest eigenvalue via sparse diagonalization (small lattices)."""
-        import scipy.sparse as sp
+        """Exact smallest eigenvalue (at most :data:`LANCZOS_MAX_SITES` sites).
+
+        Up to 6 sites the dense matrix's ``eigvalsh``.  Above, Lanczos
+        (``eigsh``) on a matrix-free operator that applies every term to the
+        vector (:meth:`~repro.statevector.StateVector.apply_matrix`), so no
+        ``2^n x 2^n`` matrix is built; its memory is a few dozen vectors of
+        ``2^n`` amplitudes (16 MiB each at 20 sites).  ``k`` eigenvalues are
+        computed and the smallest is returned.
+        """
         import scipy.sparse.linalg as spla
 
+        from repro.statevector import StateVector
+
         n = self.n_sites
-        if n > 20:
-            raise ValueError(f"exact diagonalization of {n} sites is not feasible")
+        if n > LANCZOS_MAX_SITES:
+            raise ValueError(
+                f"exact diagonalization of {n} sites is not feasible: Lanczos "
+                f"holds dozens of 2^{n}-amplitude vectors (limit {LANCZOS_MAX_SITES} sites)"
+            )
         dim = 2**n
-        matrix = sp.csr_matrix((dim, dim), dtype=np.complex128)
-        for term in self.terms:
-            matrix = matrix + sp.csr_matrix(_embed_term(term, n))
         if dim <= 64:
-            evals = np.linalg.eigvalsh(matrix.toarray())
-            return float(evals[0])
-        evals = spla.eigsh(matrix, k=k, which="SA", return_eigenvectors=False)
+            return float(np.linalg.eigvalsh(self.to_matrix())[0])
+
+        def apply(vector: np.ndarray) -> np.ndarray:
+            state = StateVector(vector, n)
+            out = np.zeros(dim, dtype=np.complex128)
+            for term in self.terms:
+                out += state.apply_matrix(term.matrix, term.sites).amplitudes
+            return out
+
+        operator = spla.LinearOperator((dim, dim), matvec=apply, dtype=np.complex128)
+        evals = spla.eigsh(operator, k=k, which="SA", return_eigenvectors=False)
         return float(np.min(evals.real))
 
     def __len__(self) -> int:

@@ -371,6 +371,7 @@ class BoundaryEnvironment:
         norm_sq = self.norm_sq() if normalized else None
         total = 0.0 + 0.0j
         caches: Dict[Tuple[int, int], StripCache] = {}
+        splits: Dict = {}  # each distinct term matrix is split once per pass
         for sites, matrix in terms:
             if len(sites) == 0:
                 if norm_sq is None:
@@ -379,7 +380,7 @@ class BoundaryEnvironment:
                 continue
             r0, r1, _ = self._term_rows(sites)
             self.stats.strip_contractions += 1
-            total += self._strip_cache(caches, r0, r1).term_value(sites, matrix)
+            total += self._strip_cache(caches, r0, r1).term_value(sites, matrix, splits)
         self._charge_strip_caches(caches)
         value = total / norm_sq if normalized else total
         return float(np.real(value))
@@ -467,11 +468,12 @@ class BoundaryEnvironment:
         norm_sq = self.norm_sq() if normalized else None
         out: Dict[Tuple[int, int], float] = {}
         caches: Dict[Tuple[int, int], StripCache] = {}
+        splits: Dict = {}
         for pair in pairs:
             sa, sb = int(pair[0]), int(pair[1])
             r0, r1, _ = self._term_rows((sa, sb))
             self.stats.strip_contractions += 1
-            value = self._strip_cache(caches, r0, r1).term_value((sa, sb), matrix)
+            value = self._strip_cache(caches, r0, r1).term_value((sa, sb), matrix, splits)
             out[(sa, sb)] = float(np.real(value / norm_sq)) if normalized else value
         self._charge_strip_caches(caches)
         return out

@@ -9,7 +9,7 @@ strip machinery every boundary environment measures with.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,28 +34,27 @@ TRANSFER_LEFT_PROJECTED = "aefb,auwx,uedg,wfhs,bdhy->xgsy"
 SITE_DENSITY = "aefb,auwx,puedg,qwfhs,bdhy,xgsy->qp"
 
 
-def operator_pieces(
-    sites: Sequence[int],
-    matrix: np.ndarray,
-    positions: Sequence[Tuple[int, int]],
-) -> Dict[Tuple[int, int], List[Tuple[np.ndarray, object, object]]]:
-    """Split a term operator into per-site pieces with a shared internal bond.
+#: Operator-bond labels of a term's pieces: they only need to be unique
+#: within one term (every strip contraction holds exactly one term).
+_KAPPA_IN, _KAPPA_OUT = ("kap", 0), ("kap", 1)
+_KAPPA_A, _KAPPA_BOND, _KAPPA_B = ("kap", "a"), ("kap", "bond"), ("kap", "b")
 
-    Every piece is a 4-mode array ``(kappa_in, out, in, kappa_out)``; for a
-    single-site term the kappa legs have dimension 1, for a two-site term the
-    operator Schmidt decomposition links the two pieces through a bond of
-    dimension at most ``d^2``.
+Piece = Tuple[np.ndarray, object, object]
 
-    Returns a mapping ``(row, col) -> list of (piece, kappa_in_label, kappa_out_label)``.
+
+def split_operator(n_sites: int, matrix: np.ndarray) -> Tuple[Piece, ...]:
+    """Split a term operator into one piece per site with a shared internal bond.
+
+    Every piece is a 4-mode array ``(kappa_in, out, in, kappa_out)`` with its
+    two kappa labels; for a single-site term the kappa legs have dimension 1,
+    for a two-site term the operator Schmidt decomposition links the two
+    pieces through a bond of dimension at most ``d^2``.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
-    pieces: Dict[Tuple[int, int], List[Tuple[np.ndarray, object, object]]] = {}
-    if len(sites) == 1:
+    if n_sites == 1:
         d = matrix.shape[0]
-        piece = matrix.reshape(1, d, d, 1)
-        pieces.setdefault(positions[0], []).append((piece, ("kap", id(matrix), 0), ("kap", id(matrix), 1)))
-        return pieces
-    if len(sites) == 2:
+        return ((matrix.reshape(1, d, d, 1), _KAPPA_IN, _KAPPA_OUT),)
+    if n_sites == 2:
         d = int(np.sqrt(matrix.shape[0]))
         # G[i1 i2, j1 j2] -> G[i1, j1, i2, j2] -> matrix ((i1 j1), (i2 j2))
         tensor = matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3)
@@ -66,15 +65,33 @@ def operator_pieces(
         root = np.sqrt(s[:keep])
         a = (u[:, :keep] * root).reshape(d, d, keep)          # (i1, j1, kappa)
         bpart = (root[:, None] * vh[:keep, :]).reshape(keep, d, d)  # (kappa, i2, j2)
-        kap = ("kap", id(matrix), "bond")
-        dangle_a = ("kap", id(matrix), "a")
-        dangle_b = ("kap", id(matrix), "b")
         piece_a = a.reshape(d, d, keep)[np.newaxis, ...]       # (1, i1, j1, kappa)
         piece_b = bpart.reshape(keep, d, d)[..., np.newaxis]   # (kappa, i2, j2, 1)
-        pieces.setdefault(positions[0], []).append((piece_a, dangle_a, kap))
-        pieces.setdefault(positions[1], []).append((piece_b, kap, dangle_b))
-        return pieces
-    raise ValueError(f"terms on {len(sites)} sites are not supported")
+        return ((piece_a, _KAPPA_A, _KAPPA_BOND), (piece_b, _KAPPA_BOND, _KAPPA_B))
+    raise ValueError(f"terms on {n_sites} sites are not supported")
+
+
+def operator_pieces(
+    sites: Sequence[int],
+    matrix: np.ndarray,
+    positions: Sequence[Tuple[int, int]],
+    memo: Optional[Dict] = None,
+) -> Dict[Tuple[int, int], List[Piece]]:
+    """The pieces of :func:`split_operator` placed at the term's positions:
+    a mapping ``(row, col) -> list of (piece, kappa_in_label, kappa_out_label)``.
+
+    ``memo``, a dict owned by one expectation pass, splits each distinct
+    matrix once (by value: a Hamiltonian's terms are separate arrays).
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    memo = {} if memo is None else memo
+    key = (len(sites), matrix.shape, matrix.tobytes())
+    if key not in memo:
+        memo[key] = split_operator(len(sites), matrix)
+    pieces: Dict[Tuple[int, int], List[Piece]] = {}
+    for position, piece in zip(positions, memo[key]):
+        pieces.setdefault(position, []).append(piece)
+    return pieces
 
 
 class StripCache:
@@ -191,14 +208,17 @@ class StripCache:
             self._builds += 1
         return self._right[j]
 
-    def term_value(self, sites: Sequence[int], matrix: np.ndarray) -> complex:
-        """``<psi| term |psi>`` with only the term's column span contracted."""
+    def term_value(
+        self, sites: Sequence[int], matrix: np.ndarray, memo: Optional[Dict] = None
+    ) -> complex:
+        """``<psi| term |psi>`` with only the term's column span contracted;
+        ``memo`` is the pass's :func:`operator_pieces` memo."""
         backend = self.backend
         positions = [self.peps.site_position(s) for s in sites]
         for (r, _c) in positions:
             if not (self.r0 <= r <= self.r1):
                 raise ValueError("term site outside the strip rows")
-        piece_map = operator_pieces(sites, matrix, positions)
+        piece_map = operator_pieces(sites, matrix, positions, memo)
         cols = [c for (_r, c) in positions]
         c0, c1 = min(cols), max(cols)
 

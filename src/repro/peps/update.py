@@ -81,10 +81,14 @@ class UpdateOption:
         check_truncation("rank", self.rank, self.cutoff)
 
     def resolved_svd_option(self) -> EinsumSVDOption:
-        option = self.svd_option if self.svd_option is not None else ExplicitSVD()
-        if self.cutoff is not None:
-            option = replace(option, cutoff=self.cutoff)
-        return option.with_rank(self.rank if self.rank is not None else option.rank)
+        """The ``einsumsvd`` option with this option's ``rank`` (when set) and
+        ``cutoff`` (when set) in place of ``svd_option``'s."""
+        if self.svd_option is None:
+            return ExplicitSVD(rank=self.rank, cutoff=self.cutoff)
+        changes = {} if self.cutoff is None else {"cutoff": self.cutoff}
+        if self.rank is not None:
+            changes["rank"] = self.rank
+        return replace(self.svd_option, **changes)
 
 
 @dataclass

@@ -81,7 +81,7 @@ from repro.sim.queue import (
 from repro.sim.runner import Simulation
 from repro.sim.sinks import SweepSink, make_sink
 from repro.sim.spec import SPEC_VERSION, RunSpec, apply_spec_override, canonical_json
-from repro.sim.upgrade import MANIFEST, upgrade
+from repro.sim.upgrade import MANIFEST, SWEEP_SPEC, upgrade
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
 from repro.utils.rng import derive_rng
@@ -272,7 +272,7 @@ class SweepSpec:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepSpec":
-        payload = dict(payload)
+        payload = dict(upgrade(payload, SWEEP_SPEC))
         version = payload.pop("spec_version", SPEC_VERSION)
         if version != SPEC_VERSION:
             raise ValueError(

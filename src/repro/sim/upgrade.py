@@ -8,6 +8,7 @@ document's kind before anything else looks at it:
 * :func:`repro.sim.io.attach_environment_from_dict` — ``ENVIRONMENT``,
 * :func:`repro.sim.io.contract_option_from_dict` — ``CONTRACTION``,
 * :meth:`repro.sim.spec.RunSpec.from_dict` — ``RUN_SPEC``,
+* :meth:`repro.sim.sweep.SweepSpec.from_dict` — ``SWEEP_SPEC``,
 * the run spec's contraction normaliser (:mod:`repro.sim.spec`) —
   ``SPEC_CONTRACTION``.
 
@@ -37,6 +38,7 @@ CHECKPOINT = "Checkpoint"
 MANIFEST = "SweepManifest"
 ENVIRONMENT = "Environment"
 RUN_SPEC = "RunSpec"                   # a RunSpec payload (spec file, stored spec)
+SWEEP_SPEC = "SweepSpec"               # a SweepSpec payload (sweep file, manifest spec)
 CONTRACTION = "contraction"            # a contraction option dict (io form)
 SPEC_CONTRACTION = "spec.contraction"  # a run spec's ``contraction`` block
 
@@ -86,6 +88,38 @@ def _checkpoint_payload_knob(document):
     return {key: value for key, value in document.items() if key != "checkpoint_payload"}
 
 
+#: RunSpec fields no build reads any more (each has a ``RUN_SPEC`` lift).
+_RETIRED_RUN_SPEC_FIELDS = frozenset({"checkpoint_payload"})
+
+
+def _retired(path: str) -> bool:
+    return path.split(".", 1)[0] in _RETIRED_RUN_SPEC_FIELDS
+
+
+def _retired_overrides(document):
+    """A sweep's ``axes`` and ``points`` override RunSpec fields by dotted
+    path; one naming a retired field overrode what every build now ignores.
+    Such an axis goes (its points would all be one run), and such a key
+    leaves every point dict."""
+    axes, points = document.get("axes"), document.get("points")
+    stale_axes = isinstance(axes, dict) and any(_retired(path) for path in axes)
+    stale_points = isinstance(points, list) and any(
+        isinstance(point, dict) and any(_retired(path) for path in point) for point in points
+    )
+    if not (stale_axes or stale_points):
+        return document
+    document = dict(document)
+    if stale_axes:
+        document["axes"] = {path: values for path, values in axes.items() if not _retired(path)}
+    if stale_points:
+        document["points"] = [
+            {path: value for path, value in point.items() if not _retired(path)}
+            if isinstance(point, dict) else point
+            for point in points
+        ]
+    return document
+
+
 def _renamed_kinds(renames):
     """A lift replacing each retired ``kind`` in ``renames`` by its current name."""
 
@@ -132,6 +166,7 @@ STEPS = (
     Step(CHECKPOINT, "a59dfd5", _checkpoint_payload_fields),
     Step(MANIFEST, "a59dfd5", _version_1),
     Step(RUN_SPEC, "after 22cd0f5", _checkpoint_payload_knob),
+    Step(SWEEP_SPEC, "after 22cd0f5", _retired_overrides),
     # A class that ran the same computation as BMPS under its own kind.
     Step(CONTRACTION, "23ca172", _renamed_kinds({"two_layer_bmps": "bmps"})),
     Step(CONTRACTION, "23ca172", _fold_truncate_bond),

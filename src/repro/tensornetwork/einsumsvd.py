@@ -20,9 +20,10 @@ style of the Koala API:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import isfinite, prod
 from numbers import Integral, Real
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,6 +148,14 @@ class ImplicitRandomizedSVD(EinsumSVDOption):
 SVD_OPTION_KINDS = {cls.kind: cls for cls in (ExplicitSVD, ImplicitRandomizedSVD)}
 
 
+@lru_cache(maxsize=64)
+def _scale_spec(ndim: int, bond_first: bool) -> str:
+    """Subscripts scaling the bond mode (first or last of ``ndim``) by a vector."""
+    labels = "".join(symbols(ndim))
+    bond = labels[0] if bond_first else labels[-1]
+    return f"{labels},{bond}->{labels}"
+
+
 def _absorb_spectrum(backend: Backend, u, s, vh, absorb: str):
     """Distribute singular values onto the factors.
 
@@ -166,26 +175,72 @@ def _absorb_spectrum(backend: Backend, u, s, vh, absorb: str):
         raise ValueError(f"unknown absorb mode {absorb!r}")
 
     if left is not None:
-        nu = len(backend.shape(u))
-        labels = symbols(nu)
-        bond = labels[-1]
-        spec = "".join(labels) + "," + bond + "->" + "".join(labels)
+        spec = _scale_spec(len(backend.shape(u)), bond_first=False)
         u = backend.einsum(spec, u, backend.from_local(left))
     if right is not None:
-        nv = len(backend.shape(vh))
-        labels = symbols(nv)
-        bond = labels[0]
-        spec = "".join(labels) + "," + bond + "->" + "".join(labels)
+        spec = _scale_spec(len(backend.shape(vh)), bond_first=True)
         vh = backend.einsum(spec, vh, backend.from_local(right))
     return u, s, vh
 
 
-def _permute_to(backend: Backend, tensor, current: Sequence[str], target: Sequence[str]):
-    """Transpose ``tensor`` from label order ``current`` to ``target``."""
+class _Layout(NamedTuple):
+    """Everything an ``einsumsvd`` call derives from its subscripts and
+    operand shapes (see :func:`_layout`)."""
+
+    spec: EinsumSVDSpec
+    #: single-output subscripts contracting the network to ``free_a + free_b``
+    contract: str
+    #: the operator's row and column dims, and its matrix shape
+    rows: Tuple[int, ...]
+    cols: Tuple[int, ...]
+    matrix: Tuple[int, int]
+    #: transposes from ``free_a + bond`` / ``bond + free_b`` to the two
+    #: outputs' label orders (``None``: already in order)
+    perm_a: Optional[Tuple[int, ...]]
+    perm_b: Optional[Tuple[int, ...]]
+
+
+def _permutation(current: Sequence[str], target: Sequence[str]) -> Optional[Tuple[int, ...]]:
+    """The transpose taking label order ``current`` to ``target`` (``None``
+    when they agree)."""
     if tuple(current) == tuple(target):
-        return tensor
-    perm = [list(current).index(label) for label in target]
-    return backend.transpose(tensor, perm)
+        return None
+    return tuple(current.index(label) for label in target)
+
+
+@lru_cache(maxsize=1024)
+def _layout(
+    subscripts: Union[str, EinsumSVDSpec], shapes: Tuple[Tuple[int, ...], ...]
+) -> _Layout:
+    """The :class:`_Layout` of ``subscripts`` over operands of ``shapes``:
+    parsed, validated and derived once per signature, like the planner's plans."""
+    spec = subscripts if isinstance(subscripts, EinsumSVDSpec) else parse_einsumsvd(
+        subscripts, n_operands=len(shapes)
+    )
+    contract_spec = spec.contract_spec
+    dims = contract_spec.index_dimensions(shapes)
+    rows = tuple(dims[label] for label in spec.free_a)
+    cols = tuple(dims[label] for label in spec.free_b)
+    bond = (spec.bond_label,)
+    return _Layout(
+        spec=spec,
+        contract=contract_spec.subscripts,
+        rows=rows,
+        cols=cols,
+        matrix=(prod(rows), prod(cols)),
+        perm_a=_permutation(spec.free_a + bond, spec.output_a),
+        perm_b=_permutation(bond + spec.free_b, spec.output_b),
+    )
+
+
+def _to_outputs(backend: Backend, layout: _Layout, u, vh):
+    """Transpose the factors (bond last on ``u``, first on ``vh``) to the
+    label orders of the two outputs."""
+    if layout.perm_a is not None:
+        u = backend.transpose(u, layout.perm_a)
+    if layout.perm_b is not None:
+        vh = backend.transpose(vh, layout.perm_b)
+    return u, vh
 
 
 def einsumsvd(
@@ -227,21 +282,32 @@ def einsumsvd(
     option = option if option is not None else ExplicitSVD()
     if rank is None:
         rank = option.rank
-    spec = subscripts if isinstance(subscripts, EinsumSVDSpec) else parse_einsumsvd(
-        subscripts, n_operands=len(operands)
-    )
-    if isinstance(option, ImplicitRandomizedSVD):
-        a, b, s = _einsumsvd_implicit(backend, spec, operands, option, rank)
+    layout = _layout(subscripts, tuple(backend.shape(op) for op in operands))
+    if isinstance(option, ImplicitRandomizedSVD) and _sketch_is_narrow(layout, option, rank):
+        a, b, s = _einsumsvd_implicit(backend, layout, operands, option, rank)
     else:
-        a, b, s = _einsumsvd_explicit(backend, spec, operands, option, rank)
+        a, b, s = _einsumsvd_explicit(backend, layout, operands, option, rank)
     if return_spectrum:
         return a, b, s
     return a, b
 
 
+def _sketch_is_narrow(layout: _Layout, option: ImplicitRandomizedSVD, rank: Optional[int]) -> bool:
+    """Whether Algorithm 4's sketch misses part of the operator's short side.
+
+    Otherwise the range finder would capture the whole range: Algorithm 4
+    would reach the explicit call's exact SVD only after its probe products,
+    QRs and sketch SVD.
+    """
+    from repro.linalg.randomized_svd import sketch_size
+
+    short = min(layout.matrix)
+    return rank is not None and sketch_size(rank, option.oversample, short) != short
+
+
 def _einsumsvd_explicit(
     backend: Backend,
-    spec: EinsumSVDSpec,
+    layout: _Layout,
     operands: Sequence,
     option: EinsumSVDOption,
     rank: Optional[int],
@@ -249,46 +315,29 @@ def _einsumsvd_explicit(
     """Contract the full network, matricize and run a truncated SVD."""
     from repro.linalg.truncated_svd import truncated_svd
 
-    contract_spec = spec.contract_spec
-    lhs = ",".join("".join(term) for term in contract_spec.inputs)
-    rhs = "".join(contract_spec.output)
-    theta = backend.einsum(f"{lhs}->{rhs}", *operands)
-
-    dims = contract_spec.index_dimensions([backend.shape(op) for op in operands])
-    row_dims = tuple(dims[label] for label in spec.free_a)
-    col_dims = tuple(dims[label] for label in spec.free_b)
-    m = int(prod(row_dims)) if row_dims else 1
-    n = int(prod(col_dims)) if col_dims else 1
-
-    matrix = backend.reshape(theta, (m, n))
+    theta = backend.einsum(layout.contract, *operands)
+    matrix = backend.reshape(theta, layout.matrix)
     result = truncated_svd(backend, matrix, rank=rank, cutoff=option.cutoff)
     u, s, vh = _absorb_spectrum(backend, result.u, result.s, result.vh, option.absorb)
     k = result.rank
-
-    u = backend.reshape(u, row_dims + (k,))
-    vh = backend.reshape(vh, (k,) + col_dims)
-    a = _permute_to(backend, u, tuple(spec.free_a) + (spec.bond_label,), spec.output_a)
-    b = _permute_to(backend, vh, (spec.bond_label,) + tuple(spec.free_b), spec.output_b)
+    u = backend.reshape(u, layout.rows + (k,))
+    vh = backend.reshape(vh, (k,) + layout.cols)
+    a, b = _to_outputs(backend, layout, u, vh)
     return a, b, result.s
 
 
 def _einsumsvd_implicit(
     backend: Backend,
-    spec: EinsumSVDSpec,
+    layout: _Layout,
     operands: Sequence,
     option: ImplicitRandomizedSVD,
-    rank: Optional[int],
+    rank: int,
 ):
     """Randomized SVD with the network applied implicitly (Algorithm 4)."""
     from repro.linalg.implicit_op import TensorNetworkOperator
-    from repro.linalg.randomized_svd import randomized_svd, sketch_size
+    from repro.linalg.randomized_svd import randomized_svd
 
-    operator = TensorNetworkOperator(backend, spec, operands)
-    max_rank = min(operator.row_size, operator.col_size)
-    if rank is None or sketch_size(rank, option.oversample, max_rank) == max_rank:
-        # The range finder would capture the whole range: Algorithm 4 would
-        # reach this exact SVD only after its probe products, QRs and sketch SVD.
-        return _einsumsvd_explicit(backend, spec, operands, option, rank)
+    operator = TensorNetworkOperator(backend, layout.spec, operands)
     result = randomized_svd(
         backend,
         operator,
@@ -300,6 +349,5 @@ def _einsumsvd_implicit(
         cutoff=option.cutoff,
     )
     u, s, vh = _absorb_spectrum(backend, result.u, result.s, result.vh, option.absorb)
-    a = _permute_to(backend, u, tuple(spec.free_a) + (spec.bond_label,), spec.output_a)
-    b = _permute_to(backend, vh, (spec.bond_label,) + tuple(spec.free_b), spec.output_b)
+    a, b = _to_outputs(backend, layout, u, vh)
     return a, b, result.s

@@ -9,11 +9,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.backends import get_backend
+from repro.backends.interface import dense_qr
 from repro.backends.numpy_backend import NumPyBackend
 from repro.utils.flops import FlopCounter
-from tests.conftest import random_complex
+from tests.conftest import FAST, random_complex
 
 
 class TestRegistry:
@@ -109,6 +111,26 @@ class TestFactorizations:
         q, r = numpy_backend.qr(a)
         assert np.allclose(q @ r, a)
         assert np.allclose(q.conj().T @ q, np.eye(4), atol=1e-12)
+
+    @FAST
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        dtype=st.sampled_from([np.float64, np.complex128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_qr_is_numpy_reduced_qr_bitwise(self, m, n, dtype, seed):
+        """Every shape (k = min(m, n) below, at and above n), real and complex."""
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((m, n))
+        if dtype is np.complex128:
+            a = a + 1j * gen.standard_normal((m, n))
+        q, r = dense_qr(a)
+        q_ref, r_ref = np.linalg.qr(a, mode="reduced")
+        assert (q.dtype, q.shape, r.dtype, r.shape) == (
+            q_ref.dtype, q_ref.shape, r_ref.dtype, r_ref.shape)
+        assert q.tobytes() == q_ref.tobytes()
+        assert r.tobytes() == r_ref.tobytes()
 
     def test_flop_counter_integration(self, rng):
         counter = FlopCounter()

@@ -1,5 +1,7 @@
 """Tests for the circuit IR and random quantum circuit generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,29 @@ class TestCircuit:
         assert not np.allclose(c1.to_matrix(), c2.to_matrix())
 
 
+#: ``(seed, nrow, ncol, n_layers, gates, layout digest, matrix digest)``:
+#: sha256 prefixes of the gates' ``(name, qubits)`` list and of their
+#: concatenated matrix bytes, recorded from the generator as it drew through
+#: ``rng.choice`` with freshly built gate matrices.
+PINNED_CIRCUITS = [
+    (0, 2, 2, 4, 20, "1dfdf4ff82ce9e47", "d96063b7c2bd06f0"),
+    (1, 3, 3, 8, 96, "fa8cd56fdfcec005", "d2e91db85e6775ad"),
+    (7, 4, 4, 8, 176, "40ac6f1e36e541bc", "382376bdcd9a7389"),
+    (20260930, 2, 5, 6, 73, "fc781b4516b2fdb4", "de3040fd1bcc7867"),
+    (123, 1, 3, 5, 17, "010234141f188338", "e4ae0a1d53b37b02"),
+]
+
+
 class TestRandomQuantumCircuits:
+    @pytest.mark.parametrize("seed, nrow, ncol, layers, count, layout, matrices", PINNED_CIRCUITS)
+    def test_pinned_circuits(self, seed, nrow, ncol, layers, count, layout, matrices):
+        circ = random_quantum_circuit(nrow, ncol, n_layers=layers, seed=seed)
+        assert len(circ) == count
+        names = repr([(g.name, g.qubits) for g in circ.gates]).encode()
+        assert hashlib.sha256(names).hexdigest()[:16] == layout
+        data = b"".join(g.matrix.tobytes() for g in circ.gates)
+        assert hashlib.sha256(data).hexdigest()[:16] == matrices
+
     def test_layer_structure_every_four(self):
         layers = rqc_layer_structure(8, entangle_every=4)
         assert layers == [False, False, False, True, False, False, False, True]

@@ -6,7 +6,7 @@ are built on:
 
 * :meth:`Distribution.block_slices` partitions the index space exactly
   (every element owned once);
-* ``shard`` -> ``reassemble`` is a bitwise round trip for any shape/grid,
+* slicing by ``block_slices`` -> ``reassemble`` is a bitwise round trip for any shape/grid,
   including non-contiguous inputs and over-decomposed modes;
 * :func:`shard_bounds` covers ``[0, extent)`` contiguously with balanced
   parts;
@@ -102,8 +102,7 @@ class TestBlockLayout:
         shape = _random_shape(seed, ndim)
         array = _random_array(shape, dtype, seed)
         dist = Distribution.natural(shape, nprocs)
-        blocks = [dist.shard(array, rank) for rank in range(dist.nprocs)]
-        assert all(b.flags.c_contiguous for b in blocks)
+        blocks = [array[dist.block_slices(rank)] for rank in range(dist.nprocs)]
         rebuilt = dist.reassemble(blocks)
         assert rebuilt.dtype == array.dtype
         assert rebuilt.tobytes() == np.ascontiguousarray(array).tobytes()
@@ -112,7 +111,7 @@ class TestBlockLayout:
         base = _random_array((6, 8), np.complex128, 11)
         for view in (base.T, base[::2], base[:, ::-1]):
             dist = Distribution.natural(view.shape, 4)
-            blocks = [dist.shard(view, rank) for rank in range(dist.nprocs)]
+            blocks = [view[dist.block_slices(rank)] for rank in range(dist.nprocs)]
             rebuilt = dist.reassemble(blocks)
             assert rebuilt.tobytes() == np.ascontiguousarray(view).tobytes()
 
@@ -121,13 +120,13 @@ class TestBlockLayout:
         # trip must still be exact.
         dist = Distribution.natural((2,), 8)
         array = np.arange(2, dtype=np.complex128)
-        blocks = [dist.shard(array, rank) for rank in range(dist.nprocs)]
+        blocks = [array[dist.block_slices(rank)] for rank in range(dist.nprocs)]
         assert sum(b.size for b in blocks) == array.size
         assert dist.reassemble(blocks).tobytes() == array.tobytes()
 
     def test_reassemble_rejects_wrong_block_count(self):
         dist = Distribution.natural((4, 4), 4)
-        blocks = [dist.shard(np.zeros((4, 4)), rank) for rank in range(dist.nprocs)]
+        blocks = [np.zeros((4, 4))[dist.block_slices(rank)] for rank in range(dist.nprocs)]
         with pytest.raises(ValueError):
             dist.reassemble(blocks[:-1])
 

@@ -1,5 +1,7 @@
 """Tests for gates, Pauli strings, observables and Hamiltonians."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestGates:
         assert t.shape == (2, 2, 2, 2)
         with pytest.raises(ValueError):
             gates.as_tensor(gates.CNOT(), 1)
+
+    @pytest.mark.parametrize("name", sorted(gates.NAMED_GATES))
+    def test_named_gates_are_shared_read_only(self, name):
+        matrix = gates.named_gate(name)
+        assert gates.named_gate(name.lower()).tobytes() == matrix.tobytes()
+        assert gates.named_gate(name) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0
+        fresh = gates.get_gate(name)
+        assert fresh.flags.writeable and fresh is not matrix
+        assert fresh.tobytes() == matrix.tobytes()
+        fresh[0, 0] = 7
+        assert gates.get_gate(name).tobytes() == matrix.tobytes()
 
     def test_get_gate_errors(self):
         with pytest.raises(KeyError):
@@ -212,6 +228,30 @@ class TestLocalTermAndHamiltonian:
         e = ham.ground_state_energy()
         dense = np.linalg.eigvalsh(ham.to_matrix())
         assert e == pytest.approx(dense[0], rel=1e-8)
+
+    def test_ground_state_energy_matrix_free_matches_dense(self):
+        ham = heisenberg_j1j2(3, 3)
+        dense = np.linalg.eigvalsh(ham.to_matrix())[0]
+        assert abs(ham.ground_state_energy() - dense) < 1e-10
+
+    def test_ground_state_energy_builds_no_dense_term(self, monkeypatch):
+        """14 sites: each embedded term would be a 4 GiB dense matrix."""
+        from repro.operators import hamiltonians
+
+        def refuse(*args):
+            raise AssertionError("ground_state_energy embedded a dense term")
+
+        monkeypatch.setattr(hamiltonians, "_embed_term", refuse)
+        begin = time.perf_counter()
+        energy = transverse_field_ising(2, 7).ground_state_energy()
+        assert time.perf_counter() - begin < 30.0
+        # recorded from a sparse Hamiltonian assembled term by term from
+        # index arithmetic (no dense embedding), diagonalized by eigsh
+        assert abs(energy - -50.42392764292233) < 1e-10
+
+    def test_to_matrix_refuses_large_lattices(self):
+        with pytest.raises(ValueError, match="GiB"):
+            Hamiltonian(2, 7).to_matrix()
 
     def test_ground_state_energy_too_large_raises(self):
         with pytest.raises(ValueError):

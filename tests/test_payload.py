@@ -294,7 +294,7 @@ def as_rank_files(directory, label, payload, store, nshards):
     for rank in range(nshards):
         filename = f"{label}-step000000.ckpt.rank{rank}.npz"
         np.savez(directory / filename,
-                 **{key: dists[key].shard(a, rank) for key, a in arrays.items()})
+                 **{key: a[dists[key].block_slices(rank)] for key, a in arrays.items()})
         shards.append({"file": filename})
     return convert(payload), shards
 

@@ -26,6 +26,7 @@ from repro.sim.upgrade import (
     RUN_SPEC,
     SPEC_CONTRACTION,
     STEPS,
+    SWEEP_SPEC,
     upgrade,
 )
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
@@ -34,7 +35,8 @@ from tests.conftest import FAST
 
 SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "examples", "specs")
-KINDS = (CHECKPOINT, MANIFEST, ENVIRONMENT, RUN_SPEC, CONTRACTION, SPEC_CONTRACTION)
+KINDS = (CHECKPOINT, MANIFEST, ENVIRONMENT, RUN_SPEC, SWEEP_SPEC, CONTRACTION,
+         SPEC_CONTRACTION)
 
 
 def wire(payload):
@@ -118,6 +120,21 @@ class TestSteps:
         points = spec.expand()
         assert len(points) == 4
         assert all(point.spec.checkpoint_every == 10 ** 6 for point in points)
+
+    def test_sweep_overrides_naming_checkpoint_payload(self, tmp_path):
+        """A saved sweep whose axes or points override the retired field
+        loads: the axis goes, the key leaves every point."""
+        base = {"name": "point", "workload": "rqc_amplitude", "lattice": [2, 2], "seed": 3,
+                "algorithm": {"n_layers": 4, "entangle_every": 2}, "measure_every": 10 ** 6}
+        by_axes = {"name": "s", "base": base, "sweep_dir": str(tmp_path / "a"),
+                   "axes": {"checkpoint_payload": ["npz", "sharded"], "update.rank": [16, 24]}}
+        assert lifted(by_axes, SWEEP_SPEC) == {**by_axes, "axes": {"update.rank": [16, 24]}}
+        by_points = {"name": "s", "base": base, "sweep_dir": str(tmp_path / "p"),
+                     "points": [{"checkpoint_payload": "sharded", "update.rank": 16},
+                                {"checkpoint_payload.x": 1}]}
+        assert lifted(by_points, SWEEP_SPEC)["points"] == [{"update.rank": 16}, {}]
+        assert len(SweepSpec.from_dict(by_axes).expand()) == 2
+        assert len(SweepSpec.from_dict(by_points).expand()) == 2
 
     def test_two_layer_bmps_kind(self):
         svd = {"kind": "explicit", "rank": 3}
@@ -285,6 +302,16 @@ class TestCurrentDocumentsAreUntouched:
         assert upgrade(document, RUN_SPEC) is document
         stored = RunSpec.from_dict(document).to_dict()
         assert upgrade(stored, RUN_SPEC) is stored
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in os.listdir(SPEC_DIR) if "sweep" in name
+    ))
+    def test_sweep_specs(self, name):
+        with open(os.path.join(SPEC_DIR, name)) as handle:
+            document = json.load(handle)
+        assert upgrade(document, SWEEP_SPEC) is document
+        stored = SweepSpec.from_dict(document).to_dict()
+        assert upgrade(stored, SWEEP_SPEC) is stored
 
 
 # --------------------------------------------------------------------- #
