@@ -8,14 +8,13 @@
   SLSQP classical optimizer (Fig. 14).
 """
 
-from repro.algorithms.trotter import apply_tebd_layer, tebd_gate_layer, trotter_gates
+from repro.algorithms.trotter import apply_tebd_layer, tebd_gate_layer
 from repro.algorithms.ite import ImaginaryTimeEvolution, ITEResult
 from repro.algorithms.vqe import VQE, VQEResult, build_vqe_ansatz
 
 __all__ = [
     "apply_tebd_layer",
     "tebd_gate_layer",
-    "trotter_gates",
     "ImaginaryTimeEvolution",
     "ITEResult",
     "VQE",

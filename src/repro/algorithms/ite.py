@@ -67,9 +67,6 @@ class ImaginaryTimeEvolution:
     contract_option:
         Contraction algorithm and bond dimension ``m`` used for energy
         measurement and normalization (default: IBMPS with ``m = r^2``).
-    normalize_every:
-        Renormalize the PEPS every this many steps (ITE shrinks the norm);
-        at least 1.
 
     :meth:`run` attaches one :mod:`~repro.peps.envs` environment built from
     ``contract_option`` to the evolving state, so normalization and energy
@@ -82,7 +79,6 @@ class ImaginaryTimeEvolution:
         tau: float = 0.05,
         update_option: Optional[UpdateOption] = None,
         contract_option: Optional[ContractOption] = None,
-        normalize_every: int = 1,
     ) -> None:
         self.hamiltonian = hamiltonian
         self.tau = float(tau)
@@ -91,9 +87,6 @@ class ImaginaryTimeEvolution:
             rank = self.update_option.rank or 2
             contract_option = BMPS(ImplicitRandomizedSVD(rank=rank * rank, seed=0))
         self.contract_option = contract_option
-        if normalize_every < 1:
-            raise ValueError(f"normalize_every must be >= 1, got {normalize_every!r}")
-        self.normalize_every = int(normalize_every)
         self._gates = hamiltonian.trotter_gates(-self.tau)
 
     def initial_state(self, backend="numpy") -> PEPS:
@@ -115,17 +108,16 @@ class ImaginaryTimeEvolution:
             state.apply_operator(matrix, list(sites), self.update_option)
         return state
 
-    def advance(self, state: PEPS, step_index: int) -> PEPS:
-        """One full driver step: Trotter step plus the scheduled renormalization.
+    def advance(self, state: PEPS) -> PEPS:
+        """One full driver step: Trotter step plus renormalization (ITE shrinks the norm).
 
         This is the unit of progress shared by :meth:`run` and the simulation
         runner (:mod:`repro.sim`): checkpointing between ``advance`` calls and
         replaying the remaining calls reproduces an uninterrupted run
-        float-for-float.  ``step_index`` is 1-based.
+        float-for-float.
         """
         state = self.step(state)
-        if step_index % self.normalize_every == 0:
-            state.normalize_(self.contract_option)
+        state.normalize_(self.contract_option)
         return state
 
     def energy(self, state: PEPS) -> float:
@@ -156,7 +148,7 @@ class ImaginaryTimeEvolution:
         energies: List[float] = []
         measured: List[int] = []
         for step_index in range(1, n_steps + 1):
-            state = self.advance(state, step_index)
+            state = self.advance(state)
             if step_index % measure_every == 0 or step_index == n_steps:
                 e = self.energy(state)
                 energies.append(e)

@@ -14,17 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.lattice import LatticeLike, as_lattice
-from repro.operators.hamiltonians import Hamiltonian
 from repro.peps.peps import PEPS
 from repro.peps.update import UpdateOption
 from repro.utils.rng import SeedLike, ensure_rng
-
-
-def trotter_gates(
-    hamiltonian: Hamiltonian, tau: complex
-) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
-    """First-order Trotter gates ``exp(tau * H_j)`` for every local term."""
-    return hamiltonian.trotter_gates(tau)
 
 
 def tebd_gate_layer(

@@ -180,9 +180,6 @@ class VQE:
                 state[i, j] = state.backend.astensor(np.array(zero, copy=True))
         return state
 
-    def energy_per_site(self, parameters: Sequence[float]) -> float:
-        return self.energy(parameters) / self.hamiltonian.n_sites
-
     def optimize_segment(
         self, parameters: Sequence[float], maxiter: int = 1
     ) -> "scipy.optimize.OptimizeResult":

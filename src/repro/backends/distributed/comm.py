@@ -248,11 +248,6 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
             )
         self._spawn(rank, first=False)
 
-    @property
-    def restarts(self) -> int:
-        """Workers respawned so far (over the communicator's lifetime)."""
-        return self._restarts
-
     # ------------------------------------------------------------------ #
     # Request plumbing
     # ------------------------------------------------------------------ #

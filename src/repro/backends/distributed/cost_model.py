@@ -49,10 +49,6 @@ class MachineParameters:
     factorization_efficiency: float = 0.25
     local_flop_rate: float = 5.0e9
 
-    def nodes(self, nprocs: int, procs_per_node: Optional[int] = None) -> int:
-        per_node = procs_per_node or self.cores_per_node
-        return max(1, (nprocs + per_node - 1) // per_node)
-
 
 #: Scalar accumulators of :class:`ExecutionStats`, exposed as properties.
 _STAT_SCALARS = ("simulated_seconds", "flops", "comm_bytes", "messages")
@@ -114,10 +110,6 @@ class ExecutionStats:
 
     def observe_tensor(self, nbytes: float) -> None:
         self._peak.update_max(nbytes)
-
-    @property
-    def peak_tensor_bytes(self) -> float:
-        return self.registry.value("dist.tensor_bytes_peak")
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -278,8 +270,3 @@ class CostModel:
 
     def reset(self) -> None:
         self.stats.reset()
-
-    def fits_in_memory(self, total_bytes: float, safety: float = 0.8) -> bool:
-        """Whether a working set of ``total_bytes`` fits in aggregate memory."""
-        nodes = self.machine.nodes(self.nprocs, self.procs_per_node)
-        return total_bytes <= safety * nodes * self.machine.memory_per_node

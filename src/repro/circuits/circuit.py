@@ -70,10 +70,6 @@ class Gate:
             matrix = gatelib.get_gate(name, params)
         return Gate(tuple(qubits), matrix, name=key, params=params)
 
-    def dagger(self) -> "Gate":
-        """The inverse gate."""
-        return Gate(self.qubits, self.matrix.conj().T, name=self.name + "†", params=self.params)
-
 
 class Circuit:
     """An ordered sequence of gates on ``n_qubits`` qubits."""
@@ -120,23 +116,11 @@ class Circuit:
     def ry(self, q: int, theta: float) -> "Circuit":
         return self.add("RY", q, theta)
 
-    def rx(self, q: int, theta: float) -> "Circuit":
-        return self.add("RX", q, theta)
-
-    def rz(self, q: int, theta: float) -> "Circuit":
-        return self.add("RZ", q, theta)
-
     def cnot(self, control: int, target: int) -> "Circuit":
         return self.add("CNOT", (control, target))
 
-    def cz(self, a: int, b: int) -> "Circuit":
-        return self.add("CZ", (a, b))
-
     def iswap(self, a: int, b: int) -> "Circuit":
         return self.add("ISWAP", (a, b))
-
-    def swap(self, a: int, b: int) -> "Circuit":
-        return self.add("SWAP", (a, b))
 
     # Introspection ---------------------------------------------------------
     def __len__(self) -> int:
@@ -155,13 +139,6 @@ class Circuit:
                 frontier[q] = layer
             depth = max(depth, layer)
         return depth
-
-    def two_qubit_gate_count(self) -> int:
-        return sum(1 for g in self.gates if g.n_qubits == 2)
-
-    def inverse(self) -> "Circuit":
-        """The inverse circuit (gates reversed and daggered)."""
-        return Circuit(self.n_qubits, [g.dagger() for g in reversed(self.gates)])
 
     def to_matrix(self) -> np.ndarray:
         """Dense unitary of the whole circuit (small circuits only)."""

@@ -158,12 +158,6 @@ class Lattice:
     def n_sites(self) -> int:
         return self.nrow * self.ncol
 
-    def site_index(self, row: int, col: int) -> int:
-        """Flat row-major index of position ``(row, col)``."""
-        if not (0 <= row < self.nrow and 0 <= col < self.ncol):
-            raise ValueError(f"({row}, {col}) outside a {self.nrow}x{self.ncol} lattice")
-        return row * self.ncol + col
-
     def site_position(self, index: int) -> Tuple[int, int]:
         """``(row, col)`` of a flat row-major site index."""
         if not (0 <= index < self.n_sites):
@@ -185,9 +179,6 @@ class Lattice:
     def sublattice_of(self, row: int, col: int) -> int:
         """The sublattice tag of site ``(row, col)`` (0 on a plain square)."""
         return 0
-
-    def n_sublattices(self) -> int:
-        return 1
 
     def bond_tags(self, site_a: Site, site_b: Site, orientation: str, kind: str
                   ) -> Tuple[int, float]:
@@ -304,10 +295,6 @@ class SquareLattice(Lattice):
                   ) -> Tuple[int, float]:
         return 0, self.couplings.get(orientation, 1.0)
 
-    def is_uniform(self) -> bool:
-        """Whether every bond carries unit scale (pure geometry, no anisotropy)."""
-        return all(v == 1.0 for v in self.couplings.values())
-
     def to_config(self) -> Dict[str, Any]:
         config = super().to_config()
         if self.couplings:
@@ -360,20 +347,11 @@ class CheckerboardLattice(Lattice):
     def sublattice_of(self, row: int, col: int) -> int:
         return (row + col) % 2
 
-    def n_sublattices(self) -> int:
-        return 2
-
     def bond_tags(self, site_a: Site, site_b: Site, orientation: str, kind: str
                   ) -> Tuple[int, float]:
         color = site_a.sublattice
         scale = self.couplings.get("ab"[color], 1.0)
         return color, scale
-
-    def is_uniform(self) -> bool:
-        values = set(self.couplings.values()) or {1.0}
-        return values == {1.0} or (
-            len(values) == 1 and set(self.couplings) == {"a", "b"}
-        )
 
     def to_config(self) -> Dict[str, Any]:
         config = super().to_config()

@@ -91,18 +91,6 @@ def Rz(theta: float) -> np.ndarray:
     return np.cos(theta / 2) * identity() - 1j * np.sin(theta / 2) * Z()
 
 
-def U3(theta: float, phi: float, lam: float) -> np.ndarray:
-    """General single-qubit rotation (OpenQASM u3 convention)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=np.complex128,
-    )
-
-
 # --------------------------------------------------------------------- #
 # Two-qubit gates
 # --------------------------------------------------------------------- #
@@ -135,11 +123,6 @@ def iSWAP() -> np.ndarray:
     return np.array(
         [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
     )
-
-
-def CPHASE(theta: float) -> np.ndarray:
-    """Controlled phase rotation."""
-    return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(np.complex128)
 
 
 def XX(theta: float) -> np.ndarray:
@@ -213,8 +196,6 @@ PARAMETERIZED_GATES = {
     "RX": Rx,
     "RY": Ry,
     "RZ": Rz,
-    "U3": U3,
-    "CPHASE": CPHASE,
     "XX": XX,
     "ZZ": ZZ,
 }

@@ -107,10 +107,6 @@ class Hamiltonian:
     def n_sites(self) -> int:
         return self.lattice.n_sites
 
-    def site_index(self, row: int, col: int) -> int:
-        """Flat row-major index of lattice position ``(row, col)``."""
-        return self.lattice.site_index(row, col)
-
     def add_term(self, term: LocalTerm) -> None:
         for site in term.sites:
             if not (0 <= site < self.n_sites):
@@ -132,11 +128,6 @@ class Hamiltonian:
         """All horizontally and vertically adjacent site pairs, in bond order."""
         ncol = self.ncol
         return [bond.indices(ncol) for bond in self.lattice.bonds("nn")]
-
-    def diagonal_neighbor_pairs(self) -> List[Tuple[int, int]]:
-        """All diagonally adjacent site pairs (both diagonals), in bond order."""
-        ncol = self.ncol
-        return [bond.indices(ncol) for bond in self.lattice.bonds("nnn")]
 
     # ------------------------------------------------------------------ #
     # Conversions

@@ -62,11 +62,6 @@ class Observable:
         return Observable.pauli("XX", site_a, site_b)
 
     @staticmethod
-    def YY(site_a: int, site_b: int) -> "Observable":
-        """Y⊗Y on two sites."""
-        return Observable.pauli("YY", site_a, site_b)
-
-    @staticmethod
     def ZZ(site_a: int, site_b: int) -> "Observable":
         """Z⊗Z on two sites."""
         return Observable.pauli("ZZ", site_a, site_b)

@@ -60,11 +60,6 @@ class PauliString:
     def sites(self) -> Tuple[int, ...]:
         return tuple(site for site, _ in self.paulis)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return len(self.paulis)
-
     def as_dict(self) -> Dict[int, str]:
         return {site: label for site, label in self.paulis}
 
@@ -87,10 +82,6 @@ class PauliString:
 
     def __neg__(self) -> "PauliString":
         return self * (-1.0)
-
-    def hermitian_conjugate(self) -> "PauliString":
-        """Pauli strings are Hermitian up to the coefficient."""
-        return PauliString(self.paulis, np.conj(self.coefficient))
 
     def __repr__(self) -> str:
         if not self.paulis:

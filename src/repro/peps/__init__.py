@@ -30,7 +30,6 @@ from the same caches::
 from repro.peps.peps import (
     PEPS,
     computational_basis,
-    computational_ones,
     computational_zeros,
     product_state,
     random_peps,
@@ -57,7 +56,6 @@ from repro.peps.envs import BoundaryEnvironment, EnvCTM, make_environment
 __all__ = [
     "PEPS",
     "computational_basis",
-    "computational_ones",
     "computational_zeros",
     "product_state",
     "random_peps",

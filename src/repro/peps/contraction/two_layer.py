@@ -72,11 +72,6 @@ def trivial_boundary(backend: Union[str, Backend, None], ncol: int) -> List:
     return [one for _ in range(ncol)]
 
 
-def boundary_bond_dimensions(backend: Backend, boundary: Sequence) -> List[int]:
-    """Horizontal bond dimensions of a boundary (diagnostics/tests)."""
-    return [backend.shape(t)[-1] for t in boundary[:-1]]
-
-
 def check_edge_legs(
     backend: Backend,
     grid: Sequence[Sequence],

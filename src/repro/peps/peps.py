@@ -109,11 +109,6 @@ class PEPS:
             raise ValueError(f"site {site} outside a {self.nrow}x{self.ncol} lattice")
         return divmod(int(site), self.ncol)
 
-    def site_index(self, row: int, col: int) -> int:
-        if not (0 <= row < self.nrow and 0 <= col < self.ncol):
-            raise ValueError(f"({row}, {col}) outside a {self.nrow}x{self.ncol} lattice")
-        return row * self.ncol + col
-
     def __getitem__(self, position: Tuple[int, int]):
         row, col = position
         return self.grid[row][col]
@@ -163,9 +158,6 @@ class PEPS:
     def _notify_env(self, rows: Sequence[int]) -> None:
         if self._env is not None:
             self._env.invalidate(rows)
-
-    def physical_dimensions(self) -> List[List[int]]:
-        return [[self.backend.shape(t)[PHYS] for t in row] for row in self.grid]
 
     def bond_dimensions(self) -> List[int]:
         """All internal (horizontal and vertical) bond dimensions."""
@@ -536,16 +528,6 @@ def computational_zeros(
 ) -> PEPS:
     """The all-zeros state ``|00...0>``."""
     return computational_basis([0] * (nrow * ncol), nrow, ncol, phys_dim, backend)
-
-
-def computational_ones(
-    nrow: int,
-    ncol: int,
-    phys_dim: int = 2,
-    backend: Union[str, Backend, None] = "numpy",
-) -> PEPS:
-    """The all-ones state ``|11...1>``."""
-    return computational_basis([1] * (nrow * ncol), nrow, ncol, phys_dim, backend)
 
 
 def random_peps(

@@ -554,11 +554,5 @@ class JobQueue:
         with open(self._pause_path, "w") as handle:
             handle.write("paused\n")
 
-    def unpause(self) -> None:
-        try:
-            os.unlink(self._pause_path)
-        except FileNotFoundError:
-            pass
-
     def paused(self) -> bool:
         return os.path.exists(self._pause_path)

@@ -123,9 +123,6 @@ class Simulation:
         """
         self._hooks[name] = hook
 
-    def remove_measurement_hook(self, name: str) -> None:
-        self._hooks.pop(name, None)
-
     # ------------------------------------------------------------------ #
     # Checkpoints
     # ------------------------------------------------------------------ #

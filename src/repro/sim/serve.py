@@ -65,6 +65,7 @@ from repro.sim.io import FORMAT_VERSION, atomic_write_json
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import SweepSpec
 from repro.telemetry.metrics import REGISTRY
+from repro.utils.checks import positive_int
 
 #: Job lifecycle states.
 JOB_QUEUED = "queued"
@@ -328,6 +329,8 @@ class ServeDaemon:
             raise ValueError(
                 f"unknown submission fields {unknown}; known fields: {known}"
             )
+        if payload.get("jobs") is not None:
+            positive_int(payload["jobs"], "jobs")
         with self._lock:
             job_id = f"job-{len(self._jobs) + 1:04d}"
             job_dir = self._job_dir(job_id)
@@ -615,15 +618,6 @@ class ServeClient:
     def __init__(self, url: str, timeout: float = 10.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
-
-    @classmethod
-    def from_directory(
-        cls, directory: Union[str, os.PathLike], timeout: float = 10.0
-    ) -> "ServeClient":
-        """Connect to the daemon owning ``directory`` via its endpoint file."""
-        with open(os.path.join(os.fspath(directory), ENDPOINT_FILENAME)) as handle:
-            endpoint = json.load(handle)
-        return cls(endpoint["url"], timeout=timeout)
 
     # ------------------------------------------------------------------ #
     def _request(

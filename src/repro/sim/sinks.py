@@ -80,24 +80,19 @@ class JSONLSink(ResultSink):
 class JSONSink(ResultSink):
     """Persist all records as one JSON document (atomically rewritten)."""
 
-    def __init__(self, path: Union[str, os.PathLike], flush_every: int = 1) -> None:
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
         super().__init__()
         self.path = os.fspath(path)
-        self.flush_every = max(1, int(flush_every))
-        self._since_flush = 0
 
     def write(self, record: Dict[str, Any]) -> None:
         super().write(record)
-        self._since_flush += 1
-        if self._since_flush >= self.flush_every:
-            self._flush()
+        self._flush()
 
     def close(self) -> None:
         self._flush()
 
     def _flush(self) -> None:
         atomic_write_json(self.path, {"records": self.records})
-        self._since_flush = 0
 
 
 class SweepSink:

@@ -156,7 +156,7 @@ class RunSpec:
     checkpoint_dir:
         Directory for checkpoint files.
     keep_checkpoints:
-        Retain only this many most-recent checkpoints.
+        Retain only this many most-recent checkpoints (0 keeps them all).
     results:
         Stream step records to this path (``.jsonl`` appends one JSON object
         per record, anything else gets one JSON document); ``None`` keeps
@@ -197,17 +197,13 @@ class RunSpec:
             self.lattice = dict(self.lattice)
             lattice_from_config(self.lattice)  # validate kind/shape/couplings
         else:
-            self.lattice = (int(self.lattice[0]), int(self.lattice[1]))
-            if self.lattice[0] < 1 or self.lattice[1] < 1:
-                raise ValueError(
-                    f"lattice dimensions must be positive, got {self.lattice}"
-                )
+            self.lattice = (positive_int(self.lattice[0], "lattice rows"),
+                            positive_int(self.lattice[1], "lattice columns"))
         if self.n_steps is not None:
-            self.n_steps = int(self.n_steps)
-            if self.n_steps < 1:
-                raise ValueError(f"n_steps must be positive, got {self.n_steps}")
-        self.measure_every = max(1, int(self.measure_every))
-        self.checkpoint_every = max(0, int(self.checkpoint_every))
+            self.n_steps = positive_int(self.n_steps, "n_steps")
+        self.measure_every = positive_int(self.measure_every, "measure_every")
+        self.checkpoint_every = nonnegative_int(self.checkpoint_every, "checkpoint_every")
+        self.keep_checkpoints = nonnegative_int(self.keep_checkpoints, "keep_checkpoints")
         if isinstance(self.observables, str):
             # tuple("sample") would silently become six one-letter names.
             self.observables = (self.observables,)
@@ -282,10 +278,6 @@ class RunSpec:
         return cls(**payload)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path: Union[str, os.PathLike]) -> "RunSpec":
         with open(os.fspath(path)) as handle:
             return cls.from_dict(json.load(handle))
@@ -313,9 +305,6 @@ class RunSpec:
         payload["observables"] = list(self.observables)
         payload["spec_version"] = SPEC_VERSION
         return payload
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     # ------------------------------------------------------------------ #
     # Derived properties and builders

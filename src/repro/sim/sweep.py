@@ -84,6 +84,7 @@ from repro.sim.spec import SPEC_VERSION, RunSpec, apply_spec_override, canonical
 from repro.sim.upgrade import MANIFEST, SWEEP_SPEC, upgrade
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span as _span
+from repro.utils.checks import positive_int
 from repro.utils.rng import derive_rng
 
 #: Manifest point statuses.
@@ -236,9 +237,7 @@ class SweepSpec:
             for i, overrides in enumerate(self.points):
                 if not isinstance(overrides, dict):
                     raise ValueError(f"sweep point {i} must be an override dict")
-        self.jobs = int(self.jobs)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        self.jobs = positive_int(self.jobs, "jobs")
         if self.queue is not None:
             if not isinstance(self.queue, dict):
                 raise ValueError(
@@ -287,10 +286,6 @@ class SweepSpec:
         return cls(**payload)
 
     @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path: Union[str, os.PathLike]) -> "SweepSpec":
         with open(os.fspath(path)) as handle:
             return cls.from_dict(json.load(handle))
@@ -310,9 +305,6 @@ class SweepSpec:
             "queue": copy.deepcopy(self.queue),
             "reference": copy.deepcopy(self.reference),
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     # ------------------------------------------------------------------ #
     # Expansion

@@ -88,17 +88,30 @@ def _checkpoint_payload_knob(document):
     return {key: value for key, value in document.items() if key != "checkpoint_payload"}
 
 
-#: RunSpec fields no build reads any more (each has a ``RUN_SPEC`` lift).
-_RETIRED_RUN_SPEC_FIELDS = frozenset({"checkpoint_payload"})
+def _normalize_every(document):
+    """``algorithm.normalize_every`` made ITE renormalize every that many
+    steps; every step renormalizes now, as the default did."""
+    algorithm = document.get("algorithm")
+    if not (isinstance(algorithm, dict) and "normalize_every" in algorithm):
+        return document
+    kept = {key: value for key, value in algorithm.items() if key != "normalize_every"}
+    return {**document, "algorithm": kept}
+
+
+#: RunSpec fields and dotted paths no build reads any more (each has a
+#: ``RUN_SPEC`` lift).
+_RETIRED_RUN_SPEC_PATHS = frozenset({"checkpoint_payload", "algorithm.normalize_every"})
 
 
 def _retired(path: str) -> bool:
-    return path.split(".", 1)[0] in _RETIRED_RUN_SPEC_FIELDS
+    """Whether an override path addresses a retired path or something inside one."""
+    return any(path == retired or path.startswith(retired + ".")
+               for retired in _RETIRED_RUN_SPEC_PATHS)
 
 
 def _retired_overrides(document):
     """A sweep's ``axes`` and ``points`` override RunSpec fields by dotted
-    path; one naming a retired field overrode what every build now ignores.
+    path; one naming a retired path overrode what every build now ignores.
     Such an axis goes (its points would all be one run), and such a key
     leaves every point dict."""
     axes, points = document.get("axes"), document.get("points")
@@ -166,6 +179,7 @@ STEPS = (
     Step(CHECKPOINT, "a59dfd5", _checkpoint_payload_fields),
     Step(MANIFEST, "a59dfd5", _version_1),
     Step(RUN_SPEC, "after 22cd0f5", _checkpoint_payload_knob),
+    Step(RUN_SPEC, "after e7e6f19", _normalize_every),
     Step(SWEEP_SPEC, "after 22cd0f5", _retired_overrides),
     # A class that ran the same computation as BMPS under its own kind.
     Step(CONTRACTION, "23ca172", _renamed_kinds({"two_layer_bmps": "bmps"})),

@@ -163,7 +163,6 @@ class ITEWorkload(Workload):
     Algorithm parameters (``spec.algorithm``):
 
     * ``tau`` — imaginary time step (default 0.05),
-    * ``normalize_every`` — renormalize every this many steps (default 1),
     * ``initial_state`` — ``"plus"`` (default), ``"zeros"`` or an explicit
       list of basis values.
 
@@ -174,7 +173,7 @@ class ITEWorkload(Workload):
     """
 
     supported_observables = frozenset({"norm", "sample"})
-    algorithm_keys = frozenset({"tau", "normalize_every", "initial_state", "nshots"})
+    algorithm_keys = frozenset({"tau", "initial_state", "nshots"})
 
     def setup(self) -> None:
         from repro.algorithms.ite import ImaginaryTimeEvolution
@@ -188,7 +187,6 @@ class ITEWorkload(Workload):
             tau=alg.get("tau", 0.05),
             update_option=spec.build_update_option(),
             contract_option=spec.build_contract_option(),
-            normalize_every=alg.get("normalize_every", 1),
         )
         initial = alg.get("initial_state", "plus")
         if initial == "plus":
@@ -207,7 +205,7 @@ class ITEWorkload(Workload):
         self.state.attach_environment(self.ite.contract_option)
 
     def step(self, step_index: int) -> None:
-        self.state = self.ite.advance(self.state, step_index)
+        self.state = self.ite.advance(self.state)
 
     def measure(self, step_index: int) -> Dict[str, Any]:
         record: Dict[str, Any] = {

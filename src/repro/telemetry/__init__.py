@@ -22,7 +22,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    global_registry,
 )
 from repro.telemetry.trace import TRACER, Tracer, span, traced
 from repro.telemetry import trace
@@ -33,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "global_registry",
     "TRACER",
     "Tracer",
     "span",

@@ -337,7 +337,3 @@ class MetricsRegistry:
 #: counting module holds its handle), and the run/sweep lifecycle snapshots
 #: it around steps and points.
 REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    return REGISTRY

@@ -136,10 +136,6 @@ class Tracer:
         os.replace(tmp, path)
         return path
 
-    @property
-    def event_count(self) -> int:
-        return len(self._events)
-
     # ------------------------------------------------------------------ #
     # Span API
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ style of the Koala API:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, prod
 from numbers import Integral, Real
@@ -86,10 +86,6 @@ class EinsumSVDOption:
         check_truncation("rank", self.rank, self.cutoff)
         if self.absorb not in ABSORB_MODES:
             raise ValueError(f"absorb must be one of {ABSORB_MODES}, got {self.absorb!r}")
-
-    def with_rank(self, rank: Optional[int]) -> "EinsumSVDOption":
-        """Return a copy of this option with a different target rank."""
-        return replace(self, rank=rank)
 
 
 @dataclass

@@ -13,14 +13,7 @@ meant to match hardware counters exactly, only to preserve relative scaling.
 
 from __future__ import annotations
 
-from math import prod
-from typing import Dict, Iterable, List
-
-
-def matmul_flops(m: int, k: int, n: int, complex_dtype: bool = True) -> float:
-    """Flops of an (m x k) @ (k x n) dense matrix product."""
-    factor = 8.0 if complex_dtype else 2.0
-    return factor * m * k * n
+from typing import Dict, List
 
 
 def svd_flops(m: int, n: int, complex_dtype: bool = True) -> float:
@@ -74,11 +67,6 @@ class FlopCounter:
     def total(self) -> float:
         return sum(self.by_category().values())
 
-    @property
-    def total_calls(self) -> int:
-        """Number of counted backend operations (one batched call counts once)."""
-        return sum(self.calls_by_category().values())
-
     def by_category(self) -> Dict[str, float]:
         return {
             c: self.registry.value("flops", category=c) for c in self._categories
@@ -102,15 +90,6 @@ class FlopCounter:
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self.by_category().items()))
         return f"FlopCounter(total={self.total:.3g}, {parts})"
-
-
-def tensor_bytes(shape: Iterable[int], itemsize: int = 16) -> int:
-    """Number of bytes of a dense tensor of the given shape.
-
-    The default ``itemsize`` corresponds to complex128, the working precision
-    used throughout the library.
-    """
-    return int(prod(shape)) * itemsize
 
 
 def peps_bmps_cost(n: int, r: int, m: int, d: int = 2) -> Dict[str, float]:

@@ -10,7 +10,7 @@ only ever deals with `Generator` objects.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -29,19 +29,6 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list:
-    """Spawn ``n`` statistically independent child generators from ``rng``.
-
-    This is used when a driver (e.g. the random-circuit generator) needs to
-    hand independent streams to sub-components while remaining reproducible
-    under a single top-level seed.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def derive_rng(root_seed: Union[int, None], *key) -> np.random.Generator:
@@ -84,46 +71,4 @@ def _entropy_word(value) -> int:
     value = int(value)
     if value < 0:
         value &= (1 << 64) - 1
-    return value
-
-
-def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """JSON-serializable snapshot of a generator's exact stream position.
-
-    The built-in workloads avoid live generator state entirely (they
-    re-derive substreams with :func:`derive_rng`), but a custom workload that
-    *does* hold a generator across steps can checkpoint it with this and
-    continue the stream bit-for-bit via :func:`restore_rng`.
-    """
-    state = rng.bit_generator.state
-    return {"bit_generator": state["bit_generator"], "state": _jsonify(state)}
-
-
-def restore_rng(snapshot: Dict[str, Any]) -> np.random.Generator:
-    """Rebuild a generator from a :func:`rng_state` snapshot."""
-    name = snapshot["bit_generator"]
-    bit_generator_cls = getattr(np.random, name, None)
-    if bit_generator_cls is None:
-        raise ValueError(f"unknown bit generator {name!r}")
-    bit_generator = bit_generator_cls()
-    bit_generator.state = _dejsonify(snapshot["state"])
-    return np.random.Generator(bit_generator)
-
-
-def _jsonify(value):
-    """Convert a bit-generator state dict into plain JSON types."""
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": value.dtype.str}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
-def _dejsonify(value):
-    if isinstance(value, dict):
-        if "__ndarray__" in value:
-            return np.asarray(value["__ndarray__"], dtype=np.dtype(value["dtype"]))
-        return {k: _dejsonify(v) for k, v in value.items()}
     return value

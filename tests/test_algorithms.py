@@ -5,7 +5,7 @@ import pytest
 
 from repro import peps
 from repro.algorithms.ite import ImaginaryTimeEvolution, ITEResult
-from repro.algorithms.trotter import apply_tebd_layer, tebd_gate_layer, trotter_gates
+from repro.algorithms.trotter import apply_tebd_layer, tebd_gate_layer
 from repro.algorithms.vqe import VQE, build_vqe_ansatz
 from repro.operators.hamiltonians import heisenberg_j1j2, transverse_field_ising
 from repro.peps import BMPS, QRUpdate
@@ -16,7 +16,7 @@ from repro.tensornetwork import ExplicitSVD
 class TestTrotter:
     def test_trotter_gates_count_and_shape(self):
         ham = transverse_field_ising(2, 2)
-        gates_list = trotter_gates(ham, -0.1)
+        gates_list = ham.trotter_gates(-0.1)
         assert len(gates_list) == len(ham)
 
     def test_tebd_gate_layer_covers_all_bonds(self):
@@ -104,12 +104,6 @@ class TestITE:
         with pytest.raises(ValueError, match="measure_every"):
             ite.run(2, initial_state=init, measure_every=measure_every)
 
-    @pytest.mark.parametrize("normalize_every", [0, -1])
-    def test_non_positive_normalize_every_rejected(self, normalize_every):
-        with pytest.raises(ValueError, match="normalize_every"):
-            ImaginaryTimeEvolution(transverse_field_ising(2, 2),
-                                   normalize_every=normalize_every)
-
     def test_ite_result_requires_energies(self):
         with pytest.raises(ValueError):
             ITEResult(state=None).final_energy
@@ -129,7 +123,7 @@ class TestVQEAnsatz:
         circ = build_vqe_ansatz(2, 2, np.zeros(8), n_layers=2)
         # Per layer: 4 Ry + 4 CNOT; 2 layers.
         assert len(circ) == 16
-        assert circ.two_qubit_gate_count() == 8
+        assert sum(g.n_qubits == 2 for g in circ) == 8
 
     def test_wrong_parameter_count_raises(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro.backends.distributed import (
     DistributedBackend,
     DistTensor,
     Distribution,
-    MachineParameters,
     ProcessorGrid,
     SimulatedCommunicator,
 )
@@ -81,17 +80,6 @@ class TestCostModel:
         model.reset()
         assert model.simulated_seconds == 0.0
         assert model.stats.counts == {}
-
-    def test_fits_in_memory(self):
-        model = CostModel(nprocs=64, machine=MachineParameters(memory_per_node=1e9))
-        assert model.fits_in_memory(1e8)
-        assert not model.fits_in_memory(1e12)
-
-    def test_nodes_computation(self):
-        machine = MachineParameters(cores_per_node=64)
-        assert machine.nodes(64) == 1
-        assert machine.nodes(65) == 2
-        assert machine.nodes(4096) == 64
 
     def test_invalid_nprocs(self):
         with pytest.raises(ValueError):
@@ -265,7 +253,7 @@ class TestDistributedBackend:
     def test_peak_tensor_tracking(self, rng):
         backend = DistributedBackend(nprocs=4)
         backend.astensor(random_complex(rng, (10, 10)))
-        assert backend.stats.peak_tensor_bytes >= 10 * 10 * 16
+        assert backend.stats.registry.value("dist.tensor_bytes_peak") >= 10 * 10 * 16
 
     def test_to_local_from_local_roundtrip(self, dist_backend, rng):
         a = random_complex(rng, (3, 4))

@@ -206,13 +206,6 @@ class TestImplicitRandomizedSVD:
 
 
 class TestOptionObjects:
-    def test_with_rank_copies(self):
-        opt = ImplicitRandomizedSVD(rank=4, niter=2, seed=7)
-        new = opt.with_rank(9)
-        assert new.rank == 9 and opt.rank == 4
-        assert isinstance(new, ImplicitRandomizedSVD)
-        assert new.niter == 2
-
     def test_base_option_default_is_explicit_path(self, numpy_backend, rng):
         a = random_complex(rng, (2, 3, 4))
         b = random_complex(rng, (4, 2, 2))

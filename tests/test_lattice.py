@@ -151,8 +151,6 @@ class TestCouplings:
         lat = SquareLattice(2, 2, couplings={"horizontal": 2.0, "vertical": 0.5})
         scales = {b.orientation: b.scale for b in lat.bonds("nn")}
         assert scales == {"horizontal": 2.0, "vertical": 0.5}
-        assert not lat.is_uniform()
-        assert SquareLattice(2, 2).is_uniform()
 
     def test_square_diagonal_couplings_scale_nnn(self):
         lat = SquareLattice(3, 3, couplings={"diagonal": 0.25})

@@ -38,11 +38,9 @@ class TestGates:
         assert np.allclose(gates.Ry(2 * np.pi), -np.eye(2))
         assert np.allclose(gates.Rz(np.pi), -1j * gates.Z())
         assert gates.is_unitary(gates.Rx(0.3))
-        assert gates.is_unitary(gates.U3(0.3, 0.2, 0.1))
 
     def test_parameterized_gates(self):
         assert np.allclose(gates.get_gate("RY", (0.7,)), gates.Ry(0.7))
-        assert np.allclose(gates.CPHASE(np.pi), gates.CZ())
         assert gates.is_unitary(gates.XX(0.4))
         assert gates.is_unitary(gates.ZZ(0.4))
 
@@ -89,7 +87,6 @@ class TestPauliString:
     def test_from_dict_drops_identity(self):
         p = PauliString.from_dict({0: "X", 2: "I", 3: "Z"}, 2.0)
         assert p.sites == (0, 3)
-        assert p.weight == 2
         assert p.as_dict() == {0: "X", 3: "Z"}
 
     def test_matrix_of_two_site_string(self):
@@ -168,11 +165,8 @@ class TestLocalTermAndHamiltonian:
         exp = term.exponential(-0.3)
         assert np.allclose(exp, np.diag([np.exp(-0.3), np.exp(0.3)]))
 
-    def test_site_index_and_bounds(self):
+    def test_bounds(self):
         ham = Hamiltonian(2, 3)
-        assert ham.site_index(1, 2) == 5
-        with pytest.raises(ValueError):
-            ham.site_index(2, 0)
         with pytest.raises(ValueError):
             ham.add_one_site(6, pauli_matrix("X"))
         with pytest.raises(ValueError):
@@ -181,10 +175,8 @@ class TestLocalTermAndHamiltonian:
     def test_neighbor_pair_counts(self):
         ham = Hamiltonian(3, 3)
         assert len(ham.nearest_neighbor_pairs()) == 12
-        assert len(ham.diagonal_neighbor_pairs()) == 8
         ham = Hamiltonian(2, 2)
         assert len(ham.nearest_neighbor_pairs()) == 4
-        assert len(ham.diagonal_neighbor_pairs()) == 2
 
     def test_to_matrix_matches_observable_decomposition(self):
         ham = heisenberg_j1j2(2, 2)

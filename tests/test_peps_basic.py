@@ -18,10 +18,6 @@ class TestConstruction:
         assert q.amplitude([0] * 6) == pytest.approx(1.0)
         assert q.amplitude([1, 0, 0, 0, 0, 0]) == pytest.approx(0.0)
 
-    def test_computational_ones(self):
-        q = peps.computational_ones(2, 2)
-        assert q.amplitude([1, 1, 1, 1]) == pytest.approx(1.0)
-
     def test_computational_basis(self):
         bits = [1, 0, 1, 1, 0, 0]
         q = peps.computational_basis(bits, 2, 3)
@@ -43,7 +39,6 @@ class TestConstruction:
         q = random_peps(3, 3, bond_dim=3, seed=0)
         assert q.max_bond_dimension() == 3
         assert len(q.bond_dimensions()) == 12
-        assert q.physical_dimensions() == [[2] * 3] * 3
         q2 = random_peps(3, 3, bond_dim=3, seed=0)
         assert np.allclose(q.to_statevector(), q2.to_statevector())
 
@@ -70,15 +65,12 @@ class TestConstruction:
 
 
 class TestIndexing:
-    def test_site_position_roundtrip(self):
+    def test_site_position(self):
         q = peps.computational_zeros(3, 4)
         for site in range(12):
-            r, c = q.site_position(site)
-            assert q.site_index(r, c) == site
+            assert q.site_position(site) == divmod(site, 4)
         with pytest.raises(ValueError):
             q.site_position(12)
-        with pytest.raises(ValueError):
-            q.site_index(3, 0)
 
     def test_getitem_setitem(self, numpy_backend):
         q = peps.computational_zeros(2, 2)

@@ -51,7 +51,7 @@ class TestAgainstStatevector:
             Observable.ZZ(0, 1)            # horizontal
             + Observable.XX(3, 6)          # vertical
             + 0.5 * Observable.ZZ(0, 4)    # diagonal
-            + 0.25 * Observable.YY(5, 7)   # anti-diagonal
+            + 0.25 * Observable.pauli("YY", 5, 7)   # anti-diagonal
         )
         ref = sv.expectation(obs)
         val = q.expectation(obs, contract_option=BMPS(ExplicitSVD(rank=32)))

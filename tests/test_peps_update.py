@@ -68,7 +68,7 @@ class TestTwoSiteAdjacent:
     def test_entangling_circuit_matches_statevector(self, option):
         q = peps.computational_zeros(2, 2)
         sv = StateVector.computational_zeros(4)
-        circ = Circuit(4).h(0).cnot(0, 1).cnot(0, 2).ry(3, 0.3).cnot(2, 3).cz(1, 3)
+        circ = Circuit(4).h(0).cnot(0, 1).cnot(0, 2).ry(3, 0.3).cnot(2, 3).add("CZ", (1, 3))
         q.apply_circuit(circ, option)
         sv = sv.apply_circuit(circ)
         assert fidelity(q, sv) == pytest.approx(1.0, abs=1e-9)

@@ -228,11 +228,13 @@ class TestPoolParity:
 
 
 STAT_FIELDS = ("flops", "comm_bytes", "messages", "simulated_seconds", "counts",
-               "seconds_by_category", "peak_tensor_bytes")
+               "seconds_by_category")
 
 
 def stats_of(backend):
-    return {name: getattr(backend.stats, name) for name in STAT_FIELDS}
+    stats = {name: getattr(backend.stats, name) for name in STAT_FIELDS}
+    stats["tensor_bytes_peak"] = backend.stats.registry.value("dist.tensor_bytes_peak")
+    return stats
 
 
 class TestUsedBackendCopies:

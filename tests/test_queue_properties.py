@@ -148,8 +148,6 @@ class TestLeaseTransitions:
         jq = fresh_queue(tmp_path, "pause", clock)
         jq.pause()
         assert jq.claim("w0") is None
-        jq.unpause()
-        assert jq.claim("w0") is not None
 
     def test_terminal_record_is_immutable(self, tmp_path):
         clock = FakeClock()

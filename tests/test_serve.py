@@ -125,6 +125,11 @@ class TestDaemonLifecycle:
         # The removed `executor` option is an unknown body key, not a no-op.
         with pytest.raises(RuntimeError, match="400"):
             client.submit_sweep(sweep_payload(), jobs=2, executor="pool")
+        # A worker count is never rounded or parsed, in the body or the spec.
+        with pytest.raises(RuntimeError, match="400: TypeError: jobs must be an integer"):
+            client.submit_sweep(sweep_payload(), jobs=2.5)
+        with pytest.raises(RuntimeError, match="400: TypeError: jobs must be an integer"):
+            client.submit_sweep({**sweep_payload(), "jobs": "3"})
         assert client.health()["status"] == "ok"
 
     @pytest.mark.parametrize("since", ["abc", "-1", "1.5", ""])

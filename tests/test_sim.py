@@ -7,6 +7,7 @@ reproduce uninterrupted ones float-for-float.
 """
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from repro.sim import (
     RunSpec,
     SerializationError,
     Simulation,
+    SweepSpec,
     contract_option_from_dict,
     contract_option_to_dict,
     latest_checkpoint,
@@ -59,20 +61,36 @@ def ite_spec(tmp_path, n_steps=6, checkpoint_every=2, **overrides):
 
 
 class TestRunSpec:
+    @pytest.mark.parametrize("cls, key, value, error, name", [
+        (RunSpec, "measure_every", 0, ValueError, "measure_every"),
+        (RunSpec, "measure_every", -3, ValueError, "measure_every"),
+        (RunSpec, "measure_every", 2.7, TypeError, "measure_every"),
+        (RunSpec, "measure_every", True, TypeError, "measure_every"),
+        (RunSpec, "checkpoint_every", -1, ValueError, "checkpoint_every"),
+        (RunSpec, "n_steps", 2.9, TypeError, "n_steps"),
+        (RunSpec, "lattice", [2.9, 2], TypeError, "lattice rows"),
+        (RunSpec, "lattice", [2, 0], ValueError, "lattice columns"),
+        (RunSpec, "keep_checkpoints", -4, ValueError, "keep_checkpoints"),
+        (SweepSpec, "jobs", 2.5, TypeError, "jobs"),
+        (SweepSpec, "jobs", "3", TypeError, "jobs"),
+        (SweepSpec, "jobs", True, TypeError, "jobs"),
+    ])
+    def test_counts_are_neither_rounded_nor_clamped(self, cls, key, value, error, name):
+        payload = {"workload": "ite", key: value}
+        if cls is SweepSpec:
+            payload = {"base": {"workload": "ite"}, "axes": {"seed": [1, 2]}, key: value}
+        with pytest.raises(error, match=f"^{name} must be"):
+            cls.from_dict(payload)
+
     def test_dict_round_trip(self, tmp_path):
         spec = ite_spec(tmp_path)
         again = RunSpec.from_dict(spec.to_dict())
         assert again == spec
 
-    def test_json_round_trip(self, tmp_path):
-        spec = ite_spec(tmp_path)
-        again = RunSpec.from_json(spec.to_json())
-        assert again == spec
-
     def test_from_file(self, tmp_path):
         spec = ite_spec(tmp_path)
         path = tmp_path / "spec.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict()))
         assert RunSpec.from_file(path) == spec
 
     def test_unknown_field_rejected(self):
@@ -106,7 +124,7 @@ class TestRunSpec:
         spec = RunSpec.from_dict({"workload": "ite", "backend": backend})
         assert type(spec.backend["nprocs"]) is int
         assert spec.resolve_backend().nprocs == 2
-        assert json.loads(spec.to_json())["backend"]["nprocs"] == 2
+        assert json.loads(json.dumps(spec.to_dict()))["backend"]["nprocs"] == 2
 
     def test_builders(self, tmp_path):
         spec = ite_spec(tmp_path)
@@ -246,7 +264,7 @@ class TestOptionSerialization:
             with pytest.raises(ValueError, match="rank must be positive"):
                 BMPS(cls(rank=rank))
             with pytest.raises(ValueError, match="rank must be positive"):
-                cls(rank=4).with_rank(rank)
+                dataclasses.replace(cls(rank=4), rank=rank)
         with pytest.raises(ValueError, match="chi must be positive"):
             CTMOption(chi=rank)
         for kind in ("bmps", "ibmps"):
@@ -444,20 +462,16 @@ class TestSinks:
         sink.close()
         assert [json.loads(l) for l in path.read_text().splitlines()] == [{"step": 1}]
 
-    def test_json_sink_flush_every(self, tmp_path):
+    def test_json_sink_rewrites_the_document_on_every_write(self, tmp_path):
         path = tmp_path / "out.json"
-        sink = JSONSink(path, flush_every=2)
+        sink = JSONSink(path)
         sink.open()
         sink.write({"step": 1})
-        assert not path.exists()  # below the flush threshold: nothing on disk
+        assert json.loads(path.read_text()) == {"records": [{"step": 1}]}
         sink.write({"step": 2})
         assert json.loads(path.read_text()) == {"records": [{"step": 1}, {"step": 2}]}
-        sink.write({"step": 3})  # one past the flush: buffered again
+        sink.close()
         assert json.loads(path.read_text()) == {"records": [{"step": 1}, {"step": 2}]}
-        sink.close()  # close always flushes the tail
-        assert json.loads(path.read_text()) == {
-            "records": [{"step": 1}, {"step": 2}, {"step": 3}]
-        }
 
     def test_sweep_sink_tags_and_orders_records(self, tmp_path):
         path = tmp_path / "combined.jsonl"
@@ -683,7 +697,7 @@ class TestCLI:
             tmp_path, n_steps=5, checkpoint_every=2,
             checkpoint_dir=str(tmp_path / "cli-ckpt"),
         )
-        spec_path.write_text(spec.to_json())
+        spec_path.write_text(json.dumps(spec.to_dict()))
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -714,7 +728,7 @@ class TestCLI:
             tmp_path, n_steps=40, checkpoint_every=0, lattice=[3, 3],
             checkpoint_dir=str(tmp_path / "sig-ckpt"),
         )
-        spec_path.write_text(spec.to_json())
+        spec_path.write_text(json.dumps(spec.to_dict()))
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -864,11 +878,6 @@ class TestMisspeltOptionKeys:
         hint = f".*did you mean '{meant}'" if meant else ""
         with pytest.raises(ValueError, match=f"algorithm keys \\['{key}'\\]; known: \\[.*\\]{hint}"):
             Simulation(spec)
-
-    def test_ite_spec_normalize_every_zero_rejected(self, tmp_path):
-        spec = ite_spec(tmp_path, algorithm={"tau": 0.05, "normalize_every": 0})
-        with pytest.raises(ValueError, match="normalize_every"):
-            Simulation(spec).run()
 
     def test_correct_spellings_build_the_documented_objects(self, tmp_path):
         assert update_option_from_dict({"kind": "qr", "rank": 4}) == QRUpdate(rank=4)

@@ -92,7 +92,7 @@ class TestSweepSpec:
     def test_json_file_round_trip(self, tmp_path):
         spec = sweep_spec(tmp_path)
         path = tmp_path / "sweep.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict()))
         assert SweepSpec.from_file(path) == spec
 
     def test_unknown_field_rejected(self):
@@ -365,7 +365,7 @@ class TestSweepCLI:
     def write_spec(self, tmp_path, **overrides):
         spec = sweep_spec(tmp_path, **overrides)
         path = tmp_path / "sweep.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict()))
         return path
 
     def cli(self, tmp_path, spec_path, *args):

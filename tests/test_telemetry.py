@@ -210,7 +210,6 @@ class TestTracer:
         with tracer.span("outer", step=1):
             with tracer.span("inner"):
                 pass
-        assert tracer.event_count == 2
         assert tracer.stop() == str(path)
         document = json.loads(path.read_text())
         assert document["displayTimeUnit"] == "ms"
@@ -258,10 +257,11 @@ class TestTracer:
         TRACER.start(str(tmp_path / "t.json"))
         try:
             assert work(4) == 8
-            assert TRACER.event_count == 1
         finally:
-            TRACER.stop()
+            path = TRACER.stop()
         assert calls == [3, 4]
+        events = json.loads(open(path).read())["traceEvents"]
+        assert [e["name"] for e in events] == ["my_span"]
 
     def test_traced_default_name_is_qualname(self, tmp_path):
         @traced()
@@ -489,6 +489,5 @@ class TestStatsShims:
         stats.observe_tensor(32)
         assert stats.flops == 100.0
         assert stats.comm_bytes == 8
-        assert stats.peak_tensor_bytes == 64
         assert stats.counts == {"einsum": 1}
         assert stats.registry.value("dist.tensor_bytes_peak") == 64

@@ -136,6 +136,28 @@ class TestSteps:
         assert len(SweepSpec.from_dict(by_axes).expand()) == 2
         assert len(SweepSpec.from_dict(by_points).expand()) == 2
 
+    @pytest.mark.parametrize("every", [1, 2, 0, -1, 2.5, "x", None])
+    def test_run_spec_normalize_every(self, every):
+        """Every value goes: each step renormalizes, as the default did."""
+        current = {"name": "run", "workload": "ite", "algorithm": {"tau": 0.1}}
+        legacy = {**current, "algorithm": {"tau": 0.1, "normalize_every": every}}
+        assert lifted(legacy, RUN_SPEC) == current
+        assert RunSpec.from_dict(legacy) == RunSpec.from_dict(current)
+
+    def test_sweep_overrides_naming_normalize_every(self, tmp_path):
+        """A dotted path is retired with everything inside it, and only that."""
+        base = {"name": "point", "workload": "ite", "lattice": [2, 2], "n_steps": 1}
+        by_axes = {"name": "s", "base": base, "sweep_dir": str(tmp_path / "a"),
+                   "axes": {"algorithm.normalize_every": [1, 2], "algorithm.tau": [0.1, 0.05]}}
+        assert lifted(by_axes, SWEEP_SPEC) == {**by_axes, "axes": {"algorithm.tau": [0.1, 0.05]}}
+        by_points = {"name": "s", "base": base, "sweep_dir": str(tmp_path / "p"),
+                     "points": [{"algorithm.normalize_every": 3, "algorithm.tau": 0.1},
+                                {"algorithm.normalize_everyday": 1, "algorithm": {"tau": 0.2}}]}
+        assert lifted(by_points, SWEEP_SPEC)["points"] == [
+            {"algorithm.tau": 0.1}, {"algorithm.normalize_everyday": 1, "algorithm": {"tau": 0.2}}]
+        points = SweepSpec.from_dict(by_axes).expand()
+        assert [point.spec.algorithm for point in points] == [{"tau": 0.1}, {"tau": 0.05}]
+
     def test_two_layer_bmps_kind(self):
         svd = {"kind": "explicit", "rank": 3}
         legacy = {"kind": "two_layer_bmps", "svd": svd}

@@ -5,13 +5,11 @@ import pytest
 
 from repro.utils.flops import (
     FlopCounter,
-    matmul_flops,
     peps_bmps_cost,
     qr_flops,
     svd_flops,
-    tensor_bytes,
 )
-from repro.utils.rng import derive_rng, ensure_rng, restore_rng, rng_state, spawn_rng
+from repro.utils.rng import derive_rng, ensure_rng
 
 
 class TestRng:
@@ -26,14 +24,6 @@ class TestRng:
 
     def test_ensure_rng_none_gives_generator(self):
         assert isinstance(ensure_rng(None), np.random.Generator)
-
-    def test_spawn_rng_streams_are_independent_and_reproducible(self):
-        children_a = spawn_rng(ensure_rng(11), 3)
-        children_b = spawn_rng(ensure_rng(11), 3)
-        for ca, cb in zip(children_a, children_b):
-            assert np.array_equal(ca.integers(0, 100, 5), cb.integers(0, 100, 5))
-        draws = [c.integers(0, 10**9) for c in spawn_rng(ensure_rng(11), 3)]
-        assert len(set(int(d) for d in draws)) == 3
 
     def test_derive_rng_is_deterministic_per_key(self):
         a = derive_rng(7, "circuit").integers(0, 1 << 30, 8)
@@ -54,20 +44,6 @@ class TestRng:
         c = derive_rng(1, "x").integers(0, 1 << 30, 8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_rng_state_round_trip_continues_stream(self):
-        import json
-
-        rng = ensure_rng(42)
-        rng.integers(0, 100, 10)  # advance the stream
-        snapshot = json.loads(json.dumps(rng_state(rng)))  # must be JSON-safe
-        expected = rng.integers(0, 1 << 30, 16)
-        resumed = restore_rng(snapshot).integers(0, 1 << 30, 16)
-        assert np.array_equal(expected, resumed)
-
-    def test_spawn_rng_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rng(ensure_rng(0), -1)
 
     def test_derive_rng_substreams_match_goldens(self):
         """Regression pin on the derive_rng substream values.
@@ -97,17 +73,9 @@ class TestRng:
 
 
 class TestFlops:
-    def test_matmul_flops_scales_cubically(self):
-        assert matmul_flops(10, 10, 10) == 8.0 * 1000
-        assert matmul_flops(20, 20, 20) == 8 * matmul_flops(10, 10, 10)
-
     def test_real_dtype_costs_are_cheaper(self):
-        # complex128 arithmetic costs 4x a real multiply-add (8 vs 2 flops
-        # per fused op); the estimators expose that through complex_dtype.
-        assert matmul_flops(10, 10, 10, complex_dtype=False) == 2.0 * 1000
-        assert matmul_flops(10, 10, 10) == 4 * matmul_flops(
-            10, 10, 10, complex_dtype=False
-        )
+        # complex128 arithmetic costs 4x a real multiply-add; the estimators
+        # expose that through complex_dtype.
         assert svd_flops(100, 20, complex_dtype=False) == svd_flops(100, 20) / 4
         assert qr_flops(100, 20, complex_dtype=False) == qr_flops(100, 20) / 4
 
@@ -141,7 +109,6 @@ class TestFlops:
         assert counter.by_category() == {"probe": 0.0}
         assert counter.calls_by_category() == {"probe": 1}
         assert counter.total == 0.0
-        assert counter.total_calls == 1
 
     def test_flop_counter_preserves_insertion_order(self):
         counter = FlopCounter()
@@ -150,10 +117,7 @@ class TestFlops:
         assert list(counter.by_category()) == ["svd", "einsum", "qr"]
         counter.reset()
         assert counter.by_category() == {}
-        assert counter.total_calls == 0
-
-    def test_tensor_bytes_complex128(self):
-        assert tensor_bytes((4, 4)) == 16 * 16
+        assert counter.calls_by_category() == {}
 
     def test_table2_costs_ibmps_beats_bmps_asymptotically(self):
         # With m ~ r the IBMPS cost formula grows strictly slower than BMPS.
