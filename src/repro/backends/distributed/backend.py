@@ -68,7 +68,6 @@ class DistributedBackend(Backend):
         self,
         nprocs: int = 64,
         machine: Optional[MachineParameters] = None,
-        procs_per_node: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
         executor: str = "simulated",
         fault=None,
@@ -80,8 +79,7 @@ class DistributedBackend(Backend):
         if cost_model is not None:
             self.cost_model = cost_model
         else:
-            self.cost_model = CostModel(nprocs=nprocs, machine=machine,
-                                        procs_per_node=procs_per_node)
+            self.cost_model = CostModel(nprocs=nprocs, machine=machine)
         executor = str(executor).lower()
         if executor == "simulated":
             if fault is not None:

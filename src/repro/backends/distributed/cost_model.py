@@ -28,11 +28,6 @@ class MachineParameters:
         Per-message latency in seconds (network + software overhead).
     beta:
         Inverse bandwidth in seconds per byte (per link).
-    cores_per_node:
-        Number of cores on one node (Stampede2 KNL: 64).
-    memory_per_node:
-        Usable memory per node in bytes (Stampede2 KNL: ~96 GB; the paper's
-        64-node RQC run quotes 7808 GB total, i.e. 122 GB/node).
     factorization_efficiency:
         Fraction of peak achieved by distributed (ScaLAPACK-style)
         factorizations relative to GEMM-like contractions.
@@ -44,8 +39,6 @@ class MachineParameters:
     flop_rate: float = 5.0e9
     alpha: float = 2.0e-6
     beta: float = 5.0e-10
-    cores_per_node: int = 64
-    memory_per_node: float = 96.0e9
     factorization_efficiency: float = 0.25
     local_flop_rate: float = 5.0e9
 
@@ -153,19 +146,15 @@ class CostModel:
         (``TypeError`` for anything else, ``bool`` included).
     machine:
         Hardware parameters; defaults to a Stampede2-like configuration.
-    procs_per_node:
-        Processes per node (the paper mostly uses PPN=64, sometimes 16).
     """
 
     def __init__(
         self,
         nprocs: int = 64,
         machine: Optional[MachineParameters] = None,
-        procs_per_node: Optional[int] = None,
     ) -> None:
         self.nprocs = positive_int(nprocs, "nprocs")
         self.machine = machine or MachineParameters()
-        self.procs_per_node = int(procs_per_node or self.machine.cores_per_node)
         self.stats = ExecutionStats()
 
     # ------------------------------------------------------------------ #

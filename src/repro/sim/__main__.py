@@ -71,6 +71,7 @@ from typing import List, Optional, Sequence
 from repro.sim.runner import Simulation
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import STATUS_FAILED, Sweep, SweepSpec
+from repro.utils.checks import nonnegative_int
 
 #: Exit code reported when ``--stop-after`` / ``--stop-after-points``
 #: interrupted the run.
@@ -234,7 +235,7 @@ def _main_run(args) -> int:
     if args.checkpoint_dir is not None:
         spec.checkpoint_dir = args.checkpoint_dir
     if args.checkpoint_every is not None:
-        spec.checkpoint_every = max(0, args.checkpoint_every)
+        spec.checkpoint_every = nonnegative_int(args.checkpoint_every, "checkpoint_every")
     if args.name is not None:
         spec.name = args.name
     if args.trace is not None:

@@ -796,6 +796,7 @@ class Sweep:
             :meth:`Simulation.run` so step records stream as they appear.
         """
         spec = self.spec
+        jobs = spec.jobs if jobs is None else positive_int(jobs, "jobs")
         points = spec.expand()
         os.makedirs(spec.sweep_dir, exist_ok=True)
         # Deliberately no reset of _stop_requested (mirroring Simulation.run):
@@ -810,7 +811,6 @@ class Sweep:
             for point in points
             if self._entries[point.name]["status"] != STATUS_DONE
         ]
-        jobs = spec.jobs if jobs is None else max(1, int(jobs))
         self._uses_queue = bool(tasks) and jobs >= 2
         self._write_manifest()
         interrupted = False

@@ -88,45 +88,66 @@ def _checkpoint_payload_knob(document):
     return {key: value for key, value in document.items() if key != "checkpoint_payload"}
 
 
+#: The workload of a RunSpec that names none.
+_DEFAULT_WORKLOAD = "ite"
+
+
 def _normalize_every(document):
     """``algorithm.normalize_every`` made ITE renormalize every that many
-    steps; every step renormalizes now, as the default did."""
+    steps; every step renormalizes now, as the default did.  No other
+    workload read the key, so there it stays an unknown key."""
     algorithm = document.get("algorithm")
-    if not (isinstance(algorithm, dict) and "normalize_every" in algorithm):
+    if not (document.get("workload", _DEFAULT_WORKLOAD) == "ite"
+            and isinstance(algorithm, dict) and "normalize_every" in algorithm):
         return document
     kept = {key: value for key, value in algorithm.items() if key != "normalize_every"}
     return {**document, "algorithm": kept}
 
 
-#: RunSpec fields and dotted paths no build reads any more (each has a
-#: ``RUN_SPEC`` lift).
-_RETIRED_RUN_SPEC_PATHS = frozenset({"checkpoint_payload", "algorithm.normalize_every"})
+#: RunSpec fields and dotted paths no build reads any more, each with the
+#: one workload that read it (``None``: every workload).  Each has a
+#: ``RUN_SPEC`` lift.
+_RETIRED_RUN_SPEC_PATHS = {"checkpoint_payload": None, "algorithm.normalize_every": "ite"}
 
 
-def _retired(path: str) -> bool:
-    """Whether an override path addresses a retired path or something inside one."""
-    return any(path == retired or path.startswith(retired + ".")
-               for retired in _RETIRED_RUN_SPEC_PATHS)
+def _retired(path: str, workloads) -> bool:
+    """Whether an override path addresses a retired path, or something inside
+    one, that every workload in ``workloads`` read."""
+    return any((path == retired or path.startswith(retired + "."))
+               and (reader is None or all(workload == reader for workload in workloads))
+               for retired, reader in _RETIRED_RUN_SPEC_PATHS.items())
 
 
 def _retired_overrides(document):
     """A sweep's ``axes`` and ``points`` override RunSpec fields by dotted
     path; one naming a retired path overrode what every build now ignores.
     Such an axis goes (its points would all be one run), and such a key
-    leaves every point dict."""
-    axes, points = document.get("axes"), document.get("points")
-    stale_axes = isinstance(axes, dict) and any(_retired(path) for path in axes)
+    leaves every point dict.  A path one workload read is retired only where
+    every point runs that workload."""
+    axes, points, base = document.get("axes"), document.get("points"), document.get("base")
+    workload = base.get("workload", _DEFAULT_WORKLOAD) if isinstance(base, dict) else None
+    axis_workloads = axes.get("workload", [workload]) if isinstance(axes, dict) else []
+    if not isinstance(axis_workloads, list):
+        axis_workloads = [None]
+
+    def point_workloads(point):
+        return [point.get("workload", workload)]
+
+    stale_axes = isinstance(axes, dict) and any(_retired(path, axis_workloads) for path in axes)
     stale_points = isinstance(points, list) and any(
-        isinstance(point, dict) and any(_retired(path) for path in point) for point in points
+        isinstance(point, dict) and any(_retired(path, point_workloads(point)) for path in point)
+        for point in points
     )
     if not (stale_axes or stale_points):
         return document
     document = dict(document)
     if stale_axes:
-        document["axes"] = {path: values for path, values in axes.items() if not _retired(path)}
+        document["axes"] = {path: values for path, values in axes.items()
+                            if not _retired(path, axis_workloads)}
     if stale_points:
         document["points"] = [
-            {path: value for path, value in point.items() if not _retired(path)}
+            {path: value for path, value in point.items()
+             if not _retired(path, point_workloads(point))}
             if isinstance(point, dict) else point
             for point in points
         ]

@@ -23,6 +23,7 @@ from repro.sim import (
     RunSpec,
     SerializationError,
     Simulation,
+    Sweep,
     SweepSpec,
     contract_option_from_dict,
     contract_option_to_dict,
@@ -33,6 +34,7 @@ from repro.sim import (
     update_option_from_dict,
     update_option_to_dict,
 )
+from repro.sim.__main__ import main as cli_main
 from repro.sim.io import atomic_write_json, write_checkpoint
 from repro.sim.sinks import JSONLSink, JSONSink, MemorySink, SweepSink, make_sink
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
@@ -81,6 +83,32 @@ class TestRunSpec:
             payload = {"base": {"workload": "ite"}, "axes": {"seed": [1, 2]}, key: value}
         with pytest.raises(error, match=f"^{name} must be"):
             cls.from_dict(payload)
+
+    @pytest.mark.parametrize("command, value, error, name", [
+        ("run --checkpoint-every", "-1", ValueError, "checkpoint_every"),
+        ("sweep --jobs", "0", ValueError, "jobs"),
+        ("sweep --jobs", "-3", ValueError, "jobs"),
+        ("Sweep.run", 0, ValueError, "jobs"),
+        ("Sweep.run", 2.5, TypeError, "jobs"),
+    ])
+    def test_overrides_are_neither_rounded_nor_clamped(self, tmp_path, command, value,
+                                                       error, name):
+        """The CLI's and ``Sweep.run``'s overrides of these counts are checked
+        as the spec fields are, before anything runs or is written."""
+        run_file, sweep_file = tmp_path / "run.json", tmp_path / "sweep.json"
+        run_file.write_text(json.dumps(ite_spec(tmp_path).to_dict()))
+        sweep = SweepSpec.from_dict({"base": ite_spec(tmp_path).to_dict(),
+                                     "axes": {"seed": [1, 2]},
+                                     "sweep_dir": str(tmp_path / "sweep")})
+        sweep_file.write_text(json.dumps(sweep.to_dict()))
+        with pytest.raises(error, match=f"^{name} must be"):
+            if command == "Sweep.run":
+                Sweep(sweep).run(jobs=value)
+            else:
+                subcommand, flag = command.split()
+                spec_file = run_file if subcommand == "run" else sweep_file
+                cli_main([subcommand, str(spec_file), flag, value, "--quiet"])
+        assert not (tmp_path / "sweep").exists() and not (tmp_path / "ckpt").exists()
 
     def test_dict_round_trip(self, tmp_path):
         spec = ite_spec(tmp_path)

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from repro.peps import BMPS, Exact, random_peps
 from repro.peps.contraction.options import CTMOption
-from repro.sim import RunSpec, Sweep, SweepSpec
+from repro.sim import RunSpec, Simulation, Sweep, SweepSpec
 from repro.sim import io as sim_io
 from repro.sim.upgrade import (
     CHECKPOINT,
@@ -143,6 +143,25 @@ class TestSteps:
         legacy = {**current, "algorithm": {"tau": 0.1, "normalize_every": every}}
         assert lifted(legacy, RUN_SPEC) == current
         assert RunSpec.from_dict(legacy) == RunSpec.from_dict(current)
+
+    def test_normalize_every_of_another_workload_stays_unknown(self, tmp_path):
+        """Only ITE read the key: a VQE spec naming it, or a sweep whose
+        points may run VQE, is left as it is and still rejected."""
+        vqe = {"name": "run", "workload": "vqe", "lattice": [2, 2],
+               "algorithm": {"normalize_every": 1}}
+        assert lifted(vqe, RUN_SPEC) is vqe
+        with pytest.raises(ValueError, match="does not read algorithm keys.*normalize_every"):
+            Simulation(RunSpec.from_dict(vqe))
+        ite = {"name": "point", "workload": "ite", "lattice": [2, 2], "n_steps": 1}
+        for document in (
+            {"name": "s", "base": {**vqe, "algorithm": {}}, "sweep_dir": str(tmp_path / "a"),
+             "axes": {"algorithm.normalize_every": [1, 2]}},
+            {"name": "s", "base": ite, "sweep_dir": str(tmp_path / "w"),
+             "axes": {"workload": ["ite", "vqe"], "algorithm.normalize_every": [1]}},
+            {"name": "s", "base": ite, "sweep_dir": str(tmp_path / "p"),
+             "points": [{"workload": "vqe", "algorithm.normalize_every": 3}]},
+        ):
+            assert lifted(document, SWEEP_SPEC) is document
 
     def test_sweep_overrides_naming_normalize_every(self, tmp_path):
         """A dotted path is retired with everything inside it, and only that."""
