@@ -23,7 +23,6 @@ def tebd_gate_layer(
     lattice: LatticeLike,
     ncol: Optional[int] = None,
     rng: SeedLike = None,
-    hermitian_coupling: bool = True,
 ) -> List[Tuple[Tuple[int, int], np.ndarray]]:
     """A synthetic TEBD layer: one random two-site gate per nearest-neighbour bond.
 
@@ -49,12 +48,9 @@ def tebd_gate_layer(
     gates = []
     for pair in pairs:
         k = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        if hermitian_coupling:
-            k = 0.5 * (k + k.conj().T)
-            evals, evecs = np.linalg.eigh(k)
-            gate = (evecs * np.exp(-0.1 * evals)) @ evecs.conj().T
-        else:
-            gate, _ = np.linalg.qr(k)
+        k = 0.5 * (k + k.conj().T)
+        evals, evecs = np.linalg.eigh(k)
+        gate = (evecs * np.exp(-0.1 * evals)) @ evecs.conj().T
         gates.append((pair, gate.astype(np.complex128)))
     return gates
 

@@ -68,7 +68,6 @@ class DistributedBackend(Backend):
         self,
         nprocs: int = 64,
         machine: Optional[MachineParameters] = None,
-        cost_model: Optional[CostModel] = None,
         executor: str = "simulated",
         fault=None,
         max_restarts: int = 2,
@@ -76,10 +75,7 @@ class DistributedBackend(Backend):
     ) -> None:
         max_restarts = nonnegative_int(max_restarts, "max_restarts")
         timeout = positive_finite(timeout, "timeout")
-        if cost_model is not None:
-            self.cost_model = cost_model
-        else:
-            self.cost_model = CostModel(nprocs=nprocs, machine=machine)
+        self.cost_model = CostModel(nprocs=nprocs, machine=machine)
         executor = str(executor).lower()
         if executor == "simulated":
             if fault is not None:
@@ -155,9 +151,8 @@ class DistributedBackend(Backend):
         low: float = -1.0,
         high: float = 1.0,
         rng: SeedLike = None,
-        dtype: np.dtype = np.complex128,
     ) -> DistTensor:
-        return self._wrap(uniform_array(shape, low, high, rng=rng, dtype=dtype))
+        return self._wrap(uniform_array(shape, low, high, rng=rng))
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -302,8 +297,5 @@ class DistributedBackend(Backend):
         data = self._data(tensor)
         return np.asarray(self.comm.gather(data))
 
-    def from_local(self, array: np.ndarray, dtype: Optional[np.dtype] = None) -> DistTensor:
-        array = np.asarray(array)
-        if dtype is not None:
-            array = array.astype(dtype, copy=False)
-        return self._wrap(np.asarray(self.comm.broadcast(array)))
+    def from_local(self, array: np.ndarray) -> DistTensor:
+        return self._wrap(np.asarray(self.comm.broadcast(np.asarray(array))))

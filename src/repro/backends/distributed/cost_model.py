@@ -212,17 +212,17 @@ class CostModel:
         self.stats.record(category, seconds, comm_bytes=comm_bytes if p > 1 else 0.0,
                           messages=messages)
 
-    def gather(self, nbytes: float, category: str = "gather") -> None:
+    def gather(self, nbytes: float) -> None:
         """Charge gathering a tensor to one process (tree gather)."""
         import math
 
         p = self.nprocs
         messages = max(1.0, math.log2(p)) if p > 1 else 0.0
         seconds = self.machine.alpha * messages + self.machine.beta * nbytes
-        self.stats.record(category, seconds, comm_bytes=nbytes if p > 1 else 0.0,
+        self.stats.record("gather", seconds, comm_bytes=nbytes if p > 1 else 0.0,
                           messages=messages)
 
-    def broadcast(self, nbytes: float, category: str = "broadcast") -> None:
+    def broadcast(self, nbytes: float) -> None:
         """Charge broadcasting a (small) tensor from one process to all."""
         import math
 
@@ -231,21 +231,21 @@ class CostModel:
         seconds = self.machine.alpha * messages + self.machine.beta * nbytes * (
             math.log2(p) if p > 1 else 0.0
         )
-        self.stats.record(category, seconds, comm_bytes=nbytes if p > 1 else 0.0,
+        self.stats.record("broadcast", seconds, comm_bytes=nbytes if p > 1 else 0.0,
                           messages=messages)
 
-    def allreduce(self, nbytes: float, category: str = "allreduce") -> None:
+    def allreduce(self, nbytes: float) -> None:
         """Charge an allreduce (ring algorithm: 2·(p-1)/p of the data volume)."""
         import math
 
         p = self.nprocs
         if p == 1:
-            self.stats.record(category, 0.0)
+            self.stats.record("allreduce", 0.0)
             return
         messages = 2.0 * max(1.0, math.log2(p))
         volume = 2.0 * nbytes * (p - 1) / p
         seconds = self.machine.alpha * messages + self.machine.beta * volume
-        self.stats.record(category, seconds, comm_bytes=volume, messages=messages)
+        self.stats.record("allreduce", seconds, comm_bytes=volume, messages=messages)
 
     # ------------------------------------------------------------------ #
     # Bookkeeping

@@ -295,23 +295,17 @@ def dense_qr(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def uniform_array(
-    shape: Sequence[int],
-    low: float,
-    high: float,
-    rng: SeedLike = None,
-    dtype: np.dtype = np.complex128,
+    shape: Sequence[int], low: float, high: float, rng: SeedLike = None
 ) -> np.ndarray:
-    """I.i.d. ``U[low, high)`` entries; a complex dtype draws the real parts,
-    then the imaginary parts, from the same stream as
+    """I.i.d. complex entries with ``U[low, high)`` real and imaginary parts:
+    the real parts, then the imaginary parts, from the same stream as
     ``rng.uniform(...) + 1j * rng.uniform(...)`` would, into one array."""
     rng = ensure_rng(rng)
     shape = tuple(shape)
-    if not np.issubdtype(np.dtype(dtype), np.complexfloating):
-        return np.asarray(rng.uniform(low, high, shape), dtype=dtype)
     data = np.empty(shape, dtype=np.complex128)
     data.real = rng.uniform(low, high, shape)
     data.imag = rng.uniform(low, high, shape)
-    return data.astype(dtype, copy=False)
+    return data
 
 
 class Backend(abc.ABC):
@@ -345,13 +339,12 @@ class Backend(abc.ABC):
         low: float = -1.0,
         high: float = 1.0,
         rng: SeedLike = None,
-        dtype: np.dtype = np.complex128,
     ) -> Tensor:
-        """Tensor with i.i.d. uniform entries.
+        """Complex tensor with i.i.d. entries.
 
-        For complex dtypes both the real and imaginary parts are drawn from
-        ``U[low, high)`` — this is the probe distribution used by the
-        randomized SVD (Algorithm 4 draws from ``[-1, 1]``).
+        Both the real and imaginary parts are drawn from ``U[low, high)`` —
+        this is the probe distribution used by the randomized SVD
+        (Algorithm 4 draws from ``[-1, 1]``).
         """
 
     # ------------------------------------------------------------------ #
@@ -451,7 +444,7 @@ class Backend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def from_local(self, array: np.ndarray, dtype: Optional[np.dtype] = None) -> Tensor:
+    def from_local(self, array: np.ndarray) -> Tensor:
         """Scatter a process-local ndarray back into a backend tensor."""
 
     # ------------------------------------------------------------------ #

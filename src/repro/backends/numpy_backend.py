@@ -162,9 +162,8 @@ class NumPyBackend(Backend):
         low: float = -1.0,
         high: float = 1.0,
         rng: SeedLike = None,
-        dtype: np.dtype = np.complex128,
     ) -> np.ndarray:
-        return uniform_array(shape, low, high, rng=rng, dtype=dtype)
+        return uniform_array(shape, low, high, rng=rng)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -263,8 +262,8 @@ class NumPyBackend(Backend):
     def to_local(self, tensor: np.ndarray) -> np.ndarray:
         return np.asarray(tensor)
 
-    def from_local(self, array: np.ndarray, dtype: Optional[np.dtype] = None) -> np.ndarray:
-        return self.astensor(array, dtype=dtype)
+    def from_local(self, array: np.ndarray) -> np.ndarray:
+        return self.astensor(array)
 
 
 def _execute(plan: _planner.ContractionPlan, operands: Sequence[np.ndarray]) -> np.ndarray:

@@ -74,13 +74,11 @@ class Gate:
 class Circuit:
     """An ordered sequence of gates on ``n_qubits`` qubits."""
 
-    def __init__(self, n_qubits: int, gates: Iterable[Gate] = ()) -> None:
+    def __init__(self, n_qubits: int) -> None:
         if n_qubits < 1:
             raise ValueError(f"a circuit needs at least one qubit, got {n_qubits}")
         self.n_qubits = int(n_qubits)
         self.gates: List[Gate] = []
-        for gate in gates:
-            self.append(gate)
 
     def append(self, gate: Gate) -> "Circuit":
         for q in gate.qubits:

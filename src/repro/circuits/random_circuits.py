@@ -11,11 +11,13 @@ entangling round (8 layers → initial bond dimension 16).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.circuits.circuit import Circuit, Gate
-from repro.operators import gates as gatelib
 from repro.utils.rng import SeedLike, ensure_rng
+
+#: The single-qubit gates a layer draws from: sqrt(X), sqrt(Y), sqrt(W).
+SINGLE_QUBIT_GATESET = ("SX", "SY", "SW")
 
 
 def _lattice_neighbor_pairs(nrow: int, ncol: int) -> List[Tuple[int, int]]:
@@ -45,21 +47,18 @@ def random_quantum_circuit(
     ncol: int,
     n_layers: int = 8,
     entangle_every: int = 4,
-    single_qubit_gateset: Sequence[str] = ("SX", "SY", "SW"),
     seed: SeedLike = None,
-    haar_single_qubit: bool = False,
 ) -> Circuit:
     """Generate a random quantum circuit on an ``nrow x ncol`` qubit lattice.
 
-    Each layer applies an independently chosen random single-qubit gate to
-    every qubit (either from the discrete supremacy gate set
-    ``{sqrt(X), sqrt(Y), sqrt(W)}`` or Haar-random when
-    ``haar_single_qubit=True``); every ``entangle_every`` layers an iSWAP is
-    applied to **every** neighbouring pair, as in the paper's Fig. 10 setup.
+    Each layer applies an independently chosen random single-qubit gate from
+    the supremacy gate set ``{sqrt(X), sqrt(Y), sqrt(W)}`` to every qubit;
+    every ``entangle_every`` layers an iSWAP is applied to **every**
+    neighbouring pair, as in the paper's Fig. 10 setup.
 
-    Every random draw (gate choices and Haar unitaries alike) comes from the
-    *single* generator resolved from ``seed``, so a run driver can thread one
-    seeded stream through the whole circuit — the simulation runner passes
+    Every gate choice comes from the *single* generator resolved from
+    ``seed``, so a run driver can thread one seeded stream through the whole
+    circuit — the simulation runner passes
     ``seed=derive_rng(spec.seed, "circuit")`` (see :mod:`repro.utils.rng`),
     making the circuit a pure function of the run seed.
 
@@ -91,27 +90,23 @@ def random_quantum_circuit(
 
     for layer, do_entangle in enumerate(entangling):
         for q in range(n_qubits):
-            if haar_single_qubit:
-                matrix = gatelib.random_single_qubit_gate(rng)
-                circuit.append(Gate((q,), matrix, name="HAAR"))
-            else:
-                choices = [i for i in range(len(single_qubit_gateset)) if i != last_choice[q]]
-                # The draw of ``rng.choice(choices)``, without its array conversion.
-                idx = choices[int(rng.integers(0, len(choices)))]
-                last_choice[q] = idx
-                name = single_qubit_gateset[idx]
-                circuit.append(Gate.named(name, (q,)))
+            choices = [i for i in range(len(SINGLE_QUBIT_GATESET)) if i != last_choice[q]]
+            # The draw of ``rng.choice(choices)``, without its array conversion.
+            idx = choices[int(rng.integers(0, len(choices)))]
+            last_choice[q] = idx
+            circuit.append(Gate.named(SINGLE_QUBIT_GATESET[idx], (q,)))
         if do_entangle:
             for a, b in pairs:
                 circuit.iswap(a, b)
     return circuit
 
 
-def expected_peps_bond_dimension(n_layers: int, entangle_every: int = 4) -> int:
-    """Bond dimension of a PEPS evolved exactly through the RQC.
+def expected_peps_bond_dimension(n_layers: int) -> int:
+    """Bond dimension of a PEPS evolved exactly through the RQC (entangling
+    every fourth layer).
 
     Each entangling round applies an iSWAP (operator Schmidt rank 4) to every
     bond, multiplying the bond dimension by 4.
     """
-    rounds = sum(rqc_layer_structure(n_layers, entangle_every))
+    rounds = sum(rqc_layer_structure(n_layers))
     return 4**rounds

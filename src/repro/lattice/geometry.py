@@ -419,10 +419,7 @@ def as_lattice(lattice: LatticeLike, ncol: Optional[int] = None) -> Lattice:
     return SquareLattice(int(nrow), int(ncols))
 
 
-def lattice_from_config(
-    config: Union[Dict[str, Any], Sequence[int]],
-    default_shape: Optional[Tuple[int, int]] = None,
-) -> Lattice:
+def lattice_from_config(config: Union[Dict[str, Any], Sequence[int]]) -> Lattice:
     """Build a lattice from a ``RunSpec``-style config.
 
     A bare ``[nrow, ncol]`` sequence still parses as the uniform square
@@ -430,8 +427,6 @@ def lattice_from_config(
 
         lattice_from_config([4, 4])
         lattice_from_config({"kind": "checkerboard", "shape": [4, 4]})
-
-    ``default_shape`` fills in a dict config's missing ``"shape"``.
     """
     if not isinstance(config, dict):
         nrow, ncol = config
@@ -444,6 +439,4 @@ def lattice_from_config(
             f"unknown lattice kind {kind!r}; registered: {sorted(LATTICE_KINDS)}"
             f"{did_you_mean(kind, LATTICE_KINDS)}"
         )
-    if "shape" not in config and default_shape is not None:
-        config["shape"] = [int(default_shape[0]), int(default_shape[1])]
     return cls.from_config(config)

@@ -1,6 +1,6 @@
 """Dense and implicit linear-algebra kernels used by the tensor-network code.
 
-* :mod:`repro.linalg.truncated_svd` — rank/cutoff-truncated SVD with
+* :mod:`repro.linalg.truncated_svd` — rank-truncated SVD with
   isometric factors.
 * :mod:`repro.linalg.orthogonalize` — QR- and Gram-matrix based
   orthogonalization of tensor operators (the paper's Algorithm 5,

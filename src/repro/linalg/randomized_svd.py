@@ -19,7 +19,6 @@ distributed backend without expensive reshapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,7 +73,6 @@ def randomized_svd(
     oversample: int = 0,
     orth_method: str = "auto",
     rng: SeedLike = None,
-    cutoff: Optional[float] = None,
 ) -> RandomizedSVDResult:
     """Approximate truncated SVD of an implicit operator (Algorithm 4).
 
@@ -103,8 +101,6 @@ def randomized_svd(
         ``"qr"``, ``"gram"`` or ``"auto"`` (Gram on non-NumPy backends).
     rng:
         Seed or generator for the random probe.
-    cutoff:
-        Optional relative singular-value cutoff applied on top of ``rank``.
     """
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -139,7 +135,7 @@ def randomized_svd(
     # phases, and the next seeded sketch sees another gauge.
     with _TRACER.span("randomized_svd.sketch_svd", shape=b.shape):
         u_tilde, s, vh = dense_svd(b, rank=min(rank, b.shape[0]))
-    keep, _ = truncate_spectrum(s, rank=min(rank, len(s)), cutoff=cutoff)
+    keep, _ = truncate_spectrum(s, rank=min(rank, len(s)))
     u_tilde = u_tilde[:, :keep]
     s = s[:keep]
     vh = vh[:keep, :]

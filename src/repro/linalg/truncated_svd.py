@@ -2,10 +2,9 @@
 
 This is the "explicit" factorization used by the baseline BMPS contraction
 and by the QR-SVD evolution algorithm: contract, matricize, SVD, truncate.
-Truncation can be limited by a maximum ``rank``, a relative singular-value
-``cutoff``, or both.  The factors are returned isometric; callers that want
-the singular values on a factor absorb them themselves (``einsumsvd`` does,
-with its ``absorb`` option).
+Truncation is by a maximum ``rank`` alone.  The factors are returned
+isometric; callers that want the singular values on a factor absorb them
+themselves (``einsumsvd`` splits them evenly).
 """
 
 from __future__ import annotations
@@ -30,11 +29,7 @@ class TruncatedSVDResult:
     truncation_error: float
 
 
-def truncate_spectrum(
-    s: np.ndarray,
-    rank: Optional[int] = None,
-    cutoff: Optional[float] = None,
-) -> Tuple[int, float]:
+def truncate_spectrum(s: np.ndarray, rank: Optional[int] = None) -> Tuple[int, float]:
     """Decide how many singular values to keep.
 
     Parameters
@@ -43,16 +38,13 @@ def truncate_spectrum(
         Singular values in descending order.
     rank:
         Keep at most this many values (``None`` = no limit).
-    cutoff:
-        Discard values with ``s[i] < cutoff * s[0]`` (``None`` = no cutoff).
 
     Returns
     -------
     (kept, error):
-        The number of retained singular values — at least 1 of a nonempty
-        spectrum, even for ``rank=0``; an all-zero spectrum ignores
-        ``cutoff`` and keeps ``min(rank, n)`` values (all ``n`` without a
-        rank) — and the relative Frobenius truncation error
+        The number of retained singular values — ``min(rank, n)`` (all ``n``
+        without a rank), at least 1 of a nonempty spectrum even for
+        ``rank=0`` — and the relative Frobenius truncation error
         ``sqrt(sum(discarded^2) / sum(all^2))``, 0 for an all-zero spectrum.
     """
     s = np.asarray(s, dtype=float)
@@ -60,8 +52,6 @@ def truncate_spectrum(
     if n == 0:
         return 0, 0.0
     keep = n
-    if cutoff is not None and s[0] > 0:
-        keep = int(np.count_nonzero(s >= cutoff * s[0]))
     if rank is not None:
         keep = min(keep, int(rank))
     keep = max(keep, 1)
@@ -74,12 +64,7 @@ def truncate_spectrum(
     return keep, math.sqrt(float(np.add.reduce(tail * tail)) / total)
 
 
-def truncated_svd(
-    backend: Backend,
-    matrix,
-    rank: Optional[int] = None,
-    cutoff: Optional[float] = None,
-) -> TruncatedSVDResult:
+def truncated_svd(backend: Backend, matrix, rank: Optional[int] = None) -> TruncatedSVDResult:
     """Compute a truncated SVD of a matrix tensor.
 
     Parameters
@@ -88,8 +73,9 @@ def truncated_svd(
         Tensor backend providing ``svd``.
     matrix:
         A 2-d backend tensor.
-    rank, cutoff:
-        Truncation controls (see :func:`truncate_spectrum`).
+    rank:
+        Keep at most this many singular values (``None`` = all; see
+        :func:`truncate_spectrum`).
 
     Returns
     -------
@@ -102,7 +88,7 @@ def truncated_svd(
     # rest; the spectrum it returns is complete either way.
     u, s, vh = backend.svd(matrix, rank=rank)
     s_local = np.asarray(backend.to_local(s), dtype=float)
-    keep, error = truncate_spectrum(s_local, rank=rank, cutoff=cutoff)
+    keep, error = truncate_spectrum(s_local, rank=rank)
 
     return TruncatedSVDResult(
         u=backend.from_local(backend.asarray(u)[:, :keep]),

@@ -144,11 +144,11 @@ def expm_two_site(matrix: np.ndarray, theta: float) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------- #
-def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
-    """Whether a matrix is unitary to the given tolerance."""
+def is_unitary(matrix: np.ndarray) -> bool:
+    """Whether a matrix is unitary to an absolute tolerance of 1e-10."""
     matrix = np.asarray(matrix)
     n = matrix.shape[0]
-    return bool(np.allclose(matrix.conj().T @ matrix, np.eye(n), atol=atol))
+    return bool(np.allclose(matrix.conj().T @ matrix, np.eye(n), atol=1e-10))
 
 
 def as_tensor(gate: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -163,13 +163,6 @@ def as_tensor(gate: np.ndarray, n_qubits: int) -> np.ndarray:
             f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got shape {gate.shape}"
         )
     return gate.reshape((2,) * (2 * n_qubits))
-
-
-def random_single_qubit_gate(rng) -> np.ndarray:
-    """Haar-ish random single-qubit unitary (QR of a Ginibre matrix)."""
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 #: Named gate registry used by the circuit IR.

@@ -25,7 +25,7 @@ order for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,16 +81,9 @@ class Hamiltonian:
     :class:`~repro.lattice.SquareLattice`.
     """
 
-    def __init__(
-        self,
-        lattice: LatticeLike,
-        ncol: Optional[int] = None,
-        terms: Iterable[LocalTerm] = (),
-    ) -> None:
+    def __init__(self, lattice: LatticeLike, ncol: Optional[int] = None) -> None:
         self.lattice = as_lattice(lattice, ncol)
         self.terms: List[LocalTerm] = []
-        for term in terms:
-            self.add_term(term)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -167,15 +160,14 @@ class Hamiltonian:
         """
         return [(term.sites, term.exponential(tau)) for term in self.terms]
 
-    def ground_state_energy(self, k: int = 1) -> float:
+    def ground_state_energy(self) -> float:
         """Exact smallest eigenvalue (at most :data:`LANCZOS_MAX_SITES` sites).
 
         Up to 6 sites the dense matrix's ``eigvalsh``.  Above, Lanczos
         (``eigsh``) on a matrix-free operator that applies every term to the
         vector (:meth:`~repro.statevector.StateVector.apply_matrix`), so no
         ``2^n x 2^n`` matrix is built; its memory is a few dozen vectors of
-        ``2^n`` amplitudes (16 MiB each at 20 sites).  ``k`` eigenvalues are
-        computed and the smallest is returned.
+        ``2^n`` amplitudes (16 MiB each at 20 sites).
         """
         import scipy.sparse.linalg as spla
 
@@ -199,7 +191,7 @@ class Hamiltonian:
             return out
 
         operator = spla.LinearOperator((dim, dim), matvec=apply, dtype=np.complex128)
-        evals = spla.eigsh(operator, k=k, which="SA", return_eigenvectors=False)
+        evals = spla.eigsh(operator, k=1, which="SA", return_eigenvectors=False)
         return float(np.min(evals.real))
 
     def __len__(self) -> int:

@@ -29,7 +29,7 @@ class Observable:
     # Constructors for elementary observables (paper-style API)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def pauli(label: str, *sites: int, coefficient: complex = 1.0) -> "Observable":
+    def pauli(label: str, *sites: int) -> "Observable":
         """A single Pauli-string observable, e.g. ``Observable.pauli("ZZ", 3, 4)``."""
         label = label.upper()
         if len(label) != len(sites):
@@ -39,7 +39,7 @@ class Observable:
         if len(set(sites)) != len(sites):
             raise ValueError(f"sites must be distinct, got {sites}")
         paulis = {site: l for site, l in zip(sites, label)}
-        return Observable([PauliString.from_dict(paulis, coefficient)])
+        return Observable([PauliString.from_dict(paulis)])
 
     @staticmethod
     def X(site: int) -> "Observable":

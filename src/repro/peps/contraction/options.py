@@ -95,17 +95,13 @@ class CTMOption(ContractOption):
     chi:
         Environment bond dimension the corner projectors truncate to;
         ``None`` never truncates (exact CTM, small lattices only).
-    cutoff:
-        Relative corner-spectrum cutoff: singular values below
-        ``cutoff * s[0]`` are discarded even when ``chi`` permits more.
     """
 
     kind = "ctm"
     chi: Optional[int] = None
-    cutoff: Optional[float] = None
 
     def __post_init__(self) -> None:
-        check_truncation("chi", self.chi, self.cutoff)
+        check_truncation("chi", self.chi)
 
     def describe(self) -> str:
         return f"CTM(chi={self.chi})"

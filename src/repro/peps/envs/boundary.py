@@ -430,21 +430,15 @@ class BoundaryEnvironment:
                 out[s] = float(np.real(value / norm_sq)) if normalized else value
         return out
 
-    def measure_2site(
-        self,
-        operator_a,
-        operator_b=None,
-        pairs: Optional[Sequence[Tuple[int, int]]] = None,
-        normalized: bool = True,
-    ) -> Dict[Tuple[int, int], Union[float, complex]]:
-        """Batched two-site expectation values over site pairs.
+    def measure_2site(self, operator_a, operator_b=None) -> Dict[Tuple[int, int], float]:
+        """Batched normalized two-site expectation values over every
+        nearest-neighbour site pair.
 
         ``operator_a``/``operator_b`` are ``d x d`` single-site factors (the
         pair operator is their Kronecker product with the first site of each
         pair as the most significant qubit); alternatively pass one full
-        ``d^2 x d^2`` matrix as ``operator_a``.  ``pairs`` defaults to all
-        nearest-neighbour pairs.  The environments are built once and every
-        pair costs only one strip contraction.
+        ``d^2 x d^2`` matrix as ``operator_a``.  The environments are built
+        once and every pair costs only one strip contraction.
         """
         self._require_sandwich("measure_2site")
         peps = self.peps
@@ -455,17 +449,16 @@ class BoundaryEnvironment:
             )
         else:
             matrix = np.asarray(operator_a, dtype=np.complex128)
-        if pairs is None:
-            pairs = []
-            for r in range(peps.nrow):
-                for c in range(peps.ncol):
-                    s = r * peps.ncol + c
-                    if c + 1 < peps.ncol:
-                        pairs.append((s, s + 1))
-                    if r + 1 < peps.nrow:
-                        pairs.append((s, s + peps.ncol))
+        pairs = []
+        for r in range(peps.nrow):
+            for c in range(peps.ncol):
+                s = r * peps.ncol + c
+                if c + 1 < peps.ncol:
+                    pairs.append((s, s + 1))
+                if r + 1 < peps.nrow:
+                    pairs.append((s, s + peps.ncol))
 
-        norm_sq = self.norm_sq() if normalized else None
+        norm_sq = self.norm_sq()
         out: Dict[Tuple[int, int], float] = {}
         caches: Dict[Tuple[int, int], StripCache] = {}
         splits: Dict = {}
@@ -474,7 +467,7 @@ class BoundaryEnvironment:
             r0, r1, _ = self._term_rows((sa, sb))
             self.stats.strip_contractions += 1
             value = self._strip_cache(caches, r0, r1).term_value((sa, sb), matrix, splits)
-            out[(sa, sb)] = float(np.real(value / norm_sq)) if normalized else value
+            out[(sa, sb)] = float(np.real(value / norm_sq))
         self._charge_strip_caches(caches)
         return out
 
@@ -485,23 +478,11 @@ class BoundaryEnvironment:
         site order), drawn via conditional single-layer contractions
         (:func:`~repro.peps.envs.sampling.sample_bitstrings`): the cached
         lower environments are shared by all shots; only the per-shot
-        projected upper boundaries are recomputed — all shots in one
-        lockstep group when the environment :meth:`supports_lockstep`, one
-        shot per group otherwise.
+        projected upper boundaries are recomputed, all shots in one
+        lockstep group.
         """
         self._require_sandwich("sample")
         return sample_bitstrings(self, rng=rng, nshots=nshots)
-
-    def supports_lockstep(self) -> bool:
-        """Whether per-shot sampling boundaries keep shot-independent shapes.
-
-        A lockstep group stacks every shot's boundary into one tensor per
-        column, which requires all shots to share shapes after truncation.
-        Exact and fixed-rank truncations are shape-deterministic and sample
-        all shots in one group; a cutoff-based truncation retains
-        data-dependent ranks, so those environments sample one shot per group.
-        """
-        return self.svd_option is None or self.svd_option.cutoff is None
 
     # ------------------------------------------------------------------ #
     # Internals

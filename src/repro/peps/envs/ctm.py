@@ -110,17 +110,17 @@ def _gram_half(gram: np.ndarray) -> np.ndarray:
 
 
 def _corner_svd(
-    backend, product: np.ndarray, chi: Optional[int], cutoff: Optional[float]
+    backend, product: np.ndarray, chi: Optional[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Truncated SVD ``(u, s, vh, spectrum)`` of a corner product.
 
     A stack of products (leading batch axis) is factored item by item with
-    the 2-d :func:`~repro.linalg.truncated_svd` and restacked; its items
-    must retain one rank, so that their factors stack.
+    the 2-d :func:`~repro.linalg.truncated_svd` and restacked; every item
+    keeps ``min(chi, *shape)`` values, so their factors stack.
     """
     items = []
     for item in ([product] if product.ndim == 2 else product):
-        result = truncated_svd(backend, backend.astensor(item), rank=chi, cutoff=cutoff)
+        result = truncated_svd(backend, backend.astensor(item), rank=chi)
         s = np.asarray(result.s, dtype=float)
         total = float(np.linalg.norm(s))
         items.append((
@@ -131,21 +131,11 @@ def _corner_svd(
         ))
     if product.ndim == 2:
         return items[0]
-    ranks = sorted({len(s) for _, s, _, _ in items})
-    if len(ranks) > 1:
-        raise RuntimeError(
-            f"the batch retains ranks {ranks} at one bond; batched CTM "
-            f"renormalization needs a shape-deterministic truncation (cutoff=None)"
-        )
     return tuple(np.stack(parts) for parts in zip(*items))
 
 
 def bond_projectors(
-    backend,
-    left_gram,
-    right_gram,
-    chi: Optional[int],
-    cutoff: Optional[float],
+    backend, left_gram, right_gram, chi: Optional[int]
 ) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Oblique projector pair and corner spectrum for one boundary bond.
 
@@ -154,7 +144,7 @@ def bond_projectors(
     tensor right of the bond and ``absorb_right`` (``(bond, chi)``) into the
     right leg of the tensor left of it, with
     ``absorb_left @ absorb_right = 1``.  The projector pair is ``None`` when
-    no truncation is needed (the bond already satisfies ``chi``/``cutoff``),
+    no truncation is needed (the bond already satisfies ``chi``),
     so exact bonds stay bitwise untouched.  ``spectrum`` is the normalized
     retained corner spectrum.
 
@@ -168,7 +158,7 @@ def bond_projectors(
     half_left = _gram_half(left)                 # (..., alpha, bond)
     half_right = _adjoint(_gram_half(right))     # (..., bond, beta)
     product = half_left @ half_right
-    u, s, vh, spectrum = _corner_svd(backend, product, chi, cutoff)
+    u, s, vh, spectrum = _corner_svd(backend, product, chi)
     if s.shape[-1] >= product.shape[-2]:
         return None, spectrum
     inv_sqrt = np.zeros_like(s)
@@ -180,10 +170,7 @@ def bond_projectors(
 
 
 def ctm_renormalize(
-    backend,
-    boundary: Sequence,
-    chi: Optional[int],
-    cutoff: Optional[float],
+    backend, boundary: Sequence, chi: Optional[int]
 ) -> Tuple[List, List[np.ndarray]]:
     """Renormalize every internal bond of a boundary row with corner projectors.
 
@@ -197,8 +184,7 @@ def ctm_renormalize(
     ``einsum_batched`` calls, each bond's ``eigh`` halves and projector
     products as stacked ones and its corner SVDs item by item
     (:func:`bond_projectors`); each spectrum then has a leading batch axis
-    too.  Every item must retain the same rank at a bond, which a truncation
-    without ``cutoff`` guarantees.
+    too; every item retains the same rank at a bond.
     """
     ncol = len(boundary)
     if ncol < 2:
@@ -209,7 +195,7 @@ def ctm_renormalize(
     pairs: List = [None] * ncol
     spectra: List[np.ndarray] = []
     for b in range(1, ncol):
-        pairs[b], spectrum = bond_projectors(backend, lefts[b], rights[b], chi, cutoff)
+        pairs[b], spectrum = bond_projectors(backend, lefts[b], rights[b], chi)
         spectra.append(spectrum)
     renormalized: List = []
     for c in range(ncol):
@@ -266,14 +252,13 @@ class EnvCTM(BoundaryEnvironment):
         super().__init__(peps)
         self.contract_option = option
         self.chi = option.chi
-        self.cutoff = option.cutoff
         self.signature = option_signature(option)
 
     # ------------------------------------------------------------------ #
     # Moves
     # ------------------------------------------------------------------ #
     def _absorbs_exactly(self) -> bool:
-        return self.chi is None and self.cutoff is None
+        return self.chi is None
 
     def _absorb(self, boundary, row, from_below: bool = False):
         """One CTM move: exact row absorption plus corner-projector renormalization.
@@ -287,17 +272,9 @@ class EnvCTM(BoundaryEnvironment):
             )
             renormalized, spectra = grown, []
             if not self._absorbs_exactly():
-                renormalized, spectra = ctm_renormalize(
-                    self.backend, grown, self.chi, self.cutoff
-                )
+                renormalized, spectra = ctm_renormalize(self.backend, grown, self.chi)
         calls = _move_contractions(self.backend, grown, spectra)
         moves = self._count_move(row, renormalized, calls)
         self.stats.ctm_moves += moves
         _CTM_MOVES.add(moves)
         return renormalized
-
-    def supports_lockstep(self) -> bool:
-        """Fixed-``chi`` corner truncations are shape-deterministic across
-        shots; a ``cutoff`` retains data-dependent ranks, so the sampler
-        advances one shot per group."""
-        return self.cutoff is None

@@ -34,10 +34,8 @@ side and bond for every shot), factoring only the corner products shot by
 shot.
 
 Stacking requires every shot's boundary to keep the same shape after
-truncation; environments report this via ``supports_lockstep()``.  Exact and
-fixed-rank truncations qualify and advance all shots in one group;
-cutoff-based ones retain data-dependent ranks and advance one shot per group,
-through the same per-site code.
+truncation.  Truncation is by bond dimension alone, so every boundary's
+shape follows from its inputs' shapes, and all shots advance in one group.
 
 Random-stream semantics
 -----------------------
@@ -135,10 +133,9 @@ def sample_bitstrings(env, rng: "SeedLike" = None, nshots: int = 1) -> np.ndarra
     Returns an integer array of shape ``(nshots, n_sites)`` in row-major site
     order.  ``env`` is a :class:`~repro.peps.envs.boundary.BoundaryEnvironment`
     (or compatible): its cached lower boundaries and truncation options are
-    reused.  All shots advance in one lockstep group when
-    ``env.supports_lockstep()``, one shot per group otherwise; the bits are
-    the same either way (see the module docstring).  ``nshots`` must be an
-    integer (``TypeError`` otherwise, ``bool`` included) of at least 1.
+    reused.  All shots advance in one lockstep group; each shot's bits are
+    what it would draw alone (see the module docstring).  ``nshots`` must be
+    an integer (``TypeError`` otherwise, ``bool`` included) of at least 1.
     """
     nshots = positive_int(nshots, "nshots")
     rng = ensure_rng(rng)
@@ -146,14 +143,8 @@ def sample_bitstrings(env, rng: "SeedLike" = None, nshots: int = 1) -> np.ndarra
     shot_rngs = [derive_rng(root, "shot", s) for s in range(nshots)]
 
     env.ensure_lower(0)  # warm every lower environment once, for all shots
-    plan = _SamplingPlan(env)
-    group = nshots if env.supports_lockstep() else 1
-    shots = np.empty((nshots, plan.peps.n_sites), dtype=np.int64)
-    for start in range(0, nshots, group):
-        stop = min(start + group, nshots)
-        with _span("sample_shots", first=start, count=stop - start):
-            shots[start:stop] = _sample_group(plan, shot_rngs[start:stop])
-    return shots
+    with _span("sample_shots", count=nshots):
+        return _sample_group(_SamplingPlan(env), shot_rngs)
 
 
 def _sample_group(

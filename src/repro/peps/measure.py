@@ -22,7 +22,6 @@ def expectation_via_evolution(
     hamiltonian,
     tau: float = 1e-3,
     contract_option: Optional[ContractOption] = None,
-    update_option=None,
     normalized: bool = True,
 ) -> float:
     """Alternative expectation value via Trotter + Taylor expansion (Eq. 6).
@@ -36,8 +35,8 @@ def expectation_via_evolution(
     the state and measure the overlap with the original.  Compared with the
     term-by-term evaluation this needs one contraction instead of two full
     sweeps plus one strip per term, but the extra evolution step grows the
-    bond dimension (or requires truncation via ``update_option``), and the
-    answer carries an ``O(tau)`` Trotter bias.
+    bond dimension (the factors are applied exactly, without truncation),
+    and the answer carries an ``O(tau)`` Trotter bias.
 
     Parameters
     ----------
@@ -51,9 +50,6 @@ def expectation_via_evolution(
         cancellation error.
     contract_option:
         Contraction option used for both overlaps (default: exact).
-    update_option:
-        PEPS update option used to apply the ``exp(tau H_j)`` factors
-        (default: exact application, no truncation).
     normalized:
         Divide by ``<psi|psi>``.
     """
@@ -61,7 +57,7 @@ def expectation_via_evolution(
 
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    update_option = update_option if update_option is not None else QRUpdate(rank=None)
+    update_option = QRUpdate(rank=None)
 
     evolved = peps.copy()
     for sites, matrix in _local_terms(hamiltonian):

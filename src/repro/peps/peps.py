@@ -121,29 +121,18 @@ class PEPS:
     # ------------------------------------------------------------------ #
     # Environments
     # ------------------------------------------------------------------ #
-    def attach_environment(self, contract_option=None, env=None):
+    def attach_environment(self, contract_option=None):
         """Attach a cached contraction environment and return it.
 
         The environment serves ``norm``/``expectation`` queries from cached
         boundary sweeps and is invalidated incrementally (only the touched
-        rows) by the operator-application paths.  Either pass a
-        ``contract_option`` (``None``/``Exact`` for an exact environment, a
-        ``BMPS`` option for a truncated boundary MPS, a ``CTMOption`` for a
-        corner-transfer-matrix environment) or a prebuilt
-        :class:`~repro.peps.envs.boundary.BoundaryEnvironment` of this state's
-        ``<psi|psi>`` sandwich (a cross environment ``<phi|psi>`` is refused).
+        rows) by the operator-application paths.  ``contract_option`` is
+        ``None``/``Exact`` for an exact environment, a ``BMPS`` option for a
+        truncated boundary MPS, a ``CTMOption`` for a corner-transfer-matrix
+        environment.
         """
-        if env is None:
-            env = make_environment(self, contract_option)
-        elif env.peps is not self:
-            raise ValueError("the environment belongs to a different PEPS")
-        elif env.bra is not self:
-            raise ValueError(
-                "a cross environment <bra|psi> cannot be attached; it serves "
-                "one overlap query"
-            )
-        self._env = env
-        return env
+        self._env = make_environment(self, contract_option)
+        return self._env
 
     def detach_environment(self):
         """Detach and return the attached environment (or ``None``)."""
@@ -364,9 +353,9 @@ class PEPS:
             raise ValueError("cannot normalize a state with zero norm")
         return nrm ** (-1.0 / self.n_sites)
 
-    def normalize(self, contract_option: Optional[ContractOption] = None) -> "PEPS":
-        """Return a copy scaled to unit norm (scale spread over all sites)."""
-        factor = self._unit_norm_factor(contract_option)
+    def normalize(self) -> "PEPS":
+        """Return a copy scaled to unit exact norm (scale spread over all sites)."""
+        factor = self._unit_norm_factor(None)
         return PEPS([[t * factor for t in row] for row in self.grid], self.backend)
 
     def normalize_(self, contract_option: Optional[ContractOption] = None) -> "PEPS":
@@ -399,31 +388,6 @@ class PEPS:
         """
         return self._environment_for(contract_option).expectation(
             observable, normalized=normalized
-        )
-
-    def measure_1site(
-        self,
-        operator,
-        sites: Optional[Sequence[int]] = None,
-        contract_option: Optional[ContractOption] = None,
-        normalized: bool = True,
-    ):
-        """Batched single-site expectation values (see ``BoundaryEnvironment.measure_1site``)."""
-        return self._environment_for(contract_option).measure_1site(
-            operator, sites=sites, normalized=normalized
-        )
-
-    def measure_2site(
-        self,
-        operator_a,
-        operator_b=None,
-        pairs: Optional[Sequence[Tuple[int, int]]] = None,
-        contract_option: Optional[ContractOption] = None,
-        normalized: bool = True,
-    ):
-        """Batched two-site expectation values (see ``BoundaryEnvironment.measure_2site``)."""
-        return self._environment_for(contract_option).measure_2site(
-            operator_a, operator_b, pairs=pairs, normalized=normalized
         )
 
     def sample(
@@ -521,13 +485,10 @@ def computational_basis(
 
 
 def computational_zeros(
-    nrow: int,
-    ncol: int,
-    phys_dim: int = 2,
-    backend: Union[str, Backend, None] = "numpy",
+    nrow: int, ncol: int, backend: Union[str, Backend, None] = "numpy"
 ) -> PEPS:
-    """The all-zeros state ``|00...0>``."""
-    return computational_basis([0] * (nrow * ncol), nrow, ncol, phys_dim, backend)
+    """The all-zeros qubit state ``|00...0>``."""
+    return computational_basis([0] * (nrow * ncol), nrow, ncol, 2, backend)
 
 
 def random_peps(
@@ -537,9 +498,9 @@ def random_peps(
     phys_dim: int = 2,
     backend: Union[str, Backend, None] = "numpy",
     seed: SeedLike = None,
-    normalize_scale: bool = True,
 ) -> PEPS:
-    """A PEPS with i.i.d. Gaussian entries and the given uniform bond dimension."""
+    """A PEPS with i.i.d. complex Gaussian entries, scaled by one over the
+    square root of each tensor's size, and the given uniform bond dimension."""
     backend = get_backend(backend)
     rng = ensure_rng(seed)
     grid = []
@@ -552,8 +513,7 @@ def random_peps(
             right = 1 if j == ncol - 1 else bond_dim
             shape = (phys_dim, up, left, down, right)
             data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            if normalize_scale:
-                data /= np.sqrt(np.prod(shape))
+            data /= np.sqrt(np.prod(shape))
             row.append(backend.astensor(data))
         grid.append(row)
     return PEPS(grid, backend)

@@ -21,7 +21,7 @@ Site tensors use the index order ``(phys, up, left, down, right)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.backends.interface import Backend
@@ -65,30 +65,18 @@ class UpdateOption:
     Attributes
     ----------
     rank:
-        Maximum bond dimension kept on the updated bond (``None`` = exact).
-    cutoff:
-        Optional relative singular-value cutoff.
-    svd_option:
-        The ``einsumsvd`` option used for the refactorization (explicit SVD
-        by default; an :class:`ImplicitRandomizedSVD` may be supplied).
+        Maximum bond dimension kept on the updated bond (``None`` = exact),
+        refactorized by an explicit truncated SVD.
     """
 
     rank: Optional[int] = None
-    cutoff: Optional[float] = None
-    svd_option: Optional[EinsumSVDOption] = None
 
     def __post_init__(self) -> None:
-        check_truncation("rank", self.rank, self.cutoff)
+        check_truncation("rank", self.rank)
 
     def resolved_svd_option(self) -> EinsumSVDOption:
-        """The ``einsumsvd`` option with this option's ``rank`` (when set) and
-        ``cutoff`` (when set) in place of ``svd_option``'s."""
-        if self.svd_option is None:
-            return ExplicitSVD(rank=self.rank, cutoff=self.cutoff)
-        changes = {} if self.cutoff is None else {"cutoff": self.cutoff}
-        if self.rank is not None:
-            changes["rank"] = self.rank
-        return replace(self.svd_option, **changes)
+        """The ``einsumsvd`` option of the refactorization."""
+        return ExplicitSVD(rank=self.rank)
 
 
 @dataclass

@@ -57,7 +57,7 @@ from repro.backends import get_backend
 from repro.backends.interface import Backend
 from repro.peps.contraction.options import CONTRACT_OPTION_KINDS
 from repro.peps.update import UPDATE_OPTION_KINDS
-from repro.sim.upgrade import CHECKPOINT, CONTRACTION, ENVIRONMENT, upgrade
+from repro.sim.upgrade import CHECKPOINT, CONTRACTION, EINSUMSVD, ENVIRONMENT, UPDATE, upgrade
 from repro.tensornetwork.einsumsvd import SVD_OPTION_KINDS
 from repro.utils.text import did_you_mean
 
@@ -487,7 +487,9 @@ def _option_from_dict(payload, kinds: Dict[str, type], family: str, default_kind
 
 
 def svd_option_from_dict(payload: Optional[Dict[str, Any]]):
-    return _option_from_dict(payload, SVD_OPTION_KINDS, "einsumsvd", "explicit")
+    return _option_from_dict(
+        upgrade(payload, EINSUMSVD), SVD_OPTION_KINDS, "einsumsvd", "explicit"
+    )
 
 
 def contract_option_from_dict(payload: Optional[Dict[str, Any]]):
@@ -495,7 +497,7 @@ def contract_option_from_dict(payload: Optional[Dict[str, Any]]):
 
 
 def update_option_from_dict(payload: Optional[Dict[str, Any]]):
-    return _option_from_dict(payload, UPDATE_OPTION_KINDS, "update")
+    return _option_from_dict(upgrade(payload, UPDATE), UPDATE_OPTION_KINDS, "update")
 
 
 svd_option_to_dict = contract_option_to_dict = update_option_to_dict = option_to_dict
@@ -556,14 +558,13 @@ def peps_to_dict(
     peps,
     include_environment: bool = True,
     store: Optional[PayloadStore] = None,
-    prefix: str = "peps",
 ) -> Dict[str, Any]:
     """Versioned state dict of a :class:`~repro.peps.peps.PEPS`.
 
     ``include_environment=True`` also serializes an attached environment
     (its contraction option and warm boundary caches).  With a
     :class:`PayloadStore`, tensor payloads are keyed
-    ``{prefix}/tensors/{row}/{col}`` and ``{prefix}/env/...``.
+    ``peps/tensors/{row}/{col}`` and ``peps/env/...``.
     """
     backend = peps.backend
     payload: Dict[str, Any] = {
@@ -573,14 +574,14 @@ def peps_to_dict(
         "nrow": peps.nrow,
         "ncol": peps.ncol,
         "tensors": [
-            _encode_tensors(backend, row, store, f"{prefix}/tensors/{i}")
+            _encode_tensors(backend, row, store, f"peps/tensors/{i}")
             for i, row in enumerate(peps.grid)
         ],
         "environment": None,
     }
     if include_environment and peps.environment is not None:
         payload["environment"] = environment_to_dict(
-            peps.environment, store, f"{prefix}/env"
+            peps.environment, store, "peps/env"
         )
     return payload
 

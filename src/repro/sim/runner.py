@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.backends import BackendExecutionError
 from repro.sim import io as sim_io
-from repro.sim.sinks import ResultSink, make_sink
+from repro.sim.sinks import make_sink
 from repro.sim.spec import RunSpec, canonical_backend_kind, canonical_json
 from repro.sim.workloads import Workload, build_workload
 from repro.telemetry.metrics import REGISTRY
@@ -79,20 +79,14 @@ class Simulation:
     ----------
     spec:
         A :class:`RunSpec` (or a plain dict parsed with
-        :meth:`RunSpec.from_dict`).
-    sink:
-        Result sink override; defaults to whatever ``spec.results`` implies
-        (JSONL/JSON file, or in-memory).
+        :meth:`RunSpec.from_dict`).  Records go to the sink ``spec.results``
+        implies (JSONL/JSON file, or in-memory).
     """
 
-    def __init__(
-        self,
-        spec: Union[RunSpec, Dict[str, Any]],
-        sink: Optional[ResultSink] = None,
-    ) -> None:
+    def __init__(self, spec: Union[RunSpec, Dict[str, Any]]) -> None:
         self.spec = spec if isinstance(spec, RunSpec) else RunSpec.from_dict(spec)
         self.workload: Workload = build_workload(self.spec)
-        self.sink = sink if sink is not None else make_sink(self.spec.results)
+        self.sink = make_sink(self.spec.results)
         self._hooks: Dict[str, MeasurementHook] = {}
         self._stop_requested = False
 
@@ -179,10 +173,12 @@ class Simulation:
         )
 
         def physics(spec: RunSpec, name: str):
-            # A contraction block compares as the option it builds, so
-            # shorthands, retired kind names and spelled-out defaults match.
+            # An option block compares as the option it builds, so
+            # shorthands, retired fields and spelled-out defaults match.
             if name == "contraction":
-                return sim_io.contract_option_to_dict(spec.build_contract_option())
+                return sim_io.option_to_dict(spec.build_contract_option())
+            if name == "update":
+                return sim_io.option_to_dict(spec.build_update_option())
             return getattr(spec, name)
 
         mismatched = [
@@ -350,11 +346,7 @@ class Simulation:
         )
 
 
-def run_spec(
-    spec: Union[RunSpec, Dict[str, Any]],
-    resume: Union[bool, str] = False,
-    stop_after: Optional[int] = None,
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> SimulationResult:
-    """One-call convenience: build a :class:`Simulation` and run it."""
-    return Simulation(spec).run(resume=resume, stop_after=stop_after, progress=progress)
+def run_spec(spec: Union[RunSpec, Dict[str, Any]], **kwargs) -> SimulationResult:
+    """One-call convenience: build a :class:`Simulation` and run it (``kwargs``
+    go to :meth:`Simulation.run`)."""
+    return Simulation(spec).run(**kwargs)

@@ -669,10 +669,8 @@ class ServeClient:
         lines = [line for line in body.decode().splitlines() if line.strip()]
         return lines, int(headers.get("X-Next-Line", since + len(lines)))
 
-    def stream_results(
-        self, job_id: str, poll_seconds: float = 0.1, timeout: float = 60.0
-    ) -> List[str]:
-        """Poll-stream results until the job reaches a terminal state."""
+    def stream_results(self, job_id: str, timeout: float = 60.0) -> List[str]:
+        """Poll-stream results (every 0.1 s) until the job reaches a terminal state."""
         deadline = time.monotonic() + timeout
         lines: List[str] = []
         since = 0
@@ -686,10 +684,11 @@ class ServeClient:
                 return lines
             if time.monotonic() > deadline:
                 raise TimeoutError(f"job {job_id} still {status} after {timeout}s")
-            time.sleep(poll_seconds)
+            time.sleep(0.1)
 
-    def wait(self, job_id: str, timeout: float = 120.0, poll_seconds: float = 0.1):
-        """Block until the job leaves queued/running; returns the job record."""
+    def wait(self, job_id: str, timeout: float = 120.0):
+        """Block until the job leaves queued/running (polling every 0.1 s);
+        returns the job record."""
         deadline = time.monotonic() + timeout
         while True:
             job = self.job(job_id)
@@ -699,7 +698,7 @@ class ServeClient:
                 raise TimeoutError(
                     f"job {job_id} still {job['status']} after {timeout}s"
                 )
-            time.sleep(poll_seconds)
+            time.sleep(0.1)
 
     def shutdown(self) -> Dict[str, Any]:
         return self._json("POST", "/v1/shutdown")

@@ -119,15 +119,6 @@ class SweepSink:
         for record in records:
             self.sink.write({"point": point, **record})
 
-    def write_summary(self, point: str, row: Dict[str, Any]) -> None:
-        """Append one point's aggregated summary row.
-
-        Summary rows are nested under a ``"summary"`` key so they can never
-        collide with (or be mistaken for) step-record fields:
-        ``{"point": "0002-rank2", "summary": {"final_energy": -0.61}}``.
-        """
-        self.sink.write({"point": point, "summary": dict(row)})
-
     def write_reference(self, row: Dict[str, Any]) -> None:
         """Append the sweep-level shared-reference row.
 

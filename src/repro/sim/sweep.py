@@ -9,21 +9,20 @@ plus an ``axes`` block of dotted-path overrides::
         "name": "fig13",
         "base": { ... any RunSpec payload ... },
         "axes": {"update.rank": [1, 2, 3], "contraction.bond": [4, 8]},
-        "mode": "product",             # or "zip" for paired axes
         "sweep_dir": "fig13-sweep",
         "jobs": 4,
     })
     result = Sweep(sweep).run()                 # or: python -m repro.sim sweep
     result = Sweep(sweep).run(resume=True)      # skip/resume after a crash
 
-Expansion is deterministic: ``product`` mode walks the axes in declaration
-order (last axis fastest), ``zip`` mode pairs equal-length axes, and an
-explicit ``points`` list of override dicts replaces ``axes`` entirely.  Every
-point gets a stable name (``0003-rank2-bond8``), a per-run working directory
-``<sweep_dir>/<point>/`` holding its checkpoints and a ``results.jsonl``
-stream, and — unless ``derive_seeds`` is disabled — its own seed derived from
-the base seed via :func:`repro.utils.rng.derive_rng`, so the whole grid is a
-pure function of one integer.
+Expansion is deterministic: the axes expand as a product in declaration
+order (last axis fastest), and an explicit ``points`` list of override dicts
+(paired values, say) replaces ``axes`` entirely.  Every point gets a stable
+name (``0003-rank2-bond8``), a per-run working directory ``<sweep_dir>/<point>/``
+holding its checkpoints and a ``results.jsonl`` stream, and — unless its
+overrides set ``seed`` — its own seed derived from the base seed via
+:func:`repro.utils.rng.derive_rng`, so the whole grid is a pure function of
+one integer.
 
 The :class:`Sweep` driver executes the grid in-process (``jobs == 1``) or
 through lease-queue worker processes (``jobs >= 2``: workers claim points
@@ -38,13 +37,6 @@ one combined JSONL/JSON document through a
 checkpoint/resume machinery, a resumed sweep skips completed points,
 continues interrupted ones float-for-float, and produces a combined document
 bitwise identical to an uninterrupted sweep's.
-
-An optional *aggregation hook* — ``Sweep(spec, aggregate=fn)`` — reduces each
-point's record stream to one summary row (e.g. the final energy) that lands
-in the combined document alongside the step records, tagged
-``{"point": name, "summary": {...}}``.  Aggregation runs in the parent
-process during the merge, in expansion order, so summary rows are as
-deterministic as the records themselves (see ``docs/cli.md``).
 """
 
 from __future__ import annotations
@@ -100,11 +92,6 @@ MANIFEST_FILENAME = "manifest.json"
 #: "status": ..., ...}``.
 SweepProgress = Callable[[Dict[str, Any]], None]
 
-#: An aggregation hook: ``fn(point, records) -> row`` reducing one completed
-#: point's step records to a flat JSON-serializable summary dict (or ``None``
-#: for no row).
-SweepAggregate = Callable[["SweepPoint", List[Dict[str, Any]]], Optional[Dict[str, Any]]]
-
 
 def derive_point_seed(root_seed: Optional[int], index: int) -> Optional[int]:
     """The derived child seed of sweep point ``index``.
@@ -157,13 +144,10 @@ class SweepSpec:
     axes:
         Ordered mapping of dotted override path (see
         :func:`repro.sim.spec.apply_spec_override`) to the list of values it
-        takes.  ``product`` mode expands the full grid (last axis fastest);
-        ``zip`` mode pairs the axes element-wise (equal lengths required).
-    mode:
-        ``"product"`` (default) or ``"zip"``.
+        takes; the full grid is expanded (last axis fastest).
     points:
         Explicit list of override dicts replacing ``axes`` (mutually
-        exclusive with it).
+        exclusive with it), e.g. for axes whose values go in pairs.
     sweep_dir:
         Working directory: per-point subdirectories, the manifest and (by
         default) the combined results document live here.
@@ -175,17 +159,14 @@ class SweepSpec:
         Default worker count for :meth:`Sweep.run`: 1 runs the points
         in-process, ``>= 2`` spawns that many lease-queue workers.  Both
         produce bitwise-identical combined documents (same seeds, same merge
-        order).
-    derive_seeds:
-        Give every point its own :func:`derive_point_seed` substream of the
-        base seed (default).  Disable to run every point with the base seed
-        (e.g. to isolate the effect of an axis at fixed randomness).  An
-        explicit ``"seed"`` axis/override always wins.
+        order).  Every point runs its own :func:`derive_point_seed`
+        substream of the base seed unless a ``"seed"`` axis or override sets
+        it (a one-value ``"seed"`` axis runs every point at that seed).
     queue:
         Lease-queue tuning (read when ``jobs >= 2``): ``lease_seconds``
-        (default 30), ``max_attempts`` (expired leases before the point is
-        failed, default 3), ``heartbeat_seconds`` (default lease/4),
-        ``poll_seconds`` (claim/status poll interval, default 0.05), and the
+        (default 30; workers renew their leases every quarter of it),
+        ``max_attempts`` (expired leases before the point is failed, default
+        3), ``poll_seconds`` (claim/status poll interval, default 0.05), and the
         test-only ``fault`` knob ``{"job": <point name>, "mode": "sigkill" |
         "sigterm", "after_records": k, "epochs": [..] | "all"}`` making the
         worker kill itself mid-point deterministically (chaos tests).
@@ -203,23 +184,17 @@ class SweepSpec:
     name: str = "sweep"
     base: Dict[str, Any] = field(default_factory=dict)
     axes: Dict[str, List[Any]] = field(default_factory=dict)
-    mode: str = "product"
     points: Optional[List[Dict[str, Any]]] = None
     sweep_dir: str = "sweep"
     results: Optional[str] = None
     jobs: int = 1
-    derive_seeds: bool = True
     queue: Optional[Dict[str, Any]] = None
     reference: Optional[Dict[str, Any]] = None
 
-    _QUEUE_KEYS = frozenset(
-        {"lease_seconds", "max_attempts", "heartbeat_seconds", "poll_seconds", "fault"}
-    )
+    _QUEUE_KEYS = frozenset({"lease_seconds", "max_attempts", "poll_seconds", "fault"})
     _REFERENCE_KEYS = frozenset({"kind", "tau", "n_steps", "max_sites"})
 
     def __post_init__(self) -> None:
-        if self.mode not in ("product", "zip"):
-            raise ValueError(f'sweep mode must be "product" or "zip", got {self.mode!r}')
         if not isinstance(self.base, dict):
             raise ValueError(f"sweep base must be a RunSpec payload dict, got {type(self.base).__name__}")
         if self.points is not None and self.axes:
@@ -227,10 +202,6 @@ class SweepSpec:
         for path, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or len(values) == 0:
                 raise ValueError(f"sweep axis {path!r} needs a non-empty list of values")
-        if self.mode == "zip" and self.axes:
-            lengths = {path: len(values) for path, values in self.axes.items()}
-            if len(set(lengths.values())) > 1:
-                raise ValueError(f"zip mode needs equal-length axes, got {lengths}")
         if self.points is not None:
             if len(self.points) == 0:
                 raise ValueError("an explicit points list must not be empty")
@@ -296,12 +267,10 @@ class SweepSpec:
             "name": self.name,
             "base": copy.deepcopy(self.base),
             "axes": {path: list(values) for path, values in self.axes.items()},
-            "mode": self.mode,
             "points": copy.deepcopy(self.points),
             "sweep_dir": self.sweep_dir,
             "results": self.results,
             "jobs": self.jobs,
-            "derive_seeds": self.derive_seeds,
             "queue": copy.deepcopy(self.queue),
             "reference": copy.deepcopy(self.reference),
         }
@@ -316,11 +285,6 @@ class SweepSpec:
         if not self.axes:
             return [{}]
         paths = list(self.axes)
-        if self.mode == "zip":
-            length = len(next(iter(self.axes.values())))
-            return [
-                {path: self.axes[path][i] for path in paths} for i in range(length)
-            ]
         combos = itertools.product(*(self.axes[path] for path in paths))
         return [dict(zip(paths, combo)) for combo in combos]
 
@@ -355,7 +319,7 @@ class SweepSpec:
             if name in seen:  # sanitization collisions get the index anyway
                 raise ValueError(f"duplicate sweep point name {name!r}")
             seen[name] = index
-            if self.derive_seeds and "seed" not in overrides:
+            if "seed" not in overrides:
                 payload["seed"] = derive_point_seed(base_seed, index)
             payload["name"] = f"{self.name}-{name}"
             point_dir = os.path.join(self.sweep_dir, name)
@@ -516,11 +480,11 @@ def _fault_hook(fault: Optional[Dict[str, Any]], job_id: str, epoch: int):
 def _run_leased_point(
     jq: JobQueue,
     lease,
-    heartbeat_seconds: float,
     count_flops: bool,
     fault: Optional[Dict[str, Any]],
 ) -> None:
-    """Run one claimed point under a heartbeat, then publish its outcome.
+    """Run one claimed point under a heartbeat (every quarter of the lease,
+    at least every 10 ms), then publish its outcome.
 
     The point writes its records to an **epoch-scoped** results path
     (``results.jsonl.ep0001``); only a *completed* epoch atomically renames
@@ -540,9 +504,10 @@ def _run_leased_point(
 
     lost = threading.Event()
     stop_beats = threading.Event()
+    interval = max(jq.lease_seconds / 4.0, 0.01)
 
     def beat() -> None:
-        while not stop_beats.wait(heartbeat_seconds):
+        while not stop_beats.wait(interval):
             try:
                 jq.heartbeat(lease)
             except LeaseLost:
@@ -571,7 +536,7 @@ def _run_leased_point(
             )
     finally:
         stop_beats.set()
-        beats.join(timeout=heartbeat_seconds + 5.0)
+        beats.join(timeout=interval + 5.0)
     outcome["queue"] = {
         "epoch": lease.epoch,
         "attempt": lease.attempt,
@@ -612,7 +577,6 @@ def _run_leased_point(
 def _queue_worker(
     queue_dir: str,
     worker_index: int,
-    heartbeat_seconds: float,
     poll_seconds: float,
     count_flops: bool,
     fault: Optional[Dict[str, Any]],
@@ -635,7 +599,7 @@ def _queue_worker(
                 break
             closing.wait(poll_seconds)  # the parent sets it at shutdown
             continue
-        _run_leased_point(jq, lease, heartbeat_seconds, count_flops, fault)
+        _run_leased_point(jq, lease, count_flops, fault)
 
 
 class Sweep:
@@ -646,21 +610,10 @@ class Sweep:
     spec:
         A :class:`SweepSpec` (or plain dict parsed with
         :meth:`SweepSpec.from_dict`).
-    aggregate:
-        Optional per-point summary callable ``fn(point, records) -> dict``
-        (or ``None`` for no row).  Called once per point — in expansion
-        order, in the parent process — while the combined results document
-        is merged; each returned row is appended to the combined document as
-        ``{"point": point.name, "summary": row}``.
     """
 
-    def __init__(
-        self,
-        spec: Union[SweepSpec, Dict[str, Any]],
-        aggregate: Optional[SweepAggregate] = None,
-    ) -> None:
+    def __init__(self, spec: Union[SweepSpec, Dict[str, Any]]) -> None:
         self.spec = spec if isinstance(spec, SweepSpec) else SweepSpec.from_dict(spec)
-        self.aggregate = aggregate
         self._entries: Dict[str, Dict[str, Any]] = {}
         self._stop_requested = False
         self._current_simulation: Optional[Simulation] = None
@@ -936,9 +889,6 @@ class Sweep:
             "dir": os.path.join(self.spec.sweep_dir, "queue"),
             "lease_seconds": lease_seconds,
             "max_attempts": int(cfg.get("max_attempts", 3)),
-            "heartbeat_seconds": float(
-                cfg.get("heartbeat_seconds", max(lease_seconds / 4.0, 0.01))
-            ),
             "poll_seconds": float(cfg.get("poll_seconds", 0.05)),
             "fault": cfg.get("fault"),
         }
@@ -997,7 +947,6 @@ class Sweep:
                 args=(
                     queue_dir,
                     spawned,
-                    cfg["heartbeat_seconds"],
                     cfg["poll_seconds"],
                     count_flops,
                     cfg["fault"],
@@ -1216,8 +1165,7 @@ class Sweep:
 
         Always written in expansion order from the per-point results files,
         so serial, parallel and resumed sweeps produce byte-identical
-        documents.  The aggregation hook (if any) runs here, appending one
-        summary row right after each point's records.
+        documents.
         """
         path = self.spec.combined_results_path
         sink = SweepSink(make_sink(path))
@@ -1228,12 +1176,7 @@ class Sweep:
                     {key: self._reference[key] for key in self._REFERENCE_ROW_KEYS}
                 )
             for point in points:
-                records = _read_point_records(point.results_path)
-                sink.write_point(point.name, records)
-                if self.aggregate is not None:
-                    row = self.aggregate(point, records)
-                    if row is not None:
-                        sink.write_summary(point.name, row)
+                sink.write_point(point.name, _read_point_records(point.results_path))
         finally:
             sink.close()
         return path, sink.records
@@ -1244,12 +1187,7 @@ def _read_point_records(path: str) -> List[Dict[str, Any]]:
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def run_sweep(
-    spec: Union[SweepSpec, Dict[str, Any]],
-    jobs: Optional[int] = None,
-    resume: bool = False,
-    aggregate: Optional[SweepAggregate] = None,
-    **kwargs,
-) -> SweepResult:
-    """One-call convenience: build a :class:`Sweep` and run it."""
-    return Sweep(spec, aggregate=aggregate).run(jobs=jobs, resume=resume, **kwargs)
+def run_sweep(spec: Union[SweepSpec, Dict[str, Any]], **kwargs) -> SweepResult:
+    """One-call convenience: build a :class:`Sweep` and run it (``kwargs``
+    go to :meth:`Sweep.run`)."""
+    return Sweep(spec).run(**kwargs)

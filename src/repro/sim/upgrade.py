@@ -7,6 +7,8 @@ document's kind before anything else looks at it:
 * :meth:`repro.sim.sweep.Sweep.load_manifest` — ``MANIFEST``,
 * :func:`repro.sim.io.attach_environment_from_dict` — ``ENVIRONMENT``,
 * :func:`repro.sim.io.contract_option_from_dict` — ``CONTRACTION``,
+* :func:`repro.sim.io.svd_option_from_dict` — ``EINSUMSVD``,
+* :func:`repro.sim.io.update_option_from_dict` — ``UPDATE``,
 * :meth:`repro.sim.spec.RunSpec.from_dict` — ``RUN_SPEC``,
 * :meth:`repro.sim.sweep.SweepSpec.from_dict` — ``SWEEP_SPEC``,
 * the run spec's contraction normaliser (:mod:`repro.sim.spec`) —
@@ -33,13 +35,15 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, NamedTuple
 
 #: Document kinds: the ``type`` tag of the three typed documents, a run
-#: spec, and the two option forms read on their own.
+#: spec, a sweep spec, and the option forms read on their own.
 CHECKPOINT = "Checkpoint"
 MANIFEST = "SweepManifest"
 ENVIRONMENT = "Environment"
 RUN_SPEC = "RunSpec"                   # a RunSpec payload (spec file, stored spec)
 SWEEP_SPEC = "SweepSpec"               # a SweepSpec payload (sweep file, manifest spec)
 CONTRACTION = "contraction"            # a contraction option dict (io form)
+EINSUMSVD = "einsumsvd"                # an einsumsvd option dict (also nested as "svd")
+UPDATE = "update"                      # an update option dict
 SPEC_CONTRACTION = "spec.contraction"  # a run spec's ``contraction`` block
 
 
@@ -194,6 +198,35 @@ def _ctm_state(document):
     return {key: value for key, value in document.items() if key != "ctm_state"}
 
 
+def _retired_field(field, default, reason):
+    """A lift for an option or spec field that only ever took effect away
+    from ``default``: the default goes, any other value is refused with
+    ``reason``."""
+
+    def lift(document):
+        if field not in document:
+            return document
+        value = document[field]
+        if not (value == default and type(value) is type(default)):
+            raise ValueError(f"{field!r} is retired ({reason}); got {value!r}")
+        return {key: item for key, item in document.items() if key != field}
+
+    return lift
+
+
+def _heartbeat_seconds(document):
+    """A sweep's ``queue.heartbeat_seconds`` set the lease-renewal interval,
+    which is a quarter of the lease now; what it said changes no result."""
+    queue = document.get("queue")
+    if not (isinstance(queue, dict) and "heartbeat_seconds" in queue):
+        return document
+    kept = {key: value for key, value in queue.items() if key != "heartbeat_seconds"}
+    return {**document, "queue": kept}
+
+
+#: The ``cutoff`` of every option family, contraction, einsumsvd and update.
+_CUTOFF = _retired_field("cutoff", None, "truncation is by bond dimension alone")
+
 #: Every retired form, in the order its lifts run within a kind.
 STEPS = (
     Step(CHECKPOINT, "a59dfd5", _version_1),
@@ -207,6 +240,19 @@ STEPS = (
     Step(CONTRACTION, "23ca172", _fold_truncate_bond),
     Step(CONTRACTION, "2a0757f", _ctm_convergence_knobs),
     Step(ENVIRONMENT, "2a0757f", _ctm_state),
+    Step(CONTRACTION, "after 8291454", _CUTOFF),
+    Step(EINSUMSVD, "after 8291454", _CUTOFF),
+    Step(EINSUMSVD, "after 8291454", _retired_field(
+        "absorb", "even", "an einsumsvd splits its singular values evenly")),
+    Step(UPDATE, "after 8291454", _CUTOFF),
+    Step(UPDATE, "after 8291454", _retired_field(
+        "svd", None, "an update refactorizes with an explicit SVD of its rank")),
+    Step(SWEEP_SPEC, "after 8291454", _retired_field(
+        "mode", "product", 'axes expand as a product; list paired values as "points"')),
+    Step(SWEEP_SPEC, "after 8291454", _retired_field(
+        "derive_seeds", True, 'every point derives its seed; a "seed" axis or point '
+        "override fixes it")),
+    Step(SWEEP_SPEC, "after 8291454", _heartbeat_seconds),
     # Spec shorthands that spelled out the two layers every sandwich has.
     Step(SPEC_CONTRACTION, "23ca172", _renamed_kinds(
         {"two_layer_bmps": "bmps", "two_layer_ibmps": "ibmps"}

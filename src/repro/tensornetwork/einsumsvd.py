@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, prod
-from numbers import Integral, Real
+from math import prod
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,23 +38,18 @@ from repro.utils.rng import SeedLike
 # so importing it eagerly here would create a circular package import.
 
 
-#: Where ``einsumsvd`` puts the singular values (see :func:`_absorb_spectrum`).
-ABSORB_MODES = ("even", "left", "right", "none")
-
 #: Orthogonalization methods of the randomized SVD (see
 #: :func:`~repro.linalg.orthogonalize.tensor_qr`).
 ORTH_METHODS = ("qr", "gram", "auto")
 
 
-def check_truncation(name: str, bound, cutoff) -> None:
-    """The one rule for an option's truncation controls: ``bound`` (its
-    ``rank`` or ``chi``) is a positive int or None, ``cutoff`` None or finite and >= 0."""
+def check_truncation(name: str, bound) -> None:
+    """The one rule for an option's truncation bound (its ``rank`` or
+    ``chi``): a positive int or None."""
     if bound is not None and not (
         isinstance(bound, Integral) and not isinstance(bound, bool) and bound >= 1
     ):
         raise ValueError(f"{name} must be positive (an int, or None), got {bound!r}")
-    if cutoff is not None and not (isinstance(cutoff, Real) and isfinite(cutoff) and cutoff >= 0):
-        raise ValueError(f"cutoff must be finite and >= 0 (or None), got {cutoff!r}")
 
 
 @dataclass
@@ -65,12 +60,8 @@ class EinsumSVDOption:
     ----------
     rank:
         Maximum bond dimension of the new bond, at least 1 (``None`` keeps
-        everything).
-    cutoff:
-        Relative singular-value cutoff applied in addition to ``rank``.
-    absorb:
-        Where singular values go: ``"even"`` (split as sqrt on both factors,
-        the PEPS convention), ``"left"``, ``"right"`` or ``"none"``.
+        everything).  The singular values are split evenly, as a square
+        root on each factor (the PEPS convention).
 
     Every concrete option class carries its wire ``kind`` — the name spec
     files and checkpoints know it by.  The dataclass is the option's whole
@@ -79,13 +70,9 @@ class EinsumSVDOption:
     """
 
     rank: Optional[int] = None
-    cutoff: Optional[float] = None
-    absorb: str = "even"
 
     def __post_init__(self) -> None:
-        check_truncation("rank", self.rank, self.cutoff)
-        if self.absorb not in ABSORB_MODES:
-            raise ValueError(f"absorb must be one of {ABSORB_MODES}, got {self.absorb!r}")
+        check_truncation("rank", self.rank)
 
 
 @dataclass
@@ -105,7 +92,7 @@ class ImplicitRandomizedSVD(EinsumSVDOption):
     ``min(rows, cols)`` of the operator.  A call whose sketch covers that
     short side — every call with ``rank=None`` — contracts the network once
     and factors it with the same truncated SVD as :class:`ExplicitSVD`
-    (``rank``, ``cutoff`` and ``absorb`` apply as given; ``niter``,
+    (``rank`` applies as given; ``niter``,
     ``oversample``, ``orth_method`` and ``seed`` play no part).
 
     Attributes
@@ -152,31 +139,15 @@ def _scale_spec(ndim: int, bond_first: bool) -> str:
     return f"{labels},{bond}->{labels}"
 
 
-def _absorb_spectrum(backend: Backend, u, s, vh, absorb: str):
-    """Distribute singular values onto the factors.
-
-    ``u`` has the bond as its last mode, ``vh`` as its first.
-    """
-    if absorb == "none":
-        return u, s, vh
-    s = np.asarray(s, dtype=float)
-    if absorb == "left":
-        left, right = s, None
-    elif absorb == "right":
-        left, right = None, s
-    elif absorb == "even":
-        root = np.sqrt(s)
-        left, right = root, root
-    else:
-        raise ValueError(f"unknown absorb mode {absorb!r}")
-
-    if left is not None:
-        spec = _scale_spec(len(backend.shape(u)), bond_first=False)
-        u = backend.einsum(spec, u, backend.from_local(left))
-    if right is not None:
-        spec = _scale_spec(len(backend.shape(vh)), bond_first=True)
-        vh = backend.einsum(spec, vh, backend.from_local(right))
-    return u, s, vh
+def _absorb_spectrum(backend: Backend, u, s, vh):
+    """Split the singular values evenly onto the factors, a square root on
+    each; ``u`` has the bond as its last mode, ``vh`` as its first."""
+    root = np.sqrt(np.asarray(s, dtype=float))
+    spec = _scale_spec(len(backend.shape(u)), bond_first=False)
+    u = backend.einsum(spec, u, backend.from_local(root))
+    spec = _scale_spec(len(backend.shape(vh)), bond_first=True)
+    vh = backend.einsum(spec, vh, backend.from_local(root))
+    return u, vh
 
 
 class _Layout(NamedTuple):
@@ -313,8 +284,8 @@ def _einsumsvd_explicit(
 
     theta = backend.einsum(layout.contract, *operands)
     matrix = backend.reshape(theta, layout.matrix)
-    result = truncated_svd(backend, matrix, rank=rank, cutoff=option.cutoff)
-    u, s, vh = _absorb_spectrum(backend, result.u, result.s, result.vh, option.absorb)
+    result = truncated_svd(backend, matrix, rank=rank)
+    u, vh = _absorb_spectrum(backend, result.u, result.s, result.vh)
     k = result.rank
     u = backend.reshape(u, layout.rows + (k,))
     vh = backend.reshape(vh, (k,) + layout.cols)
@@ -342,8 +313,7 @@ def _einsumsvd_implicit(
         oversample=option.oversample,
         orth_method=option.orth_method,
         rng=option.seed,
-        cutoff=option.cutoff,
     )
-    u, s, vh = _absorb_spectrum(backend, result.u, result.s, result.vh, option.absorb)
+    u, vh = _absorb_spectrum(backend, result.u, result.s, result.vh)
     a, b = _to_outputs(backend, layout, u, vh)
     return a, b, result.s

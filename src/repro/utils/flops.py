@@ -92,13 +92,13 @@ class FlopCounter:
         return f"FlopCounter(total={self.total:.3g}, {parts})"
 
 
-def peps_bmps_cost(n: int, r: int, m: int, d: int = 2) -> Dict[str, float]:
+def peps_bmps_cost(n: int, r: int, m: int) -> Dict[str, float]:
     """Closed-form leading-order costs from Table II of the paper.
 
     Parameters mirror the table: an ``n x n`` PEPS of bond dimension
     ``sqrt(r)`` (so ``r`` is the *sandwich* bond dimension of the two-layer
-    network) contracted with truncation bond dimension ``m``; ``d`` is the
-    physical dimension.  Returns a dict with leading-order time complexities
+    network) contracted with truncation bond dimension ``m``, of physical
+    dimension ``d = 2``.  Returns a dict with leading-order time complexities
     ``bmps``, ``ibmps`` and ``two_layer_ibmps`` and the corresponding
     ``*_space`` entries:
 
@@ -110,7 +110,7 @@ def peps_bmps_cost(n: int, r: int, m: int, d: int = 2) -> Dict[str, float]:
     return {
         "bmps": float(n**2) * m**3 * r**4,
         "ibmps": float(n**2) * (m**2 * r**4 + m**3 * r**2),
-        "two_layer_ibmps": float(n**2) * d * (m**2 * r**3 + m**3 * r**2),
+        "two_layer_ibmps": float(n**2) * 2 * (m**2 * r**3 + m**3 * r**2),
         "bmps_space": float(max(m**2 * r**3, r**4)),
         "ibmps_space": float(max(m**2 * r**2, r**4)),
         "two_layer_ibmps_space": float(max(m**2 * r**2, r**4)),

@@ -40,10 +40,6 @@ class TestTrotter:
             assert pa == pb
             assert np.allclose(ga, gb)
 
-    def test_unitary_variant(self):
-        for _, g in tebd_gate_layer(2, 2, rng=2, hermitian_coupling=False):
-            assert np.allclose(g.conj().T @ g, np.eye(4))
-
 
 class TestITE:
     def test_trotterized_ite_matches_statevector_reference(self):

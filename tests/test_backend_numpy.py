@@ -64,10 +64,6 @@ class TestCreation:
         assert np.array_equal(a, b)
         assert np.all(np.abs(a.real) <= 1.0) and np.all(np.abs(a.imag) <= 1.0)
 
-    def test_random_uniform_real_dtype(self, numpy_backend):
-        a = numpy_backend.random_uniform((10,), dtype=np.float64, rng=0)
-        assert a.dtype == np.float64
-
 
 class TestAlgebra:
     def test_einsum_matches_numpy(self, numpy_backend, rng):

@@ -18,8 +18,8 @@ from repro.backends.numpy_backend import NumPyBackend
 from repro.operators.hamiltonians import heisenberg_j1j2
 from repro.peps.contraction.options import BMPS, CTMOption
 from repro.peps.contraction.two_layer import absorb_sandwich_row, trivial_boundary
-from repro.peps.envs import BoundaryEnvironment, EnvCTM, StripCache, sampling
-from repro.peps.envs.sampling import _sample_group, _SamplingPlan, sample_bitstrings
+from repro.peps.envs import BoundaryEnvironment, EnvCTM, StripCache
+from repro.peps.envs.sampling import _SamplingPlan, sample_bitstrings
 from repro.sim.spec import RunSpec
 from repro.telemetry import REGISTRY
 from repro.tensornetwork import ExplicitSVD
@@ -213,7 +213,6 @@ class TestBatchedAbsorption:
 MOVE_ENVS = {
     "exact": lambda state: BoundaryEnvironment(state),
     "bmps": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8))),
-    "bmps_cutoff": lambda state: BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=8, cutoff=1e-3))),
     "ctm": lambda state: EnvCTM(state, CTMOption(chi=8)),
 }
 MOVE_COUNTERS = ("peps.row_absorptions", "peps.ctm_moves", "peps.batched_contractions")
@@ -229,12 +228,6 @@ MOVE_COSTS = {
         (8, 0, 33),
         {"row_absorptions": 8, "batched_contractions": 33},
         {"einsum": 68, "einsum_batched": 21, "svd": 16},
-    ),
-    ("bmps_cutoff", "build"): ((5, 0, 0), {"row_absorptions": 5}, {"einsum": 35, "svd": 10}),
-    ("bmps_cutoff", "sample"): (
-        (8, 0, 132),
-        {"row_absorptions": 8, "batched_contractions": 132},
-        {"einsum": 188, "svd": 16},
     ),
     ("ctm", "build"): (
         (5, 5, 0), {"row_absorptions": 5, "ctm_moves": 5}, {"einsum": 47, "svd": 10}
@@ -268,16 +261,13 @@ def test_build_and_sample_move_counters_are_pinned(kind):
 SHOT_HASHES = {
     "exact": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
     "bmps": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
-    "bmps_cutoff": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
     "ctm": "f0e608361818bc45023f1e33db6e4e755874f5d7b99e91650497350b9601b044",
-    "ctm_cutoff": "cd9b2ed3cfb9fc0a84c8e4aeddda8db74222b869f96f21d88196c074ae2c3dc9",
 }
-SHOT_ENVS = {**MOVE_ENVS, "ctm_cutoff": lambda state: EnvCTM(state, CTMOption(chi=8, cutoff=1e-3))}
 
 
 @pytest.mark.parametrize("kind", sorted(SHOT_HASHES))
 def test_sampled_shots_are_pinned(kind):
-    shots = SHOT_ENVS[kind](peps.random_peps(3, 3, bond_dim=2, seed=5)).sample(rng=3, nshots=6)
+    shots = MOVE_ENVS[kind](peps.random_peps(3, 3, bond_dim=2, seed=5)).sample(rng=3, nshots=6)
     assert shots.shape == (6, 9) and shots.dtype == np.int64
     assert hashlib.sha256(shots.tobytes()).hexdigest() == SHOT_HASHES[kind]
 
@@ -342,28 +332,6 @@ class TestLockstepSampling:
         env.sample(rng=2, nshots=4)
         assert env.stats.batched_contractions > 0
         assert REGISTRY.value("peps.batched_contractions") > before
-
-    @pytest.mark.parametrize("kind", ["bmps", "ctm"])
-    def test_cutoff_truncations_sample_in_groups_of_one(self, kind, monkeypatch):
-        """Cutoff truncation keeps data-dependent shapes: every shot advances
-        as its own group, through the same batched contractions."""
-        state = peps.random_peps(3, 3, bond_dim=2, seed=12)
-        if kind == "bmps":
-            env = BoundaryEnvironment(state, BMPS(ExplicitSVD(rank=4, cutoff=1e-3)))
-        else:
-            env = EnvCTM(state, CTMOption(chi=4, cutoff=1e-3))
-        assert not env.supports_lockstep()
-        sizes = []
-
-        def recording(plan, shot_rngs):
-            sizes.append(len(shot_rngs))
-            return _sample_group(plan, shot_rngs)
-
-        monkeypatch.setattr(sampling, "_sample_group", recording)
-        shots = env.sample(rng=4, nshots=5)
-        assert sizes == [1] * 5
-        assert env.stats.batched_contractions > 0
-        np.testing.assert_array_equal(shots, sample_in_groups_of_one(env, 4, 5))
 
     def test_uniform_fallback_counted(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=13)

@@ -127,11 +127,6 @@ class TestRandomQuantumCircuits:
         for names in per_qubit.values():
             assert all(a != b for a, b in zip(names, names[1:]))
 
-    def test_haar_variant(self):
-        circ = random_quantum_circuit(2, 2, n_layers=4, seed=5, haar_single_qubit=True)
-        for g in circ.gates:
-            assert gates.is_unitary(g.matrix)
-
     def test_all_gates_are_unitary(self):
         circ = random_quantum_circuit(2, 3, n_layers=8, seed=9)
         for g in circ.gates:

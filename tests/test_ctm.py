@@ -133,7 +133,7 @@ class TestCTMConvergence:
         state = peps.random_peps(3, 4, bond_dim=2, seed=24)
         env = EnvCTM(state, CTMOption(chi=None))
         grown = env.ensure_upper(2)  # exact: the bonds are not renormalized yet
-        _, spectra = ctm_renormalize(state.backend, grown, 4, None)
+        _, spectra = ctm_renormalize(state.backend, grown, 4)
         assert len(spectra) == state.ncol - 1
         for spectrum in spectra:
             assert len(spectrum) <= 4
@@ -148,7 +148,7 @@ class TestCTMConvergence:
         bonds = [backend.shape(t)[3] for t in boundary[:-1]]
         assert max(bonds) <= 3
         # Renormalizing an already-capped boundary is the identity.
-        again, _ = ctm_renormalize(backend, boundary, 3, None)
+        again, _ = ctm_renormalize(backend, boundary, 3)
         for old, new in zip(boundary, again):
             np.testing.assert_array_equal(np.asarray(old), np.asarray(new))
 
@@ -251,7 +251,7 @@ class TestCTMReadOnlyWireForms:
 
     def test_nothing_writes_the_retired_keys(self):
         state = peps.random_peps(2, 3, bond_dim=2, seed=33)
-        env = state.attach_environment(CTMOption(chi=4, cutoff=1e-12))
+        env = state.attach_environment(CTMOption(chi=4))
         env.build()
         document = sim_io.environment_to_dict(env)
         assert not self.RETIRED & set(document)
@@ -278,9 +278,6 @@ class TestCTMOptionRouting:
 
     def test_option_signature(self):
         assert option_signature(CTMOption(chi=4)) != option_signature(CTMOption(chi=8))
-        assert option_signature(CTMOption(chi=4)) != option_signature(
-            CTMOption(chi=4, cutoff=1e-8)
-        )
 
     def test_requires_ctm_option(self):
         state = peps.random_peps(2, 2, bond_dim=2, seed=43)
@@ -297,7 +294,7 @@ class TestCTMOptionRouting:
             state.inner(other, CTMOption(chi=4))
 
     def test_contract_option_round_trip(self):
-        option = CTMOption(chi=12, cutoff=1e-9)
+        option = CTMOption(chi=12)
         payload = contract_option_to_dict(option)
         json.dumps(payload)
         assert contract_option_from_dict(payload) == option
@@ -306,10 +303,10 @@ class TestCTMOptionRouting:
         spec = RunSpec.from_dict({
             "name": "x", "workload": "ite", "lattice": [2, 2], "n_steps": 1,
             "model": {"kind": "transverse_field_ising"},
-            "contraction": {"kind": "ctm", "chi": 16, "cutoff": 1e-10},
+            "contraction": {"kind": "ctm", "chi": 16},
         })
         option = spec.build_contract_option()
-        assert option == CTMOption(chi=16, cutoff=1e-10)
+        assert option == CTMOption(chi=16)
         bad = RunSpec.from_dict({
             "name": "x", "workload": "ite", "lattice": [2, 2], "n_steps": 1,
             "model": {"kind": "transverse_field_ising"},

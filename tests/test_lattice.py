@@ -189,10 +189,6 @@ class TestConfigRoundTrip:
         assert isinstance(lat, SquareLattice)
         assert lat.shape == (3, 2)
 
-    def test_default_shape_fills_missing_shape(self):
-        lat = lattice_from_config({"kind": "checkerboard"}, default_shape=(2, 3))
-        assert lat.shape == (2, 3)
-
     def test_missing_shape_rejected(self):
         with pytest.raises(ValueError, match='needs a "shape"'):
             lattice_from_config({"kind": "square"})

@@ -39,21 +39,11 @@ class TestTruncateSpectrum:
         assert keep == 1
         assert err == pytest.approx(np.sqrt(2.0 / 6.0))
 
-    def test_cutoff_truncation(self):
-        s = np.array([1.0, 0.5, 1e-8])
-        keep, _ = truncate_spectrum(s, cutoff=1e-6)
-        assert keep == 2
-
-    def test_rank_and_cutoff_combined(self):
-        s = np.array([1.0, 0.9, 0.8, 1e-9])
-        keep, _ = truncate_spectrum(s, rank=10, cutoff=1e-6)
-        assert keep == 3
-        keep, _ = truncate_spectrum(s, rank=2, cutoff=1e-6)
-        assert keep == 2
+    def test_rank_above_the_spectrum_keeps_it_all(self):
+        keep, err = truncate_spectrum(np.array([1.0, 0.9, 0.8, 1e-9]), rank=10)
+        assert keep == 4 and err == 0.0
 
     def test_keeps_at_least_one(self):
-        keep, _ = truncate_spectrum(np.array([1.0, 0.1]), cutoff=10.0)
-        assert keep == 1
         keep, _ = truncate_spectrum(np.array([1.0, 0.1]), rank=0)
         assert keep == 1
 
@@ -61,9 +51,7 @@ class TestTruncateSpectrum:
         assert truncate_spectrum(np.array([])) == (0, 0.0)
         keep, err = truncate_spectrum(np.zeros(3), rank=2)
         assert keep >= 1 and err == 0.0
-        # An all-zero spectrum ignores the cutoff and keeps every value.
         assert truncate_spectrum(np.zeros(3)) == (3, 0.0)
-        assert truncate_spectrum(np.zeros(3), cutoff=0.5) == (3, 0.0)
 
 
 class TestTruncatedSVD:
@@ -366,10 +354,6 @@ class TestAlgorithm4Conventions:
             backend.random_uniform(shape, -1.0, 1.0, rng=np.random.default_rng(11))
         )
         assert probe.dtype == np.complex128 and probe.tobytes() == expected.tobytes()
-        real = backend.asarray(
-            backend.random_uniform(shape, rng=np.random.default_rng(11), dtype=np.float64)
-        )
-        assert real.tobytes() == np.random.default_rng(11).uniform(-1.0, 1.0, shape).tobytes()
 
     @FAST
     @given(

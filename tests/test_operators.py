@@ -79,9 +79,6 @@ class TestGates:
         with pytest.raises(ValueError):
             gates.get_gate("X", (0.4,))
 
-    def test_random_single_qubit_gate_unitary(self, rng):
-        assert gates.is_unitary(gates.random_single_qubit_gate(rng))
-
 
 class TestPauliString:
     def test_from_dict_drops_identity(self):

@@ -139,7 +139,7 @@ class TestAmplitudesAndNorm:
 
     def test_normalize(self):
         q = random_peps(2, 2, bond_dim=2, seed=4)
-        n = q.normalize(Exact())
+        n = q.normalize()
         assert n.norm(Exact()) == pytest.approx(1.0, rel=1e-8)
 
     def test_to_statevector_size_guard(self):

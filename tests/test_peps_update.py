@@ -14,7 +14,6 @@ from repro.peps import (
     QRUpdate,
 )
 from repro.statevector import StateVector
-from repro.tensornetwork import ImplicitRandomizedSVD
 
 ALL_OPTIONS = [
     DirectUpdate(rank=None),
@@ -96,19 +95,6 @@ class TestTwoSiteAdjacent:
         vec = q.to_statevector()
         assert np.all(np.isfinite(vec))
         assert np.linalg.norm(vec) > 0
-
-    def test_implicit_svd_inside_update(self, randomized_svd_calls):
-        q = peps.computational_zeros(2, 2)
-        sv = StateVector.computational_zeros(4)
-        circ = Circuit(4).h(0).cnot(0, 1).cnot(1, 3)
-        option = QRUpdate(rank=4, svd_option=ImplicitRandomizedSVD(rank=4, niter=2, seed=0,
-                                                                   oversample=2))
-        q.apply_circuit(circ, option)
-        sv = sv.apply_circuit(circ)
-        assert fidelity(q, sv) == pytest.approx(1.0, abs=1e-8)
-        # The factored R matrices are narrower than the sketch of 6: every
-        # call is the explicit SVD.
-        assert randomized_svd_calls == []
 
 
 class TestNonAdjacentRouting:

@@ -18,7 +18,7 @@ import pytest
 
 from repro import peps
 from repro.operators.observable import Observable
-from repro.peps import BMPS, CTMOption, Exact, QRUpdate
+from repro.peps import BMPS, CTMOption, Exact, LocalGramQRSVDUpdate, QRUpdate
 from repro.sim import (
     RunSpec,
     SerializationError,
@@ -207,9 +207,9 @@ class TestOptionSerialization:
     @pytest.mark.parametrize("option", [
         None,
         Exact(),
-        BMPS(ExplicitSVD(rank=4, cutoff=1e-10)),
+        BMPS(ExplicitSVD(rank=4)),
         BMPS(ImplicitRandomizedSVD(rank=8, niter=2, oversample=3, seed=5)),
-        CTMOption(chi=12, cutoff=1e-9),
+        CTMOption(chi=12),
     ])
     def test_contract_round_trip(self, option):
         payload = contract_option_to_dict(option)
@@ -225,15 +225,13 @@ class TestOptionSerialization:
 
     @pytest.mark.parametrize("option", [
         None,
-        QRUpdate(rank=3, cutoff=1e-12),
-        QRUpdate(rank=2, svd_option=ImplicitRandomizedSVD(rank=2, seed=1)),
+        QRUpdate(rank=3),
+        LocalGramQRSVDUpdate(rank=2),
     ])
     def test_update_round_trip(self, option):
         payload = update_option_to_dict(option)
         again = update_option_from_dict(payload)
-        assert type(again) is type(option)
-        if option is not None:
-            assert again.rank == option.rank and again.cutoff == option.cutoff
+        assert again == option
 
     # Payloads as checkpoints and spec files wrote them while TwoLayerBMPS and
     # BMPS.truncate_bond existed; the norms are those the writer computed on
@@ -312,14 +310,11 @@ class TestOptionSerialization:
                 contract_option_from_dict(payload)
 
     @pytest.mark.parametrize("field, value", [
-        ("orth_method", "qrr"), ("niter", -3), ("oversample", -5), ("absorb", "both"),
+        ("orth_method", "qrr"), ("niter", -3), ("oversample", -5),
     ])
     def test_invalid_einsumsvd_fields_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             ImplicitRandomizedSVD(rank=4, **{field: value})
-        if field == "absorb":
-            with pytest.raises(ValueError, match=field):
-                ExplicitSVD(rank=4, absorb=value)
         # a spec is refused when its option is built, before any step runs
         spec = RunSpec(contraction={"kind": "ibmps", "bond": 4, field: value})
         with pytest.raises(ValueError, match=field):
@@ -328,18 +323,12 @@ class TestOptionSerialization:
     @pytest.mark.parametrize("build, match", [
         (lambda: CTMOption(chi=2.5), "chi must be positive"),
         (lambda: QRUpdate(rank=3.0), "rank must be positive"),
-        (lambda: CTMOption(cutoff=-1.0), "cutoff must be finite and >= 0"),
-        (lambda: CTMOption(chi=4, cutoff=float("nan")), "cutoff must be finite and >= 0"),
-        (lambda: QRUpdate(cutoff=-1), "cutoff must be finite and >= 0"),
-        (lambda: ExplicitSVD(cutoff=-0.5), "cutoff must be finite and >= 0"),
-        (lambda: ImplicitRandomizedSVD(rank=4, cutoff=float("inf")), "cutoff must be finite"),
-    ], ids=["ctm-chi-float", "qr-rank-float", "ctm-cutoff-negative", "ctm-cutoff-nan",
-            "qr-cutoff-negative", "explicit-cutoff-negative", "implicit-cutoff-inf"])
-    def test_non_integral_bound_or_bad_cutoff_rejected_at_construction(self, build, match):
+    ], ids=["ctm-chi-float", "qr-rank-float"])
+    def test_non_integral_bound_rejected_at_construction(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
-        # integral NumPy scalars and a zero cutoff are valid
-        assert CTMOption(chi=np.int64(4), cutoff=0) == CTMOption(chi=4, cutoff=0.0)
+        # integral NumPy scalars are valid
+        assert CTMOption(chi=np.int64(4)) == CTMOption(chi=4)
 
     @pytest.mark.parametrize("build, match", [
         (lambda: RunSpec(contraction={"kind": "bmps", "bond": True}).build_contract_option(),
@@ -514,21 +503,6 @@ class TestSinks:
             {"point": "b", "step": 1, "energy": 0.25},
         ]
         assert sweep_sink.records == lines
-
-    def test_sweep_sink_summary_rows_are_nested(self, tmp_path):
-        """Aggregated rows go under a "summary" key so they can never collide
-        with step-record fields."""
-        path = tmp_path / "combined.jsonl"
-        sweep_sink = SweepSink(make_sink(path))
-        sweep_sink.open()
-        sweep_sink.write_point("a", [{"step": 1, "energy": 0.5}])
-        sweep_sink.write_summary("a", {"final_energy": 0.5, "step": "not-a-step"})
-        sweep_sink.close()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == [
-            {"point": "a", "step": 1, "energy": 0.5},
-            {"point": "a", "summary": {"final_energy": 0.5, "step": "not-a-step"}},
-        ]
 
 
 class TestResumeReproducibility:

@@ -1,7 +1,7 @@
 """Tests for the parameter-sweep subsystem (repro.sim.sweep).
 
 Covers the SweepSpec config layer and deterministic expansion (point names,
-derived seeds, product/zip/points modes, dotted-path override errors), the
+derived seeds, product and explicit-points expansion, dotted-path override errors), the
 manifest/resume machinery, serial-vs-parallel parity, and — the load-bearing
 guarantee — that an interrupted-and-resumed sweep produces a combined results
 document bitwise identical to an uninterrupted one while re-executing only
@@ -107,18 +107,6 @@ class TestSweepSpec:
                 "points": [{"update.rank": 2}],
             })
 
-    def test_zip_requires_equal_lengths(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            SweepSpec.from_dict({
-                "base": dict(BASE),
-                "mode": "zip",
-                "axes": {"update.rank": [1, 2], "contraction.bond": [2]},
-            })
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="product"):
-            SweepSpec.from_dict({"base": dict(BASE), "mode": "cartesian"})
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             SweepSpec.from_dict({"base": dict(BASE), "axes": {"update.rank": []}})
@@ -140,14 +128,6 @@ class TestExpansion:
             {"update.rank": 1, "contraction.bond": 2},
             {"update.rank": 1, "contraction.bond": 4},
             {"update.rank": 2, "contraction.bond": 2},
-            {"update.rank": 2, "contraction.bond": 4},
-        ]
-
-    def test_zip_pairs_axes(self, tmp_path):
-        spec = sweep_spec(tmp_path, mode="zip")
-        points = spec.expand()
-        assert [p.overrides for p in points] == [
-            {"update.rank": 1, "contraction.bond": 2},
             {"update.rank": 2, "contraction.bond": 4},
         ]
 
@@ -189,10 +169,6 @@ class TestExpansion:
     def test_explicit_seed_axis_wins(self, tmp_path):
         spec = sweep_spec(tmp_path, axes={"seed": [11, 22]})
         assert [p.payload["seed"] for p in spec.expand()] == [11, 22]
-
-    def test_derive_seeds_disabled_keeps_base_seed(self, tmp_path):
-        spec = sweep_spec(tmp_path, derive_seeds=False)
-        assert [p.payload["seed"] for p in spec.expand()] == [7, 7, 7, 7]
 
     def test_bad_axis_path_fails_at_expansion(self, tmp_path):
         spec = sweep_spec(tmp_path, axes={"nope.rank": [1, 2]})
@@ -426,67 +402,6 @@ class TestSweepCLI:
                            "--results", "out.jsonl", "--resume")
         assert resumed.returncode == 0, resumed.stderr
         assert read_bytes(tmp_path / "out.jsonl") == read_bytes(tmp_path / "ref.jsonl")
-
-
-class TestAggregation:
-    @staticmethod
-    def final_energy(point, records):
-        return {
-            "rank": point.overrides.get("update.rank"),
-            "final_energy": records[-1]["energy"],
-            "n_records": len(records),
-        }
-
-    def test_summary_rows_land_in_combined_document(self, tmp_path):
-        spec = sweep_spec(tmp_path)
-        result = Sweep(spec, aggregate=self.final_energy).run()
-        assert result.completed
-        names = [p.name for p in spec.expand()]
-        summaries = [r for r in result.records if "summary" in r]
-        steps = [r for r in result.records if "summary" not in r]
-        assert [r["point"] for r in summaries] == names  # expansion order
-        assert len(steps) == len(names) * BASE["n_steps"]
-        # Each summary row directly follows its point's step records.
-        for name, row in zip(names, summaries):
-            point_steps = [r for r in steps if r["point"] == name]
-            assert row["summary"]["final_energy"] == point_steps[-1]["energy"]
-            assert row["summary"]["n_records"] == BASE["n_steps"]
-            index = result.records.index(row)
-            assert result.records[index - 1] == point_steps[-1]
-        # The on-disk combined document carries the same rows.
-        lines = [json.loads(l) for l in open(result.combined_path)]
-        assert lines == result.records
-
-    def test_aggregate_none_row_is_skipped(self, tmp_path):
-        spec = sweep_spec(tmp_path)
-        keep = [p.name for p in spec.expand()][:1]
-        result = Sweep(
-            spec,
-            aggregate=lambda point, records: (
-                {"final_energy": records[-1]["energy"]} if point.name in keep else None
-            ),
-        ).run()
-        summaries = [r for r in result.records if "summary" in r]
-        assert [r["point"] for r in summaries] == keep
-
-    def test_resumed_sweep_reproduces_summary_rows(self, tmp_path):
-        reference = Sweep(
-            sweep_spec(tmp_path, "ref"), aggregate=self.final_energy
-        ).run()
-        spec = sweep_spec(tmp_path, "int")
-        interrupted = Sweep(spec, aggregate=self.final_energy).run(
-            stop_after_points=2
-        )
-        assert interrupted.interrupted
-        resumed = Sweep(
-            sweep_spec(tmp_path, "int"), aggregate=self.final_energy
-        ).run(resume=True)
-        assert resumed.completed
-        assert resumed.records == reference.records
-
-    def test_run_sweep_passes_aggregate(self, tmp_path):
-        result = run_sweep(sweep_spec(tmp_path), aggregate=self.final_energy)
-        assert sum(1 for r in result.records if "summary" in r) == 4
 
 
 class TestManifestOfAnEarlierBuild:

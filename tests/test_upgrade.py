@@ -14,19 +14,21 @@ import tempfile
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.peps import BMPS, Exact, random_peps
+from repro.peps import BMPS, Exact, QRUpdate, random_peps
 from repro.peps.contraction.options import CTMOption
 from repro.sim import RunSpec, Simulation, Sweep, SweepSpec
 from repro.sim import io as sim_io
 from repro.sim.upgrade import (
     CHECKPOINT,
     CONTRACTION,
+    EINSUMSVD,
     ENVIRONMENT,
     MANIFEST,
     RUN_SPEC,
     SPEC_CONTRACTION,
     STEPS,
     SWEEP_SPEC,
+    UPDATE,
     upgrade,
 )
 from repro.tensornetwork import ExplicitSVD, ImplicitRandomizedSVD
@@ -36,7 +38,7 @@ from tests.conftest import FAST
 SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "examples", "specs")
 KINDS = (CHECKPOINT, MANIFEST, ENVIRONMENT, RUN_SPEC, SWEEP_SPEC, CONTRACTION,
-         SPEC_CONTRACTION)
+         SPEC_CONTRACTION, EINSUMSVD, UPDATE)
 
 
 def wire(payload):
@@ -203,8 +205,8 @@ class TestSteps:
             sim_io.contract_option_from_dict(legacy)
 
     def test_ctm_convergence_knobs(self):
-        legacy = {"kind": "ctm", "chi": 8, "cutoff": None, "tol": 1e-10, "max_sweeps": 4}
-        assert lifted(legacy, CONTRACTION) == {"kind": "ctm", "chi": 8, "cutoff": None}
+        legacy = {"kind": "ctm", "chi": 8, "tol": 1e-10, "max_sweeps": 4}
+        assert lifted(legacy, CONTRACTION) == {"kind": "ctm", "chi": 8}
         assert lifted({"kind": "ctm", "chi": 8, "tol": 1e-10}, CONTRACTION) == {
             "kind": "ctm", "chi": 8,
         }
@@ -225,11 +227,123 @@ class TestSteps:
         block = {"kind": legacy, "bond": 4, "seed": 1}
         assert lifted(block, SPEC_CONTRACTION) == {**block, "kind": current}
 
+    @pytest.mark.parametrize("kind, document", [
+        (CONTRACTION, {"kind": "ctm", "chi": 8}),
+        (EINSUMSVD, {"kind": "explicit", "rank": 4}),
+        (UPDATE, {"kind": "qr", "rank": 2}),
+    ], ids=["contraction", "einsumsvd", "update"])
+    def test_cutoff(self, kind, document):
+        """Truncation is by bond dimension alone: a null cutoff goes, any
+        other is refused by name."""
+        assert lifted({**document, "cutoff": None}, kind) == document
+        for value in (1e-3, 0.0, 0):
+            with pytest.raises(ValueError, match="'cutoff' is retired"):
+                upgrade({**document, "cutoff": value}, kind)
+
+    def test_absorb(self):
+        document = {"kind": "implicit", "rank": 4, "seed": 0}
+        assert lifted({**document, "absorb": "even"}, EINSUMSVD) == document
+        for value in ("left", "right", "none"):
+            with pytest.raises(ValueError, match="'absorb' is retired"):
+                upgrade({**document, "absorb": value}, EINSUMSVD)
+
+    def test_update_svd(self):
+        document = {"kind": "qr", "rank": 2}
+        assert lifted({**document, "svd": None}, UPDATE) == document
+        with pytest.raises(ValueError, match="'svd' is retired"):
+            upgrade({**document, "svd": {"kind": "implicit", "rank": 2}}, UPDATE)
+
+    def test_sweep_mode(self):
+        document = {"name": "s", "axes": {"update.rank": [1, 2]}}
+        assert lifted({**document, "mode": "product"}, SWEEP_SPEC) == document
+        with pytest.raises(ValueError, match="'mode' is retired.*points"):
+            upgrade({**document, "mode": "zip"}, SWEEP_SPEC)
+
+    def test_sweep_derive_seeds(self):
+        document = {"name": "s", "axes": {"update.rank": [1, 2]}}
+        assert lifted({**document, "derive_seeds": True}, SWEEP_SPEC) == document
+        for value in (False, 1):
+            with pytest.raises(ValueError, match="'derive_seeds' is retired"):
+                upgrade({**document, "derive_seeds": value}, SWEEP_SPEC)
+
+    @pytest.mark.parametrize("seconds", [0.05, 7.5, None])
+    def test_sweep_queue_heartbeat_seconds(self, seconds):
+        document = {"name": "s", "queue": {"lease_seconds": 2.0, "poll_seconds": 0.01}}
+        legacy = {**document, "queue": {**document["queue"], "heartbeat_seconds": seconds}}
+        assert lifted(legacy, SWEEP_SPEC) == document
+
+    def test_retired_option_fields_load_through_the_readers(self):
+        """Checkpoints and spec files of earlier builds spell every option
+        field out; they build the options they always did."""
+        svd = {"kind": "explicit", "rank": 3, "cutoff": None, "absorb": "even"}
+        assert sim_io.svd_option_from_dict(svd) == ExplicitSVD(rank=3)
+        assert sim_io.contract_option_from_dict({"kind": "bmps", "svd": svd}) == BMPS(
+            ExplicitSVD(rank=3))
+        assert sim_io.contract_option_from_dict(
+            {"kind": "ctm", "chi": 8, "cutoff": None}) == CTMOption(chi=8)
+        assert sim_io.update_option_from_dict(
+            {"kind": "qr", "rank": 2, "cutoff": None, "svd": None}) == QRUpdate(rank=2)
+        spec = RunSpec(contraction={"kind": "ibmps", "bond": 4, "cutoff": None,
+                                    "absorb": "even"}, update={"rank": 2, "cutoff": None})
+        assert spec.build_contract_option() == BMPS(ImplicitRandomizedSVD(rank=4, seed=0))
+        assert spec.build_update_option() == QRUpdate(rank=2)
+        with pytest.raises(ValueError, match="'cutoff' is retired"):
+            RunSpec(contraction={"kind": "bmps", "bond": 4, "cutoff": 0.1}).build_contract_option()
+
+    def test_retired_sweep_fields_load_through_the_reader(self, tmp_path):
+        base = {"workload": "ite", "lattice": [2, 2], "n_steps": 1, "seed": 3,
+                "model": {"kind": "transverse_field_ising"}}
+        current = {"name": "s", "base": base, "axes": {"update.rank": [1, 2]},
+                   "sweep_dir": str(tmp_path), "queue": {"lease_seconds": 4.0}}
+        legacy = {**current, "mode": "product", "derive_seeds": True,
+                  "queue": {"lease_seconds": 4.0, "heartbeat_seconds": 0.5}}
+        assert SweepSpec.from_dict(legacy) == SweepSpec.from_dict(current)
+        with pytest.raises(ValueError, match="points"):
+            SweepSpec.from_dict({**current, "mode": "zip"})
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_non_dicts_pass_through_for_the_codec_to_reject(self, kind):
         assert upgrade(None, kind) is None
         marker = ["not", "a", "document"]
         assert upgrade(marker, kind) is marker
+
+
+# --------------------------------------------------------------------- #
+# Shipped and frozen specs build what they built before the retirements
+# --------------------------------------------------------------------- #
+ROOT = os.path.dirname(os.path.dirname(SPEC_DIR))
+IBMPS4 = BMPS(ImplicitRandomizedSVD(rank=4, seed=0))
+BUILT_BY_SPEC = {
+    "examples/specs/hubbard_checkerboard_smoke.json": (IBMPS4, QRUpdate(rank=2)),
+    "examples/specs/ite_ctm_smoke.json": (CTMOption(chi=8), QRUpdate(rank=2)),
+    "examples/specs/ite_dist_smoke.json": (IBMPS4, QRUpdate(rank=2)),
+    "examples/specs/ite_sampling_smoke.json": (IBMPS4, QRUpdate(rank=2)),
+    "examples/specs/ite_smoke.json": (IBMPS4, QRUpdate(rank=2)),
+    "tests/golden/compat/inline/spec.json": (CTMOption(chi=8), QRUpdate(rank=2)),
+    "tests/golden/compat/npz/spec.json": (CTMOption(chi=8), QRUpdate(rank=2)),
+    "tests/golden/compat/sharded/spec.json": (CTMOption(chi=8), QRUpdate(rank=2)),
+}
+
+
+class TestSpecsBuildTheSameObjects:
+    @pytest.mark.parametrize("name", sorted(BUILT_BY_SPEC))
+    def test_run_specs(self, name):
+        with open(os.path.join(ROOT, name)) as handle:
+            spec = RunSpec.from_dict(json.load(handle))
+        assert (spec.build_contract_option(), spec.build_update_option()) == BUILT_BY_SPEC[name]
+
+    def test_sweep_spec(self):
+        with open(os.path.join(SPEC_DIR, "ite_sweep_smoke.json")) as handle:
+            points = SweepSpec.from_dict(json.load(handle)).expand()
+        assert [(p.name, p.payload["seed"], p.spec.build_contract_option(),
+                 p.spec.build_update_option()) for p in points] == [
+            ("0000-rank1-bond2", 8141949595410671981,
+             BMPS(ImplicitRandomizedSVD(rank=2, seed=0)), QRUpdate(rank=1)),
+            ("0001-rank1-bond4", 4488123607163468292, IBMPS4, QRUpdate(rank=1)),
+            ("0002-rank2-bond2", 630026451310891759,
+             BMPS(ImplicitRandomizedSVD(rank=2, seed=0)), QRUpdate(rank=2)),
+            ("0003-rank2-bond4", 3969197366336509226, IBMPS4, QRUpdate(rank=2)),
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -301,10 +415,15 @@ def manifests(tmp_path_factory):
 
 class TestCurrentDocumentsAreUntouched:
     @FAST
-    @given(option=st.one_of(svd_options, contract_options, update_options))
-    def test_option_dicts(self, option):
+    @given(pair=st.one_of(
+        st.tuples(svd_options, st.just((EINSUMSVD, SPEC_CONTRACTION))),
+        st.tuples(contract_options, st.just((CONTRACTION, SPEC_CONTRACTION))),
+        st.tuples(update_options, st.just((UPDATE,))),
+    ))
+    def test_option_dicts(self, pair):
+        option, kinds = pair
         document = wire(sim_io.option_to_dict(option))
-        for kind in (CONTRACTION, SPEC_CONTRACTION):
+        for kind in kinds:
             assert upgrade(document, kind) is document
 
     @FAST
@@ -381,6 +500,8 @@ def legacy_contractions(draw):
         if draw(st.booleans()):
             legacy["truncate_bond"] = draw(st.none() | st.integers(1, 8))
     elif legacy["kind"] == "ctm":
+        if draw(st.booleans()):
+            legacy["cutoff"] = None
         if draw(st.booleans()):
             legacy["tol"] = 1e-10
         if draw(st.booleans()):
