@@ -1,23 +1,25 @@
-"""Lease-queue sweep workers: throughput, overhead pin and requeue latency.
+"""Sweep workers: throughput, overhead pin and requeue latency.
 
-A sweep at ``jobs >= 2`` (``docs/serve.md``) runs every point through the
-file-backed lease queue — atomic claims, heartbeats, crash requeues — so it
-needs two regression pins on top of the bitwise contract:
+A sweep at ``jobs >= 2`` (``docs/serve.md``) runs every point on forked
+workers the parent feeds one point at a time over a pipe, requeueing the
+point of a worker that dies, so it needs two regression pins on top of the
+bitwise contract:
 
-1. **The queue's own cost is event-driven.**  A sweep's overhead — its wall
-   minus the busiest worker's point time, so fork, queue set-up, claims and
-   the drain, whatever the core count — is measured at ``jobs=4`` with the
-   poll interval raised to ``PIN_POLL_SECONDS``; it must stay under half of
+1. **The dispatch cost is event-driven.**  A sweep's overhead — its wall
+   minus the busiest worker's point time, so fork, dispatch and the drain,
+   whatever the core count — is measured at ``jobs=4`` with the poll
+   interval raised to ``PIN_POLL_SECONDS``; it must stay under half of
    that.  A poll interval back on the critical path (the parent sleeping
-   before it sees the drain, an idle worker sleeping before it is joined)
-   costs a whole interval and trips the bound; fork and fsync noise do not.
+   before it sees an outcome or the drain) costs a whole interval and trips
+   the bound; fork and fsync noise do not.
 2. **Everything is bitwise.**  The combined results document of every leg —
-   serial, queue at 2/4 workers, and a queue run whose first point is
-   SIGKILLed mid-epoch — must equal the serial golden byte for byte.
+   serial, workers at 2/4, and a worker run whose first point is SIGKILLed
+   mid-point — must equal the serial golden byte for byte.
 
-The harness also measures **requeue latency** — the gap between a crashed
-epoch's lease deadline and its successor's claim, read straight from the
-queue's claim records — and emits ``BENCH_queue.json``::
+The harness also measures **requeue latency** — the time between the
+SIGKILLed point's two ``started`` progress events, i.e. from its first
+dispatch to its redispatch after the crash — and emits
+``BENCH_queue.json``::
 
     {
       "benchmark": "queue",
@@ -35,12 +37,11 @@ queue's claim records — and emits ``BENCH_queue.json``::
     }
 
 ``wall_s``/``latency_s`` are machine-dependent; the bitwise flags and the
-queue stats are exact.  The ``queue-chaos`` CI job re-asserts the pins from
+manifest's per-point queue stats are exact.  The ``queue-chaos`` CI job re-asserts the pins from
 the JSON.
 """
 
 import json
-import os
 import time
 
 from repro.sim import Sweep, SweepSpec
@@ -54,10 +55,6 @@ REPEATS = scaled(3, 3, smoke=3)
 #: (sweep wall minus the busiest worker's point time) as a share of it.
 PIN_POLL_SECONDS = 0.5
 MAX_OVERHEAD_POLLS = 0.5
-
-#: Lease for the fault leg: short enough to requeue fast, long enough that a
-#: healthy point (sub-second at this scale) never expires spuriously.
-FAULT_LEASE_SECONDS = 2.0
 
 MODEL = {"kind": "heisenberg_j1j2", "j1": [1.0, 1.0, 1.0],
          "j2": [0.5, 0.5, 0.5], "field": [0.2, 0.2, 0.2]}
@@ -88,11 +85,11 @@ def _spec(tmp_path, subdir, **overrides):
     return SweepSpec.from_dict(payload)
 
 
-def _timed_sweep(tmp_path, subdir, jobs, **overrides):
+def _timed_sweep(tmp_path, subdir, jobs, progress=None, **overrides):
     spec = _spec(tmp_path, subdir, **overrides)
     sweep = Sweep(spec)
     start = time.perf_counter()
-    result = sweep.run(jobs=jobs)
+    result = sweep.run(jobs=jobs, progress=progress)
     elapsed = time.perf_counter() - start
     assert result.completed, result.statuses
     with open(result.combined_path, "rb") as handle:
@@ -107,28 +104,6 @@ def _busiest_worker_seconds(spec):
         owner = entry["queue"]["owner"]
         busy[owner] = busy.get(owner, 0.0) + entry["metrics"]["wall_time_s"]
     return max(busy.values())
-
-
-def _read_json(path):
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def _requeue_latency(sweep_dir, victim):
-    """Seconds between the crashed epoch's deadline and the requeue claim.
-
-    The queue directory *is* the state: epoch 0's effective deadline is its
-    newest heartbeat (falling back to the claim), and epoch 1's claim record
-    carries ``claimed_at`` — the difference is how long the point sat dead
-    before a worker picked it back up.
-    """
-    claims = os.path.join(sweep_dir, "queue", "claims", victim)
-    deadline = _read_json(os.path.join(claims, "0000.json"))["deadline"]
-    hb_path = os.path.join(claims, "0000.hb.json")
-    if os.path.exists(hb_path):
-        deadline = max(deadline, _read_json(hb_path)["deadline"])
-    requeued_at = _read_json(os.path.join(claims, "0001.json"))["claimed_at"]
-    return requeued_at - deadline
 
 
 def test_queue_executor_throughput_and_requeue(benchmark, tmp_path):
@@ -165,20 +140,23 @@ def test_queue_executor_throughput_and_requeue(benchmark, tmp_path):
     golden = combined["serial"]
     queue_identical = combined["queue2"] == golden and combined["queue4"] == golden
 
-    # Fault leg: SIGKILL the first point's worker after one record, let the
-    # lease expire and the requeue resume it from its checkpoint.
+    # Fault leg: SIGKILL the first point's worker after one record; the
+    # parent requeues the point and a fresh worker resumes its checkpoint.
+    victim_starts = []
+
+    def progress(event):
+        if event["event"] == "started" and event["point"] == victim:
+            victim_starts.append(time.perf_counter())
+
     fault_wall, fault_doc, fault_spec = _timed_sweep(
-        tmp_path, "fault", 2,
-        queue={
-            "lease_seconds": FAULT_LEASE_SECONDS,
-            "fault": {"job": victim, "mode": "sigkill",
-                      "after_records": 1, "epochs": [0]},
-        },
+        tmp_path, "fault", 2, progress=progress,
+        queue={"fault": {"job": victim, "mode": "sigkill",
+                         "after_records": 1, "epochs": [0]}},
     )
     fault_identical = fault_doc == golden
     manifest = Sweep.load_manifest(fault_spec.manifest_path)
     stats = {entry["name"]: entry["queue"] for entry in manifest["points"]}
-    latency = _requeue_latency(fault_spec.sweep_dir, victim)
+    latency = victim_starts[1] - victim_starts[0]
 
     def summary(variant):
         wall = walls[variant]
@@ -186,14 +164,14 @@ def test_queue_executor_throughput_and_requeue(benchmark, tmp_path):
 
     rows = [
         ("serial", walls["serial"], n_points / walls["serial"], ""),
-        ("queue jobs=2", walls["queue2"], n_points / walls["queue2"], ""),
-        ("queue jobs=4", walls["queue4"], n_points / walls["queue4"],
+        ("workers jobs=2", walls["queue2"], n_points / walls["queue2"], ""),
+        ("workers jobs=4", walls["queue4"], n_points / walls["queue4"],
          f"overhead {overhead_s:.3f}s"),
-        ("queue jobs=2 + SIGKILL", fault_wall, n_points / fault_wall,
+        ("workers jobs=2 + SIGKILL", fault_wall, n_points / fault_wall,
          f"requeue latency {latency:.2f}s"),
     ]
     print_series(
-        f"Lease-queue workers on the {n_points}-point smoke grid ({N_STEPS} steps, "
+        f"Sweep workers on the {n_points}-point smoke grid ({N_STEPS} steps, "
         f"best of {REPEATS})",
         ("variant", "wall_s", "points/s", "notes"),
         rows,
@@ -213,7 +191,6 @@ def test_queue_executor_throughput_and_requeue(benchmark, tmp_path):
         "requeue": {
             "wall_s": fault_wall,
             "latency_s": latency,
-            "lease_seconds": FAULT_LEASE_SECONDS,
             "epochs": stats[victim]["epochs"],
             "requeues": stats[victim]["requeues"],
             "burned": stats[victim]["burned"],
@@ -227,10 +204,10 @@ def test_queue_executor_throughput_and_requeue(benchmark, tmp_path):
 
     # Pinned regressions (mirrored by the queue-chaos CI job).
     assert overhead_s <= MAX_OVERHEAD_POLLS * PIN_POLL_SECONDS, (
-        f"queue workers at jobs=4 cost {overhead_s:.3f}s beyond their points "
+        f"sweep workers at jobs=4 cost {overhead_s:.3f}s beyond their points "
         f"(pin: <= {MAX_OVERHEAD_POLLS} of the {PIN_POLL_SECONDS}s poll interval)"
     )
-    assert queue_identical, "queue workers changed the combined document"
+    assert queue_identical, "sweep workers changed the combined document"
     assert fault_identical, "SIGKILL + requeue changed the combined document"
     assert stats[victim]["epochs"] >= 2, stats[victim]
     assert stats[victim]["requeues"] >= 1, stats[victim]

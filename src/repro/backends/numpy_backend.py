@@ -90,7 +90,7 @@ _BLAS_THREAD_SETTERS = (
 def _one_blas_thread() -> Tuple[int, str]:
     """Run every BLAS library this process has loaded on one thread.
 
-    Parallelism comes from processes (queue workers, pool ranks), one per
+    Parallelism comes from processes (sweep workers, pool ranks), one per
     core.  A threaded BLAS makes the small products of a contraction pass
     slower, not faster, and makes their bits depend on the thread count.
     The libraries are read off ``/proc/self/maps``; each is set through the

@@ -151,20 +151,6 @@ def is_unitary(matrix: np.ndarray) -> bool:
     return bool(np.allclose(matrix.conj().T @ matrix, np.eye(n), atol=1e-10))
 
 
-def as_tensor(gate: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Reshape a ``2^n x 2^n`` gate matrix into a rank-``2n`` tensor.
-
-    The result has index order ``(out_1, ..., out_n, in_1, ..., in_n)``.
-    """
-    gate = np.asarray(gate, dtype=np.complex128)
-    dim = 2**n_qubits
-    if gate.shape != (dim, dim):
-        raise ValueError(
-            f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got shape {gate.shape}"
-        )
-    return gate.reshape((2,) * (2 * n_qubits))
-
-
 #: Named gate registry used by the circuit IR.
 NAMED_GATES = {
     "I": identity,

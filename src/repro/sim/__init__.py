@@ -17,14 +17,11 @@ resumable *runs*:
   float-for-float,
 * :mod:`~repro.sim.sweep` — parameter sweeps: a
   :class:`~repro.sim.sweep.SweepSpec` fans one base RunSpec into a named
-  grid of runs (dotted-path override axes, product/zip modes, per-point
-  derived seeds) and the :class:`~repro.sim.sweep.Sweep` driver executes it
-  resumably — in-process at ``jobs == 1``, through lease-queue workers at
-  ``jobs >= 2`` — with an atomic manifest and a combined results document,
-* :mod:`~repro.sim.queue` — a file-backed, lease-based job queue: workers
-  atomically claim sweep points under heartbeat leases, expired leases are
-  requeued with a bounded retry budget, and terminal records are first-wins
-  so no point ever completes twice (what ``Sweep`` runs at ``jobs >= 2``),
+  grid of runs (dotted-path override axes or an explicit points list,
+  per-point derived seeds) and the :class:`~repro.sim.sweep.Sweep` driver
+  executes it resumably — in-process at ``jobs == 1``, on forked workers it
+  hands points to at ``jobs >= 2``, requeueing the point of a worker that
+  dies — with an atomic manifest and a combined results document,
 * :mod:`~repro.sim.serve` — the ``python -m repro.sim serve`` daemon: a
   local HTTP API that accepts run/sweep submissions, executes them FIFO as
   CLI subprocesses, reports status, streams results, and resumes unfinished
@@ -73,7 +70,6 @@ from repro.sim.io import (
     update_option_to_dict,
     write_checkpoint,
 )
-from repro.sim.queue import Job, JobQueue, Lease, LeaseLost, QueueError
 from repro.sim.runner import Simulation, SimulationResult, run_spec
 from repro.sim.serve import ServeClient, ServeDaemon, wait_for_endpoint
 from repro.sim.sinks import (
@@ -91,7 +87,6 @@ from repro.sim.sweep import (
     SweepResult,
     SweepSpec,
     derive_point_seed,
-    run_sweep,
 )
 from repro.sim.workloads import (
     ITEWorkload,
@@ -120,13 +115,7 @@ __all__ = [
     "Sweep",
     "SweepPoint",
     "SweepResult",
-    "run_sweep",
     "derive_point_seed",
-    "Job",
-    "JobQueue",
-    "Lease",
-    "LeaseLost",
-    "QueueError",
     "ServeClient",
     "ServeDaemon",
     "wait_for_endpoint",

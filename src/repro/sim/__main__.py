@@ -13,10 +13,10 @@ renders telemetry summaries; a fourth, ``serve``, runs a local job daemon):
 ``sweep SWEEP.json [--jobs N] [--resume] [options]``
     Expand a :class:`~repro.sim.sweep.SweepSpec` grid and execute it
     in-process (``--jobs 1``; the default comes from the spec) or, with
-    ``--jobs N`` for ``N >= 2``, through N lease-queue workers that
-    atomically claim points under heartbeat leases, expired leases being
-    requeued (see ``docs/serve.md``).  Both produce bitwise identical
-    combined results.  Per-point
+    ``--jobs N`` for ``N >= 2``, on N forked workers that the parent hands
+    one point at a time over a pipe, requeueing the point of a worker that
+    dies (see ``docs/serve.md``).  Both produce bitwise identical combined
+    results.  Per-point
     statuses live in ``<sweep_dir>/manifest.json``; ``--resume`` skips
     completed points and resumes interrupted ones from their checkpoints,
     and ``--stop-after-points K`` interrupts after K points finish (exit
@@ -47,8 +47,9 @@ SIGTERM and SIGINT are handled gracefully in both commands: in-flight steps
 finish, one checkpoint is written per interrupted run (even off the
 ``checkpoint_every`` schedule) and the process exits with the distinct code 4
 ("interrupted, checkpoint written"), so preemptible jobs checkpoint on
-eviction rather than on schedule only.  Sweeps forward the signal to every
-worker so each in-flight point checkpoints too.
+eviction rather than on schedule only.  Sweeps tell every worker to stop
+so each in-flight point checkpoints too, and a worker whose sweep process
+dies (even by SIGKILL) stops the same way.
 
 Checkpoints write tensor payloads to a compressed ``.npz`` sidecar, and
 ``--resume`` also reads the all-JSON inline and per-rank sharded checkpoints
@@ -69,23 +70,14 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.sim.runner import Simulation
+from repro.sim.serve import EXIT_INTERRUPTED, EXIT_SIGNALED, ServeDaemon
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import STATUS_FAILED, Sweep, SweepSpec
 from repro.utils.checks import nonnegative_int
 
-#: Exit code reported when ``--stop-after`` / ``--stop-after-points``
-#: interrupted the run.
-EXIT_INTERRUPTED = 3
-
-#: Exit code reported when the run stopped through no fault of the spec but
-#: remains resumable from its last checkpoint: a termination signal arrived
-#: (checkpoint written on the way out), or the backend lost the ability to
-#: execute (e.g. a pool worker died past its restart budget; the last
-#: scheduled checkpoint is kept).  Distinct from --stop-after so schedulers
-#: can tell "evicted/failed but resumable" from a test crash.
-EXIT_SIGNALED = 4
-
-#: Exit code reported when a sweep completed its dispatch but points failed.
+#: Exit code reported when a sweep completed its dispatch but points failed
+#: (the resumable codes, 3 and 4, are defined next to the daemon that reads
+#: them).
 EXIT_FAILED_POINTS = 1
 
 #: Signals that trigger checkpoint-and-exit (SIGINT covers Ctrl-C).
@@ -140,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("spec", help="path to the SweepSpec JSON file")
     sweep.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker count (default: the spec's jobs): 1 runs the "
-                       "points in-process, N >= 2 spawns N lease-queue workers "
-                       "(heartbeat leases, requeue on expiry); results are "
-                       "bitwise identical either way")
+                       "points in-process, N >= 2 forks N workers (a crashed "
+                       "worker's point is requeued); results are bitwise "
+                       "identical either way")
     sweep.add_argument("--resume", action="store_true",
                        help="skip completed points and resume interrupted ones")
     sweep.add_argument(
@@ -351,8 +343,6 @@ def _main_sweep(args) -> int:
 
 
 def _main_serve(args) -> int:
-    from repro.sim.serve import ServeDaemon
-
     daemon = ServeDaemon(
         args.directory, host=args.host, port=args.port, quiet=args.quiet
     )

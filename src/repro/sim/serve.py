@@ -84,9 +84,18 @@ _CHILD_FILENAME = "child.json"
 #: exit after SIGTERM before it is killed.
 _ORPHAN_GRACE_S = 60.0
 
-#: CLI exit codes the daemon interprets (mirrors ``repro.sim.__main__``).
-_EXIT_INTERRUPTED = 3
-_EXIT_SIGNALED = 4
+#: Exit code of ``python -m repro.sim`` when ``--stop-after`` /
+#: ``--stop-after-points`` interrupted the run.
+EXIT_INTERRUPTED = 3
+
+#: Exit code of ``python -m repro.sim`` when the run stopped through no fault
+#: of the spec but remains resumable from its last checkpoint: a termination
+#: signal arrived (checkpoint written on the way out), or the backend lost
+#: the ability to execute (e.g. a pool worker died past its restart budget;
+#: the last scheduled checkpoint is kept).  Distinct from --stop-after so
+#: schedulers — this daemon among them — can tell "evicted/failed but
+#: resumable" from a test crash.
+EXIT_SIGNALED = 4
 
 
 def _runs_spec(pid: int, spec_path: str) -> bool:
@@ -307,7 +316,7 @@ class ServeDaemon:
                 for job in self._jobs.values()
                 if job["status"] in (JOB_QUEUED, JOB_RUNNING, JOB_INTERRUPTED)
             ]
-        code = _EXIT_SIGNALED if unfinished else 0
+        code = EXIT_SIGNALED if unfinished else 0
         self._log(
             f"stopped ({len(unfinished)} unfinished job(s), exit code {code})"
         )
@@ -494,12 +503,12 @@ class ServeDaemon:
                 job["exit_code"] = code
                 if code == 0:
                     job["status"] = JOB_DONE
-                elif code in (_EXIT_INTERRUPTED, _EXIT_SIGNALED):
+                elif code in (EXIT_INTERRUPTED, EXIT_SIGNALED):
                     job["status"] = JOB_INTERRUPTED
                     job["resume"] = True
                 elif code is not None and code < 0:
                     # Killed by an unhandled signal: resumable from the last
-                    # scheduled checkpoint, same as an expired queue lease.
+                    # scheduled checkpoint, same as a crashed sweep worker.
                     job["status"] = JOB_INTERRUPTED
                     job["resume"] = True
                 else:

@@ -25,9 +25,9 @@ overrides set ``seed`` — its own seed derived from the base seed via
 one integer.
 
 The :class:`Sweep` driver executes the grid in-process (``jobs == 1``) or
-through lease-queue worker processes (``jobs >= 2``: workers claim points
-from a file-backed :class:`~repro.sim.queue.JobQueue` with heartbeat leases,
-a crashed worker's lease expires and the point requeues), maintains an atomic
+through worker processes it forks and feeds (``jobs >= 2``: one pipe per
+worker, one point per worker at a time; a worker that dies mid-point has its
+point requeued, and a worker whose parent dies stops), maintains an atomic
 sweep-level manifest (``<sweep_dir>/manifest.json``, one status per point:
 ``pending`` / ``running`` / ``done`` / ``failed``), propagates SIGTERM/SIGINT
 to workers (each in-flight run finishes its step, checkpoints and reports
@@ -49,11 +49,11 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import re
-import shutil
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.sim.io import (
@@ -61,14 +61,6 @@ from repro.sim.io import (
     NpzPayloadStore,
     atomic_write_json,
     check_payload,
-)
-from repro.sim.queue import (
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_LEASED,
-    STATE_RELEASED,
-    JobQueue,
-    LeaseLost,
 )
 from repro.sim.runner import Simulation
 from repro.sim.sinks import SweepSink, make_sink
@@ -84,6 +76,13 @@ STATUS_PENDING = "pending"
 STATUS_RUNNING = "running"
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
+
+#: Worker states of a point in its manifest ``queue`` stats, besides the
+#: statuses above: handed to a worker, handed back interrupted, and back in
+#: line after its worker died.
+_LEASED = "leased"
+_RELEASED = "released"
+_EXPIRED = "expired"
 
 #: Filename of the sweep manifest inside ``sweep_dir``.
 MANIFEST_FILENAME = "manifest.json"
@@ -157,19 +156,19 @@ class SweepSpec:
         ``<sweep_dir>/results.jsonl``.
     jobs:
         Default worker count for :meth:`Sweep.run`: 1 runs the points
-        in-process, ``>= 2`` spawns that many lease-queue workers.  Both
+        in-process, ``>= 2`` forks that many workers.  Both
         produce bitwise-identical combined documents (same seeds, same merge
         order).  Every point runs its own :func:`derive_point_seed`
         substream of the base seed unless a ``"seed"`` axis or override sets
         it (a one-value ``"seed"`` axis runs every point at that seed).
     queue:
-        Lease-queue tuning (read when ``jobs >= 2``): ``lease_seconds``
-        (default 30; workers renew their leases every quarter of it),
-        ``max_attempts`` (expired leases before the point is failed, default
-        3), ``poll_seconds`` (claim/status poll interval, default 0.05), and the
-        test-only ``fault`` knob ``{"job": <point name>, "mode": "sigkill" |
-        "sigterm", "after_records": k, "epochs": [..] | "all"}`` making the
-        worker kill itself mid-point deterministically (chaos tests).
+        Worker tuning (read when ``jobs >= 2``): ``max_attempts`` (worker
+        crashes on one point before the point is failed, default 3),
+        ``poll_seconds`` (how often the parent looks for a stop request,
+        default 0.05), and the test-only ``fault`` knob ``{"job": <point
+        name>, "mode": "sigkill" | "sigterm", "after_records": k, "epochs":
+        [..] | "all"}`` making the worker kill itself mid-point
+        deterministically (chaos tests).
     reference:
         Shared reference-payload slot: computed **once per sweep** in the
         parent, content-addressed under ``<sweep_dir>/shared/`` through the
@@ -191,7 +190,7 @@ class SweepSpec:
     queue: Optional[Dict[str, Any]] = None
     reference: Optional[Dict[str, Any]] = None
 
-    _QUEUE_KEYS = frozenset({"lease_seconds", "max_attempts", "poll_seconds", "fault"})
+    _QUEUE_KEYS = frozenset({"max_attempts", "poll_seconds", "fault"})
     _REFERENCE_KEYS = frozenset({"kind", "tau", "n_steps", "max_sites"})
 
     def __post_init__(self) -> None:
@@ -364,7 +363,7 @@ class SweepResult:
 
 
 # --------------------------------------------------------------------- #
-# Per-point execution (shared by the serial path and queue workers)
+# Per-point execution (shared by the serial path and the workers)
 # --------------------------------------------------------------------- #
 def _execute_point(
     payload: Dict[str, Any],
@@ -423,22 +422,23 @@ def _execute_point(
     }
 
 
-#: Worker-process state: the in-flight Simulation (for signal-handler stop
-#: requests) and whether a stop was requested.
+#: Worker-process state: the in-flight Simulation (for stop requests) and
+#: whether a stop was requested.
 _WORKER_STATE: Dict[str, Any] = {"simulation": None, "stop": False}
 
 
 def _worker_register(simulation: Optional[Simulation]) -> None:
     _WORKER_STATE["simulation"] = simulation
-    # A signal that raced the registration must still reach the run.
+    # A stop that raced the registration must still reach the run.
     if simulation is not None and _WORKER_STATE["stop"]:
         simulation.request_stop()
 
 
-def _worker_signal_handler(signum, frame) -> None:
-    # Only set flags: the in-flight run finishes its step, writes one
-    # off-schedule checkpoint and returns interrupted (the same contract as
-    # the single-run CLI), then the worker loop exits before taking new work.
+def _stop_worker(*_signal) -> None:
+    # Only set flags (this is also a signal handler): the in-flight run
+    # finishes its step, writes one off-schedule checkpoint and returns
+    # interrupted (the same contract as the single-run CLI), then the worker
+    # exits instead of taking new work.
     _WORKER_STATE["stop"] = True
     simulation = _WORKER_STATE.get("simulation")
     if simulation is not None:
@@ -446,18 +446,19 @@ def _worker_signal_handler(signum, frame) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Parallel execution (jobs >= 2): lease-claiming worker processes
+# Parallel execution (jobs >= 2): workers the parent forks and feeds
 # --------------------------------------------------------------------- #
-def _fault_hook(fault: Optional[Dict[str, Any]], job_id: str, epoch: int):
+def _fault_hook(fault: Optional[Dict[str, Any]], name: str, epoch: int):
     """Deterministic chaos knob: self-kill after K records of one point.
 
     ``fault = {"job": name, "mode": "sigkill"|"sigterm", "after_records": k,
-    "epochs": [0] | "all"}`` — SIGKILL models a hard crash (the lease must
-    expire and requeue), SIGTERM the cooperative checkpoint-and-release
-    path.  Follows the distributed backend's ``WorkerFault`` precedent: the
-    fault is part of the config so chaos tests are exactly reproducible.
+    "epochs": [0] | "all"}``, an epoch being one dispatch of the point —
+    SIGKILL models a hard crash (the parent requeues the point and burns an
+    attempt), SIGTERM the cooperative checkpoint-and-requeue path.  Follows
+    the distributed backend's ``WorkerFault`` precedent: the fault is part
+    of the config so chaos tests are exactly reproducible.
     """
-    if fault is None or fault.get("job") != job_id:
+    if fault is None or fault.get("job") != name:
         return None
     epochs = fault.get("epochs", [0])
     if epochs != "all" and epoch not in epochs:
@@ -477,129 +478,67 @@ def _fault_hook(fault: Optional[Dict[str, Any]], job_id: str, epoch: int):
     return hook
 
 
-def _run_leased_point(
-    jq: JobQueue,
-    lease,
-    count_flops: bool,
-    fault: Optional[Dict[str, Any]],
-) -> None:
-    """Run one claimed point under a heartbeat (every quarter of the lease,
-    at least every 10 ms), then publish its outcome.
+def _sweep_worker(conn, inherited, count_flops: bool, fault: Optional[Dict[str, Any]]) -> None:
+    """Run each point the parent sends down ``conn``; answer with its outcome.
 
-    The point writes its records to an **epoch-scoped** results path
-    (``results.jsonl.ep0001``); only a *completed* epoch atomically renames
-    it onto the final path, immediately before publishing the first-wins
-    terminal record.  A zombie epoch (lease expired, successor running) can
-    therefore never tear the final results file: partial epoch files are
-    never renamed, and racing renames of completed epochs carry bitwise-
-    identical bytes.
+    A thread reads the pipe so that the end of the parent's messages — a
+    ``None`` when the grid drains or the sweep stops, end of file when the
+    parent is gone — reaches a point in flight: the run checkpoints at its
+    next step boundary and the worker exits.  ``inherited`` are the forked
+    copies of the parent's pipe ends, closed first so that the parent's
+    death is this worker's end of file.
     """
-    payload = dict(lease.payload)
-    final_results = payload["results"]
-    # Keep the extension so the epoch file gets the same sink kind (.jsonl
-    # stream vs .json document) as the final path it is renamed onto.
-    root, ext = os.path.splitext(final_results)
-    epoch_results = f"{root}.ep{lease.epoch:04d}{ext}"
-    payload["results"] = epoch_results
-
-    lost = threading.Event()
-    stop_beats = threading.Event()
-    interval = max(jq.lease_seconds / 4.0, 0.01)
-
-    def beat() -> None:
-        while not stop_beats.wait(interval):
-            try:
-                jq.heartbeat(lease)
-            except LeaseLost:
-                # Superseded: abandon the point (the successor owns it now).
-                lost.set()
-                REGISTRY.counter("dist.queue.lease_lost").add()
-                simulation = _WORKER_STATE.get("simulation")
-                if simulation is not None:
-                    simulation.request_stop()
-                return
-            except OSError:  # pragma: no cover - transient fs error
-                continue
-
-    beats = threading.Thread(target=beat, daemon=True)
-    beats.start()
-    try:
-        with _span("queue_point", point=lease.job_id, epoch=lease.epoch):
-            outcome = _execute_point(
-                payload,
-                # Requeued epochs always resume: epoch 0 may have
-                # checkpointed before its worker died.
-                lease.allow_resume or lease.epoch > 0,
-                count_flops=count_flops,
-                register=_worker_register,
-                record_progress=_fault_hook(fault, lease.job_id, lease.epoch),
-            )
-    finally:
-        stop_beats.set()
-        beats.join(timeout=interval + 5.0)
-    outcome["queue"] = {
-        "epoch": lease.epoch,
-        "attempt": lease.attempt,
-        "requeues": lease.requeues,
-        "owner": lease.owner,
-    }
-    if lost.is_set():
-        return
-    if outcome["status"] == STATUS_DONE:
-        try:
-            os.replace(epoch_results, final_results)
-        except FileNotFoundError:
-            # A successor completed first and swept our epoch file while we
-            # raced it; its terminal record already carries this outcome.
-            return
-        jq.complete(lease, outcome)
-        # Sweep partial epoch files from crashed prior epochs: they never
-        # touch the final path, but leaving them around would look like lost
-        # results.  Best-effort — a racing unlink is fine either way.
-        directory = os.path.dirname(final_results) or "."
-        prefix = os.path.basename(root) + ".ep"
-        for name in os.listdir(directory):
-            if name.startswith(prefix) and name.endswith(ext):
-                try:
-                    os.unlink(os.path.join(directory, name))
-                except OSError:
-                    pass
-    elif outcome["status"] == STATUS_FAILED:
-        jq.fail(lease, outcome.get("error") or "point failed", result=outcome)
-    else:  # interrupted: checkpointed, give the lease back without burn
-        try:
-            os.unlink(epoch_results)
-        except FileNotFoundError:  # pragma: no cover - interrupted pre-open
-            pass
-        jq.release(lease, outcome)
-
-
-def _queue_worker(
-    queue_dir: str,
-    worker_index: int,
-    poll_seconds: float,
-    count_flops: bool,
-    fault: Optional[Dict[str, Any]],
-    closing,
-) -> None:
-    """Queue worker: claim points until the grid drains, pauses or stops."""
+    for connection in inherited:
+        connection.close()
     for sig in (signal.SIGTERM, signal.SIGINT):
         try:
-            signal.signal(sig, _worker_signal_handler)
+            signal.signal(sig, _stop_worker)
         except (ValueError, OSError):  # pragma: no cover - exotic platforms
             pass
-    jq = JobQueue(queue_dir)
-    owner = f"worker-{worker_index}:pid{os.getpid()}"
-    while not _WORKER_STATE["stop"]:
-        if jq.paused():
-            break
-        lease = jq.claim(owner)
-        if lease is None:
-            if jq.outstanding() == 0:
-                break
-            closing.wait(poll_seconds)  # the parent sets it at shutdown
-            continue
-        _run_leased_point(jq, lease, count_flops, fault)
+    tasks: SimpleQueue = SimpleQueue()
+
+    def listen() -> None:
+        while True:
+            try:
+                task = conn.recv()
+            except (EOFError, OSError):
+                task = None
+            tasks.put(task)
+            if task is None:
+                _stop_worker()
+                return
+
+    threading.Thread(target=listen, daemon=True).start()
+    while True:
+        task = tasks.get()
+        if task is None:
+            return
+        name, payload, allow_resume, epoch = task
+        outcome = _execute_point(
+            payload,
+            allow_resume,
+            count_flops=count_flops,
+            register=_worker_register,
+            record_progress=_fault_hook(fault, name, epoch),
+        )
+        try:
+            conn.send(outcome)
+        except OSError:  # the parent is gone
+            return
+        if _WORKER_STATE["stop"]:
+            return
+
+
+@dataclass
+class _Worker:
+    """The parent's handle on one forked worker."""
+
+    process: Any
+    owner: str
+    #: The point it runs, if any.
+    point: Optional[str] = None
+    #: Told to stop after an interrupted point; it takes no more work.
+    retiring: bool = False
 
 
 class Sweep:
@@ -627,9 +566,9 @@ class Sweep:
         """Stop dispatching new points and interrupt the in-flight ones.
 
         Safe to call from a signal handler.  Serial runs forward the request
-        to the current :class:`Simulation`; parallel runs see the flag at
-        their next poll, pause the queue and SIGTERM every live worker,
-        whose handler does the same.  In-flight points finish their step,
+        to the current :class:`Simulation`; parallel runs see the flag
+        within ``poll_seconds`` and send every worker its stop message,
+        which does the same in the worker.  In-flight points finish their step,
         checkpoint and report ``interrupted``; the sweep resumes them with
         ``resume=True`` later.
         """
@@ -729,7 +668,7 @@ class Sweep:
         ----------
         jobs:
             Worker count; ``None`` uses ``spec.jobs``.  1 runs the points
-            in-process; ``>= 2`` spawns lease-queue workers, however many
+            in-process; ``>= 2`` forks that many workers, however many
             points remain.
         resume:
             Skip points the manifest marks ``done`` and resume interrupted
@@ -774,7 +713,7 @@ class Sweep:
                     tasks, stop_after_points, count_flops, progress, record_progress
                 )
             else:
-                interrupted, stop_reason = self._run_queue(
+                interrupted, stop_reason = self._run_workers(
                     tasks, jobs, stop_after_points, count_flops, progress
                 )
 
@@ -879,21 +818,18 @@ class Sweep:
         return False, None
 
     # ------------------------------------------------------------------ #
-    # Lease-queue workers
+    # Forked workers
     # ------------------------------------------------------------------ #
     def _queue_config(self) -> Dict[str, Any]:
-        """The resolved lease-queue configuration (defaults applied)."""
+        """The resolved worker configuration (defaults applied)."""
         cfg = dict(self.spec.queue or {})
-        lease_seconds = float(cfg.get("lease_seconds", 30.0))
         return {
-            "dir": os.path.join(self.spec.sweep_dir, "queue"),
-            "lease_seconds": lease_seconds,
             "max_attempts": int(cfg.get("max_attempts", 3)),
             "poll_seconds": float(cfg.get("poll_seconds", 0.05)),
             "fault": cfg.get("fault"),
         }
 
-    def _run_queue(
+    def _run_workers(
         self,
         tasks: List[Tuple[str, Dict[str, Any], bool]],
         jobs: int,
@@ -901,169 +837,166 @@ class Sweep:
         count_flops: bool,
         progress: Optional[SweepProgress],
     ) -> Tuple[bool, Optional[str]]:
-        """Execute the grid through the lease-based :class:`JobQueue`.
+        """Execute the grid on forked workers, one pipe and one point each.
 
-        The parent builds a fresh queue under ``<sweep_dir>/queue/`` (queue
-        state is per-session; cross-session resume state lives in the
-        manifest + checkpoints as before), spawns claim-loop workers, and
-        polls queue state into the manifest.  Crashed workers are respawned
-        while work remains; expired leases requeue lazily at claim time and
-        :meth:`JobQueue.resolve_expired` fails budget-exhausted points.
+        The parent hands out points in expansion order and reads each
+        outcome off the worker's pipe.  A worker whose process exits before
+        it answers has crashed: its point goes back in line (resuming its
+        checkpoint) and burns one of ``max_attempts``, and a point that burns
+        them all fails without stopping the grid.  An ``interrupted`` outcome
+        (the worker was stopped and checkpointed) goes back in line without a
+        burn, and that worker is let go.  Dead workers are replaced while
+        points wait, within ``max_attempts`` spawns per point.  The parent
+        wakes on every outcome and every exit, and every ``poll_seconds`` to
+        look for a stop request; stopping sends every worker ``None``.
 
-        ``stop_after_points`` keeps its "no new point starts once stopping"
-        determinism by submitting only the first K remaining points to the
-        queue (workers self-claim, so a post-hoc stop could race an extra
-        claim); requeued epochs of a submitted point never count extra.
+        ``stop_after_points`` hands out only the first K remaining points,
+        so no point beyond them starts; requeued epochs never count extra.
         """
-        # Deterministic stop knob: submit only the first K remaining points.
         submit = tasks if stop_after_points is None else tasks[: max(0, stop_after_points)]
         held_back = len(tasks) - len(submit)
         if not submit:
             return True, "stop_after_points"
         cfg = self._queue_config()
-        queue_dir = cfg["dir"]
-        if os.path.isdir(queue_dir):
-            shutil.rmtree(queue_dir)
-        jq = JobQueue.create(
-            queue_dir,
-            [
-                {"id": name, "payload": payload, "allow_resume": allow_resume}
-                for name, payload, allow_resume in submit
-            ],
-            lease_seconds=cfg["lease_seconds"],
-            max_attempts=cfg["max_attempts"],
-        )
+        max_attempts = cfg["max_attempts"]
+        runs = {name: (payload, allow_resume) for name, payload, allow_resume in submit}
+        order = {name: index for index, name in enumerate(runs)}
+        pending = list(runs)
+        stats = {
+            name: {"state": STATUS_PENDING, "epochs": 0, "requeues": 0, "burned": 0, "owner": None}
+            for name in runs
+        }
         context = multiprocessing.get_context()
         n_workers = max(1, min(jobs, len(submit)))
-        # Set at shutdown so idle workers leave at once instead of sleeping
-        # out their poll interval while the parent waits to join them.
-        closing = context.Event()
+        spawns = len(submit) * max_attempts + n_workers
+        workers: Dict[Any, _Worker] = {}
         spawned = 0
+        stopping = False
+        stop_reason: Optional[str] = "stop_after_points" if held_back else None
 
-        def spawn():
+        def spawn() -> None:
             nonlocal spawned
-            worker = context.Process(
-                target=_queue_worker,
-                args=(
-                    queue_dir,
-                    spawned,
-                    cfg["poll_seconds"],
-                    count_flops,
-                    cfg["fault"],
-                    closing,
-                ),
+            conn, child_conn = context.Pipe()
+            process = context.Process(
+                target=_sweep_worker,
+                args=(child_conn, [*workers, conn], count_flops, cfg["fault"]),
                 daemon=True,
             )
+            process.start()
+            child_conn.close()
+            workers[conn] = _Worker(process, f"worker-{spawned}:pid{process.pid}")
             spawned += 1
-            worker.start()
-            return worker
 
-        workers = [spawn() for _ in range(n_workers)]
-        # Crashed workers are replaced while work remains; the budget bounds
-        # pathological crash loops (a fault that kills every epoch burns at
-        # most max_attempts workers per point before the point is failed).
-        respawn_budget = len(submit) * cfg["max_attempts"] + n_workers
+        def tell(conn, message) -> None:
+            try:
+                conn.send(message)
+            except OSError:  # the worker died; its exit is handled below
+                pass
 
-        observed = {name: {"state": "pending", "epochs": 0} for name, _, _ in submit}
-        stopping = False
-        stop_reason: Optional[str] = None
-        if held_back:
-            stop_reason = "stop_after_points"
+        def update(name: str, **changes: Any) -> None:
+            stats[name].update(changes)
+            self._entries[name]["queue"] = dict(stats[name])
 
-        def observe() -> None:
-            """Fold queue-state transitions into one manifest update."""
-            jq.resolve_expired()
-            status = jq.status()
-            changed = False
-            events = []
-            for name, _, _ in submit:
-                state = status[name]
-                prev = observed[name]
-                if (state["state"], state["epochs"]) == (prev["state"], prev["epochs"]):
-                    continue
-                changed = True
-                observed[name] = {"state": state["state"], "epochs": state["epochs"]}
-                entry = self._entries[name]
-                entry["queue"] = {
-                    "state": state["state"],
-                    "epochs": state["epochs"],
-                    "requeues": max(0, state["epochs"] - 1),
-                    "burned": state["burned"],
-                    "owner": state.get("owner"),
-                }
-                if state["state"] == STATE_LEASED:
-                    # First lease marks the point running; requeued epochs
-                    # re-announce so retries are visible to observers.
-                    events.append(self._started(name))
-                elif state["state"] == STATE_RELEASED:
-                    outcome = state.get("released_outcome") or {
-                        "status": STATUS_RUNNING,
-                        "interrupted": True,
-                    }
-                    events.append(self._finished(name, outcome))
-                elif state["state"] in (STATE_DONE, STATE_FAILED):
-                    terminal = state["terminal"]
-                    outcome = dict(terminal.get("result") or {})
-                    outcome["status"] = terminal["status"]
-                    if terminal.get("error") and not outcome.get("error"):
-                        outcome["error"] = terminal["error"]
-                    events.append(self._finished(name, outcome))
-                # STATE_EXPIRED keeps the manifest status "running": either
-                # the next claim requeues it or the budget check fails it.
-            if changed:
-                self._publish(events, progress)
+        def requeue(name: str) -> None:
+            pending.append(name)
+            pending.sort(key=order.__getitem__)
 
         try:
             while True:
                 if self._stop_requested and not stopping:
-                    stopping = True
-                    stop_reason = "stop_requested"
-                    jq.pause()
-                    for worker in workers:
-                        if worker.is_alive():
-                            try:
-                                os.kill(worker.pid, signal.SIGTERM)
-                            except (OSError, ValueError):  # pragma: no cover
-                                pass
-                observe()
-                if jq.outstanding() == 0:
-                    break
-                if stopping:
-                    if not any(worker.is_alive() for worker in workers):
+                    stopping, stop_reason = True, "stop_requested"
+                    for conn in workers:
+                        tell(conn, None)
+                events: List[Dict[str, Any]] = []
+                if not stopping:
+                    idle = [conn for conn, worker in workers.items()
+                            if worker.point is None and not worker.retiring]
+                    while len(pending) > len(idle) and len(workers) < n_workers and spawns:
+                        spawn()
+                        spawns -= 1
+                        idle.append(next(reversed(workers)))
+                    for conn in idle[: len(pending)]:
+                        name = pending.pop(0)
+                        worker = workers[conn]
+                        worker.point = name
+                        epoch = stats[name]["epochs"]
+                        update(name, state=_LEASED, epochs=epoch + 1, requeues=epoch,
+                               owner=worker.owner)
+                        payload, allow_resume = runs[name]
+                        # A requeued epoch always resumes: the one before it
+                        # may have checkpointed before it stopped.
+                        tell(conn, (name, payload, allow_resume or epoch > 0, epoch))
+                        # Every dispatch announces the point, retries included.
+                        events.append(self._started(name))
+                if events:
+                    self._publish(events, progress)
+                if not any(worker.point is not None for worker in workers.values()):
+                    if stopping or not pending:
                         break
-                else:
-                    for i, worker in enumerate(workers):
-                        if (
-                            not worker.is_alive()
-                            and respawn_budget > 0
-                            and jq.outstanding() > 0
-                        ):
-                            worker.join(timeout=1)
-                            workers[i] = spawn()
-                            respawn_budget -= 1
-                    if not any(worker.is_alive() for worker in workers):
+                    if not workers:  # points wait, but no spawn is left
                         stop_reason = stop_reason or "workers_exhausted"
                         break
-                # One poll interval, cut short the moment a worker exits:
-                # workers leave when the grid drains (or when they crash).
                 multiprocessing.connection.wait(
-                    [worker.sentinel for worker in workers if worker.is_alive()],
+                    [*workers, *(worker.process.sentinel for worker in workers.values())],
                     timeout=cfg["poll_seconds"],
                 )
+                events, changed = [], False
+                for conn, worker in list(workers.items()):
+                    # Exit first, pipe second: whatever a dead worker sent
+                    # is already readable.
+                    exited = not worker.process.is_alive()
+                    outcome = None
+                    try:
+                        if conn.poll():
+                            outcome = conn.recv()
+                    except (EOFError, OSError):
+                        exited = True
+                    if outcome is not None:
+                        name, worker.point = worker.point, None
+                        if outcome.get("interrupted"):
+                            update(name, state=_RELEASED)
+                            worker.retiring = True
+                            tell(conn, None)
+                            if not stopping:
+                                requeue(name)
+                        else:
+                            update(name, state=outcome["status"])
+                        events.append(self._finished(name, outcome))
+                    if exited:
+                        worker.process.join()
+                        conn.close()
+                        del workers[conn]
+                        name = worker.point
+                        if name is None:
+                            continue
+                        changed = True
+                        burned = stats[name]["burned"] + 1
+                        if burned < max_attempts:
+                            update(name, state=_EXPIRED, burned=burned)
+                            requeue(name)
+                        else:
+                            update(name, state=STATUS_FAILED, burned=burned)
+                            events.append(self._finished(name, {
+                                "status": STATUS_FAILED,
+                                "error": f"its worker died {burned} times; "
+                                f"retry budget ({max_attempts}) exhausted",
+                            }))
+                if events or changed:
+                    self._publish(events, progress)
         finally:
-            jq.pause()
-            closing.set()
-            for worker in workers:
-                worker.join(timeout=60)
-            for worker in workers:
-                if worker.is_alive():  # pragma: no cover - stuck worker
-                    worker.terminate()
-                    worker.join(timeout=5)
-            observe()  # transitions that landed after the last poll
+            for conn in workers:
+                tell(conn, None)
+            for worker in workers.values():
+                worker.process.join(timeout=60)
+                if worker.process.is_alive():  # pragma: no cover - stuck worker
+                    worker.process.terminate()
+                    worker.process.join(timeout=5)
+            for conn in workers:
+                conn.close()
 
-        interrupted = bool(
-            self._stop_requested or held_back or jq.outstanding() > 0
-        )
+        outstanding = any(stat["state"] not in (STATUS_DONE, STATUS_FAILED)
+                          for stat in stats.values())
+        interrupted = bool(self._stop_requested or held_back or outstanding)
         if interrupted:
             stop_reason = stop_reason or "stop_requested"
         return interrupted, stop_reason
@@ -1185,9 +1118,3 @@ class Sweep:
 def _read_point_records(path: str) -> List[Dict[str, Any]]:
     with open(path) as handle:
         return [json.loads(line) for line in handle if line.strip()]
-
-
-def run_sweep(spec: Union[SweepSpec, Dict[str, Any]], **kwargs) -> SweepResult:
-    """One-call convenience: build a :class:`Sweep` and run it (``kwargs``
-    go to :meth:`Sweep.run`)."""
-    return Sweep(spec).run(**kwargs)

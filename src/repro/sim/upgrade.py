@@ -214,14 +214,20 @@ def _retired_field(field, default, reason):
     return lift
 
 
-def _heartbeat_seconds(document):
-    """A sweep's ``queue.heartbeat_seconds`` set the lease-renewal interval,
-    which is a quarter of the lease now; what it said changes no result."""
-    queue = document.get("queue")
-    if not (isinstance(queue, dict) and "heartbeat_seconds" in queue):
-        return document
-    kept = {key: value for key, value in queue.items() if key != "heartbeat_seconds"}
-    return {**document, "queue": kept}
+def _retired_queue_key(key):
+    """A lift dropping a sweep's ``queue.<key>``, a knob of the file lease
+    queue that ran ``jobs >= 2`` sweeps.  Its workers now answer to the
+    parent that forks them, which sees one die the moment it does; what the
+    knob said changed no result."""
+
+    def lift(document):
+        queue = document.get("queue")
+        if not (isinstance(queue, dict) and key in queue):
+            return document
+        return {**document, "queue": {name: value for name, value in queue.items()
+                                      if name != key}}
+
+    return lift
 
 
 #: The ``cutoff`` of every option family, contraction, einsumsvd and update.
@@ -252,7 +258,9 @@ STEPS = (
     Step(SWEEP_SPEC, "after 8291454", _retired_field(
         "derive_seeds", True, 'every point derives its seed; a "seed" axis or point '
         "override fixes it")),
-    Step(SWEEP_SPEC, "after 8291454", _heartbeat_seconds),
+    # The lease-renewal interval, then the lease itself.
+    Step(SWEEP_SPEC, "after 8291454", _retired_queue_key("heartbeat_seconds")),
+    Step(SWEEP_SPEC, "after 15725d0", _retired_queue_key("lease_seconds")),
     # Spec shorthands that spelled out the two layers every sandwich has.
     Step(SPEC_CONTRACTION, "23ca172", _renamed_kinds(
         {"two_layer_bmps": "bmps", "two_layer_ibmps": "ibmps"}

@@ -17,7 +17,6 @@ import numpy as np
 from repro.circuits.circuit import Circuit, Gate
 from repro.operators.hamiltonians import Hamiltonian
 from repro.operators.observable import Observable
-from repro.utils.rng import SeedLike, ensure_rng
 
 _MAX_QUBITS = 26
 
@@ -58,14 +57,6 @@ class StateVector:
         amps = np.zeros(2**n, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps, n)
-
-    @classmethod
-    def random(cls, n_qubits: int, seed: SeedLike = None) -> "StateVector":
-        """A Haar-ish random normalized state."""
-        rng = ensure_rng(seed)
-        amps = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
-        amps /= np.linalg.norm(amps)
-        return cls(amps, n_qubits)
 
     # ------------------------------------------------------------------ #
     # Basic queries

@@ -1,6 +1,6 @@
 """One metrics registry for every counter in the library.
 
-The process-wide PEPS work counters (``peps.*``), the queue/serve/planner
+The process-wide PEPS work counters (``peps.*``), the sweep/serve/planner
 counters, the :class:`~repro.utils.flops.FlopCounter` and the distributed
 backend's :class:`~repro.backends.distributed.cost_model.ExecutionStats` all
 write through a registry from this module, so they share one reset, one

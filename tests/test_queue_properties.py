@@ -1,14 +1,15 @@
-"""Property tests for the lease queue (repro.sim.queue) and manifest safety.
+"""Property tests for the sweep's worker dispatch and manifest safety.
 
 Two families:
 
-* **Interleaving properties** — seeded random schedules of claim /
-  heartbeat / expire / release / complete / crash over a fake clock.  After
-  any schedule: no job is lost, no job completes twice, at most one live
-  lease exists per job at a time, terminal records are immutable, and the
-  burn accounting never exceeds the retry budget.  The schedules are pure
-  single-process state-machine drives (the chaos suite covers real
-  processes and signals), so hundreds of interleavings run in milliseconds.
+* **Dispatch properties** — seeded random schedules of what each run of a
+  point does in its forked worker: finish, fail, die by SIGKILL, or be
+  stopped (checkpoint and hand the point back).  The points are stubs that
+  log each run and act at once, so a schedule of real workers, pipes and
+  process deaths runs in a fraction of a second.  After any schedule: no
+  point is lost, no point runs in two workers at once, a point burns one
+  attempt per death of its worker and never more than ``max_attempts``, and
+  a point handed back burns nothing.
 
 * **Torn-write injection** — the sweep manifest must remain valid JSON no
   matter where a writer dies.  Every manifest update in a short sweep is
@@ -19,279 +20,100 @@ Two families:
 """
 
 import json
+import multiprocessing
 import os
 import random
+import signal
+import time
 
 import pytest
 
-from repro.sim import JobQueue, LeaseLost, Sweep
-from repro.sim.queue import (
-    STATE_DONE,
-    STATE_EXPIRED,
-    STATE_FAILED,
-    STATE_LEASED,
-    STATE_PENDING,
-    STATE_RELEASED,
-)
+import repro.sim.sweep as sweep_module
+from repro.sim import Sweep
+from repro.sim.sweep import STATUS_DONE, STATUS_FAILED, STATUS_RUNNING
 
 from test_queue_chaos import make_spec, read_bytes
 
-N_JOBS = 5
 MAX_ATTEMPTS = 3
-LEASE = 10.0
 
 
-class FakeClock:
-    def __init__(self, start=1000.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-def fresh_queue(tmp_path, subdir, clock, max_attempts=MAX_ATTEMPTS):
-    jobs = [{"id": f"job-{i}", "payload": {"i": i}} for i in range(N_JOBS)]
-    return JobQueue.create(
-        tmp_path / subdir, jobs,
-        lease_seconds=LEASE, max_attempts=max_attempts, clock=clock,
-    )
+def _schedule(seed, name, runs):
+    """What the next run of point ``name`` does under ``seed``, given the
+    actions of its earlier ``runs``.  A point meets at most ``MAX_ATTEMPTS``
+    deaths and stops together, so the grid stays within the parent's spawn
+    budget of ``MAX_ATTEMPTS`` per point."""
+    faults = sum(1 for action in runs if action in ("kill", "stop"))
+    choices = ["done", "fail"] if faults == MAX_ATTEMPTS else ["done", "fail", "kill", "stop"]
+    weights = [4, 1] if faults == MAX_ATTEMPTS else [4, 1, 3, 2]
+    return random.Random(f"{seed}-{name}-{len(runs)}").choices(choices, weights)[0]
 
 
-# --------------------------------------------------------------------- #
-# Deterministic single-transition properties
-# --------------------------------------------------------------------- #
-class TestLeaseTransitions:
-    def test_claim_is_exclusive_while_leased(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "excl", clock)
-        leases = [jq.claim(f"w{i}") for i in range(N_JOBS)]
-        assert sorted(lease.job_id for lease in leases) == sorted(
-            f"job-{i}" for i in range(N_JOBS)
-        )
-        assert jq.claim("late") is None, "every job leased: nothing claimable"
+def _stub_point(log_path, seed):
+    """A stand-in for ``_execute_point`` that logs its run and acts on the
+    schedule; forked workers inherit it."""
 
-    def test_heartbeat_extends_deadline(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "hb", clock)
-        lease = jq.claim("w0")
-        clock.advance(LEASE * 0.9)
-        new_deadline = jq.heartbeat(lease)
-        assert new_deadline == pytest.approx(clock.now + LEASE)
-        clock.advance(LEASE * 0.9)  # past the original deadline, inside the new
-        assert jq.status()[lease.job_id]["state"] == STATE_LEASED
+    def execute(payload, allow_resume, count_flops=False, register=None,
+                record_progress=None):
+        name = os.path.basename(os.path.dirname(payload["results"]))
+        with open(log_path) as handle:
+            runs = [entry["action"] for entry in map(json.loads, handle)
+                    if entry["name"] == name]
+        action = _schedule(seed, name, runs)
+        start = time.monotonic()
+        time.sleep(0.002)
+        entry = {"name": name, "pid": os.getpid(), "action": action,
+                 "resume": allow_resume, "start": start, "end": time.monotonic()}
+        with open(log_path, "a") as handle:
+            handle.write(json.dumps(entry) + "\n")
+        if action == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if action == "stop":
+            sweep_module._stop_worker()  # as SIGTERM would, mid-point
+            return {"status": STATUS_RUNNING, "interrupted": True}
+        if action == "fail":
+            return {"status": STATUS_FAILED, "error": "scheduled failure"}
+        os.makedirs(os.path.dirname(payload["results"]), exist_ok=True)
+        with open(payload["results"], "w") as handle:
+            handle.write(json.dumps({"step": 1}) + "\n")
+        return {"status": STATUS_DONE, "interrupted": False, "final_step": 1}
 
-    def test_expired_lease_requeues_and_zombie_is_refused(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "zombie", clock)
-        stale = jq.claim("w0")
-        clock.advance(LEASE + 1)
-        assert jq.status()[stale.job_id]["state"] == STATE_EXPIRED
-
-        # Another worker claims the expired job; the claim targets the SAME
-        # job at a higher epoch.
-        claims = [jq.claim("w1") for _ in range(N_JOBS)]
-        successor = next(c for c in claims if c.job_id == stale.job_id)
-        assert successor.epoch == stale.epoch + 1
-        assert successor.requeues == 1
-
-        # The zombie's stale lease is dead: heartbeat raises, complete is a
-        # no-op returning False, and the successor's completion wins.
-        with pytest.raises(LeaseLost):
-            jq.heartbeat(stale)
-        assert jq.complete(stale, {"who": "zombie"}) is False
-        assert jq.complete(successor, {"who": "successor"}) is True
-        terminal = jq.status()[stale.job_id]["terminal"]
-        assert terminal["result"] == {"who": "successor"}
-
-    def test_release_requeues_without_burning_budget(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "release", clock)
-        for round_number in range(MAX_ATTEMPTS * 3):
-            lease = jq.claim("w0")
-            assert lease is not None, f"round {round_number}: job must requeue"
-            assert lease.job_id == "job-0"
-            jq.release(lease, {"status": "running", "interrupted": True})
-        state = jq.status()["job-0"]
-        assert state["state"] == STATE_RELEASED
-        assert state["burned"] == 0, "cooperative releases never burn budget"
-
-    def test_retry_budget_exhaustion_publishes_failed(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "budget", clock)
-        for _ in range(MAX_ATTEMPTS):
-            lease = jq.claim("w0")
-            assert lease.job_id == "job-0"
-            clock.advance(LEASE + 1)  # crash: no mark, lease expires
-        # The next claim of this job observes the exhausted budget and
-        # publishes the terminal failure instead of a new lease.
-        next_lease = jq.claim("w0")
-        assert next_lease is None or next_lease.job_id != "job-0"
-        state = jq.status()["job-0"]
-        assert state["state"] == STATE_FAILED
-        assert state["burned"] == MAX_ATTEMPTS
-        assert state["terminal"]["status"] == STATE_FAILED
-
-    def test_resolve_expired_publishes_exhausted_failures(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "resolve", clock, max_attempts=1)
-        lease = jq.claim("w0")
-        clock.advance(LEASE + 1)
-        failed = jq.resolve_expired()
-        assert failed == [lease.job_id]
-        assert jq.status()[lease.job_id]["state"] == STATE_FAILED
-
-    def test_paused_queue_refuses_claims(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "pause", clock)
-        jq.pause()
-        assert jq.claim("w0") is None
-
-    def test_terminal_record_is_immutable(self, tmp_path):
-        clock = FakeClock()
-        jq = fresh_queue(tmp_path, "immutable", clock)
-        lease = jq.claim("w0")
-        assert jq.complete(lease, {"round": 1}) is True
-        assert jq.fail(lease, "late failure") is False
-        assert jq.status()[lease.job_id]["terminal"]["result"] == {"round": 1}
+    return execute
 
 
-# --------------------------------------------------------------------- #
-# Randomized interleavings
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", range(25))
-def test_random_interleavings_never_lose_or_duplicate(tmp_path, seed):
-    """Any schedule of claim/heartbeat/expire/release/complete/crash drains
-    to exactly one terminal record per job, with invariants held throughout."""
-    rng = random.Random(seed)
-    clock = FakeClock()
-    jq = fresh_queue(tmp_path, f"rand{seed}", clock)
-    workers = {f"w{i}": None for i in range(3)}  # worker -> held lease
-    completions = {f"job-{i}": 0 for i in range(N_JOBS)}
-    first_terminal = {}
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers inherit the stub point by fork")
+@pytest.mark.parametrize("seed", range(40))
+def test_random_schedules_never_lose_or_double_run_a_point(tmp_path, monkeypatch, seed):
+    jobs = 2 + seed % 3
+    spec = make_spec(tmp_path, f"dispatch{seed}", queue={"max_attempts": MAX_ATTEMPTS})
+    log_path = tmp_path / "runs.jsonl"
+    log_path.write_text("")
+    monkeypatch.setattr(sweep_module, "_execute_point", _stub_point(log_path, seed))
+    events = []
+    result = Sweep(spec).run(jobs=jobs, progress=events.append)
+    runs = [json.loads(line) for line in log_path.read_text().splitlines()]
+    manifest = json.load(open(result.manifest_path))
+    stats = {entry["name"]: entry["queue"] for entry in manifest["points"]}
 
-    def check_invariants():
-        status = jq.status()
-        assert set(status) == set(completions), "jobs must never be lost"
-        for job_id, state in status.items():
-            assert state["burned"] <= MAX_ATTEMPTS
-            if job_id in first_terminal:
-                assert state["state"] == first_terminal[job_id]["status"], (
-                    "terminal records are immutable"
-                )
-        live = [
-            w for w, lease in workers.items()
-            if lease is not None
-            and status[lease.job_id]["state"] == STATE_LEASED
-            and status[lease.job_id]["owner"] == w
-        ]
-        held_jobs = [workers[w].job_id for w in live]
-        assert len(held_jobs) == len(set(held_jobs)), (
-            "a job can have at most one live lease"
-        )
-
-    for _ in range(400):
-        if jq.outstanding() == 0:
-            break
-        op = rng.choice(("claim", "heartbeat", "complete", "fail",
-                         "release", "crash", "tick", "resolve"))
-        worker = rng.choice(sorted(workers))
-        lease = workers[worker]
-        if op == "claim" and lease is None:
-            workers[worker] = jq.claim(worker)
-        elif op == "heartbeat" and lease is not None:
-            try:
-                jq.heartbeat(lease)
-            except LeaseLost:
-                workers[worker] = None
-        elif op == "complete" and lease is not None:
-            if jq.complete(lease, {"by": worker}):
-                completions[lease.job_id] += 1
-                record = jq.status()[lease.job_id]["terminal"]
-                first_terminal.setdefault(lease.job_id, record)
-            workers[worker] = None
-        elif op == "fail" and lease is not None:
-            if jq.fail(lease, "injected failure"):
-                record = jq.status()[lease.job_id]["terminal"]
-                first_terminal.setdefault(lease.job_id, record)
-            workers[worker] = None
-        elif op == "release" and lease is not None:
-            try:
-                jq.release(lease, {"status": "running"})
-            except LeaseLost:
-                pass
-            workers[worker] = None
-        elif op == "crash" and lease is not None:
-            workers[worker] = None  # vanish without releasing: lease expires
-        elif op == "tick":
-            clock.advance(rng.choice((1.0, LEASE / 2, LEASE + 1)))
-        elif op == "resolve":
-            for job_id in jq.resolve_expired():
-                first_terminal.setdefault(job_id, jq.status()[job_id]["terminal"])
-        check_invariants()
-
-    # Drain deterministically: completions and budget failures both count as
-    # terminal; nothing may be left outstanding forever.
-    guard = 0
-    while jq.outstanding() > 0:
-        guard += 1
-        assert guard < 200, "queue failed to drain"
-        clock.advance(LEASE + 1)
-        jq.resolve_expired()
-        lease = jq.claim("drain")
-        if lease is not None:
-            assert jq.complete(lease, {"by": "drain"})
-            completions[lease.job_id] += 1
-        check_invariants()
-
-    status = jq.status()
-    for job_id, state in status.items():
-        assert state["state"] in (STATE_DONE, STATE_FAILED)
-        assert completions[job_id] <= 1, "no job may ever complete twice"
-        if state["state"] == STATE_DONE:
-            assert completions[job_id] == 1
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_random_crash_heavy_schedules_drain_within_budget(tmp_path, seed):
-    """Crash-only schedules: every job ends done or failed, and failed jobs
-    burned exactly their budget — never more."""
-    rng = random.Random(1000 + seed)
-    clock = FakeClock()
-    jq = fresh_queue(tmp_path, f"crash{seed}", clock)
-    for _ in range(200):
-        if jq.outstanding() == 0:
-            break
-        lease = jq.claim("w")
-        if lease is None:
-            clock.advance(LEASE + 1)
-            jq.resolve_expired()
-            continue
-        if rng.random() < 0.6:
-            clock.advance(LEASE + 1)  # crash mid-lease
-        else:
-            jq.complete(lease, {"ok": True})
-    for state in jq.status().values():
-        assert state["state"] in (STATE_DONE, STATE_FAILED)
-        if state["state"] == STATE_FAILED:
-            assert state["burned"] == MAX_ATTEMPTS
-
-
-def test_jobs_survive_reopen_mid_flight(tmp_path):
-    """A queue reopened from disk (a second worker process) sees the same
-    jobs, leases and terminals — the directory IS the state."""
-    clock = FakeClock()
-    jq = fresh_queue(tmp_path, "reopen", clock)
-    lease = jq.claim("w0")
-    jq.complete(jq.claim("w0"), {"n": 2})
-
-    other = JobQueue(tmp_path / "reopen", clock=clock)
-    status = other.status()
-    assert status[lease.job_id]["state"] == STATE_LEASED
-    assert sum(1 for s in status.values() if s["state"] == STATE_DONE) == 1
-    assert sum(1 for s in status.values() if s["state"] == STATE_PENDING) == N_JOBS - 2
+    assert not result.interrupted, result.stop_reason
+    for name, status in result.statuses.items():
+        mine = [run for run in runs if run["name"] == name]
+        actions = [run["action"] for run in mine]
+        kills = actions.count("kill")
+        # No point lost: each ends on its last run's verdict or its budget.
+        expected = (STATUS_FAILED if kills == MAX_ATTEMPTS or actions[-1] == "fail"
+                    else STATUS_DONE)
+        assert status == expected, (name, actions)
+        assert actions[-1] in ("done", "fail") or kills == MAX_ATTEMPTS
+        # One burn per death of its worker, none for a stop, never above budget.
+        assert stats[name]["burned"] == kills <= MAX_ATTEMPTS, (name, actions)
+        assert stats[name]["epochs"] == len(mine)
+        assert [event["point"] for event in events
+                if event["event"] == "started"].count(name) == len(mine)
+        # Never in two workers at once; every rerun resumes.
+        for before, after in zip(mine, mine[1:]):
+            assert before["end"] <= after["start"], (name, before, after)
+            assert after["resume"]
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,10 @@ in the table next to its check.
 * **Names** (``ENTRY_POINTS``): a public module-level function or class, or a
   public method of a module-level class, counts as called when its name is
   read (as a name or an attribute) outside its own definition.  Import lines
-  and ``__all__`` do not count.
+  and ``__all__`` do not count.  A module-level name is read only in its own
+  module or in a file that imports it, its module, or a package that
+  re-exports it (its ``__init__`` imports the name or lists it as a string);
+  a method is read wherever its name is.
 * **Parameters** (``KEPT_PARAMETERS``): every defaulted parameter of a public
   function, of a public method, or of a public class's ``__init__`` is passed,
   by keyword or by position, by some call of that name (the class name for
@@ -23,7 +26,8 @@ in the table next to its check.
   literal or a JSON file.
 
 Scans match by name, so they are a floor (a method that shares another
-definition's name looks used), never a proof of use.
+definition's name looks used: ``gen.random()`` reads as a call of any public
+``random`` method), never a proof of use.
 """
 
 import ast
@@ -51,6 +55,7 @@ ENTRY_POINTS = {
     "repro.sim.serve.wait_for_endpoint": "docs/serve.md: wait for a (re)started daemon",
     "repro.telemetry.global_snapshot": "docs/observability.md: the process registry as data",
     "repro.telemetry.metrics.MetricsRegistry.merge": "docs/observability.md: fold a snapshot in",
+    "repro.telemetry.metrics.Histogram.observe": "docs/observability.md: record a histogram value",
     "repro.backends.numpy_backend.clear_path_caches": "docs/perf.md: reset the plan cache",
     "repro.peps.peps.PEPS.detach_environment":
         "ImaginaryTimeEvolution.run's docstring: drop the attached environment",
@@ -97,11 +102,6 @@ KEPT_PARAMETERS = {
     "repro.operators.observable.Observable.identity(coefficient=)":
         "the value of a constant term (an energy offset)",
     # Test doubles and references.
-    "repro.sim.queue.JobQueue(clock=)": "tests substitute a clock to expire leases without waiting",
-    "repro.sim.queue.JobQueue.create(clock=)":
-        "tests substitute a clock to expire leases without waiting",
-    "repro.statevector.statevector.StateVector.random(seed=)":
-        "seeded random reference states of the statevector tests",
     "repro.peps.peps.random_peps(phys_dim=)":
         "property tests draw qudit states to check contractions beyond qubits",
     "repro.peps.peps.random_single_layer_grid(backend=)":
@@ -161,21 +161,53 @@ def public_definitions(package_root):
 
 
 def references(roots):
-    """Map each name read in ``roots`` to the ``(path, lineno)`` places it is read.
+    """Map each name read in ``roots`` to the ``(path, lineno)`` places it is
+    read, and each file to the modules it imports.
 
-    A read is an ``ast.Name`` or ``ast.Attribute`` in load context.  Import
+    A read is an ``ast.Name`` or ``ast.Attribute`` in load context; a read of
+    an ``import ... as`` alias is a read of the imported name.  Import
     statements bind names and ``__all__`` lists them as strings, so neither
-    is a read.
+    is a read.  ``import m`` imports ``m`` and ``from m import a`` imports
+    ``m.a`` (a name, or a module).
     """
-    found = {}
+    found, imported = {}, {}
     for root in roots:
         for path in sorted(Path(root).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            modules, renames = set(), {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    for alias in node.names:
+                        modules.add(f"{node.module}.{alias.name}")
+                        if alias.asname:
+                            renames[alias.asname] = alias.name
+            imported[path] = modules
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    found.setdefault(node.id, []).append((path, node.lineno))
+                    name = renames.get(node.id, node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    found.setdefault(node.attr, []).append((path, node.lineno))
-    return found
+                    name = node.attr
+                else:
+                    continue
+                found.setdefault(name, []).append((path, node.lineno))
+    return found, imported
+
+
+def exported_names(package_root, package):
+    """The names ``package``'s ``__init__`` imports or spells as a string
+    (``__all__``, a lazy-export table)."""
+    path = package_root.parent.joinpath(*package.split("."), "__init__.py")
+    if not path.exists():
+        return set()
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
 
 
 def uncalled(package_root, caller_roots, base):
@@ -183,12 +215,31 @@ def uncalled(package_root, caller_roots, base):
 
     A definition is uncalled when no file under ``caller_roots`` reads its
     name outside the definition itself (recursion or a class naming itself
-    is not a caller).  Paths in the entries are relative to ``base``.
+    is not a caller); a module-level name counts only where it is visible
+    (see the module docstring).  Paths in the entries are relative to
+    ``base``.
     """
-    refs = references(caller_roots)
+    refs, imported = references(caller_roots)
+    exports = {}
+
+    def sees(where, module, name):
+        modules = imported.get(where, ())
+        if module in modules or f"{module}.{name}" in modules:
+            return True
+        parts = module.split(".")
+        for package in (".".join(parts[:n]) for n in range(1, len(parts))):
+            if package in modules or f"{package}.{name}" in modules:
+                if package not in exports:
+                    exports[package] = exported_names(package_root, package)
+                if name in exports[package]:
+                    return True
+        return False
+
     found = {}
     for path, start, end, module, qualname, name in public_definitions(package_root):
-        if not any(where != path or not start <= line <= end
+        method = qualname != name
+        if not any((where != path or not start <= line <= end)
+                   and (method or where == path or sees(where, module, name))
                    for where, line in refs.get(name, ())):
             found[f"{module}.{qualname}"] = f"{path.relative_to(base)}:{start} {qualname}"
     return found
@@ -538,6 +589,24 @@ class TestCheckerOnASyntheticTree:
         package, roots = self._tree(tmp_path, "from pkg.mod import Used\nUsed().method()\n")
         rows = {"pkg.mod.planted": "documented API"}
         assert unlisted(package, roots, rows, tmp_path) == []
+
+    @pytest.mark.parametrize("caller", [
+        "from pkg import planted\nplanted()\n",
+        "from pkg import mod\nmod.planted()\n",
+        "import pkg.mod as m\nm.planted()\n",
+        "from pkg.mod import planted as alias\nalias()\n",
+    ])
+    def test_a_read_through_the_package_or_module_clears_it(self, tmp_path, caller):
+        package, roots = self._tree(tmp_path, "from pkg.mod import Used\nUsed().method()\n"
+                                    + caller)
+        assert unlisted(package, roots, {}, tmp_path) == []
+
+    def test_a_same_name_function_elsewhere_does_not_clear_it(self, tmp_path):
+        package, roots = self._tree(
+            tmp_path, "from pkg.mod import Used\nfrom pkg.other import planted\n"
+            "Used().method()\nplanted()\n")
+        (package / "other.py").write_text("def planted():\n    return 3\n")
+        assert unlisted(package, roots, {}, tmp_path) == ["src/pkg/mod.py:1 planted"]
 
 
 class TestParameterAndFieldChecksOnASyntheticTree:

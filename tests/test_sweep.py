@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.sim import (
     SweepSpec,
     apply_spec_override,
     derive_point_seed,
-    run_sweep,
 )
 import repro.sim.io as sim_io
 import repro.sim.sweep as sweep_module
@@ -296,7 +296,7 @@ class TestSweepExecution:
         assert result.failed and "not_a_model" in next(iter(result.errors.values()))
 
     def test_run_sweep_convenience(self, tmp_path):
-        result = run_sweep(sweep_spec(tmp_path, axes={"update.rank": [2]}))
+        result = Sweep(sweep_spec(tmp_path, axes={"update.rank": [2]})).run()
         assert result.completed
 
     def test_count_flops_metrics(self, tmp_path):
@@ -404,6 +404,75 @@ class TestSweepCLI:
         assert read_bytes(tmp_path / "out.jsonl") == read_bytes(tmp_path / "ref.jsonl")
 
 
+    #: Steps per point of the parent-death test: enough that the grid's
+    #: workers, left to run it out, would outlive WORKER_EXIT_SECONDS
+    #: several times over (about 4 s after the kill on a 2-core VM).
+    PARENT_DEATH_STEPS = 320
+    #: How long a worker may take to stop once its parent is gone: one step
+    #: (about 20 ms here), one checkpoint and the exit.
+    WORKER_EXIT_SECONDS = 1.0
+
+    @staticmethod
+    def alive(pid):
+        """Whether ``pid`` runs (an orphan's zombie waits for init: not alive)."""
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except OSError:
+            return False
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+    def test_cli_sigkill_of_the_parent_stops_its_workers(self, tmp_path):
+        """A sweep parent killed outright cannot signal its workers.  Each
+        still stops within a step (its pipe to the parent closes), and
+        --resume completes the grid to the serial golden bytes."""
+        base = dict(BASE, n_steps=self.PARENT_DEATH_STEPS, checkpoint_every=10)
+        golden = Sweep(sweep_spec(tmp_path, "golden", base=base)).run(jobs=1)
+        assert golden.completed
+        spec_path = self.write_spec(tmp_path, base=base)
+        sweep_dir = tmp_path / "sweep"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.sim", "sweep", str(spec_path),
+             "--jobs", "2", "--quiet"],
+            env=self.cli_env(), cwd=tmp_path,
+        )
+        pids = []
+        try:
+            # Kill mid-point: both workers own a point that has checkpointed.
+            deadline = time.monotonic() + 120
+            while True:
+                assert time.monotonic() < deadline, "the workers never checkpointed"
+                assert process.poll() is None, "the sweep ended before the kill"
+                try:
+                    points = json.loads((sweep_dir / "manifest.json").read_text())["points"]
+                except (OSError, ValueError):
+                    points = []
+                running = [point for point in points if point["status"] == STATUS_RUNNING
+                           and (point["queue"] or {}).get("owner")
+                           and list((sweep_dir / point["name"]).glob("checkpoints/*.ckpt.json"))]
+                if len(running) == 2:
+                    break
+                time.sleep(0.02)
+            process.kill()
+            process.wait(timeout=60)
+            pids = [int(point["queue"]["owner"].rsplit("pid", 1)[1]) for point in running]
+            deadline = time.monotonic() + self.WORKER_EXIT_SECONDS
+            while any(map(self.alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not [pid for pid in pids if self.alive(pid)], (
+                "workers outlived their SIGKILLed parent")
+        finally:
+            if process.poll() is None:
+                process.kill()
+            for pid in pids:
+                if self.alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+        resumed = self.cli(tmp_path, spec_path, "--quiet", "--jobs", "2", "--resume")
+        assert resumed.returncode == 0, resumed.stderr
+        assert read_bytes(sweep_dir / "results.jsonl") == read_bytes(golden.combined_path)
+
+
 class TestManifestOfAnEarlierBuild:
     @pytest.mark.parametrize("recorded", [True, False], ids=["payload", "no-payload"])
     def test_resume_reads_a_manifest_of_an_earlier_build(self, tmp_path, recorded):
@@ -429,16 +498,17 @@ class TestManifestOfAnEarlierBuild:
 
 
 class TestQueueExecutorSpec:
-    """SweepSpec surface for the lease queue and the reference slot."""
+    """SweepSpec surface for the worker settings and the reference slot."""
 
     def test_queue_round_trip(self, tmp_path):
         spec = sweep_spec(
             tmp_path,
             queue={"lease_seconds": 2.0, "max_attempts": 2},
         )
+        assert spec.queue == {"max_attempts": 2}, "the lease knob is lifted away"
         again = SweepSpec.from_dict(spec.to_dict())
         assert again == spec
-        assert again.queue == {"lease_seconds": 2.0, "max_attempts": 2}
+        assert again.queue == {"max_attempts": 2}
 
     def test_reference_round_trip(self, tmp_path):
         spec = sweep_spec(
@@ -477,13 +547,15 @@ class TestQueueExecutorSpec:
 
     def test_single_remaining_point_still_runs_through_workers(self, tmp_path):
         """``jobs >= 2`` means workers whatever is left to run; ``jobs == 1``
-        never builds a queue."""
-        spec = sweep_spec(tmp_path, axes={"update.rank": [2]})
+        never forks one."""
+        spec = sweep_spec(tmp_path, axes={"update.rank": [2]},
+                          queue={"lease_seconds": 30.0})
         result = Sweep(spec).run(jobs=2)
         assert result.completed
         manifest = Sweep.load_manifest(result.manifest_path)
         assert "executor" not in manifest and "executor" not in manifest["spec"]
-        assert manifest["queue"]["lease_seconds"] == 30.0
+        assert manifest["queue"] == {"max_attempts": 3, "poll_seconds": 0.05, "fault": None}
+        assert manifest["spec"]["queue"] == {}, "the lease knob is lifted away"
         assert [p["queue"]["state"] for p in manifest["points"]] == ["done"]
 
         serial = Sweep(sweep_spec(tmp_path, "serial", axes={"update.rank": [2]})).run()

@@ -268,9 +268,17 @@ class TestSteps:
 
     @pytest.mark.parametrize("seconds", [0.05, 7.5, None])
     def test_sweep_queue_heartbeat_seconds(self, seconds):
-        document = {"name": "s", "queue": {"lease_seconds": 2.0, "poll_seconds": 0.01}}
+        document = {"name": "s", "queue": {"max_attempts": 2, "poll_seconds": 0.01}}
         legacy = {**document, "queue": {**document["queue"], "heartbeat_seconds": seconds}}
         assert lifted(legacy, SWEEP_SPEC) == document
+
+    @pytest.mark.parametrize("seconds", [30.0, 0.5, None])
+    def test_sweep_queue_lease_seconds(self, seconds):
+        document = {"name": "s", "queue": {"max_attempts": 2, "poll_seconds": 0.01}}
+        legacy = {**document, "queue": {**document["queue"], "lease_seconds": seconds}}
+        assert lifted(legacy, SWEEP_SPEC) == document
+        alone = {"name": "s", "queue": {"lease_seconds": seconds, "heartbeat_seconds": 1.0}}
+        assert lifted(alone, SWEEP_SPEC) == {"name": "s", "queue": {}}
 
     def test_retired_option_fields_load_through_the_readers(self):
         """Checkpoints and spec files of earlier builds spell every option
@@ -294,9 +302,10 @@ class TestSteps:
         base = {"workload": "ite", "lattice": [2, 2], "n_steps": 1, "seed": 3,
                 "model": {"kind": "transverse_field_ising"}}
         current = {"name": "s", "base": base, "axes": {"update.rank": [1, 2]},
-                   "sweep_dir": str(tmp_path), "queue": {"lease_seconds": 4.0}}
+                   "sweep_dir": str(tmp_path), "queue": {"max_attempts": 4}}
         legacy = {**current, "mode": "product", "derive_seeds": True,
-                  "queue": {"lease_seconds": 4.0, "heartbeat_seconds": 0.5}}
+                  "queue": {"max_attempts": 4, "lease_seconds": 4.0,
+                            "heartbeat_seconds": 0.5}}
         assert SweepSpec.from_dict(legacy) == SweepSpec.from_dict(current)
         with pytest.raises(ValueError, match="points"):
             SweepSpec.from_dict({**current, "mode": "zip"})
