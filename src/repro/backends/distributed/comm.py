@@ -39,14 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.distributed.cost_model import CostModel
-from repro.backends.distributed.engine import (
-    EinsumPlan,
-    concat_blocks,
-    execute_plan,
-    shard_bounds,
-    slice_operands,
-)
+from repro.backends.distributed.engine import EinsumPlan, execute_plan, shard_bounds
 from repro.backends.interface import BackendExecutionError
+from repro.tensornetwork.contraction_path import concat_blocks, slice_operands
 from repro.telemetry.trace import TRACER as _TRACER
 
 
@@ -381,13 +376,14 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
         # block bounds relative to its slice), so rank-local execution runs
         # the exact same kernel calls the serial executor would.
         canonical = plan.canonical_bounds()
+        inputs, output = plan.contraction.inputs, plan.contraction.output
         assignment = shard_bounds(plan.shard_parts, self.nprocs)
         messages = {}
         for rank, (first, last) in enumerate(assignment):
             if last <= first:
                 continue  # more ranks than canonical blocks: nothing to do
             offset, end = canonical[first][0], canonical[last - 1][1]
-            local = slice_operands(plan, arrays, offset, end)
+            local = slice_operands(inputs, plan.shard_label, arrays, offset, end)
             relative = [(lo - offset, hi - offset) for lo, hi in canonical[first:last]]
             messages[rank] = ("contract", plan, local, relative)
         for rank, message in messages.items():
@@ -401,7 +397,8 @@ class ProcessPoolCommunicator(SimulatedCommunicator):
                     blocks.append(self._finish(rank, message))
             else:
                 blocks.append(self._finish(rank, message))
-        return concat_blocks(plan, blocks)
+        return concat_blocks(output, plan.shard_label, blocks, canonical[-1][1],
+                             tuple(range(len(output))))
 
     # ------------------------------------------------------------------ #
     # Shutdown

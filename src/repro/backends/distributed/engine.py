@@ -11,7 +11,12 @@ einsums through the same two-phase engine:
    that plan's path re-lowered at each canonical block's extents.
 2. :func:`execute_plan` evaluates the plan block by block, each block as the
    NumPy backend runs a plan: one transpose, reshape and ``np.matmul`` per
-   pairwise step.
+   pairwise step.  Operands are sliced and block results joined by the
+   planner's :func:`~repro.tensornetwork.contraction_path.slice_operands` and
+   :func:`~repro.tensornetwork.contraction_path.concat_blocks`, which the
+   NumPy backend's cache-sized blocks use too: each block is written into one
+   preallocated C-contiguous output as it is computed, the bytes and layout
+   NumPy's concatenation gives the contiguous blocks.
 
 Bitwise parity across executors and rank counts rests on two invariants:
 
@@ -45,7 +50,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.numpy_backend import _execute
-from repro.tensornetwork.contraction_path import ContractionPlan, find_path, relower
+from repro.tensornetwork.contraction_path import (
+    ContractionPlan,
+    concat_blocks,
+    find_path,
+    relower,
+    slice_operands,
+)
 
 #: Number of canonical blocks a sharded contraction is split into (fewer when
 #: the shard extent is smaller or the output small, see
@@ -159,30 +170,11 @@ def execute_plan(
         return _run_block(plan.contraction, arrays)
     if bounds is None:
         bounds = plan.canonical_bounds()
-    blocks = [
-        _run_block(plan.block_plan(hi - lo), slice_operands(plan, arrays, lo, hi))
+    inputs, output = plan.contraction.inputs, plan.contraction.output
+    label = plan.shard_label
+    blocks = (
+        _run_block(plan.block_plan(hi - lo), slice_operands(inputs, label, arrays, lo, hi))
         for lo, hi in bounds
-    ]
-    return concat_blocks(plan, blocks)
-
-
-def slice_operands(
-    plan: EinsumPlan, operands: Sequence[np.ndarray], lo: int, hi: int
-) -> List[np.ndarray]:
-    """Restrict every operand carrying the shard label to ``[lo, hi)``."""
-    out: List[np.ndarray] = []
-    for term, array in zip(plan.contraction.inputs, operands):
-        if plan.shard_label in term:
-            index = [slice(None)] * array.ndim
-            index[term.index(plan.shard_label)] = slice(lo, hi)
-            array = array[tuple(index)]
-        out.append(array)
-    return out
-
-
-def concat_blocks(plan: EinsumPlan, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Reassemble result blocks along the shard axis of the output."""
-    if len(blocks) == 1:
-        return np.asarray(blocks[0])
-    axis = plan.contraction.output.index(plan.shard_label)
-    return np.concatenate([np.asarray(b) for b in blocks], axis=axis)
+    )
+    return concat_blocks(output, label, blocks, bounds[-1][1] - bounds[0][0],
+                         tuple(range(len(output))))

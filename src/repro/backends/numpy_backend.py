@@ -22,7 +22,7 @@ from __future__ import annotations
 import ctypes
 import os
 import re
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -267,7 +267,22 @@ class NumPyBackend(Backend):
 
 
 def _execute(plan: _planner.ContractionPlan, operands: Sequence[np.ndarray]) -> np.ndarray:
-    """Run the plan's lowered steps (laid out by ``contraction_path._lower``)."""
+    """Run the plan's lowered steps (laid out by ``contraction_path._lower``).
+
+    A blocked plan runs as its output slices, each slice's result written in
+    place into one output laid out as the whole plan's last step lays out its
+    result (``contraction_path.Blocking``), unless its slices would lay some
+    matrix out unlike the whole plan does (:func:`blocks_run_alike`).
+    """
+    blocking = plan.blocking
+    if blocking is not None and blocks_run_alike(plan, operands):
+        label = blocking.label
+        blocks = (
+            _execute(blocking.plan, _planner.slice_operands(plan.inputs, label, operands, lo, hi))
+            for lo, hi in blocking.bounds
+        )
+        perm_ab = plan.lowered[-1][-1]
+        return _planner.concat_blocks(plan.output, label, blocks, blocking.bounds[-1][1], perm_ab)
     work = list(operands)
     if len(work) == 1:
         ((sum_axes, perm),) = plan.lowered
@@ -283,6 +298,78 @@ def _execute(plan: _planner.ContractionPlan, operands: Sequence[np.ndarray]) -> 
         ab = np.matmul(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
         work.append(ab.reshape(shape_ab).transpose(perm_ab))
     return work[0]
+
+
+def blocks_run_alike(plan: _planner.ContractionPlan, operands: Sequence[np.ndarray]) -> bool:
+    """Whether ``plan``'s blocks, run on slices of ``operands``, hand
+    ``np.matmul`` every matrix laid out as the whole plan's run does.
+
+    NumPy picks the BLAS call, and so the rounding, from which axis of a
+    matrix has unit stride.  A whole operand's transpose-reshape may copy
+    where its slice's is a view (or the other way round), for instance when
+    the slice leaves an axis of extent 1 or the operand is itself a slice;
+    then the blocks would round unlike the whole, and the plan runs whole.
+    Decided from the operands' strides alone, by running the steps on
+    stand-ins that share one element (nothing is read or written).
+    """
+    whole = [_stand_in(op.shape, op.strides, op.dtype) for op in operands]
+    lo, hi = plan.blocking.bounds[0]
+    sliced = _planner.slice_operands(plan.inputs, plan.blocking.label, whole, lo, hi)
+    return _matrix_layouts(plan, whole) == _matrix_layouts(plan.blocking.plan, sliced)
+
+
+def _matrix_layouts(plan: _planner.ContractionPlan, operands: List[np.ndarray]) -> list:
+    """How ``np.matmul`` takes each matrix product of the pairwise ``plan``
+    run by :func:`_execute` on the stand-ins ``operands``.
+
+    A product of two BLAS-ready matrices, none of its extents 1, is one GEMM
+    whatever their orientation (OpenBLAS packs both alike): ``"gemm"``.  Any
+    other takes a path that depends on its operands' layouts, so each is
+    recorded: which of its last two axes has unit stride, and whether the
+    other axis's stride spans a row (column).  A step that sums axes first
+    records the summed operand's shape.
+    """
+    work = list(operands)
+    layouts = []
+    for (i, j), lowered in zip(plan.path, plan.lowered):
+        sum_a, perm_a, shape_a, sum_b, perm_b, shape_b, shape_ab, perm_ab = lowered
+        b, a = work.pop(j), work.pop(i)
+        matrices = []
+        for x, axes, perm, shape in ((a, sum_a, perm_a, shape_a), (b, sum_b, perm_b, shape_b)):
+            if axes:
+                # NumPy orders a sum's additions by its operand's shape and
+                # strides: one over a sliced operand counts as unlike.  Its
+                # result keeps the operand's axis order.
+                layouts.append(("sum", x.shape))
+                kept = tuple(slice(0, 1) if k in axes else slice(None) for k in range(x.ndim))
+                x = np.empty_like(x[kept], order="K")
+            try:
+                x = x.transpose(perm).reshape(shape, copy=False)
+            except ValueError:  # the reshape copies, into C order
+                x = _stand_in(shape, None, x.dtype)
+            (_, rows, cols), (_, row_step, col_step) = x.shape, x.strides
+            matrices.append((col_step == x.itemsize, row_step == x.itemsize,
+                             row_step >= cols * x.itemsize, col_step >= rows * x.itemsize))
+        blas_ready = all(c and c_rows or f and f_cols for c, f, c_rows, f_cols in matrices)
+        layouts.append("gemm" if blas_ready and min(shape_a[1:] + shape_b[2:]) > 1
+                       else tuple(matrices))
+        work.append(_stand_in(shape_ab, None, np.result_type(a, b)).transpose(perm_ab))
+    return layouts
+
+
+def _stand_in(shape: Sequence[int], strides: Optional[Sequence[int]], dtype) -> np.ndarray:
+    """An array of ``shape``, byte ``strides`` (``None``: C-contiguous) and
+    ``dtype`` over one element: its views and reshapes behave as a real
+    array's, and its data is never read."""
+    dtype = np.dtype(dtype)
+    if strides is None:
+        strides, step = [], dtype.itemsize
+        for extent in reversed(shape):
+            strides.insert(0, step)
+            step *= max(extent, 1)
+    return np.lib.stride_tricks.as_strided(
+        np.zeros(1, dtype), tuple(shape), tuple(strides), writeable=False
+    )
 
 
 def path_cache_stats() -> dict:

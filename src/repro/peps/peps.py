@@ -15,6 +15,7 @@ inner products, expectation values, batched measurements and samples.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -512,9 +513,7 @@ def random_peps(
             left = 1 if j == 0 else bond_dim
             right = 1 if j == ncol - 1 else bond_dim
             shape = (phys_dim, up, left, down, right)
-            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            data /= np.sqrt(np.prod(shape))
-            row.append(backend.astensor(data))
+            row.append(backend.astensor(_gaussian_site(rng, shape)))
         grid.append(row)
     return PEPS(grid, backend)
 
@@ -539,11 +538,21 @@ def random_single_layer_grid(
             left = 1 if j == 0 else bond_dim
             right = 1 if j == ncol - 1 else bond_dim
             shape = (up, left, down, right)
-            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            data /= np.sqrt(np.prod(shape))
-            row.append(backend.astensor(data))
+            row.append(backend.astensor(_gaussian_site(rng, shape)))
         grid.append(row)
     return grid
+
+
+def _gaussian_site(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
+    """I.i.d. complex Gaussian entries over the square root of the size: the
+    real parts, then the imaginary parts, drawn into one array, bitwise
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) /
+    np.sqrt(np.prod(shape))`` without its three temporaries."""
+    data = np.empty(shape, dtype=np.complex128)
+    data.real = rng.standard_normal(shape)
+    data.imag = rng.standard_normal(shape)
+    data /= math.sqrt(math.prod(shape))
+    return data
 
 
 def _swap_matrix() -> np.ndarray:

@@ -11,15 +11,30 @@ order, by dynamic programming over operand subsets, up to
 ``(spec, shapes)``; callers with free-form labels canonicalise them first so
 that structurally equal networks share one entry.  It plays the role
 ``opt_einsum`` plays for the original Koala library.
+
+A plan whose largest intermediate exceeds :data:`BLOCK_TRIGGER` elements also
+carries a :class:`Blocking`: one output label cut into equal slices, and the
+plan :func:`relower`-ed at the slice extent, chosen once per signature so that
+no slice's intermediate exceeds :data:`BLOCK_TARGET` and the slices add no
+flops.  Executors run such a plan slice by slice, each slice's result written
+in place into one output laid out as the whole plan's
+(:func:`slice_operands`, :func:`concat_blocks`, the one home of block slicing
+and assembly, which the distributed engine's canonical blocks use too).
+Slicing a label the plan never sums changes no sum, and the slices keep every
+matrix product on the BLAS kernels the whole plan runs (:data:`BLOCK_ALIGN`
+here; the NumPy executor checks operand strides at run time), so a blocked
+plan's result is bitwise the unblocked one's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Callable, Dict, Hashable, List, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.telemetry.metrics import REGISTRY
 from repro.telemetry.trace import span
@@ -38,6 +53,28 @@ EXHAUSTIVE_LIMIT = 12
 #: few flops per byte.  Without it the search buys a few percent of flops with
 #: a several times larger intermediate, which runs slower.
 WRITE_COST = 8
+
+#: Plans whose largest intermediate holds more elements than this run as
+#: output slices (:class:`Blocking`).  At 2^17 the rule also split the IBMPS
+#: norm's 147k-557k element plans 2 ways, halving GEMMs such as
+#: (512x512)@(512x17), and that rung ran 7% slower; at 2^19 every benchmark
+#: rung read within noise and only the BMPS norm's zip-up einsums block.
+BLOCK_TRIGGER = 1 << 19
+
+#: The largest intermediate a slice of a blocked plan may hold: 2^17 complex
+#: elements are 2 MiB, one core's L2 on the machines measured (docs/perf.md).
+BLOCK_TARGET = 1 << 17
+
+#: A slice may shrink a matrix product's row or column count only to a
+#: multiple of this.  OpenBLAS computes a product's edge rows and columns
+#: (and a one-row or one-column product, as a matrix-vector product) with
+#: other kernels than the rest, which round differently: a (4, 3) @ (3, 4)
+#: complex product's first two columns differ in the last bit from the
+#: (4, 3) @ (3, 2) product's, and a real product's first 12 columns can differ
+#: from the 12-column product's.  Shrunk to multiples of 8 elements, every
+#: measured product kept its bits, so a blocked plan's result is bitwise the
+#: unblocked one's (docs/perf.md, "Blocked plans").
+BLOCK_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -67,6 +104,10 @@ class ContractionPlan:
         Estimated floating-point operations (complex FMAs * 8).
     max_intermediate_size:
         Largest number of elements of any operand, intermediate or result.
+    blocking:
+        How the plan runs as output slices, or ``None`` to run it whole (see
+        :class:`Blocking`).  Counting ignores it: the slices' flops sum to
+        ``total_flops`` exactly.
     """
 
     inputs: Tuple[Term, ...]
@@ -76,6 +117,7 @@ class ContractionPlan:
     lowered: Tuple[tuple, ...]
     total_flops: float
     max_intermediate_size: int
+    blocking: Optional["Blocking"] = None
 
     def execute(self, operands: Sequence, einsum: Callable):
         """Contract ``operands`` step by step through
@@ -85,6 +127,20 @@ class ContractionPlan:
             picked = [work.pop(k) for k in reversed(pair)]
             work.append(einsum(step, *reversed(picked)))
         return work[0]
+
+
+@dataclass(frozen=True)
+class Blocking:
+    """A plan run as equal slices of one output label.
+
+    ``label`` is cut at ``bounds`` (contiguous ``(lo, hi)`` pairs covering its
+    extent), and every slice contracts its slices of the operands that carry
+    the label by ``plan``, the parent plan re-lowered at the slice extent.
+    """
+
+    label: Label
+    bounds: Tuple[Tuple[int, int], ...]
+    plan: ContractionPlan
 
 
 def find_path(
@@ -119,7 +175,48 @@ def _plan(spec: Union[str, EinsumSpec], shapes: Tuple[Tuple[int, ...], ...]) -> 
     with span("planner.search", operands=n):
         order = search(list(spec.inputs), set(spec.output), dims)
     REGISTRY.counter("planner.searches", operands=n).add()
-    return _build_plan(spec, dims, order)
+    plan = _build_plan(spec, dims, order)
+    if plan.max_intermediate_size <= BLOCK_TRIGGER:
+        return plan
+    return replace(plan, blocking=_blocking(plan, dims))
+
+
+def _blocking(plan: ContractionPlan, dims: Dict[Label, int]) -> Optional[Blocking]:
+    """The output slices a large plan runs as, or ``None``.
+
+    The output labels are tried in order; for each, the fewest parts (2 to
+    64, dividing the extent) whose re-lowered plan holds no intermediate above
+    :data:`BLOCK_TARGET` elements, whose parts add no flops (which holds when
+    every step of the path touches the label) and whose matrix products shrink
+    only to multiples of :data:`BLOCK_ALIGN` rows or columns.  A one-operand
+    plan multiplies nothing, so slicing it gains nothing: it is never blocked.
+    """
+    if len(plan.inputs) == 1:
+        return None
+    for label in plan.output:
+        extent = dims[label]
+        for parts in range(2, min(extent, 64) + 1):
+            if extent % parts:
+                continue
+            width = extent // parts
+            block = relower(plan, {**dims, label: width})
+            if (block.max_intermediate_size <= BLOCK_TARGET
+                    and parts * block.total_flops == plan.total_flops
+                    and _aligned(plan, block)):
+                bounds = tuple((k * width, (k + 1) * width) for k in range(parts))
+                return Blocking(label, bounds, block)
+    return None
+
+
+def _aligned(plan: ContractionPlan, block: ContractionPlan) -> bool:
+    """Whether every row or column count of ``block``'s matrix products that
+    differs from ``plan``'s is a multiple of :data:`BLOCK_ALIGN`."""
+    for whole, part in zip(plan.lowered, block.lowered):
+        for rows_or_columns in ((2, 1), (5, 2)):  # shape_a's rows, shape_b's columns
+            size = part[rows_or_columns[0]][rows_or_columns[1]]
+            if size != whole[rows_or_columns[0]][rows_or_columns[1]] and size % BLOCK_ALIGN:
+                return False
+    return True
 
 
 def relower(plan: ContractionPlan, dims: Dict[Label, int]) -> ContractionPlan:
@@ -130,6 +227,49 @@ def relower(plan: ContractionPlan, dims: Dict[Label, int]) -> ContractionPlan:
     canonical blocks) exactly as ``plan`` contracts the whole.
     """
     return _build_plan(plan, dims, plan.path)
+
+
+def slice_operands(
+    inputs: Sequence[Term], label: Label, operands: Sequence[np.ndarray], lo: int, hi: int
+) -> List[np.ndarray]:
+    """Restrict every operand whose labels (``inputs``) carry ``label`` to
+    ``[lo, hi)`` of that label (views); the other operands pass through."""
+    out = []
+    for term, array in zip(inputs, operands):
+        if label in term:
+            array = array[(slice(None),) * term.index(label) + (slice(lo, hi),)]
+        out.append(array)
+    return out
+
+
+def concat_blocks(
+    output: Term, label: Label, blocks: Iterable[np.ndarray], extent: int, perm: Sequence[int]
+) -> np.ndarray:
+    """Join result blocks along ``label``'s axis of the result labelled ``output``.
+
+    The blocks, in label order, are written one at a time into one
+    preallocated array, so ``blocks`` may be a generator that computes each
+    block when asked and no more than one block is alive beside the result.
+    ``extent`` is the label's total extent.  The result is laid out as a
+    C-contiguous array transposed by ``perm`` (the identity for C order), so
+    a caller gives it the layout the unsliced computation would have: a
+    block's strides cannot tell, since an axis sliced to extent 1 ties with
+    its neighbours.  A first block of the whole extent comes back as it is.
+    """
+    axis = output.index(label)
+    out = None
+    lo = 0
+    for block in blocks:
+        if out is None:
+            if block.shape[axis] == extent:
+                return block  # one block covers the label: nothing to join
+            shape = block.shape[:axis] + (extent,) + block.shape[axis + 1:]
+            order = sorted(range(len(perm)), key=perm.__getitem__)
+            out = np.empty([shape[k] for k in order], dtype=block.dtype).transpose(perm)
+        hi = lo + block.shape[axis]
+        out[(slice(None),) * axis + (slice(lo, hi),)] = block
+        lo = hi
+    return out
 
 
 def path_cache_stats() -> dict:

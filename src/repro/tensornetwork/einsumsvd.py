@@ -282,8 +282,9 @@ def _einsumsvd_explicit(
     """Contract the full network, matricize and run a truncated SVD."""
     from repro.linalg.truncated_svd import truncated_svd
 
-    theta = backend.einsum(layout.contract, *operands)
-    matrix = backend.reshape(theta, layout.matrix)
+    # Unbound, the contracted tensor is freed as soon as a reshape that must
+    # copy has copied it, before the SVD copies the matrix again.
+    matrix = backend.reshape(backend.einsum(layout.contract, *operands), layout.matrix)
     result = truncated_svd(backend, matrix, rank=rank)
     u, vh = _absorb_spectrum(backend, result.u, result.s, result.vh)
     k = result.rank

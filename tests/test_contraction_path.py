@@ -1,27 +1,36 @@
 """Tests for the contraction planner and the general network contractor."""
 
+import dataclasses
 import json
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import peps
 from repro.backends import NumPyBackend, clear_path_caches, path_cache_stats
 from repro.backends import numpy_backend
+from repro.backends.numpy_backend import blocks_run_alike
 from repro.operators.pauli import pauli_matrix
 from repro.peps.envs.strip import StripCache, operator_pieces, pending_kappas
 from repro.telemetry import REGISTRY, TRACER
+from repro.tensornetwork import contraction_path
 from repro.tensornetwork.contraction_path import (
+    BLOCK_TARGET,
+    BLOCK_TRIGGER,
     EXHAUSTIVE_LIMIT,
     _build_plan,
     _greedy_order,
     _optimal_order,
+    concat_blocks,
     find_path,
+    slice_operands,
 )
 from repro.tensornetwork.einsum_spec import EinsumSpec
 from repro.tensornetwork.network import contract_network
@@ -41,6 +50,12 @@ NORM_IBMPS = (
     "cxyaef,aghi,pgemo,phfqs,mqiosb->cxyb",
     ((16, 4, 4, 16, 4, 4), (16, 4, 4, 16), (2, 4, 4, 4, 4), (2, 4, 4, 4, 4),
      (4, 4, 16, 4, 4, 18)),
+)
+#: The BMPS norm's zip-up einsum, the one plan of the benchmark ladder above
+#: the blocking trigger: its largest intermediate holds 1 179 648 elements.
+NORM_BMPS = (
+    "cxyaef,aghi,pgemo,phfqs->cxymqios",
+    ((12, 4, 4, 12, 4, 4), (12, 4, 4, 12), (2, 4, 4, 4, 4), (2, 4, 4, 4, 4)),
 )
 
 
@@ -275,6 +290,171 @@ class TestCountedIsExecuted:
         # (batch, kept, contracted) x (batch, contracted, kept): 8 m k n each.
         assert counter.total == sum(8.0 * b * m * k * n for (b, m, k), (_, _, n) in products)
         assert np.allclose(result, np.einsum(subscripts, *operands, optimize=True), atol=1e-10)
+
+    def test_a_blocked_plan_runs_each_step_once_per_block(self, monkeypatch, rng):
+        subscripts, shapes = NORM_BMPS
+        products = []
+        real = np.matmul
+
+        def spy(a, b):
+            products.append((a.shape, b.shape))
+            return real(a, b)
+
+        counter = FlopCounter()
+        backend = NumPyBackend(flop_counter=counter)
+        operands = [random_complex(rng, shape) for shape in shapes]
+        monkeypatch.setattr(numpy_backend.np, "matmul", spy)
+        result = backend.einsum(subscripts, *operands)
+        monkeypatch.undo()
+
+        plan = find_path(subscripts, shapes)
+        block = plan.blocking.plan
+        parts = len(plan.blocking.bounds)
+        assert parts > 1
+        # One matrix product per step per block, of the shapes the block plan lowered it to.
+        assert products == [(step[2], step[5]) for step in block.lowered] * parts
+        # Counting reads the whole plan, whose flops the blocks' sum to exactly.
+        assert counter.total == plan.total_flops == parts * block.total_flops
+        assert counter.total == sum(8.0 * b * m * k * n for (b, m, k), (_, _, n) in products)
+        assert np.allclose(result, np.einsum(subscripts, *operands, optimize=True), atol=1e-10)
+
+
+def blockable_network(rng, n):
+    """A :func:`random_network` of ``n`` operands plus one output label on all
+    operands but one, so that every step of a path touches it and the planner
+    may block on it (or on another output label).  Its extent, 4 to 16, puts
+    it in batch, row and column groups that slice down to a few elements."""
+    subscripts, shapes = random_network(rng, n)
+    terms, output = subscripts.split("->")
+    extent = int(rng.choice([4, 8, 16]))
+    skip = int(rng.integers(n))
+    terms = [term + "z" * (k != skip) for k, term in enumerate(terms.split(","))]
+    shapes = [shape + (extent,) * (k != skip) for k, shape in enumerate(shapes)]
+    at = int(rng.integers(len(output) + 1))
+    return ",".join(terms) + "->" + output[:at] + "z" + output[at:], shapes
+
+
+class TestBlockedPlans:
+    """A plan whose largest intermediate exceeds ``BLOCK_TRIGGER`` runs as
+    output slices written into one array, bitwise as it runs whole."""
+
+    def test_the_bmps_zip_up_blocks_on_its_first_label_without_extra_flops(self):
+        plan = find_path(*NORM_BMPS)
+        assert plan.max_intermediate_size > BLOCK_TRIGGER
+        blocking = plan.blocking
+        assert (blocking.label, len(blocking.bounds)) == ("c", 12)
+        assert blocking.bounds == tuple((k, k + 1) for k in range(12))
+        assert blocking.plan.max_intermediate_size <= BLOCK_TARGET
+        assert len(blocking.bounds) * blocking.plan.total_flops == plan.total_flops
+        for subscripts, shapes in (SAMPLE_CTM, NORM_IBMPS):
+            assert find_path(subscripts, shapes).blocking is None
+
+    @pytest.mark.parametrize("subscripts", ["abcd->dcba", "abcd->ad"])
+    def test_a_one_operand_plan_is_not_blocked(self, rng, subscripts):
+        # 2^20 elements, above the trigger, but one operand multiplies
+        # nothing: a transpose stays a view of its operand.
+        shape = (16, 16, 16, 256)
+        plan = find_path(subscripts, [shape])
+        assert plan.max_intermediate_size > BLOCK_TRIGGER
+        assert plan.blocking is None
+        operand = rng.standard_normal(shape)
+        result = numpy_backend._execute(plan, [operand])
+        assert np.shares_memory(result, operand) == (subscripts == "abcd->dcba")
+
+    def test_blocks_are_written_in_place(self, rng):
+        # The result is assembled in one array laid out as the whole plan's:
+        # the traced peak holds it and a few block intermediates, not the
+        # whole plan's.
+        subscripts, shapes = NORM_BMPS
+        operands = [random_complex(rng, shape) for shape in shapes]
+        plan = find_path(subscripts, shapes)
+        peaks = []
+        for run in (plan, dataclasses.replace(plan, blocking=None)):
+            tracemalloc.start()
+            result = numpy_backend._execute(run, operands)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            if run is plan:
+                blocked = result
+        assert blocked.strides == result.strides
+        assert blocked.tobytes() == result.tobytes()
+        assert peaks[0] < peaks[1] / 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9))
+    def test_blocked_equals_unblocked_bitwise(self, seed, n):
+        # Constants this small block networks of a few hundred elements; the
+        # operands are real or complex and lie in memory every which way.
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(contraction_path, "BLOCK_TRIGGER", 0)
+            patch.setattr(contraction_path, "BLOCK_TARGET", 256)
+            clear_path_caches()
+            try:
+                for _ in range(100):
+                    subscripts, shapes = blockable_network(rng, n)
+                    plan = find_path(subscripts, shapes)
+                    if plan.blocking is not None:
+                        break
+            finally:
+                clear_path_caches()
+        blocking = plan.blocking
+        assert blocking is not None
+        layouts = [LAYOUTS[name] for name in sorted(LAYOUTS)]
+        operands = [layouts[rng.integers(len(layouts))](rng, random_complex(rng, shape))
+                    for shape in shapes]
+
+        blocked = numpy_backend._execute(plan, operands)
+        whole = numpy_backend._execute(dataclasses.replace(plan, blocking=None), operands)
+        assert blocked.shape == whole.shape and blocked.dtype == whole.dtype
+        # Same strides too, so a later contraction takes both alike.
+        assert blocked.strides == whole.strides
+        assert blocked.tobytes() == whole.tobytes()
+
+        # The planner's assembly holds np.concatenate's bytes, in C order
+        # when asked for it, as np.concatenate lays out contiguous blocks.
+        label, extent = blocking.label, blocking.bounds[-1][1]
+        blocks = [
+            numpy_backend._execute(
+                blocking.plan, slice_operands(plan.inputs, label, operands, lo, hi))
+            for lo, hi in blocking.bounds
+        ]
+        joined = np.concatenate(blocks, axis=plan.output.index(label))
+        perm_ab = plan.lowered[-1][-1]
+        assert concat_blocks(plan.output, label, iter(blocks), extent,
+                             perm_ab).tobytes() == joined.tobytes()
+        contiguous = [np.ascontiguousarray(block) for block in blocks]
+        c_order = concat_blocks(plan.output, label, contiguous, extent, range(len(plan.output)))
+        assert c_order.tobytes() == joined.tobytes()
+        assert c_order.strides == np.concatenate(
+            contiguous, axis=plan.output.index(label)).strides
+        if blocks_run_alike(plan, operands):
+            assert joined.tobytes() == whole.tobytes()
+
+    def test_slices_laid_out_unlike_the_whole_run_whole(self, monkeypatch, rng):
+        # Sliced to 8 of 24 elements, the last label leaves the first operand's
+        # transpose-reshape a view where the whole's copies: the plan runs whole.
+        subscripts, shapes = "abce,b,cdf->e", [(1, 3, 3, 24), (3,), (3, 2, 3)]
+        monkeypatch.setattr(contraction_path, "BLOCK_TRIGGER", 0)
+        monkeypatch.setattr(contraction_path, "BLOCK_TARGET", 256)
+        clear_path_caches()
+        plan = find_path(subscripts, shapes)
+        clear_path_caches()
+        assert len(plan.blocking.bounds) == 3
+        operands = [random_complex(rng, shape) for shape in shapes]
+        assert not blocks_run_alike(plan, operands)
+        products = []
+        real = np.matmul
+
+        def spy(a, b):
+            products.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(numpy_backend.np, "matmul", spy)
+        result = numpy_backend._execute(plan, operands)
+        assert products == [(step[2], step[5]) for step in plan.lowered]
+        whole = numpy_backend._execute(dataclasses.replace(plan, blocking=None), operands)
+        assert result.tobytes() == whole.tobytes()
 
 
 def strided(rng, array):

@@ -25,13 +25,8 @@ from hypothesis import given, strategies as st
 
 from repro.backends import get_backend
 from repro.backends.distributed import Distribution, ProcessorGrid, execute_plan, plan_einsum
-from repro.backends.distributed.engine import (
-    CANONICAL_PARTS,
-    MIN_BLOCK_SIZE,
-    concat_blocks,
-    shard_bounds,
-    slice_operands,
-)
+from repro.backends.distributed.engine import CANONICAL_PARTS, MIN_BLOCK_SIZE, shard_bounds
+from repro.tensornetwork.contraction_path import concat_blocks, slice_operands
 from tests.conftest import FAST, random_complex, random_network
 
 #: (seed, ndim) cases; extents drawn in [1, 9] so grids over-decompose often.
@@ -260,7 +255,10 @@ class TestBlockKernel:
         blocks = []
         for first, last in zip(edges, edges[1:]):
             lo, hi = bounds[first][0], bounds[last - 1][1]
-            local = slice_operands(plan, ops, lo, hi)
+            local = slice_operands(plan.contraction.inputs, plan.shard_label, ops, lo, hi)
             relative = [(a - lo, b - lo) for a, b in bounds[first:last]]
             blocks.append(execute_plan(plan, local, bounds=relative))
-        assert concat_blocks(plan, blocks).tobytes() == whole.tobytes()
+        output = plan.contraction.output
+        merged = concat_blocks(output, plan.shard_label, blocks, plan.shard_extent,
+                               tuple(range(len(output))))
+        assert merged.tobytes() == whole.tobytes()

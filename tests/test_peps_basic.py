@@ -2,12 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import peps
 from repro.peps import BMPS, Exact, PEPS
-from repro.peps.peps import random_peps, random_single_layer_grid
+from repro.peps.peps import _gaussian_site, random_peps, random_single_layer_grid
 from repro.tensornetwork import ExplicitSVD
-from tests.conftest import random_complex
+from tests.conftest import FAST, random_complex
+
+
+def old_site(rng, shape):
+    """The site expression the generators used before drawing into one array."""
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    data /= np.sqrt(np.prod(shape))
+    return data
+
+
+class TestGaussianSites:
+    @FAST
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_site_is_bitwise_the_old_expression(self, shape, seed):
+        new = _gaussian_site(np.random.default_rng(seed), tuple(shape))
+        old = old_site(np.random.default_rng(seed), tuple(shape))
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    @FAST
+    @given(nrow=st.integers(1, 4), ncol=st.integers(1, 4), bond=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_states_draw_the_old_sites(self, nrow, ncol, bond, seed):
+        state = random_peps(nrow, ncol, bond_dim=bond, phys_dim=3, seed=seed)
+        grid = random_single_layer_grid(nrow, ncol, bond_dim=bond, seed=seed)
+        for tensors, phys in ((state.grid, (3,)), (grid, ())):
+            rng = np.random.default_rng(seed)
+            for row in tensors:
+                for site in row:
+                    assert site.tobytes() == old_site(rng, phys + site.shape[len(phys):]).tobytes()
 
 
 class TestConstruction:

@@ -15,15 +15,11 @@ import pytest
 
 from repro.backends import clear_path_caches, get_backend, path_cache_stats
 from repro.backends.distributed import execute_plan, plan_einsum
-from repro.backends.distributed.engine import (
-    CANONICAL_PARTS,
-    concat_blocks,
-    shard_bounds,
-    slice_operands,
-)
+from repro.backends.distributed.engine import CANONICAL_PARTS, shard_bounds
 from repro.peps import BMPS, random_peps
 from repro.sim import RunSpec
 from repro.tensornetwork import ImplicitRandomizedSVD
+from repro.tensornetwork.contraction_path import concat_blocks, slice_operands
 from tests.conftest import random_complex
 
 EINSUM_CASES = [
@@ -104,10 +100,12 @@ class TestPlanEinsum:
                 if last <= first:
                     continue
                 lo, hi = bounds[first][0], bounds[last - 1][1]
-                local = slice_operands(plan, ops, lo, hi)
+                local = slice_operands(plan.contraction.inputs, plan.shard_label, ops, lo, hi)
                 relative = [(a - lo, b - lo) for a, b in bounds[first:last]]
                 blocks.append(execute_plan(plan, local, bounds=relative))
-            merged = concat_blocks(plan, blocks)
+            output = plan.contraction.output
+            merged = concat_blocks(output, plan.shard_label, blocks, plan.shard_extent,
+                                   tuple(range(len(output))))
             assert merged.tobytes() == whole.tobytes()
 
 
