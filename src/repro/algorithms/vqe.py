@@ -14,10 +14,9 @@ transverse-field Ising model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from repro.circuits.circuit import Circuit
 from repro.operators.hamiltonians import Hamiltonian
@@ -27,6 +26,24 @@ from repro.peps.update import QRUpdate, UpdateOption
 from repro.statevector.statevector import StateVector
 from repro.tensornetwork.einsumsvd import ImplicitRandomizedSVD
 from repro.utils.rng import SeedLike, ensure_rng
+
+if TYPE_CHECKING:  # pragma: no cover - import-time typing aid only
+    import scipy.optimize
+
+
+def _slsqp(objective, x0, maxiter, callback=None) -> "scipy.optimize.OptimizeResult":
+    """SciPy's SLSQP on ``objective`` from ``x0``.  ``scipy.optimize`` (and the
+    ``sparse``, ``spatial`` and ``special`` packages it loads) is imported
+    here, on a VQE's first optimizer call, so that no other run maps it."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(
+        objective,
+        x0,
+        method="SLSQP",
+        callback=callback,
+        options={"maxiter": int(maxiter), "ftol": 1e-10},
+    )
 
 
 def build_vqe_ansatz(
@@ -198,12 +215,7 @@ class VQE:
             raise ValueError(
                 f"expected {self.n_parameters} parameters, got {x0.size}"
             )
-        return scipy.optimize.minimize(
-            lambda x: float(self.energy(x)),
-            x0,
-            method="SLSQP",
-            options={"maxiter": int(maxiter), "ftol": 1e-10},
-        )
+        return _slsqp(lambda x: float(self.energy(x)), x0, maxiter)
 
     def run(
         self,
@@ -239,13 +251,7 @@ class VQE:
             if callback is not None:
                 callback(len(history), e)
 
-        result = scipy.optimize.minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            callback=on_iteration,
-            options={"maxiter": int(maxiter), "ftol": 1e-10},
-        )
+        result = _slsqp(objective, x0, maxiter, callback=on_iteration)
         best_energy = float(result.fun)
         return VQEResult(
             optimal_energy=best_energy,

@@ -50,6 +50,9 @@ or from the command line::
     python -m repro.sim run spec.json --resume
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING
+
 from repro.sim.io import (
     FORMAT_VERSION,
     PAYLOAD_INLINE,
@@ -71,7 +74,6 @@ from repro.sim.io import (
     write_checkpoint,
 )
 from repro.sim.runner import Simulation, SimulationResult, run_spec
-from repro.sim.serve import ServeClient, ServeDaemon, wait_for_endpoint
 from repro.sim.sinks import (
     JSONLSink,
     JSONSink,
@@ -144,3 +146,19 @@ __all__ = [
     "latest_checkpoint",
     "atomic_write_json",
 ]
+
+#: The daemon's names, resolved on first use (PEP 562) so that a run or a
+#: sweep never loads ``http.server``, ``urllib.request`` and ``ssl``.
+_SERVE_EXPORTS = ("ServeClient", "ServeDaemon", "wait_for_endpoint")
+
+
+def __getattr__(name: str):
+    if name not in _SERVE_EXPORTS:
+        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
+    value = getattr(import_module("repro.sim.serve"), name)
+    globals()[name] = value
+    return value
+
+
+if TYPE_CHECKING:  # pragma: no cover - import-time typing aid only
+    from repro.sim.serve import ServeClient, ServeDaemon, wait_for_endpoint

@@ -69,15 +69,14 @@ import signal
 import sys
 from typing import List, Optional, Sequence
 
-from repro.sim.runner import Simulation
-from repro.sim.serve import EXIT_INTERRUPTED, EXIT_SIGNALED, ServeDaemon
+from repro.sim.runner import EXIT_INTERRUPTED, EXIT_SIGNALED, Simulation
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import STATUS_FAILED, Sweep, SweepSpec
 from repro.utils.checks import nonnegative_int
 
 #: Exit code reported when a sweep completed its dispatch but points failed
-#: (the resumable codes, 3 and 4, are defined next to the daemon that reads
-#: them).
+#: (the resumable codes, 3 and 4, are defined next to the run's stop reasons
+#: in :mod:`repro.sim.runner`).
 EXIT_FAILED_POINTS = 1
 
 #: Signals that trigger checkpoint-and-exit (SIGINT covers Ctrl-C).
@@ -343,6 +342,9 @@ def _main_sweep(args) -> int:
 
 
 def _main_serve(args) -> int:
+    # Imported here: the daemon's HTTP stack is not loaded for the other commands.
+    from repro.sim.serve import ServeDaemon
+
     daemon = ServeDaemon(
         args.directory, host=args.host, port=args.port, quiet=args.quiet
     )

@@ -33,6 +33,19 @@ from repro.telemetry.trace import TRACER, span as _span
 #: the step record (return ``None`` for nothing).
 MeasurementHook = Callable[["Simulation", int], Optional[Dict[str, Any]]]
 
+#: Exit code of ``python -m repro.sim`` when ``--stop-after`` /
+#: ``--stop-after-points`` interrupted the run.
+EXIT_INTERRUPTED = 3
+
+#: Exit code of ``python -m repro.sim`` when the run stopped through no fault
+#: of the spec but remains resumable from its last checkpoint: a termination
+#: signal arrived (checkpoint written on the way out), or the backend lost
+#: the ability to execute (e.g. a pool worker died past its restart budget;
+#: the last scheduled checkpoint is kept).  Distinct from --stop-after so
+#: schedulers — the ``serve`` daemon among them — can tell "evicted/failed but
+#: resumable" from a test crash.
+EXIT_SIGNALED = 4
+
 
 @dataclass
 class SimulationResult:

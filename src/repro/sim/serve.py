@@ -62,6 +62,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.sim.io import FORMAT_VERSION, atomic_write_json
+from repro.sim.runner import EXIT_INTERRUPTED, EXIT_SIGNALED
 from repro.sim.spec import RunSpec
 from repro.sim.sweep import SweepSpec
 from repro.telemetry.metrics import REGISTRY
@@ -83,19 +84,6 @@ _CHILD_FILENAME = "child.json"
 #: Seconds a child left running by a killed daemon gets to checkpoint and
 #: exit after SIGTERM before it is killed.
 _ORPHAN_GRACE_S = 60.0
-
-#: Exit code of ``python -m repro.sim`` when ``--stop-after`` /
-#: ``--stop-after-points`` interrupted the run.
-EXIT_INTERRUPTED = 3
-
-#: Exit code of ``python -m repro.sim`` when the run stopped through no fault
-#: of the spec but remains resumable from its last checkpoint: a termination
-#: signal arrived (checkpoint written on the way out), or the backend lost
-#: the ability to execute (e.g. a pool worker died past its restart budget;
-#: the last scheduled checkpoint is kept).  Distinct from --stop-after so
-#: schedulers — this daemon among them — can tell "evicted/failed but
-#: resumable" from a test crash.
-EXIT_SIGNALED = 4
 
 
 def _runs_spec(pid: int, spec_path: str) -> bool:

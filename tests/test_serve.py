@@ -198,6 +198,28 @@ class TestShutdownSignalsChildOnce:
         assert final["status"] == JOB_INTERRUPTED
 
 
+def proc_status(path):
+    """The fields of a procfs ``status`` file."""
+    with open(path) as handle:
+        return dict(line.rstrip("\n").split(":\t", 1) for line in handle if ":\t" in line)
+
+
+def stop_process(pid):
+    """SIGSTOP ``pid`` and return once every thread of it has stopped (or
+    exited), so no thread can take a signal sent from here on."""
+    os.kill(pid, signal.SIGSTOP)
+    deadline = time.monotonic() + 60
+    while any(proc_status(f"/proc/{pid}/task/{task}/status")["State"][0] not in "TZ"
+              for task in os.listdir(f"/proc/{pid}/task")):
+        assert time.monotonic() < deadline, "process never stopped"
+        time.sleep(0.001)
+
+
+def pending_signal(pid, signum):
+    """Whether ``signum`` waits, undelivered, for stopped process ``pid``."""
+    return bool(int(proc_status(f"/proc/{pid}/status")["ShdPnd"], 16) >> (signum - 1) & 1)
+
+
 class TestSweepThroughDaemon:
     def test_sweep_results_match_golden(self, tmp_path, daemon):
         golden = golden_sweep_bytes(tmp_path)
@@ -215,19 +237,35 @@ class TestSweepThroughDaemon:
         golden = golden_sweep_bytes(tmp_path, n_steps=25)
         state = tmp_path / "serve"
         process, client = start_daemon(state)
+        child = None
         try:
             job = client.submit_sweep(sweep_payload(n_steps=25), jobs=2)
-            # Wait for real progress (the child's sweep manifest) before
-            # pulling the plug, so SIGTERM lands after the child installed
-            # its handlers and takes the checkpoint-and-exit-4 path.
-            manifest = state / "jobs" / job["id"] / "work" / "sweep" / "manifest.json"
+            # The manifest exists once the child sweep has installed its
+            # signal handlers.  Stop the child there (its workers finish at
+            # most the points in hand and take no more), and check that work
+            # is left: a stopped sweep cannot outrun the SIGTERM that is
+            # queued for it before it continues.
+            job_dir = state / "jobs" / job["id"]
+            manifest = job_dir / "work" / "sweep" / "manifest.json"
             deadline = time.monotonic() + 120
-            while not manifest.exists():
+            while not (manifest.exists() and (job_dir / "child.json").exists()):
                 assert time.monotonic() < deadline, "sweep never started"
-                time.sleep(0.05)
-            time.sleep(0.3)
+                time.sleep(0.01)
+            child = json.load(open(job_dir / "child.json"))["pid"]
+            stop_process(child)
+            statuses = [p["status"] for p in json.load(open(manifest))["points"]]
+            assert statuses.count("done") < len(statuses), "sweep finished unstopped"
         finally:
             process.send_signal(signal.SIGTERM)
+            if child is not None:
+                # The daemon forwards SIGTERM to its child: let the child go
+                # once the signal is pending there.
+                deadline = time.monotonic() + 60
+                while not pending_signal(child, signal.SIGTERM):
+                    if time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
+                os.kill(child, signal.SIGCONT)
         assert process.wait(timeout=120) == 4, "unfinished work must exit 4"
 
         interrupted = json.load(
